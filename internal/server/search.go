@@ -1,0 +1,364 @@
+package server
+
+// The query-facing routes: /search (the rendered-answer hot path),
+// /sql, /explain, /browse/{table} and /feedback.
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"strings"
+	"time"
+
+	"soda"
+	"soda/internal/obs"
+)
+
+// --- /search ----------------------------------------------------------
+
+// SearchRequest asks for the ranked SQL of one input query. With Snippets
+// set, each result also carries up to the snippet row cap of executed
+// rows (the paper's result page shows "up to twenty tuples"); snippet
+// rows are cached with the answer, so repeated snippet searches execute
+// no SQL. Dialect renders the statements for a specific backend
+// ("generic", "postgres", "mysql", "db2"); empty uses the daemon's
+// configured default.
+type SearchRequest struct {
+	Query    string `json:"query"`
+	Snippets bool   `json:"snippets,omitempty"`
+	Dialect  string `json:"dialect,omitempty"`
+}
+
+// SearchResult is one ranked statement. Approved marks a result resolved
+// from the saved-query library: QueryName is the library key, SQL shows
+// the parameterized statement, and Params carries the values bound from
+// the search input (or defaults) — execution binds them through prepared
+// statements, never into the SQL text.
+type SearchResult struct {
+	Index        int                 `json:"index"`
+	SQL          string              `json:"sql"`
+	Score        float64             `json:"score"`
+	Tables       []string            `json:"tables"`
+	FromTables   []string            `json:"from_tables"`
+	Joins        []string            `json:"joins,omitempty"`
+	Filters      []string            `json:"filters,omitempty"`
+	Disconnected bool                `json:"disconnected,omitempty"`
+	Approved     bool                `json:"approved,omitempty"`
+	QueryName    string              `json:"query_name,omitempty"`
+	Params       []soda.ParamBinding `json:"params,omitempty"`
+	Snippet      *RowsJSON           `json:"snippet,omitempty"`
+	SnippetError string              `json:"snippet_error,omitempty"`
+}
+
+// SearchResponse is the full answer for one query.
+type SearchResponse struct {
+	Query      string         `json:"query"`
+	Complexity int            `json:"complexity"`
+	Terms      []string       `json:"terms"`
+	Ignored    []string       `json:"ignored,omitempty"`
+	Results    []SearchResult `json:"results"`
+}
+
+// RowsJSON is a materialised result; values are rendered as strings the
+// way the CLI prints them.
+type RowsJSON struct {
+	Columns  []string   `json:"columns"`
+	Rows     [][]string `json:"rows"`
+	RowCount int        `json:"row_count"`
+}
+
+func rowsJSON(rows *soda.Rows) *RowsJSON {
+	out := &RowsJSON{Columns: rows.Columns, Rows: make([][]string, len(rows.Values)), RowCount: rows.NumRows()}
+	for i, row := range rows.Values {
+		cells := make([]string, len(row))
+		for j, v := range row {
+			cells[j] = v.String()
+		}
+		out.Rows[i] = cells
+	}
+	return out
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	if !s.admit(r) {
+		s.shed.Inc()
+		w.Header().Set("Retry-After", s.retryAfter)
+		s.writeError(w, r, http.StatusServiceUnavailable,
+			errors.New("overloaded: search admission queue is full, retry later"))
+		return
+	}
+	defer s.release()
+	var req SearchRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if strings.TrimSpace(req.Query) == "" {
+		s.writeError(w, r, http.StatusBadRequest, errors.New("missing query"))
+		return
+	}
+	// The hot path: a repeat of an already-rendered query returns the
+	// cached response bytes — no pipeline, no re-marshal, zero core
+	// allocations — while a miss renders through searchResponse and caches
+	// the bytes for the next repeat. Dialect validation happens inside;
+	// an unknown name surfaces as a 400 through the normal error path.
+	info := requestInfoFrom(r)
+	info.setDialect(req.Dialect)
+	info.setQuery(req.Query)
+	start := time.Now()
+	data, hit, err := s.sys.SearchRenderedContext(r.Context(), req.Query, soda.SearchOptions{
+		Dialect:  req.Dialect,
+		Snippets: req.Snippets,
+	}, func(ans *soda.Answer) ([]byte, error) {
+		addPipelineSpans(&info.tr, ans.Timings())
+		if len(ans.Results) > 0 {
+			info.setSQL(ans.Results[0].SQL)
+		}
+		return encodeJSON(searchResponse(req, ans))
+	})
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	if hit {
+		info.setOutcome("hit")
+		s.reqHit.Inc()
+		s.hitLat.Record(time.Since(start))
+	} else {
+		info.setOutcome("cold")
+		s.reqCold.Inc()
+		s.coldLat.Record(time.Since(start))
+	}
+	s.writeRaw(w, http.StatusOK, data)
+}
+
+// addPipelineSpans appends one cold run's step timings to the request's
+// span trace, carried into the structured request log, the flight
+// recorder and /debug/requests. The core pipeline appends its own
+// backend-execution spans to the same trace through the request context,
+// so the callback only contributes the step breakdown.
+func addPipelineSpans(tr *obs.Trace, t soda.Timings) {
+	tr.Add("lookup", t.Lookup)
+	tr.Add("rank", t.Rank)
+	tr.Add("tables", t.Tables)
+	tr.Add("filters", t.Filters)
+	tr.Add("sqlgen", t.SQL)
+	if t.Snippet > 0 {
+		tr.Add("snippet", t.Snippet)
+	}
+}
+
+// searchResponse builds the /search response shape for one answer.
+func searchResponse(req SearchRequest, ans *soda.Answer) SearchResponse {
+	resp := SearchResponse{
+		Query:      req.Query,
+		Complexity: ans.Complexity,
+		Terms:      ans.Terms,
+		Ignored:    ans.Ignored,
+		Results:    make([]SearchResult, 0, len(ans.Results)),
+	}
+	for i, res := range ans.Results {
+		sr := SearchResult{
+			Index:        i,
+			SQL:          res.SQL,
+			Score:        res.Score,
+			Tables:       res.Tables,
+			FromTables:   res.FromTables,
+			Joins:        res.Joins,
+			Filters:      res.Filters,
+			Disconnected: res.Disconnected,
+			Approved:     res.Approved,
+			QueryName:    res.QueryName,
+			Params:       res.Params,
+		}
+		if req.Snippets {
+			// Snippet rows were executed with the pipeline and live in
+			// the answer cache; a cache hit serves them without touching
+			// the engine.
+			if res.SnippetRows != nil {
+				sr.Snippet = rowsJSON(res.SnippetRows)
+			} else {
+				sr.SnippetError = res.SnippetError
+			}
+		}
+		resp.Results = append(resp.Results, sr)
+	}
+	return resp
+}
+
+// --- /sql -------------------------------------------------------------
+
+// SQLRequest executes one statement in the engine's SQL subset — the
+// §5.3.2 exploration workflow where analysts refine SODA's statements.
+// Dialect says which dialect the statement is written in (quoting and
+// escaping rules); empty uses the daemon's configured default.
+type SQLRequest struct {
+	SQL     string `json:"sql"`
+	Dialect string `json:"dialect,omitempty"`
+}
+
+func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
+	var req SQLRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if strings.TrimSpace(req.SQL) == "" {
+		s.writeError(w, r, http.StatusBadRequest, errors.New("missing sql"))
+		return
+	}
+	info := requestInfoFrom(r)
+	info.setDialect(req.Dialect)
+	info.setSQL(req.SQL)
+	rows, err := s.sys.ExecuteSQLInContext(r.Context(), req.Dialect, req.SQL)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, rowsJSON(rows))
+}
+
+// --- /browse/{table} --------------------------------------------------
+
+// BrowseResponse is the schema-browser view of one table.
+type BrowseResponse struct {
+	Name                string         `json:"name"`
+	Columns             []BrowseColumn `json:"columns"`
+	Related             []BrowseJoin   `json:"related,omitempty"`
+	Labels              []string       `json:"labels,omitempty"`
+	InheritanceParent   string         `json:"inheritance_parent,omitempty"`
+	InheritanceChildren []string       `json:"inheritance_children,omitempty"`
+}
+
+// BrowseColumn is one column with its declared type.
+type BrowseColumn struct {
+	Name string `json:"name"`
+	Type string `json:"type"`
+}
+
+// BrowseJoin is one join-graph neighbour.
+type BrowseJoin struct {
+	Table string `json:"table"`
+	Join  string `json:"join"`
+}
+
+func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
+	table := r.PathValue("table")
+	info, err := s.sys.Browse(table)
+	if err != nil {
+		s.writeError(w, r, http.StatusNotFound, err)
+		return
+	}
+	resp := BrowseResponse{
+		Name:                info.Name,
+		Labels:              info.Labels,
+		InheritanceParent:   info.InheritanceParent,
+		InheritanceChildren: info.InheritanceChildren,
+	}
+	for _, c := range info.Columns {
+		resp.Columns = append(resp.Columns, BrowseColumn{Name: c.Name, Type: c.Type})
+	}
+	for _, rel := range info.Related {
+		resp.Related = append(resp.Related, BrowseJoin{Table: rel.Table, Join: rel.Join.String()})
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// --- /feedback --------------------------------------------------------
+
+// FeedbackRequest likes or dislikes one ranked result of a query (§6.3).
+// SQL, when set, pins the exact statement the client saw: feedback
+// re-ranks future answers, so a bare index can drift between the search
+// the client rendered and the re-resolved one. The first feedback on a
+// query resolves through the answer cache; later ones re-run the pipeline
+// (their own epoch bump invalidated the entry).
+type FeedbackRequest struct {
+	Query  string `json:"query"`
+	Result int    `json:"result"`
+	SQL    string `json:"sql,omitempty"`
+	Like   bool   `json:"like"`
+}
+
+// FeedbackResponse confirms what was recorded.
+type FeedbackResponse struct {
+	OK     bool   `json:"ok"`
+	Query  string `json:"query"`
+	Result int    `json:"result"`
+	Like   bool   `json:"like"`
+	SQL    string `json:"sql"`
+}
+
+func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
+	var req FeedbackRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if strings.TrimSpace(req.Query) == "" {
+		s.writeError(w, r, http.StatusBadRequest, errors.New("missing query"))
+		return
+	}
+	ans, err := s.sys.Search(req.Query)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	var res *soda.Result
+	index := req.Result
+	switch {
+	case req.SQL != "":
+		for i, r := range ans.Results {
+			if r.SQL == req.SQL {
+				res, index = r, i
+				break
+			}
+		}
+		if res == nil {
+			s.writeError(w, r, http.StatusNotFound,
+				fmt.Errorf("no result with the given sql (query has %d results)", len(ans.Results)))
+			return
+		}
+	case req.Result < 0 || req.Result >= len(ans.Results):
+		s.writeError(w, r, http.StatusNotFound,
+			fmt.Errorf("result %d out of range (query has %d results)", req.Result, len(ans.Results)))
+		return
+	default:
+		res = ans.Results[req.Result]
+	}
+	// Like/Dislike re-resolve internally when another feedback call
+	// re-ranked the system between our Search above and this apply; a
+	// surviving error means the statement genuinely left the answer (410)
+	// or the state store rejected the write (500).
+	var ferr error
+	if req.Like {
+		ferr = res.Like()
+	} else {
+		ferr = res.Dislike()
+	}
+	if ferr != nil {
+		status := http.StatusInternalServerError
+		var stale *soda.StaleFeedbackError
+		if errors.As(ferr, &stale) {
+			status = http.StatusConflict
+		}
+		s.writeError(w, r, status, ferr)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, FeedbackResponse{
+		OK: true, Query: req.Query, Result: index, Like: req.Like, SQL: res.SQL,
+	})
+}
+
+// --- /explain ---------------------------------------------------------
+
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query().Get("q")
+	if strings.TrimSpace(q) == "" {
+		s.writeError(w, r, http.StatusBadRequest, errors.New("missing q parameter"))
+		return
+	}
+	ans, err := s.sys.SearchWith(q, soda.SearchOptions{Dialect: r.URL.Query().Get("dialect")})
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write([]byte(ans.Explain()))
+}

@@ -43,11 +43,9 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"soda"
-	"soda/internal/cluster"
 	"soda/internal/obs"
 )
 
@@ -467,638 +465,4 @@ func (s *Server) release() {
 	if s.inflight != nil {
 		<-s.inflight
 	}
-}
-
-// --- /healthz ---------------------------------------------------------
-
-// HealthResponse is the healthz payload.
-type HealthResponse struct {
-	Status        string          `json:"status"`
-	World         string          `json:"world"`
-	Tables        int             `json:"tables"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Cache         soda.CacheStats `json:"cache"`
-	// Backend identifies the execution backend generated SQL runs on
-	// ("memory", "sqldb:pgwire:…"); Executions counts the statements that
-	// backend has run for this System — together with the cache counters
-	// it shows how much work snippet caching saves, per backend.
-	Backend    string `json:"backend"`
-	Executions uint64 `json:"executions"`
-	// Dialects lists the SQL dialects accepted in the per-request
-	// "dialect" field of /search and /sql.
-	Dialects []string `json:"dialects"`
-	// Store describes the persistent state store (WAL size, snapshot,
-	// warm-start flag); absent when the daemon runs without -data-dir.
-	Store *soda.StoreStats `json:"store,omitempty"`
-	// Cluster describes the replication state: this replica's id and
-	// applied vector, plus per-peer lag (records behind, last contact).
-	// Absent without -data-dir; present with an empty peer list for a
-	// single persistent replica (it can still be pulled from).
-	Cluster *soda.ClusterStatus `json:"cluster,omitempty"`
-	// SearchLatency reports /search service-time percentiles since boot,
-	// split cache-hit vs cold (full pipeline) — the serving-side view of
-	// the BENCH_search.json SLO (p99 < 1ms hit, < 20ms cold).
-	SearchLatency SearchLatency `json:"search_latency"`
-	// Build identifies this replica's build — the JSON twin of the
-	// soda_build_info gauge, for telling replicas apart during rolling
-	// upgrades.
-	Build BuildInfo `json:"build"`
-	// FlightRecorder summarizes the /debug/requests ring: capacity,
-	// retained traces, notable (over-SLO / 5xx) traces, drops and the
-	// slowest trace id seen since boot.
-	FlightRecorder obs.FlightStats `json:"flight_recorder"`
-}
-
-// BuildInfo identifies the running build on /healthz.
-type BuildInfo struct {
-	GoVersion string `json:"go_version"`
-	Corpus    string `json:"corpus"`
-	Backend   string `json:"backend"`
-	Replica   string `json:"replica,omitempty"`
-}
-
-// SearchLatency splits /search service time by cache outcome.
-type SearchLatency struct {
-	Hit  LatencySummary `json:"hit"`
-	Cold LatencySummary `json:"cold"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
-		Status:        "ok",
-		World:         s.sys.World().Name(),
-		Tables:        len(s.sys.World().TableNames()),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Cache:         s.sys.CacheStats(),
-		Backend:       s.sys.Backend(),
-		Executions:    s.sys.ExecCount(),
-		Dialects:      soda.Dialects(),
-		Store:         s.sys.StoreStats(),
-		Cluster:       s.sys.ClusterStatus(),
-		SearchLatency: SearchLatency{Hit: s.hitLat.Summary(), Cold: s.coldLat.Summary()},
-		Build: BuildInfo{
-			GoVersion: runtime.Version(),
-			Corpus:    s.sys.World().Name(),
-			Backend:   s.backendID,
-			Replica:   s.sys.ReplicaID(),
-		},
-		FlightRecorder: s.flight.Stats(),
-	})
-}
-
-// --- /search ----------------------------------------------------------
-
-// SearchRequest asks for the ranked SQL of one input query. With Snippets
-// set, each result also carries up to the snippet row cap of executed
-// rows (the paper's result page shows "up to twenty tuples"); snippet
-// rows are cached with the answer, so repeated snippet searches execute
-// no SQL. Dialect renders the statements for a specific backend
-// ("generic", "postgres", "mysql", "db2"); empty uses the daemon's
-// configured default.
-type SearchRequest struct {
-	Query    string `json:"query"`
-	Snippets bool   `json:"snippets,omitempty"`
-	Dialect  string `json:"dialect,omitempty"`
-}
-
-// SearchResult is one ranked statement. Approved marks a result resolved
-// from the saved-query library: QueryName is the library key, SQL shows
-// the parameterized statement, and Params carries the values bound from
-// the search input (or defaults) — execution binds them through prepared
-// statements, never into the SQL text.
-type SearchResult struct {
-	Index        int                 `json:"index"`
-	SQL          string              `json:"sql"`
-	Score        float64             `json:"score"`
-	Tables       []string            `json:"tables"`
-	FromTables   []string            `json:"from_tables"`
-	Joins        []string            `json:"joins,omitempty"`
-	Filters      []string            `json:"filters,omitempty"`
-	Disconnected bool                `json:"disconnected,omitempty"`
-	Approved     bool                `json:"approved,omitempty"`
-	QueryName    string              `json:"query_name,omitempty"`
-	Params       []soda.ParamBinding `json:"params,omitempty"`
-	Snippet      *RowsJSON           `json:"snippet,omitempty"`
-	SnippetError string              `json:"snippet_error,omitempty"`
-}
-
-// SearchResponse is the full answer for one query.
-type SearchResponse struct {
-	Query      string         `json:"query"`
-	Complexity int            `json:"complexity"`
-	Terms      []string       `json:"terms"`
-	Ignored    []string       `json:"ignored,omitempty"`
-	Results    []SearchResult `json:"results"`
-}
-
-// RowsJSON is a materialised result; values are rendered as strings the
-// way the CLI prints them.
-type RowsJSON struct {
-	Columns  []string   `json:"columns"`
-	Rows     [][]string `json:"rows"`
-	RowCount int        `json:"row_count"`
-}
-
-func rowsJSON(rows *soda.Rows) *RowsJSON {
-	out := &RowsJSON{Columns: rows.Columns, Rows: make([][]string, len(rows.Values)), RowCount: rows.NumRows()}
-	for i, row := range rows.Values {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.String()
-		}
-		out.Rows[i] = cells
-	}
-	return out
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(r) {
-		s.shed.Inc()
-		w.Header().Set("Retry-After", s.retryAfter)
-		s.writeError(w, r, http.StatusServiceUnavailable,
-			errors.New("overloaded: search admission queue is full, retry later"))
-		return
-	}
-	defer s.release()
-	var req SearchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing query"))
-		return
-	}
-	// The hot path: a repeat of an already-rendered query returns the
-	// cached response bytes — no pipeline, no re-marshal, zero core
-	// allocations — while a miss renders through searchResponse and caches
-	// the bytes for the next repeat. Dialect validation happens inside;
-	// an unknown name surfaces as a 400 through the normal error path.
-	info := requestInfoFrom(r)
-	info.setDialect(req.Dialect)
-	info.setQuery(req.Query)
-	start := time.Now()
-	data, hit, err := s.sys.SearchRenderedContext(r.Context(), req.Query, soda.SearchOptions{
-		Dialect:  req.Dialect,
-		Snippets: req.Snippets,
-	}, func(ans *soda.Answer) ([]byte, error) {
-		addPipelineSpans(&info.tr, ans.Timings())
-		if len(ans.Results) > 0 {
-			info.setSQL(ans.Results[0].SQL)
-		}
-		return encodeJSON(searchResponse(req, ans))
-	})
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if hit {
-		info.setOutcome("hit")
-		s.reqHit.Inc()
-		s.hitLat.Record(time.Since(start))
-	} else {
-		info.setOutcome("cold")
-		s.reqCold.Inc()
-		s.coldLat.Record(time.Since(start))
-	}
-	s.writeRaw(w, http.StatusOK, data)
-}
-
-// addPipelineSpans appends one cold run's step timings to the request's
-// span trace, carried into the structured request log, the flight
-// recorder and /debug/requests. The core pipeline appends its own
-// backend-execution spans to the same trace through the request context,
-// so the callback only contributes the step breakdown.
-func addPipelineSpans(tr *obs.Trace, t soda.Timings) {
-	tr.Add("lookup", t.Lookup)
-	tr.Add("rank", t.Rank)
-	tr.Add("tables", t.Tables)
-	tr.Add("filters", t.Filters)
-	tr.Add("sqlgen", t.SQL)
-	if t.Snippet > 0 {
-		tr.Add("snippet", t.Snippet)
-	}
-}
-
-// searchResponse builds the /search response shape for one answer.
-func searchResponse(req SearchRequest, ans *soda.Answer) SearchResponse {
-	resp := SearchResponse{
-		Query:      req.Query,
-		Complexity: ans.Complexity,
-		Terms:      ans.Terms,
-		Ignored:    ans.Ignored,
-		Results:    make([]SearchResult, 0, len(ans.Results)),
-	}
-	for i, res := range ans.Results {
-		sr := SearchResult{
-			Index:        i,
-			SQL:          res.SQL,
-			Score:        res.Score,
-			Tables:       res.Tables,
-			FromTables:   res.FromTables,
-			Joins:        res.Joins,
-			Filters:      res.Filters,
-			Disconnected: res.Disconnected,
-			Approved:     res.Approved,
-			QueryName:    res.QueryName,
-			Params:       res.Params,
-		}
-		if req.Snippets {
-			// Snippet rows were executed with the pipeline and live in
-			// the answer cache; a cache hit serves them without touching
-			// the engine.
-			if res.SnippetRows != nil {
-				sr.Snippet = rowsJSON(res.SnippetRows)
-			} else {
-				sr.SnippetError = res.SnippetError
-			}
-		}
-		resp.Results = append(resp.Results, sr)
-	}
-	return resp
-}
-
-// --- /sql -------------------------------------------------------------
-
-// SQLRequest executes one statement in the engine's SQL subset — the
-// §5.3.2 exploration workflow where analysts refine SODA's statements.
-// Dialect says which dialect the statement is written in (quoting and
-// escaping rules); empty uses the daemon's configured default.
-type SQLRequest struct {
-	SQL     string `json:"sql"`
-	Dialect string `json:"dialect,omitempty"`
-}
-
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	var req SQLRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing sql"))
-		return
-	}
-	info := requestInfoFrom(r)
-	info.setDialect(req.Dialect)
-	info.setSQL(req.SQL)
-	rows, err := s.sys.ExecuteSQLInContext(r.Context(), req.Dialect, req.SQL)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, rowsJSON(rows))
-}
-
-// --- /browse/{table} --------------------------------------------------
-
-// BrowseResponse is the schema-browser view of one table.
-type BrowseResponse struct {
-	Name                string         `json:"name"`
-	Columns             []BrowseColumn `json:"columns"`
-	Related             []BrowseJoin   `json:"related,omitempty"`
-	Labels              []string       `json:"labels,omitempty"`
-	InheritanceParent   string         `json:"inheritance_parent,omitempty"`
-	InheritanceChildren []string       `json:"inheritance_children,omitempty"`
-}
-
-// BrowseColumn is one column with its declared type.
-type BrowseColumn struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
-
-// BrowseJoin is one join-graph neighbour.
-type BrowseJoin struct {
-	Table string `json:"table"`
-	Join  string `json:"join"`
-}
-
-func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	table := r.PathValue("table")
-	info, err := s.sys.Browse(table)
-	if err != nil {
-		s.writeError(w, r, http.StatusNotFound, err)
-		return
-	}
-	resp := BrowseResponse{
-		Name:                info.Name,
-		Labels:              info.Labels,
-		InheritanceParent:   info.InheritanceParent,
-		InheritanceChildren: info.InheritanceChildren,
-	}
-	for _, c := range info.Columns {
-		resp.Columns = append(resp.Columns, BrowseColumn{Name: c.Name, Type: c.Type})
-	}
-	for _, rel := range info.Related {
-		resp.Related = append(resp.Related, BrowseJoin{Table: rel.Table, Join: rel.Join.String()})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// --- /feedback --------------------------------------------------------
-
-// FeedbackRequest likes or dislikes one ranked result of a query (§6.3).
-// SQL, when set, pins the exact statement the client saw: feedback
-// re-ranks future answers, so a bare index can drift between the search
-// the client rendered and the re-resolved one. The first feedback on a
-// query resolves through the answer cache; later ones re-run the pipeline
-// (their own epoch bump invalidated the entry).
-type FeedbackRequest struct {
-	Query  string `json:"query"`
-	Result int    `json:"result"`
-	SQL    string `json:"sql,omitempty"`
-	Like   bool   `json:"like"`
-}
-
-// FeedbackResponse confirms what was recorded.
-type FeedbackResponse struct {
-	OK     bool   `json:"ok"`
-	Query  string `json:"query"`
-	Result int    `json:"result"`
-	Like   bool   `json:"like"`
-	SQL    string `json:"sql"`
-}
-
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing query"))
-		return
-	}
-	ans, err := s.sys.Search(req.Query)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	var res *soda.Result
-	index := req.Result
-	switch {
-	case req.SQL != "":
-		for i, r := range ans.Results {
-			if r.SQL == req.SQL {
-				res, index = r, i
-				break
-			}
-		}
-		if res == nil {
-			s.writeError(w, r, http.StatusNotFound,
-				fmt.Errorf("no result with the given sql (query has %d results)", len(ans.Results)))
-			return
-		}
-	case req.Result < 0 || req.Result >= len(ans.Results):
-		s.writeError(w, r, http.StatusNotFound,
-			fmt.Errorf("result %d out of range (query has %d results)", req.Result, len(ans.Results)))
-		return
-	default:
-		res = ans.Results[req.Result]
-	}
-	// Like/Dislike re-resolve internally when another feedback call
-	// re-ranked the system between our Search above and this apply; a
-	// surviving error means the statement genuinely left the answer (410)
-	// or the state store rejected the write (500).
-	var ferr error
-	if req.Like {
-		ferr = res.Like()
-	} else {
-		ferr = res.Dislike()
-	}
-	if ferr != nil {
-		status := http.StatusInternalServerError
-		var stale *soda.StaleFeedbackError
-		if errors.As(ferr, &stale) {
-			status = http.StatusConflict
-		}
-		s.writeError(w, r, status, ferr)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, FeedbackResponse{
-		OK: true, Query: req.Query, Result: index, Like: req.Like, SQL: res.SQL,
-	})
-}
-
-// --- /admin/snapshot --------------------------------------------------
-
-// SnapshotResponse reports the store state after a manual snapshot.
-type SnapshotResponse struct {
-	OK    bool            `json:"ok"`
-	Store soda.StoreStats `json:"store"`
-}
-
-// handleSnapshot persists the current derived state and compacts the
-// feedback WAL — the operational hook for "flush before maintenance" and
-// for pre-baking warm snapshots on a running daemon.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	st, err := s.sys.Snapshot()
-	if err != nil {
-		s.writeError(w, r, http.StatusConflict, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, SnapshotResponse{OK: true, Store: *st})
-}
-
-// --- /admin/queries -----------------------------------------------------
-
-// SavedParamJSON is one parameter spec of a saved query on the wire.
-// Default is a pointer so "no default" (parameter required) and "default
-// is the empty string" stay distinguishable.
-type SavedParamJSON struct {
-	Name    string  `json:"name"`
-	Type    string  `json:"type"`
-	Default *string `json:"default,omitempty"`
-}
-
-// SavedQueryJSON is one library entry on the wire. SQL is the
-// parameterized statement in the generic dialect with $1..$n
-// placeholders in occurrence order; Params describes each placeholder.
-type SavedQueryJSON struct {
-	Name        string           `json:"name"`
-	Description string           `json:"description,omitempty"`
-	SQL         string           `json:"sql"`
-	Params      []SavedParamJSON `json:"params,omitempty"`
-}
-
-// QueryListResponse is the GET /admin/queries payload.
-type QueryListResponse struct {
-	Queries []SavedQueryJSON `json:"queries"`
-}
-
-// QueryPutResponse confirms a registration.
-type QueryPutResponse struct {
-	OK    bool           `json:"ok"`
-	Query SavedQueryJSON `json:"query"`
-}
-
-// QueryDeleteResponse confirms a removal.
-type QueryDeleteResponse struct {
-	OK   bool   `json:"ok"`
-	Name string `json:"name"`
-}
-
-func savedQueryJSON(q soda.SavedQuery) SavedQueryJSON {
-	out := SavedQueryJSON{Name: q.Name, Description: q.Description, SQL: q.SQL}
-	for _, p := range q.Params {
-		pj := SavedParamJSON{Name: p.Name, Type: p.Type}
-		if p.HasDefault {
-			d := p.Default
-			pj.Default = &d
-		}
-		out.Params = append(out.Params, pj)
-	}
-	return out
-}
-
-func savedQueryFromJSON(qj SavedQueryJSON) soda.SavedQuery {
-	q := soda.SavedQuery{Name: qj.Name, Description: qj.Description, SQL: qj.SQL}
-	for _, p := range qj.Params {
-		sp := soda.SavedParam{Name: p.Name, Type: p.Type}
-		if p.Default != nil {
-			sp.Default = *p.Default
-			sp.HasDefault = true
-		}
-		q.Params = append(q.Params, sp)
-	}
-	return q
-}
-
-// handleQueryPut registers (or replaces) a saved query under the path
-// name. The registration is validated — parse, placeholder/spec
-// agreement, default values — before it is accepted, so a 200 means the
-// query will compile on every replica. The record replicates through the
-// cluster like any feedback write.
-func (s *Server) handleQueryPut(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var qj SavedQueryJSON
-	if !s.decodeBody(w, r, &qj) {
-		return
-	}
-	if qj.Name != "" && qj.Name != name {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("body name %q does not match path name %q", qj.Name, name))
-		return
-	}
-	qj.Name = name
-	q := savedQueryFromJSON(qj)
-	if err := s.sys.RegisterQuery(q); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	stored, _ := s.sys.SavedQuery(name)
-	s.log.Printf("saved query %q registered (%d params)", name, len(stored.Params))
-	s.writeJSON(w, http.StatusOK, QueryPutResponse{OK: true, Query: savedQueryJSON(stored)})
-}
-
-func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	q, ok := s.sys.SavedQuery(name)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("no saved query %q", name))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, savedQueryJSON(q))
-}
-
-func (s *Server) handleQueryDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if err := s.sys.DeleteSavedQuery(name); err != nil {
-		s.writeError(w, r, http.StatusNotFound, err)
-		return
-	}
-	s.log.Printf("saved query %q deleted", name)
-	s.writeJSON(w, http.StatusOK, QueryDeleteResponse{OK: true, Name: name})
-}
-
-func (s *Server) handleQueryList(w http.ResponseWriter, r *http.Request) {
-	resp := QueryListResponse{Queries: []SavedQueryJSON{}}
-	for _, q := range s.sys.SavedQueries() {
-		resp.Queries = append(resp.Queries, savedQueryJSON(q))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// --- /admin/decommission ------------------------------------------------
-
-// DecommissionResponse confirms a replica was removed from the fold
-// quorum.
-type DecommissionResponse struct {
-	OK      bool   `json:"ok"`
-	Replica string `json:"replica"`
-}
-
-// handleDecommission permanently removes a peer replica from the feedback
-// fold quorum (?replica=<id>) — the operator's escape hatch for a static
-// -peers entry that is never coming back and would otherwise stall WAL
-// folding and compaction forever. A decommissioned peer that does return
-// adopts the folded state through the normal catch-up path. See also the
-// daemon's -peer-dead-after flag for the automatic variant.
-func (s *Server) handleDecommission(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("replica")
-	if id == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing replica parameter"))
-		return
-	}
-	if err := s.sys.Decommission(id); err != nil {
-		s.writeError(w, r, http.StatusConflict, err)
-		return
-	}
-	s.log.Printf("replica %q decommissioned from the fold quorum", id)
-	s.writeJSON(w, http.StatusOK, DecommissionResponse{OK: true, Replica: id})
-}
-
-// --- /cluster/pull ------------------------------------------------------
-
-// handleClusterPull serves one replication pull to a peer replica: every
-// retained feedback record beyond the caller's applied vector (?since=,
-// in "origin:seq,origin:seq" form), in canonical order, capped at ?limit.
-// The caller identifies itself with ?from=<replica-id>; its vector is its
-// acknowledgement and gates this replica's WAL compaction. A caller that
-// fell behind the local fold point receives the folded state to adopt
-// ("behind": true) instead of records. Pulling is idempotent and
-// read-only on the feedback state.
-func (s *Server) handleClusterPull(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	since, err := cluster.ParseVector(q.Get("since"))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	limit := cluster.DefaultBatchLimit
-	if ls := q.Get("limit"); ls != "" {
-		l, err := strconv.Atoi(ls)
-		if err != nil || l <= 0 {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
-			return
-		}
-		if l > cluster.MaxBatchLimit {
-			l = cluster.MaxBatchLimit
-		}
-		limit = l
-	}
-	resp, err := s.sys.ClusterPull(q.Get("from"), since, limit)
-	if err != nil {
-		// No store attached (or a malformed replica id): the daemon is not
-		// replication-capable, which for a fleet peer is a configuration
-		// conflict, not a transient failure.
-		s.writeError(w, r, http.StatusConflict, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// --- /explain ---------------------------------------------------------
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if strings.TrimSpace(q) == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing q parameter"))
-		return
-	}
-	ans, err := s.sys.SearchWith(q, soda.SearchOptions{Dialect: r.URL.Query().Get("dialect")})
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte(ans.Explain()))
 }
