@@ -10,6 +10,7 @@ package soda
 // bench run reproduces the numbers EXPERIMENTS.md discusses.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -102,7 +103,7 @@ func BenchmarkTable4(b *testing.B) {
 					if sol.SQL == nil {
 						continue
 					}
-					res, err := e.WHSys.Execute(sol)
+					res, err := e.WHSys.Execute(context.Background(), sol)
 					if err == nil {
 						rows += res.NumRows()
 					}
@@ -373,7 +374,7 @@ func BenchmarkScaleOrders(b *testing.B) {
 					if sol.SQL == nil {
 						continue
 					}
-					if _, err := sys.Execute(sol); err != nil {
+					if _, err := sys.Execute(context.Background(), sol); err != nil {
 						b.Fatal(err)
 					}
 				}

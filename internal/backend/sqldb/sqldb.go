@@ -248,14 +248,6 @@ func (e *Executor) Load(ctx context.Context, db *backend.DB) error {
 	return nil
 }
 
-// Loaded probes whether every corpus table already exists in the target
-// (a zero-row SELECT per table). Used to make loading idempotent across
-// daemon restarts sharing one warehouse.
-func (e *Executor) Loaded(ctx context.Context, db *backend.DB) bool {
-	present, missing := e.probeTables(ctx, db)
-	return len(missing) == 0 || len(present) == len(db.TableNames())
-}
-
 // probeTables partitions the corpus tables into those the target can
 // already answer a zero-row SELECT for and those it cannot.
 func (e *Executor) probeTables(ctx context.Context, db *backend.DB) (present, missing []string) {

@@ -9,6 +9,7 @@ package bench
 // shared runners are noisy).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -190,8 +191,9 @@ func MeasureCorpusLatency(name string, hitSys, coldSys *core.System, queries []s
 	cfg = cfg.withDefaults()
 	hitSys.Warm()
 	coldSys.Warm()
+	ctx := context.Background()
 	for _, q := range queries {
-		if _, hit, err := hitSys.SearchRendered(q, core.SearchOptions{}, renderLatencyAnswer); err != nil {
+		if _, hit, err := hitSys.SearchRenderedContext(ctx, q, core.SearchOptions{}, renderLatencyAnswer); err != nil {
 			return CorpusLatency{}, fmt.Errorf("bench: priming %q: %w", q, err)
 		} else if hit {
 			return CorpusLatency{}, fmt.Errorf("bench: %q already cached before priming", q)
@@ -202,7 +204,7 @@ func MeasureCorpusLatency(name string, hitSys, coldSys *core.System, queries []s
 	for r := 0; r < cfg.HitRounds; r++ {
 		for _, q := range queries {
 			t0 := time.Now()
-			_, hit, err := hitSys.SearchRendered(q, core.SearchOptions{}, renderLatencyAnswer)
+			_, hit, err := hitSys.SearchRenderedContext(ctx, q, core.SearchOptions{}, renderLatencyAnswer)
 			d := time.Since(t0)
 			if err != nil {
 				return CorpusLatency{}, err

@@ -17,12 +17,13 @@ import (
 // observed by the very next search instead of being masked by a stale
 // cached answer.
 //
-// Entries come in two flavours sharing one LRU: pipeline analyses keyed
-// by the canonical query form (whitespace variants share one entry), and
-// pre-rendered answer bytes keyed by the raw request input, so the
-// serving layer's repeated-query path is a byte-slice write with zero
-// heap allocations (see rendered.go). When the raw input already is
-// canonical, a single entry carries both.
+// One kind of entry, one lookup, one store. Every entry holds a pipeline
+// analysis; an entry keyed by a raw request input additionally holds the
+// answer bytes rendered from it, so the serving layer's repeated-query
+// path is a byte-slice write with zero heap allocations (see rendered.go).
+// Entries keyed by the canonical query form let whitespace variants share
+// one pipeline run; when the raw input already is canonical, a single
+// entry serves both purposes.
 
 // defaultCacheSize is the total entry cap when Options.CacheSize is 0.
 const defaultCacheSize = 512
@@ -59,9 +60,7 @@ type cacheShard struct {
 }
 
 // cacheEntry holds what the cache knows about one key: the pipeline
-// analysis (canonical-key entries), pre-rendered answer bytes
-// (raw-input-key entries), or both when the raw input is already in
-// canonical form.
+// analysis and, once the key has been rendered, the answer bytes.
 type cacheEntry struct {
 	key      string
 	epoch    uint64
@@ -118,102 +117,51 @@ func (sh *cacheShard) evictLocked() {
 	}
 }
 
-// get returns the cached analysis for key computed under exactly the
-// given epoch. A hit from an older epoch is evicted on sight — the
-// ranking function changed, so the answer can never be valid again.
-func (c *answerCache) get(key string, epoch uint64) (*Analysis, bool) {
-	sh := c.shard(maphash.String(cacheSeed, key))
-	sh.mu.Lock()
-	el, ok := sh.byKey[key]
-	if !ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch || e.a == nil {
-		if e.epoch != epoch {
-			sh.removeLocked(el, e)
-		}
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return e.a, true
-}
-
-// getRendered returns the pre-rendered answer bytes for a raw-input key
-// (built with appendCacheKey) under exactly the given epoch. The lookup
-// is allocation-free: the key stays a byte slice end to end
-// (maphash.Bytes plus the compiler's no-copy map lookup for
-// byKey[string(key)]). Only a byte hit counts toward Hits; a miss is not
-// counted here, because the caller falls back to SearchWith whose
-// canonical-key lookup does the counting — hit/miss totals therefore
-// match the pre-rendered-path behaviour exactly.
-func (c *answerCache) getRendered(key []byte, epoch uint64) ([]byte, bool) {
+// lookup returns what the cache holds for key (built with appendCacheKey)
+// under exactly the given epoch: the analysis, plus the answer bytes when
+// the key has been rendered. A nil analysis means absent. An entry from an
+// older epoch is evicted on sight — the ranking function changed, so the
+// answer can never be valid again. The lookup is allocation-free: the key
+// stays a byte slice end to end (maphash.Bytes plus the compiler's no-copy
+// map lookup for byKey[string(key)]). It counts nothing: the search path
+// (SearchWithContext, SearchRenderedContext) decides what is a hit.
+func (c *answerCache) lookup(key []byte, epoch uint64) (*Analysis, []byte) {
 	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	el, ok := sh.byKey[string(key)]
 	if !ok {
-		sh.mu.Unlock()
-		return nil, false
+		return nil, nil
 	}
 	e := el.Value.(*cacheEntry)
 	if e.epoch != epoch {
 		sh.removeLocked(el, e)
-		sh.mu.Unlock()
-		return nil, false
-	}
-	if e.rendered == nil {
-		sh.mu.Unlock()
-		return nil, false
+		return nil, nil
 	}
 	sh.lru.MoveToFront(el)
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return e.rendered, true
+	return e.a, e.rendered
 }
 
-// put stores an analysis computed under the given epoch, evicting the
-// least recently used entry when the shard is full. Rendered bytes on a
-// replaced entry survive only if they were rendered under the same
-// epoch.
-func (c *answerCache) put(key string, epoch uint64, a *Analysis) {
-	sh := c.shard(maphash.String(cacheSeed, key))
+// store records an analysis computed under the given epoch and, when data
+// is non-nil, the answer bytes rendered from it, evicting the least
+// recently used entry when the shard is full. Storing without bytes keeps
+// the bytes already on the entry only if they were rendered under the
+// same epoch.
+func (c *answerCache) store(key []byte, epoch uint64, a *Analysis, data []byte) {
+	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.byKey[key]; ok {
+	if el, ok := sh.byKey[string(key)]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.epoch != epoch {
-			e.rendered = nil
+		if data != nil || e.epoch != epoch {
+			e.rendered = data
 		}
-		e.epoch = epoch
-		e.a = a
+		e.epoch, e.a = epoch, a
 		sh.lru.MoveToFront(el)
 		return
 	}
-	sh.byKey[key] = sh.lru.PushFront(&cacheEntry{key: key, epoch: epoch, a: a})
-	sh.evictLocked()
-}
-
-// attachRendered stores rendered answer bytes (and the analysis they were
-// rendered from) under a raw-input key.
-func (c *answerCache) attachRendered(key string, epoch uint64, a *Analysis, data []byte) {
-	sh := c.shard(maphash.String(cacheSeed, key))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.epoch = epoch
-		e.a = a
-		e.rendered = data
-		sh.lru.MoveToFront(el)
-		return
-	}
-	sh.byKey[key] = sh.lru.PushFront(&cacheEntry{key: key, epoch: epoch, a: a, rendered: data})
+	k := string(key)
+	sh.byKey[k] = sh.lru.PushFront(&cacheEntry{key: k, epoch: epoch, a: a, rendered: data})
 	sh.evictLocked()
 }
 

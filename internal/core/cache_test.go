@@ -278,12 +278,15 @@ func TestConcurrentSearchesShareCache(t *testing.T) {
 // backend must never be served to a system pointed at another, so the
 // executor identity is part of the key.
 func TestCacheKeyIncludesBackend(t *testing.T) {
-	mem := cacheKey("wealthy customers", sqlast.Generic, true, "memory")
-	pg := cacheKey("wealthy customers", sqlast.Generic, true, "sqldb:pgwire:0a1b2c3d")
+	cacheKey := func(backendName string) string {
+		return string(appendCacheKey(nil, "wealthy customers", sqlast.Generic, true, backendName))
+	}
+	mem := cacheKey("memory")
+	pg := cacheKey("sqldb:pgwire:0a1b2c3d")
 	if mem == pg {
 		t.Fatal("cache keys for different backends must differ")
 	}
-	if got := cacheKey("wealthy customers", sqlast.Generic, true, "memory"); got != mem {
+	if got := cacheKey("memory"); got != mem {
 		t.Fatal("cache key must be deterministic per backend")
 	}
 }

@@ -161,20 +161,17 @@ type System struct {
 	bridgeMemo  []bridgeRel
 	bridgeIDs   []discoveredBridge
 
-	// Node-level memo tables shared by concurrent traversals. Values are
-	// deterministic functions of the node, so racing fills are benign.
-	// entryMemo caches whole entry-point traversals (tables.go
-	// entryTables) under the same discipline.
-	memoMu    sync.RWMutex
-	colMemo   map[rdf.Term]ColRef
-	tblMemo   map[rdf.Term]string
-	entryMemo map[entryKey][]string
-
-	// Step-3 result memos over the derived join graph (pathing.go):
-	// shortest paths per anchor pair / anchor set and FK upward closures
-	// per root table. Pure functions of the immutable join graph, so they
-	// share its lifetime and racing fills are benign.
-	step3Mu     sync.RWMutex
+	// Memo tables shared by concurrent searches, all under memoMu and all
+	// filled through memoized (tables.go). Node-level: column and table
+	// resolution per metadata node, whole entry-point traversals per entry
+	// identity. Step 3, over the derived join graph (pathing.go): shortest
+	// paths per anchor pair / anchor set and FK upward closures per root
+	// table. Values are deterministic functions of the key over immutable
+	// substrates, so racing fills are benign.
+	memoMu      sync.RWMutex
+	colMemo     map[rdf.Term]ColRef
+	tblMemo     map[rdf.Term]string
+	entryMemo   map[entryKey][]string
 	pairPaths   map[pairPathKey]pathResult
 	multiPaths  map[string]pathResult
 	closureMemo map[int32][]closureStep
@@ -558,16 +555,15 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	if err != nil {
 		return nil, err
 	}
-	dialect := so.Dialect
-	if dialect == nil {
-		dialect = s.Opt.Dialect
-	}
-	key := cacheKey(q.String(), dialect, so.Snippets, s.Backend.Name())
+	dialect := s.searchDialect(so)
+	canonical := q.String()
 	epoch := s.epoch.Load()
 	if s.cache != nil {
-		if a, ok := s.cache.get(key, epoch); ok {
+		if a, _ := s.cacheLookup(canonical, so, epoch); a != nil {
+			s.cache.hits.Add(1)
 			return a, nil
 		}
+		s.cache.misses.Add(1)
 	}
 
 	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, Epoch: epoch}
@@ -652,49 +648,15 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	}
 
 	if s.cache != nil {
-		// Stored under the epoch observed before the pipeline ran: if
-		// feedback raced in meanwhile the entry is already stale and will
-		// never be served.
-		s.cache.put(key, epoch, a)
+		s.cacheStore(canonical, so, a, nil)
 	}
 	return a, nil
-}
-
-// cacheKey builds the answer-cache key: the canonical query form plus
-// every per-request knob that changes the answer's content — including
-// the backend identity, because cached snippet rows were produced by one
-// backend's execution and must never be served for another (two systems
-// pointed at different warehouses can legitimately return different
-// rows for the same statement).
-func cacheKey(canonical string, d *sqlast.Dialect, snippets bool, backendName string) string {
-	return string(appendCacheKey(nil, canonical, d, snippets, backendName))
-}
-
-// appendCacheKey appends the answer-cache key for (query, dialect,
-// snippets, backend) to dst and returns the extended slice. The rendered
-// fast path (rendered.go) builds keys into pooled scratch with this so a
-// cache-hit lookup allocates nothing; cacheKey wraps it for the canonical
-// string-keyed path.
-func appendCacheKey(dst []byte, q string, d *sqlast.Dialect, snippets bool, backendName string) []byte {
-	dst = append(dst, q...)
-	dst = append(dst, '\x1f')
-	dst = append(dst, d.Name()...)
-	dst = append(dst, '\x1f')
-	dst = append(dst, backendName...)
-	if snippets {
-		dst = append(dst, "\x1fsnippets"...)
-	}
-	return dst
 }
 
 // snippetStep executes one solution with the snippet row cap and stores
 // the rows (or the error) on the solution.
 func (s *System) snippetStep(ctx context.Context, sol *Solution) {
-	if sol.SQL == nil {
-		sol.SnippetErr = "core: solution has no SQL"
-		return
-	}
-	res, err := s.execSnippet(ctx, sol)
+	res, err := s.exec(ctx, sol, s.Opt.SnippetRows)
 	if err != nil {
 		sol.SnippetErr = err.Error()
 		return
@@ -761,49 +723,39 @@ func (s *System) parallelDo(n int, fn func(int)) {
 // trip a real warehouse client would perform. An approved solution
 // (saved query) instead goes through the backend's prepared-statement
 // path with its extracted bindings: the values never touch the SQL text.
-func (s *System) Execute(sol *Solution) (*backend.Result, error) {
-	return s.ExecuteContext(context.Background(), sol)
+// ctx carries cancellation and the request's trace-span collector.
+func (s *System) Execute(ctx context.Context, sol *Solution) (*backend.Result, error) {
+	return s.exec(ctx, sol, 0)
 }
 
-// ExecuteContext is Execute with an explicit context for cancellation and
-// trace-span capture.
-func (s *System) ExecuteContext(ctx context.Context, sol *Solution) (*backend.Result, error) {
+// exec is the one way a solution reaches the backend — Execute, Snippet
+// and the pipeline's snippet step all come through here. rowCap > 0 caps
+// the result (snippets); 0 runs the statement as generated.
+func (s *System) exec(ctx context.Context, sol *Solution, rowCap int) (*backend.Result, error) {
 	if sol.SQL == nil {
 		return nil, fmt.Errorf("core: solution has no SQL")
 	}
 	if sol.Approved {
-		return s.execApproved(ctx, sol, 0)
+		return s.execApproved(ctx, sol, rowCap)
 	}
 	sel, err := sqlparse.ParseDialect(sol.SQLText(), sol.dialect())
 	if err != nil {
 		return nil, fmt.Errorf("core: generated SQL does not reparse: %w", err)
+	}
+	if rowCap > 0 && (sel.Limit < 0 || sel.Limit > rowCap) {
+		sel.Limit = rowCap
 	}
 	return s.runSQL(ctx, sel)
 }
 
 // ExecSQL parses and runs an arbitrary statement in the supported SQL
 // subset against the system's backend — used by the exploration
-// workflows of §5.3.2. The statement is read in the System's configured
-// dialect; use ExecSQLDialect for a per-call override.
-func (s *System) ExecSQL(sql string) (*backend.Result, error) {
-	return s.ExecSQLDialectContext(context.Background(), sql, s.Opt.Dialect)
-}
-
-// ExecSQLContext is ExecSQL with an explicit context for cancellation and
-// trace-span capture.
-func (s *System) ExecSQLContext(ctx context.Context, sql string) (*backend.Result, error) {
-	return s.ExecSQLDialectContext(ctx, sql, s.Opt.Dialect)
-}
-
-// ExecSQLDialect parses the statement in the given dialect (nil =
-// generic) and runs it.
-func (s *System) ExecSQLDialect(sql string, d *sqlast.Dialect) (*backend.Result, error) {
-	return s.ExecSQLDialectContext(context.Background(), sql, d)
-}
-
-// ExecSQLDialectContext is ExecSQLDialect with an explicit context for
-// cancellation and trace-span capture.
-func (s *System) ExecSQLDialectContext(ctx context.Context, sql string, d *sqlast.Dialect) (*backend.Result, error) {
+// workflows of §5.3.2. The statement is read in dialect d; nil means the
+// System's configured dialect.
+func (s *System) ExecSQL(ctx context.Context, sql string, d *sqlast.Dialect) (*backend.Result, error) {
+	if d == nil {
+		d = s.Opt.Dialect
+	}
 	sel, err := sqlparse.ParseDialect(sql, d)
 	if err != nil {
 		return nil, err
@@ -822,27 +774,7 @@ func (s *System) Snippet(sol *Solution) (*backend.Result, error) {
 	if sol.SnippetErr != "" {
 		return nil, fmt.Errorf("%s", sol.SnippetErr)
 	}
-	if sol.SQL == nil {
-		return nil, fmt.Errorf("core: solution has no SQL")
-	}
-	return s.execSnippet(context.Background(), sol)
-}
-
-// execSnippet reparses the rendered statement in its dialect, caps it to
-// the snippet row budget and runs it. Approved solutions keep their
-// prepared-statement path, capped the same way.
-func (s *System) execSnippet(ctx context.Context, sol *Solution) (*backend.Result, error) {
-	if sol.Approved {
-		return s.execApproved(ctx, sol, s.Opt.SnippetRows)
-	}
-	sel, err := sqlparse.ParseDialect(sol.SQLText(), sol.dialect())
-	if err != nil {
-		return nil, err
-	}
-	if sel.Limit < 0 || sel.Limit > s.Opt.SnippetRows {
-		sel.Limit = s.Opt.SnippetRows
-	}
-	return s.runSQL(ctx, sel)
+	return s.exec(context.Background(), sol, s.Opt.SnippetRows)
 }
 
 // runSQL executes a parsed statement on the backend, with per-backend

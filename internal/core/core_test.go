@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestQuery1SaraGuttinger(t *testing.T) {
 	if !strings.Contains(sql, "'Sara'") || !strings.Contains(sql, "'Guttinger'") {
 		t.Fatalf("SQL missing filters:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestQuery2SalaryBirthday(t *testing.T) {
 	if !strings.Contains(sql, "individuals.birth_dt = DATE '1981-04-23'") {
 		t.Fatalf("birth date filter should resolve to cryptic column birth_dt (§6.2):\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestQuery3SumGroupBy(t *testing.T) {
 	if !strings.Contains(sql, "GROUP BY transactions.trade_dt") {
 		t.Fatalf("group by transaction date should resolve to transactions.trade_dt:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestQuery4CountGroupByCompany(t *testing.T) {
 	if !strings.Contains(sql, "ORDER BY") || !strings.Contains(sql, "DESC") || !strings.Contains(sql, "LIMIT 10") {
 		t.Fatalf("top-N ordering missing:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestWealthyCustomersMetadataFilter(t *testing.T) {
 	if !strings.Contains(sql, "individuals.salary >= 1000000") {
 		t.Fatalf("wealthy filter not in SQL:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestBaseDataFilterZurich(t *testing.T) {
 	if zf.Col.Table != "addresses" || zf.Col.Column != "city" || zf.Op != "=" || zf.Value != "Zürich" {
 		t.Fatalf("filter = %+v", zf)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestDateRangeQuery(t *testing.T) {
 	if !strings.Contains(sql, "transactions.trade_dt > DATE '2011-09-01'") {
 		t.Fatalf("range predicate:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestImpliedAggregationTradingVolume(t *testing.T) {
 	if !strings.Contains(sql, "GROUP BY") || !strings.Contains(sql, "LIMIT 10") {
 		t.Fatalf("implied grouping/topN missing:\n%s", sql)
 	}
-	res, err := sys.Execute(sol)
+	res, err := sys.Execute(context.Background(), sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestGeneratedSQLAlwaysReparses(t *testing.T) {
 			if sol.SQL == nil {
 				continue
 			}
-			if _, err := sys.Execute(sol); err != nil {
+			if _, err := sys.Execute(context.Background(), sol); err != nil {
 				t.Errorf("query %q: generated SQL failed: %v\n%s", q, err, sol.SQLText())
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -123,7 +124,7 @@ func TestAllGeneratedSQLExecutableQuick(t *testing.T) {
 			if sol.SQL == nil {
 				continue
 			}
-			if _, err := sys.Execute(sol); err != nil {
+			if _, err := sys.Execute(context.Background(), sol); err != nil {
 				return false
 			}
 		}
@@ -169,7 +170,7 @@ func TestConcurrentSearches(t *testing.T) {
 			if err == nil {
 				for _, sol := range a.Solutions {
 					if sol.SQL != nil {
-						if _, e := sys.Execute(sol); e != nil {
+						if _, e := sys.Execute(context.Background(), sol); e != nil {
 							err = e
 							break
 						}

@@ -22,8 +22,8 @@ import (
 //     edge-index) order the BFS used to establish per visit, so the
 //     per-expansion candidate sort disappears entirely;
 //   - shortest-path results are memoized per (anchor-set, skipBridges,
-//     maxLen) and FK upward closures per root table, both guarded by
-//     step3Mu and — like the join graph itself — valid for the lifetime
+//     maxLen) and FK upward closures per root table, both filled through
+//     memoized and — like the join graph itself — valid for the lifetime
 //     of the System (the substrates are immutable after construction;
 //     a schema change means a new System, which rebuilds everything);
 //   - BFS/traversal scratch (generation-stamped visited sets, state
@@ -205,18 +205,12 @@ func (s *System) pairPath(src, dst string, skipBridges bool, maxLen int) ([]jgEd
 		return nil, false
 	}
 	k := pairPathKey{src: a, dst: b, skip: skipBridges, maxLen: int32(maxLen)}
-	s.step3Mu.RLock()
-	r, ok := s.pairPaths[k]
-	s.step3Mu.RUnlock()
-	if ok {
-		return r.path, r.ok
-	}
-	srcs := [1]int32{a}
-	path, found := jg.pathIDs(srcs[:], b, skipBridges, maxLen)
-	s.step3Mu.Lock()
-	s.pairPaths[k] = pathResult{path: path, ok: found}
-	s.step3Mu.Unlock()
-	return path, found
+	r := memoized(s, s.pairPaths, k, func() pathResult {
+		srcs := [1]int32{a}
+		path, found := jg.pathIDs(srcs[:], b, skipBridges, maxLen)
+		return pathResult{path: path, ok: found}
+	})
+	return r.path, r.ok
 }
 
 // multiPath returns the shortest join path from any table in srcs to
@@ -264,19 +258,12 @@ func (s *System) multiPath(srcs []string, dst string, skipBridges bool, maxLen i
 		key = append(key, 0)
 	}
 	key = binary.LittleEndian.AppendUint32(key, uint32(maxLen))
-	k := string(key)
 
-	s.step3Mu.RLock()
-	r, ok := s.multiPaths[k]
-	s.step3Mu.RUnlock()
-	if ok {
-		return r.path, r.ok
-	}
-	path, found := jg.pathIDs(ids, d, skipBridges, maxLen)
-	s.step3Mu.Lock()
-	s.multiPaths[k] = pathResult{path: path, ok: found}
-	s.step3Mu.Unlock()
-	return path, found
+	r := memoized(s, s.multiPaths, string(key), func() pathResult {
+		path, found := jg.pathIDs(ids, d, skipBridges, maxLen)
+		return pathResult{path: path, ok: found}
+	})
+	return r.path, r.ok
 }
 
 // closureStep is one replayable action of an FK upward closure: join the
@@ -299,21 +286,7 @@ var closurePool = sync.Pool{New: func() any { return new(closureScratch) }}
 // call, now computed once per root and replayed. The slice is shared and
 // read-only.
 func (s *System) closureOf(root int32) []closureStep {
-	s.step3Mu.RLock()
-	cs, ok := s.closureMemo[root]
-	s.step3Mu.RUnlock()
-	if ok {
-		return cs
-	}
-	cs = s.jg.computeClosure(root)
-	s.step3Mu.Lock()
-	if have, dup := s.closureMemo[root]; dup {
-		cs = have // racing fills compute the same value; keep the first
-	} else {
-		s.closureMemo[root] = cs
-	}
-	s.step3Mu.Unlock()
-	return cs
+	return memoized(s, s.closureMemo, root, func() []closureStep { return s.jg.computeClosure(root) })
 }
 
 // computeClosure walks outgoing foreign keys and inheritance links

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,13 +84,7 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot) error {
 	// vector (the base always holds gap-free per-origin prefixes), which
 	// the duplicate check below performs against the vector seeded from
 	// snap.Origins.
-	pending := make([]store.Record, 0, len(st.Replayed()))
-	for _, rec := range st.Replayed() {
-		if rec.Origin == "" {
-			continue // unmigrated legacy record; soda.Open migrates before attaching
-		}
-		pending = append(pending, rec)
-	}
+	pending := slices.Clone(st.Replayed())
 	sort.Slice(pending, func(i, j int) bool { return pending[i].Pos().Before(pending[j].Pos()) })
 	s.feedback = maps.Clone(s.base)
 	s.queries = maps.Clone(s.baseQueries)

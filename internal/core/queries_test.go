@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"soda/internal/store"
@@ -165,7 +166,7 @@ func TestApprovedExecutesPrepared(t *testing.T) {
 	if len(apr) != 1 {
 		t.Fatalf("approved solutions = %d, want 1", len(apr))
 	}
-	res, err := sys.Execute(apr[0])
+	res, err := sys.Execute(context.Background(), apr[0])
 	if err != nil {
 		t.Fatal(err)
 	}

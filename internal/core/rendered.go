@@ -13,13 +13,13 @@ import (
 // require parsing, which allocates, and the response echoes the raw
 // query anyway). A repeated request is then a pooled-scratch key build,
 // one shard lookup and a byte-slice write: zero heap allocations, no
-// pipeline, no re-marshal. Epoch validation is identical to the analysis
-// path, so feedback invalidates rendered bytes and analyses alike.
+// pipeline, no re-marshal. Both probes of the one search path — raw key
+// here, canonical key in SearchWithContext — go through cacheLookup and
+// cacheStore, so epoch validation is the same for bytes and analyses.
 
-// keyScratch is per-request scratch for building cache keys on the hot
-// path without allocating. The pool holds pointers to a wrapper struct —
-// pooling bare slices would box them into the pool's interface value on
-// every Put.
+// keyScratch is per-request scratch for building cache keys without
+// allocating. The pool holds pointers to a wrapper struct — pooling bare
+// slices would box them into the pool's interface value on every Put.
 type keyScratch struct{ buf []byte }
 
 var keyScratchPool = sync.Pool{
@@ -34,52 +34,59 @@ func (s *System) searchDialect(so SearchOptions) *sqlast.Dialect {
 	return s.Opt.Dialect
 }
 
-// CachedRendered returns the pre-rendered answer bytes cached for exactly
-// this raw input (plus dialect, snippet flag and backend) at the current
-// ranking epoch. The hit path performs zero heap allocations — guarded by
-// TestCachedRenderedZeroAlloc. The returned bytes are shared with the
-// cache: callers must write them out unmodified. A false return means the
-// caller should run SearchWith, render the answer and AttachRendered the
-// result; it deliberately counts no cache miss, because the SearchWith
-// fallback's canonical-key lookup does the counting.
-func (s *System) CachedRendered(input string, so SearchOptions) ([]byte, bool) {
-	if s.cache == nil {
-		return nil, false
+// appendCacheKey appends the answer-cache key to dst: the query text (raw
+// input or canonical form) plus every per-request knob that changes the
+// answer's content — including the backend identity, because cached
+// snippet rows were produced by one backend's execution and must never be
+// served for another (two systems pointed at different warehouses can
+// legitimately return different rows for the same statement).
+func appendCacheKey(dst []byte, q string, d *sqlast.Dialect, snippets bool, backendName string) []byte {
+	dst = append(dst, q...)
+	dst = append(dst, '\x1f')
+	dst = append(dst, d.Name()...)
+	dst = append(dst, '\x1f')
+	dst = append(dst, backendName...)
+	if snippets {
+		dst = append(dst, "\x1fsnippets"...)
 	}
+	return dst
+}
+
+// cacheLookup probes the answer cache for a query text at the given
+// epoch, building the key in pooled scratch: no heap allocations.
+func (s *System) cacheLookup(q string, so SearchOptions, epoch uint64) (*Analysis, []byte) {
 	sc := keyScratchPool.Get().(*keyScratch)
-	sc.buf = appendCacheKey(sc.buf[:0], input, s.searchDialect(so), so.Snippets, s.Backend.Name())
-	data, ok := s.cache.getRendered(sc.buf, s.epoch.Load())
+	sc.buf = appendCacheKey(sc.buf[:0], q, s.searchDialect(so), so.Snippets, s.Backend.Name())
+	a, data := s.cache.lookup(sc.buf, epoch)
 	keyScratchPool.Put(sc)
-	return data, ok
+	return a, data
 }
 
-// AttachRendered caches rendered answer bytes for an analysis returned by
-// SearchWith, keyed by the raw input that produced it. The entry is
-// stored under the analysis's epoch: if feedback raced in since the
-// pipeline ran, the entry is already stale and will never be served.
-func (s *System) AttachRendered(input string, so SearchOptions, a *Analysis, data []byte) {
-	if s.cache == nil || a == nil || len(data) == 0 {
-		return
-	}
-	key := string(appendCacheKey(nil, input, s.searchDialect(so), so.Snippets, s.Backend.Name()))
-	s.cache.attachRendered(key, a.Epoch, a, data)
+// cacheStore files an analysis (and its rendered bytes, if any) under a
+// query text. The entry is stored under the analysis's epoch — the one
+// observed before the pipeline ran: if feedback raced in meanwhile the
+// entry is already stale and will never be served.
+func (s *System) cacheStore(q string, so SearchOptions, a *Analysis, data []byte) {
+	sc := keyScratchPool.Get().(*keyScratch)
+	sc.buf = appendCacheKey(sc.buf[:0], q, s.searchDialect(so), so.Snippets, s.Backend.Name())
+	s.cache.store(sc.buf, a.Epoch, a, data)
+	keyScratchPool.Put(sc)
 }
 
-// SearchRendered is the serving-layer entry point combining the two:
-// cached bytes when available (hit=true, allocation-free), otherwise
-// SearchWith + render + AttachRendered (hit=false). render receives the
-// fresh analysis and returns the bytes to serve and cache.
-func (s *System) SearchRendered(input string, so SearchOptions, render func(*Analysis) ([]byte, error)) (data []byte, hit bool, err error) {
-	return s.SearchRenderedContext(context.Background(), input, so, render)
-}
-
-// SearchRenderedContext is SearchRendered with an explicit context. The
-// cache-hit path never touches ctx — it stays allocation-free regardless
-// of what the context carries; only the cold path threads it into the
-// pipeline (backend spans, cancellation).
+// SearchRenderedContext is the serving-layer entry point and the one
+// search path: probe the raw input's key for rendered bytes (hit=true,
+// allocation-free — guarded by TestCachedRenderedZeroAllocs — and never
+// touching ctx); otherwise SearchWithContext (parse, canonical-key probe,
+// five steps), render the analysis and store the bytes under the raw key
+// (hit=false). The raw-key miss counts nothing, because the canonical-key
+// probe behind it does the counting. The returned bytes are shared with
+// the cache: callers must write them out unmodified.
 func (s *System) SearchRenderedContext(ctx context.Context, input string, so SearchOptions, render func(*Analysis) ([]byte, error)) (data []byte, hit bool, err error) {
-	if data, ok := s.CachedRendered(input, so); ok {
-		return data, true, nil
+	if s.cache != nil {
+		if _, data := s.cacheLookup(input, so, s.epoch.Load()); data != nil {
+			s.cache.hits.Add(1)
+			return data, true, nil
+		}
 	}
 	a, err := s.SearchWithContext(ctx, input, so)
 	if err != nil {
@@ -89,6 +96,8 @@ func (s *System) SearchRenderedContext(ctx context.Context, input string, so Sea
 	if err != nil {
 		return nil, false, err
 	}
-	s.AttachRendered(input, so, a, data)
+	if s.cache != nil && len(data) > 0 {
+		s.cacheStore(input, so, a, data)
+	}
 	return data, false, nil
 }

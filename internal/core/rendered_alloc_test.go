@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,10 +23,11 @@ import (
 func TestCachedRenderedZeroAllocs(t *testing.T) {
 	sys := newSys(t, Options{})
 	const q = "wealthy customers"
-	if _, _, err := sys.SearchRendered(q, SearchOptions{}, renderSQLs); err != nil {
+	if _, _, err := sys.SearchRenderedContext(context.Background(), q, SearchOptions{}, renderSQLs); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := sys.CachedRendered(q, SearchOptions{}); !hit {
+	ctx := context.Background()
+	if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, renderSQLs); !hit {
 		t.Fatal("priming did not populate the rendered cache")
 	}
 	hitLat := sys.MetricsRegistry().Histogram("soda_search_latency_seconds",
@@ -47,7 +49,7 @@ func TestCachedRenderedZeroAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()
-		if _, hit := sys.CachedRendered(q, SearchOptions{}); !hit {
+		if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, renderSQLs); !hit {
 			t.Fatal("cache hit lost mid-run")
 		}
 		hits.Inc()
@@ -56,6 +58,6 @@ func TestCachedRenderedZeroAllocs(t *testing.T) {
 		flight.Record(sample)
 	})
 	if allocs != 0 {
-		t.Fatalf("instrumented cache-hit CachedRendered allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("instrumented cache-hit SearchRenderedContext allocates %.1f times per call, want 0", allocs)
 	}
 }

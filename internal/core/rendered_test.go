@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 )
@@ -24,14 +25,14 @@ func echoRender(payload string) func(*Analysis) ([]byte, error) {
 
 func TestSearchRenderedServesCachedBytes(t *testing.T) {
 	sys := newSys(t, Options{})
-	d1, hit, err := sys.SearchRendered("wealthy customers", SearchOptions{}, renderSQLs)
+	d1, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first render reported a cache hit")
 	}
-	d2, hit, err := sys.SearchRendered("wealthy customers", SearchOptions{}, renderSQLs)
+	d2, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSearchRenderedServesCachedBytes(t *testing.T) {
 	if err := sys.Feedback(a.Solutions[0], true); err != nil {
 		t.Fatal(err)
 	}
-	d3, hit, err := sys.SearchRendered("wealthy customers", SearchOptions{}, renderSQLs)
+	d3, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +69,14 @@ func TestSearchRenderedKeyedByRawInput(t *testing.T) {
 	sys := newSys(t, Options{})
 	raw1, raw2 := "wealthy   customers", "  wealthy customers  "
 
-	d1, hit, err := sys.SearchRendered(raw1, SearchOptions{}, echoRender(raw1))
+	d1, hit, err := sys.SearchRenderedContext(context.Background(), raw1, SearchOptions{}, echoRender(raw1))
 	if err != nil || hit {
 		t.Fatalf("first variant: hit=%v err=%v", hit, err)
 	}
 	st := sys.CacheStats()
 	// The second variant's rendered entry misses, but its SearchWith
 	// fallback hits the canonical analysis entry: no second pipeline run.
-	d2, hit, err := sys.SearchRendered(raw2, SearchOptions{}, echoRender(raw2))
+	d2, hit, err := sys.SearchRenderedContext(context.Background(), raw2, SearchOptions{}, echoRender(raw2))
 	if err != nil || hit {
 		t.Fatalf("second variant: hit=%v err=%v", hit, err)
 	}
@@ -88,7 +89,7 @@ func TestSearchRenderedKeyedByRawInput(t *testing.T) {
 	}
 	// Repeats now serve each variant its own bytes.
 	for _, c := range []struct{ raw, want string }{{raw1, raw1}, {raw2, raw2}} {
-		d, hit, err := sys.SearchRendered(c.raw, SearchOptions{}, echoRender("re-rendered"))
+		d, hit, err := sys.SearchRenderedContext(context.Background(), c.raw, SearchOptions{}, echoRender("re-rendered"))
 		if err != nil || !hit {
 			t.Fatalf("repeat of %q: hit=%v err=%v", c.raw, hit, err)
 		}
@@ -102,16 +103,16 @@ func TestSearchRenderedKeyIncludesDialectAndSnippets(t *testing.T) {
 	sys := newSys(t, Options{})
 	seed := func(so SearchOptions, payload string) {
 		t.Helper()
-		if _, hit, err := sys.SearchRendered("customer", so, echoRender(payload)); err != nil || hit {
+		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", so, echoRender(payload)); err != nil || hit {
 			t.Fatalf("seeding %+v: hit=%v err=%v", so, hit, err)
 		}
 	}
 	seed(SearchOptions{}, "generic")
 	seed(SearchOptions{Snippets: true}, "snippets")
-	if d, hit, _ := sys.SearchRendered("customer", SearchOptions{}, echoRender("x")); !hit || string(d) != "generic" {
+	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, echoRender("x")); !hit || string(d) != "generic" {
 		t.Fatalf("plain repeat: hit=%v data=%q", hit, d)
 	}
-	if d, hit, _ := sys.SearchRendered("customer", SearchOptions{Snippets: true}, echoRender("x")); !hit || string(d) != "snippets" {
+	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{Snippets: true}, echoRender("x")); !hit || string(d) != "snippets" {
 		t.Fatalf("snippet repeat: hit=%v data=%q", hit, d)
 	}
 }
@@ -119,7 +120,7 @@ func TestSearchRenderedKeyIncludesDialectAndSnippets(t *testing.T) {
 func TestSearchRenderedDisabledCache(t *testing.T) {
 	sys := newSys(t, Options{CacheSize: -1})
 	for i := 0; i < 2; i++ {
-		if _, hit, err := sys.SearchRendered("customer", SearchOptions{}, renderSQLs); err != nil || hit {
+		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, renderSQLs); err != nil || hit {
 			t.Fatalf("call %d with caching disabled: hit=%v err=%v", i, hit, err)
 		}
 	}

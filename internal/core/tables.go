@@ -200,21 +200,33 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 // result is the entry's anchor (nearest table).
 func (s *System) entryTables(e EntryPoint) []string {
 	k := entryKey{kind: e.Kind, node: e.Node, table: e.Table, column: e.Column}
+	return memoized(s, s.entryMemo, k, func() []string { return s.computeEntryTables(e) })
+}
+
+// memoized returns m[k], computing it on first use. Every memo table of
+// the System — node-level (tblMemo, colMemo, entryMemo) and Step-3
+// (pairPaths, multiPaths, closureMemo) — goes through here under the one
+// memo lock: probe under the read lock, compute outside any lock, fill
+// under the write lock. Values are deterministic functions of the key
+// over substrates that are immutable after construction, so racing fills
+// compute the same value; the first one stored is kept and returned, so
+// shared slices stay canonical.
+func memoized[K comparable, V any](s *System, m map[K]V, k K, compute func() V) V {
 	s.memoMu.RLock()
-	set, ok := s.entryMemo[k]
+	v, ok := m[k]
 	s.memoMu.RUnlock()
 	if ok {
-		return set
+		return v
 	}
-	set = s.computeEntryTables(e)
+	v = compute()
 	s.memoMu.Lock()
-	if have, dup := s.entryMemo[k]; dup {
-		set = have // racing fills compute the same value; keep the first
+	if have, dup := m[k]; dup {
+		v = have
 	} else {
-		s.entryMemo[k] = set
+		m[k] = v
 	}
 	s.memoMu.Unlock()
-	return set
+	return v
 }
 
 // entryKey identifies an entry point for the entryTables memo: the kind
@@ -315,25 +327,17 @@ func (s *System) collectInheritanceParents(node rdf.Term, add func(string)) {
 }
 
 // tableOfNode returns the table name if node matches the Table pattern,
-// memoised (traversals revisit table nodes constantly). The memo is
-// shared across concurrent searches; racing fills compute the same value,
-// so last-write-wins is correct.
+// memoised (traversals revisit table nodes constantly); "" records a
+// node that is not a table.
 func (s *System) tableOfNode(node rdf.Term) (string, bool) {
-	s.memoMu.RLock()
-	name, ok := s.tblMemo[node]
-	s.memoMu.RUnlock()
-	if ok {
-		return name, name != ""
-	}
-	name = ""
-	if s.matcher.MatchesName(metagraph.PatTable, node) {
-		if n, ok := s.Meta.TableName(node); ok {
-			name = n
+	name := memoized(s, s.tblMemo, node, func() string {
+		if s.matcher.MatchesName(metagraph.PatTable, node) {
+			if n, ok := s.Meta.TableName(node); ok {
+				return n
+			}
 		}
-	}
-	s.memoMu.Lock()
-	s.tblMemo[node] = name
-	s.memoMu.Unlock()
+		return ""
+	})
 	return name, name != ""
 }
 
@@ -352,35 +356,27 @@ var columnFollowPreds = map[string]bool{
 // reaches a physical column (used to resolve filter/aggregation attributes
 // like "birth date" → individuals.birth_dt across schema layers, §6.2).
 func (s *System) resolveColumn(node rdf.Term) (ColRef, bool) {
-	s.memoMu.RLock()
-	ref, ok := s.colMemo[node]
-	s.memoMu.RUnlock()
-	if ok {
-		return ref, ref.Table != ""
-	}
-	ref = ColRef{}
-	visited := map[rdf.Term]bool{node: true}
-	queue := []rdf.Term{node}
-	for head := 0; head < len(queue) && ref.Table == ""; head++ {
-		n := queue[head]
-		if r, ok := s.columnRef(n); ok {
-			ref = r
-			break
-		}
-		s.Meta.G.Outgoing(n, func(p, o rdf.Term) bool {
-			if !columnFollowPreds[p.Value()] {
+	ref := memoized(s, s.colMemo, node, func() ColRef {
+		visited := map[rdf.Term]bool{node: true}
+		queue := []rdf.Term{node}
+		for head := 0; head < len(queue); head++ {
+			n := queue[head]
+			if r, ok := s.columnRef(n); ok {
+				return r
+			}
+			s.Meta.G.Outgoing(n, func(p, o rdf.Term) bool {
+				if !columnFollowPreds[p.Value()] {
+					return true
+				}
+				if o.IsIRI() && !visited[o] {
+					visited[o] = true
+					queue = append(queue, o)
+				}
 				return true
-			}
-			if o.IsIRI() && !visited[o] {
-				visited[o] = true
-				queue = append(queue, o)
-			}
-			return true
-		})
-	}
-	s.memoMu.Lock()
-	s.colMemo[node] = ref
-	s.memoMu.Unlock()
+			})
+		}
+		return ColRef{} // no physical column on the refinement chain
+	})
 	return ref, ref.Table != ""
 }
 
@@ -453,9 +449,9 @@ type bridgeRel struct {
 // interner first (everything else speaks interned IDs), then bridge
 // tables (the join graph tags edges touching them), then the global join
 // graph and the interned view of the bridge list. It runs exactly once
-// per System, through derivedOnce; the Step-3 memos guarded by step3Mu
-// (pairPaths, multiPaths, closureMemo) are derived from these structures
-// and share their lifetime.
+// per System, through derivedOnce; the Step-3 memos (pairPaths,
+// multiPaths, closureMemo) are derived from these structures and share
+// their lifetime.
 func (s *System) buildDerived() {
 	it := s.buildTableInterner()
 	s.bridgeMemo = s.findBridges()

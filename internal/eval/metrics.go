@@ -130,7 +130,7 @@ func Evaluate(sys *core.System, q Query) (*ResultReport, error) {
 		}
 		var m Metrics
 		if sol.SQL != nil {
-			res, err := sys.Execute(sol)
+			res, err := sys.Execute(context.Background(), sol)
 			if err == nil {
 				if got, ok := KeySet(res, q.Keys); ok {
 					m = Score(got, gold)

@@ -153,9 +153,6 @@ func (g *Graph) addInterned(sid, pid, oid ID, tr Triple) {
 	g.triples = append(g.triples, tr)
 }
 
-// AddTriple inserts tr; see Add.
-func (g *Graph) AddTriple(tr Triple) bool { return g.Add(tr.S, tr.P, tr.O) }
-
 // Has reports whether the triple (s, p, o) is in the graph.
 func (g *Graph) Has(s, p, o Term) bool {
 	sid, pid, oid := g.dict.Lookup(s), g.dict.Lookup(p), g.dict.Lookup(o)

@@ -4,10 +4,11 @@ package server
 // assigned an id and a W3C trace context in ServeHTTP; handlers annotate
 // the in-flight requestInfo (dialect, cache outcome, query, resolved SQL)
 // through the request context, the core pipeline appends spans to the
-// embedded trace, and when Config.AccessLog is set the accumulated record
-// is written as one JSON line after the handler returns — the
-// machine-readable replacement for ad-hoc per-handler log lines. The same
-// record feeds the flight recorder.
+// embedded trace, and after the handler returns ServeHTTP freezes the
+// accumulated record once (an obs.FlightSample). The flight recorder and
+// the slow-query log read it, and when Config.AccessLog is set it is
+// also written as one JSON line — the machine-readable replacement for
+// ad-hoc per-handler log lines.
 
 import (
 	"crypto/rand"
@@ -66,9 +67,8 @@ func (g *requestIDs) next() string {
 // because the search render callback may run concurrently with nothing
 // else but future readers shouldn't have to prove that.
 type requestInfo struct {
-	id         string
-	start      time.Time
-	propagated bool // the client sent a valid traceparent
+	id    string
+	start time.Time
 
 	tr     obs.Trace       // span collector (pipeline steps, backend calls)
 	active obs.ActiveTrace // W3C trace context bound to tr
@@ -125,14 +125,6 @@ func (i *requestInfo) setSQL(sql string) {
 	i.mu.Unlock()
 }
 
-// traceID returns the request's W3C trace id ("" outside ServeHTTP).
-func (i *requestInfo) traceID() string {
-	if i == nil {
-		return ""
-	}
-	return i.active.TC.TraceID
-}
-
 // statusWriter captures the response status and body size for the
 // request log.
 type statusWriter struct {
@@ -184,31 +176,20 @@ type accessLogger struct {
 	w  io.Writer
 }
 
-func (l *accessLogger) write(info *requestInfo, r *http.Request, sw *statusWriter) {
-	info.mu.Lock()
-	line := requestLogLine{
-		Time:      info.start.UTC().Format(time.RFC3339Nano),
-		RequestID: info.id,
-		TraceID:   info.active.TC.TraceID,
-		Method:    r.Method,
-		Path:      r.URL.Path,
-		Status:    sw.status,
-		Bytes:     sw.bytes,
-		DurUs:     float64(time.Since(info.start)) / float64(time.Microsecond),
-		Dialect:   info.dialect,
-		Cache:     info.outcome,
-	}
-	info.mu.Unlock()
-	if spans := info.tr.Spans(); len(spans) > 0 {
-		line.Steps = make(map[string]float64, len(spans))
-		for _, sp := range spans {
-			line.Steps[sp.Name+"_us"] = float64(sp.Dur) / float64(time.Microsecond)
-		}
-	}
-	if line.Status == 0 {
-		line.Status = http.StatusOK // handler wrote nothing: net/http sends 200
-	}
-	data, err := json.Marshal(line)
+func (l *accessLogger) write(sample *obs.FlightSample, bytes int) {
+	data, err := json.Marshal(requestLogLine{
+		Time:      sample.Start.UTC().Format(time.RFC3339Nano),
+		RequestID: sample.RequestID,
+		TraceID:   sample.TraceID,
+		Method:    sample.Method,
+		Path:      sample.Path,
+		Status:    sample.Status,
+		Bytes:     bytes,
+		DurUs:     float64(sample.Dur) / float64(time.Microsecond),
+		Dialect:   sample.Dialect,
+		Cache:     sample.Outcome,
+		Steps:     stepsUs(sample.Spans),
+	})
 	if err != nil {
 		return // a float is always marshalable; defensive only
 	}

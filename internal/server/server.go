@@ -238,9 +238,9 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 // freshly minted — so one trace id follows a query across the fleet.
 // X-Request-Id echoes the trace id when one was propagated in (the
 // caller's correlation key) and the local request id otherwise. After the
-// handler returns the request is recorded in the flight recorder, slow
-// requests hit the slow-query log, and, when the access log is on, one
-// structured JSON line is written.
+// handler returns, the request's record is built exactly once and read by
+// all three outputs — the flight recorder, the slow-query log and (when
+// on) the access log — so they agree on status, duration and trace id.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	info := &requestInfo{id: s.reqIDs.next(), start: time.Now()}
@@ -248,7 +248,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !propagated {
 		tc = obs.MintTraceContext()
 	}
-	info.propagated = propagated
 	info.active = obs.ActiveTrace{TC: tc, Spans: &info.tr}
 	if propagated {
 		w.Header().Set("X-Request-Id", tc.TraceID)
@@ -259,9 +258,33 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx := context.WithValue(r.Context(), reqInfoKey{}, info)
 	ctx = obs.ContextWithActive(ctx, &info.active)
 	s.mux.ServeHTTP(sw, r.WithContext(ctx))
-	s.finish(info, r, sw)
+
+	status := sw.status
+	if status == 0 {
+		status = http.StatusOK // handler wrote nothing: net/http sends 200
+	}
+	info.mu.Lock()
+	sample := obs.FlightSample{
+		TraceID:   info.active.TC.TraceID,
+		RequestID: info.id,
+		Method:    r.Method,
+		Path:      r.URL.Path,
+		Status:    status,
+		Start:     info.start,
+		Dur:       time.Since(info.start),
+		Dialect:   info.dialect,
+		Outcome:   info.outcome,
+		Query:     info.query,
+		SQL:       info.sqlText,
+		Backend:   s.backendID,
+	}
+	info.mu.Unlock()
+	if info.tr.Len() > 0 {
+		sample.Spans = info.tr.Spans()
+	}
+	s.finish(&sample)
 	if s.accessLog != nil {
-		s.accessLog.write(info, r, sw)
+		s.accessLog.write(&sample, sw.bytes)
 	}
 }
 
@@ -286,31 +309,8 @@ type slowQueryLine struct {
 // finish records the completed request in the flight recorder and, when
 // it exceeded its SLO threshold, bumps soda_slow_requests_total and
 // writes the slow-query log line.
-func (s *Server) finish(info *requestInfo, r *http.Request, sw *statusWriter) {
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	info.mu.Lock()
-	sample := obs.FlightSample{
-		TraceID:   info.active.TC.TraceID,
-		RequestID: info.id,
-		Method:    r.Method,
-		Path:      r.URL.Path,
-		Status:    status,
-		Start:     info.start,
-		Dur:       time.Since(info.start),
-		Dialect:   info.dialect,
-		Outcome:   info.outcome,
-		Query:     info.query,
-		SQL:       info.sqlText,
-		Backend:   s.backendID,
-	}
-	info.mu.Unlock()
-	if info.tr.Len() > 0 {
-		sample.Spans = info.tr.Spans()
-	}
-	if !s.flight.Record(sample) {
+func (s *Server) finish(sample *obs.FlightSample) {
+	if !s.flight.Record(*sample) {
 		return
 	}
 	slo := defaultSlowCold
@@ -335,16 +335,24 @@ func (s *Server) finish(info *requestInfo, r *http.Request, sw *statusWriter) {
 		Cache:     sample.Outcome,
 		Query:     sample.Query,
 		SQL:       sample.SQL,
-	}
-	if len(sample.Spans) > 0 {
-		line.Steps = make(map[string]float64, len(sample.Spans))
-		for _, sp := range sample.Spans {
-			line.Steps[sp.Name+"_us"] = float64(sp.Dur) / float64(time.Microsecond)
-		}
+		Steps:     stepsUs(sample.Spans),
 	}
 	if data, err := json.Marshal(line); err == nil {
 		s.slowLog.Printf("%s", data)
 	}
+}
+
+// stepsUs renders a request's trace spans as the "<name>_us" map the
+// slow-query and access-log lines carry; nil (omitted) without spans.
+func stepsUs(spans []obs.Span) map[string]float64 {
+	if len(spans) == 0 {
+		return nil
+	}
+	steps := make(map[string]float64, len(spans))
+	for _, sp := range spans {
+		steps[sp.Name+"_us"] = float64(sp.Dur) / float64(time.Microsecond)
+	}
+	return steps
 }
 
 // errorResponse is the uniform error envelope. RequestID echoes the

@@ -92,7 +92,8 @@ func waitContains(t *testing.T, b *syncBuffer, want string) string {
 
 // TestTraceparentAdopted: a valid inbound traceparent pins the trace id —
 // X-Request-Id echoes it, the access log carries it, and the flight
-// recorder retains the trace under it.
+// recorder retains the trace under it, with the same duration and status
+// the access log reports.
 func TestTraceparentAdopted(t *testing.T) {
 	var log syncBuffer
 	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
@@ -130,6 +131,12 @@ func TestTraceparentAdopted(t *testing.T) {
 	}
 	if entry.Cache != "cold" {
 		t.Errorf("flight entry cache = %q, want cold (first search)", entry.Cache)
+	}
+	// Both outputs read the one per-request record, so they agree exactly —
+	// measured separately, the two durations would differ.
+	if line.DurUs != entry.DurUs || line.Status != entry.Status || line.TraceID != entry.TraceID {
+		t.Errorf("access log (dur_us %v, status %d, trace %s) disagrees with flight entry (dur_us %v, status %d, trace %s)",
+			line.DurUs, line.Status, line.TraceID, entry.DurUs, entry.Status, entry.TraceID)
 	}
 }
 

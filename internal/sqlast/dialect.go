@@ -118,10 +118,6 @@ var reservedWords = map[string]bool{
 	"with": true,
 }
 
-// IsReservedWord reports whether the identifier collides with a SQL
-// keyword and therefore must be quoted.
-func IsReservedWord(s string) bool { return reservedWords[strings.ToLower(s)] }
-
 // bareIdent reports whether s can be emitted without quoting in every
 // dialect: an ASCII letter or underscore followed by ASCII letters,
 // digits and underscores, and not a reserved word. Unicode identifiers

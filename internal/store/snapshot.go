@@ -48,14 +48,9 @@ import (
 const (
 	snapshotMagic = "SODASNP1"
 	// Version 2 added the replication framing: the fold watermark and the
-	// per-origin vector ("origins" section). Version 1 is still *read*
-	// (its header and section encodings are unchanged) so feedback a
-	// pre-cluster deployment folded into its snapshot survives the
-	// upgrade: the caller assigns the v1 fold to the local replica's
-	// identity (AdoptLegacyIdentity) the same way legacy WAL records are
-	// migrated. Writers always emit the current version.
-	snapshotVersion       = uint16(2)
-	snapshotLegacyVersion = uint16(1)
+	// per-origin vector ("origins" section). Any other version is a
+	// foreign file: the reader rejects it and the caller rebuilds cold.
+	snapshotVersion = uint16(2)
 
 	sectionIndex    = "invidx"
 	sectionMeta     = "metagraph"
@@ -111,30 +106,6 @@ type Snapshot struct {
 	// Queries is the folded saved-query library at FoldPos; set/delete
 	// records above the watermark replay on top, like feedback.
 	Queries []SavedQuery
-	// Legacy marks a snapshot decoded from the pre-cluster v1 format: its
-	// fold has no replication identity yet. Call AdoptLegacyIdentity
-	// before using it in a replicated system.
-	Legacy bool
-}
-
-// AdoptLegacyIdentity assigns a v1 snapshot's folded feedback to the
-// local replica. Pre-cluster systems bumped the epoch exactly once per
-// folded event and folded everything on every snapshot write, so the
-// epoch doubles as the count of folded events — they become the
-// replica's own earliest records (OriginSeq and Lamport clock 1..Epoch),
-// which is exactly the numbering MigrateLegacy continues for the
-// remaining WAL tail when seeded with this fold. No-op on non-legacy
-// snapshots.
-func (s *Snapshot) AdoptLegacyIdentity(origin string) {
-	if !s.Legacy {
-		return
-	}
-	s.Legacy = false
-	if s.Epoch == 0 {
-		return
-	}
-	s.Origins = []OriginState{{ID: origin, Seq: s.Epoch, LC: s.Epoch}}
-	s.FoldPos = Pos{LC: s.Epoch, Origin: origin, Seq: s.Epoch}
 }
 
 // encodeSnapshot serialises snap into a byte buffer.
@@ -201,14 +172,10 @@ func decodeSnapshot(r io.Reader, wantFP uint64) (*Snapshot, error) {
 	if _, err := io.ReadFull(br, u16[:]); err != nil {
 		return nil, fmt.Errorf("short version: %w", err)
 	}
-	snap := &Snapshot{}
-	switch v := binary.LittleEndian.Uint16(u16[:]); v {
-	case snapshotVersion:
-	case snapshotLegacyVersion:
-		snap.Legacy = true
-	default:
+	if v := binary.LittleEndian.Uint16(u16[:]); v != snapshotVersion {
 		return nil, fmt.Errorf("format version %d (reader speaks %d)", v, snapshotVersion)
 	}
+	snap := &Snapshot{}
 	var u64 [8]byte
 	readU64 := func() (uint64, error) {
 		if _, err := io.ReadFull(br, u64[:]); err != nil {
@@ -280,11 +247,7 @@ func decodeSnapshot(r io.Reader, wantFP uint64) (*Snapshot, error) {
 		seen[string(name)] = true
 		sections = append(sections, section{string(name), wantSum, payload})
 	}
-	required := []string{sectionIndex, sectionMeta, sectionFeedback}
-	if !snap.Legacy {
-		required = append(required, sectionOrigins)
-	}
-	for _, name := range required {
+	for _, name := range []string{sectionIndex, sectionMeta, sectionFeedback, sectionOrigins} {
 		if !seen[name] {
 			return nil, fmt.Errorf("missing section %q", name)
 		}

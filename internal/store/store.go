@@ -205,58 +205,6 @@ func (st *Store) LoadSnapshot(fingerprint uint64) (*Snapshot, error) {
 // snapshot (canonical position at or below Snapshot.FoldPos).
 func (st *Store) Replayed() []Record { return st.replayed }
 
-// MigrateLegacy assigns this replica's identity to records written
-// before the cluster subsystem (empty Origin) and rewrites the log, so
-// every on-disk record carries a canonical position. Pre-cluster records
-// were all created locally in sequence order, so they become the
-// replica's own earliest records.
-//
-// foldedEvents seeds the numbering: a v1 snapshot's fold counts as the
-// replica's events 1..foldedEvents (see Snapshot.AdoptLegacyIdentity),
-// so migrated WAL records continue from there — and legacy records with
-// a local sequence at or below foldedSeq (the v1 snapshot's AppliedSeq)
-// are *dropped*: they are already inside the fold, and a pre-cluster
-// crash between snapshot write and compaction can leave them in the log.
-// Idempotent; a no-op on logs with no legacy records.
-func (st *Store) MigrateLegacy(origin string, foldedEvents, foldedSeq uint64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	legacy := false
-	maxSeq, maxLC := foldedEvents, foldedEvents
-	for _, rec := range st.replayed {
-		if rec.Origin == "" {
-			legacy = true
-		} else {
-			if rec.Origin == origin && rec.OriginSeq > maxSeq {
-				maxSeq = rec.OriginSeq
-			}
-			if rec.LC > maxLC {
-				maxLC = rec.LC
-			}
-		}
-	}
-	if !legacy {
-		return nil
-	}
-	migrated := make([]Record, 0, len(st.replayed))
-	for _, rec := range st.replayed {
-		if rec.Origin == "" {
-			if rec.Seq <= foldedSeq {
-				continue // already folded into the v1 snapshot
-			}
-			maxSeq++
-			maxLC++
-			rec.Origin, rec.OriginSeq, rec.LC = origin, maxSeq, maxLC
-		}
-		migrated = append(migrated, rec)
-	}
-	if err := st.wal.replaceAll(migrated); err != nil {
-		return fmt.Errorf("store: migrate legacy wal: %w", err)
-	}
-	st.replayed = migrated
-	return nil
-}
-
 // Append logs one feedback event and returns it with its assigned local
 // sequence number. The record's replication identity (Origin, OriginSeq,
 // LC) is the caller's responsibility — both locally-created and
@@ -392,10 +340,7 @@ func (st *Store) WriteSnapshot(snap *Snapshot) error {
 	if err := writeSnapshotFile(filepath.Join(st.dir, snapshotFileName), data); err != nil {
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
-	// Unidentified legacy records are kept: they are invisible to the
-	// vector and dropping them would lose feedback a migration (MigrateLegacy)
-	// has not claimed yet.
-	keep := func(rec Record) bool { return rec.Origin == "" || rec.OriginSeq > folded[rec.Origin] }
+	keep := func(rec Record) bool { return rec.OriginSeq > folded[rec.Origin] }
 	if err := st.wal.compact(keep); err != nil {
 		return fmt.Errorf("store: compact wal: %w", err)
 	}

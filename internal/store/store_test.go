@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"soda/internal/minibank"
@@ -191,161 +192,50 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
-// TestWALLegacyRecordsMigrate frames two records in the pre-cluster
-// format (no identity flag on the op byte) and checks that they decode
-// with an empty origin and that MigrateLegacy rewrites them as the local
-// replica's earliest records.
-func TestWALLegacyRecordsMigrate(t *testing.T) {
+// TestWALRejectsIdentitylessRecord hand-builds a CRC-valid frame whose op
+// byte lacks opIdentityFlag. Nothing downstream may admit a record without
+// a canonical position, so the decode fails and the scan treats the frame
+// like any other undecodable one: replay stops before it and the tail is
+// truncated away.
+func TestWALRejectsIdentitylessRecord(t *testing.T) {
 	dir := t.TempDir()
-	var raw []byte
-	raw = append(raw, legacyFrame(1, OpLike, []Key{{Node: "a"}})...)
-	raw = append(raw, legacyFrame(2, OpDislike, []Key{{Table: "t", Column: "c"}})...)
-	if err := os.WriteFile(filepath.Join(dir, walFileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	st := mustOpen(t, dir)
-	got := st.Replayed()
-	if len(got) != 2 {
-		t.Fatalf("replayed %d legacy records, want 2", len(got))
-	}
-	if got[0].Origin != "" || got[0].LC != 0 {
-		t.Fatalf("legacy record decoded with identity: %+v", got[0])
-	}
-	if err := st.MigrateLegacy("self", 0, 0); err != nil {
+	if _, err := st.Append(rec(OpLike, 1, Key{Node: "a"})); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range st.Replayed() {
-		want := uint64(i + 1)
-		if r.Origin != "self" || r.OriginSeq != want || r.LC != want {
-			t.Fatalf("migrated record %d = %+v", i, r)
-		}
-	}
-	st.Close()
-
-	// The rewrite is durable: a reopen sees identified records and a
-	// second migration is a no-op.
-	st2 := mustOpen(t, dir)
-	if r := st2.Replayed()[1]; r.Origin != "self" || r.OriginSeq != 2 {
-		t.Fatalf("migration not durable: %+v", r)
-	}
-	if err := st2.MigrateLegacy("self", 0, 0); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
+	walPath := filepath.Join(dir, walFileName)
+	good, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-// legacyFrame builds one WAL frame in the pre-cluster record format.
-func legacyFrame(seq uint64, op Op, keys []Key) []byte {
-	payload := binary.AppendUvarint(nil, seq)
-	payload = append(payload, byte(op)) // no opIdentityFlag
-	payload = binary.AppendUvarint(payload, uint64(len(keys)))
-	for _, k := range keys {
-		payload = appendString(payload, k.Node)
-		payload = appendString(payload, k.Table)
-		payload = appendString(payload, k.Column)
+	payload := binary.AppendUvarint(nil, 2) // seq
+	payload = append(payload, byte(OpLike)) // no opIdentityFlag
+	payload = binary.AppendUvarint(payload, 1)
+	for _, field := range []string{"b", "", ""} { // one key: node, table, column
+		payload = appendString(payload, field)
+	}
+	if _, err := decodeRecord(payload); err == nil {
+		t.Fatal("decodeRecord accepted a record without replication identity")
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	return frame
-}
-
-// encodeV1Snapshot replicates the pre-cluster snapshot layout: version 1,
-// no origins section. The section encodings themselves are unchanged.
-func encodeV1Snapshot(snap *Snapshot) []byte {
-	full, err := encodeSnapshot(snap)
-	if err != nil {
-		panic(err)
-	}
-	// Patch the version and re-serialise without the origins section by
-	// rebuilding from the parts the current encoder produced.
-	var out bytes.Buffer
-	out.WriteString(snapshotMagic)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], snapshotLegacyVersion)
-	out.Write(u16[:])
-	var u64 [8]byte
-	for _, v := range []uint64{snap.Fingerprint, snap.Epoch, snap.AppliedSeq} {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		out.Write(u64[:])
-	}
-	// Walk the v2 sections, dropping "origins" and fixing the count.
-	rest := full[len(snapshotMagic)+2+24:]
-	nSections := binary.LittleEndian.Uint32(rest[:4])
-	rest = rest[4:]
-	var kept [][]byte
-	for i := uint32(0); i < nSections; i++ {
-		nameLen := int(rest[0])
-		name := string(rest[1 : 1+nameLen])
-		length := binary.LittleEndian.Uint64(rest[1+nameLen : 9+nameLen])
-		section := rest[:1+nameLen+8+4+int(length)]
-		rest = rest[len(section):]
-		if name != sectionOrigins {
-			kept = append(kept, section)
-		}
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(kept)))
-	out.Write(u32[:])
-	for _, s := range kept {
-		out.Write(s)
-	}
-	return out.Bytes()
-}
-
-// TestV1SnapshotUpgrade: a data directory written by the pre-cluster
-// code — a v1 snapshot holding 5 folded events, plus a legacy WAL with
-// one already-folded record (crash between snapshot and compaction) and
-// two unfolded ones — loads with its folded feedback intact, and the
-// migration numbers the surviving tail to continue the fold.
-func TestV1SnapshotUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	snap := testSnapshot(5, 5)
-	snap.FoldPos = Pos{}
-	snap.Origins = nil
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), encodeV1Snapshot(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var raw []byte
-	raw = append(raw, legacyFrame(5, OpLike, []Key{{Node: "folded"}})...) // covered by AppliedSeq 5
-	raw = append(raw, legacyFrame(6, OpDislike, []Key{{Node: "tail1"}})...)
-	raw = append(raw, legacyFrame(7, OpLike, []Key{{Node: "tail2"}})...)
-	if err := os.WriteFile(filepath.Join(dir, walFileName), raw, 0o644); err != nil {
+	if err := os.WriteFile(walPath, append(good, frame...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st := mustOpen(t, dir)
-	got, err := st.LoadSnapshot(testFP)
-	if err != nil {
-		t.Fatal(err)
+	st2 := mustOpen(t, dir)
+	got := st2.Replayed()
+	if len(got) != 1 || got[0].Origin != "r1" {
+		t.Fatalf("replayed %+v, want only the identified record", got)
 	}
-	if got == nil {
-		t.Fatalf("v1 snapshot did not load: %+v", st.Stats())
-	}
-	if !got.Legacy || len(got.Feedback) != 2 || got.Epoch != 5 {
-		t.Fatalf("v1 snapshot decoded as %+v (legacy=%v)", got, got.Legacy)
-	}
-	got.AdoptLegacyIdentity("self")
-	if got.Legacy {
-		t.Fatal("adoption did not clear the legacy flag")
-	}
-	wantOrigins := []OriginState{{ID: "self", Seq: 5, LC: 5}}
-	if !reflect.DeepEqual(got.Origins, wantOrigins) || got.FoldPos != (Pos{LC: 5, Origin: "self", Seq: 5}) {
-		t.Fatalf("adopted identity = %+v / %+v", got.Origins, got.FoldPos)
-	}
-	if err := st.MigrateLegacy("self", 5, got.AppliedSeq); err != nil {
-		t.Fatal(err)
-	}
-	recs := st.Replayed()
-	if len(recs) != 2 {
-		t.Fatalf("migrated tail = %d records, want 2 (the folded one dropped)", len(recs))
-	}
-	for i, r := range recs {
-		want := uint64(6 + i) // continues the fold's event numbering
-		if r.Origin != "self" || r.OriginSeq != want || r.LC != want {
-			t.Fatalf("migrated tail record %d = %+v, want seq/lc %d", i, r, want)
-		}
+	if info, err := os.Stat(walPath); err != nil || info.Size() != int64(len(good)) {
+		t.Fatalf("identity-less frame not truncated away: %v, %v", info, err)
 	}
 }
 
@@ -491,19 +381,26 @@ func TestSnapshotRejectsWrongFingerprintAndVersion(t *testing.T) {
 	}
 	st2.Close()
 
-	// Bump the on-disk format version: readers speak exactly one version.
+	// Change the on-disk format version: readers speak exactly one version,
+	// so a future file and a pre-cluster v1 file alike rebuild cold.
 	path := filepath.Join(dir, snapshotFileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(data[len(snapshotMagic):], snapshotVersion+1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st3 := mustOpen(t, dir)
-	if snap, _ := st3.LoadSnapshot(testFP); snap != nil {
-		t.Fatal("snapshot with a future format version must not load")
+	for _, v := range []uint16{snapshotVersion + 1, 1} {
+		binary.LittleEndian.PutUint16(data[len(snapshotMagic):], v)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st3 := mustOpen(t, dir)
+		if snap, _ := st3.LoadSnapshot(testFP); snap != nil {
+			t.Fatalf("snapshot with format version %d must not load", v)
+		}
+		if reason := st3.Stats().InvalidReason; !strings.Contains(reason, "format version") {
+			t.Fatalf("version %d: invalid reason = %q", v, reason)
+		}
+		st3.Close()
 	}
 }
 

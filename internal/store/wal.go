@@ -342,18 +342,6 @@ func (w *wal) compact(keep func(Record) bool) error {
 	if err != nil {
 		return err
 	}
-	filtered := records[:0]
-	for _, rec := range records {
-		if keep(rec) {
-			filtered = append(filtered, rec)
-		}
-	}
-	return w.rewriteLocked(filtered)
-}
-
-// rewriteLocked replaces the log's contents with exactly the given
-// records (original local sequence numbers preserved). Caller holds mu.
-func (w *wal) rewriteLocked(records []Record) error {
 	tmpPath := w.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -362,6 +350,9 @@ func (w *wal) rewriteLocked(records []Record) error {
 	var kept int
 	var bytes int64
 	for _, rec := range records {
+		if !keep(rec) {
+			continue
+		}
 		frame := frameRecord(rec)
 		if _, err := tmp.Write(frame); err != nil {
 			tmp.Close()
@@ -406,18 +397,6 @@ func (w *wal) rewriteLocked(records []Record) error {
 	return old.Close()
 }
 
-// replaceAll swaps the log's contents for the given records — the
-// legacy-migration path, where every pre-cluster record is rewritten with
-// its assigned replication identity.
-func (w *wal) replaceAll(records []Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("store: wal is closed")
-	}
-	return w.rewriteLocked(records)
-}
-
 // close stops the flusher, syncs and closes the file.
 func (w *wal) close() error {
 	close(w.flushStop)
@@ -456,9 +435,9 @@ func syncDir(dir string) {
 // --- record payload encoding -----------------------------------------
 
 // opIdentityFlag marks a record encoded with replication identity
-// (Origin/OriginSeq/LC) after the op byte. Records written before the
-// cluster subsystem lack the flag and decode with an empty Origin; the
-// replayer migrates them to the local replica's identity.
+// (Origin/OriginSeq/LC) after the op byte. Every writer sets it; a frame
+// without it fails the decode, because an identity-less record has no
+// canonical position and nothing downstream may admit one.
 // opPayloadFlag marks a record carrying an op-specific Payload between
 // the identity fields and the key list (saved-query records).
 const (
@@ -505,16 +484,17 @@ func decodeRecord(payload []byte) (Record, error) {
 	if !validOp(rec.Op) {
 		return rec, fmt.Errorf("store: unknown record op %d", rec.Op)
 	}
-	if opByte&opIdentityFlag != 0 {
-		if rec.Origin, rest, err = takeString(rest); err != nil {
-			return rec, fmt.Errorf("store: record origin: %w", err)
-		}
-		if rec.OriginSeq, rest, err = takeUvarint(rest); err != nil {
-			return rec, fmt.Errorf("store: record origin seq: %w", err)
-		}
-		if rec.LC, rest, err = takeUvarint(rest); err != nil {
-			return rec, fmt.Errorf("store: record clock: %w", err)
-		}
+	if opByte&opIdentityFlag == 0 {
+		return rec, errors.New("store: record has no replication identity")
+	}
+	if rec.Origin, rest, err = takeString(rest); err != nil {
+		return rec, fmt.Errorf("store: record origin: %w", err)
+	}
+	if rec.OriginSeq, rest, err = takeUvarint(rest); err != nil {
+		return rec, fmt.Errorf("store: record origin seq: %w", err)
+	}
+	if rec.LC, rest, err = takeUvarint(rest); err != nil {
+		return rec, fmt.Errorf("store: record clock: %w", err)
 	}
 	if opByte&opPayloadFlag != 0 {
 		var body string

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestFuzzSearchMiniBank(t *testing.T) {
 			if sol.SQL == nil {
 				continue
 			}
-			if _, err := sys.Execute(sol); err != nil {
+			if _, err := sys.Execute(context.Background(), sol); err != nil {
 				t.Fatalf("query %d %q: generated SQL failed: %v\n%s",
 					i, q, err, sol.SQLText())
 			}
@@ -95,7 +96,7 @@ func TestFuzzSearchWarehouse(t *testing.T) {
 			if sol.SQL == nil {
 				continue
 			}
-			if _, err := sys.Execute(sol); err != nil {
+			if _, err := sys.Execute(context.Background(), sol); err != nil {
 				t.Fatalf("query %d %q: generated SQL failed: %v\n%s",
 					i, q, err, sol.SQLText())
 			}

@@ -23,6 +23,13 @@
 // quirks of §5.3 (bi-temporal historisation, bridge tables between
 // inheritance siblings, cryptic physical names). Custom worlds are built
 // with NewWorld from the building blocks in internal packages.
+//
+// This package is a thin facade: every operation has one implementation
+// in internal/core and the methods here only translate types. Search,
+// SearchWith and SearchRenderedContext all reach the pipeline through
+// core's single search path (raw-key cache probe, parse, canonical-key
+// probe, the five steps, render, store); ExecuteSQL and
+// ExecuteSQLInContext through its single SQL-execution call.
 package soda
 
 import (
@@ -347,9 +354,7 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 	}
 	// The data dir carries a stable replica identity (generated on first
 	// open); every WAL record is stamped with it, so a fleet can tell
-	// each replica's feedback apart. Pre-cluster state is migrated once:
-	// a v1 snapshot's fold becomes the replica's earliest events and the
-	// legacy WAL tail is renumbered to continue from it.
+	// each replica's feedback apart.
 	replicaID, err := st.ReplicaID(opt.ReplicaID)
 	if err != nil {
 		st.Close()
@@ -361,24 +366,6 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	var foldedEvents, foldedSeq uint64
-	if snap != nil {
-		if snap.Legacy {
-			foldedSeq = snap.AppliedSeq
-		}
-		snap.AdoptLegacyIdentity(replicaID)
-		for _, o := range snap.Origins {
-			if o.ID == replicaID {
-				foldedEvents = o.Seq
-			}
-		}
-	}
-	if err := st.MigrateLegacy(replicaID, foldedEvents, foldedSeq); err != nil {
-		st.Close()
-		return nil, err
-	}
-	var meta = w.meta
-	var idx *invidx.Index
 	if snap != nil {
 		// Warm boot: the snapshot's derived state stands in for the cold
 		// rebuild. The base data itself is regenerated by the world
@@ -386,19 +373,16 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 		// guarantees the snapshot indexes this exact schema. The world is
 		// repointed at the snapshot's copies so the builder's metagraph
 		// becomes garbage instead of a second warehouse-scale graph
-		// pinned for the process lifetime, and World.Index never redoes
+		// pinned for the process lifetime, and World.Index never does
 		// the cold scan.
-		meta, idx = snap.Meta, snap.Index
 		w.meta, w.index = snap.Meta, snap.Index
-	} else {
-		idx = w.Index() // cold: scan the base data
 	}
 	ex, err := newExecutor(w, opt)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	cs := core.NewSystem(ex, meta, idx, opt.internal())
+	cs := core.NewSystem(ex, w.meta, w.Index(), opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
 	cs.SetFingerprint(fp)
 	cs.SetReplica(replicaID, len(opt.Peers))
@@ -750,7 +734,7 @@ type Result struct {
 
 // Execute runs the statement and returns the full result.
 func (r *Result) Execute() (*Rows, error) {
-	res, err := r.sys.Execute(r.sol)
+	res, err := r.sys.Execute(context.Background(), r.sol)
 	if err != nil {
 		return nil, err
 	}
@@ -884,17 +868,22 @@ type SearchOptions struct {
 // coreSearchOptions resolves public SearchOptions into the core form,
 // rejecting unknown dialect names.
 func coreSearchOptions(opts SearchOptions) (core.SearchOptions, error) {
-	var so core.SearchOptions
-	if opts.Dialect != "" {
-		d, ok := sqlast.DialectByName(opts.Dialect)
-		if !ok {
-			return so, fmt.Errorf("soda: unknown dialect %q (supported: %s)",
-				opts.Dialect, strings.Join(Dialects(), ", "))
-		}
-		so.Dialect = d
+	d, err := requestDialect(opts.Dialect)
+	return core.SearchOptions{Dialect: d, Snippets: opts.Snippets}, err
+}
+
+// requestDialect resolves a per-request dialect name: empty is nil — the
+// System's configured dialect — and unknown names are an error.
+func requestDialect(name string) (*sqlast.Dialect, error) {
+	if name == "" {
+		return nil, nil
 	}
-	so.Snippets = opts.Snippets
-	return so, nil
+	d, ok := sqlast.DialectByName(name)
+	if !ok {
+		return nil, fmt.Errorf("soda: unknown dialect %q (supported: %s)",
+			name, strings.Join(Dialects(), ", "))
+	}
+	return d, nil
 }
 
 // SearchWith is Search with per-request options: a target SQL dialect
@@ -911,40 +900,30 @@ func (s *System) SearchWith(query string, opts SearchOptions) (*Answer, error) {
 	return s.answerOf(a), nil
 }
 
-// SearchRendered is the serving layer's hot path. On a repeat of a query
-// already rendered (same raw query string, dialect and snippet flag,
-// ranking unchanged since) it returns the exact bytes previously produced
-// by render — no pipeline, no re-encode, and zero heap allocations in the
-// core lookup — with hit=true. Otherwise it searches, calls render on the
-// answer, caches the returned bytes alongside the analysis and returns
-// them with hit=false. The returned bytes are shared with the cache:
-// callers must write them out unmodified.
+// SearchRendered is SearchRenderedContext with a background context.
 func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
 	return s.SearchRenderedContext(context.Background(), query, opts, render)
 }
 
-// SearchRenderedContext is SearchRendered with an explicit context: the
-// cold path threads ctx into the pipeline's backend executions
-// (cancellation plus the request's trace-span collector); the cache-hit
-// path never touches ctx and stays allocation-free.
+// SearchRenderedContext is the serving layer's hot path. On a repeat of a
+// query already rendered (same raw query string, dialect and snippet
+// flag, ranking unchanged since) it returns the exact bytes previously
+// produced by render — no pipeline, no re-encode, zero heap allocations,
+// ctx untouched — with hit=true. Otherwise it searches (ctx flows into
+// the pipeline's backend executions: cancellation plus the request's
+// trace-span collector), calls render on the answer, caches the returned
+// bytes alongside the analysis and returns them with hit=false. The
+// sequence itself lives in core.SearchRenderedContext; this only adapts
+// render from the core analysis to the public Answer. The returned bytes
+// are shared with the cache: callers must write them out unmodified.
 func (s *System) SearchRenderedContext(ctx context.Context, query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
 	so, err := coreSearchOptions(opts)
 	if err != nil {
 		return nil, false, err
 	}
-	if data, ok := s.sys.CachedRendered(query, so); ok {
-		return data, true, nil
-	}
-	a, err := s.sys.SearchWithContext(ctx, query, so)
-	if err != nil {
-		return nil, false, err
-	}
-	data, err = render(s.answerOf(a))
-	if err != nil {
-		return nil, false, err
-	}
-	s.sys.AttachRendered(query, so, a, data)
-	return data, false, nil
+	return s.sys.SearchRenderedContext(ctx, query, so, func(a *core.Analysis) ([]byte, error) {
+		return render(s.answerOf(a))
+	})
 }
 
 // answerOf wraps a completed core analysis in the public Answer shape.
@@ -1003,34 +982,19 @@ func ParseQuery(query string) (*queryparse.Query, error) {
 // take SODA's statements and refine them by hand. The statement is read
 // in the System's configured dialect.
 func (s *System) ExecuteSQL(sql string) (*Rows, error) {
-	res, err := s.sys.ExecSQL(sql)
+	return s.ExecuteSQLInContext(context.Background(), "", sql)
+}
+
+// ExecuteSQLInContext runs a statement written in the named dialect
+// (empty = the System's configured dialect; unknown names are an error).
+// ctx carries cancellation and trace-span capture into the backend
+// execution.
+func (s *System) ExecuteSQLInContext(ctx context.Context, dialect, sql string) (*Rows, error) {
+	d, err := requestDialect(dialect)
 	if err != nil {
 		return nil, err
 	}
-	return newRows(res), nil
-}
-
-// ExecuteSQLIn runs a statement written in the named dialect (empty =
-// the System's configured dialect); unknown names are an error.
-func (s *System) ExecuteSQLIn(dialect, sql string) (*Rows, error) {
-	return s.ExecuteSQLInContext(context.Background(), dialect, sql)
-}
-
-// ExecuteSQLInContext is ExecuteSQLIn with an explicit context for
-// cancellation and trace-span capture on the backend execution.
-func (s *System) ExecuteSQLInContext(ctx context.Context, dialect, sql string) (*Rows, error) {
-	d, ok := sqlast.DialectByName(dialect)
-	if !ok {
-		return nil, fmt.Errorf("soda: unknown dialect %q (supported: %s)",
-			dialect, strings.Join(Dialects(), ", "))
-	}
-	var res *backend.Result
-	var err error
-	if dialect == "" {
-		res, err = s.sys.ExecSQLContext(ctx, sql) // the System's configured dialect
-	} else {
-		res, err = s.sys.ExecSQLDialectContext(ctx, sql, d)
-	}
+	res, err := s.sys.ExecSQL(ctx, sql, d)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package soda
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -107,16 +108,53 @@ func TestAnswerExplain(t *testing.T) {
 	}
 }
 
+// TestExecuteSQLDirect covers the one SQL-execution path end to end:
+// ExecuteSQL is ExecuteSQLInContext with no dialect, which reads the
+// statement in the System's configured dialect; a named dialect
+// overrides it per call; unknown names and unparsable SQL are errors.
 func TestExecuteSQLDirect(t *testing.T) {
-	rows, err := mbSys.ExecuteSQL("SELECT count(*) FROM parties")
-	if err != nil {
-		t.Fatal(err)
+	mysqlSys := NewSystem(MiniBank(), Options{Dialect: "mysql"})
+	// Only string escaping distinguishes the dialects on the way in: MySQL
+	// reads backslash as an escape character, the others take it literally.
+	const mysqlOnly = `SELECT count(*) FROM individuals WHERE lastname <> 'O\'Neil'`
+	const genericOnly = `SELECT count(*) FROM individuals WHERE lastname <> 'O\'`
+	cases := []struct {
+		name    string
+		sys     *System
+		dialect string
+		sql     string
+		wantErr string // substring; "" = must succeed
+	}{
+		{"configured default, generic", mbSys, "", genericOnly, ""},
+		{"configured default, mysql", mysqlSys, "", mysqlOnly, ""},
+		{"configured generic rejects mysql escapes", mbSys, "", mysqlOnly, "sql:"},
+		{"per-call override", mbSys, "mysql", mysqlOnly, ""},
+		{"override beats configured", mysqlSys, "generic", genericOnly, ""},
+		{"unknown dialect", mbSys, "oracle", "SELECT count(*) FROM parties", `unknown dialect "oracle"`},
+		{"bad SQL", mbSys, "", "SELEC nonsense", "sql:"},
 	}
-	if rows.NumRows() != 1 || rows.Values[0][0].I == 0 {
-		t.Fatalf("rows = %+v", rows.Values)
-	}
-	if _, err := mbSys.ExecuteSQL("SELEC nonsense"); err == nil {
-		t.Fatal("bad SQL should error")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var rows *Rows
+			var err error
+			if c.dialect == "" {
+				rows, err = c.sys.ExecuteSQL(c.sql)
+			} else {
+				rows, err = c.sys.ExecuteSQLInContext(context.Background(), c.dialect, c.sql)
+			}
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows.NumRows() != 1 || rows.Values[0][0].I == 0 {
+				t.Fatalf("rows = %+v", rows.Values)
+			}
+		})
 	}
 }
 
