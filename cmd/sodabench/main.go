@@ -17,24 +17,16 @@
 //	                          # deltas come from one replica's merged
 //	                          # /admin/fleet/metrics view, and every load
 //	                          # request carries a W3C traceparent
-//	sodabench -latency        # search latency percentiles (cache-hit and
-//	                          # cold) for both corpora against the SLO;
-//	                          # writes BENCH_search.json (-latency-out).
-//	                          # With -latency-baseline <file>, exits 1 on
-//	                          # a >25% p99 regression vs that baseline
-//	                          # (overall hit/cold p99 and the cold
-//	                          # `tables` step p99 specifically).
-//	sodabench -latency -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	                          # any mode can capture pprof profiles of
-//	                          # itself for offline analysis
+//
+// Serving latency, allocations and per-layer costs are not measured here:
+// that is benchmark/ (bash benchmark/run.sh), which drives a live sodad.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"soda"
@@ -56,32 +48,9 @@ func main() {
 	replicas := flag.Int("replicas", 0, "fleet load test: boot this many in-process sodad replicas and report aggregate QPS")
 	fleetQueries := flag.Int("fleet-queries", 2000, "total /search requests for -replicas mode")
 	fleetWorkers := flag.Int("fleet-workers", 4, "concurrent clients per replica for -replicas mode")
-	latency := flag.Bool("latency", false, "measure search latency percentiles against the SLO and write -latency-out")
-	latencyOut := flag.String("latency-out", "BENCH_search.json", "output file for -latency")
-	latencyBaseline := flag.String("latency-baseline", "", "baseline BENCH_search.json to compare against; exit 1 on >25% p99 regression")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	flag.Parse()
-
-	if *cpuProfile != "" || *memProfile != "" {
-		stop, err := bench.StartProfiles(*cpuProfile, *memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Every mode below returns through main; log.Fatal paths lose the
-		// profile, which is fine — a failed run has nothing worth profiling.
-		defer func() {
-			if err := stop(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	if *latency {
-		if err := runLatency(*latencyOut, *latencyBaseline); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if err := validateSelection(*table, *figure); err != nil {
+		log.Fatal(err)
 	}
 
 	if *replicas > 0 {
@@ -134,9 +103,6 @@ func main() {
 		s, err := env.RenderTable5()
 		out(s, err)
 	}
-	if *table < 0 || *table > 5 {
-		log.Fatalf("no table %d", *table)
-	}
 
 	if all || *figure == 5 {
 		s, err := env.RenderFigure5()
@@ -157,9 +123,6 @@ func main() {
 		s, err := env.RenderFigure10()
 		out(s, err)
 	}
-	if *figure != 0 && (*figure < 5 || *figure > 10) {
-		fmt.Fprintf(os.Stderr, "figures 1-4 are architecture diagrams; see README.md and cmd/sodagen\n")
-	}
 
 	if all || *ablations {
 		s, err := env.RenderAblations()
@@ -167,52 +130,17 @@ func main() {
 	}
 }
 
-// runLatency measures the search latency SLO report, writes it to path
-// and (optionally) enforces the p99 regression budget against a committed
-// baseline.
-func runLatency(path, baselinePath string) error {
-	rep, err := bench.MeasureSearchLatency(bench.LatencyConfig{})
-	if err != nil {
-		return err
+// validateSelection rejects a -table or -figure the paper does not have,
+// before any experiment runs (0 means "not selected").
+func validateSelection(table, figure int) error {
+	if table < 0 || table > 5 {
+		return fmt.Errorf("no table %d (want -table 1-5)", table)
 	}
-	for _, c := range rep.Corpora {
-		verdict := func(pass bool) string {
-			if pass {
-				return "pass"
-			}
-			return "FAIL"
-		}
-		fmt.Printf("%-10s  hit  p50 %8.1fµs  p90 %8.1fµs  p99 %8.1fµs  (SLO %.0fµs: %s)\n",
-			c.Corpus, c.Hit.P50Us, c.Hit.P90Us, c.Hit.P99Us, rep.SLO.HitP99Us, verdict(c.HitPass))
-		fmt.Printf("%-10s  cold p50 %8.1fµs  p90 %8.1fµs  p99 %8.1fµs  (SLO %.0fµs: %s)\n",
-			c.Corpus, c.Cold.P50Us, c.Cold.P90Us, c.Cold.P99Us, rep.SLO.ColdP99Us, verdict(c.ColdPass))
-		for _, st := range c.Steps {
-			fmt.Printf("%-10s    step %-8s p50 %8.1fµs  p99 %8.1fµs  (%d samples)\n",
-				c.Corpus, st.Step, st.P50Us, st.P99Us, st.Count)
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if baselinePath == "" {
+	switch {
+	case figure == 0 || (figure >= 5 && figure <= 10):
 		return nil
+	case figure >= 1 && figure <= 4:
+		return errors.New("figures 1-4 are architecture diagrams; see README.md and cmd/sodagen (want -figure 5-10)")
 	}
-	baseData, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base bench.LatencyReport
-	if err := json.Unmarshal(baseData, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
-	if regs := bench.CompareLatency(&base, rep, 0.25); len(regs) > 0 {
-		return fmt.Errorf("p99 regression vs %s:\n  %s", baselinePath, strings.Join(regs, "\n  "))
-	}
-	fmt.Printf("no p99 regression vs %s\n", baselinePath)
-	return nil
+	return fmt.Errorf("no figure %d (want -figure 5-10)", figure)
 }

@@ -552,3 +552,37 @@ func TestMaxPathLenFarFetchingBound(t *testing.T) {
 		t.Fatal("bound 4 is enough for the 3-edge path")
 	}
 }
+
+// --- Per-step allocation counts ----------------------------------------
+
+// TestCountAllocsFillsEveryStep pins what benchmark/ledger.go reads: with
+// CountAllocs on, a pipeline run reports one count per step it ran; with
+// it off, or when the answer cache served the search, it reports none.
+func TestCountAllocsFillsEveryStep(t *testing.T) {
+	const q = "customers Zürich financial instruments"
+	for _, snippets := range []bool{false, true} {
+		want := []string{"lookup", "rank", "tables", "filters", "sqlgen"}
+		if snippets {
+			want = append(want, "snippet")
+		}
+		sys := newSys(t, Options{CacheSize: -1, Parallelism: 1})
+		a := searchWith(t, sys, q, SearchOptions{Snippets: snippets, CountAllocs: true})
+		if len(a.StepAllocs) != len(want) {
+			t.Errorf("snippets=%v: StepAllocs = %v, want exactly the steps %v", snippets, a.StepAllocs, want)
+		}
+		for _, step := range want {
+			if a.StepAllocs[step] == 0 {
+				t.Errorf("snippets=%v: step %q counted no allocations on a cold search: %v", snippets, step, a.StepAllocs)
+			}
+		}
+	}
+
+	sys := newSys(t, Options{})
+	if a := searchWith(t, sys, q, SearchOptions{}); a.StepAllocs != nil {
+		t.Errorf("CountAllocs off: StepAllocs = %v, want nil", a.StepAllocs)
+	}
+	// That search filled the cache; a hit runs no step, so it counts none.
+	if a := searchWith(t, sys, q, SearchOptions{CountAllocs: true}); a.StepAllocs != nil {
+		t.Errorf("cache hit: StepAllocs = %v, want nil", a.StepAllocs)
+	}
+}

@@ -131,31 +131,27 @@ func NewFlightRecorder(size int, slowHit, slowCold time.Duration) *FlightRecorde
 	}
 }
 
-// SLO returns the configured over-SLO thresholds (hit, cold).
-func (f *FlightRecorder) SLO() (hit, cold time.Duration) {
+// Record retains one completed request and returns the SLO threshold it
+// exceeded — 0 when it was within its SLO — so a caller that logs the
+// slow request reports the threshold the retention decision used.
+// Allocation-free: both ring writes are struct copies into pre-allocated
+// slots.
+func (f *FlightRecorder) Record(s FlightSample) (exceeded time.Duration) {
 	if f == nil {
-		return 0, 0
-	}
-	return f.slowHit, f.slowCold
-}
-
-// Record retains one completed request and reports whether it exceeded
-// its SLO threshold. Allocation-free: both ring writes are struct copies
-// into pre-allocated slots.
-func (f *FlightRecorder) Record(s FlightSample) (slow bool) {
-	if f == nil {
-		return false
+		return 0
 	}
 	slo := f.slowCold
 	if s.Outcome == "hit" {
 		slo = f.slowHit
 	}
-	slow = slo > 0 && s.Dur > slo
-	notable := slow || s.Status >= 500
+	if slo > 0 && s.Dur > slo {
+		exceeded = slo
+	}
+	notable := exceeded > 0 || s.Status >= 500
 	f.mu.Lock()
 	f.seq++
 	f.recorded++
-	slot := flightSlot{seq: f.seq, slow: slow, s: s}
+	slot := flightSlot{seq: f.seq, slow: exceeded > 0, s: s}
 	f.recent[f.ri] = slot
 	f.ri = (f.ri + 1) % len(f.recent)
 	if f.rn < len(f.recent) {
@@ -176,7 +172,7 @@ func (f *FlightRecorder) Record(s FlightSample) (slow bool) {
 		f.slowestID = s.TraceID
 	}
 	f.mu.Unlock()
-	return slow
+	return exceeded
 }
 
 // Stats summarizes the recorder for /healthz.

@@ -23,17 +23,17 @@ func sample(trace string, dur time.Duration, status int, outcome string) FlightS
 func TestFlightRecorderSlowClassification(t *testing.T) {
 	f := NewFlightRecorder(9, time.Millisecond, 20*time.Millisecond)
 
-	if slow := f.Record(sample("a", 500*time.Microsecond, 200, "hit")); slow {
+	if slo := f.Record(sample("a", 500*time.Microsecond, 200, "hit")); slo != 0 {
 		t.Fatal("fast hit classified slow")
 	}
-	if slow := f.Record(sample("b", 2*time.Millisecond, 200, "hit")); !slow {
-		t.Fatal("2ms hit not classified slow against 1ms SLO")
+	if slo := f.Record(sample("b", 2*time.Millisecond, 200, "hit")); slo != time.Millisecond {
+		t.Fatalf("2ms hit exceeded %v, want the 1ms hit SLO", slo)
 	}
-	if slow := f.Record(sample("c", 2*time.Millisecond, 200, "cold")); slow {
+	if slo := f.Record(sample("c", 2*time.Millisecond, 200, "cold")); slo != 0 {
 		t.Fatal("2ms cold classified slow against 20ms SLO")
 	}
-	if slow := f.Record(sample("d", 30*time.Millisecond, 200, "cold")); !slow {
-		t.Fatal("30ms cold not classified slow")
+	if slo := f.Record(sample("d", 30*time.Millisecond, 200, "cold")); slo != 20*time.Millisecond {
+		t.Fatalf("30ms cold exceeded %v, want the 20ms cold SLO", slo)
 	}
 
 	st := f.Stats()
@@ -166,7 +166,7 @@ func TestFlightRecordAllocFree(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	if slow := f.Record(sample("x", time.Hour, 500, "cold")); slow {
+	if slo := f.Record(sample("x", time.Hour, 500, "cold")); slo != 0 {
 		t.Fatal("nil recorder classified slow")
 	}
 	if st := f.Stats(); st.Size != 0 {

@@ -83,8 +83,8 @@ type HealthResponse struct {
 	// single persistent replica (it can still be pulled from).
 	Cluster *soda.ClusterStatus `json:"cluster,omitempty"`
 	// SearchLatency reports /search service-time percentiles since boot,
-	// split cache-hit vs cold (full pipeline) — the serving-side view of
-	// the BENCH_search.json SLO (p99 < 1ms hit, < 20ms cold).
+	// split cache-hit vs cold (full pipeline), to be read against the
+	// server's SLO (sloHit, sloCold).
 	SearchLatency SearchLatency `json:"search_latency"`
 	// Build identifies this replica's build — the JSON twin of the
 	// soda_build_info gauge, for telling replicas apart during rolling

@@ -52,13 +52,13 @@ import (
 // maxBodyBytes caps request bodies; queries and SQL are tiny.
 const maxBodyBytes = 1 << 20
 
-// Slow-request thresholds, mirroring the BENCH_search.json SLO targets
-// (p99 < 1ms cache-hit, < 20ms cold): a /search over its outcome's
-// threshold — or any other request over the cold threshold — is logged to
-// the slow-query log and pinned in the flight recorder.
+// The server's latency SLO: a cache-hit /search answers within 1ms, every
+// other request within 20ms. A request over its threshold is logged to
+// the slow-query log, counted in soda_slow_requests_total and pinned in
+// the flight recorder, which owns the outcome → threshold decision.
 const (
-	defaultSlowHit  = time.Millisecond
-	defaultSlowCold = 20 * time.Millisecond
+	sloHit  = time.Millisecond
+	sloCold = 20 * time.Millisecond
 )
 
 // LatencySummary re-exports the /healthz latency-distribution shape
@@ -83,9 +83,9 @@ type Server struct {
 
 	// Cache-hit vs cold /search service time, registered in the System's
 	// metric registry (soda_search_latency_seconds{outcome}) and surfaced
-	// in /healthz (search_latency) against the stated SLO: p99 < 1ms hit,
-	// < 20ms cold. Pointers resolved once at construction — the hit path
-	// records through direct atomics, no registry lookups.
+	// in /healthz (search_latency) against the SLO (sloHit, sloCold).
+	// Pointers resolved once at construction — the hit path records
+	// through direct atomics, no registry lookups.
 	hitLat    *obs.Histogram
 	coldLat   *obs.Histogram
 	reqHit    *obs.Counter // soda_search_requests_total{outcome="hit"}
@@ -184,7 +184,7 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 		obs.Label{Name: "backend", Value: s.backendID},
 		obs.Label{Name: "replica", Value: replica},
 	).Set(1)
-	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, defaultSlowHit, defaultSlowCold)
+	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, sloHit, sloCold)
 	s.slowLog = obs.NewLogger(cfg.Logf).With("server/slow")
 	s.fleetPeers = append([]string(nil), cfg.FleetPeers...)
 	s.fleetClient = &http.Client{Timeout: 5 * time.Second}
@@ -310,13 +310,12 @@ type slowQueryLine struct {
 // it exceeded its SLO threshold, bumps soda_slow_requests_total and
 // writes the slow-query log line.
 func (s *Server) finish(sample *obs.FlightSample) {
-	if !s.flight.Record(*sample) {
+	slo := s.flight.Record(*sample)
+	if slo == 0 {
 		return
 	}
-	slo := defaultSlowCold
 	switch sample.Outcome {
 	case "hit":
-		slo = defaultSlowHit
 		s.slowHit.Inc()
 	case "cold":
 		s.slowCold.Inc()

@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -367,5 +368,50 @@ func TestFleetMetricsPeerDown(t *testing.T) {
 	vals := scrapeMetrics(t, ts.URL)
 	if got := vals[obs.SeriesKey("soda_fleet_scrape_errors_total")]; got < 1 {
 		t.Errorf("soda_fleet_scrape_errors_total = %v, want >= 1", got)
+	}
+}
+
+// TestFinishSlowQueryLine drives finish directly: a request over its SLO
+// logs one slow-query line whose slo_us is the threshold the flight
+// recorder classified it against and bumps its outcome's
+// soda_slow_requests_total; a request within its SLO does neither.
+func TestFinishSlowQueryLine(t *testing.T) {
+	var lines []string
+	s := NewWith(sharedSys(), Config{Logf: func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}})
+	for _, tc := range []struct {
+		outcome   string
+		dur       time.Duration
+		counter   *obs.Counter
+		wantSLOUs float64 // 0 = within SLO, nothing logged
+	}{
+		{"hit", 500 * time.Microsecond, s.slowHit, 0},
+		{"hit", 2 * time.Millisecond, s.slowHit, 1000},
+		{"cold", 2 * time.Millisecond, s.slowCold, 0},
+		{"cold", 30 * time.Millisecond, s.slowCold, 20000},
+	} {
+		lines = lines[:0]
+		before := tc.counter.Value()
+		s.finish(&obs.FlightSample{TraceID: fixedTraceID, Method: "POST", Path: "/search",
+			Status: http.StatusOK, Dur: tc.dur, Outcome: tc.outcome})
+		bumped := tc.counter.Value() - before
+		if tc.wantSLOUs == 0 {
+			if len(lines) != 0 || bumped != 0 {
+				t.Errorf("%s %v: within SLO but logged %q, counter +%d", tc.outcome, tc.dur, lines, bumped)
+			}
+			continue
+		}
+		if len(lines) != 1 || bumped != 1 {
+			t.Fatalf("%s %v: logged %q, counter +%d; want one line and +1", tc.outcome, tc.dur, lines, bumped)
+		}
+		payload, ok := strings.CutPrefix(lines[0], "server/slow: ")
+		var line slowQueryLine
+		if !ok || json.Unmarshal([]byte(payload), &line) != nil {
+			t.Fatalf("%s %v: not a server/slow JSON line: %q", tc.outcome, tc.dur, lines[0])
+		}
+		if line.SLOUs != tc.wantSLOUs || line.Cache != tc.outcome || line.TraceID != fixedTraceID {
+			t.Errorf("%s %v: line = %+v, want slo_us %v", tc.outcome, tc.dur, line, tc.wantSLOUs)
+		}
 	}
 }

@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Allocation gate: run each serving-benchmark workload once, as the driver
+# does, and hold server_allocs_per_op — the one end-to-end metric that
+# repeats to a few percent on any machine — against the reference
+# measured on the parent of the commit that last changed it. Wall-clock
+# metrics are not gated here: their run-to-run spread on shared runners is
+# wider than any bound worth enforcing.
+#
+# A workload fails when the benchmark's own checks fail ("correct" is
+# false, or any operation failed) or when its allocations per operation
+# exceed reference × (1 + the metric's bound in BENCHMARK.json, 0.15).
+#
+# GOMAXPROCS=2 is the reference machine's core count: sodad sizes its
+# worker pool and cache shards from it, so the counts are comparable on a
+# runner with more cores.
+#
+# Usage: scripts/allocs_gate.sh          (~6 min; needs go, no arguments)
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+
+# workload=reference: server_allocs_per_op at commit 90885ae, median of
+# three runs of this script's own command (2 cores, go1.24.0 linux/amd64;
+# the runs spread by 0.3%, 0.8%, 2.4% and 2.4% of the median).
+refs="explore_hot=49.7 adhoc_cold=640 snippet_exec=40028 feedback_mix=174.2"
+
+status=0
+for entry in $refs; do
+  w=${entry%%=*} ref=${entry#*=}
+  if ! out=$(GOMAXPROCS=2 bash "$root/benchmark/run.sh" --workload "$w" --seed 1 --trace 0); then
+    echo "FAIL $w: benchmark exited non-zero"
+    echo "$out" | tail -n 20
+    status=1
+    continue
+  fi
+  line=$(echo "$out" | tail -n 1)
+  correct=$(echo "$line" | sed -n 's/.*"correct":\([a-z]*\).*/\1/p')
+  failed=$(echo "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
+  allocs=$(echo "$line" | sed -n 's/.*"server_allocs_per_op":{"value":\([0-9.e+]*\).*/\1/p')
+  if [ "$correct" != true ] || [ "$failed" != 0 ] || [ -z "$allocs" ]; then
+    echo "FAIL $w: correct=$correct failed=$failed server_allocs_per_op=${allocs:-missing}"
+    status=1
+  elif awk -v v="$allocs" -v r="$ref" 'BEGIN { exit !(v <= r * 1.15) }'; then
+    echo "ok   $w: server_allocs_per_op $allocs (reference $ref, limit ×1.15)"
+  else
+    echo "FAIL $w: server_allocs_per_op $allocs exceeds reference $ref × 1.15"
+    status=1
+  fi
+done
+exit $status
