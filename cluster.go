@@ -1,0 +1,147 @@
+package soda
+
+// Fleet replication: the tailer's view of the local System, per-peer lag
+// gauges, and the status, decommission and pull operations behind
+// /healthz, /admin/decommission and /cluster/pull.
+
+import (
+	"errors"
+	"time"
+
+	"soda/internal/cluster"
+	"soda/internal/core"
+	"soda/internal/obs"
+	"soda/internal/store"
+)
+
+// registerClusterMetrics exposes per-peer replication lag as gauges read
+// from the tailer's status at scrape time:
+//
+//	soda_cluster_peer_records_behind{peer}        records applied by the
+//	                                              peer but not yet here
+//	soda_cluster_peer_last_contact_seconds{peer}  seconds since the last
+//	                                              successful pull; -1
+//	                                              until first contact
+func (s *System) registerClusterMetrics(peers []string) {
+	reg := s.sys.MetricsRegistry()
+	for _, peer := range peers {
+		pl := obs.Label{Name: "peer", Value: peer}
+		addr := peer
+		reg.GaugeFunc("soda_cluster_peer_records_behind",
+			"Feedback records the peer has applied that this replica has not.",
+			func() float64 {
+				if st, ok := s.tailer.Status(addr); ok {
+					return float64(st.RecordsBehind)
+				}
+				return 0
+			}, pl)
+		reg.GaugeFunc("soda_cluster_peer_last_contact_seconds",
+			"Seconds since the last successful pull from the peer (-1 before first contact).",
+			func() float64 {
+				st, ok := s.tailer.Status(addr)
+				if !ok || st.LastContact.IsZero() {
+					return -1
+				}
+				return time.Since(st.LastContact).Seconds()
+			}, pl)
+	}
+}
+
+// clusterLocal adapts core.System to the tailer's Local interface.
+type clusterLocal struct{ sys *core.System }
+
+func (c clusterLocal) ReplicaID() string                            { return c.sys.ReplicaID() }
+func (c clusterLocal) AppliedVector() store.Vector                  { return c.sys.AppliedVector() }
+func (c clusterLocal) ApplyRemote(recs []store.Record) (int, error) { return c.sys.ApplyRemote(recs) }
+func (c clusterLocal) AdoptState(st *store.ReplicaState) error      { return c.sys.AdoptClusterState(st) }
+func (c clusterLocal) NoteOriginClock(origin string, lc uint64)     { c.sys.NoteOriginClock(origin, lc) }
+
+// ReplicationInfo re-exports the local replication diagnostics (replica
+// id, applied vector, unfolded tail size).
+type ReplicationInfo = core.ReplicationInfo
+
+// PeerStatus re-exports one peer's replication health (lag in records,
+// last contact, last error).
+type PeerStatus = cluster.PeerStatus
+
+// ClusterStatus is the /healthz cluster block: the local replication
+// state plus per-peer lag.
+type ClusterStatus struct {
+	ReplicationInfo
+	Peers []PeerStatus `json:"peers,omitempty"`
+}
+
+// ClusterStatus reports the replication state, or nil for a System
+// without a persistent store (replication needs record identities, which
+// need a data dir).
+func (s *System) ClusterStatus() *ClusterStatus {
+	info := s.sys.ReplicationInfo()
+	if info == nil {
+		return nil
+	}
+	cs := &ClusterStatus{ReplicationInfo: *info}
+	if s.tailer != nil {
+		cs.Peers = s.tailer.Peers()
+	}
+	return cs
+}
+
+// ReplicaID returns this System's replication identity ("local" for a
+// store-less System).
+func (s *System) ReplicaID() string { return s.sys.ReplicaID() }
+
+// Decommission permanently removes a peer replica from the feedback fold
+// quorum, letting WAL folding and compaction advance past a peer that is
+// never coming back (the /admin/decommission endpoint calls this; see
+// also Options.PeerDeadAfter for the automatic bounded-staleness
+// variant). A decommissioned peer that does return finds itself behind
+// the fold point and adopts the folded state through the normal catch-up
+// path. Decommissioning the local replica is refused.
+func (s *System) Decommission(replicaID string) error {
+	return s.sys.DecommissionReplica(replicaID)
+}
+
+// ClearReplicaIdentity removes the persisted replica id from a (closed)
+// data directory. Pre-baked directories that will be copied to several
+// fleet members must not ship one identity; after clearing, each replica
+// mints its own on first boot. Never call it on a directory that has
+// already produced feedback records as part of a fleet — the id must
+// stay stable for the per-origin sequences the peers have applied.
+func ClearReplicaIdentity(dir string) error { return store.ClearReplicaID(dir) }
+
+// AppliedVector returns the replication vector: per origin, the highest
+// contiguous record sequence applied.
+func (s *System) AppliedVector() map[string]uint64 { return s.sys.AppliedVector() }
+
+// ClusterPull serves one replication pull (the /cluster/pull endpoint):
+// the retained feedback records beyond the requester's vector, or — when
+// the requester fell behind this replica's fold point — the folded state
+// to adopt. The requester's vector doubles as its acknowledgement, which
+// gates local WAL compaction (a record is only compacted away once every
+// peer holds it).
+func (s *System) ClusterPull(from string, since map[string]uint64, limit int) (*cluster.PullResponse, error) {
+	info := s.sys.ReplicationInfo()
+	if info == nil {
+		return nil, errors.New("soda: replication requires a persistent data dir (-data-dir)")
+	}
+	if from != "" {
+		if err := store.ValidReplicaID(from); err != nil {
+			return nil, err
+		}
+		s.sys.NoteAck(from, since)
+	}
+	recs, behind, more := s.sys.RecordsSince(since, limit)
+	resp := &cluster.PullResponse{
+		Origin: info.ReplicaID,
+		Vector: info.Vector,
+		LC:     info.Lamport,
+		More:   more,
+	}
+	if behind {
+		resp.Behind = true
+		resp.State = cluster.StateToWire(s.sys.ClusterState())
+	} else {
+		resp.Records = cluster.ToWireRecords(recs)
+	}
+	return resp, nil
+}

@@ -34,7 +34,6 @@ package soda
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -57,9 +56,7 @@ import (
 	"soda/internal/metagraph"
 	"soda/internal/minibank"
 	"soda/internal/obs"
-	"soda/internal/queryparse"
 	"soda/internal/sqlast"
-	"soda/internal/sqlparse"
 	"soda/internal/store"
 	"soda/internal/warehouse"
 )
@@ -420,48 +417,6 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 // (the server's GET /metrics does exactly that).
 func (s *System) Metrics() *obs.Registry { return s.sys.MetricsRegistry() }
 
-// registerClusterMetrics exposes per-peer replication lag as gauges read
-// from the tailer's status at scrape time:
-//
-//	soda_cluster_peer_records_behind{peer}        records applied by the
-//	                                              peer but not yet here
-//	soda_cluster_peer_last_contact_seconds{peer}  seconds since the last
-//	                                              successful pull; -1
-//	                                              until first contact
-func (s *System) registerClusterMetrics(peers []string) {
-	reg := s.sys.MetricsRegistry()
-	for _, peer := range peers {
-		pl := obs.Label{Name: "peer", Value: peer}
-		addr := peer
-		reg.GaugeFunc("soda_cluster_peer_records_behind",
-			"Feedback records the peer has applied that this replica has not.",
-			func() float64 {
-				if st, ok := s.tailer.Status(addr); ok {
-					return float64(st.RecordsBehind)
-				}
-				return 0
-			}, pl)
-		reg.GaugeFunc("soda_cluster_peer_last_contact_seconds",
-			"Seconds since the last successful pull from the peer (-1 before first contact).",
-			func() float64 {
-				st, ok := s.tailer.Status(addr)
-				if !ok || st.LastContact.IsZero() {
-					return -1
-				}
-				return time.Since(st.LastContact).Seconds()
-			}, pl)
-	}
-}
-
-// clusterLocal adapts core.System to the tailer's Local interface.
-type clusterLocal struct{ sys *core.System }
-
-func (c clusterLocal) ReplicaID() string                            { return c.sys.ReplicaID() }
-func (c clusterLocal) AppliedVector() store.Vector                  { return c.sys.AppliedVector() }
-func (c clusterLocal) ApplyRemote(recs []store.Record) (int, error) { return c.sys.ApplyRemote(recs) }
-func (c clusterLocal) AdoptState(st *store.ReplicaState) error      { return c.sys.AdoptClusterState(st) }
-func (c clusterLocal) NoteOriginClock(origin string, lc uint64)     { c.sys.NoteOriginClock(origin, lc) }
-
 // worldFingerprint hashes the world's structure — name, table schemas,
 // row counts, metadata-graph size — so a snapshot taken over a different
 // world (or a reconfigured one) is rejected instead of serving wrong
@@ -521,549 +476,10 @@ func (s *System) Snapshot() (*StoreStats, error) {
 // World returns the system's world.
 func (s *System) World() *World { return s.world }
 
-// --- cluster replication ------------------------------------------------
-
-// ReplicationInfo re-exports the local replication diagnostics (replica
-// id, applied vector, unfolded tail size).
-type ReplicationInfo = core.ReplicationInfo
-
-// PeerStatus re-exports one peer's replication health (lag in records,
-// last contact, last error).
-type PeerStatus = cluster.PeerStatus
-
-// ClusterStatus is the /healthz cluster block: the local replication
-// state plus per-peer lag.
-type ClusterStatus struct {
-	ReplicationInfo
-	Peers []PeerStatus `json:"peers,omitempty"`
-}
-
-// ClusterStatus reports the replication state, or nil for a System
-// without a persistent store (replication needs record identities, which
-// need a data dir).
-func (s *System) ClusterStatus() *ClusterStatus {
-	info := s.sys.ReplicationInfo()
-	if info == nil {
-		return nil
-	}
-	cs := &ClusterStatus{ReplicationInfo: *info}
-	if s.tailer != nil {
-		cs.Peers = s.tailer.Peers()
-	}
-	return cs
-}
-
-// ReplicaID returns this System's replication identity ("local" for a
-// store-less System).
-func (s *System) ReplicaID() string { return s.sys.ReplicaID() }
-
-// Decommission permanently removes a peer replica from the feedback fold
-// quorum, letting WAL folding and compaction advance past a peer that is
-// never coming back (the /admin/decommission endpoint calls this; see
-// also Options.PeerDeadAfter for the automatic bounded-staleness
-// variant). A decommissioned peer that does return finds itself behind
-// the fold point and adopts the folded state through the normal catch-up
-// path. Decommissioning the local replica is refused.
-func (s *System) Decommission(replicaID string) error {
-	return s.sys.DecommissionReplica(replicaID)
-}
-
-// ClearReplicaIdentity removes the persisted replica id from a (closed)
-// data directory. Pre-baked directories that will be copied to several
-// fleet members must not ship one identity; after clearing, each replica
-// mints its own on first boot. Never call it on a directory that has
-// already produced feedback records as part of a fleet — the id must
-// stay stable for the per-origin sequences the peers have applied.
-func ClearReplicaIdentity(dir string) error { return store.ClearReplicaID(dir) }
-
-// AppliedVector returns the replication vector: per origin, the highest
-// contiguous record sequence applied.
-func (s *System) AppliedVector() map[string]uint64 { return s.sys.AppliedVector() }
-
-// ClusterPull serves one replication pull (the /cluster/pull endpoint):
-// the retained feedback records beyond the requester's vector, or — when
-// the requester fell behind this replica's fold point — the folded state
-// to adopt. The requester's vector doubles as its acknowledgement, which
-// gates local WAL compaction (a record is only compacted away once every
-// peer holds it).
-func (s *System) ClusterPull(from string, since map[string]uint64, limit int) (*cluster.PullResponse, error) {
-	info := s.sys.ReplicationInfo()
-	if info == nil {
-		return nil, errors.New("soda: replication requires a persistent data dir (-data-dir)")
-	}
-	if from != "" {
-		if err := store.ValidReplicaID(from); err != nil {
-			return nil, err
-		}
-		s.sys.NoteAck(from, since)
-	}
-	recs, behind, more := s.sys.RecordsSince(since, limit)
-	resp := &cluster.PullResponse{
-		Origin: info.ReplicaID,
-		Vector: info.Vector,
-		LC:     info.Lamport,
-		More:   more,
-	}
-	if behind {
-		resp.Behind = true
-		resp.State = cluster.StateToWire(s.sys.ClusterState())
-	} else {
-		resp.Records = cluster.ToWireRecords(recs)
-	}
-	return resp, nil
-}
-
-// SavedQuery is one approved parameterized query in the library: the
-// registry key, the human description search keywords match against, the
-// SQL in the generic dialect with placeholders (? in occurrence order,
-// or $1..$n each used once), and one parameter spec per placeholder.
-type SavedQuery = store.SavedQuery
-
-// SavedParam declares one binding of a saved query: a name, a type
-// ("string", "int", "float", "date" or "bool") and an optional default.
-type SavedParam = store.SavedParam
-
-// RegisterQuery adds (or replaces) a saved parameterized query in the
-// library — the admin half of the approved-query workflow. The query is
-// validated and canonicalised (the SQL must parse, with one parameter
-// spec per placeholder), WAL-logged when a store is attached, replicated
-// to fleet peers, and from then on ranked by Search whenever the input
-// keywords cover the query's name. Saved queries execute exclusively
-// through the backend's prepared-statement path.
-func (s *System) RegisterQuery(q SavedQuery) error { return s.sys.RegisterQuery(q) }
-
-// DeleteSavedQuery removes a saved query from the library.
-func (s *System) DeleteSavedQuery(name string) error { return s.sys.DeleteQuery(name) }
-
-// SavedQueries lists the library sorted by name.
-func (s *System) SavedQueries() []SavedQuery { return s.sys.SavedQueries() }
-
-// SavedQuery returns one library entry by name.
-func (s *System) SavedQuery(name string) (SavedQuery, bool) { return s.sys.SavedQueryByName(name) }
-
-// QueriesFromJSON parses a saved-query library file: a JSON array of
-//
-//	{"name": "...", "description": "...", "sql": "select ... where x = $1",
-//	 "params": [{"name": "city", "type": "string", "default": "Zurich"}]}
-//
-// A parameter's "default" may be omitted to make it required (a search
-// that cannot bind it skips the query). This is the file format behind
-// the soda/sodad -queries flag; entries still go through RegisterQuery
-// validation.
-func QueriesFromJSON(data []byte) ([]SavedQuery, error) {
-	type paramJSON struct {
-		Name    string  `json:"name"`
-		Type    string  `json:"type"`
-		Default *string `json:"default"`
-	}
-	type queryJSON struct {
-		Name        string      `json:"name"`
-		Description string      `json:"description"`
-		SQL         string      `json:"sql"`
-		Params      []paramJSON `json:"params"`
-	}
-	var raw []queryJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("soda: parsing query library: %w", err)
-	}
-	out := make([]SavedQuery, 0, len(raw))
-	for _, qj := range raw {
-		q := SavedQuery{Name: qj.Name, Description: qj.Description, SQL: qj.SQL}
-		for _, p := range qj.Params {
-			sp := SavedParam{Name: p.Name, Type: p.Type}
-			if p.Default != nil {
-				sp.Default = *p.Default
-				sp.HasDefault = true
-			}
-			q.Params = append(q.Params, sp)
-		}
-		out = append(out, q)
-	}
-	return out, nil
-}
-
-// ParamBinding is one bound parameter of an approved result: the
-// declared name and type, the bound value rendered as text, and whether
-// it came from the query's default rather than the search input.
-type ParamBinding struct {
-	Name        string `json:"name"`
-	Type        string `json:"type"`
-	Value       string `json:"value"`
-	FromDefault bool   `json:"from_default,omitempty"`
-}
-
-// Result is one ranked, executable SQL statement.
-type Result struct {
-	// SQL is the generated statement text; parse it back or hand it to
-	// Execute — it is guaranteed to round-trip.
-	SQL string
-	// Score is the ranking score from the entry-point heuristic.
-	Score float64
-	// Tables is the tables-step discovery output (Figure 6); FromTables
-	// is the pruned FROM list of the statement.
-	Tables     []string
-	FromTables []string
-	// Joins and Filters describe the statement's WHERE building blocks.
-	Joins   []string
-	Filters []string
-	// Disconnected warns that no join path connected all entry points
-	// (the SQL contains a cross product).
-	Disconnected bool
-	// SnippetRows holds the cached snippet when the search asked for
-	// snippets (SearchOptions.Snippets): rows executed once with the
-	// analysis and served from the answer cache afterwards. nil when the
-	// search did not request snippets — call Snippet() to execute.
-	SnippetRows *Rows
-	// SnippetError reports why snippet execution failed, when it did.
-	SnippetError string
-
-	// Approved marks a result drawn from the saved-query library rather
-	// than generated by the pipeline; QueryName is the library key and
-	// Params the bindings extracted from the search input (or defaults).
-	// The SQL field shows the parameterized statement — Execute and
-	// Snippet run it through the backend's prepared-statement path with
-	// the bound values, never interpolated into the text.
-	Approved  bool
-	QueryName string
-	Params    []ParamBinding
-
-	sys      *core.System
-	sol      *core.Solution
-	analysis *core.Analysis
-}
-
-// Execute runs the statement and returns the full result.
-func (r *Result) Execute() (*Rows, error) {
-	res, err := r.sys.Execute(context.Background(), r.sol)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(res), nil
-}
-
-// Snippet returns the statement's result snippet, like the paper's
-// result page ("up to twenty tuples"): rows cached by a snippet search
-// are served without executing anything, otherwise the statement runs
-// with the snippet row cap. The returned rows are always a private copy
-// (cached rows are shared across cache hits).
-func (r *Result) Snippet() (*Rows, error) {
-	res, err := r.sys.Snippet(r.sol)
-	if err != nil {
-		return nil, err
-	}
-	return newRowsCopy(res), nil
-}
-
-// Rows is a materialised query result with display helpers.
-type Rows struct {
-	Columns []string
-	Values  [][]backend.Value
-}
-
-func newRows(res *backend.Result) *Rows {
-	return &Rows{Columns: res.Columns, Values: res.Rows}
-}
-
-// newRowsCopy deep-copies an engine result before exposing it. Cached
-// snippet rows are shared by every answer-cache hit, and Rows' fields
-// are exported and mutable — handing out the shared slices would let
-// one caller corrupt the cache for everyone else.
-func newRowsCopy(res *backend.Result) *Rows {
-	cols := append([]string(nil), res.Columns...)
-	vals := make([][]backend.Value, len(res.Rows))
-	for i, row := range res.Rows {
-		vals[i] = append([]backend.Value(nil), row...)
-	}
-	return &Rows{Columns: cols, Values: vals}
-}
-
-// NumRows reports the row count.
-func (r *Rows) NumRows() int { return len(r.Values) }
-
-// String renders an aligned text table.
-func (r *Rows) String() string {
-	var b strings.Builder
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	cells := make([][]string, len(r.Values))
-	for ri, row := range r.Values {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			cells[ri][ci] = v.String()
-			if ci < len(widths) && len(cells[ri][ci]) > widths[ci] {
-				widths[ci] = len(cells[ri][ci])
-			}
-		}
-	}
-	for i, c := range r.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "%-*s", widths[i], c)
-	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Answer is the outcome of one search: the ranked results plus the
-// classification details of Figure 5.
-type Answer struct {
-	// Complexity is the combinatorial entry-point product (Table 4).
-	Complexity int
-	// Terms are the recognised lookup terms after longest-combination
-	// segmentation; Ignored lists words matching nothing.
-	Terms   []string
-	Ignored []string
-	// Results are the ranked SQL statements, best first.
-	Results []*Result
-
-	analysis *core.Analysis
-}
-
-// Explain renders the full pipeline trace (Figures 4-6) for the answer.
-func (a *Answer) Explain() string { return core.Explain(a.analysis) }
-
-// Timings re-exports the per-step pipeline durations (Table 4's split).
-type Timings = core.Timings
-
-// Timings reports how long each pipeline step took for this answer. For
-// an answer served from the cache these are the durations of the original
-// pipeline run that produced it.
-func (a *Answer) Timings() Timings { return a.analysis.Timings }
-
-// Search runs the five-step pipeline on a keyword/operator query written
-// in the paper's input language (§4.3):
-//
-//	wealthy customers Zürich
-//	salary >= 100000 and birth date = date(1981-04-23)
-//	sum (amount) group by (transaction date)
-//	top 10 trading volume customer
-func (s *System) Search(query string) (*Answer, error) {
-	return s.SearchWith(query, SearchOptions{})
-}
-
-// SearchOptions are per-search knobs layered over the System's Options.
-type SearchOptions struct {
-	// Dialect renders the generated SQL for a specific backend
-	// ("generic", "postgres", "mysql", "db2"); empty uses the System's
-	// Options.Dialect. Unknown names are an error.
-	Dialect string
-	// Snippets executes each result with the snippet row cap during the
-	// pipeline and caches the rows with the answer: repeated snippet
-	// searches are served entirely from the cache, zero SQL executions.
-	Snippets bool
-}
-
-// coreSearchOptions resolves public SearchOptions into the core form,
-// rejecting unknown dialect names.
-func coreSearchOptions(opts SearchOptions) (core.SearchOptions, error) {
-	d, err := requestDialect(opts.Dialect)
-	return core.SearchOptions{Dialect: d, Snippets: opts.Snippets}, err
-}
-
-// requestDialect resolves a per-request dialect name: empty is nil — the
-// System's configured dialect — and unknown names are an error.
-func requestDialect(name string) (*sqlast.Dialect, error) {
-	if name == "" {
-		return nil, nil
-	}
-	d, ok := sqlast.DialectByName(name)
-	if !ok {
-		return nil, fmt.Errorf("soda: unknown dialect %q (supported: %s)",
-			name, strings.Join(Dialects(), ", "))
-	}
-	return d, nil
-}
-
-// SearchWith is Search with per-request options: a target SQL dialect
-// and/or cached snippet execution.
-func (s *System) SearchWith(query string, opts SearchOptions) (*Answer, error) {
-	so, err := coreSearchOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.sys.SearchWith(query, so)
-	if err != nil {
-		return nil, err
-	}
-	return s.answerOf(a), nil
-}
-
-// SearchRendered is SearchRenderedContext with a background context.
-func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
-	return s.SearchRenderedContext(context.Background(), query, opts, render)
-}
-
-// SearchRenderedContext is the serving layer's hot path. On a repeat of a
-// query already rendered (same raw query string, dialect and snippet
-// flag, ranking unchanged since) it returns the exact bytes previously
-// produced by render — no pipeline, no re-encode, zero heap allocations,
-// ctx untouched — with hit=true. Otherwise it searches (ctx flows into
-// the pipeline's backend executions: cancellation plus the request's
-// trace-span collector), calls render on the answer, caches the returned
-// bytes alongside the analysis and returns them with hit=false. The
-// sequence itself lives in core.SearchRenderedContext; this only adapts
-// render from the core analysis to the public Answer. The returned bytes
-// are shared with the cache: callers must write them out unmodified.
-func (s *System) SearchRenderedContext(ctx context.Context, query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
-	so, err := coreSearchOptions(opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.sys.SearchRenderedContext(ctx, query, so, func(a *core.Analysis) ([]byte, error) {
-		return render(s.answerOf(a))
-	})
-}
-
-// answerOf wraps a completed core analysis in the public Answer shape.
-func (s *System) answerOf(a *core.Analysis) *Answer {
-	ans := &Answer{Complexity: a.Complexity, Ignored: a.Ignored, analysis: a}
-	for _, t := range a.Terms {
-		ans.Terms = append(ans.Terms, t.Text)
-	}
-	for _, sol := range a.Solutions {
-		sql := sol.SQLText()
-		if sql == "" {
-			continue
-		}
-		res := &Result{
-			SQL:          sql,
-			Score:        sol.Score,
-			Tables:       append([]string(nil), sol.Tables...),
-			FromTables:   append([]string(nil), sol.SQLTables...),
-			Disconnected: sol.Disconnected,
-			SnippetError: sol.SnippetErr,
-			sys:          s.sys,
-			sol:          sol,
-			analysis:     a,
-		}
-		if sol.Approved {
-			res.Approved = true
-			res.QueryName = sol.QueryName
-			for _, b := range sol.Bindings {
-				res.Params = append(res.Params, ParamBinding{
-					Name: b.Name, Type: b.Type, Value: b.Value.String(), FromDefault: b.FromDefault,
-				})
-			}
-		}
-		if sol.Snippet != nil {
-			res.SnippetRows = newRowsCopy(sol.Snippet)
-		}
-		for _, j := range sol.Joins {
-			res.Joins = append(res.Joins, j.String())
-		}
-		for _, f := range sol.Filters {
-			res.Filters = append(res.Filters, f.String())
-		}
-		ans.Results = append(ans.Results, res)
-	}
-	return ans
-}
-
-// ParseQuery exposes the input-pattern parser for tooling; most callers
-// just use Search.
-func ParseQuery(query string) (*queryparse.Query, error) {
-	return queryparse.Parse(query)
-}
-
-// ExecuteSQL runs an arbitrary SQL statement (the engine's subset) against
-// the world — the schema-exploration workflow of §5.3.2 where analysts
-// take SODA's statements and refine them by hand. The statement is read
-// in the System's configured dialect.
-func (s *System) ExecuteSQL(sql string) (*Rows, error) {
-	return s.ExecuteSQLInContext(context.Background(), "", sql)
-}
-
-// ExecuteSQLInContext runs a statement written in the named dialect
-// (empty = the System's configured dialect; unknown names are an error).
-// ctx carries cancellation and trace-span capture into the backend
-// execution.
-func (s *System) ExecuteSQLInContext(ctx context.Context, dialect, sql string) (*Rows, error) {
-	d, err := requestDialect(dialect)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.sys.ExecSQL(ctx, sql, d)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(res), nil
-}
-
 // ExecCount reports how many SQL statements the engine has executed for
 // this System (snippets, Execute, ExecuteSQL). Cache hits execute
 // nothing, so the counter exposes snippet-cache effectiveness.
 func (s *System) ExecCount() uint64 { return s.sys.ExecCount() }
-
-// Like records positive relevance feedback on a result: the entry points
-// behind it rank higher in future searches (§6.3: "SODA presents several
-// possible solutions to its users and allows them to like (or dislike)
-// each result").
-//
-// Feedback is epoch-checked: if other feedback re-ranked the system since
-// this result's search, the statement is re-resolved against a fresh
-// search before the feedback is applied, so it lands on the entry points
-// of the statement the user actually saw. An error is returned when the
-// statement no longer appears in the answer, or when persisting the
-// feedback to the state store fails.
-func (r *Result) Like() error { return r.feedback(true) }
-
-// Dislike records negative relevance feedback on a result. See Like for
-// the epoch-check and re-resolution semantics.
-func (r *Result) Dislike() error { return r.feedback(false) }
-
-func (r *Result) feedback(like bool) error {
-	err := r.sys.Feedback(r.sol, like)
-	var stale *core.StaleSolutionError
-	// The ranking epoch moved between our search and this feedback call
-	// (another user's like, a reset, ...). Re-resolve: re-run the search
-	// — served at the current epoch — find the same statement, and apply
-	// the feedback to its solution. Bounded retries cover epochs racing
-	// forward while we resolve.
-	for attempt := 0; errors.As(err, &stale) && attempt < 4; attempt++ {
-		a, serr := r.sys.SearchWith(r.analysis.Query.Raw, core.SearchOptions{
-			Dialect:  r.analysis.Dialect,
-			Snippets: r.analysis.WithSnippets,
-		})
-		if serr != nil {
-			return fmt.Errorf("soda: re-resolving stale feedback: %w", serr)
-		}
-		var match *core.Solution
-		for _, sol := range a.Solutions {
-			if sol.SQLText() == r.SQL {
-				match = sol
-				break
-			}
-		}
-		if match == nil {
-			return fmt.Errorf("soda: feedback target no longer in the answer (re-ranked since): %w", err)
-		}
-		err = r.sys.Feedback(match, like)
-	}
-	return err
-}
-
-// ResetFeedback forgets all relevance feedback recorded on this system.
-// With a state store attached the reset is WAL-logged so it also survives
-// restarts.
-func (s *System) ResetFeedback() error { return s.sys.ResetFeedback() }
-
-// StaleFeedbackError reports feedback on a result whose ranking epoch has
-// moved on and whose statement could not be re-resolved in the fresh
-// answer. Like/Dislike re-resolve transparently first; callers only see
-// this when the statement genuinely left the ranked list.
-type StaleFeedbackError = core.StaleSolutionError
 
 // CacheStats re-exports the answer-cache counters.
 type CacheStats = core.CacheStats
@@ -1075,27 +491,3 @@ func (s *System) CacheStats() CacheStats { return s.sys.CacheStats() }
 // Warm precomputes the join-graph and bridge caches so the first search
 // pays only the per-query pipeline cost.
 func (s *System) Warm() { s.sys.Warm() }
-
-// TableInfo re-exports the schema-browser view (§5.3.2's exploratory
-// workflow): columns, join-graph neighbours, inheritance structure and
-// the business terms that reach the table through the metadata layers.
-type TableInfo = core.TableInfo
-
-// Browse returns the schema-browser view of one physical table.
-func (s *System) Browse(table string) (*TableInfo, error) {
-	return s.sys.Browse(table)
-}
-
-// ExplainSQL renders the reference engine's execution plan for a
-// statement without running it: scans with pushed-down filters,
-// hash/cross join order, residual predicates and the aggregation
-// pipeline. The plan is always computed over the world's in-memory
-// corpus — a real SQL backend has its own EXPLAIN — and the statement is
-// read in the System's configured dialect.
-func (s *System) ExplainSQL(sql string) (string, error) {
-	sel, err := sqlparse.ParseDialect(sql, s.sys.Opt.Dialect)
-	if err != nil {
-		return "", err
-	}
-	return memory.Explain(s.world.db, sel)
-}
