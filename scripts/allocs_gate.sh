@@ -8,7 +8,7 @@
 #
 # A workload fails when the benchmark's own checks fail ("correct" is
 # false, or any operation failed) or when its allocations per operation
-# exceed reference × (1 + the metric's bound in BENCHMARK.json, 0.15).
+# exceed reference × limit.
 #
 # GOMAXPROCS=2 is the reference machine's core count: sodad sizes its
 # worker pool and cache shards from it, so the counts are comparable on a
@@ -24,6 +24,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 # the runs spread by 0.3%, 0.8%, 2.4% and 2.4% of the median).
 refs="explore_hot=49.7 adhoc_cold=640 snippet_exec=40028 feedback_mix=174.2"
 
+limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0
 for entry in $refs; do
   w=${entry%%=*} ref=${entry#*=}
@@ -40,10 +41,10 @@ for entry in $refs; do
   if [ "$correct" != true ] || [ "$failed" != 0 ] || [ -z "$allocs" ]; then
     echo "FAIL $w: correct=$correct failed=$failed server_allocs_per_op=${allocs:-missing}"
     status=1
-  elif awk -v v="$allocs" -v r="$ref" 'BEGIN { exit !(v <= r * 1.15) }'; then
-    echo "ok   $w: server_allocs_per_op $allocs (reference $ref, limit ×1.15)"
+  elif awk -v v="$allocs" -v r="$ref" -v l="$limit" 'BEGIN { exit !(v <= r * l) }'; then
+    echo "ok   $w: server_allocs_per_op $allocs (reference $ref, limit ×$limit)"
   else
-    echo "FAIL $w: server_allocs_per_op $allocs exceeds reference $ref × 1.15"
+    echo "FAIL $w: server_allocs_per_op $allocs exceeds reference $ref × $limit"
     status=1
   fi
 done
