@@ -109,33 +109,9 @@ func (s *System) SavedQuery(name string) (SavedQuery, bool) { return s.sys.Saved
 // the soda/sodad -queries flag; entries still go through RegisterQuery
 // validation.
 func QueriesFromJSON(data []byte) ([]SavedQuery, error) {
-	type paramJSON struct {
-		Name    string  `json:"name"`
-		Type    string  `json:"type"`
-		Default *string `json:"default"`
-	}
-	type queryJSON struct {
-		Name        string      `json:"name"`
-		Description string      `json:"description"`
-		SQL         string      `json:"sql"`
-		Params      []paramJSON `json:"params"`
-	}
-	var raw []queryJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
+	var out []SavedQuery
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("soda: parsing query library: %w", err)
-	}
-	out := make([]SavedQuery, 0, len(raw))
-	for _, qj := range raw {
-		q := SavedQuery{Name: qj.Name, Description: qj.Description, SQL: qj.SQL}
-		for _, p := range qj.Params {
-			sp := SavedParam{Name: p.Name, Type: p.Type}
-			if p.Default != nil {
-				sp.Default = *p.Default
-				sp.HasDefault = true
-			}
-			q.Params = append(q.Params, sp)
-		}
-		out = append(out, q)
 	}
 	return out, nil
 }

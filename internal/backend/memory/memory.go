@@ -76,8 +76,9 @@ func (e *Executor) ExecCount() uint64 { return e.execs.Load() }
 // DB exposes the backing dataset (the corpus itself).
 func (e *Executor) DB() *backend.DB { return e.db }
 
-// ExplainSQL renders the engine's execution plan for the statement
-// without running it — scan pushdowns, join order, residuals.
+// ExplainSQL renders the plan the engine runs for the statement — scan
+// pushdowns with rows kept, join order, residuals — running the scans
+// but not the joins.
 func (e *Executor) ExplainSQL(sel *sqlast.Select) (string, error) {
 	return Explain(e.db, sel)
 }

@@ -124,33 +124,17 @@ type WireOrigin struct {
 	LC  uint64 `json:"lc"`
 }
 
-// WireParam is one saved-query parameter spec on the wire.
-type WireParam struct {
-	Name       string `json:"name"`
-	Type       string `json:"type"`
-	Default    string `json:"default,omitempty"`
-	HasDefault bool   `json:"has_default,omitempty"`
-}
-
-// WireQuery is one folded saved query in a catch-up state payload.
-type WireQuery struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description,omitempty"`
-	SQL         string      `json:"sql"`
-	Params      []WireParam `json:"params,omitempty"`
-}
-
 // WireState is the anti-entropy payload: the responder's folded base and
 // unfolded tail.
 type WireState struct {
-	Feedback   []WireFeedback `json:"feedback,omitempty"`
-	Queries    []WireQuery    `json:"queries,omitempty"`
-	Epoch      uint64         `json:"epoch"`
-	FoldLC     uint64         `json:"fold_lc"`
-	FoldOrigin string         `json:"fold_origin,omitempty"`
-	FoldSeq    uint64         `json:"fold_seq"`
-	Origins    []WireOrigin   `json:"origins,omitempty"`
-	Records    []WireRecord   `json:"records,omitempty"`
+	Feedback   []WireFeedback     `json:"feedback,omitempty"`
+	Queries    []store.SavedQuery `json:"queries,omitempty"`
+	Epoch      uint64             `json:"epoch"`
+	FoldLC     uint64             `json:"fold_lc"`
+	FoldOrigin string             `json:"fold_origin,omitempty"`
+	FoldSeq    uint64             `json:"fold_seq"`
+	Origins    []WireOrigin       `json:"origins,omitempty"`
+	Records    []WireRecord       `json:"records,omitempty"`
 }
 
 // PullResponse is the /cluster/pull payload.
@@ -223,17 +207,11 @@ func StateToWire(st *store.ReplicaState) *WireState {
 		FoldLC:     st.FoldPos.LC,
 		FoldOrigin: st.FoldPos.Origin,
 		FoldSeq:    st.FoldPos.Seq,
+		Queries:    st.Queries,
 		Records:    ToWireRecords(st.Tail),
 	}
 	for _, e := range st.Feedback {
 		ws.Feedback = append(ws.Feedback, WireFeedback{Key: WireKey(e.Key), Value: e.Value})
-	}
-	for _, q := range st.Queries {
-		wq := WireQuery{Name: q.Name, Description: q.Description, SQL: q.SQL}
-		for _, p := range q.Params {
-			wq.Params = append(wq.Params, WireParam(p))
-		}
-		ws.Queries = append(ws.Queries, wq)
 	}
 	for _, o := range st.Origins {
 		ws.Origins = append(ws.Origins, WireOrigin{ID: o.ID, Seq: o.Seq, LC: o.LC})
@@ -251,17 +229,11 @@ func StateFromWire(ws *WireState) (*store.ReplicaState, error) {
 	st := &store.ReplicaState{
 		Epoch:   ws.Epoch,
 		FoldPos: store.Pos{LC: ws.FoldLC, Origin: ws.FoldOrigin, Seq: ws.FoldSeq},
+		Queries: ws.Queries,
 		Tail:    tail,
 	}
 	for _, e := range ws.Feedback {
 		st.Feedback = append(st.Feedback, store.FeedbackEntry{Key: store.Key(e.Key), Value: e.Value})
-	}
-	for _, q := range ws.Queries {
-		sq := store.SavedQuery{Name: q.Name, Description: q.Description, SQL: q.SQL}
-		for _, p := range q.Params {
-			sq.Params = append(sq.Params, store.SavedParam(p))
-		}
-		st.Queries = append(st.Queries, sq)
 	}
 	for _, o := range ws.Origins {
 		if err := store.ValidReplicaID(o.ID); err != nil {

@@ -166,11 +166,16 @@ func TestTailerDrainsBatches(t *testing.T) {
 // TestTailerCatchUp: a "behind" response makes the tailer adopt the
 // peer's folded state, then resume incremental pulls.
 func TestTailerCatchUp(t *testing.T) {
+	empty := ""
 	state := &store.ReplicaState{
 		Feedback: []store.FeedbackEntry{{Key: store.Key{Node: "n"}, Value: 0.5}},
-		Epoch:    7,
-		FoldPos:  store.Pos{LC: 9, Origin: "peer", Seq: 9},
-		Origins:  []store.OriginState{{ID: "peer", Seq: 9, LC: 9}},
+		// One required parameter and one whose default is the empty
+		// string: the wire form must keep the two apart.
+		Queries: []store.SavedQuery{{Name: "q", SQL: "SELECT * FROM t WHERE a = ? AND b = ?",
+			Params: []store.SavedParam{{Name: "a", Type: "int"}, {Name: "b", Type: "string", Default: &empty}}}},
+		Epoch:   7,
+		FoldPos: store.Pos{LC: 9, Origin: "peer", Seq: 9},
+		Origins: []store.OriginState{{ID: "peer", Seq: 9, LC: 9}},
 	}
 	tailRec := store.Record{Origin: "peer", OriginSeq: 10, LC: 10, Op: store.OpLike, Keys: []store.Key{{Node: "n"}}}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -196,6 +201,9 @@ func TestTailerCatchUp(t *testing.T) {
 	}
 	if local.adopted.Epoch != 7 || local.adopted.FoldPos != state.FoldPos {
 		t.Fatalf("adopted state = %+v", local.adopted)
+	}
+	if !reflect.DeepEqual(local.adopted.Queries, state.Queries) {
+		t.Fatalf("adopted queries = %+v, want %+v", local.adopted.Queries, state.Queries)
 	}
 	if len(local.applied) != 1 || local.applied[0].OriginSeq != 10 {
 		t.Fatalf("tail after adoption = %+v, want the peer's record 10", local.applied)

@@ -90,8 +90,8 @@ func buildSavedQuery(q store.SavedQuery) (*savedQueryEntry, error) {
 			return nil, fmt.Errorf("core: saved query %q: parameter %q has unknown type %q (want string, int, float, date or bool)",
 				q.Name, spec.Name, spec.Type)
 		}
-		if spec.HasDefault {
-			if _, err := parseParamValue(spec.Type, spec.Default); err != nil {
+		if spec.Default != nil {
+			if _, err := parseParamValue(spec.Type, *spec.Default); err != nil {
 				return nil, fmt.Errorf("core: saved query %q: parameter %q: default %w", q.Name, spec.Name, err)
 			}
 		}
@@ -459,10 +459,10 @@ func bindParams(e *savedQueryEntry, q *queryparse.Query) ([]BoundParam, bool) {
 		if done[i] {
 			continue
 		}
-		if !spec.HasDefault {
+		if spec.Default == nil {
 			return nil, false
 		}
-		v, err := parseParamValue(spec.Type, spec.Default)
+		v, err := parseParamValue(spec.Type, *spec.Default)
 		if err != nil {
 			return nil, false // unreachable: validated at registration
 		}

@@ -13,13 +13,15 @@ import (
 
 // bigEarners is the canonical test entry: one float parameter bound by
 // name or by a numeric comparison, with a default.
+func strPtr(s string) *string { return &s }
+
 func bigEarners() store.SavedQuery {
 	return store.SavedQuery{
 		Name:        "big earners",
 		Description: "individuals with a salary above a threshold",
 		SQL:         "select i.firstname, i.lastname, i.salary from individuals i where i.salary >= ?",
 		Params: []store.SavedParam{
-			{Name: "min salary", Type: "float", Default: "100000", HasDefault: true},
+			{Name: "min salary", Type: "float", Default: strPtr("100000")},
 		},
 	}
 }
@@ -38,7 +40,7 @@ func TestRegisterQueryValidation(t *testing.T) {
 		{"bad type", store.SavedQuery{Name: "x", SQL: "select * from parties where id = ?",
 			Params: []store.SavedParam{{Name: "p", Type: "decimal"}}}},
 		{"bad default", store.SavedQuery{Name: "x", SQL: "select * from parties where id = ?",
-			Params: []store.SavedParam{{Name: "p", Type: "int", Default: "abc", HasDefault: true}}}},
+			Params: []store.SavedParam{{Name: "p", Type: "int", Default: strPtr("abc")}}}},
 		{"unnamed param", store.SavedQuery{Name: "x", SQL: "select * from parties where id = ?",
 			Params: []store.SavedParam{{Type: "int"}}}},
 		{"repeated ordinal", store.SavedQuery{Name: "x",
@@ -139,8 +141,7 @@ func TestApprovedQueryRanksAndBinds(t *testing.T) {
 func TestApprovedQueryRequiredParamGates(t *testing.T) {
 	sys := newSys(t, Options{})
 	q := bigEarners()
-	q.Params[0].HasDefault = false
-	q.Params[0].Default = ""
+	q.Params[0].Default = nil
 	if err := sys.RegisterQuery(q); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"soda/internal/sqlast"
@@ -131,14 +129,10 @@ func collectAggCalls(sel *sqlast.Select) []*sqlast.FuncCall {
 	return calls
 }
 
-// aggregatePhase implements GROUP BY + aggregate evaluation, then ORDER BY
-// and LIMIT over the groups.
-func aggregatePhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, error) {
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregation")
-		}
-	}
+// aggregatePhase implements GROUP BY + aggregate evaluation: one output
+// row per group that passes HAVING, in order of first appearance.
+func (q *stmt) aggregatePhase(tuples []tuple) (*Result, error) {
+	sel := q.sel
 	aggCalls := collectAggCalls(sel)
 
 	type group struct {
@@ -146,12 +140,21 @@ func aggregatePhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, 
 		aggs []*aggState
 	}
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
+	newGroup := func(key string, rep tuple) *group {
+		g := &group{rep: rep, aggs: make([]*aggState, len(aggCalls))}
+		for i, call := range aggCalls {
+			g.aggs[i] = newAggState(call)
+		}
+		groups[key] = g
+		order = append(order, g)
+		return g
+	}
 
 	for _, tu := range tuples {
 		var kb strings.Builder
 		for _, e := range sel.GroupBy {
-			v, err := ctx.eval(e, tu)
+			v, err := q.eval(e, tu)
 			if err != nil {
 				return nil, err
 			}
@@ -161,73 +164,36 @@ func aggregatePhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, 
 		k := kb.String()
 		g, ok := groups[k]
 		if !ok {
-			g = &group{rep: tu, aggs: make([]*aggState, len(aggCalls))}
-			for i, call := range aggCalls {
-				g.aggs[i] = newAggState(call)
-			}
-			groups[k] = g
-			order = append(order, k)
+			g = newGroup(k, tu)
 		}
 		for i, call := range aggCalls {
-			if call.Star {
-				g.aggs[i].add(Null())
-				continue
-			}
-			if len(call.Args) != 1 {
-				return nil, fmt.Errorf("engine: aggregate %s expects 1 argument", call.Name)
-			}
-			v, err := ctx.eval(call.Args[0], tu)
-			if err != nil {
-				return nil, err
+			v := Null() // count(*) counts the row whatever it holds
+			if !call.Star {
+				var err error
+				if v, err = q.eval(call.Args[0], tu); err != nil {
+					return nil, err
+				}
 			}
 			g.aggs[i].add(v)
 		}
 	}
 
 	// A global aggregate over zero rows still produces one group
-	// (e.g. SELECT count(*) FROM empty -> 0).
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{rep: nil, aggs: make([]*aggState, len(aggCalls))}
+	// (e.g. SELECT count(*) FROM empty -> 0), evaluated on a tuple with
+	// every column NULL.
+	if len(sel.GroupBy) == 0 && len(order) == 0 {
+		newGroup("", q.blankTuple())
+	}
+
+	cols, evals := q.projection()
+	rows := make([]outRow, 0, len(order))
+	for _, g := range order {
+		q.aggs = make(map[*sqlast.FuncCall]Value, len(aggCalls))
 		for i, call := range aggCalls {
-			g.aggs[i] = newAggState(call)
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-
-	cols := make([]string, 0, len(sel.Items))
-	for _, it := range sel.Items {
-		name := it.Alias
-		if name == "" {
-			name = it.Expr.String()
-		}
-		cols = append(cols, strings.ToLower(name))
-	}
-	res := &Result{Columns: cols}
-
-	type sortableRow struct {
-		row  []Value
-		keys []Value
-	}
-	rows := make([]sortableRow, 0, len(groups))
-
-	nullTuple := make(tuple, len(ctx.rels))
-	for i := range nullTuple {
-		nullTuple[i] = -1
-	}
-
-	for _, k := range order {
-		g := groups[k]
-		ctx.aggs = make(map[*sqlast.FuncCall]Value, len(aggCalls))
-		for i, call := range aggCalls {
-			ctx.aggs[call] = g.aggs[i].result()
-		}
-		rep := g.rep
-		if rep == nil {
-			rep = nullTuple
+			q.aggs[call] = g.aggs[i].result()
 		}
 		if sel.Having != nil {
-			ts, err := ctx.evalPred(sel.Having, rep)
+			ts, err := q.evalPred(sel.Having, g.rep)
 			if err != nil {
 				return nil, err
 			}
@@ -235,49 +201,12 @@ func aggregatePhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, 
 				continue
 			}
 		}
-		row := make([]Value, 0, len(sel.Items))
-		for _, it := range sel.Items {
-			v, err := ctx.eval(it.Expr, rep)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+		r, err := q.output(evals, g.rep)
+		if err != nil {
+			return nil, err
 		}
-		keys := make([]Value, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			v, err := ctx.eval(o.Expr, rep)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		rows = append(rows, sortableRow{row: row, keys: keys})
+		rows = append(rows, r)
 	}
-	ctx.aggs = nil
-
-	if sel.Distinct {
-		seen := make(map[string]bool, len(rows))
-		kept := rows[:0]
-		for _, r := range rows {
-			rk := rowKey(r.row)
-			if seen[rk] {
-				continue
-			}
-			seen[rk] = true
-			kept = append(kept, r)
-		}
-		rows = kept
-	}
-	if len(sel.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return lessKeys(rows[i].keys, rows[j].keys, sel.OrderBy)
-		})
-	}
-	if sel.Limit >= 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
-	}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.row)
-	}
-	return res, nil
+	q.aggs = nil
+	return q.finish(cols, rows), nil
 }

@@ -16,16 +16,34 @@ func TestExecErrorPaths(t *testing.T) {
 	cases := []struct {
 		sql  string
 		want string // substring of the error
+		// compile marks errors that depend only on the statement and the
+		// schema: Explain reports them too, and they do not wait for a
+		// row to reach the offending expression. The others are raised by
+		// evaluating a value, which Explain never does for these
+		// statements.
+		compile bool
 	}{
-		{"SELECT * FROM parties WHERE nope = 1", "unknown column"},
-		{"SELECT * FROM parties GROUP BY nope", "unknown column"},
-		{"SELECT * FROM parties ORDER BY nope", "unknown column"},
-		{"SELECT id FROM parties HAVING nope > 1", "unknown column"},
-		{"SELECT sum(id, kind) FROM parties", "expects 1 argument"},
-		{"SELECT lower(id, kind) FROM parties", "expects 1 argument"},
-		{"SELECT year(kind) FROM parties", "needs a date"},
-		{"SELECT banana(id) FROM parties", "unknown function"},
-		{"SELECT kind + 1 FROM parties", "non-numeric"},
+		{"SELECT * FROM parties WHERE nope = 1", "unknown column", true},
+		{"SELECT * FROM parties GROUP BY nope", "unknown column", true},
+		{"SELECT * FROM parties ORDER BY nope", "unknown column", true},
+		{"SELECT id FROM parties HAVING nope > 1", "unknown column", true},
+		{"SELECT sum(id, kind) FROM parties", "expects 1 argument", true},
+		{"SELECT lower(id, kind) FROM parties", "expects 1 argument", true},
+		{"SELECT year(kind) FROM parties", "needs a date", false},
+		{"SELECT banana(id) FROM parties", "unknown function", true},
+		{"SELECT kind + 1 FROM parties", "non-numeric", false},
+
+		{"SELECT * FROM missing", "engine: unknown table missing", true},
+		{"SELECT * FROM parties x, individuals x", "engine: duplicate table name x in FROM (alias needed)", true},
+		{"SELECT sum(amount, id) FROM fi_transactions", "engine: aggregate sum expects 1 argument", true},
+		{"SELECT sum(amount, id) FROM fi_transactions WHERE amount > 1000000", "engine: aggregate sum expects 1 argument", true},
+		{"SELECT lower(id, kind) FROM parties WHERE id > 99", "engine: lower expects 1 argument", true},
+		{"SELECT banana(id) FROM parties WHERE id > 99", "engine: unknown function banana", true},
+		{"SELECT id FROM parties WHERE id > 99 ORDER BY banana(id)", "engine: unknown function banana", true},
+		{"SELECT * FROM parties GROUP BY kind", "SELECT * cannot be combined with aggregation", true},
+		{"SELECT * FROM parties WHERE id > 99 HAVING id > 1", "SELECT * cannot be combined with aggregation", true},
+		{"SELECT id FROM parties WHERE id > 99 AND count(*) > 1", "aggregate count outside grouping context", true},
+		{"SELECT sum(count(*)) FROM parties WHERE id > 99", "aggregate count outside grouping context", true},
 	}
 	for _, c := range cases {
 		sel, err := sqlparse.Parse(c.sql)
@@ -39,6 +57,13 @@ func TestExecErrorPaths(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Exec(%q) error = %q, want substring %q", c.sql, err, c.want)
+		}
+		_, explainErr := Explain(db, sel)
+		switch {
+		case c.compile && (explainErr == nil || explainErr.Error() != err.Error()):
+			t.Errorf("Explain(%q) error = %v, want Exec's %q", c.sql, explainErr, err)
+		case !c.compile && explainErr != nil:
+			t.Errorf("Explain(%q) = %v, want a plan: the error is raised by evaluating a value", c.sql, explainErr)
 		}
 	}
 }

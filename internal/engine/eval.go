@@ -23,11 +23,13 @@ type evalCtx struct {
 	params []Value
 }
 
-// relation is one FROM entry with its filtered candidate rows.
+// relation is one FROM entry with its pushed-down filters and, once
+// scanned, the rows they keep.
 type relation struct {
-	name string // effective name (alias if present), lower-cased
-	tbl  *Table
-	rows []int // candidate row indices after single-table filters
+	name    string // effective name (alias if present), lower-cased
+	tbl     *Table
+	filters []sqlast.Expr // WHERE conjuncts that reference only this relation
+	rows    []int         // candidate row indices after the filters
 }
 
 // resolve records the location of every column reference in e, returning an
@@ -81,6 +83,15 @@ func (c *evalCtx) lookup(ref *sqlast.ColumnRef) (colLoc, error) {
 // tuple is a joined row: one row index per relation, -1 for relations not
 // yet joined in.
 type tuple []int
+
+// blankTuple returns a tuple with no relation joined in.
+func (c *evalCtx) blankTuple() tuple {
+	tu := make(tuple, len(c.rels))
+	for i := range tu {
+		tu[i] = -1
+	}
+	return tu
+}
 
 // value reads the column at loc from the tuple.
 func (c *evalCtx) value(tu tuple, loc colLoc) Value {
@@ -166,44 +177,73 @@ func (c *evalCtx) eval(e sqlast.Expr, tu tuple) (Value, error) {
 	}
 }
 
-func (c *evalCtx) evalScalarFunc(x *sqlast.FuncCall, tu tuple) (Value, error) {
-	arg := func() (Value, error) {
-		if len(x.Args) != 1 {
-			return Null(), fmt.Errorf("engine: %s expects 1 argument", x.Name)
-		}
-		return c.eval(x.Args[0], tu)
-	}
-	switch x.Name {
-	case "lower":
-		v, err := arg()
-		if err != nil || v.IsNull() {
-			return Null(), err
-		}
-		return Str(strings.ToLower(v.String())), nil
-	case "upper":
-		v, err := arg()
-		if err != nil || v.IsNull() {
-			return Null(), err
-		}
-		return Str(strings.ToUpper(v.String())), nil
-	case "length":
-		v, err := arg()
-		if err != nil || v.IsNull() {
-			return Null(), err
-		}
-		return Int(int64(len(v.String()))), nil
-	case "year":
-		v, err := arg()
-		if err != nil || v.IsNull() {
-			return Null(), err
-		}
+// scalarFuncs are the scalar functions, all of one argument and all NULL
+// on a NULL argument; each entry sees a non-NULL value.
+var scalarFuncs = map[string]func(Value) (Value, error){
+	"lower":  func(v Value) (Value, error) { return Str(strings.ToLower(v.String())), nil },
+	"upper":  func(v Value) (Value, error) { return Str(strings.ToUpper(v.String())), nil },
+	"length": func(v Value) (Value, error) { return Int(int64(len(v.String()))), nil },
+	"year": func(v Value) (Value, error) {
 		if v.Kind != KDate {
 			return Null(), fmt.Errorf("engine: year() needs a date, got %v", v.Kind)
 		}
 		return Int(int64(v.T.Year())), nil
-	default:
-		return Null(), fmt.Errorf("engine: unknown function %s", x.Name)
+	},
+}
+
+// checkCalls rejects the function calls in e that are wrong whatever the
+// data: unknown names, wrong arity, and aggregates where no group exists
+// to evaluate them over (aggOK false, or inside another aggregate).
+func checkCalls(e sqlast.Expr, aggOK bool) error {
+	switch x := e.(type) {
+	case *sqlast.FuncCall:
+		switch {
+		case x.IsAggregate() && !aggOK:
+			return fmt.Errorf("engine: aggregate %s outside grouping context", x.Name)
+		case x.IsAggregate() && x.Star:
+			return nil
+		case x.IsAggregate() && len(x.Args) != 1:
+			return fmt.Errorf("engine: aggregate %s expects 1 argument", x.Name)
+		case x.IsAggregate():
+			return checkCalls(x.Args[0], false)
+		case scalarFuncs[x.Name] == nil:
+			return fmt.Errorf("engine: unknown function %s", x.Name)
+		case len(x.Args) != 1:
+			return fmt.Errorf("engine: %s expects 1 argument", x.Name)
+		}
+		return checkCalls(x.Args[0], aggOK)
+	case *sqlast.Binary:
+		if err := checkCalls(x.L, aggOK); err != nil {
+			return err
+		}
+		return checkCalls(x.R, aggOK)
+	case *sqlast.Not:
+		return checkCalls(x.X, aggOK)
+	case *sqlast.IsNull:
+		return checkCalls(x.X, aggOK)
 	}
+	return nil
+}
+
+// evalScalarFunc applies a scalar function; compile has checked its name
+// and arity.
+func (c *evalCtx) evalScalarFunc(x *sqlast.FuncCall, tu tuple) (Value, error) {
+	v, err := c.eval(x.Args[0], tu)
+	if err != nil || v.IsNull() {
+		return Null(), err
+	}
+	return scalarFuncs[x.Name](v)
+}
+
+// all reports whether every predicate holds (is True, not Unknown) on tu.
+func (c *evalCtx) all(preds []sqlast.Expr, tu tuple) (bool, error) {
+	for _, p := range preds {
+		ts, err := c.evalPred(p, tu)
+		if err != nil || ts != True {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // evalPred evaluates e as a predicate under SQL three-valued logic.

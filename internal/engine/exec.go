@@ -19,13 +19,7 @@ func (r *Result) NumRows() int { return len(r.Rows) }
 
 // RowKey returns a canonical encoding of row i for set comparison
 // (precision/recall against gold standards compares tuples as sets).
-func (r *Result) RowKey(i int) string {
-	parts := make([]string, len(r.Rows[i]))
-	for j, v := range r.Rows[i] {
-		parts[j] = v.Key()
-	}
-	return strings.Join(parts, "\x1f")
-}
+func (r *Result) RowKey(i int) string { return rowKey(r.Rows[i]) }
 
 // KeySet returns the set of row keys with multiplicity collapsed.
 func (r *Result) KeySet() map[string]struct{} {
@@ -47,11 +41,47 @@ func Exec(db *DB, sel *sqlast.Select) (*Result, error) {
 // the statement — they evaluate like literals against the binding slice,
 // so the same prepared AST runs repeatedly with different arguments.
 func ExecParams(db *DB, sel *sqlast.Select, params []Value) (*Result, error) {
+	q, err := compile(db, sel, params)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.scan(); err != nil {
+		return nil, err
+	}
+	tuples, err := q.join()
+	if err != nil {
+		return nil, err
+	}
+	if q.aggregate {
+		return q.aggregatePhase(tuples)
+	}
+	return q.projectPhase(tuples)
+}
+
+// stmt is a bound statement: the FROM relations with their pushed-down
+// filters, every column reference resolved, and the remaining WHERE
+// conjuncts split into equi-joins and residuals. compile is its only
+// constructor, so Exec and Explain bind, validate and plan identically.
+type stmt struct {
+	evalCtx
+	sel       *sqlast.Select
+	equi      []plannedConjunct // classEquiJoin conjuncts, in WHERE order
+	residual  []sqlast.Expr     // ORs, 3+ relation and non-equi cross-relation predicates
+	aggregate bool              // GROUP BY, HAVING or an aggregate call: grouped output
+}
+
+// compile binds sel against db and rejects everything that can be known
+// wrong from the statement and the schema alone, whether or not a row
+// would ever reach the offending expression.
+func compile(db *DB, sel *sqlast.Select, params []Value) (*stmt, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("engine: empty FROM list")
 	}
-
-	ctx := &evalCtx{locs: make(map[*sqlast.ColumnRef]colLoc), params: params}
+	q := &stmt{
+		evalCtx:   evalCtx{locs: make(map[*sqlast.ColumnRef]colLoc), params: params},
+		sel:       sel,
+		aggregate: len(sel.GroupBy) > 0 || sel.HasAggregate() || sel.Having != nil,
+	}
 	seen := make(map[string]bool)
 	for _, ref := range sel.From {
 		tbl := db.Table(ref.Table)
@@ -63,51 +93,65 @@ func ExecParams(db *DB, sel *sqlast.Select, params []Value) (*Result, error) {
 			return nil, fmt.Errorf("engine: duplicate table name %s in FROM (alias needed)", name)
 		}
 		seen[name] = true
-		ctx.rels = append(ctx.rels, relation{name: name, tbl: tbl})
+		q.rels = append(q.rels, relation{name: name, tbl: tbl})
 	}
 
-	// Resolve every expression up front.
+	// Aggregate calls are legal where a group exists to evaluate them
+	// over: the select list, ORDER BY and HAVING, not WHERE or GROUP BY.
+	bind := func(e sqlast.Expr, aggOK bool) error {
+		if err := q.resolve(e); err != nil {
+			return err
+		}
+		return checkCalls(e, aggOK)
+	}
+	star := false
 	for _, it := range sel.Items {
 		if it.Star {
 			if it.Table != "" && !seen[strings.ToLower(it.Table)] {
 				return nil, fmt.Errorf("engine: %s.* refers to unknown table", it.Table)
 			}
+			star = true
 			continue
 		}
-		if err := ctx.resolve(it.Expr); err != nil {
+		if err := bind(it.Expr, true); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Where != nil {
-		if err := ctx.resolve(sel.Where); err != nil {
+		if err := bind(sel.Where, false); err != nil {
 			return nil, err
 		}
 	}
 	for _, g := range sel.GroupBy {
-		if err := ctx.resolve(g); err != nil {
+		if err := bind(g, false); err != nil {
 			return nil, err
 		}
 	}
 	for _, o := range sel.OrderBy {
-		if err := ctx.resolve(o.Expr); err != nil {
+		if err := bind(o.Expr, true); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Having != nil {
-		if err := ctx.resolve(sel.Having); err != nil {
+		if err := bind(sel.Having, true); err != nil {
 			return nil, err
 		}
 	}
-
-	tuples, err := joinPhase(ctx, sel)
-	if err != nil {
-		return nil, err
+	if star && q.aggregate {
+		return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregation")
 	}
 
-	if len(sel.GroupBy) > 0 || sel.HasAggregate() || sel.Having != nil {
-		return aggregatePhase(ctx, sel, tuples)
+	for _, e := range sqlast.Conjuncts(sel.Where) {
+		switch pc := classify(&q.evalCtx, e); pc.class {
+		case classSingle:
+			q.rels[pc.rel].filters = append(q.rels[pc.rel].filters, e)
+		case classEquiJoin:
+			q.equi = append(q.equi, pc)
+		default:
+			q.residual = append(q.residual, e)
+		}
 	}
-	return projectPhase(ctx, sel, tuples)
+	return q, nil
 }
 
 // conjunctClass classifies a WHERE conjunct for the planner.
@@ -155,144 +199,94 @@ func classify(ctx *evalCtx, e sqlast.Expr) plannedConjunct {
 	return plannedConjunct{expr: e, class: classResidual}
 }
 
-// joinPhase filters single-table conjuncts, then joins all FROM relations
-// using hash joins on equi-join conjuncts, falling back to nested-loop
-// cross products when no join condition connects a relation. Residual
-// conjuncts are applied to the fully joined tuples.
-func joinPhase(ctx *evalCtx, sel *sqlast.Select) ([]tuple, error) {
-	n := len(ctx.rels)
-	conjuncts := make([]plannedConjunct, 0, 8)
-	for _, e := range sqlast.Conjuncts(sel.Where) {
-		conjuncts = append(conjuncts, classify(ctx, e))
-	}
-
-	// Per-relation filtering.
-	for ri := range ctx.rels {
-		rel := &ctx.rels[ri]
-		var filters []sqlast.Expr
-		for _, pc := range conjuncts {
-			if pc.class == classSingle && pc.rel == ri {
-				filters = append(filters, pc.expr)
-			}
-		}
-		rel.rows = rel.rows[:0]
-		probe := make(tuple, n)
-		for i := range probe {
-			probe[i] = -1
-		}
-	rows:
+// scan fills every relation's candidate rows: those its pushed-down
+// filters accept.
+func (q *stmt) scan() error {
+	for ri := range q.rels {
+		rel := &q.rels[ri]
+		probe := q.blankTuple()
 		for i := range rel.tbl.Rows {
 			probe[ri] = i
-			for _, f := range filters {
-				ts, err := ctx.evalPred(f, probe)
-				if err != nil {
-					return nil, err
-				}
-				if ts != True {
-					continue rows
-				}
+			ok, err := q.all(rel.filters, probe)
+			if err != nil {
+				return err
 			}
-			rel.rows = append(rel.rows, i)
+			if ok {
+				rel.rows = append(rel.rows, i)
+			}
 		}
 	}
+	return nil
+}
 
-	// Join ordering: start from the smallest relation, greedily attach
-	// relations connected by an equi-join, preferring the smallest.
-	joined := make([]bool, n)
-	start := 0
-	for ri := 1; ri < n; ri++ {
-		if len(ctx.rels[ri].rows) < len(ctx.rels[start].rows) {
+// joinStep attaches one relation to the joined set: by hash join on the
+// key columns when equi-join conjuncts connect it, by cross product when
+// none does (no keys).
+type joinStep struct {
+	rel          int
+	probe, build []colLoc      // pairwise: key column in the joined set, in rel
+	conds        []sqlast.Expr // the conjuncts the keys came from
+}
+
+func (st joinStep) cross() bool { return len(st.conds) == 0 }
+
+// joinOrder decides, from the scanned row counts, where the join starts
+// and the order and strategy by which the other relations attach: start
+// from the smallest relation, then always take the smallest one an
+// equi-join connects to the joined set, and when none is connected cross
+// join the smallest remaining one. It is the plan: Exec walks the steps
+// and Explain prints them.
+func (q *stmt) joinOrder() (start int, steps []joinStep) {
+	smaller := func(ri, than int) bool {
+		return than < 0 || len(q.rels[ri].rows) < len(q.rels[than].rows)
+	}
+	start = -1
+	for ri := range q.rels {
+		if smaller(ri, start) {
 			start = ri
 		}
 	}
+	joined := make([]bool, len(q.rels))
 	joined[start] = true
-
-	var tuples []tuple
-	for _, ri := range ctx.rels[start].rows {
-		tu := make(tuple, n)
-		for i := range tu {
-			tu[i] = -1
-		}
-		tu[start] = ri
-		tuples = append(tuples, tu)
-	}
-
-	for count := 1; count < n; count++ {
-		// Find the best next relation: one connected to the joined set.
-		next := -1
-		for ri := 0; ri < n; ri++ {
-			if joined[ri] {
-				continue
-			}
-			if !connected(conjuncts, joined, ri) {
-				continue
-			}
-			if next < 0 || len(ctx.rels[ri].rows) < len(ctx.rels[next].rows) {
-				next = ri
-			}
-		}
-		cross := false
-		if next < 0 {
-			// No join condition reaches the remaining relations: cross
-			// join the smallest remaining one.
-			for ri := 0; ri < n; ri++ {
-				if joined[ri] {
-					continue
-				}
-				if next < 0 || len(ctx.rels[ri].rows) < len(ctx.rels[next].rows) {
+	for len(steps) < len(q.rels)-1 {
+		next, unconnected := -1, -1
+		for ri := range q.rels {
+			switch {
+			case joined[ri]:
+			case connected(q.equi, joined, ri):
+				if smaller(ri, next) {
 					next = ri
 				}
-			}
-			cross = true
-		}
-
-		if cross {
-			tuples = crossJoin(ctx, tuples, next)
-		} else {
-			var err error
-			tuples, err = hashJoin(ctx, conjuncts, joined, tuples, next)
-			if err != nil {
-				return nil, err
+			case smaller(ri, unconnected):
+				unconnected = ri
 			}
 		}
+		if next < 0 {
+			next = unconnected
+		}
+		step := joinStep{rel: next}
+		for _, pc := range q.equi {
+			l, r := pc.relL, pc.relR
+			switch {
+			case l.rel == next && joined[r.rel]:
+				step.probe, step.build = append(step.probe, r), append(step.build, l)
+			case r.rel == next && joined[l.rel]:
+				step.probe, step.build = append(step.probe, l), append(step.build, r)
+			default:
+				continue
+			}
+			step.conds = append(step.conds, pc.expr)
+		}
+		steps = append(steps, step)
 		joined[next] = true
 	}
-
-	// Residual conjuncts (ORs, expressions over 3+ relations, non-equi
-	// cross-relation predicates).
-	var out []tuple
-	var residuals []sqlast.Expr
-	for _, pc := range conjuncts {
-		if pc.class == classResidual {
-			residuals = append(residuals, pc.expr)
-		}
-	}
-	if len(residuals) == 0 {
-		return tuples, nil
-	}
-tuples:
-	for _, tu := range tuples {
-		for _, e := range residuals {
-			ts, err := ctx.evalPred(e, tu)
-			if err != nil {
-				return nil, err
-			}
-			if ts != True {
-				continue tuples
-			}
-		}
-		out = append(out, tu)
-	}
-	return out, nil
+	return start, steps
 }
 
 // connected reports whether relation ri has an equi-join conjunct linking
 // it to any already-joined relation.
-func connected(conjuncts []plannedConjunct, joined []bool, ri int) bool {
-	for _, pc := range conjuncts {
-		if pc.class != classEquiJoin {
-			continue
-		}
+func connected(equi []plannedConjunct, joined []bool, ri int) bool {
+	for _, pc := range equi {
 		l, r := pc.relL.rel, pc.relR.rel
 		if (l == ri && joined[r]) || (r == ri && joined[l]) {
 			return true
@@ -301,131 +295,139 @@ func connected(conjuncts []plannedConjunct, joined []bool, ri int) bool {
 	return false
 }
 
-// hashJoin joins tuples with relation next on all equi-join conjuncts that
-// connect next to the joined set.
-func hashJoin(ctx *evalCtx, conjuncts []plannedConjunct, joined []bool, tuples []tuple, next int) ([]tuple, error) {
-	// Collect the join keys: (locInJoined, locInNext) pairs.
-	type keyPair struct{ joinedLoc, nextLoc colLoc }
-	var keys []keyPair
-	for _, pc := range conjuncts {
-		if pc.class != classEquiJoin {
-			continue
-		}
-		l, r := pc.relL, pc.relR
-		switch {
-		case l.rel == next && joined[r.rel]:
-			keys = append(keys, keyPair{joinedLoc: r, nextLoc: l})
-		case r.rel == next && joined[l.rel]:
-			keys = append(keys, keyPair{joinedLoc: l, nextLoc: r})
+// join materialises the joined tuples by walking joinOrder's steps, then
+// applies the residual conjuncts to them.
+func (q *stmt) join() ([]tuple, error) {
+	start, steps := q.joinOrder()
+	var tuples []tuple
+	for _, ri := range q.rels[start].rows {
+		tu := q.blankTuple()
+		tu[start] = ri
+		tuples = append(tuples, tu)
+	}
+	for _, st := range steps {
+		if st.cross() {
+			tuples = q.crossJoin(tuples, st.rel)
+		} else {
+			tuples = q.hashJoin(tuples, st)
 		}
 	}
-	if len(keys) == 0 {
-		return crossJoin(ctx, tuples, next), nil
+	if len(q.residual) == 0 {
+		return tuples, nil
 	}
-
-	rel := &ctx.rels[next]
-	// Build side: hash the new relation's filtered rows.
-	build := make(map[string][]int, len(rel.rows))
-	probe := make(tuple, len(ctx.rels))
-	for i := range probe {
-		probe[i] = -1
-	}
-	for _, ri := range rel.rows {
-		probe[next] = ri
-		var kb strings.Builder
-		null := false
-		for _, kp := range keys {
-			v := ctx.value(probe, kp.nextLoc)
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
-		}
-		if null {
-			continue // NULL never equi-joins
-		}
-		k := kb.String()
-		build[k] = append(build[k], ri)
-	}
-
 	var out []tuple
 	for _, tu := range tuples {
-		var kb strings.Builder
-		null := false
-		for _, kp := range keys {
-			v := ctx.value(tu, kp.joinedLoc)
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
+		ok, err := q.all(q.residual, tu)
+		if err != nil {
+			return nil, err
 		}
-		if null {
-			continue
-		}
-		for _, ri := range build[kb.String()] {
-			ntu := make(tuple, len(tu))
-			copy(ntu, tu)
-			ntu[next] = ri
-			out = append(out, ntu)
+		if ok {
+			out = append(out, tu)
 		}
 	}
 	return out, nil
 }
 
-func crossJoin(ctx *evalCtx, tuples []tuple, next int) []tuple {
-	rel := &ctx.rels[next]
-	out := make([]tuple, 0, len(tuples)*max(1, len(rel.rows)))
+// hashJoin builds a hash table over the step relation's scanned rows and
+// probes it with the joined tuples, in their order.
+func (q *stmt) hashJoin(tuples []tuple, st joinStep) []tuple {
+	rel := &q.rels[st.rel]
+	build := make(map[string][]int, len(rel.rows))
+	probe := q.blankTuple()
+	for _, ri := range rel.rows {
+		probe[st.rel] = ri
+		if k, ok := q.joinKey(probe, st.build); ok {
+			build[k] = append(build[k], ri)
+		}
+	}
+	var out []tuple
 	for _, tu := range tuples {
-		for _, ri := range rel.rows {
-			ntu := make(tuple, len(tu))
-			copy(ntu, tu)
-			ntu[next] = ri
-			out = append(out, ntu)
+		k, ok := q.joinKey(tu, st.probe)
+		if !ok {
+			continue
+		}
+		for _, ri := range build[k] {
+			out = append(out, extend(tu, st.rel, ri))
 		}
 	}
 	return out
 }
 
-// projectPhase evaluates the select list for non-aggregated queries and
-// applies DISTINCT, ORDER BY and LIMIT.
-func projectPhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, error) {
-	cols, evals := projection(ctx, sel)
-	res := &Result{Columns: cols}
-
-	orderExprs := make([]sqlast.Expr, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		orderExprs[i] = o.Expr
+// joinKey encodes the values at locs as one hash key; ok is false when
+// any of them is NULL, which never equi-joins.
+func (q *stmt) joinKey(tu tuple, locs []colLoc) (key string, ok bool) {
+	var kb strings.Builder
+	for _, loc := range locs {
+		v := q.value(tu, loc)
+		if v.IsNull() {
+			return "", false
+		}
+		kb.WriteString(v.Key())
+		kb.WriteByte('\x1f')
 	}
+	return kb.String(), true
+}
 
-	type sortableRow struct {
-		row  []Value
-		keys []Value
-	}
-	rows := make([]sortableRow, 0, len(tuples))
+func (q *stmt) crossJoin(tuples []tuple, next int) []tuple {
+	rel := &q.rels[next]
+	out := make([]tuple, 0, len(tuples)*max(1, len(rel.rows)))
 	for _, tu := range tuples {
-		row := make([]Value, 0, len(evals))
-		for _, ev := range evals {
-			v, err := ev(tu)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+		for _, ri := range rel.rows {
+			out = append(out, extend(tu, next, ri))
 		}
-		keys := make([]Value, len(orderExprs))
-		for i, e := range orderExprs {
-			v, err := ctx.eval(e, tu)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		rows = append(rows, sortableRow{row: row, keys: keys})
 	}
+	return out
+}
 
+// extend copies tu with relation rel's row set to ri.
+func extend(tu tuple, rel, ri int) tuple {
+	ntu := make(tuple, len(tu))
+	copy(ntu, tu)
+	ntu[rel] = ri
+	return ntu
+}
+
+// projectPhase evaluates the select list for non-aggregated queries.
+func (q *stmt) projectPhase(tuples []tuple) (*Result, error) {
+	cols, evals := q.projection()
+	rows := make([]outRow, 0, len(tuples))
+	for _, tu := range tuples {
+		r, err := q.output(evals, tu)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r)
+	}
+	return q.finish(cols, rows), nil
+}
+
+// outRow is one evaluated result row with its ORDER BY keys.
+type outRow struct {
+	row  []Value
+	keys []Value
+}
+
+// output evaluates the select list and the ORDER BY keys against tu.
+func (q *stmt) output(evals []func(tuple) (Value, error), tu tuple) (outRow, error) {
+	r := outRow{row: make([]Value, len(evals)), keys: make([]Value, len(q.sel.OrderBy))}
+	var err error
+	for i, ev := range evals {
+		if r.row[i], err = ev(tu); err != nil {
+			return outRow{}, err
+		}
+	}
+	for i, o := range q.sel.OrderBy {
+		if r.keys[i], err = q.eval(o.Expr, tu); err != nil {
+			return outRow{}, err
+		}
+	}
+	return r, nil
+}
+
+// finish applies DISTINCT, ORDER BY and LIMIT, in that order, to the
+// evaluated rows of either phase.
+func (q *stmt) finish(cols []string, rows []outRow) *Result {
+	sel := q.sel
 	if sel.Distinct {
 		seen := make(map[string]bool, len(rows))
 		kept := rows[:0]
@@ -439,7 +441,6 @@ func projectPhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, er
 		}
 		rows = kept
 	}
-
 	if len(sel.OrderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
 			return lessKeys(rows[i].keys, rows[j].keys, sel.OrderBy)
@@ -448,38 +449,39 @@ func projectPhase(ctx *evalCtx, sel *sqlast.Select, tuples []tuple) (*Result, er
 	if sel.Limit >= 0 && len(rows) > sel.Limit {
 		rows = rows[:sel.Limit]
 	}
+	res := &Result{Columns: cols}
 	for _, r := range rows {
 		res.Rows = append(res.Rows, r.row)
 	}
-	return res, nil
+	return res
 }
 
 // projection returns the output column names and per-tuple evaluators.
-func projection(ctx *evalCtx, sel *sqlast.Select) ([]string, []func(tuple) (Value, error)) {
+func (q *stmt) projection() ([]string, []func(tuple) (Value, error)) {
 	var cols []string
 	var evals []func(tuple) (Value, error)
 
 	addStar := func(relIdx int) {
-		rel := ctx.rels[relIdx]
+		rel := q.rels[relIdx]
 		for ci := range rel.tbl.Cols {
 			cols = append(cols, rel.name+"."+rel.tbl.Cols[ci].Name)
-			ri, cidx := relIdx, ci
+			loc := colLoc{relIdx, ci}
 			evals = append(evals, func(tu tuple) (Value, error) {
-				return ctx.value(tu, colLoc{ri, cidx}), nil
+				return q.value(tu, loc), nil
 			})
 		}
 	}
 
-	for _, it := range sel.Items {
+	for _, it := range q.sel.Items {
 		switch {
 		case it.Star && it.Table == "":
-			for ri := range ctx.rels {
+			for ri := range q.rels {
 				addStar(ri)
 			}
 		case it.Star:
 			want := strings.ToLower(it.Table)
-			for ri := range ctx.rels {
-				if ctx.rels[ri].name == want {
+			for ri := range q.rels {
+				if q.rels[ri].name == want {
 					addStar(ri)
 				}
 			}
@@ -491,7 +493,7 @@ func projection(ctx *evalCtx, sel *sqlast.Select) ([]string, []func(tuple) (Valu
 			cols = append(cols, strings.ToLower(name))
 			expr := it.Expr
 			evals = append(evals, func(tu tuple) (Value, error) {
-				return ctx.eval(expr, tu)
+				return q.eval(expr, tu)
 			})
 		}
 	}

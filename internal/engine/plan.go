@@ -7,13 +7,14 @@ import (
 	"soda/internal/sqlast"
 )
 
-// Plan describes how the engine would execute a statement: per-relation
+// Plan describes how the engine executes a statement: per-relation
 // filter pushdown, the join order with strategies, residual predicates and
 // the post-processing pipeline. It is the engine's EXPLAIN — useful both
 // for tests that pin planner behaviour and for the §5.3.2 exploration
 // workflow (analysts inspecting what a generated statement will do).
 type Plan struct {
-	Scans     []ScanStep
+	Scans     []ScanStep // in FROM order
+	Start     string     // the relation the join starts from
 	Joins     []JoinStep
 	Residual  []string
 	Aggregate bool
@@ -29,6 +30,7 @@ type ScanStep struct {
 	Table   string // effective name (alias if present)
 	Source  string // underlying table name
 	Rows    int    // table cardinality
+	Kept    int    // rows the filters keep; the join order goes by this
 	Filters []string
 }
 
@@ -48,11 +50,14 @@ func (p *Plan) String() string {
 		if s.Source != s.Table {
 			fmt.Fprintf(&b, " (%s)", s.Source)
 		}
-		fmt.Fprintf(&b, " [%d rows]", s.Rows)
+		fmt.Fprintf(&b, " [%d rows, %d kept]", s.Rows, s.Kept)
 		if len(s.Filters) > 0 {
 			fmt.Fprintf(&b, " filter: %s", strings.Join(s.Filters, " AND "))
 		}
 		b.WriteByte('\n')
+	}
+	if len(p.Joins) > 0 {
+		fmt.Fprintf(&b, "  start %s\n", p.Start)
 	}
 	for _, j := range p.Joins {
 		fmt.Fprintf(&b, "  %s join %s", j.Strategy, j.Table)
@@ -86,138 +91,42 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// Explain computes the execution plan for a statement without running it.
-// It mirrors the decisions Exec makes: single-table conjuncts push down to
-// scans, equi-joins become hash joins ordered greedily from the smallest
-// relation, everything else is residual.
+// Explain returns the plan Exec runs for the statement. It is the same
+// compile, the same scans and the same joinOrder — the join order depends
+// on how many rows each scan keeps, so the scans are run (the joins are
+// not) — and any statement Exec rejects at compile, Explain rejects too.
 func Explain(db *DB, sel *sqlast.Select) (*Plan, error) {
-	if len(sel.From) == 0 {
-		return nil, fmt.Errorf("engine: empty FROM list")
+	q, err := compile(db, sel, nil)
+	if err != nil {
+		return nil, err
 	}
-	ctx := &evalCtx{locs: make(map[*sqlast.ColumnRef]colLoc)}
-	seen := make(map[string]bool)
-	for _, ref := range sel.From {
-		tbl := db.Table(ref.Table)
-		if tbl == nil {
-			return nil, fmt.Errorf("engine: unknown table %s", ref.Table)
-		}
-		name := strings.ToLower(ref.Name())
-		if seen[name] {
-			return nil, fmt.Errorf("engine: duplicate table name %s in FROM", name)
-		}
-		seen[name] = true
-		ctx.rels = append(ctx.rels, relation{name: name, tbl: tbl})
+	if err := q.scan(); err != nil {
+		return nil, err
 	}
-	for _, it := range sel.Items {
-		if !it.Star {
-			if err := ctx.resolve(it.Expr); err != nil {
-				return nil, err
-			}
-		}
+	plan := &Plan{
+		Residual:  exprStrings(q.residual),
+		Aggregate: q.aggregate,
+		GroupBy:   exprStrings(sel.GroupBy),
+		Limit:     sel.Limit,
+		Distinct:  sel.Distinct,
 	}
-	if sel.Where != nil {
-		if err := ctx.resolve(sel.Where); err != nil {
-			return nil, err
-		}
+	for _, rel := range q.rels {
+		plan.Scans = append(plan.Scans, ScanStep{
+			Table:   rel.name,
+			Source:  rel.tbl.Name,
+			Rows:    rel.tbl.NumRows(),
+			Kept:    len(rel.rows),
+			Filters: exprStrings(rel.filters),
+		})
 	}
-	for _, g := range sel.GroupBy {
-		if err := ctx.resolve(g); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range sel.OrderBy {
-		if err := ctx.resolve(o.Expr); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := ctx.resolve(sel.Having); err != nil {
-			return nil, err
-		}
-	}
-
-	plan := &Plan{Limit: sel.Limit, Distinct: sel.Distinct}
-
-	var conjuncts []plannedConjunct
-	for _, e := range sqlast.Conjuncts(sel.Where) {
-		conjuncts = append(conjuncts, classify(ctx, e))
-	}
-
-	// Scans with pushdown.
-	for ri := range ctx.rels {
-		rel := &ctx.rels[ri]
-		step := ScanStep{
-			Table:  rel.name,
-			Source: rel.tbl.Name,
-			Rows:   rel.tbl.NumRows(),
-		}
-		for _, pc := range conjuncts {
-			if pc.class == classSingle && pc.rel == ri {
-				step.Filters = append(step.Filters, pc.expr.String())
-			}
-		}
-		plan.Scans = append(plan.Scans, step)
-	}
-
-	// Join order simulation: same greedy policy as Exec, using table
-	// cardinality as the size estimate (Exec uses post-filter counts;
-	// the ordering tie-breaks identically for our generators).
-	n := len(ctx.rels)
-	joined := make([]bool, n)
-	start := 0
-	for ri := 1; ri < n; ri++ {
-		if ctx.rels[ri].tbl.NumRows() < ctx.rels[start].tbl.NumRows() {
-			start = ri
-		}
-	}
-	joined[start] = true
-	for count := 1; count < n; count++ {
-		next := -1
-		for ri := 0; ri < n; ri++ {
-			if joined[ri] || !connected(conjuncts, joined, ri) {
-				continue
-			}
-			if next < 0 || ctx.rels[ri].tbl.NumRows() < ctx.rels[next].tbl.NumRows() {
-				next = ri
-			}
-		}
-		strategy := "hash"
-		if next < 0 {
-			for ri := 0; ri < n; ri++ {
-				if joined[ri] {
-					continue
-				}
-				if next < 0 || ctx.rels[ri].tbl.NumRows() < ctx.rels[next].tbl.NumRows() {
-					next = ri
-				}
-			}
-			strategy = "cross"
-		}
-		step := JoinStep{Table: ctx.rels[next].name, Strategy: strategy}
-		if strategy == "hash" {
-			for _, pc := range conjuncts {
-				if pc.class != classEquiJoin {
-					continue
-				}
-				l, r := pc.relL.rel, pc.relR.rel
-				if (l == next && joined[r]) || (r == next && joined[l]) {
-					step.Keys = append(step.Keys, pc.expr.String())
-				}
-			}
+	start, steps := q.joinOrder()
+	plan.Start = q.rels[start].name
+	for _, st := range steps {
+		step := JoinStep{Table: q.rels[st.rel].name, Strategy: "hash", Keys: exprStrings(st.conds)}
+		if st.cross() {
+			step.Strategy = "cross"
 		}
 		plan.Joins = append(plan.Joins, step)
-		joined[next] = true
-	}
-
-	for _, pc := range conjuncts {
-		if pc.class == classResidual {
-			plan.Residual = append(plan.Residual, pc.expr.String())
-		}
-	}
-
-	plan.Aggregate = len(sel.GroupBy) > 0 || sel.HasAggregate() || sel.Having != nil
-	for _, g := range sel.GroupBy {
-		plan.GroupBy = append(plan.GroupBy, g.String())
 	}
 	if sel.Having != nil {
 		plan.Having = sel.Having.String()
@@ -226,4 +135,12 @@ func Explain(db *DB, sel *sqlast.Select) (*Plan, error) {
 		plan.OrderBy = append(plan.OrderBy, o.String())
 	}
 	return plan, nil
+}
+
+func exprStrings(exprs []sqlast.Expr) []string {
+	var out []string
+	for _, e := range exprs {
+		out = append(out, e.String())
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,6 +109,59 @@ func TestExplainMatchesExecJoinChoice(t *testing.T) {
 	for _, j := range plan.Joins {
 		if j.Strategy != "hash" {
 			t.Fatalf("join %s strategy = %s, want hash", j.Table, j.Strategy)
+		}
+	}
+}
+
+// The join order goes by the rows each scan keeps, not by table
+// cardinality: a selective filter on the largest table makes it the start.
+// Exec walks the same joinOrder, so these are the steps it takes.
+func TestExplainJoinOrderFollowsScannedRows(t *testing.T) {
+	db := testDB()
+	cases := []struct {
+		name, sql string
+		kept      map[string]int
+		steps     []string
+	}{
+		{
+			name: "three tables, filter on the largest",
+			sql: `SELECT * FROM individuals, parties, fi_transactions
+			      WHERE parties.id = fi_transactions.toparty AND individuals.id = parties.id
+			      AND fi_transactions.amount > 1000`,
+			kept:  map[string]int{"individuals": 2, "parties": 4, "fi_transactions": 1},
+			steps: []string{"start fi_transactions", "hash parties", "hash individuals"},
+		},
+		{
+			name: "two tables, the filtered side becomes the start",
+			sql: `SELECT * FROM individuals, parties
+			      WHERE individuals.id = parties.id AND parties.id = 1`,
+			kept:  map[string]int{"individuals": 2, "parties": 1},
+			steps: []string{"start parties", "hash individuals"},
+		},
+		{
+			name: "cross-join fallback comes last",
+			sql: `SELECT * FROM individuals, organizations, parties
+			      WHERE parties.id = individuals.id AND parties.id = 1`,
+			kept:  map[string]int{"individuals": 2, "organizations": 2, "parties": 1},
+			steps: []string{"start parties", "hash individuals", "cross organizations"},
+		},
+	}
+	for _, c := range cases {
+		plan, err := Explain(db, sqlparse.MustParse(c.sql))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, s := range plan.Scans {
+			if s.Kept != c.kept[s.Table] {
+				t.Errorf("%s: scan %s kept %d rows, want %d", c.name, s.Table, s.Kept, c.kept[s.Table])
+			}
+		}
+		steps := []string{"start " + plan.Start}
+		for _, j := range plan.Joins {
+			steps = append(steps, j.Strategy+" "+j.Table)
+		}
+		if !reflect.DeepEqual(steps, c.steps) {
+			t.Errorf("%s: steps = %v, want %v\n%s", c.name, steps, c.steps, plan)
 		}
 	}
 }

@@ -149,68 +149,22 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return b.Flush()
 }
 
-// ParseText parses text exposition into a flat map keyed by the series
-// line as written (metric name plus sorted labels), value as float64.
-// It understands exactly what WriteText emits — enough for golden tests
-// and counter-delta reports, not a general scraper.
+// ParseText parses text exposition into a flat map: ParseFamilies'
+// points, each keyed by SeriesKey of its full series name (family name
+// plus summary suffix) and labels, value as float64 — enough for golden
+// tests and counter-delta reports.
 func ParseText(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			return nil, fmt.Errorf("obs: unparseable exposition line %q", line)
-		}
-		key, valStr := line[:sp], line[sp+1:]
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: bad value in line %q: %w", line, err)
-		}
-		canon, err := canonicalSeriesKey(key)
-		if err != nil {
-			return nil, fmt.Errorf("obs: %w in line %q", err, line)
-		}
-		out[canon] = v
-	}
-	return out, sc.Err()
-}
-
-// canonicalSeriesKey normalizes `name{b="2",a="1"}` to `name{a="1",b="2"}`
-// so lookups are label-order independent.
-func canonicalSeriesKey(key string) (string, error) {
-	open := strings.IndexByte(key, '{')
-	if open < 0 {
-		return key, nil
-	}
-	if !strings.HasSuffix(key, "}") {
-		return "", fmt.Errorf("unterminated label set")
-	}
-	name := key[:open]
-	body := key[open+1 : len(key)-1]
-	labels, err := parseLabelBody(body)
+	fams, err := ParseFamilies(r)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
+	out := make(map[string]float64)
+	for _, f := range fams {
+		for _, p := range f.Points {
+			out[SeriesKey(f.Name+p.Suffix, p.Labels...)] = p.Value
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
-		b.WriteByte('"')
 	}
-	b.WriteByte('}')
-	return b.String(), nil
+	return out, nil
 }
 
 // parseLabelBody parses `a="1",b="2"` honoring escaped characters.

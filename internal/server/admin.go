@@ -34,66 +34,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // --- /admin/queries -----------------------------------------------------
 
-// SavedParamJSON is one parameter spec of a saved query on the wire.
-// Default is a pointer so "no default" (parameter required) and "default
-// is the empty string" stay distinguishable.
-type SavedParamJSON struct {
-	Name    string  `json:"name"`
-	Type    string  `json:"type"`
-	Default *string `json:"default,omitempty"`
-}
-
-// SavedQueryJSON is one library entry on the wire. SQL is the
-// parameterized statement in the generic dialect with $1..$n
-// placeholders in occurrence order; Params describes each placeholder.
-type SavedQueryJSON struct {
-	Name        string           `json:"name"`
-	Description string           `json:"description,omitempty"`
-	SQL         string           `json:"sql"`
-	Params      []SavedParamJSON `json:"params,omitempty"`
-}
-
 // QueryListResponse is the GET /admin/queries payload.
 type QueryListResponse struct {
-	Queries []SavedQueryJSON `json:"queries"`
+	Queries []soda.SavedQuery `json:"queries"`
 }
 
 // QueryPutResponse confirms a registration.
 type QueryPutResponse struct {
-	OK    bool           `json:"ok"`
-	Query SavedQueryJSON `json:"query"`
+	OK    bool            `json:"ok"`
+	Query soda.SavedQuery `json:"query"`
 }
 
 // QueryDeleteResponse confirms a removal.
 type QueryDeleteResponse struct {
 	OK   bool   `json:"ok"`
 	Name string `json:"name"`
-}
-
-func savedQueryJSON(q soda.SavedQuery) SavedQueryJSON {
-	out := SavedQueryJSON{Name: q.Name, Description: q.Description, SQL: q.SQL}
-	for _, p := range q.Params {
-		pj := SavedParamJSON{Name: p.Name, Type: p.Type}
-		if p.HasDefault {
-			d := p.Default
-			pj.Default = &d
-		}
-		out.Params = append(out.Params, pj)
-	}
-	return out
-}
-
-func savedQueryFromJSON(qj SavedQueryJSON) soda.SavedQuery {
-	q := soda.SavedQuery{Name: qj.Name, Description: qj.Description, SQL: qj.SQL}
-	for _, p := range qj.Params {
-		sp := soda.SavedParam{Name: p.Name, Type: p.Type}
-		if p.Default != nil {
-			sp.Default = *p.Default
-			sp.HasDefault = true
-		}
-		q.Params = append(q.Params, sp)
-	}
-	return q
 }
 
 // handleQueryPut registers (or replaces) a saved query under the path
@@ -103,24 +58,23 @@ func savedQueryFromJSON(qj SavedQueryJSON) soda.SavedQuery {
 // cluster like any feedback write.
 func (s *Server) handleQueryPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var qj SavedQueryJSON
-	if !s.decodeBody(w, r, &qj) {
+	var q soda.SavedQuery
+	if !s.decodeBody(w, r, &q) {
 		return
 	}
-	if qj.Name != "" && qj.Name != name {
+	if q.Name != "" && q.Name != name {
 		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("body name %q does not match path name %q", qj.Name, name))
+			fmt.Errorf("body name %q does not match path name %q", q.Name, name))
 		return
 	}
-	qj.Name = name
-	q := savedQueryFromJSON(qj)
+	q.Name = name
 	if err := s.sys.RegisterQuery(q); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	stored, _ := s.sys.SavedQuery(name)
 	s.log.Printf("saved query %q registered (%d params)", name, len(stored.Params))
-	s.writeJSON(w, http.StatusOK, QueryPutResponse{OK: true, Query: savedQueryJSON(stored)})
+	s.writeJSON(w, http.StatusOK, QueryPutResponse{OK: true, Query: stored})
 }
 
 func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
@@ -130,7 +84,7 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("no saved query %q", name))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, savedQueryJSON(q))
+	s.writeJSON(w, http.StatusOK, q)
 }
 
 func (s *Server) handleQueryDelete(w http.ResponseWriter, r *http.Request) {
@@ -144,9 +98,6 @@ func (s *Server) handleQueryDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryList(w http.ResponseWriter, r *http.Request) {
-	resp := QueryListResponse{Queries: []SavedQueryJSON{}}
-	for _, q := range s.sys.SavedQueries() {
-		resp.Queries = append(resp.Queries, savedQueryJSON(q))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// An empty library lists as an empty array, not null.
+	s.writeJSON(w, http.StatusOK, QueryListResponse{Queries: append([]soda.SavedQuery{}, s.sys.SavedQueries()...)})
 }

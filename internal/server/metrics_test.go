@@ -83,6 +83,51 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 }
 
 // TestMetricsDisabled: Config.DisableMetrics hides the route entirely.
+// TestScrapeParsersAgree: on a live scrape of every instrument in the
+// process, the flat view (ParseText, what the benchmark and the delta
+// reports read) holds exactly the family view's points (ParseFamilies,
+// what the fleet merge reads) — one entry per sample line, none
+// collapsed, each under SeriesKey of its full name and labels.
+func TestScrapeParsersAgree(t *testing.T) {
+	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
+	ts := httptest.NewServer(New(sys))
+	t.Cleanup(ts.Close)
+	postJSON(t, ts.URL+"/search", `{"query": "wealthy customers", "snippets": true}`)
+	postJSON(t, ts.URL+"/feedback", `{"query": "wealthy customers", "result": 0, "like": true}`)
+	_, body := getBody(t, ts.URL+"/metrics")
+
+	samples := 0
+	for _, line := range strings.Split(body, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			samples++
+		}
+	}
+	flat, err := obs.ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseFamilies(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples < 50 || len(flat) != samples {
+		t.Fatalf("scrape has %d sample lines, ParseText %d series", samples, len(flat))
+	}
+	points := 0
+	for _, f := range fams {
+		for _, p := range f.Points {
+			points++
+			key := obs.SeriesKey(f.Name+p.Suffix, p.Labels...)
+			if got, ok := flat[key]; !ok || got != p.Value {
+				t.Errorf("%s: ParseFamilies has %v, ParseText %v (present %v)", key, p.Value, got, ok)
+			}
+		}
+	}
+	if points != samples {
+		t.Fatalf("ParseFamilies kept %d points of %d sample lines", points, samples)
+	}
+}
+
 func TestMetricsDisabled(t *testing.T) {
 	ts := httptest.NewServer(NewWith(sharedSys(), Config{DisableMetrics: true}))
 	t.Cleanup(ts.Close)

@@ -82,12 +82,14 @@ func TestAdminQueriesCRUD(t *testing.T) {
 	}
 
 	// Validation failures are 400s: body/path name mismatch, bad SQL,
-	// spec/placeholder disagreement.
+	// spec/placeholder disagreement, a misspelt field at either level.
 	for name, bad := range map[string]string{
-		"name mismatch": `{"name": "other", "sql": "select * from parties"}`,
-		"bad sql":       `{"sql": "select * from"}`,
-		"missing spec":  `{"sql": "select * from parties where id = ?"}`,
-		"bad type":      `{"sql": "select * from parties where id = ?", "params": [{"name": "p", "type": "decimal"}]}`,
+		"name mismatch":       `{"name": "other", "sql": "select * from parties"}`,
+		"bad sql":             `{"sql": "select * from"}`,
+		"missing spec":        `{"sql": "select * from parties where id = ?"}`,
+		"bad type":            `{"sql": "select * from parties where id = ?", "params": [{"name": "p", "type": "decimal"}]}`,
+		"unknown field":       `{"sql": "select * from parties", "descripton": "typo"}`,
+		"unknown param field": `{"sql": "select * from parties where id = ?", "params": [{"name": "p", "type": "int", "defualt": "1"}]}`,
 	} {
 		if status, body = do(t, http.MethodPut, base+"/x", bad); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, status, body)

@@ -82,7 +82,7 @@ func rowsJSON(rows *soda.Rows) *RowsJSON {
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(r) {
 		s.shed.Inc()
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", "1") // seconds
 		s.writeError(w, r, http.StatusServiceUnavailable,
 			errors.New("overloaded: search admission queue is full, retry later"))
 		return

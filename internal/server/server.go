@@ -77,9 +77,8 @@ type Server struct {
 	// how many more may wait for a slot; anything beyond gets an
 	// immediate 503 with Retry-After, so saturation degrades into fast,
 	// explicit shedding instead of an unbounded goroutine pile-up.
-	inflight   chan struct{}
-	queue      chan struct{}
-	retryAfter string // pre-rendered Retry-After value, in seconds
+	inflight chan struct{}
+	queue    chan struct{}
 
 	// Cache-hit vs cold /search service time, registered in the System's
 	// metric registry (soda_search_latency_seconds{outcome}) and surfaced
@@ -121,8 +120,6 @@ type Config struct {
 	// negative means no queue (shed as soon as saturated). Ignored when
 	// MaxInflight is 0.
 	QueueDepth int
-	// RetryAfter is the hint sent with 503 responses (default 1s).
-	RetryAfter time.Duration
 	// Logf receives serving diagnostics — response-write failures, encode
 	// errors. nil is silent.
 	Logf func(format string, args ...any)
@@ -203,15 +200,6 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 		}
 		s.queue = make(chan struct{}, depth)
 	}
-	ra := cfg.RetryAfter
-	if ra <= 0 {
-		ra = time.Second
-	}
-	secs := int(ra / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	s.retryAfter = strconv.Itoa(secs)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if !cfg.DisableMetrics {
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)

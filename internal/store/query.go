@@ -15,29 +15,30 @@ import (
 	"sort"
 )
 
-// SavedQuery is one approved parameterized query.
+// SavedQuery is one approved parameterized query. Its JSON form is the
+// one every surface speaks: the /admin/queries bodies and responses, the
+// -queries library file and the /cluster/pull catch-up state.
 type SavedQuery struct {
 	// Name is the registry key, unique per system.
-	Name string
+	Name string `json:"name"`
 	// Description is the human explanation search terms match against.
-	Description string
+	Description string `json:"description,omitempty"`
 	// SQL is the statement rendered in the generic dialect, placeholders
 	// included ("SELECT … WHERE amount > ?").
-	SQL string
+	SQL string `json:"sql"`
 	// Params declares the bindings in statement ordinal order.
-	Params []SavedParam
+	Params []SavedParam `json:"params,omitempty"`
 }
 
 // SavedParam declares one binding of a saved query.
 type SavedParam struct {
 	// Name is the parameter's name ("min_amount").
-	Name string
+	Name string `json:"name"`
 	// Type is the value type: "string", "int", "float", "date" or "bool".
-	Type string
-	// Default is the textual default value, meaningful when HasDefault;
-	// a parameter without a default must be bound from the search terms.
-	Default    string
-	HasDefault bool
+	Type string `json:"type"`
+	// Default is the textual default value; nil (absent in JSON) makes
+	// the parameter required: it must be bound from the search terms.
+	Default *string `json:"default,omitempty"`
 }
 
 // Clone returns a deep copy (Params are private to the copy).
@@ -55,11 +56,10 @@ func EncodeSavedQuery(q SavedQuery) []byte {
 	for _, p := range q.Params {
 		buf = appendString(buf, p.Name)
 		buf = appendString(buf, p.Type)
-		buf = appendString(buf, p.Default)
-		if p.HasDefault {
-			buf = append(buf, 1)
+		if p.Default != nil {
+			buf = append(appendString(buf, *p.Default), 1)
 		} else {
-			buf = append(buf, 0)
+			buf = append(appendString(buf, ""), 0)
 		}
 	}
 	return buf
@@ -95,13 +95,16 @@ func DecodeSavedQuery(payload []byte) (SavedQuery, error) {
 		if p.Type, rest, err = takeString(rest); err != nil {
 			return q, err
 		}
-		if p.Default, rest, err = takeString(rest); err != nil {
+		var def string
+		if def, rest, err = takeString(rest); err != nil {
 			return q, err
 		}
 		if len(rest) == 0 {
 			return q, fmt.Errorf("store: saved query param %d: missing default flag", i)
 		}
-		p.HasDefault = rest[0] != 0
+		if rest[0] != 0 {
+			p.Default = &def
+		}
 		rest = rest[1:]
 	}
 	if len(rest) != 0 {

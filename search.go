@@ -336,11 +336,12 @@ func (s *System) Browse(table string) (*TableInfo, error) {
 }
 
 // ExplainSQL renders the reference engine's execution plan for a
-// statement without running it: scans with pushed-down filters,
-// hash/cross join order, residual predicates and the aggregation
-// pipeline. The plan is always computed over the world's in-memory
-// corpus — a real SQL backend has its own EXPLAIN — and the statement is
-// read in the System's configured dialect.
+// statement — the plan Execute runs, from the same planner: scans with
+// pushed-down filters and the rows each keeps (the scans are run, the
+// joins are not), hash/cross join order, residual predicates and the
+// aggregation pipeline. The plan is always computed over the world's
+// in-memory corpus — a real SQL backend has its own EXPLAIN — and the
+// statement is read in the System's configured dialect.
 func (s *System) ExplainSQL(sql string) (string, error) {
 	sel, err := sqlparse.ParseDialect(sql, s.sys.Opt.Dialect)
 	if err != nil {

@@ -66,13 +66,6 @@ import (
 type Options struct {
 	// TopN caps the ranked statements kept after step 2.
 	TopN int
-	// SnippetRows caps snippet execution ("up to twenty tuples").
-	SnippetRows int
-	// MaxSolutions caps the combinatorial lookup product.
-	MaxSolutions int
-	// MaxPathLen bounds join-path search between entry points in edges
-	// (0 = unbounded); the §5.3.1 "far-fetching" trade-off.
-	MaxPathLen int
 	// Parallelism is the worker-pool width for the per-solution pipeline
 	// steps 3-5 (0 = GOMAXPROCS, 1 = sequential); the ranked output is
 	// identical either way.
@@ -81,11 +74,6 @@ type Options struct {
 	// negative = disabled). Cached answers are invalidated whenever
 	// relevance feedback changes the ranking.
 	CacheSize int
-	// CompactEvery is the feedback-WAL compaction threshold for Systems
-	// built with Open: once the log holds this many records a snapshot
-	// is written and the log truncated (0 = default 1024, negative =
-	// only on Close / explicit Snapshot).
-	CompactEvery int
 	// Dialect names the SQL dialect generated statements are rendered
 	// in: "generic" (default), "postgres", "mysql" or "db2". It controls
 	// identifier quoting, string escaping, row limiting (LIMIT vs FETCH
@@ -153,12 +141,8 @@ func (o Options) internal() core.Options {
 	d, _ := sqlast.DialectByName(o.Dialect) // unknown names fall back to generic
 	return core.Options{
 		TopN:           o.TopN,
-		SnippetRows:    o.SnippetRows,
-		MaxSolutions:   o.MaxSolutions,
-		MaxPathLen:     o.MaxPathLen,
 		Parallelism:    o.Parallelism,
 		CacheSize:      o.CacheSize,
-		CompactEvery:   o.CompactEvery,
 		PeerDeadAfter:  o.PeerDeadAfter,
 		Dialect:        d,
 		DisableBridges: o.DisableBridges,
