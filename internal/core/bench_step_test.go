@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"soda/internal/backend/memory"
+	"soda/internal/queryparse"
 	"soda/internal/warehouse"
 )
 
-// Cold-path benchmarks per corpus (ISSUE 9): BenchmarkTablesStep times
-// Step 3 in isolation over the entry sets the real pipeline produces,
-// BenchmarkColdSearch times the whole pipeline with the answer cache
-// disabled. Both report allocs/op — the tentpole's contract is that a
-// cold search allocates O(result), not O(graph).
+// Cold-path benchmarks per corpus: BenchmarkLookupStep times Step 1 in
+// isolation over the corpus queries, BenchmarkTablesStep times Step 3 over
+// the entry sets the real pipeline produces, BenchmarkColdSearch times
+// the whole pipeline with the answer cache disabled. All report allocs/op
+// — a cold search should allocate O(result), not O(graph) or O(index).
 
 // warehouseBenchQueries mirrors the eval corpus inputs (the eval package
 // sits above core, so the strings are pinned here).
@@ -60,6 +61,23 @@ func benchCorpora(b *testing.B, run func(b *testing.B, bc *benchCorpus)) {
 		w := warehouse.Build(warehouse.Default())
 		sys := NewSystem(memory.New(w.DB), w.Meta, w.Index, Options{CacheSize: -1, Parallelism: 1})
 		run(b, prepCorpus(b, sys, warehouseBenchQueries))
+	})
+}
+
+func BenchmarkLookupStep(b *testing.B) {
+	benchCorpora(b, func(b *testing.B, bc *benchCorpus) {
+		qs := make([]*queryparse.Query, len(bc.qs))
+		for i, q := range bc.qs {
+			var err error
+			if qs[i], err = queryparse.Parse(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bc.sys.lookup(&Analysis{Query: qs[i%len(qs)]})
+		}
 	})
 }
 

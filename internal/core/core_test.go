@@ -456,6 +456,21 @@ func TestUnknownWordsIgnored(t *testing.T) {
 	}
 }
 
+// A comparison after a group of only unknown words has no term to apply
+// to: it is ignored, not attached to the previous group's term.
+func TestComparisonAfterUnknownGroupIgnored(t *testing.T) {
+	sys := newSys(t, Options{})
+	a := search(t, sys, "salary > 50000 xyzzy < 7")
+	sql := best(t, a).SQLText()
+	if !strings.Contains(sql, "individuals.salary > 50000") || strings.Contains(sql, "< 7") {
+		t.Fatalf("want only the salary comparison:\n%s", sql)
+	}
+	ignored := strings.Join(a.Ignored, "|")
+	if !strings.Contains(ignored, "xyzzy") || !strings.Contains(ignored, "operator <") {
+		t.Fatalf("ignored = %v, want xyzzy and operator <", a.Ignored)
+	}
+}
+
 func TestLongestCombinationPreferred(t *testing.T) {
 	sys := newSys(t, Options{})
 	// "private customers" must match as one term, not "private" +

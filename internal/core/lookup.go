@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"soda/internal/invidx"
 	"soda/internal/metagraph"
 	"soda/internal/queryparse"
 )
@@ -16,15 +17,17 @@ import (
 func (s *System) lookup(a *Analysis) {
 	q := a.Query
 
-	// Plain keyword groups, with operator attachments.
+	// Plain keyword groups, with operator attachments. A group whose
+	// words are all unknown has no term to take a comparison.
 	groupLastTerm := make([]int, len(q.Groups))
 	for gi, g := range q.Groups {
 		segs, unknown := s.segment(g.Words)
 		a.Ignored = append(a.Ignored, unknown...)
+		groupLastTerm[gi] = -1
 		for _, seg := range segs {
 			a.Terms = append(a.Terms, Term{Text: seg, Role: RolePlain})
+			groupLastTerm[gi] = len(a.Terms) - 1
 		}
-		groupLastTerm[gi] = len(a.Terms) - 1
 	}
 
 	// Attach comparisons to the last term of their preceding group ("the
@@ -59,29 +62,21 @@ func (s *System) lookup(a *Analysis) {
 		}
 	}
 
-	// Candidates per term. The feedback read-lock spans all terms:
-	// a concurrent Feedback call is either fully visible to this search
-	// or not at all, never half-applied.
-	//
-	// Terms probe the metadata label index and the inverted index
-	// independently, so the probes run across the worker pool — lookup
-	// dominates some warehouse queries (ROADMAP), and steps 3-5 were
-	// already parallel. Each worker writes only its own index-addressed
-	// candidate slot, so the output is byte-identical to a sequential
-	// scan. Workers read the feedback map while this goroutine holds the
-	// read-lock across the whole fan-out: writers are excluded, so every
-	// term sees the same feedback state.
+	// Candidates per term, read from the label hits (derived once per
+	// System) and the index's own table. The feedback read-lock spans all
+	// terms: a concurrent Feedback call is either fully visible to this
+	// search or not at all, never half-applied.
+	s.derivedOnce.Do(s.buildDerived)
 	a.Candidates = make([][]EntryPoint, len(a.Terms))
 	a.Complexity = 1
 	func() {
-		// parallelDo re-panics worker panics on this goroutine (so
-		// net/http's recovery applies); the deferred unlock keeps a
-		// panicking probe from wedging every future Feedback call.
+		// The deferred unlock keeps a panicking probe from wedging every
+		// future Feedback call.
 		s.fbMu.RLock()
 		defer s.fbMu.RUnlock()
-		s.parallelDo(len(a.Terms), func(ti int) {
-			a.Candidates[ti] = s.candidates(ti, a.Terms[ti])
-		})
+		for ti, term := range a.Terms {
+			a.Candidates[ti] = s.candidates(ti, term)
+		}
 	}()
 	for _, cands := range a.Candidates {
 		if len(cands) > 0 {
@@ -142,8 +137,13 @@ func (s *System) known(phrase string) bool {
 // candidates returns the entry points for one term: every metadata node
 // carrying the label, plus every base-data column containing the phrase.
 func (s *System) candidates(ti int, term Term) []EntryPoint {
+	nodes, hits := s.Meta.LookupLabel(term.Text), s.baseHits(term.Text)
+	// Sized once for every node and hit, the most it can hold.
 	var out []EntryPoint
-	for _, node := range s.Meta.LookupLabel(term.Text) {
+	if n := len(nodes) + len(hits); n > 0 {
+		out = make([]EntryPoint, 0, n)
+	}
+	for _, node := range nodes {
 		layer := s.Meta.LayerOf(node)
 		if s.Opt.DisableDBpedia && layer == metagraph.LayerDBpedia {
 			continue
@@ -173,7 +173,7 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 		}
 		out = append(out, ep)
 	}
-	for _, hit := range s.Index.Hits(term.Text) {
+	for _, hit := range hits {
 		ep := EntryPoint{
 			Term:   ti,
 			Kind:   KindBaseData,
@@ -185,7 +185,33 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 		ep.Score = s.entryScore(metagraph.LayerBaseData) + s.feedbackAdjustmentLocked(ep)
 		out = append(out, ep)
 	}
+	if len(out) == 0 {
+		return nil // every node filtered out: no candidates, not an empty list
+	}
 	return out
+}
+
+// resolveLabelHits returns the base-data hits of every metadata label, by
+// normalised label. The index's table already answers a label that is a
+// token or a stored value; for the rest (physical names such as
+// a001_t6_td) this is the one time their words are intersected.
+func (s *System) resolveLabelHits() map[string][]invidx.ColumnHit {
+	labels := s.Meta.Labels()
+	out := make(map[string][]invidx.ColumnHit, len(labels))
+	for _, l := range labels {
+		out[l] = s.Index.Hits(l)
+	}
+	return out
+}
+
+// baseHits returns the base-data hits of a term: a map read for a label,
+// a token or a stored value, and the index's conjunctive path for
+// anything else. The slices are shared and must not be modified.
+func (s *System) baseHits(phrase string) []invidx.ColumnHit {
+	if hits, ok := s.labelHits[invidx.Normalize(phrase)]; ok {
+		return hits
+	}
+	return s.Index.Hits(phrase)
 }
 
 func (s *System) entryScore(layer string) float64 {

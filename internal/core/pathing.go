@@ -345,6 +345,7 @@ type tablesScratch struct {
 	connQueue  []int32
 	sqlIDs     []int32
 	joinEdges  []int32
+	tables     []string // the discovery view, before it is copied out
 }
 
 var tablesPool = sync.Pool{New: func() any { return new(tablesScratch) }}

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // rank implements Step 2 (Figure 4): enumerate the combinatorial product
 // of entry points, score each combination by the location of its entry
 // points in the metadata graph, and keep the best N. "We rank the domain
@@ -27,42 +25,69 @@ func (s *System) rank(a *Analysis) {
 		return
 	}
 
-	// Materialise the product, capped at MaxSolutions combinations.
-	combos := [][]EntryPoint{{}}
+	// The product is enumerated in lexicographic order (the last term
+	// varies fastest) and capped at MaxSolutions combinations. Each
+	// combination is scored where it stands; only the best TopN, ties in
+	// enumeration order, are ever materialised as solutions.
+	n := 1
 	for _, cands := range active {
-		var next [][]EntryPoint
-		for _, prefix := range combos {
-			for _, c := range cands {
-				combo := make([]EntryPoint, len(prefix), len(prefix)+1)
-				copy(combo, prefix)
-				next = append(next, append(combo, c))
-				if len(next) >= s.Opt.MaxSolutions {
-					break
-				}
-			}
-			if len(next) >= s.Opt.MaxSolutions {
+		n = min(n*len(cands), s.Opt.MaxSolutions)
+	}
+	pick := make([]int, len(active)) // the current combination, one index per term
+	best := make([]ranked, 0, min(n, s.Opt.TopN))
+	for i := 0; i < n; i++ {
+		score := 0.0
+		for t, c := range pick {
+			score += active[t][c].Score
+		}
+		score /= float64(len(pick))
+		best = keepBest(best, ranked{score: score, pick: pick}, s.Opt.TopN)
+		for t := len(pick) - 1; t >= 0; t-- {
+			if pick[t]++; pick[t] < len(active[t]) {
 				break
 			}
+			pick[t] = 0
 		}
-		combos = next
 	}
 
-	sols := make([]*Solution, 0, len(combos))
-	for _, combo := range combos {
-		score := 0.0
-		for _, e := range combo {
-			score += e.Score
+	sols := make([]*Solution, len(best))
+	for i, r := range best {
+		entries := make([]EntryPoint, len(r.pick))
+		for t, c := range r.pick {
+			entries[t] = active[t][c]
 		}
-		score /= float64(len(combo))
-		sols = append(sols, &Solution{Entries: combo, Score: score, TopN: a.Query.TopN})
-	}
-
-	// Stable sort: ties keep enumeration order, so results are
-	// deterministic run to run (the graph and index iterate in insertion
-	// order).
-	sort.SliceStable(sols, func(i, j int) bool { return sols[i].Score > sols[j].Score })
-	if len(sols) > s.Opt.TopN {
-		sols = sols[:s.Opt.TopN]
+		sols[i] = &Solution{Entries: entries, Score: r.score, TopN: a.Query.TopN}
 	}
 	a.Solutions = sols
+}
+
+// ranked is one scored combination: an index into each active term's
+// candidates.
+type ranked struct {
+	score float64
+	pick  []int
+}
+
+// keepBest inserts r into best, which holds at most limit combinations by
+// descending score. r was enumerated after every combination in best, so
+// it goes after those scoring at least as high: the order a stable sort of
+// the whole product would give.
+func keepBest(best []ranked, r ranked, limit int) []ranked {
+	at := len(best)
+	for at > 0 && best[at-1].score < r.score {
+		at--
+	}
+	if at >= limit {
+		return best
+	}
+	if len(best) < limit {
+		best = append(best, ranked{pick: make([]int, len(r.pick))})
+	}
+	// Shift the tail down one slot; the slot that falls off the end lends
+	// its pick array to r.
+	spare := best[len(best)-1].pick
+	copy(best[at+1:], best[at:len(best)-1])
+	best[at] = ranked{score: r.score, pick: spare}
+	copy(spare, r.pick)
+	return best
 }

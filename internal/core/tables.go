@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"soda/internal/metagraph"
@@ -38,8 +39,10 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	sc.edgeSeen.reset(len(jg.edges))
 
 	// Part 1: per-entry table sets via graph traversal (discovery view).
+	// The view can run to hundreds of tables; it is gathered in scratch
+	// and copied out once at its final size.
 	entrySets := make([][]string, len(sol.Entries))
-	var tables []string
+	tables := sc.tables[:0]
 	addDiscovered := func(t string) {
 		if t == "" {
 			return
@@ -77,7 +80,11 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			}
 		}
 	}
-	sol.Tables = tables
+	sol.Tables = nil // nil, not empty, when nothing was discovered
+	if len(tables) > 0 {
+		sol.Tables = slices.Clone(tables)
+	}
+	sc.tables = tables
 
 	// Anchors: each entry's nearest table.
 	var primaries []string
@@ -266,16 +273,19 @@ func (s *System) computeEntryTables(e EntryPoint) []string {
 	return out
 }
 
-// traverse BFSes outgoing edges from start, testing patterns at every
-// visited node and collecting table names. BFS order makes the first
-// collected table the nearest one — the entry's anchor.
+// traverse BFSes outgoing edges from start, collecting the table names
+// the patterns find at every visited node (tablesAt). BFS order makes the
+// first collected table the nearest one — the entry's anchor.
 func (s *System) traverse(start rdf.Term, add func(string)) {
+	s.derivedOnce.Do(s.buildDerived)
 	visited := map[rdf.Term]bool{start: true}
 	queue := []rdf.Term{start}
 	for head := 0; head < len(queue); head++ {
 		node := queue[head]
 
-		s.collectAtNode(node, add)
+		for _, t := range s.tablesAt[node] {
+			add(t)
+		}
 
 		s.Meta.G.Outgoing(node, func(p, o rdf.Term) bool {
 			if !o.IsIRI() || visited[o] {
@@ -286,6 +296,23 @@ func (s *System) traverse(start rdf.Term, add func(string)) {
 			return true
 		})
 	}
+}
+
+// collectTablesAtNodes runs collectAtNode once for every node of the
+// metadata graph, recording the table names it collects there. A node
+// outside the graph matches no pattern and collects none. Traversals then
+// replay these lists instead of matching patterns at every node they
+// visit, so a new entry point's first traversal is a plain BFS.
+func (s *System) collectTablesAtNodes() map[rdf.Term][]string {
+	out := make(map[rdf.Term][]string)
+	for _, node := range s.Meta.G.Nodes() {
+		var tables []string
+		s.collectAtNode(node, func(t string) { tables = append(tables, t) })
+		if len(tables) > 0 {
+			out[node] = tables
+		}
+	}
+	return out
 }
 
 // collectAtNode tests the Table, Column and Inheritance Child patterns at
@@ -445,14 +472,16 @@ type bridgeRel struct {
 	ignored           bool
 }
 
-// buildDerived computes the one-time derived join structures: the table
-// interner first (everything else speaks interned IDs), then bridge
-// tables (the join graph tags edges touching them), then the global join
-// graph and the interned view of the bridge list. It runs exactly once
-// per System, through derivedOnce; the Step-3 memos (pairPaths,
-// multiPaths, closureMemo) are derived from these structures and share
-// their lifetime.
+// buildDerived computes the one-time derived structures: Step 1's label
+// hits, the tables each node contributes to a traversal, then the table
+// interner (everything else speaks interned IDs), bridge tables (the join
+// graph tags edges touching them), the global join graph and the interned
+// view of the bridge list. It runs exactly once per System, through
+// derivedOnce; the Step-3 memos (pairPaths, multiPaths, closureMemo) are
+// derived from these structures and share their lifetime.
 func (s *System) buildDerived() {
+	s.labelHits = s.resolveLabelHits()
+	s.tablesAt = s.collectTablesAtNodes()
 	it := s.buildTableInterner()
 	s.bridgeMemo = s.findBridges()
 	s.jg = s.buildJoinGraph(it)

@@ -53,7 +53,7 @@ func (e *indexEncoder) uvarint(v uint64) {
 // sortedKeys returns map keys in sorted order so the encoding is
 // deterministic (snapshots of the same index are byte-identical, which
 // makes checksums and tests meaningful).
-func sortedKeys(m map[string][]Posting) []string {
+func sortedKeys(m map[string][]uint64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -78,48 +78,38 @@ func (x *Index) Encode(w io.Writer) error {
 	postingKeys := sortedKeys(x.postings)
 	valueKeys := sortedKeys(x.values)
 	// Raw values are written as (table, column, row, value) tuples sorted
-	// by table/column/row — the same wire layout as when they lived in a
-	// posting-keyed map, so the format version did not change.
-	rawCols := make([]colKey, 0, len(x.rawValues))
+	// by table/column/row — column IDs ascend in that order.
 	nRaw := 0
-	for k, col := range x.rawValues {
-		rawCols = append(rawCols, k)
+	for _, col := range x.rawValues {
 		for _, v := range col {
 			if v != "" {
 				nRaw++
 			}
 		}
 	}
-	sort.Slice(rawCols, func(i, j int) bool {
-		a, b := rawCols[i], rawCols[j]
-		if a.table != b.table {
-			return a.table < b.table
-		}
-		return a.column < b.column
-	})
 
 	// Pass 1: intern every string in the order it will be referenced.
 	for _, k := range postingKeys {
 		e.intern(k)
-		for _, p := range x.postings[k] {
-			e.intern(p.Table)
-			e.intern(p.Column)
+		for _, c := range x.postings[k] {
+			e.intern(x.cols[c>>32].table)
+			e.intern(x.cols[c>>32].column)
 		}
 	}
 	for _, k := range valueKeys {
 		e.intern(k)
-		for _, p := range x.values[k] {
-			e.intern(p.Table)
-			e.intern(p.Column)
+		for _, c := range x.values[k] {
+			e.intern(x.cols[c>>32].table)
+			e.intern(x.cols[c>>32].column)
 		}
 	}
-	for _, k := range rawCols {
-		for _, v := range x.rawValues[k] {
+	for id, col := range x.rawValues {
+		for _, v := range col {
 			if v == "" {
 				continue
 			}
-			e.intern(k.table)
-			e.intern(k.column)
+			e.intern(x.cols[id].table)
+			e.intern(x.cols[id].column)
 			e.intern(v)
 		}
 	}
@@ -132,29 +122,29 @@ func (x *Index) Encode(w io.Writer) error {
 			_, e.err = e.w.WriteString(s)
 		}
 	}
-	writePostingMap := func(keys []string, m map[string][]Posting) {
+	writePostingMap := func(keys []string, m map[string][]uint64) {
 		e.uvarint(uint64(len(keys)))
 		for _, k := range keys {
 			e.uvarint(e.index[k])
 			list := m[k]
 			e.uvarint(uint64(len(list)))
-			for _, p := range list {
-				e.uvarint(e.index[p.Table])
-				e.uvarint(e.index[p.Column])
-				e.uvarint(uint64(p.Row))
+			for _, c := range list {
+				e.uvarint(e.index[x.cols[c>>32].table])
+				e.uvarint(e.index[x.cols[c>>32].column])
+				e.uvarint(c & rowMask)
 			}
 		}
 	}
 	writePostingMap(postingKeys, x.postings)
 	writePostingMap(valueKeys, x.values)
 	e.uvarint(uint64(nRaw))
-	for _, k := range rawCols {
-		for row, v := range x.rawValues[k] {
+	for id, col := range x.rawValues {
+		for row, v := range col {
 			if v == "" {
 				continue
 			}
-			e.uvarint(e.index[k.table])
-			e.uvarint(e.index[k.column])
+			e.uvarint(e.index[x.cols[id].table])
+			e.uvarint(e.index[x.cols[id].column])
 			e.uvarint(uint64(row))
 			e.uvarint(e.index[v])
 		}
@@ -174,10 +164,11 @@ type indexDecoder struct {
 	data    []byte
 	off     int
 	strings []string
-	// arena backs every decoded posting list. Lists are carved out of
-	// large chunks instead of one allocation per token: the warehouse
-	// index holds tens of thousands of short lists.
-	arena []Posting
+	b       *builder
+	// arena backs every decoded cell list. Lists are carved out of large
+	// chunks instead of one allocation per token: the warehouse index
+	// holds tens of thousands of short lists.
+	arena []uint64
 }
 
 func (d *indexDecoder) uvarint() (uint64, error) {
@@ -189,11 +180,11 @@ func (d *indexDecoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// postingList returns a length-l, exact-cap slice backed by the arena.
-func (d *indexDecoder) postingList(l int) []Posting {
+// cellList returns a length-l, exact-cap slice backed by the arena.
+func (d *indexDecoder) cellList(l int) []uint64 {
 	const chunk = 1 << 14
 	if cap(d.arena)-len(d.arena) < l {
-		d.arena = make([]Posting, 0, max(l, chunk))
+		d.arena = make([]uint64, 0, max(l, chunk))
 	}
 	n := len(d.arena)
 	d.arena = d.arena[:n+l]
@@ -207,6 +198,11 @@ func (d *indexDecoder) count(what string) (int, error) {
 	}
 	if v > codecMaxCount {
 		return 0, fmt.Errorf("invidx: %s count %d exceeds limit", what, v)
+	}
+	// Every counted item takes at least one byte of what is left, so a
+	// larger count is corrupt — and must not size an allocation.
+	if v > uint64(len(d.data)-d.off) {
+		return 0, fmt.Errorf("invidx: %s count %d exceeds the remaining input", what, v)
 	}
 	return int(v), nil
 }
@@ -222,31 +218,33 @@ func (d *indexDecoder) str(what string) (string, error) {
 	return d.strings[i], nil
 }
 
-func (d *indexDecoder) posting() (Posting, error) {
+// location reads one (table, column, row) triple as a provisional column
+// ID and a row.
+func (d *indexDecoder) location() (uint32, int, error) {
 	tbl, err := d.str("posting table")
 	if err != nil {
-		return Posting{}, err
+		return 0, 0, err
 	}
 	col, err := d.str("posting column")
 	if err != nil {
-		return Posting{}, err
+		return 0, 0, err
 	}
 	row, err := d.uvarint()
 	if err != nil {
-		return Posting{}, fmt.Errorf("invidx: decode posting row: %w", err)
+		return 0, 0, fmt.Errorf("invidx: decode posting row: %w", err)
 	}
 	if row > codecMaxCount {
-		return Posting{}, fmt.Errorf("invidx: posting row %d exceeds limit", row)
+		return 0, 0, fmt.Errorf("invidx: posting row %d exceeds limit", row)
 	}
-	return Posting{Table: tbl, Column: col, Row: int(row)}, nil
+	return d.b.col(tbl, col), int(row), nil
 }
 
-func (d *indexDecoder) postingMap(what string) (map[string][]Posting, error) {
+func (d *indexDecoder) cellMap(what string) (map[string][]uint64, error) {
 	n, err := d.count(what)
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string][]Posting, n)
+	m := make(map[string][]uint64, n)
 	for i := 0; i < n; i++ {
 		key, err := d.str(what + " key")
 		if err != nil {
@@ -256,11 +254,13 @@ func (d *indexDecoder) postingMap(what string) (map[string][]Posting, error) {
 		if err != nil {
 			return nil, err
 		}
-		list := d.postingList(l)
+		list := d.cellList(l)
 		for j := range list {
-			if list[j], err = d.posting(); err != nil {
+			col, row, err := d.location()
+			if err != nil {
 				return nil, err
 			}
+			list[j] = pack(col, row)
 		}
 		m[key] = list
 	}
@@ -298,20 +298,21 @@ func DecodeIndex(data []byte) (*Index, error) {
 		d.off += l
 	}
 
-	x := &Index{}
-	if x.postings, err = d.postingMap("postings"); err != nil {
+	d.b = newBuilder()
+	x := d.b.x
+	if x.postings, err = d.cellMap("postings"); err != nil {
 		return nil, err
 	}
-	if x.values, err = d.postingMap("values"); err != nil {
+	if x.values, err = d.cellMap("values"); err != nil {
 		return nil, err
 	}
 	nRaw, err := d.count("rawValue")
 	if err != nil {
 		return nil, err
 	}
-	x.rawValues = make(map[colKey][]string)
+	slots, maxSlots := 0, max(1<<20, 64*len(data))
 	for i := 0; i < nRaw; i++ {
-		p, err := d.posting()
+		col, row, err := d.location()
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +320,16 @@ func DecodeIndex(data []byte) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		x.setRaw(p, raw)
+		// A raw value costs a slot for every row up to its own, so a
+		// corrupt row number could ask for gigabytes; a real index, one
+		// slot per row up to its last non-empty cell, stays far below
+		// this budget.
+		if grow := row + 1 - len(x.rawValues[col]); grow > 0 {
+			if slots += grow; slots > maxSlots {
+				return nil, fmt.Errorf("invidx: raw values span more than %d rows", maxSlots)
+			}
+		}
+		d.b.setRaw(col, row, raw)
 	}
 	tokens, err := d.uvarint()
 	if err != nil {
@@ -329,5 +339,5 @@ func DecodeIndex(data []byte) (*Index, error) {
 		return nil, fmt.Errorf("invidx: token count %d exceeds limit", tokens)
 	}
 	x.tokens = int(tokens)
-	return x, nil
+	return d.b.finish(), nil
 }
