@@ -29,10 +29,11 @@ func New(db *backend.DB) *Executor { return &Executor{db: db} }
 // share an answer cache.
 func (e *Executor) Name() string { return "memory" }
 
-// Exec runs the statement in the engine.
-func (e *Executor) Exec(_ context.Context, sel *sqlast.Select) (*backend.Result, error) {
+// Exec runs the statement in the engine until it completes or ctx is
+// cancelled.
+func (e *Executor) Exec(ctx context.Context, sel *sqlast.Select) (*backend.Result, error) {
 	e.execs.Add(1)
-	return engine.Exec(e.db, sel)
+	return engine.ExecParams(ctx, e.db, sel, nil)
 }
 
 // prepared is the memory backend's prepared statement: the AST itself,
@@ -55,7 +56,7 @@ func (e *Executor) Prepare(_ context.Context, sel *sqlast.Select) (backend.Prepa
 }
 
 // ExecPrepared runs a prepared statement with eval-time bindings.
-func (e *Executor) ExecPrepared(_ context.Context, pq backend.PreparedQuery, args []backend.Value) (*backend.Result, error) {
+func (e *Executor) ExecPrepared(ctx context.Context, pq backend.PreparedQuery, args []backend.Value) (*backend.Result, error) {
 	p, ok := pq.(*prepared)
 	if !ok {
 		return nil, fmt.Errorf("memory: prepared statement belongs to another backend")
@@ -64,7 +65,7 @@ func (e *Executor) ExecPrepared(_ context.Context, pq backend.PreparedQuery, arg
 		return nil, fmt.Errorf("memory: %d argument(s) for %d placeholder(s)", len(args), len(p.names))
 	}
 	e.execs.Add(1)
-	return engine.ExecParams(e.db, p.sel, args)
+	return engine.ExecParams(ctx, e.db, p.sel, args)
 }
 
 // Catalog exposes the dataset's schema.

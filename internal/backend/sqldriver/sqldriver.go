@@ -146,12 +146,12 @@ func (c *conn) Prepare(query string) (driver.Stmt, error) {
 	return &stmt{c: c, query: query}, nil
 }
 
-func (c *conn) QueryContext(_ context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
-	return c.run(query, args)
+func (c *conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
+	return c.run(ctx, query, args)
 }
 
-func (c *conn) ExecContext(_ context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
-	rows, err := c.run(query, args)
+func (c *conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
+	rows, err := c.run(ctx, query, args)
 	if err != nil {
 		return nil, err
 	}
@@ -162,8 +162,9 @@ func (c *conn) ExecContext(_ context.Context, query string, args []driver.NamedV
 // run parses the statement text in the connection's dialect and executes
 // it against the shared instance. Arguments bind to the statement's
 // placeholders by ordinal (each ? is its own ordinal; $N binds argument
-// N), exactly as the engine evaluates Param nodes.
-func (c *conn) run(query string, args []driver.NamedValue) (driver.Rows, error) {
+// N), exactly as the engine evaluates Param nodes. A SELECT stops when ctx
+// is cancelled.
+func (c *conn) run(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
 	st, err := sqlparse.ParseStatementDialect(query, c.dialect)
 	if err != nil {
 		return nil, err
@@ -176,7 +177,7 @@ func (c *conn) run(query string, args []driver.NamedValue) (driver.Rows, error) 
 		}
 		c.inst.mu.RLock()
 		defer c.inst.mu.RUnlock()
-		res, err := engine.ExecParams(c.inst.db, st, params)
+		res, err := engine.ExecParams(ctx, c.inst.db, st, params)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -123,6 +124,33 @@ func TestSnippetRowsInvalidatedByFeedback(t *testing.T) {
 	}
 	if got := sys.ExecCount(); got == before {
 		t.Fatal("the re-computed snippet answer should have re-executed its SQL")
+	}
+}
+
+// TestCancelledSnippetsNotCached: a search whose snippet executions the
+// request's context cut short answers with the context's error, and
+// neither the analysis nor its rendered bytes are cached for the next
+// request.
+func TestCancelledSnippetsNotCached(t *testing.T) {
+	sys := newSys(t, Options{})
+	so := SearchOptions{Snippets: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := sys.SearchWithContext(ctx, "wealthy customers", so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := best(t, a).SnippetErr; got != context.Canceled.Error() {
+		t.Fatalf("SnippetErr = %q, want %q", got, context.Canceled)
+	}
+	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, renderSQLs); err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache holds %d entries after cancelled searches, want 0", st.Entries)
+	}
+	if sol := best(t, searchWith(t, sys, "wealthy customers", so)); sol.Snippet == nil {
+		t.Fatalf("next search: no snippet rows (error %q)", sol.SnippetErr)
 	}
 }
 

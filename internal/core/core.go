@@ -20,6 +20,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -440,6 +441,10 @@ type Solution struct {
 	// invalidates them together with the answer (same epoch).
 	Snippet    *backend.Result
 	SnippetErr string
+	// snippetCut marks a snippet execution ended by the request's context
+	// (cancelled or past its deadline): the error says nothing about the
+	// statement, so the answer must not be cached.
+	snippetCut bool
 
 	// Approved marks a solution drawn from the saved-query library
 	// (queries.go) rather than generated by the pipeline. QueryName is
@@ -664,6 +669,7 @@ func (s *System) snippetStep(ctx context.Context, sol *Solution) {
 	res, err := s.exec(ctx, sol, s.Opt.SnippetRows)
 	if err != nil {
 		sol.SnippetErr = err.Error()
+		sol.snippetCut = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		return
 	}
 	sol.Snippet = res

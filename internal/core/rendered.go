@@ -65,8 +65,15 @@ func (s *System) cacheLookup(q string, so SearchOptions, epoch uint64) (*Analysi
 // cacheStore files an analysis (and its rendered bytes, if any) under a
 // query text. The entry is stored under the analysis's epoch — the one
 // observed before the pipeline ran: if feedback raced in meanwhile the
-// entry is already stale and will never be served.
+// entry is already stale and will never be served. An analysis whose
+// snippet step the request's context cut short is not stored, or later
+// requests would be served the context's error.
 func (s *System) cacheStore(q string, so SearchOptions, a *Analysis, data []byte) {
+	for _, sol := range a.Solutions {
+		if sol.snippetCut {
+			return
+		}
+	}
 	sc := keyScratchPool.Get().(*keyScratch)
 	sc.buf = appendCacheKey(sc.buf[:0], q, s.searchDialect(so), so.Snippets, s.Backend.Name())
 	s.cache.store(sc.buf, a.Epoch, a, data)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"strings"
+	"context"
 
 	"soda/internal/sqlast"
 )
@@ -16,10 +16,6 @@ type aggState struct {
 	min   Value
 	max   Value
 	seen  bool
-}
-
-func newAggState(call *sqlast.FuncCall) *aggState {
-	return &aggState{call: call, isInt: true}
 }
 
 func (a *aggState) add(v Value) {
@@ -129,84 +125,85 @@ func collectAggCalls(sel *sqlast.Select) []*sqlast.FuncCall {
 	return calls
 }
 
-// aggregatePhase implements GROUP BY + aggregate evaluation: one output
-// row per group that passes HAVING, in order of first appearance.
-func (q *stmt) aggregatePhase(tuples []tuple) (*Result, error) {
+// group folds every pulled tuple into its GROUP BY group, in order of
+// first appearance, keeping a copy of the group's first tuple as its
+// representative. It then hands each group that passes HAVING to out, with
+// the group's aggregates bound, until out is done.
+func (q *stmt) group(ctx context.Context, out *projectSink) error {
 	sel := q.sel
-	aggCalls := collectAggCalls(sel)
-
+	calls := collectAggCalls(sel)
 	type group struct {
 		rep  tuple // representative tuple for group-by column values
-		aggs []*aggState
+		aggs []aggState
 	}
-	groups := make(map[string]*group)
-	var order []*group
-	newGroup := func(key string, rep tuple) *group {
-		g := &group{rep: rep, aggs: make([]*aggState, len(aggCalls))}
-		for i, call := range aggCalls {
-			g.aggs[i] = newAggState(call)
+	var groups []group
+	newGroup := func(rep tuple) {
+		g := group{rep: rep, aggs: make([]aggState, len(calls))}
+		for i, call := range calls {
+			g.aggs[i] = aggState{call: call, isInt: true}
 		}
-		groups[key] = g
-		order = append(order, g)
-		return g
+		groups = append(groups, g)
 	}
-
-	for _, tu := range tuples {
-		var kb strings.Builder
+	index := make(map[string]int)
+	var key []byte
+	err := q.pull(ctx, func(tu tuple) (bool, error) {
+		key = key[:0]
 		for _, e := range sel.GroupBy {
 			v, err := q.eval(e, tu)
 			if err != nil {
-				return nil, err
+				return true, err
 			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
+			key = append(v.appendKey(key), '\x1f')
 		}
-		k := kb.String()
-		g, ok := groups[k]
+		gi, ok := index[string(key)]
 		if !ok {
-			g = newGroup(k, tu)
+			gi = len(groups)
+			index[string(key)] = gi
+			newGroup(append(tuple(nil), tu...))
 		}
-		for i, call := range aggCalls {
+		for i, call := range calls {
 			v := Null() // count(*) counts the row whatever it holds
 			if !call.Star {
 				var err error
 				if v, err = q.eval(call.Args[0], tu); err != nil {
-					return nil, err
+					return true, err
 				}
 			}
-			g.aggs[i].add(v)
+			groups[gi].aggs[i].add(v)
 		}
+		return false, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// A global aggregate over zero rows still produces one group
 	// (e.g. SELECT count(*) FROM empty -> 0), evaluated on a tuple with
 	// every column NULL.
-	if len(sel.GroupBy) == 0 && len(order) == 0 {
-		newGroup("", q.blankTuple())
+	if len(sel.GroupBy) == 0 && len(groups) == 0 {
+		newGroup(q.blankTuple())
 	}
 
-	cols, evals := q.projection()
-	rows := make([]outRow, 0, len(order))
-	for _, g := range order {
-		q.aggs = make(map[*sqlast.FuncCall]Value, len(aggCalls))
-		for i, call := range aggCalls {
+	q.aggs = make(map[*sqlast.FuncCall]Value, len(calls))
+	for _, g := range groups {
+		if out.done() {
+			break
+		}
+		for i, call := range calls {
 			q.aggs[call] = g.aggs[i].result()
 		}
 		if sel.Having != nil {
 			ts, err := q.evalPred(sel.Having, g.rep)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ts != True {
 				continue
 			}
 		}
-		r, err := q.output(evals, g.rep)
-		if err != nil {
-			return nil, err
+		if _, err := out.add(g.rep); err != nil {
+			return err
 		}
-		rows = append(rows, r)
 	}
-	q.aggs = nil
-	return q.finish(cols, rows), nil
+	return nil
 }

@@ -523,3 +523,50 @@ func TestDateOfTruncates(t *testing.T) {
 		t.Fatalf("DateOf = %v", v.T)
 	}
 }
+
+func TestNonBooleanPredicates(t *testing.T) {
+	db := testDB()
+	for _, c := range []struct {
+		sql  string
+		want int
+	}{
+		{"SELECT id FROM parties WHERE 1", 4},
+		{"SELECT id FROM parties WHERE 0", 0},
+		{"SELECT id FROM parties WHERE 2.5", 4},
+		{"SELECT id FROM parties WHERE id - 1", 3},
+		{"SELECT id FROM parties WHERE kind", 4},
+		{"SELECT id FROM parties WHERE ''", 0},
+		{"SELECT id FROM individuals WHERE birthday", 2},
+		{"SELECT id FROM fi_transactions WHERE amount", 3}, // NULL is unknown
+		{"SELECT id FROM fi_transactions WHERE NOT amount", 0},
+		{"SELECT p.id FROM parties p, organizations o WHERE p.id = o.id AND (o.id - 3 OR 0)", 1},
+	} {
+		if got := mustExec(t, db, c.sql).NumRows(); got != c.want {
+			t.Errorf("%s: %d rows, want %d", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestLimitStopsEvaluation: a LIMIT without ORDER BY stops the pull, so a
+// value that would fail to evaluate past it never is (as in Postgres and
+// MySQL); with ORDER BY every row is evaluated and the error stands.
+func TestLimitStopsEvaluation(t *testing.T) {
+	db := testDB()
+	for sql, want := range map[string]int{
+		"SELECT year(kind) FROM parties LIMIT 0": 0,
+		// The residual fails only on the pair p.id = o.id, after the first.
+		"SELECT p.id FROM parties p, organizations o WHERE p.id <> o.id OR p.kind + 1 > 0 LIMIT 1": 1,
+	} {
+		if got := mustExec(t, db, sql).NumRows(); got != want {
+			t.Errorf("%s: %d rows, want %d", sql, got, want)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT year(kind) FROM parties ORDER BY id LIMIT 0",
+		"SELECT p.id FROM parties p, organizations o WHERE p.id <> o.id OR p.kind + 1 > 0",
+	} {
+		if _, err := Exec(db, sqlparse.MustParse(sql)); err == nil {
+			t.Errorf("%s: want the year() error", sql)
+		}
+	}
+}

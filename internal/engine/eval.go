@@ -311,16 +311,22 @@ func (c *evalCtx) evalPred(e sqlast.Expr, tu tuple) (Tristate, error) {
 	}
 }
 
+// truthy reads a value in predicate position. A non-boolean there only
+// arises in hand-written queries: nonzero numbers, non-empty strings and
+// dates are true.
 func truthy(v Value) Tristate {
 	switch v.Kind {
 	case KNull:
 		return Unknown
 	case KBool:
 		return tristate(v.B)
+	case KInt, KFloat:
+		f, _ := v.numeric()
+		return tristate(f != 0)
+	case KString:
+		return tristate(v.S != "")
 	default:
-		// Non-boolean in predicate position: treat nonzero/nonempty as
-		// true, which only arises in malformed queries.
-		return tristate(v.Key() != Int(0).Key() && v.S != "")
+		return True
 	}
 }
 

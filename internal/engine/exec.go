@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"soda/internal/sqlast"
 )
@@ -19,7 +22,7 @@ func (r *Result) NumRows() int { return len(r.Rows) }
 
 // RowKey returns a canonical encoding of row i for set comparison
 // (precision/recall against gold standards compares tuples as sets).
-func (r *Result) RowKey(i int) string { return rowKey(r.Rows[i]) }
+func (r *Result) RowKey(i int) string { return string(appendRowKey(nil, r.Rows[i])) }
 
 // KeySet returns the set of row keys with multiplicity collapsed.
 func (r *Result) KeySet() map[string]struct{} {
@@ -32,7 +35,7 @@ func (r *Result) KeySet() map[string]struct{} {
 
 // Exec executes a SELECT against the database.
 func Exec(db *DB, sel *sqlast.Select) (*Result, error) {
-	return ExecParams(db, sel, nil)
+	return ExecParams(context.Background(), db, sel, nil)
 }
 
 // ExecParams executes a SELECT that may contain parameter placeholders
@@ -40,22 +43,31 @@ func Exec(db *DB, sel *sqlast.Select) (*Result, error) {
 // value of binding ordinal i+1. Placeholders are never substituted into
 // the statement — they evaluate like literals against the binding slice,
 // so the same prepared AST runs repeatedly with different arguments.
-func ExecParams(db *DB, sel *sqlast.Select, params []Value) (*Result, error) {
+//
+// Rows are pulled through the joins one at a time. When the statement has
+// no ORDER BY and no aggregation, the pull stops at LIMIT: rows past it
+// are never evaluated and cannot fail the statement. A cancelled ctx ends
+// the execution with ctx.Err().
+func ExecParams(ctx context.Context, db *DB, sel *sqlast.Select, params []Value) (*Result, error) {
 	q, err := compile(db, sel, params)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.scan(); err != nil {
+	if err := q.scan(ctx); err != nil {
 		return nil, err
 	}
-	tuples, err := q.join()
+	cols, evals := q.projection()
+	out := &projectSink{q: q, evals: evals, seen: map[string]bool{}}
+	switch {
+	case q.aggregate:
+		err = q.group(ctx, out)
+	case !out.done():
+		err = q.pull(ctx, out.add)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if q.aggregate {
-		return q.aggregatePhase(tuples)
-	}
-	return q.projectPhase(tuples)
+	return out.result(cols), nil
 }
 
 // stmt is a bound statement: the FROM relations with their pushed-down
@@ -200,11 +212,19 @@ func classify(ctx *evalCtx, e sqlast.Expr) plannedConjunct {
 }
 
 // scan fills every relation's candidate rows: those its pushed-down
-// filters accept.
-func (q *stmt) scan() error {
+// filters accept. An unfiltered relation keeps every row and shares the
+// row list of rowIDs.
+func (q *stmt) scan(ctx context.Context) error {
+	probe := q.blankTuple()
 	for ri := range q.rels {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		rel := &q.rels[ri]
-		probe := q.blankTuple()
+		if len(rel.filters) == 0 {
+			rel.rows = rowIDs(len(rel.tbl.Rows))
+			continue
+		}
 		for i := range rel.tbl.Rows {
 			probe[ri] = i
 			ok, err := q.all(rel.filters, probe)
@@ -217,6 +237,24 @@ func (q *stmt) scan() error {
 		}
 	}
 	return nil
+}
+
+// identity holds 0, 1, 2, ...: every unfiltered scan keeps a prefix of it.
+// A scan that finds it too short stores a longer one; all lists agree on
+// their common prefix, so scans racing to grow it need no lock.
+var identity atomic.Pointer[[]int]
+
+// rowIDs returns the row indices 0..n-1, shared and read-only.
+func rowIDs(n int) []int {
+	if ids := identity.Load(); ids != nil && len(*ids) >= n {
+		return (*ids)[:n:n]
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	identity.Store(&ids)
+	return ids
 }
 
 // joinStep attaches one relation to the joined set: by hash join on the
@@ -295,110 +333,185 @@ func connected(equi []plannedConjunct, joined []bool, ri int) bool {
 	return false
 }
 
-// join materialises the joined tuples by walking joinOrder's steps, then
-// applies the residual conjuncts to them.
-func (q *stmt) join() ([]tuple, error) {
+// pull walks joinOrder's steps depth first over one reused tuple and hands
+// every complete tuple that passes the residual conjuncts to sink. The
+// order is the one a breadth-first join of the same steps emits: the start
+// relation's rows in scanned order, each extended by its matches in
+// scanned-row order. The walk ends when sink reports done, on the first
+// error, or when ctx is cancelled; ctx is checked every 1,024 tuples.
+func (q *stmt) pull(ctx context.Context, sink func(tuple) (done bool, err error)) error {
 	start, steps := q.joinOrder()
-	var tuples []tuple
-	for _, ri := range q.rels[start].rows {
-		tu := q.blankTuple()
-		tu[start] = ri
-		tuples = append(tuples, tu)
-	}
+	levels := []level{{rel: start}}
 	for _, st := range steps {
-		if st.cross() {
-			tuples = q.crossJoin(tuples, st.rel)
-		} else {
-			tuples = q.hashJoin(tuples, st)
-		}
+		levels = append(levels, q.level(st))
 	}
-	if len(q.residual) == 0 {
-		return tuples, nil
-	}
-	var out []tuple
-	for _, tu := range tuples {
-		ok, err := q.all(q.residual, tu)
-		if err != nil {
-			return nil, err
+	tu, pulled := q.blankTuple(), 0
+	// walk fills slot d of tu with each row that matches the slots before
+	// it and recurses; it reports true when the pull is over.
+	var walk func(d int) (bool, error)
+	walk = func(d int) (bool, error) {
+		if d == len(levels) {
+			if ok, err := q.all(q.residual, tu); !ok {
+				return err != nil, err
+			}
+			return sink(tu)
 		}
-		if ok {
-			out = append(out, tu)
+		lv := &levels[d]
+		rows := q.rels[lv.rel].rows
+		i := int32(0)
+		if lv.head != nil {
+			k, ok := q.joinKey(tu, lv.probe)
+			if !ok {
+				return false, nil
+			}
+			i = lv.head[k] - 1
 		}
+		for i >= 0 && int(i) < len(rows) {
+			tu[lv.rel] = rows[i]
+			if pulled++; pulled%1024 == 0 {
+				if err := ctx.Err(); err != nil {
+					return true, err
+				}
+			}
+			if done, err := walk(d + 1); done {
+				return true, err
+			}
+			if lv.head == nil {
+				i++
+			} else {
+				i = lv.next[i] - 1
+			}
+		}
+		return false, nil
 	}
-	return out, nil
+	_, err := walk(0)
+	return err
 }
 
-// hashJoin builds a hash table over the step relation's scanned rows and
-// probes it with the joined tuples, in their order.
-func (q *stmt) hashJoin(tuples []tuple, st joinStep) []tuple {
-	rel := &q.rels[st.rel]
-	build := make(map[string][]int, len(rel.rows))
+// level is one step of the walk. A hash step indexes the step relation's
+// scanned rows by their key: head maps a key to 1 + the first position in
+// rel.rows holding it, and next maps each position to 1 + the following
+// one, 0 ending the chain. A level without keys visits every scanned row.
+type level struct {
+	rel   int
+	probe []colLoc // key columns in the relations joined before this level
+	head  map[joinKey]int32
+	next  []int32
+}
+
+// level builds the hash index of a join step; a cross step needs none.
+func (q *stmt) level(st joinStep) level {
+	lv := level{rel: st.rel, probe: st.probe}
+	if st.cross() {
+		return lv
+	}
+	rows := q.rels[st.rel].rows
+	lv.head, lv.next = make(map[joinKey]int32, len(rows)), make([]int32, len(rows))
 	probe := q.blankTuple()
-	for _, ri := range rel.rows {
-		probe[st.rel] = ri
+	// Linking back to front leaves every chain in scanned-row order.
+	for i := len(rows) - 1; i >= 0; i-- {
+		probe[st.rel] = rows[i]
 		if k, ok := q.joinKey(probe, st.build); ok {
-			build[k] = append(build[k], ri)
+			lv.next[i] = lv.head[k]
+			lv.head[k] = int32(i) + 1
 		}
 	}
-	var out []tuple
-	for _, tu := range tuples {
-		k, ok := q.joinKey(tu, st.probe)
-		if !ok {
-			continue
-		}
-		for _, ri := range build[k] {
-			out = append(out, extend(tu, st.rel, ri))
-		}
-	}
-	return out
+	return lv
 }
 
-// joinKey encodes the values at locs as one hash key; ok is false when
-// any of them is NULL, which never equi-joins.
-func (q *stmt) joinKey(tu tuple, locs []colLoc) (key string, ok bool) {
-	var kb strings.Builder
+// joinKey is a hash-join key. Two keys are equal exactly when the Value.Key
+// strings of the values they encode are equal: numbers by float64 value
+// (so 0 and -0 differ and every NaN is one key), dates by day. A key over
+// several columns is their Value.Key strings joined, with kind KNull.
+type joinKey struct {
+	kind ValueKind
+	n    uint64
+	s    string
+}
+
+// joinKey encodes the values at locs; ok is false when any of them is
+// NULL, which never equi-joins.
+func (q *stmt) joinKey(tu tuple, locs []colLoc) (joinKey, bool) {
+	var b []byte
 	for _, loc := range locs {
 		v := q.value(tu, loc)
 		if v.IsNull() {
-			return "", false
+			return joinKey{}, false
 		}
-		kb.WriteString(v.Key())
-		kb.WriteByte('\x1f')
+		if len(locs) == 1 {
+			return keyOf(v), true
+		}
+		b = append(v.appendKey(b), '\x1f')
 	}
-	return kb.String(), true
+	return joinKey{s: string(b)}, true
 }
 
-func (q *stmt) crossJoin(tuples []tuple, next int) []tuple {
-	rel := &q.rels[next]
-	out := make([]tuple, 0, len(tuples)*max(1, len(rel.rows)))
-	for _, tu := range tuples {
-		for _, ri := range rel.rows {
-			out = append(out, extend(tu, next, ri))
+func keyOf(v Value) joinKey {
+	switch v.Kind {
+	case KString:
+		return joinKey{kind: KString, s: v.S}
+	case KInt, KFloat:
+		f, _ := v.numeric()
+		if f != f {
+			f = math.NaN()
 		}
+		return joinKey{kind: KFloat, n: math.Float64bits(f)}
+	case KDate:
+		y, m, d := v.T.Date()
+		return joinKey{kind: KDate, n: uint64(y)<<9 | uint64(m)<<5 | uint64(d)}
 	}
-	return out
+	return joinKey{kind: v.Kind, s: v.Key()}
 }
 
-// extend copies tu with relation rel's row set to ri.
-func extend(tu tuple, rel, ri int) tuple {
-	ntu := make(tuple, len(tu))
-	copy(ntu, tu)
-	ntu[rel] = ri
-	return ntu
+// projectSink evaluates the select list of every tuple handed to it.
+// DISTINCT keeps first occurrences. Without ORDER BY the sink is done at
+// LIMIT, so nothing past it is evaluated; with one, result sorts the kept
+// rows stably and then cuts.
+type projectSink struct {
+	q     *stmt
+	evals []func(tuple) (Value, error)
+	rows  []outRow
+	seen  map[string]bool // DISTINCT row keys
+	key   []byte
 }
 
-// projectPhase evaluates the select list for non-aggregated queries.
-func (q *stmt) projectPhase(tuples []tuple) (*Result, error) {
-	cols, evals := q.projection()
-	rows := make([]outRow, 0, len(tuples))
-	for _, tu := range tuples {
-		r, err := q.output(evals, tu)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
+func (s *projectSink) done() bool {
+	sel := s.q.sel
+	return len(sel.OrderBy) == 0 && sel.Limit >= 0 && len(s.rows) >= sel.Limit
+}
+
+func (s *projectSink) add(tu tuple) (bool, error) {
+	r, err := s.q.output(s.evals, tu)
+	if err != nil {
+		return true, err
 	}
-	return q.finish(cols, rows), nil
+	if s.q.sel.Distinct {
+		s.key = appendRowKey(s.key[:0], r.row)
+		if s.seen[string(s.key)] {
+			return false, nil
+		}
+		s.seen[string(s.key)] = true
+	}
+	s.rows = append(s.rows, r)
+	return s.done(), nil
+}
+
+// result applies ORDER BY and LIMIT to the kept rows.
+func (s *projectSink) result(cols []string) *Result {
+	sel, rows := s.q.sel, s.rows
+	if len(sel.OrderBy) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			return lessKeys(rows[i].keys, rows[j].keys, sel.OrderBy)
+		})
+	}
+	if sel.Limit >= 0 && len(rows) > sel.Limit {
+		rows = rows[:sel.Limit]
+	}
+	res := &Result{Columns: cols}
+	for _, r := range rows {
+		res.Rows = append(res.Rows, r.row)
+	}
+	return res
 }
 
 // outRow is one evaluated result row with its ORDER BY keys.
@@ -422,38 +535,6 @@ func (q *stmt) output(evals []func(tuple) (Value, error), tu tuple) (outRow, err
 		}
 	}
 	return r, nil
-}
-
-// finish applies DISTINCT, ORDER BY and LIMIT, in that order, to the
-// evaluated rows of either phase.
-func (q *stmt) finish(cols []string, rows []outRow) *Result {
-	sel := q.sel
-	if sel.Distinct {
-		seen := make(map[string]bool, len(rows))
-		kept := rows[:0]
-		for _, r := range rows {
-			k := rowKey(r.row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, r)
-		}
-		rows = kept
-	}
-	if len(sel.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return lessKeys(rows[i].keys, rows[j].keys, sel.OrderBy)
-		})
-	}
-	if sel.Limit >= 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
-	}
-	res := &Result{Columns: cols}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.row)
-	}
-	return res
 }
 
 // projection returns the output column names and per-tuple evaluators.
@@ -500,12 +581,15 @@ func (q *stmt) projection() ([]string, []func(tuple) (Value, error)) {
 	return cols, evals
 }
 
-func rowKey(row []Value) string {
-	parts := make([]string, len(row))
+// appendRowKey appends the values' Key strings to dst, separated by 0x1f.
+func appendRowKey(dst []byte, row []Value) []byte {
 	for i, v := range row {
-		parts[i] = v.Key()
+		if i > 0 {
+			dst = append(dst, '\x1f')
+		}
+		dst = v.appendKey(dst)
 	}
-	return strings.Join(parts, "\x1f")
+	return dst
 }
 
 // lessKeys orders rows by the ORDER BY keys; NULLs sort last in ascending

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -100,7 +101,7 @@ func Explain(db *DB, sel *sqlast.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := q.scan(); err != nil {
+	if err := q.scan(context.Background()); err != nil {
 		return nil, err
 	}
 	plan := &Plan{

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -99,20 +100,24 @@ func (v Value) String() string {
 		return "NULL"
 	case KString:
 		return v.S
-	case KInt:
-		return fmt.Sprintf("%d", v.I)
-	case KFloat:
-		return fmt.Sprintf("%g", v.F)
-	case KDate:
-		return v.T.Format("2006-01-02")
-	case KBool:
-		if v.B {
-			return "true"
-		}
-		return "false"
-	default:
-		return "?"
 	}
+	var buf [32]byte
+	return string(v.appendScalar(buf[:0]))
+}
+
+// appendScalar appends the display form of a number, a date or a bool.
+func (v Value) appendScalar(dst []byte) []byte {
+	switch v.Kind {
+	case KBool:
+		return strconv.AppendBool(dst, v.B)
+	case KInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KDate:
+		return v.T.AppendFormat(dst, "2006-01-02")
+	}
+	return append(dst, '?')
 }
 
 // Key returns a canonical encoding used for grouping and set comparison.
@@ -120,25 +125,29 @@ func (v Value) String() string {
 // that ints and floats representing the same number compare equal, matching
 // SQL numeric comparison semantics.
 func (v Value) Key() string {
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends v.Key() to dst.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KNull:
-		return "n:"
+		return append(dst, "n:"...)
 	case KString:
-		return "s:" + v.S
-	case KInt:
-		return fmt.Sprintf("f:%g", float64(v.I))
-	case KFloat:
-		return fmt.Sprintf("f:%g", v.F)
+		return append(append(dst, "s:"...), v.S...)
+	case KInt, KFloat:
+		f, _ := v.numeric()
+		return strconv.AppendFloat(append(dst, "f:"...), f, 'g', -1, 64)
 	case KDate:
-		return "d:" + v.T.Format("2006-01-02")
+		return v.appendScalar(append(dst, "d:"...))
 	case KBool:
 		if v.B {
-			return "b:1"
+			return append(dst, "b:1"...)
 		}
-		return "b:0"
-	default:
-		return "?"
+		return append(dst, "b:0"...)
 	}
+	return append(dst, '?')
 }
 
 // numeric returns the value as float64 if it is numeric.

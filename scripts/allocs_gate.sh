@@ -19,10 +19,13 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-# workload=reference: server_allocs_per_op at commit 90885ae, median of
-# three runs of this script's own command (2 cores, go1.24.0 linux/amd64;
-# the runs spread by 0.3%, 0.8%, 2.4% and 2.4% of the median).
-refs="explore_hot=49.7 adhoc_cold=640 snippet_exec=40028 feedback_mix=174.2"
+# workload=reference: server_allocs_per_op, median of three runs of this
+# script's own command (2 cores, go1.24.0 linux/amd64). explore_hot,
+# adhoc_cold and feedback_mix were measured at commit 4219591 (the runs
+# spread by 0.15%, 1.3% and 1.6% of the median); snippet_exec on its
+# child, the commit that made the engine's executor pull-based and stop
+# at LIMIT (spread 0.4%; it was ~40,000 at 4219591).
+refs="explore_hot=49.4 adhoc_cold=380 snippet_exec=955 feedback_mix=108.0"
 
 limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0
