@@ -371,7 +371,15 @@ type Join struct {
 }
 
 func (j Join) String() string {
-	return fmt.Sprintf("%s.%s = %s.%s [%s]", j.LeftTable, j.LeftCol, j.RightTable, j.RightCol, j.Via)
+	var buf [96]byte
+	return string(j.Append(buf[:0]))
+}
+
+// Append appends String() to dst: "l.c = r.c [via]".
+func (j Join) Append(dst []byte) []byte {
+	dst = append(append(append(dst, j.LeftTable...), '.'), j.LeftCol...)
+	dst = append(append(append(append(dst, " = "...), j.RightTable...), '.'), j.RightCol...)
+	return append(append(append(dst, " ["...), j.Via...), ']')
 }
 
 // Filter is one WHERE condition. Source records provenance: "input" (an
@@ -389,10 +397,21 @@ type Filter struct {
 }
 
 func (f Filter) String() string {
+	var buf [96]byte
+	return string(f.Append(buf[:0]))
+}
+
+// Append appends String() to dst: "t.c op value [source]", or
+// "t.c BETWEEN value AND value2 [source]".
+func (f Filter) Append(dst []byte) []byte {
+	dst = append(append(append(dst, f.Col.Table...), '.'), f.Col.Column...)
 	if f.Op == "between" {
-		return fmt.Sprintf("%s BETWEEN %s AND %s [%s]", f.Col, f.Value, f.Value2, f.Source)
+		dst = append(append(append(dst, " BETWEEN "...), f.Value...), " AND "...)
+		dst = append(dst, f.Value2...)
+	} else {
+		dst = append(append(append(append(dst, ' '), f.Op...), ' '), f.Value...)
 	}
-	return fmt.Sprintf("%s %s %s [%s]", f.Col, f.Op, f.Value, f.Source)
+	return append(append(append(dst, " ["...), f.Source...), ']')
 }
 
 // Agg is a resolved aggregate; a nil Col means count(*).
@@ -463,6 +482,14 @@ func (s *Solution) SQLText() string {
 		return ""
 	}
 	return s.SQL.Render(s.dialect())
+}
+
+// AppendSQL appends SQLText() to dst.
+func (s *Solution) AppendSQL(dst []byte) []byte {
+	if s.SQL == nil {
+		return dst
+	}
+	return s.SQL.AppendRender(dst, s.dialect())
 }
 
 func (s *Solution) dialect() *sqlast.Dialect {

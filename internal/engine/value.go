@@ -105,6 +105,17 @@ func (v Value) String() string {
 	return string(v.appendScalar(buf[:0]))
 }
 
+// AppendString appends String() to dst.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Kind {
+	case KNull:
+		return append(dst, "NULL"...)
+	case KString:
+		return append(dst, v.S...)
+	}
+	return v.appendScalar(dst)
+}
+
 // appendScalar appends the display form of a number, a date or a bool.
 func (v Value) appendScalar(dst []byte) []byte {
 	switch v.Kind {

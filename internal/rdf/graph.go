@@ -193,13 +193,29 @@ func (g *Graph) Objects(s, p Term) []Term {
 }
 
 // Object returns the first object o with (s, p, o) in the graph and whether
-// one exists. Useful for functional predicates like "tablename".
+// one exists. Useful for functional predicates like "tablename". It walks
+// the adjacency to the first match, so it never allocates.
 func (g *Graph) Object(s, p Term) (Term, bool) {
-	objs := g.Objects(s, p)
-	if len(objs) == 0 {
+	sid, pid := g.dict.Lookup(s), g.dict.Lookup(p)
+	if sid == NoID || pid == NoID {
 		return Term{}, false
 	}
-	return objs[0], true
+	a := adj(g.out, sid)
+	if a == nil {
+		return Term{}, false
+	}
+	if a.byPred != nil {
+		if ends := a.byPred[pid]; len(ends) > 0 {
+			return g.dict.Term(ends[0]), true
+		}
+		return Term{}, false
+	}
+	for _, e := range a.edges {
+		if e.pred == pid {
+			return g.dict.Term(e.end), true
+		}
+	}
+	return Term{}, false
 }
 
 // Subjects returns all subjects s such that (s, p, o) is in the graph, in

@@ -114,11 +114,11 @@ func TestSearchMarksApprovedAnswers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	var approved *SearchResult
+	var approved *searchResult
 	for i := range sr.Results {
 		if sr.Results[i].Approved {
 			approved = &sr.Results[i]

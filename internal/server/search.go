@@ -29,38 +29,8 @@ type SearchRequest struct {
 	Dialect  string `json:"dialect,omitempty"`
 }
 
-// SearchResult is one ranked statement. Approved marks a result resolved
-// from the saved-query library: QueryName is the library key, SQL shows
-// the parameterized statement, and Params carries the values bound from
-// the search input (or defaults) — execution binds them through prepared
-// statements, never into the SQL text.
-type SearchResult struct {
-	Index        int                 `json:"index"`
-	SQL          string              `json:"sql"`
-	Score        float64             `json:"score"`
-	Tables       []string            `json:"tables"`
-	FromTables   []string            `json:"from_tables"`
-	Joins        []string            `json:"joins,omitempty"`
-	Filters      []string            `json:"filters,omitempty"`
-	Disconnected bool                `json:"disconnected,omitempty"`
-	Approved     bool                `json:"approved,omitempty"`
-	QueryName    string              `json:"query_name,omitempty"`
-	Params       []soda.ParamBinding `json:"params,omitempty"`
-	Snippet      *RowsJSON           `json:"snippet,omitempty"`
-	SnippetError string              `json:"snippet_error,omitempty"`
-}
-
-// SearchResponse is the full answer for one query.
-type SearchResponse struct {
-	Query      string         `json:"query"`
-	Complexity int            `json:"complexity"`
-	Terms      []string       `json:"terms"`
-	Ignored    []string       `json:"ignored,omitempty"`
-	Results    []SearchResult `json:"results"`
-}
-
-// RowsJSON is a materialised result; values are rendered as strings the
-// way the CLI prints them.
+// RowsJSON is a materialised /sql result; values are rendered as strings
+// the way the CLI prints them. A /search snippet has the same shape.
 type RowsJSON struct {
 	Columns  []string   `json:"columns"`
 	Rows     [][]string `json:"rows"`
@@ -97,23 +67,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The hot path: a repeat of an already-rendered query returns the
-	// cached response bytes — no pipeline, no re-marshal, zero core
-	// allocations — while a miss renders through searchResponse and caches
-	// the bytes for the next repeat. Dialect validation happens inside;
-	// an unknown name surfaces as a 400 through the normal error path.
+	// cached response bytes — no pipeline, no re-encode, zero core
+	// allocations — while a miss renders the body straight from the
+	// analysis and caches it for the next repeat. Dialect validation
+	// happens inside; an unknown name surfaces as a 400 through the normal
+	// error path.
 	info := requestInfoFrom(r)
 	info.setDialect(req.Dialect)
 	info.setQuery(req.Query)
 	start := time.Now()
-	data, hit, err := s.sys.SearchRenderedContext(r.Context(), req.Query, soda.SearchOptions{
+	data, hit, err := s.sys.SearchJSONContext(r.Context(), req.Query, soda.SearchOptions{
 		Dialect:  req.Dialect,
 		Snippets: req.Snippets,
-	}, func(ans *soda.Answer) ([]byte, error) {
-		addPipelineSpans(&info.tr, ans.Timings())
-		if len(ans.Results) > 0 {
-			info.setSQL(ans.Results[0].SQL)
+	}, func(t soda.Timings, topSQL string) {
+		addPipelineSpans(&info.tr, t)
+		if topSQL != "" {
+			info.setSQL(topSQL)
 		}
-		return encodeJSON(searchResponse(req, ans))
 	})
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
@@ -145,44 +115,6 @@ func addPipelineSpans(tr *obs.Trace, t soda.Timings) {
 	if t.Snippet > 0 {
 		tr.Add("snippet", t.Snippet)
 	}
-}
-
-// searchResponse builds the /search response shape for one answer.
-func searchResponse(req SearchRequest, ans *soda.Answer) SearchResponse {
-	resp := SearchResponse{
-		Query:      req.Query,
-		Complexity: ans.Complexity,
-		Terms:      ans.Terms,
-		Ignored:    ans.Ignored,
-		Results:    make([]SearchResult, 0, len(ans.Results)),
-	}
-	for i, res := range ans.Results {
-		sr := SearchResult{
-			Index:        i,
-			SQL:          res.SQL,
-			Score:        res.Score,
-			Tables:       res.Tables,
-			FromTables:   res.FromTables,
-			Joins:        res.Joins,
-			Filters:      res.Filters,
-			Disconnected: res.Disconnected,
-			Approved:     res.Approved,
-			QueryName:    res.QueryName,
-			Params:       res.Params,
-		}
-		if req.Snippets {
-			// Snippet rows were executed with the pipeline and live in
-			// the answer cache; a cache hit serves them without touching
-			// the engine.
-			if res.SnippetRows != nil {
-				sr.Snippet = rowsJSON(res.SnippetRows)
-			} else {
-				sr.SnippetError = res.SnippetError
-			}
-		}
-		resp.Results = append(resp.Results, sr)
-	}
-	return resp
 }
 
 // --- /sql -------------------------------------------------------------

@@ -42,6 +42,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -245,10 +246,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w}
 	ctx := context.WithValue(r.Context(), reqInfoKey{}, info)
 	ctx = obs.ContextWithActive(ctx, &info.active)
-	s.mux.ServeHTTP(sw, r.WithContext(ctx))
+	panicked := s.serveRecovered(sw, r.WithContext(ctx))
 
 	status := sw.status
-	if status == 0 {
+	switch {
+	case panicked:
+		status = http.StatusInternalServerError
+	case status == 0:
 		status = http.StatusOK // handler wrote nothing: net/http sends 200
 	}
 	info.mu.Lock()
@@ -274,6 +278,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.accessLog != nil {
 		s.accessLog.write(&sample, sw.bytes)
 	}
+}
+
+// serveRecovered routes one request and turns a handler panic — including
+// one parallelDo re-panics from a pipeline worker — into a 500 with the
+// JSON error envelope, if nothing was written yet, and a log line with
+// the stack. It reports whether the handler panicked, so the request is
+// recorded as a 500 either way. http.ErrAbortHandler is re-panicked: it
+// is net/http's signal to abort the response.
+func (s *Server) serveRecovered(w *statusWriter, r *http.Request) (panicked bool) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		panicked = true
+		s.log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+		if w.status == 0 {
+			s.writeError(w, r, http.StatusInternalServerError, errors.New("internal error"))
+		}
+	}()
+	s.mux.ServeHTTP(w, r)
+	return false
 }
 
 // slowQueryLine is one structured slow-query log record, emitted through

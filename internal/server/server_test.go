@@ -26,6 +26,32 @@ func sharedSys() *soda.System {
 	return testSys
 }
 
+// searchBody decodes a /search response.
+type searchBody struct {
+	Query      string         `json:"query"`
+	Complexity int            `json:"complexity"`
+	Terms      []string       `json:"terms"`
+	Ignored    []string       `json:"ignored"`
+	Results    []searchResult `json:"results"`
+}
+
+// searchResult is one ranked statement of a /search response.
+type searchResult struct {
+	Index        int                 `json:"index"`
+	SQL          string              `json:"sql"`
+	Score        float64             `json:"score"`
+	Tables       []string            `json:"tables"`
+	FromTables   []string            `json:"from_tables"`
+	Joins        []string            `json:"joins"`
+	Filters      []string            `json:"filters"`
+	Disconnected bool                `json:"disconnected"`
+	Approved     bool                `json:"approved"`
+	QueryName    string              `json:"query_name"`
+	Params       []soda.ParamBinding `json:"params"`
+	Snippet      *RowsJSON           `json:"snippet"`
+	SnippetError string              `json:"snippet_error"`
+}
+
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(New(sharedSys()))
@@ -87,7 +113,7 @@ func TestSearchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +142,7 @@ func TestSearchSnippets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +263,7 @@ func TestFeedbackBySQL(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status = %d", resp.StatusCode)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +370,7 @@ func TestSearchDialect(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +388,7 @@ func TestSearchDialect(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var mr SearchResponse
+	var mr searchBody
 	if err := json.Unmarshal(body, &mr); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +445,7 @@ func TestSnippetsServedFromCache(t *testing.T) {
 	if got := sharedSys().ExecCount(); got != before {
 		t.Fatalf("cached snippet search executed %d statement(s), want 0", got-before)
 	}
-	var sr SearchResponse
+	var sr searchBody
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

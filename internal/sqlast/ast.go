@@ -7,9 +7,9 @@
 package sqlast
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -192,13 +192,13 @@ func (*Literal) exprNode() {}
 
 func (l *Literal) String() string { return RenderExpr(l, Generic) }
 
-// render writes the literal in the dialect's idiom.
-func (l *Literal) render(b *strings.Builder, d *Dialect) {
+// appendTo appends the literal in the dialect's idiom.
+func (l *Literal) appendTo(dst []byte, d *Dialect) []byte {
 	switch l.Kind {
 	case LitString:
-		b.WriteString(d.StringLiteral(l.S))
+		return d.appendStringLiteral(dst, l.S)
 	case LitInt:
-		fmt.Fprintf(b, "%d", l.I)
+		return strconv.AppendInt(dst, l.I, 10)
 	case LitFloat:
 		// Plain decimal notation with a forced decimal point: the SQL
 		// lexer has no exponent syntax (so %g's "1e+06" would not
@@ -206,20 +206,20 @@ func (l *Literal) render(b *strings.Builder, d *Dialect) {
 		// text (it may overflow int64 on reparse), and negative zero
 		// normalises to "0.0".
 		if l.F == 0 {
-			b.WriteString("0.0")
-			return
+			return append(dst, "0.0"...)
 		}
-		s := strconv.FormatFloat(l.F, 'f', -1, 64)
-		if !strings.ContainsAny(s, ".") {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, l.F, 'f', -1, 64)
+		if bytes.IndexByte(dst[start:], '.') < 0 {
+			dst = append(dst, ".0"...)
 		}
-		b.WriteString(s)
+		return dst
 	case LitDate:
-		b.WriteString(d.dateLiteral(l.T))
+		return d.appendDateLiteral(dst, l.T)
 	case LitBool:
-		b.WriteString(d.boolLiteral(l.B))
+		return append(dst, d.boolLiteral(l.B)...)
 	default:
-		b.WriteString("NULL")
+		return append(dst, "NULL"...)
 	}
 }
 
@@ -372,17 +372,20 @@ type SelectItem struct {
 func (s SelectItem) String() string { return s.Render(Generic) }
 
 // Render renders the projection in the dialect.
-func (s SelectItem) Render(d *Dialect) string {
+func (s SelectItem) Render(d *Dialect) string { return string(s.appendTo(nil, d)) }
+
+func (s SelectItem) appendTo(dst []byte, d *Dialect) []byte {
 	if s.Star {
 		if s.Table != "" {
-			return d.Ident(s.Table) + ".*"
+			dst = append(d.appendIdent(dst, s.Table), '.')
 		}
-		return "*"
+		return append(dst, '*')
 	}
+	dst = appendExpr(dst, s.Expr, d)
 	if s.Alias != "" {
-		return RenderExpr(s.Expr, d) + " AS " + d.Ident(s.Alias)
+		dst = d.appendIdent(append(dst, " AS "...), s.Alias)
 	}
-	return RenderExpr(s.Expr, d)
+	return dst
 }
 
 // TableRef is one entry of the FROM list.
@@ -394,11 +397,14 @@ type TableRef struct {
 func (t TableRef) String() string { return t.Render(Generic) }
 
 // Render renders the FROM entry in the dialect.
-func (t TableRef) Render(d *Dialect) string {
+func (t TableRef) Render(d *Dialect) string { return string(t.appendTo(nil, d)) }
+
+func (t TableRef) appendTo(dst []byte, d *Dialect) []byte {
+	dst = d.appendIdent(dst, t.Table)
 	if t.Alias != "" {
-		return d.Ident(t.Table) + " " + d.Ident(t.Alias)
+		dst = d.appendIdent(append(dst, ' '), t.Alias)
 	}
-	return d.Ident(t.Table)
+	return dst
 }
 
 // Name returns the name the table is referred to by in expressions.
@@ -418,11 +424,14 @@ type OrderItem struct {
 func (o OrderItem) String() string { return o.Render(Generic) }
 
 // Render renders the ORDER BY entry in the dialect.
-func (o OrderItem) Render(d *Dialect) string {
+func (o OrderItem) Render(d *Dialect) string { return string(o.appendTo(nil, d)) }
+
+func (o OrderItem) appendTo(dst []byte, d *Dialect) []byte {
+	dst = appendExpr(dst, o.Expr, d)
 	if o.Desc {
-		return RenderExpr(o.Expr, d) + " DESC"
+		dst = append(dst, " DESC"...)
 	}
-	return RenderExpr(o.Expr, d)
+	return dst
 }
 
 // Select is a full SELECT statement.
@@ -488,148 +497,133 @@ func (s *Select) String() string { return s.Render(Generic) }
 // re-renders byte-identically (the per-dialect fixpoint the answer cache
 // relies on).
 func (s *Select) Render(d *Dialect) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+	var buf [512]byte
+	return string(s.AppendRender(buf[:0], d))
+}
+
+// AppendRender appends Render(d) to dst.
+func (s *Select) AppendRender(dst []byte, d *Dialect) []byte {
+	dst = append(dst, "SELECT "...)
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		dst = append(dst, "DISTINCT "...)
 	}
 	if len(s.Items) == 0 {
-		b.WriteString("*")
-	} else {
-		for i, it := range s.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(it.Render(d))
-		}
+		dst = append(dst, '*')
 	}
-	b.WriteString("\nFROM ")
+	for i, it := range s.Items {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = it.appendTo(dst, d)
+	}
+	dst = append(dst, "\nFROM "...)
 	for i, t := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(t.Render(d))
+		dst = t.appendTo(dst, d)
 	}
 	if s.Where != nil {
-		b.WriteString("\nWHERE ")
-		renderExpr(&b, s.Where, d)
+		dst = appendExpr(append(dst, "\nWHERE "...), s.Where, d)
 	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString("\nGROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			renderExpr(&b, g, d)
+	for i, g := range s.GroupBy {
+		if i == 0 {
+			dst = append(dst, "\nGROUP BY "...)
+		} else {
+			dst = append(dst, ", "...)
 		}
+		dst = appendExpr(dst, g, d)
 	}
 	if s.Having != nil {
-		b.WriteString("\nHAVING ")
-		renderExpr(&b, s.Having, d)
+		dst = appendExpr(append(dst, "\nHAVING "...), s.Having, d)
 	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString("\nORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.Render(d))
+	for i, o := range s.OrderBy {
+		if i == 0 {
+			dst = append(dst, "\nORDER BY "...)
+		} else {
+			dst = append(dst, ", "...)
 		}
+		dst = o.appendTo(dst, d)
 	}
 	if s.Limit >= 0 {
-		b.WriteByte('\n')
-		b.WriteString(d.LimitClause(s.Limit))
+		dst = d.appendLimitClause(append(dst, '\n'), s.Limit)
 	}
-	return b.String()
+	return dst
 }
 
 // RenderExpr renders a scalar expression in the dialect.
 func RenderExpr(e Expr, d *Dialect) string {
-	var b strings.Builder
-	renderExpr(&b, e, d)
-	return b.String()
+	var buf [128]byte
+	return string(appendExpr(buf[:0], e, d))
 }
 
-func renderExpr(b *strings.Builder, e Expr, d *Dialect) {
+func appendExpr(dst []byte, e Expr, d *Dialect) []byte {
 	switch x := e.(type) {
 	case *Binary:
 		if x.Op == OpConcat && d.concatFunc {
 			// MySQL spells concatenation CONCAT(...); nested concats
 			// flatten into one variadic call, which the parser folds back
 			// into the same left-associative tree.
-			b.WriteString("CONCAT(")
+			dst = append(dst, "CONCAT("...)
 			for i, a := range flattenConcat(x) {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				renderExpr(b, a, d)
+				dst = appendExpr(dst, a, d)
 			}
-			b.WriteByte(')')
-			return
+			return append(dst, ')')
 		}
-		renderChild(b, x.L, x.Op, d, needsParens)
-		b.WriteByte(' ')
-		b.WriteString(x.Op.String())
-		b.WriteByte(' ')
-		renderChild(b, x.R, x.Op, d, needsParensRight)
+		dst = appendChild(dst, x.L, x.Op, d, needsParens)
+		dst = append(append(append(dst, ' '), x.Op.String()...), ' ')
+		return appendChild(dst, x.R, x.Op, d, needsParensRight)
 	case *Not:
-		b.WriteString("NOT (")
-		renderExpr(b, x.X, d)
-		b.WriteByte(')')
+		return append(appendExpr(append(dst, "NOT ("...), x.X, d), ')')
 	case *IsNull:
 		// The grammar's IS NULL operand is an additive expression:
 		// anything looser (comparisons, AND/OR, NOT, a nested IS NULL)
 		// must be parenthesized or the output reparses differently
 		// ("a OR b IS NULL" binds as a OR (b IS NULL)).
 		if needsParensIsNull(x.X) {
-			b.WriteByte('(')
-			renderExpr(b, x.X, d)
-			b.WriteByte(')')
+			dst = append(appendExpr(append(dst, '('), x.X, d), ')')
 		} else {
-			renderExpr(b, x.X, d)
+			dst = appendExpr(dst, x.X, d)
 		}
 		if x.Neg {
-			b.WriteString(" IS NOT NULL")
-		} else {
-			b.WriteString(" IS NULL")
+			return append(dst, " IS NOT NULL"...)
 		}
+		return append(dst, " IS NULL"...)
 	case *ColumnRef:
 		if x.Table != "" {
-			b.WriteString(d.Ident(x.Table))
-			b.WriteByte('.')
+			dst = append(d.appendIdent(dst, x.Table), '.')
 		}
-		b.WriteString(d.Ident(x.Column))
+		return d.appendIdent(dst, x.Column)
 	case *Literal:
-		x.render(b, d)
+		return x.appendTo(dst, d)
 	case *Param:
-		b.WriteString(d.Placeholder(x.Ordinal))
+		return d.appendPlaceholder(dst, x.Ordinal)
 	case *FuncCall:
-		b.WriteString(x.Name)
+		dst = append(dst, x.Name...)
 		if x.Star {
-			b.WriteString("(*)")
-			return
+			return append(dst, "(*)"...)
 		}
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, a := range x.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			renderExpr(b, a, d)
+			dst = appendExpr(dst, a, d)
 		}
-		b.WriteByte(')')
+		return append(dst, ')')
 	default:
-		fmt.Fprintf(b, "%v", e)
+		return fmt.Appendf(dst, "%v", e)
 	}
 }
 
-func renderChild(b *strings.Builder, child Expr, parent BinOp, d *Dialect, parens func(Expr, BinOp) bool) {
+func appendChild(dst []byte, child Expr, parent BinOp, d *Dialect, parens func(Expr, BinOp) bool) []byte {
 	if parens(child, parent) {
-		b.WriteByte('(')
-		renderExpr(b, child, d)
-		b.WriteByte(')')
-		return
+		return append(appendExpr(append(dst, '('), child, d), ')')
 	}
-	renderExpr(b, child, d)
+	return appendExpr(dst, child, d)
 }
 
 // needsParensIsNull reports whether e, as the operand of IS [NOT] NULL,

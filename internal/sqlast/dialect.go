@@ -151,18 +151,23 @@ func (d *Dialect) Ident(s string) string {
 	if bareIdent(s) {
 		return s
 	}
+	return string(d.appendIdent(make([]byte, 0, len(s)+2), s))
+}
+
+// appendIdent appends Ident(s) to dst.
+func (d *Dialect) appendIdent(dst []byte, s string) []byte {
+	if bareIdent(s) {
+		return append(dst, s...)
+	}
 	q := d.identQuote
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte(q)
+	dst = append(dst, q)
 	for i := 0; i < len(s); i++ {
 		if s[i] == q {
-			b.WriteByte(q) // doubled quote escapes itself
+			dst = append(dst, q) // doubled quote escapes itself
 		}
-		b.WriteByte(s[i])
+		dst = append(dst, s[i])
 	}
-	b.WriteByte(q)
-	return b.String()
+	return append(dst, q)
 }
 
 // StringLiteral renders a string literal with the dialect's escaping:
@@ -170,30 +175,49 @@ func (d *Dialect) Ident(s string) string {
 // backslashes (its default sql_mode treats backslash as an escape
 // character, so a bare backslash would corrupt the value).
 func (d *Dialect) StringLiteral(s string) string {
-	if d.backslash {
-		s = strings.ReplaceAll(s, `\`, `\\`)
+	return string(d.appendStringLiteral(make([]byte, 0, len(s)+2), s))
+}
+
+// appendStringLiteral appends StringLiteral(s) to dst.
+func (d *Dialect) appendStringLiteral(dst []byte, s string) []byte {
+	dst = append(dst, '\'')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\'':
+			dst = append(dst, '\'', '\'')
+		case c == '\\' && d.backslash:
+			dst = append(dst, '\\', '\\')
+		default:
+			dst = append(dst, c)
+		}
 	}
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	return append(dst, '\'')
 }
 
 // LimitClause renders the row-limiting clause for n rows.
 func (d *Dialect) LimitClause(n int) string {
-	if d.fetchFirst {
-		return "FETCH FIRST " + strconv.Itoa(n) + " ROWS ONLY"
-	}
-	return "LIMIT " + strconv.Itoa(n)
+	return string(d.appendLimitClause(nil, n))
 }
 
-// Placeholder renders a parameter placeholder with the given 1-based
-// binding ordinal: $N for Postgres, ? for the other dialects. Like every
-// rendered form it is a per-dialect fixpoint: $3 reparses to ordinal 3
-// and re-renders as $3; ? reparses to its occurrence ordinal, which
-// renders as ? again.
-func (d *Dialect) Placeholder(ordinal int) string {
-	if d.dollarPh {
-		return "$" + strconv.Itoa(ordinal)
+// appendLimitClause appends LimitClause(n) to dst.
+func (d *Dialect) appendLimitClause(dst []byte, n int) []byte {
+	if d.fetchFirst {
+		dst = strconv.AppendInt(append(dst, "FETCH FIRST "...), int64(n), 10)
+		return append(dst, " ROWS ONLY"...)
 	}
-	return "?"
+	return strconv.AppendInt(append(dst, "LIMIT "...), int64(n), 10)
+}
+
+// appendPlaceholder appends a parameter placeholder with the given
+// 1-based binding ordinal: $N for Postgres, ? for the other dialects.
+// Like every rendered form it is a per-dialect fixpoint: $3 reparses to
+// ordinal 3 and re-renders as $3; ? reparses to its occurrence ordinal,
+// which renders as ? again.
+func (d *Dialect) appendPlaceholder(dst []byte, ordinal int) []byte {
+	if d.dollarPh {
+		return strconv.AppendInt(append(dst, '$'), int64(ordinal), 10)
+	}
+	return append(dst, '?')
 }
 
 // BindNames returns the binding-order parameter names for a statement
@@ -230,13 +254,12 @@ func BindNamesByOrdinal(s *Select) []string {
 	return names
 }
 
-// dateLiteral renders a DATE literal in the dialect's idiom.
-func (d *Dialect) dateLiteral(t time.Time) string {
-	s := t.Format("2006-01-02")
+// appendDateLiteral appends a DATE literal in the dialect's idiom.
+func (d *Dialect) appendDateLiteral(dst []byte, t time.Time) []byte {
 	if d.dateFunc {
-		return "DATE('" + s + "')"
+		return append(t.AppendFormat(append(dst, "DATE('"...), "2006-01-02"), "')"...)
 	}
-	return "DATE '" + s + "'"
+	return append(t.AppendFormat(append(dst, "DATE '"...), "2006-01-02"), '\'')
 }
 
 // boolLiteral renders a boolean literal; DB2 lacks TRUE/FALSE and gets

@@ -229,17 +229,19 @@ func (s *System) SearchRendered(query string, opts SearchOptions, render func(*A
 	return s.SearchRenderedContext(context.Background(), query, opts, render)
 }
 
-// SearchRenderedContext is the serving layer's hot path. On a repeat of a
-// query already rendered (same raw query string, dialect and snippet
-// flag, ranking unchanged since) it returns the exact bytes previously
-// produced by render — no pipeline, no re-encode, zero heap allocations,
-// ctx untouched — with hit=true. Otherwise it searches (ctx flows into
-// the pipeline's backend executions: cancellation plus the request's
-// trace-span collector), calls render on the answer, caches the returned
-// bytes alongside the analysis and returns them with hit=false. The
-// sequence itself lives in core.SearchRenderedContext; this only adapts
-// render from the core analysis to the public Answer. The returned bytes
-// are shared with the cache: callers must write them out unmodified.
+// SearchRenderedContext is the search path with a caller-chosen rendering.
+// On a repeat of a query already rendered (same raw query string, dialect
+// and snippet flag, ranking unchanged since) it returns the exact bytes
+// previously produced by render — no pipeline, no re-encode, zero heap
+// allocations, ctx untouched — with hit=true. Otherwise it searches (ctx
+// flows into the pipeline's backend executions: cancellation plus the
+// request's trace-span collector), calls render on the answer, caches the
+// returned bytes alongside the analysis and returns them with hit=false.
+// The sequence itself lives in core.SearchRenderedContext; this only
+// adapts render from the core analysis to the public Answer. The serving
+// layer calls SearchJSONContext instead, which renders without building
+// an Answer. The returned bytes are shared with the cache: callers must
+// write them out unmodified.
 func (s *System) SearchRenderedContext(ctx context.Context, query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
 	so, err := coreSearchOptions(opts)
 	if err != nil {

@@ -26,10 +26,10 @@
 //
 // This package is a thin facade: every operation has one implementation
 // in internal/core and the methods here only translate types. Search,
-// SearchWith and SearchRenderedContext all reach the pipeline through
-// core's single search path (raw-key cache probe, parse, canonical-key
-// probe, the five steps, render, store); ExecuteSQL and
-// ExecuteSQLInContext through its single SQL-execution call.
+// SearchWith, SearchRenderedContext and SearchJSONContext all reach the
+// pipeline through core's single search path (raw-key cache probe,
+// parse, canonical-key probe, the five steps, render, store); ExecuteSQL
+// and ExecuteSQLInContext through its single SQL-execution call.
 package soda
 
 import (

@@ -44,3 +44,29 @@ func TestSearchRenderedContextZeroAllocs(t *testing.T) {
 		t.Fatalf("facade cache-hit SearchRenderedContext allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestSearchJSONContextZeroAllocs pins the /search entry's hit path: on a
+// primed query the cached body comes back without allocating, and the
+// onCold callback — a real closure, as the server's is — does not run.
+func TestSearchJSONContextZeroAllocs(t *testing.T) {
+	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
+	ctx := context.Background()
+	opts := soda.SearchOptions{Dialect: "db2", Snippets: true}
+	const q = "wealthy customers"
+	colds := 0
+	onCold := func(soda.Timings, string) { colds++ }
+	if _, hit, err := sys.SearchJSONContext(ctx, q, opts, onCold); err != nil || hit {
+		t.Fatalf("priming: hit=%v err=%v", hit, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, hit, _ := sys.SearchJSONContext(ctx, q, opts, onCold); !hit {
+			t.Fatal("cache hit lost mid-run")
+		}
+	})
+	if colds != 1 {
+		t.Fatalf("onCold ran %d times, want once (priming only)", colds)
+	}
+	if allocs != 0 {
+		t.Fatalf("cache-hit SearchJSONContext allocates %.1f times per call, want 0", allocs)
+	}
+}
