@@ -151,7 +151,8 @@ func (d *Dialect) Ident(s string) string {
 	if bareIdent(s) {
 		return s
 	}
-	return string(d.appendIdent(make([]byte, 0, len(s)+2), s))
+	var buf [64]byte
+	return string(d.appendIdent(buf[:0], s))
 }
 
 // appendIdent appends Ident(s) to dst.
@@ -175,7 +176,8 @@ func (d *Dialect) appendIdent(dst []byte, s string) []byte {
 // backslashes (its default sql_mode treats backslash as an escape
 // character, so a bare backslash would corrupt the value).
 func (d *Dialect) StringLiteral(s string) string {
-	return string(d.appendStringLiteral(make([]byte, 0, len(s)+2), s))
+	var buf [64]byte
+	return string(d.appendStringLiteral(buf[:0], s))
 }
 
 // appendStringLiteral appends StringLiteral(s) to dst.

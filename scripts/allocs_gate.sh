@@ -19,13 +19,14 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-# workload=reference: server_allocs_per_op, median of three runs of this
-# script's own command (2 cores, go1.24.0 linux/amd64). explore_hot,
-# adhoc_cold and feedback_mix were measured at commit 4219591 (the runs
-# spread by 0.15%, 1.3% and 1.6% of the median); snippet_exec on its
-# child, the commit that made the engine's executor pull-based and stop
-# at LIMIT (spread 0.4%; it was ~40,000 at 4219591).
-refs="explore_hot=49.4 adhoc_cold=380 snippet_exec=955 feedback_mix=108.0"
+# workload=reference: server_allocs_per_op, median of three or more runs
+# of this script's own command (2 cores, go1.24.0 linux/amd64).
+# explore_hot was measured at commit 4219591 (the runs spread by 0.15% of
+# the median). adhoc_cold, snippet_exec and feedback_mix were measured at
+# commit c3ab45c, which renders /search straight from the cached analysis
+# (ten runs spread by 0.3%, three by 1.0% and 1.0%). At its parent ad88770
+# they read 380.6, 957 and 111.1.
+refs="explore_hot=49.4 adhoc_cold=252 snippet_exec=640 feedback_mix=87.7"
 
 limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0
