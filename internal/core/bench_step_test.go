@@ -8,11 +8,13 @@ import (
 	"soda/internal/warehouse"
 )
 
-// Cold-path benchmarks per corpus: BenchmarkLookupStep times Step 1 in
-// isolation over the corpus queries, BenchmarkTablesStep times Step 3 over
-// the entry sets the real pipeline produces, BenchmarkColdSearch times
-// the whole pipeline with the answer cache disabled. All report allocs/op
-// — a cold search should allocate O(result), not O(graph) or O(index).
+// Cold-path benchmarks per corpus: BenchmarkWarm times the one-time build
+// of the derived structures on a fresh System (the cost kept out of the
+// queries), BenchmarkLookupStep times Step 1 in isolation over the corpus
+// queries, BenchmarkTablesStep times Step 3 over the entry sets the real
+// pipeline produces, BenchmarkColdSearch times the whole pipeline with
+// the answer cache disabled. All report allocs/op — a cold search should
+// allocate O(result), not O(graph) or O(index).
 
 // warehouseBenchQueries mirrors the eval corpus inputs (the eval package
 // sits above core, so the strings are pinned here).
@@ -102,5 +104,26 @@ func BenchmarkColdSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+func BenchmarkWarm(b *testing.B) {
+	run := func(b *testing.B, newSys func() *System) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			newSys().Warm()
+		}
+	}
+	b.Run("minibank", func(b *testing.B) {
+		run(b, func() *System {
+			return NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{CacheSize: -1, Parallelism: 1})
+		})
+	})
+	b.Run("warehouse", func(b *testing.B) {
+		w := warehouse.Build(warehouse.Default())
+		b.ResetTimer()
+		run(b, func() *System {
+			return NewSystem(memory.New(w.DB), w.Meta, w.Index, Options{CacheSize: -1, Parallelism: 1})
+		})
 	})
 }

@@ -55,7 +55,7 @@ func (s *System) Browse(table string) (*TableInfo, error) {
 			return nil, fmt.Errorf("core: unknown table %q", table)
 		}
 	}
-	node, ok := s.findTableNode(table)
+	node, ok := s.compiled().tableNode(table)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown table %q", table)
 	}

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"soda/internal/backend"
+	"soda/internal/backend/memory"
 	"soda/internal/sqlast"
 )
 
@@ -131,11 +134,32 @@ func TestSnippetRowsInvalidatedByFeedback(t *testing.T) {
 // request's context cut short answers with the context's error, and
 // neither the analysis nor its rendered bytes are cached for the next
 // request.
+// cancelling wraps a backend and cancels a context from inside the
+// pipeline: on Exec (the snippet step) or on Catalog (Step 5 reads the
+// catalog to pick a counted entity's key column).
+type cancelling struct {
+	backend.Executor
+	onExec, onCatalog context.CancelFunc
+}
+
+func (c *cancelling) Exec(ctx context.Context, sel *sqlast.Select) (*backend.Result, error) {
+	if c.onExec != nil {
+		c.onExec()
+	}
+	return c.Executor.Exec(ctx, sel)
+}
+
+func (c *cancelling) Catalog() backend.Catalog {
+	if c.onCatalog != nil {
+		c.onCatalog()
+	}
+	return c.Executor.Catalog()
+}
+
 func TestCancelledSnippetsNotCached(t *testing.T) {
-	sys := newSys(t, Options{})
-	so := SearchOptions{Snippets: true}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	sys := NewSystem(&cancelling{Executor: memory.New(world.DB), onExec: cancel}, world.Meta, world.Index, Options{})
+	so := SearchOptions{Snippets: true}
 	a, err := sys.SearchWithContext(ctx, "wealthy customers", so)
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +167,43 @@ func TestCancelledSnippetsNotCached(t *testing.T) {
 	if got := best(t, a).SnippetErr; got != context.Canceled.Error() {
 		t.Fatalf("SnippetErr = %q, want %q", got, context.Canceled)
 	}
-	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, renderSQLs); err != nil {
-		t.Fatal(err)
+	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, renderSQLs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("search under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 	if st := sys.CacheStats(); st.Entries != 0 {
 		t.Fatalf("cache holds %d entries after cancelled searches, want 0", st.Entries)
 	}
 	if sol := best(t, searchWith(t, sys, "wealthy customers", so)); sol.Snippet == nil {
 		t.Fatalf("next search: no snippet rows (error %q)", sol.SnippetErr)
+	}
+}
+
+// TestSearchStopsBetweenSteps cancels the request's context from inside
+// Step 5: the search returns context.Canceled instead of an answer and
+// caches nothing, so the next search of the query runs the pipeline.
+func TestSearchStopsBetweenSteps(t *testing.T) {
+	const q = "top 10 count (transactions) group by (company name)"
+	ctx, cancel := context.WithCancel(context.Background())
+	sys := NewSystem(&cancelling{Executor: memory.New(world.DB), onCatalog: cancel}, world.Meta, world.Index, Options{})
+	a, err := sys.SearchWithContext(ctx, q, SearchOptions{})
+	if !errors.Is(err, context.Canceled) || a != nil {
+		t.Fatalf("search cancelled in a step: err = %v, answer returned %t; want %v and none", err, a != nil, context.Canceled)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the query never reached the catalog: pick one that counts an entity")
+	}
+	if _, _, err := sys.SearchRenderedContext(ctx, q, SearchOptions{}, renderSQLs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("rendered search under a cancelled context: err = %v, want %v", err, context.Canceled)
+	}
+	before := sys.CacheStats()
+	if before.Entries != 0 {
+		t.Fatalf("cache holds %d entries after cancelled searches, want 0", before.Entries)
+	}
+	if best(t, search(t, sys, q)).SQL == nil {
+		t.Fatal("next search: no SQL")
+	}
+	if after := sys.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
+		t.Fatalf("next search: stats %+v after %+v, want one more miss and no hit", after, before)
 	}
 }
 

@@ -138,10 +138,13 @@ func (o Options) withDefaults() Options {
 // System wires the substrates together: base data, metadata graph,
 // inverted index and pattern registry. A System is safe for concurrent
 // use and concurrent searches proceed in parallel: the substrates are
-// read-only after construction, the derived join-graph/bridge caches are
-// built once, the node-level memo tables take a narrow lock, and the
-// feedback store has its own lock plus an epoch counter that invalidates
-// the answer cache whenever the ranking function changes.
+// read-only after construction; the derived structures (the compiled
+// schema model with every entry point's Step 3 table list, the join
+// graph with every table's FK closure, the bridge tables and the label
+// hits) are built once, by Warm or on first use, and then only read; the
+// two shortest-path memos take a narrow lock; and the feedback store has
+// its own lock plus an epoch counter that invalidates the answer cache
+// whenever the ranking function changes.
 type System struct {
 	// Backend executes the generated SQL. The pipeline itself never
 	// touches a database representation: snippet execution, Execute and
@@ -156,31 +159,25 @@ type System struct {
 
 	matcher *pattern.Matcher
 
-	// Derived structures, built once on first use (or by Warm): the join
-	// graph, bridge tables and the tables each metadata node contributes
-	// to a traversal for Step 3, and for Step 1 the base-data hits of
-	// every metadata label, by normalised label.
+	// Derived structures, built once by Warm (or on first use) and
+	// read-only afterwards: the compiled schema model (model.go), the join
+	// graph, bridge tables and, for Step 1, the base-data hits of every
+	// metadata label, by normalised label.
 	derivedOnce sync.Once
+	model       *schemaModel
 	jg          *joinGraph
 	bridgeMemo  []bridgeRel
 	bridgeIDs   []discoveredBridge
-	tablesAt    map[rdf.Term][]string
 	labelHits   map[string][]invidx.ColumnHit
 
-	// Memo tables shared by concurrent searches, all under memoMu and all
-	// filled through memoized (tables.go). Node-level: column and table
-	// resolution per metadata node, whole entry-point traversals per entry
-	// identity. Step 3, over the derived join graph (pathing.go): shortest
-	// paths per anchor pair / anchor set and FK upward closures per root
-	// table. Values are deterministic functions of the key over immutable
-	// substrates, so racing fills are benign.
-	memoMu      sync.RWMutex
-	colMemo     map[rdf.Term]ColRef
-	tblMemo     map[rdf.Term]string
-	entryMemo   map[entryKey][]string
-	pairPaths   map[pairPathKey]pathResult
-	multiPaths  map[string]pathResult
-	closureMemo map[int32][]closureStep
+	// The two combinatorial Step 3 memos, over the derived join graph
+	// (pathing.go): shortest join paths per anchor pair and per anchor
+	// set. Both are filled through memoized under memoMu. Values are
+	// deterministic functions of the key over immutable substrates, so
+	// racing fills are benign.
+	memoMu     sync.RWMutex
+	pairPaths  map[pairPathKey]pathResult
+	multiPaths map[string]pathResult
 
 	// Relevance feedback. epoch counts ranking-function changes; cached
 	// answers from older epochs are never served. When a persistent
@@ -250,12 +247,8 @@ func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, op
 		Index:        idx,
 		Reg:          reg,
 		Opt:          opt.withDefaults(),
-		colMemo:      make(map[rdf.Term]ColRef),
-		tblMemo:      make(map[rdf.Term]string),
-		entryMemo:    make(map[entryKey][]string),
 		pairPaths:    make(map[pairPathKey]pathResult),
 		multiPaths:   make(map[string]pathResult),
-		closureMemo:  make(map[int32][]closureStep),
 		vector:       make(store.Vector),
 		lastLC:       make(map[string]uint64),
 		foldedVector: make(store.Vector),
@@ -540,10 +533,13 @@ type Analysis struct {
 	StepAllocs map[string]uint64
 }
 
-// Warm precomputes the join graph, the bridge-table caches and the label
-// hits so the first Search measures the pipeline, not one-time index
-// construction. The paper's Table 4 likewise excludes the 24-hour
-// inverted-index build from per-query runtimes.
+// Warm builds the derived structures: the label hits, the compiled
+// schema model with every node's Step 3 table list and resolved column,
+// the join graph with every table's FK closure, and the bridge tables.
+// After it, no query pays a first touch: the first search of an entry
+// point the daemon has never seen measures the pipeline, not a traversal
+// of the metadata graph. The paper's Table 4 likewise excludes the
+// 24-hour inverted-index build from per-query runtimes.
 func (s *System) Warm() {
 	s.derivedOnce.Do(s.buildDerived)
 }
@@ -586,7 +582,9 @@ func (s *System) SearchWith(input string, so SearchOptions) (*Analysis, error) {
 // answer was computed; the returned Analysis is shared between such
 // callers and must be treated as read-only. ctx flows into backend
 // executions (snippet runs), carrying cancellation and the request's
-// trace span collector.
+// trace span collector, and is checked after each of steps 1-5: a search
+// whose context is cancelled or past its deadline returns ctx.Err() and
+// caches nothing.
 func (s *System) SearchWithContext(ctx context.Context, input string, so SearchOptions) (*Analysis, error) {
 	q, err := queryparse.Parse(input)
 	if err != nil {
@@ -619,52 +617,48 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 		}
 	}
 
-	start := time.Now()
-	runStep("lookup", func() { s.lookup(a) }) // step 1
-	a.Timings.Lookup = time.Since(start)
-	s.metrics.stepLookup.Record(a.Timings.Lookup)
-
-	start = time.Now()
-	runStep("rank", func() { s.rank(a) }) // step 2
-	a.Timings.Rank = time.Since(start)
-	s.metrics.stepRank.Record(a.Timings.Rank)
-
-	// Stamp every solution with the pipeline's epoch: Feedback checks it
-	// so feedback from a page ranked under an older function is detected
-	// instead of silently applied.
-	for _, sol := range a.Solutions {
-		sol.Epoch = epoch
+	// The five steps run in order, each timed into a.Timings and its
+	// histogram. Steps 3-5 are independent per solution; each runs across
+	// the bounded worker pool. Solutions keep their slice positions, so
+	// the ranked output is byte-identical to a sequential run. The
+	// request's context is checked after every step: a cancelled or
+	// expired request stops there with the context's error, and nothing
+	// is cached.
+	steps := [...]struct {
+		name string
+		run  func()
+		took *time.Duration
+		hist *obs.Histogram
+	}{
+		{"lookup", func() { s.lookup(a) }, &a.Timings.Lookup, s.metrics.stepLookup},
+		{"rank", func() {
+			s.rank(a)
+			// Stamp every solution with the pipeline's epoch: Feedback
+			// checks it so feedback from a page ranked under an older
+			// function is detected instead of silently applied.
+			for _, sol := range a.Solutions {
+				sol.Epoch = epoch
+			}
+		}, &a.Timings.Rank, s.metrics.stepRank},
+		{"tables", func() {
+			s.forEachSolution(a.Solutions, func(sol *Solution) { s.tablesStep(sol, a) })
+		}, &a.Timings.Tables, s.metrics.stepTables},
+		{"filters", func() {
+			s.forEachSolution(a.Solutions, func(sol *Solution) { s.filtersStep(sol, a) })
+		}, &a.Timings.Filters, s.metrics.stepFilters},
+		{"sqlgen", func() {
+			s.forEachSolution(a.Solutions, func(sol *Solution) { s.sqlStep(sol, a) })
+		}, &a.Timings.SQL, s.metrics.stepSQL},
 	}
-
-	// Steps 3-5 are independent per solution; each runs across the
-	// bounded worker pool. Solutions keep their slice positions, so the
-	// ranked output is byte-identical to a sequential run.
-	start = time.Now()
-	runStep("tables", func() {
-		s.forEachSolution(a.Solutions, func(sol *Solution) {
-			s.tablesStep(sol, a) // step 3
-		})
-	})
-	a.Timings.Tables = time.Since(start)
-	s.metrics.stepTables.Record(a.Timings.Tables)
-
-	start = time.Now()
-	runStep("filters", func() {
-		s.forEachSolution(a.Solutions, func(sol *Solution) {
-			s.filtersStep(sol, a) // step 4
-		})
-	})
-	a.Timings.Filters = time.Since(start)
-	s.metrics.stepFilters.Record(a.Timings.Filters)
-
-	start = time.Now()
-	runStep("sqlgen", func() {
-		s.forEachSolution(a.Solutions, func(sol *Solution) {
-			s.sqlStep(sol, a) // step 5
-		})
-	})
-	a.Timings.SQL = time.Since(start)
-	s.metrics.stepSQL.Record(a.Timings.SQL)
+	for _, st := range steps {
+		start := time.Now()
+		runStep(st.name, st.run)
+		*st.took = time.Since(start)
+		st.hist.Record(*st.took)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 
 	// Saved-query library: merge matching pre-approved statements into
 	// the ranked solutions before snippets run, so an approved answer
@@ -674,7 +668,7 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	if so.Snippets {
 		// Snippet execution rides the same worker pool; rows live on the
 		// solutions and are cached (and epoch-invalidated) with them.
-		start = time.Now()
+		start := time.Now()
 		runStep("snippet", func() {
 			s.forEachSolution(a.Solutions, func(sol *Solution) {
 				s.snippetStep(ctx, sol)

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"soda/internal/metagraph"
-)
-
 // filtersStep implements Step 4 (Figure 4): "Filters can be found in two
 // ways: a) by parsing the input query or b) by looking for filter
 // conditions while traversing the metadata graph." Three provenances:
@@ -15,6 +11,7 @@ import (
 //     preceding keyword resolves to;
 //   - metadata filters stored in the graph ("wealthy individuals").
 func (s *System) filtersStep(sol *Solution, a *Analysis) {
+	m := s.compiled()
 	var filters []Filter
 
 	for _, e := range sol.Entries {
@@ -49,21 +46,9 @@ func (s *System) filtersStep(sol *Solution, a *Analysis) {
 
 		// c) metadata filters attached to the entry node.
 		if e.Kind == KindMetadata {
-			for _, b := range s.matcher.MatchName(metagraph.PatMetadataFilter, e.Node) {
-				colNode, _ := b.Get("c")
-				op, _ := b.Get("op")
-				val, _ := b.Get("v")
-				col, ok := s.columnRef(colNode)
-				if !ok {
-					if col, ok = s.resolveColumn(colNode); !ok {
-						continue
-					}
-				}
-				f := Filter{Col: col, Op: op.Value(), Value: val.Value(), Source: "metadata"}
-				f.IsNum = isNumeric(f.Value)
-				f.IsDate = !f.IsNum && isISODate(f.Value)
+			for _, f := range m.nodeFilters(m.node(e.Node)) {
 				filters = append(filters, f)
-				s.ensureTable(sol, col.Table)
+				s.ensureTable(sol, f.Col.Table)
 			}
 		}
 	}

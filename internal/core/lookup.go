@@ -62,10 +62,12 @@ func (s *System) lookup(a *Analysis) {
 		}
 	}
 
-	// Candidates per term, read from the label hits (derived once per
-	// System) and the index's own table. The feedback read-lock spans all
-	// terms: a concurrent Feedback call is either fully visible to this
-	// search or not at all, never half-applied.
+	// Candidates per term, read from the label hits and the compiled
+	// schema model (derived once per System) and the index's own table.
+	// The feedback read-lock spans all terms: a concurrent Feedback call
+	// is either fully visible to this search or not at all, never
+	// half-applied. Nothing under it walks the graph, so a waiting
+	// Feedback never queues later lookups behind a traversal.
 	s.derivedOnce.Do(s.buildDerived)
 	a.Candidates = make([][]EntryPoint, len(a.Terms))
 	a.Complexity = 1

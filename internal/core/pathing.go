@@ -21,11 +21,12 @@ import (
 //   - adjacency lists are stored pre-sorted in the exact (neighbour,
 //     edge-index) order the BFS used to establish per visit, so the
 //     per-expansion candidate sort disappears entirely;
-//   - shortest-path results are memoized per (anchor-set, skipBridges,
-//     maxLen) and FK upward closures per root table, both filled through
-//     memoized and — like the join graph itself — valid for the lifetime
-//     of the System (the substrates are immutable after construction;
-//     a schema change means a new System, which rebuilds everything);
+//   - FK upward closures are computed for every table at build, and
+//     shortest-path results are memoized per (anchor-set, skipBridges,
+//     maxLen) through memoized; both are — like the join graph itself —
+//     valid for the lifetime of the System (the substrates are immutable
+//     after construction; a schema change means a new System, which
+//     rebuilds everything);
 //   - BFS/traversal scratch (generation-stamped visited sets, state
 //     slices) is pooled, so a cold search allocates O(result), not
 //     O(graph).
@@ -193,17 +194,15 @@ type pairPathKey struct {
 	maxLen   int32
 }
 
-// pairPath returns the shortest join path from src to dst (single
-// anchors — the Figure 9 case), memoized for the lifetime of the derived
-// join graph. Callers guarantee src != dst.
-func (s *System) pairPath(src, dst string, skipBridges bool, maxLen int) ([]jgEdge, bool) {
-	jg := s.joinGraphCached()
-	a, b := jg.tables.id(src), jg.tables.id(dst)
+// pairPath returns the shortest join path between two anchor tables (the
+// Figure 9 case), memoized for the lifetime of the derived join graph.
+// Callers guarantee the anchors differ; an anchor outside the schema
+// graph (-1) can appear in no join edge, so no path reaches it.
+func (s *System) pairPath(a, b int32, skipBridges bool, maxLen int) ([]jgEdge, bool) {
 	if a < 0 || b < 0 {
-		// A table the schema graph does not know cannot appear in any
-		// join edge, so no path can reach it.
 		return nil, false
 	}
+	jg := s.joinGraphCached()
 	k := pairPathKey{src: a, dst: b, skip: skipBridges, maxLen: int32(maxLen)}
 	r := memoized(s, s.pairPaths, k, func() pathResult {
 		srcs := [1]int32{a}
@@ -217,10 +216,10 @@ func (s *System) pairPath(src, dst string, skipBridges bool, maxLen int) ([]jgEd
 // dst, memoized per (sorted anchor-set, skipBridges, maxLen). Callers
 // guarantee dst is not an element of srcs.
 func (s *System) multiPath(srcs []string, dst string, skipBridges bool, maxLen int) ([]jgEdge, bool) {
-	if len(srcs) == 1 {
-		return s.pairPath(srcs[0], dst, skipBridges, maxLen)
-	}
 	jg := s.joinGraphCached()
+	if len(srcs) == 1 {
+		return s.pairPath(jg.tables.id(srcs[0]), jg.tables.id(dst), skipBridges, maxLen)
+	}
 	d := jg.tables.id(dst)
 	if d < 0 {
 		return nil, false
@@ -279,24 +278,14 @@ type closureScratch struct {
 	queue    []int32
 }
 
-var closurePool = sync.Pool{New: func() any { return new(closureScratch) }}
-
-// closureOf returns the memoized FK upward closure of a root table: the
-// exact (addTable, addJoin) sequence fkUpwardClosure used to compute per
-// call, now computed once per root and replayed. The slice is shared and
-// read-only.
-func (s *System) closureOf(root int32) []closureStep {
-	return memoized(s, s.closureMemo, root, func() []closureStep { return s.jg.computeClosure(root) })
-}
-
-// computeClosure walks outgoing foreign keys and inheritance links
+// computeClosure returns the FK upward closure of a root table as the
+// (addTable, addJoin) sequence tablesStep replays; buildJoinGraph computes
+// it once per table. It walks outgoing foreign keys and inheritance links
 // (bridge edges excluded) from root, transitively, capped at maxClosure
 // tables, following at most one FK per referenced table per node — see
-// fkUpwardClosure for the business-object rationale.
-func (g *joinGraph) computeClosure(root int32) []closureStep {
+// tablesStep for the business-object rationale.
+func (g *joinGraph) computeClosure(root int32, sc *closureScratch) []closureStep {
 	const maxClosure = 16
-	sc := closurePool.Get().(*closureScratch)
-	defer closurePool.Put(sc)
 	n := g.tables.size()
 	sc.visited.reset(n)
 	sc.visited.add(root)
@@ -343,6 +332,7 @@ type tablesScratch struct {
 	edgeSeen   idSet // edge indexes already joined
 	connSeen   idSet // connectivity BFS visited set
 	connQueue  []int32
+	primIDs    []int32 // anchor table IDs, aligned with the primaries
 	sqlIDs     []int32
 	joinEdges  []int32
 	tables     []string // the discovery view, before it is copied out

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"soda/internal/metagraph"
-	"soda/internal/rdf"
 	"soda/internal/sqlast"
 )
 
@@ -135,17 +133,18 @@ func (s *System) resolveAggregates(sol *Solution, a *Analysis) {
 	// Implied aggregation from ontology measures, only when the query has
 	// ranking or grouping intent and no explicit aggregate.
 	if len(sol.Aggs) == 0 && (sol.TopN > 0 || len(sol.GroupBy) > 0) {
+		m := s.compiled()
 		for _, e := range sol.Entries {
 			if e.Kind != KindMetadata {
 				continue
 			}
-			fn, ok := s.Meta.G.Object(e.Node, rdf.NewIRI(metagraph.PredImpliesAgg))
-			if !ok {
+			fn := m.impliedAgg[m.node(e.Node)]
+			if fn == "" {
 				continue
 			}
-			if col, okc := s.resolveColumn(e.Node); okc {
+			if col, okc := m.column(e.Node); okc {
 				c := col
-				sol.Aggs = append(sol.Aggs, Agg{Func: fn.Value(), Col: &c})
+				sol.Aggs = append(sol.Aggs, Agg{Func: fn, Col: &c})
 				s.ensureTable(sol, col.Table)
 			}
 		}
@@ -154,7 +153,7 @@ func (s *System) resolveAggregates(sol *Solution, a *Analysis) {
 		// volume *customer* groups per customer).
 		if len(sol.Aggs) > 0 && len(sol.GroupBy) == 0 && sol.TopN > 0 {
 			for _, e := range sol.Entries {
-				if _, hasAgg := s.Meta.G.Object(e.Node, rdf.NewIRI(metagraph.PredImpliesAgg)); hasAgg && e.Kind == KindMetadata {
+				if e.Kind == KindMetadata && m.impliedAgg[m.node(e.Node)] != "" {
 					continue
 				}
 				if tbl := s.entryTable(e); tbl != "" {
@@ -164,15 +163,6 @@ func (s *System) resolveAggregates(sol *Solution, a *Analysis) {
 			}
 		}
 	}
-}
-
-// entryTable returns the first table an entry resolves to, or "".
-func (s *System) entryTable(e EntryPoint) string {
-	tables := s.entryTables(e)
-	if len(tables) == 0 {
-		return ""
-	}
-	return tables[0]
 }
 
 // keyColumn picks the table's key column: "id" when present, otherwise

@@ -31,6 +31,7 @@ import (
 //     unless annotated with ignore_join (§5.3.1).
 func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	jg := s.joinGraphCached()
+	m := s.model
 	it := jg.tables
 	sc := tablesPool.Get().(*tablesScratch)
 	defer tablesPool.Put(sc)
@@ -38,45 +39,46 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	sc.inSQL.reset(it.size())
 	sc.edgeSeen.reset(len(jg.edges))
 
-	// Part 1: per-entry table sets via graph traversal (discovery view).
-	// The view can run to hundreds of tables; it is gathered in scratch
-	// and copied out once at its final size.
-	entrySets := make([][]string, len(sol.Entries))
+	// Part 1: the discovery view is the union of the entries' table
+	// lists, prefilled per node by the compiled model and deduplicated
+	// here by table ID. It can run to hundreds of tables; it is gathered
+	// in scratch and copied out once at its final size. Each entry's
+	// anchor is the first table of its own list.
 	tables := sc.tables[:0]
-	addDiscovered := func(t string) {
-		if t == "" {
-			return
+	addDiscovered := func(id int32) {
+		if sc.discovered.add(id) {
+			tables = append(tables, it.name(id))
 		}
-		if id := it.id(t); id >= 0 {
-			if !sc.discovered.add(id) {
-				return
-			}
-		} else {
+	}
+	var primaries []string
+	primIDs := sc.primIDs[:0]
+	for _, e := range sol.Entries {
+		et := m.entryTables(e)
+		if et.leadID >= 0 {
+			addDiscovered(et.leadID)
+		} else if et.lead != "" && !slices.Contains(tables, et.lead) {
 			// A base-data table the schema graph does not know; rare
 			// enough that a linear-scan dedup is fine.
-			for _, have := range tables {
-				if have == t {
-					return
-				}
+			tables = append(tables, et.lead)
+		}
+		for _, run := range et.runs {
+			for _, id := range run {
+				addDiscovered(id)
 			}
 		}
-		tables = append(tables, t)
-	}
-	for i, e := range sol.Entries {
-		set := s.entryTables(e)
-		entrySets[i] = set
-		for _, t := range set {
-			addDiscovered(t)
+		if id, name, ok := et.first(it); ok {
+			primaries = append(primaries, name)
+			primIDs = append(primIDs, id)
 		}
 	}
+	sc.primIDs = primIDs
 
 	// Discovery view of bridges: a bridge between two discovered tables
 	// is part of the Figure 6 output.
 	if !s.Opt.DisableBridges {
 		for _, br := range s.bridgeIDs {
-			if sc.discovered.has(br.left) && sc.discovered.has(br.right) &&
-				sc.discovered.add(br.bridge) {
-				tables = append(tables, it.name(br.bridge))
+			if sc.discovered.has(br.left) && sc.discovered.has(br.right) {
+				addDiscovered(br.bridge)
 			}
 		}
 	}
@@ -85,14 +87,6 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 		sol.Tables = slices.Clone(tables)
 	}
 	sc.tables = tables
-
-	// Anchors: each entry's nearest table.
-	var primaries []string
-	for _, set := range entrySets {
-		if len(set) > 0 {
-			primaries = append(primaries, set[0])
-		}
-	}
 	sol.Primaries = primaries
 
 	// Part 2+3: joins on direct paths between the anchors, walking the
@@ -100,21 +94,13 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// patterns (bridge edges included unless ablated).
 	var sqlTables []string
 	sqlIDs := sc.sqlIDs[:0]
-	addSQLTable := func(t string) {
-		if t == "" {
-			return
-		}
-		id := it.id(t)
+	addSQLTable := func(id int32, t string) {
 		if id >= 0 {
 			if !sc.inSQL.add(id) {
 				return
 			}
-		} else {
-			for _, have := range sqlTables {
-				if have == t {
-					return
-				}
-			}
+		} else if slices.Contains(sqlTables, t) {
+			return
 		}
 		sqlTables = append(sqlTables, t)
 		sqlIDs = append(sqlIDs, id)
@@ -131,11 +117,11 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 		e := &jg.edges[ei]
 		joins = append(joins, e.join())
 		joinEdges = append(joinEdges, ei)
-		addSQLTable(e.t1)
-		addSQLTable(e.t2)
+		addSQLTable(e.t1id, e.t1)
+		addSQLTable(e.t2id, e.t2)
 	}
-	for _, p := range primaries {
-		addSQLTable(p)
+	for i, p := range primaries {
+		addSQLTable(primIDs[i], p)
 	}
 
 	for i := 0; i < len(primaries); i++ {
@@ -143,7 +129,7 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			if primaries[i] == primaries[j] {
 				continue
 			}
-			path, ok := s.pairPath(primaries[i], primaries[j],
+			path, ok := s.pairPath(primIDs[i], primIDs[j],
 				s.Opt.DisableBridges, s.Opt.MaxPathLen)
 			if !ok {
 				sol.Disconnected = true
@@ -164,14 +150,14 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// where the bi-temporal snapshot trap of §5.2.1 bites (the modelled
 	// snapshot join silently drops historic versions). The closure of a
 	// root table is a pure function of the join graph, so it is computed
-	// once (closureOf) and replayed here. Bridge edges are excluded from
-	// it — following a bridge would jump to an unrelated entity, not
-	// complete the current one — and it is capped to keep FROM lists sane
-	// on pathological schemas.
-	for _, p := range primaries {
-		if root := it.id(p); root >= 0 {
-			for _, step := range s.closureOf(root) {
-				addSQLTable(it.name(step.tbl))
+	// for every table at build (joinGraph.closures) and replayed here.
+	// Bridge edges are excluded from it — following a bridge would jump
+	// to an unrelated entity, not complete the current one — and it is
+	// capped to keep FROM lists sane on pathological schemas.
+	for _, root := range primIDs {
+		if root >= 0 {
+			for _, step := range jg.closures[root] {
+				addSQLTable(step.tbl, it.name(step.tbl))
 				addJoinEdge(step.ei)
 			}
 		}
@@ -199,25 +185,14 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	sc.joinEdges = joinEdges
 }
 
-// entryTables runs the traversal of part 1 for a single entry point,
-// memoised per entry-point identity: the traversal only depends on the
-// immutable metadata graph, and the ranked solutions of a single query
-// (let alone a workload) share entry points heavily. The returned slice
-// is shared and must be treated as read-only. The first table in the
-// result is the entry's anchor (nearest table).
-func (s *System) entryTables(e EntryPoint) []string {
-	k := entryKey{kind: e.Kind, node: e.Node, table: e.Table, column: e.Column}
-	return memoized(s, s.entryMemo, k, func() []string { return s.computeEntryTables(e) })
-}
-
-// memoized returns m[k], computing it on first use. Every memo table of
-// the System — node-level (tblMemo, colMemo, entryMemo) and Step-3
-// (pairPaths, multiPaths, closureMemo) — goes through here under the one
-// memo lock: probe under the read lock, compute outside any lock, fill
-// under the write lock. Values are deterministic functions of the key
-// over substrates that are immutable after construction, so racing fills
-// compute the same value; the first one stored is kept and returned, so
-// shared slices stay canonical.
+// memoized returns m[k], computing it on first use. The System's two
+// combinatorial Step 3 memos (pairPaths, multiPaths: shortest join paths
+// per anchor pair and anchor set) go through here under memoMu: probe
+// under the read lock, compute outside any lock, fill under the write
+// lock. Values are deterministic functions of the key over substrates
+// that are immutable after construction, so racing fills compute the same
+// value; the first one stored is kept and returned, so shared slices stay
+// canonical.
 func memoized[K comparable, V any](s *System, m map[K]V, k K, compute func() V) V {
 	s.memoMu.RLock()
 	v, ok := m[k]
@@ -234,197 +209,6 @@ func memoized[K comparable, V any](s *System, m map[K]V, k K, compute func() V) 
 	}
 	s.memoMu.Unlock()
 	return v
-}
-
-// entryKey identifies an entry point for the entryTables memo: the kind
-// selects the traversal root (metadata node vs. base-data table/column),
-// so together these four fields determine the result.
-type entryKey struct {
-	kind   EntryKind
-	node   rdf.Term
-	table  string
-	column string
-}
-
-func (s *System) computeEntryTables(e EntryPoint) []string {
-	collected := make(map[string]bool)
-	var out []string
-	add := func(t string) {
-		if t != "" && !collected[t] {
-			collected[t] = true
-			out = append(out, t)
-		}
-	}
-
-	if e.Kind == KindBaseData {
-		// The entry is a (table, column) hit; the table anchors it, and
-		// traversal continues from the column node (a foreign key on the
-		// column can reach other tables).
-		add(e.Table)
-		if tblNode, ok := s.findTableNode(e.Table); ok {
-			s.collectInheritanceParents(tblNode, add)
-		}
-		if colNode, ok := s.findColumnNode(e.Table, e.Column); ok {
-			s.traverse(colNode, add)
-		}
-		return out
-	}
-	s.traverse(e.Node, add)
-	return out
-}
-
-// traverse BFSes outgoing edges from start, collecting the table names
-// the patterns find at every visited node (tablesAt). BFS order makes the
-// first collected table the nearest one — the entry's anchor.
-func (s *System) traverse(start rdf.Term, add func(string)) {
-	s.derivedOnce.Do(s.buildDerived)
-	visited := map[rdf.Term]bool{start: true}
-	queue := []rdf.Term{start}
-	for head := 0; head < len(queue); head++ {
-		node := queue[head]
-
-		for _, t := range s.tablesAt[node] {
-			add(t)
-		}
-
-		s.Meta.G.Outgoing(node, func(p, o rdf.Term) bool {
-			if !o.IsIRI() || visited[o] {
-				return true
-			}
-			visited[o] = true
-			queue = append(queue, o)
-			return true
-		})
-	}
-}
-
-// collectTablesAtNodes runs collectAtNode once for every node of the
-// metadata graph, recording the table names it collects there. A node
-// outside the graph matches no pattern and collects none. Traversals then
-// replay these lists instead of matching patterns at every node they
-// visit, so a new entry point's first traversal is a plain BFS.
-func (s *System) collectTablesAtNodes() map[rdf.Term][]string {
-	out := make(map[rdf.Term][]string)
-	for _, node := range s.Meta.G.Nodes() {
-		var tables []string
-		s.collectAtNode(node, func(t string) { tables = append(tables, t) })
-		if len(tables) > 0 {
-			out[node] = tables
-		}
-	}
-	return out
-}
-
-// collectAtNode tests the Table, Column and Inheritance Child patterns at
-// one node, per §4.2.1 "Application in SODA".
-func (s *System) collectAtNode(node rdf.Term, add func(string)) {
-	if name, ok := s.tableOfNode(node); ok {
-		add(name)
-		s.collectInheritanceParents(node, add)
-		return
-	}
-	// Column pattern: collect the owning table (binding z).
-	if bs := s.matcher.MatchName(metagraph.PatColumn, node); len(bs) > 0 {
-		if z, ok := bs[0].Get("z"); ok {
-			if name, ok := s.tableOfNode(z); ok {
-				add(name)
-				s.collectInheritanceParents(z, add)
-			}
-		}
-	}
-}
-
-// collectInheritanceParents walks the Inheritance Child pattern up through
-// multi-level hierarchies, collecting every ancestor table.
-func (s *System) collectInheritanceParents(node rdf.Term, add func(string)) {
-	for depth := 0; depth < 8; depth++ {
-		bs := s.matcher.MatchName(metagraph.PatInheritanceChild, node)
-		if len(bs) == 0 {
-			return
-		}
-		parent, ok := bs[0].Get("p")
-		if !ok {
-			return
-		}
-		if name, ok := s.tableOfNode(parent); ok {
-			add(name)
-		}
-		node = parent
-	}
-}
-
-// tableOfNode returns the table name if node matches the Table pattern,
-// memoised (traversals revisit table nodes constantly); "" records a
-// node that is not a table.
-func (s *System) tableOfNode(node rdf.Term) (string, bool) {
-	name := memoized(s, s.tblMemo, node, func() string {
-		if s.matcher.MatchesName(metagraph.PatTable, node) {
-			if n, ok := s.Meta.TableName(node); ok {
-				return n
-			}
-		}
-		return ""
-	})
-	return name, name != ""
-}
-
-// columnFollowPreds are the predicates resolveColumn may traverse: the
-// cross-layer refinement chain only. Wandering through relationship or
-// table-composition edges would resolve an *entity* term to some arbitrary
-// column of a related table.
-var columnFollowPreds = map[string]bool{
-	metagraph.PredImplements:   true,
-	metagraph.PredClassifies:   true,
-	metagraph.PredRefersTo:     true,
-	metagraph.PredSubConceptOf: true,
-}
-
-// resolveColumn follows the refinement chain from a metadata node until it
-// reaches a physical column (used to resolve filter/aggregation attributes
-// like "birth date" → individuals.birth_dt across schema layers, §6.2).
-func (s *System) resolveColumn(node rdf.Term) (ColRef, bool) {
-	ref := memoized(s, s.colMemo, node, func() ColRef {
-		visited := map[rdf.Term]bool{node: true}
-		queue := []rdf.Term{node}
-		for head := 0; head < len(queue); head++ {
-			n := queue[head]
-			if r, ok := s.columnRef(n); ok {
-				return r
-			}
-			s.Meta.G.Outgoing(n, func(p, o rdf.Term) bool {
-				if !columnFollowPreds[p.Value()] {
-					return true
-				}
-				if o.IsIRI() && !visited[o] {
-					visited[o] = true
-					queue = append(queue, o)
-				}
-				return true
-			})
-		}
-		return ColRef{} // no physical column on the refinement chain
-	})
-	return ref, ref.Table != ""
-}
-
-// findTableNode locates the metadata node of a physical table by its
-// builder naming contract ("tbl:<name>").
-func (s *System) findTableNode(table string) (rdf.Term, bool) {
-	node := rdf.NewIRI("tbl:" + table)
-	if _, ok := s.Meta.TypeOf(node); ok {
-		return node, true
-	}
-	return rdf.Term{}, false
-}
-
-// findColumnNode locates the metadata node of a physical column
-// ("col:<table>.<column>").
-func (s *System) findColumnNode(table, column string) (rdf.Term, bool) {
-	node := rdf.NewIRI("col:" + table + "." + column)
-	if _, ok := s.Meta.TypeOf(node); ok {
-		return node, true
-	}
-	return rdf.Term{}, false
 }
 
 // ---- Join graph -----------------------------------------------------
@@ -455,13 +239,16 @@ func (e jgEdge) join() Join {
 //	fkOut  — outgoing FK/inheritance edges (t1 == table, bridges
 //	         excluded) in the (t2 name, c1) order fkUpwardClosure used to
 //	         sort out per node.
+//
+// closures holds every table's FK upward closure (computeClosure).
 type joinGraph struct {
-	edges  []jgEdge
-	tables *tableInterner
-	adjAll [][]int32
-	adj    [][]jgArc
-	adjNB  [][]jgArc
-	fkOut  [][]jgArc
+	edges    []jgEdge
+	tables   *tableInterner
+	adjAll   [][]int32
+	adj      [][]jgArc
+	adjNB    [][]jgArc
+	fkOut    [][]jgArc
+	closures [][]closureStep
 }
 
 // bridgeRel is one discovered bridge table with its two FK targets.
@@ -473,16 +260,17 @@ type bridgeRel struct {
 }
 
 // buildDerived computes the one-time derived structures: Step 1's label
-// hits, the tables each node contributes to a traversal, then the table
-// interner (everything else speaks interned IDs), bridge tables (the join
-// graph tags edges touching them), the global join graph and the interned
-// view of the bridge list. It runs exactly once per System, through
-// derivedOnce; the Step-3 memos (pairPaths, multiPaths, closureMemo) are
-// derived from these structures and share their lifetime.
+// hits, the table interner (everything else speaks interned IDs), the
+// compiled schema model (model.go: every node's Step 3 table list and
+// resolved column), bridge tables (the join graph tags edges touching
+// them), the global join graph with every table's FK upward closure, and
+// the interned view of the bridge list. It runs exactly once per System,
+// through derivedOnce; the path memos (pairPaths, multiPaths) are derived
+// from these structures and share their lifetime.
 func (s *System) buildDerived() {
 	s.labelHits = s.resolveLabelHits()
-	s.tablesAt = s.collectTablesAtNodes()
 	it := s.buildTableInterner()
+	s.model = s.compileModel(it)
 	s.bridgeMemo = s.findBridges()
 	s.jg = s.buildJoinGraph(it)
 	var bids []discoveredBridge
@@ -629,6 +417,11 @@ func (s *System) buildJoinGraph(it *tableInterner) *joinGraph {
 			return a.c1 < b.c1
 		})
 	}
+	jg.closures = make([][]closureStep, n)
+	var sc closureScratch
+	for t := int32(0); t < int32(n); t++ {
+		jg.closures[t] = jg.computeClosure(t, &sc)
+	}
 	return jg
 }
 
@@ -663,7 +456,7 @@ func (s *System) columnRef(col rdf.Term) (ColRef, bool) {
 // isInheritanceLink reports whether child/parent tables participate in the
 // same inheritance node.
 func (s *System) isInheritanceLink(childTable, parentTable string) bool {
-	child, ok := s.findTableNode(childTable)
+	child, ok := s.model.tableNode(childTable)
 	if !ok {
 		return false
 	}

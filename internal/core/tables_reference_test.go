@@ -41,6 +41,7 @@ func newRefJoinView(jg *joinGraph) *refJoinView {
 func refTablesStep(s *System, sol *Solution) {
 	jg := newRefJoinView(s.joinGraphCached())
 
+	rt := newRefTables(s)
 	entrySets := make([][]string, len(sol.Entries))
 	discovered := make(map[string]bool)
 	var tables []string
@@ -51,7 +52,7 @@ func refTablesStep(s *System, sol *Solution) {
 		}
 	}
 	for i, e := range sol.Entries {
-		set := refEntryTables(s, e)
+		set := rt.entryTables(e)
 		entrySets[i] = set
 		for _, t := range set {
 			addDiscovered(t)
@@ -182,9 +183,31 @@ func refFkUpwardClosure(jg *refJoinView, table string, addJoin func(Join), addTa
 	}
 }
 
-// refEntryTables is the old (unmemoized) entryTables, verbatim, with its
-// own traversal copy so the memo layer is not in the loop.
-func refEntryTables(s *System, e EntryPoint) []string {
+// refTables is the old traversal state of one System: the tables the
+// patterns collect at each node, the old System.tablesAt, filled here on
+// first visit instead of for every node up front.
+type refTables struct {
+	s  *System
+	at map[rdf.Term][]string
+}
+
+func newRefTables(s *System) *refTables {
+	return &refTables{s: s, at: make(map[rdf.Term][]string)}
+}
+
+// tablesAt returns refCollectAtNode's tables at one node.
+func (r *refTables) tablesAt(node rdf.Term) []string {
+	tables, ok := r.at[node]
+	if !ok {
+		refCollectAtNode(r.s, node, func(t string) { tables = append(tables, t) })
+		r.at[node] = tables
+	}
+	return tables
+}
+
+// entryTables is the old (unmemoized) computeEntryTables, verbatim.
+func (r *refTables) entryTables(e EntryPoint) []string {
+	s := r.s
 	collected := make(map[string]bool)
 	var out []string
 	add := func(t string) {
@@ -196,28 +219,31 @@ func refEntryTables(s *System, e EntryPoint) []string {
 
 	if e.Kind == KindBaseData {
 		add(e.Table)
-		if tblNode, ok := s.findTableNode(e.Table); ok {
-			s.collectInheritanceParents(tblNode, add)
+		if tblNode, ok := refFindTableNode(s, e.Table); ok {
+			refCollectInheritanceParents(s, tblNode, add)
 		}
-		if colNode, ok := s.findColumnNode(e.Table, e.Column); ok {
-			refTraverse(s, colNode, add)
+		if colNode, ok := refFindColumnNode(s, e.Table, e.Column); ok {
+			r.traverse(colNode, add)
 		}
 		return out
 	}
-	refTraverse(s, e.Node, add)
+	r.traverse(e.Node, add)
 	return out
 }
 
-func refTraverse(s *System, start rdf.Term, add func(string)) {
+// traverse is the old traverse, verbatim: a BFS over outgoing IRI edges
+// replaying the tables collected at every visited node.
+func (r *refTables) traverse(start rdf.Term, add func(string)) {
 	visited := map[rdf.Term]bool{start: true}
 	queue := []rdf.Term{start}
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		node := queue[head]
 
-		s.collectAtNode(node, add)
+		for _, t := range r.tablesAt(node) {
+			add(t)
+		}
 
-		s.Meta.G.Outgoing(node, func(p, o rdf.Term) bool {
+		r.s.Meta.G.Outgoing(node, func(p, o rdf.Term) bool {
 			if !o.IsIRI() || visited[o] {
 				return true
 			}
@@ -226,6 +252,103 @@ func refTraverse(s *System, start rdf.Term, add func(string)) {
 			return true
 		})
 	}
+}
+
+// refCollectAtNode is the old collectAtNode, verbatim: the Table, Column
+// and Inheritance Child patterns tested at one node.
+func refCollectAtNode(s *System, node rdf.Term, add func(string)) {
+	if name, ok := refTableOfNode(s, node); ok {
+		add(name)
+		refCollectInheritanceParents(s, node, add)
+		return
+	}
+	if bs := s.matcher.MatchName(metagraph.PatColumn, node); len(bs) > 0 {
+		if z, ok := bs[0].Get("z"); ok {
+			if name, ok := refTableOfNode(s, z); ok {
+				add(name)
+				refCollectInheritanceParents(s, z, add)
+			}
+		}
+	}
+}
+
+// refCollectInheritanceParents is the old collectInheritanceParents,
+// verbatim.
+func refCollectInheritanceParents(s *System, node rdf.Term, add func(string)) {
+	for depth := 0; depth < 8; depth++ {
+		bs := s.matcher.MatchName(metagraph.PatInheritanceChild, node)
+		if len(bs) == 0 {
+			return
+		}
+		parent, ok := bs[0].Get("p")
+		if !ok {
+			return
+		}
+		if name, ok := refTableOfNode(s, parent); ok {
+			add(name)
+		}
+		node = parent
+	}
+}
+
+// refTableOfNode is the old tableOfNode without its memo: the Table
+// pattern matcher.
+func refTableOfNode(s *System, node rdf.Term) (string, bool) {
+	if s.matcher.MatchesName(metagraph.PatTable, node) {
+		if n, ok := s.Meta.TableName(node); ok && n != "" {
+			return n, true
+		}
+	}
+	return "", false
+}
+
+var refColumnFollowPreds = map[string]bool{
+	metagraph.PredImplements:   true,
+	metagraph.PredClassifies:   true,
+	metagraph.PredRefersTo:     true,
+	metagraph.PredSubConceptOf: true,
+}
+
+// refResolveColumn is the old resolveColumn without its memo, verbatim:
+// a BFS over the refinement predicates to the first physical column.
+func refResolveColumn(s *System, node rdf.Term) (ColRef, bool) {
+	visited := map[rdf.Term]bool{node: true}
+	queue := []rdf.Term{node}
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		if r, ok := s.columnRef(n); ok {
+			return r, true
+		}
+		s.Meta.G.Outgoing(n, func(p, o rdf.Term) bool {
+			if !refColumnFollowPreds[p.Value()] {
+				return true
+			}
+			if o.IsIRI() && !visited[o] {
+				visited[o] = true
+				queue = append(queue, o)
+			}
+			return true
+		})
+	}
+	return ColRef{}, false
+}
+
+// refFindTableNode is the old findTableNode, verbatim.
+func refFindTableNode(s *System, table string) (rdf.Term, bool) {
+	node := rdf.NewIRI("tbl:" + table)
+	if _, ok := s.Meta.TypeOf(node); ok {
+		return node, true
+	}
+	return rdf.Term{}, false
+}
+
+// refFindColumnNode is the old findColumnNode, verbatim.
+func refFindColumnNode(s *System, table, column string) (rdf.Term, bool) {
+	node := rdf.NewIRI("col:" + table + "." + column)
+	if _, ok := s.Meta.TypeOf(node); ok {
+		return node, true
+	}
+	return rdf.Term{}, false
 }
 
 // refShortestPath is the old joinGraph.shortestPath, verbatim.

@@ -268,6 +268,17 @@ func (g *Graph) Outgoing(s Term, fn func(p, o Term) bool) {
 	}
 }
 
+// OutgoingIDs calls fn for every edge (p, o) leaving the term with ID s,
+// in insertion order, as dictionary IDs: Outgoing without the Term round
+// trip, for callers that compile the graph into ID-indexed structures.
+func (g *Graph) OutgoingIDs(s ID, fn func(p, o ID)) {
+	if a := adj(g.out, s); a != nil {
+		for _, e := range a.edges {
+			fn(e.pred, e.end)
+		}
+	}
+}
+
 // Incoming calls fn for every edge (p, s) arriving at o, in insertion order,
 // until fn returns false.
 func (g *Graph) Incoming(o Term, fn func(p, s Term) bool) {

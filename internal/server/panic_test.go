@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"soda"
 	"soda/internal/obs"
 )
 
@@ -72,4 +74,42 @@ func TestHandlerPanicBecomes500(t *testing.T) {
 		}
 	}()
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/test/abort", nil))
+}
+
+// TestCanceledSearchIs503: a /search whose request context ends before
+// the pipeline finishes answers 503 with the JSON error envelope, is
+// recorded with outcome "canceled", and leaves nothing in the cache: the
+// same query on a live request is answered in full.
+func TestCanceledSearchIs503(t *testing.T) {
+	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
+	sys.Warm()
+	s := New(sys)
+	const body = `{"query":"wealthy customers"}`
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(body)).WithContext(ctx)
+	req.Header.Set(obs.TraceparentHeader, fixedParent)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503; body %s", rec.Code, rec.Body)
+	}
+	var env errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error != context.Canceled.Error() || env.RequestID == "" {
+		t.Fatalf("body %q is not the error envelope of a cancelled search (%v)", rec.Body, err)
+	}
+	entry, ok := s.flight.Get(fixedTraceID)
+	if !ok || entry.Status != http.StatusServiceUnavailable || entry.Cache != "canceled" {
+		t.Fatalf("flight recorder entry = %+v, %v; want a 503 with outcome canceled", entry, ok)
+	}
+
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("live request after a cancelled one: status %d, body %s", rec.Code, rec.Body)
+	}
+	if st := sys.CacheStats(); st.Hits != 0 {
+		t.Fatalf("cache stats %+v: the live request was served a cached answer", st)
+	}
 }

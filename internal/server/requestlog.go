@@ -75,7 +75,7 @@ type requestInfo struct {
 
 	mu      sync.Mutex
 	dialect string
-	outcome string // "hit" | "cold" for /search
+	outcome string // "hit" | "cold" | "canceled" for /search
 	query   string // /search input
 	sqlText string // top-ranked resolved statement, or /sql body
 }

@@ -4,6 +4,7 @@ package server
 // /sql, /explain, /browse/{table} and /feedback.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -85,6 +86,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			info.setSQL(topSQL)
 		}
 	})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// The request's context ended between pipeline steps (the
+		// client hung up, or a deadline passed). The query itself may
+		// be fine, so this is no 400.
+		info.setOutcome("canceled")
+		s.writeError(w, r, http.StatusServiceUnavailable, err)
+		return
+	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
