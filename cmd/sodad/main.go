@@ -72,10 +72,17 @@
 //	                    for over-SLO and 5xx traces, which normal traffic
 //	                    never evicts)
 //
-// The daemon warms the join-graph caches before listening, serves until
-// SIGINT/SIGTERM and then shuts down gracefully, draining in-flight
-// requests; with -data-dir it then flushes a final snapshot so the next
-// boot replays an empty WAL.
+// Boot builds the world's base data and metadata graph, then a System
+// over them, and warms it before listening. Without -data-dir (or with
+// one that holds no valid snapshot) the inverted index is built cold, on
+// its own goroutine, while Warm matches the §4.2.1 patterns over the
+// metadata graph and compiles the schema model, bridge tables and join
+// graph on the calling one; Warm then waits for the index and resolves
+// Step 1's label hits, the one derived structure that reads it. A valid
+// snapshot replaces the index build and the graph with its own copies,
+// and Warm runs alone. The daemon then serves until SIGINT/SIGTERM and
+// shuts down gracefully, draining in-flight requests; with -data-dir it
+// then flushes a final snapshot so the next boot replays an empty WAL.
 //
 // HTTP API (package soda/internal/server):
 //

@@ -153,11 +153,16 @@ type System struct {
 	// (backend/sqldb).
 	Backend backend.Executor
 	Meta    *metagraph.Graph
-	Index   *invidx.Index
 	Reg     *pattern.Registry
 	Opt     Options
 
 	matcher *pattern.Matcher
+
+	// The inverted index, read through Index. NewSystemIndexing stores it
+	// from a build running on its own goroutine and then closes
+	// indexReady; NewSystem stores it up front.
+	index      atomic.Pointer[invidx.Index]
+	indexReady chan struct{}
 
 	// Derived structures, built once by Warm (or on first use) and
 	// read-only afterwards: the compiled schema model (model.go), the join
@@ -238,15 +243,38 @@ type System struct {
 
 // NewSystem builds a System over the given substrates: an execution
 // backend for the base data, the metadata graph and the inverted index.
-// A nil registry gets the metagraph default patterns.
+// It matches the metagraph default patterns (metagraph.Patterns).
 func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, opt Options) *System {
+	s := newSystem(be, meta, opt)
+	s.index.Store(idx)
+	close(s.indexReady)
+	return s
+}
+
+// NewSystemIndexing is NewSystem for an inverted index that is not built
+// yet. build runs on its own goroutine, started here, so the index build
+// overlaps Warm: Warm compiles everything that needs only the metadata
+// graph while the index builds, and joins the build before Step 1's label
+// hits, the one derived structure that reads the index. Anything else that
+// reads the index before then waits for the build too. The goroutine ends
+// when build returns; nothing cancels it.
+func NewSystemIndexing(be backend.Executor, meta *metagraph.Graph, build func() *invidx.Index, opt Options) *System {
+	s := newSystem(be, meta, opt)
+	go func() {
+		s.index.Store(build())
+		close(s.indexReady)
+	}()
+	return s
+}
+
+func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System {
 	reg := metagraph.Patterns()
 	s := &System{
 		Backend:      be,
 		Meta:         meta,
-		Index:        idx,
 		Reg:          reg,
 		Opt:          opt.withDefaults(),
+		indexReady:   make(chan struct{}),
 		pairPaths:    make(map[pairPathKey]pathResult),
 		multiPaths:   make(map[string]pathResult),
 		vector:       make(store.Vector),
@@ -266,6 +294,16 @@ func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, op
 	s.metrics = newSysMetrics(s.reg, be.Name())
 	s.registerCacheMetrics()
 	return s
+}
+
+// Index returns the inverted index, waiting for its build when the System
+// came from NewSystemIndexing and the build has not finished.
+func (s *System) Index() *invidx.Index {
+	if idx := s.index.Load(); idx != nil {
+		return idx
+	}
+	<-s.indexReady
+	return s.index.Load()
 }
 
 // Role says how a term participates in SQL generation.
@@ -533,13 +571,14 @@ type Analysis struct {
 	StepAllocs map[string]uint64
 }
 
-// Warm builds the derived structures: the label hits, the compiled
-// schema model with every node's Step 3 table list and resolved column,
-// the join graph with every table's FK closure, and the bridge tables.
-// After it, no query pays a first touch: the first search of an entry
-// point the daemon has never seen measures the pipeline, not a traversal
-// of the metadata graph. The paper's Table 4 likewise excludes the
-// 24-hour inverted-index build from per-query runtimes.
+// Warm builds the derived structures: the compiled schema model with
+// every node's Step 3 table list and resolved column, the bridge tables,
+// the join graph with every table's FK closure, and the label hits. After
+// it, no query pays a first touch: the first search of an entry point the
+// daemon has never seen measures the pipeline, not a traversal of the
+// metadata graph. The paper's Table 4 likewise excludes the 24-hour
+// inverted-index build from per-query runtimes. Warm is idempotent, and a
+// search before it builds the same structures on first use.
 func (s *System) Warm() {
 	s.derivedOnce.Do(s.buildDerived)
 }

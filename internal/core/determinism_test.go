@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"soda/internal/backend/memory"
+	"soda/internal/invidx"
 	"soda/internal/minibank"
 )
 
@@ -184,5 +187,53 @@ func TestConcurrentSearches(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A System whose index is still building (NewSystemIndexing) answers
+// exactly like one handed a finished index, whether its searches race
+// Warm or come before it.
+func TestIndexingSystemMatchesEager(t *testing.T) {
+	eager := NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{CacheSize: -1})
+	want := make(map[string][]string)
+	for _, q := range determinismQueries {
+		want[q] = sqlsOf(t, eager, q)
+	}
+	release := make(chan struct{})
+	sys := NewSystemIndexing(memory.New(world.DB), world.Meta, func() *invidx.Index {
+		<-release // the build cannot end before the searches and Warm start
+		return invidx.Build(world.DB)
+	}, Options{CacheSize: -1})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range determinismQueries {
+				a, err := sys.Search(q)
+				if err != nil {
+					t.Errorf("%q: %v", q, err)
+					return
+				}
+				var got []string
+				for _, sol := range a.Solutions {
+					got = append(got, sol.SQLText())
+				}
+				if !slices.Equal(got, want[q]) {
+					t.Errorf("%q: searching beside the index build gave\n%v\nwant\n%v", q, got, want[q])
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sys.Warm()
+	}()
+	close(release)
+	wg.Wait()
+	sys.Warm() // idempotent
+	if sys.Index().NumPostings() != world.Index.NumPostings() {
+		t.Fatal("Index() is not the built index")
 	}
 }

@@ -131,9 +131,9 @@ func (s *System) known(phrase string) bool {
 		}
 	}
 	if strings.Contains(phrase, " ") {
-		return s.Index.ContainsExact(phrase)
+		return s.Index().ContainsExact(phrase)
 	}
-	return s.Index.Contains(phrase)
+	return s.Index().Contains(phrase)
 }
 
 // candidates returns the entry points for one term: every metadata node
@@ -201,7 +201,7 @@ func (s *System) resolveLabelHits() map[string][]invidx.ColumnHit {
 	labels := s.Meta.Labels()
 	out := make(map[string][]invidx.ColumnHit, len(labels))
 	for _, l := range labels {
-		out[l] = s.Index.Hits(l)
+		out[l] = s.Index().Hits(l)
 	}
 	return out
 }
@@ -213,7 +213,7 @@ func (s *System) baseHits(phrase string) []invidx.ColumnHit {
 	if hits, ok := s.labelHits[invidx.Normalize(phrase)]; ok {
 		return hits
 	}
-	return s.Index.Hits(phrase)
+	return s.Index().Hits(phrase)
 }
 
 func (s *System) entryScore(layer string) float64 {

@@ -313,7 +313,7 @@ func (s *System) snapshotLocked() *store.Snapshot {
 		Epoch:       s.baseEpoch,
 		AppliedSeq:  s.store.Stats().NextSeq - 1,
 		FoldPos:     s.foldPos,
-		Index:       s.Index,
+		Index:       s.Index(),
 		Meta:        s.Meta,
 	}
 	for id, seq := range s.foldedVector {

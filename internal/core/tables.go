@@ -259,16 +259,20 @@ type bridgeRel struct {
 	ignored           bool
 }
 
-// buildDerived computes the one-time derived structures: Step 1's label
-// hits, the table interner (everything else speaks interned IDs), the
-// compiled schema model (model.go: every node's Step 3 table list and
-// resolved column), bridge tables (the join graph tags edges touching
-// them), the global join graph with every table's FK upward closure, and
-// the interned view of the bridge list. It runs exactly once per System,
+// buildDerived computes the one-time derived structures: the table
+// interner (everything else speaks interned IDs), the compiled schema
+// model (model.go: every node's Step 3 table list and resolved column),
+// bridge tables (the join graph tags edges touching them), the global join
+// graph with every table's FK upward closure, the interned view of the
+// bridge list, and Step 1's label hits. It runs exactly once per System,
 // through derivedOnce; the path memos (pairPaths, multiPaths) are derived
 // from these structures and share their lifetime.
+//
+// Everything before the label hits reads only the metadata graph. The
+// label hits read the inverted index, so they come last: under
+// NewSystemIndexing the index build runs while the rest compiles, and
+// joins here.
 func (s *System) buildDerived() {
-	s.labelHits = s.resolveLabelHits()
 	it := s.buildTableInterner()
 	s.model = s.compileModel(it)
 	s.bridgeMemo = s.findBridges()
@@ -285,6 +289,7 @@ func (s *System) buildDerived() {
 		bids = append(bids, discoveredBridge{left: l, right: r, bridge: b})
 	}
 	s.bridgeIDs = bids
+	s.labelHits = s.resolveLabelHits()
 }
 
 // joinGraphCached returns the global join graph, building it on first use.

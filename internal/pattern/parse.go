@@ -49,7 +49,39 @@ func Parse(name, src string) (*Pattern, error) {
 	if len(p.Clauses) == 0 {
 		return nil, fmt.Errorf("pattern %q: empty pattern", name)
 	}
+	if err := checkVarKinds(p); err != nil {
+		return nil, fmt.Errorf("pattern %q: %w", name, err)
+	}
 	return p, nil
+}
+
+// checkVarKinds rejects a variable written both as a node variable and as
+// a text variable ("?v" and "t:?v"). No graph element is both a node and a
+// label, so such a pattern could never match.
+func checkVarKinds(p *Pattern) error {
+	kinds := make(map[string]ElemKind)
+	check := func(e Elem) error {
+		if !e.IsVar() {
+			return nil
+		}
+		if k, ok := kinds[e.Name]; ok && k != e.Kind {
+			return fmt.Errorf("variable %q is used both as ?%s and as t:?%s", e.Name, e.Name, e.Name)
+		}
+		kinds[e.Name] = e.Kind
+		return nil
+	}
+	for _, c := range p.Clauses {
+		var err error
+		if c.Kind == RefClause {
+			err = check(c.Ref)
+		} else if err = check(c.S); err == nil {
+			err = check(c.O)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustParse is Parse that panics on error; intended for the built-in

@@ -197,11 +197,3 @@ func (b Binding) Get(name string) (rdf.Term, bool) {
 	t, ok := b[name]
 	return t, ok
 }
-
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}

@@ -238,18 +238,20 @@ func TestUnboundRefEnumerates(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"",                        // empty
-		"( ?x p )",                // two elems but not matches-
-		"( ?x p ?y ?z )",          // four elems
-		"( ?x p ?y ) ( ?x q ?y )", // missing &
-		"( ?x p ?y ) &",           // trailing &
-		"( ?x p ?y",               // unclosed
-		"?x p ?y )",               // missing open
-		"( ?x ?p ?y )",            // variable predicate
-		"( ? p ?y )",              // empty var name
-		"( t:? p ?y )",            // empty text var name
-		"( ?x matches- )",         // empty ref name
-		"( ?x t:pred ?y )",        // text predicate
+		"",                                      // empty
+		"( ?x p )",                              // two elems but not matches-
+		"( ?x p ?y ?z )",                        // four elems
+		"( ?x p ?y ) ( ?x q ?y )",               // missing &
+		"( ?x p ?y ) &",                         // trailing &
+		"( ?x p ?y",                             // unclosed
+		"?x p ?y )",                             // missing open
+		"( ?x ?p ?y )",                          // variable predicate
+		"( ? p ?y )",                            // empty var name
+		"( t:? p ?y )",                          // empty text var name
+		"( ?x matches- )",                       // empty ref name
+		"( ?x t:pred ?y )",                      // text predicate
+		"( ?x p ?v ) & ( ?x q t:?v )",           // ?v and t:?v: one name, two kinds
+		"( ?x p t:?v ) & ( ?v matches-column )", // the same through a reference
 	}
 	for _, src := range cases {
 		if _, err := Parse("bad", src); err == nil {

@@ -13,6 +13,7 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -85,14 +86,32 @@ func WriteBinary(w io.Writer, g *Graph) error {
 
 // ReadBinary decodes a graph written by WriteBinary into a fresh Graph,
 // reproducing the original insertion order.
+//
+// Every count in the input is checked against the bytes left to read
+// before it sizes an allocation: a term takes at least two bytes (kind and
+// length) and a triple at least three (one varint per position), so a
+// header claiming more than the input can hold is corrupt. A reader that
+// reports its remaining length (bytes.Reader, the snapshot path) is read
+// in place; any other is read fully first.
 func ReadBinary(r io.Reader) (*Graph, error) {
+	lr, ok := r.(interface{ Len() int })
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("rdf: binary read: %w", err)
+		}
+		dr := bytes.NewReader(data)
+		r, lr = dr, dr
+	}
 	br := bufio.NewReader(r)
+	remaining := func() uint64 { return uint64(lr.Len() + br.Buffered()) }
+
 	nTerms, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("rdf: binary term count: %w", err)
 	}
-	if nTerms > binaryMaxTerms {
-		return nil, fmt.Errorf("rdf: binary term count %d exceeds limit", nTerms)
+	if nTerms > binaryMaxTerms || nTerms > remaining()/2 {
+		return nil, fmt.Errorf("rdf: binary term count %d exceeds the remaining input", nTerms)
 	}
 	terms := make([]Term, nTerms)
 	for i := range terms {
@@ -107,8 +126,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rdf: binary term %d length: %w", i, err)
 		}
-		if l > binaryMaxTerms {
-			return nil, fmt.Errorf("rdf: binary term %d length %d exceeds limit", i, l)
+		if l > remaining() {
+			return nil, fmt.Errorf("rdf: binary term %d length %d exceeds the remaining input", i, l)
 		}
 		b := make([]byte, l)
 		if _, err := io.ReadFull(br, b); err != nil {
@@ -125,8 +144,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdf: binary triple count: %w", err)
 	}
-	if nTriples > binaryMaxTerms {
-		return nil, fmt.Errorf("rdf: binary triple count %d exceeds limit", nTriples)
+	if nTriples > remaining()/3 {
+		return nil, fmt.Errorf("rdf: binary triple count %d exceeds the remaining input", nTriples)
 	}
 
 	// Bulk construction: the term table is interned once, in order, so a
@@ -219,14 +238,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		off += c
 	}
 
-	// Pass 2: fill every index in insertion order.
+	// Pass 2: fill every index in insertion order. The indexes are sized,
+	// so addInterned only appends within capacity.
 	for _, key := range keys {
 		sid, pid, oid := key[0], key[1], key[2]
-		tr := Triple{S: g.dict.Term(sid), P: g.dict.Term(pid), O: g.dict.Term(oid)}
-		g.out[sid].add(pid, oid)
-		g.in[oid].add(pid, sid)
-		g.byPred[pid] = append(g.byPred[pid], tr)
-		g.triples = append(g.triples, tr)
+		g.addInterned(sid, pid, oid, Triple{S: g.dict.Term(sid), P: g.dict.Term(pid), O: g.dict.Term(oid)})
 	}
 	return g, nil
 }

@@ -3,6 +3,9 @@ package rdf
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -98,4 +101,79 @@ func BenchmarkReadBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// A header that claims far more terms or triples than the input holds is
+// rejected before it sizes an allocation: a crafted snapshot must make a
+// boot slow, never crash it.
+func TestBinaryOversizedCountsAllocateLittle(t *testing.T) {
+	cases := map[string][]byte{
+		// No terms, then 2^26 triples, padded to 8 bytes.
+		"triples": {0x00, 0x80, 0x80, 0x80, 0x20, 0, 0, 0},
+		// 2^26 terms.
+		"terms": {0x80, 0x80, 0x80, 0x20, 0, 0, 0, 0},
+		// One IRI term whose value claims 2^26 bytes.
+		"term length": {0x01, 0x00, 0x80, 0x80, 0x80, 0x20, 0, 0},
+	}
+	for name, in := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing, want under 1 MB", name, got)
+		}
+	}
+}
+
+func TestBinaryRoundTripPreservesNodeOrder(t *testing.T) {
+	g := buildBinaryTestGraph()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	// A reader without Len takes the read-fully path.
+	g2, err := ReadBinary(struct{ io.Reader }{&buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Nodes(), g2.Nodes()) {
+		t.Fatalf("Nodes after decode = %v, want %v", g2.Nodes(), g.Nodes())
+	}
+}
+
+// FuzzReadBinary: no input panics the decoder, and whatever it accepts
+// re-encodes to a fixpoint — encode(decode(encode(decode(x)))) equals
+// encode(decode(x)) byte for byte.
+func FuzzReadBinary(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteBinary(&seed, buildBinaryTestGraph()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{0x00, 0x80, 0x80, 0x80, 0x20, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var e1, e2 bytes.Buffer
+		if err := WriteBinary(&e1, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadBinary(bytes.NewReader(e1.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode of an encoded graph failed: %v", err)
+		}
+		if err := WriteBinary(&e2, g2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(e1.Bytes(), e2.Bytes()) {
+			t.Fatal("encode→decode→encode is not byte-identical")
+		}
+	})
 }

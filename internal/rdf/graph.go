@@ -86,6 +86,7 @@ type Graph struct {
 	in      []adjacency        // object ID    -> (predicate, subject); [0] unused
 	byPred  [][]Triple         // predicate ID -> triples in insertion order
 	triples []Triple           // insertion order, for All
+	nodes   []ID               // IRI subjects and objects, first-appearance order
 }
 
 // NewGraph returns an empty graph with its own term dictionary.
@@ -142,15 +143,31 @@ func (g *Graph) Add(s, p, o Term) bool {
 // addInterned appends the already-deduplicated triple to every index. The
 // caller has interned the terms and updated seen.
 func (g *Graph) addInterned(sid, pid, oid ID, tr Triple) {
+	g.noteNode(sid)
 	g.out = growDense(g.out, int(sid))
 	g.out[sid].add(pid, oid)
 
+	if tr.O.IsIRI() {
+		g.noteNode(oid)
+	}
 	g.in = growDense(g.in, int(oid))
 	g.in[oid].add(pid, sid)
 
 	g.byPred = growDense(g.byPred, int(pid))
 	g.byPred[pid] = append(g.byPred[pid], tr)
 	g.triples = append(g.triples, tr)
+}
+
+// noteNode records id in the node order if it has no edge yet in either
+// direction: this triple is its first appearance as a subject or object.
+func (g *Graph) noteNode(id ID) {
+	if a := adj(g.out, id); a != nil && len(a.edges) > 0 {
+		return
+	}
+	if a := adj(g.in, id); a != nil && len(a.edges) > 0 {
+		return
+	}
+	g.nodes = append(g.nodes, id)
 }
 
 // Has reports whether the triple (s, p, o) is in the graph.
@@ -324,21 +341,93 @@ func (g *Graph) InDegree(o Term) int {
 // Nodes returns every distinct IRI that appears as a subject or object, in
 // first-appearance order.
 func (g *Graph) Nodes() []Term {
-	seen := make(map[Term]struct{})
-	var nodes []Term
-	appendNode := func(t Term) {
-		if !t.IsIRI() {
-			return
-		}
-		if _, dup := seen[t]; dup {
-			return
-		}
-		seen[t] = struct{}{}
-		nodes = append(nodes, t)
+	if len(g.nodes) == 0 {
+		return nil
 	}
-	for _, tr := range g.triples {
-		appendNode(tr.S)
-		appendNode(tr.O)
+	nodes := make([]Term, len(g.nodes))
+	for i, id := range g.nodes {
+		nodes[i] = g.dict.Term(id)
 	}
 	return nodes
+}
+
+// NodeIDs is Nodes as dictionary IDs. The returned slice is shared;
+// callers must not modify it.
+func (g *Graph) NodeIDs() []ID { return g.nodes }
+
+// HasIDs is Has over dictionary IDs.
+func (g *Graph) HasIDs(s, p, o ID) bool {
+	_, ok := g.seen[[3]ID{s, p, o}]
+	return ok
+}
+
+// Ends iterates, as dictionary IDs and in insertion order, the endpoints
+// of one node's edges that carry one predicate: the ID-level Objects and
+// Subjects, without a slice or a Term per step. The zero value is empty.
+type Ends struct {
+	ends  []ID   // the node's per-predicate list, when it has one
+	edges []edge // else all the node's edges, filtered by pred
+	pred  ID
+}
+
+// Next returns the next endpoint, or false when there is none.
+func (it *Ends) Next() (ID, bool) {
+	if len(it.ends) > 0 {
+		id := it.ends[0]
+		it.ends = it.ends[1:]
+		return id, true
+	}
+	for len(it.edges) > 0 {
+		e := it.edges[0]
+		it.edges = it.edges[1:]
+		if e.pred == it.pred {
+			return e.end, true
+		}
+	}
+	return NoID, false
+}
+
+func (a *adjacency) ends(p ID) Ends {
+	switch {
+	case a == nil:
+		return Ends{}
+	case a.byPred != nil:
+		return Ends{ends: a.byPred[p]}
+	default:
+		return Ends{edges: a.edges, pred: p}
+	}
+}
+
+// ObjectIDs iterates the objects o with (s, p, o) in the graph.
+func (g *Graph) ObjectIDs(s, p ID) Ends { return adj(g.out, s).ends(p) }
+
+// SubjectIDs iterates the subjects s with (s, p, o) in the graph.
+func (g *Graph) SubjectIDs(p, o ID) Ends { return adj(g.in, o).ends(p) }
+
+// Pairs iterates the (subject, object) IDs of every triple with one
+// predicate, in insertion order: the ID-level WithPredicate. The
+// per-predicate index holds Terms, so each step looks both up in the
+// dictionary; callers that know one endpoint use ObjectIDs or
+// SubjectIDs instead.
+type Pairs struct {
+	triples []Triple
+	dict    *Dict
+}
+
+// Next returns the next pair, or false when there is none.
+func (it *Pairs) Next() (s, o ID, ok bool) {
+	if len(it.triples) == 0 {
+		return NoID, NoID, false
+	}
+	tr := it.triples[0]
+	it.triples = it.triples[1:]
+	return it.dict.Lookup(tr.S), it.dict.Lookup(tr.O), true
+}
+
+// PairIDs iterates the triples whose predicate has ID p.
+func (g *Graph) PairIDs(p ID) Pairs {
+	if int(p) >= len(g.byPred) {
+		return Pairs{}
+	}
+	return Pairs{triples: g.byPred[p], dict: g.dict}
 }

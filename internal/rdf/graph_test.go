@@ -353,3 +353,72 @@ func containsTerm(ts []Term, want Term) bool {
 	}
 	return false
 }
+
+// property: the ID-level accessors agree with the Term-level ones, and
+// the cached node order is the first-appearance order of subjects and
+// objects over All. Names are shared across positions, so predicates
+// also occur as nodes, self-loops occur, and busy nodes pass
+// adjIndexThreshold.
+func TestGraphIDAccessorsAgreeQuick(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := NewGraph()
+		name := func() string { return fmt.Sprintf("n%d", rng.Intn(5)) }
+		for i := 0; i < int(n); i++ {
+			o := NewIRI(name())
+			if rng.Intn(3) == 0 {
+				o = NewText(name())
+			}
+			g.Add(NewIRI(name()), NewIRI(name()), o)
+		}
+		var want []Term
+		seen := make(map[Term]bool)
+		for _, tr := range g.All() {
+			for _, x := range []Term{tr.S, tr.O} {
+				if x.IsIRI() && !seen[x] {
+					seen[x] = true
+					want = append(want, x)
+				}
+			}
+		}
+		if !reflect.DeepEqual(g.Nodes(), want) || len(g.NodeIDs()) != len(want) {
+			return false
+		}
+		d := g.Dict()
+		terms := func(it Ends) []Term {
+			var out []Term
+			for id, ok := it.Next(); ok; id, ok = it.Next() {
+				out = append(out, d.Term(id))
+			}
+			return out
+		}
+		for id := ID(1); int(id) <= d.Len(); id++ {
+			x := d.Term(id)
+			for p := ID(1); int(p) <= d.Len(); p++ {
+				pt := d.Term(p)
+				if !pt.IsIRI() {
+					continue
+				}
+				if !reflect.DeepEqual(terms(g.ObjectIDs(id, p)), g.Objects(x, pt)) ||
+					!reflect.DeepEqual(terms(g.SubjectIDs(p, id)), g.Subjects(pt, x)) {
+					return false
+				}
+				var pairs []Triple
+				it := g.PairIDs(p)
+				for s, o, ok := it.Next(); ok; s, o, ok = it.Next() {
+					if !g.HasIDs(s, p, o) {
+						return false
+					}
+					pairs = append(pairs, Triple{d.Term(s), pt, d.Term(o)})
+				}
+				if !reflect.DeepEqual(pairs, g.WithPredicate(pt)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

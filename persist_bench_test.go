@@ -57,3 +57,19 @@ func BenchmarkWarmStart(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBoot measures a fresh warehouse boot the way sodad performs it
+// without a data dir: one op builds the world, connects a System and warms
+// it. Connect starts the inverted-index build on its own goroutine and
+// Warm compiles the schema model, bridges and join graph beside it, so
+// run it at -cpu 1,2: the overlap can only help when a second CPU is idle.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := Connect(Warehouse(WarehouseConfig{}), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Warm()
+	}
+}

@@ -240,12 +240,12 @@ type System struct {
 }
 
 // NewSystem builds a System without persistence: derived state (the
-// inverted index) is built cold, feedback lives in memory only, and SQL
-// executes on the in-memory backend regardless of Options.Backend. Use
-// Connect for a System on a selectable backend and Open for one whose
-// state survives restarts.
+// inverted index) is built cold, on its own goroutine beside Warm,
+// feedback lives in memory only, and SQL executes on the in-memory
+// backend regardless of Options.Backend. Use Connect for a System on a
+// selectable backend and Open for one whose state survives restarts.
 func NewSystem(w *World, opt Options) *System {
-	cs := core.NewSystem(memory.New(w.db), w.meta, w.Index(), opt.internal())
+	cs := core.NewSystemIndexing(memory.New(w.db), w.meta, w.Index, opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
 	return &System{world: w, sys: cs}
 }
@@ -264,7 +264,7 @@ func Connect(w *World, opt Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := core.NewSystem(ex, w.meta, w.Index(), opt.internal())
+	cs := core.NewSystemIndexing(ex, w.meta, w.Index, opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
 	return &System{world: w, sys: cs}, nil
 }
@@ -363,10 +363,16 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	cs := core.NewSystem(ex, w.meta, w.Index(), opt.internal())
+	cs := core.NewSystemIndexing(ex, w.meta, w.Index, opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
 	cs.SetFingerprint(fp)
 	cs.SetReplica(replicaID, len(opt.Peers))
+	if snap == nil {
+		// A cold boot pre-bakes a snapshot, which needs the index: warm
+		// now, while the index builds, rather than after the snapshot
+		// has waited for the whole build.
+		cs.Warm()
+	}
 	if err := cs.OpenStore(st, snap); err != nil {
 		st.Close()
 		if c, ok := ex.(io.Closer); ok {
@@ -472,6 +478,10 @@ type CacheStats = core.CacheStats
 // when caching is disabled via Options.CacheSize < 0).
 func (s *System) CacheStats() CacheStats { return s.sys.CacheStats() }
 
-// Warm precomputes the join-graph and bridge caches so the first search
-// pays only the per-query pipeline cost.
+// Warm builds the derived structures (the compiled schema model, the join
+// graph, the bridge tables and Step 1's label hits) so the first search
+// pays only the per-query pipeline cost. A System fresh from NewSystem,
+// Connect or a cold Open builds its inverted index meanwhile, on another
+// goroutine; Warm compiles the rest beside it and then waits for it.
+// Warm is idempotent.
 func (s *System) Warm() { s.sys.Warm() }
