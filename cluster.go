@@ -139,9 +139,9 @@ func (s *System) ClusterPull(from string, since map[string]uint64, limit int) (*
 	}
 	if behind {
 		resp.Behind = true
-		resp.State = cluster.StateToWire(s.sys.ClusterState())
+		resp.State = s.sys.ClusterState()
 	} else {
-		resp.Records = cluster.ToWireRecords(recs)
+		resp.Records = recs
 	}
 	return resp, nil
 }

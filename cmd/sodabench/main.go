@@ -9,14 +9,6 @@
 //	sodabench -ablations      # the design-choice ablations
 //	sodabench -backend sqldb -driver sodalite -dsn bench -table 4
 //	                          # run the experiment systems on a SQL backend
-//	sodabench -replicas 3     # fleet load test: boot an in-process fleet
-//	                          # of sodad replicas (replicating over
-//	                          # loopback HTTP), drive /search at all of
-//	                          # them and report aggregate QPS plus the
-//	                          # feedback convergence latency; counter
-//	                          # deltas come from one replica's merged
-//	                          # /admin/fleet/metrics view, and every load
-//	                          # request carries a W3C traceparent
 //
 // Serving latency, allocations and per-layer costs are not measured here:
 // that is benchmark/ (bash benchmark/run.sh), which drives a live sodad.
@@ -31,7 +23,6 @@ import (
 
 	"soda"
 	"soda/internal/bench"
-	"soda/internal/bench/fleet"
 	"soda/internal/sqlast"
 )
 
@@ -45,25 +36,9 @@ func main() {
 	driver := flag.String("driver", "", `database/sql driver for -backend sqldb ("sodalite", "pgwire")`)
 	dsn := flag.String("dsn", "", "data source name for -backend sqldb")
 	dialect := flag.String("dialect", "generic", "SQL dialect for -backend sqldb: "+strings.Join(soda.Dialects(), ", "))
-	replicas := flag.Int("replicas", 0, "fleet load test: boot this many in-process sodad replicas and report aggregate QPS")
-	fleetQueries := flag.Int("fleet-queries", 2000, "total /search requests for -replicas mode")
-	fleetWorkers := flag.Int("fleet-workers", 4, "concurrent clients per replica for -replicas mode")
 	flag.Parse()
 	if err := validateSelection(*table, *figure); err != nil {
 		log.Fatal(err)
-	}
-
-	if *replicas > 0 {
-		res, err := fleet.Run(fleet.Config{
-			Replicas:          *replicas,
-			Queries:           *fleetQueries,
-			WorkersPerReplica: *fleetWorkers,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(res.Render())
-		return
 	}
 
 	d, ok := sqlast.DialectByName(*dialect)

@@ -143,8 +143,10 @@
 //
 //	GET  /cluster/pull?since=origin:seq,...&from=replica-id
 //	    Replication pull (fleet-internal): feedback records beyond the
-//	    caller's applied vector, or the folded state when the caller is
-//	    behind this replica's fold point. See README "Running a fleet".
+//	    caller's applied vector as WAL record frames, or, when the caller
+//	    is behind this replica's fold point, the folded state as snapshot
+//	    sections; the responder's id, vector and clock ride in Soda-*
+//	    headers. See README "Running a fleet".
 //
 // Examples:
 //

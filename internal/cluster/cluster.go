@@ -11,20 +11,31 @@
 //	GET /cluster/pull?since=<vector>&from=<replica-id>&limit=<n>
 //
 // where <vector> is "origin:seq,origin:seq" — the requester's applied
-// vector. The response carries every retained record beyond the vector in
-// canonical order (capped at limit, with "more" set when truncated), the
-// responder's own vector (for lag accounting) and Lamport clock (so idle
-// peers still advance fold watermarks). The requester's vector doubles as
-// an acknowledgement: the responder will not compact records the
-// requester has not yet covered. When the requester's vector predates the
-// responder's fold point — a fresh replica, or one that lost its data
-// dir — the response instead carries the responder's folded state
-// ("behind" + "state"), which the requester adopts wholesale before
-// resuming incremental pulls.
+// vector. The requester's vector doubles as an acknowledgement: the
+// responder will not compact records the requester has not yet covered.
+// The response speaks the store's own encodings; WritePull and ReadPull
+// are the only code that knows how they are arranged:
+//
+//   - headers carry the scalars: the responder's replica id (Soda-Origin),
+//     applied vector in the same "origin:seq" form (Soda-Vector, for lag
+//     accounting) and Lamport clock (Soda-Lc, so idle peers still advance
+//     fold watermarks), plus Soda-More when the batch was capped at limit;
+//   - the body is every retained record beyond the requester's vector, in
+//     canonical order, as the WAL's CRC-framed records (store.EncodeRecords).
+//
+// When the requester's vector predates the responder's fold point — a
+// fresh replica, or one that lost its data dir — the response instead sets
+// Soda-Behind and Soda-Epoch, and the body is the responder's folded state
+// as snapshot sections (store.EncodeState: feedback, origins, queries and a
+// tail of record frames), which the requester adopts wholesale before
+// resuming incremental pulls. A bad header, frame or section, a cut body
+// or one that reaches maxPullBody fails the whole pull: nothing applies.
 package cluster
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
@@ -89,159 +100,109 @@ func ParseVector(s string) (store.Vector, error) {
 	return v, nil
 }
 
-// --- JSON wire types --------------------------------------------------
-
-// WireKey is one feedback entry-point key on the wire.
-type WireKey struct {
-	Node   string `json:"node,omitempty"`
-	Table  string `json:"table,omitempty"`
-	Column string `json:"column,omitempty"`
-}
-
-// WireRecord is one replicated feedback record on the wire. Op uses the
-// store's numeric values (1 like, 2 dislike, 3 reset, 4 set-query,
-// 5 delete-query). Payload carries the saved-query ops' opaque body
-// (base64 under encoding/json).
-type WireRecord struct {
-	Origin  string    `json:"origin"`
-	Seq     uint64    `json:"seq"`
-	LC      uint64    `json:"lc"`
-	Op      uint8     `json:"op"`
-	Keys    []WireKey `json:"keys,omitempty"`
-	Payload []byte    `json:"payload,omitempty"`
-}
-
-// WireFeedback is one folded adjustment in a catch-up state payload.
-type WireFeedback struct {
-	Key   WireKey `json:"key"`
-	Value float64 `json:"value"`
-}
-
-// WireOrigin is one origin's folded cursor in a catch-up state payload.
-type WireOrigin struct {
-	ID  string `json:"id"`
-	Seq uint64 `json:"seq"`
-	LC  uint64 `json:"lc"`
-}
-
-// WireState is the anti-entropy payload: the responder's folded base and
-// unfolded tail.
-type WireState struct {
-	Feedback   []WireFeedback     `json:"feedback,omitempty"`
-	Queries    []store.SavedQuery `json:"queries,omitempty"`
-	Epoch      uint64             `json:"epoch"`
-	FoldLC     uint64             `json:"fold_lc"`
-	FoldOrigin string             `json:"fold_origin,omitempty"`
-	FoldSeq    uint64             `json:"fold_seq"`
-	Origins    []WireOrigin       `json:"origins,omitempty"`
-	Records    []WireRecord       `json:"records,omitempty"`
-}
-
-// PullResponse is the /cluster/pull payload.
+// PullResponse is one /cluster/pull answer.
 type PullResponse struct {
 	// Origin is the responder's replica id.
-	Origin string `json:"origin"`
+	Origin string
 	// Vector is the responder's applied vector (lag accounting).
-	Vector map[string]uint64 `json:"vector"`
+	Vector store.Vector
 	// LC is the responder's Lamport clock.
-	LC uint64 `json:"lc"`
+	LC uint64
 	// Records are the retained records beyond the requester's vector, in
 	// canonical order; More means the batch was capped.
-	Records []WireRecord `json:"records,omitempty"`
-	More    bool         `json:"more,omitempty"`
+	Records []store.Record
+	More    bool
 	// Behind means the requester's vector predates the responder's fold
 	// point; State carries the folded state to adopt.
-	Behind bool       `json:"behind,omitempty"`
-	State  *WireState `json:"state,omitempty"`
+	Behind bool
+	State  *store.ReplicaState
 }
 
-// --- conversions ------------------------------------------------------
+// The response headers that carry a pull's scalars.
+const (
+	hdrOrigin = "Soda-Origin"
+	hdrVector = "Soda-Vector"
+	hdrLC     = "Soda-Lc"
+	hdrMore   = "Soda-More"
+	hdrBehind = "Soda-Behind"
+	hdrEpoch  = "Soda-Epoch"
+)
 
-// ToWireRecords converts store records for a response.
-func ToWireRecords(recs []store.Record) []WireRecord {
-	out := make([]WireRecord, len(recs))
-	for i, r := range recs {
-		out[i] = WireRecord{Origin: r.Origin, Seq: r.OriginSeq, LC: r.LC, Op: uint8(r.Op), Keys: toWireKeys(r.Keys), Payload: r.Payload}
-	}
-	return out
-}
+// maxPullBody caps a pull response body; feedback records are tiny, so a
+// body that reaches it is a protocol error, not data. A variable so tests
+// can reach it with a small body.
+var maxPullBody = 64 << 20
 
-// FromWireRecords converts pulled records back, validating ops.
-func FromWireRecords(recs []WireRecord) ([]store.Record, error) {
-	out := make([]store.Record, len(recs))
-	for i, r := range recs {
-		op := store.Op(r.Op)
-		switch op {
-		case store.OpLike, store.OpDislike, store.OpReset, store.OpSetQuery, store.OpDelQuery:
-		default:
-			return nil, fmt.Errorf("cluster: unknown record op %d from %s:%d", r.Op, r.Origin, r.Seq)
+// WritePull writes resp as a 200 response; ReadPull decodes it.
+func WritePull(w http.ResponseWriter, resp *PullResponse) error {
+	h := w.Header()
+	h.Set(hdrOrigin, resp.Origin)
+	h.Set(hdrVector, FormatVector(resp.Vector))
+	h.Set(hdrLC, strconv.FormatUint(resp.LC, 10))
+	var body []byte
+	if resp.Behind {
+		h.Set(hdrBehind, "true")
+		h.Set(hdrEpoch, strconv.FormatUint(resp.State.Epoch, 10))
+		body = store.EncodeState(resp.State)
+	} else {
+		if resp.More {
+			h.Set(hdrMore, "true")
 		}
-		if err := store.ValidReplicaID(r.Origin); err != nil {
-			return nil, err
-		}
-		out[i] = store.Record{Origin: r.Origin, OriginSeq: r.Seq, LC: r.LC, Op: op, Keys: fromWireKeys(r.Keys), Payload: r.Payload}
+		body = store.EncodeRecords(resp.Records)
 	}
-	return out, nil
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, err := w.Write(body)
+	return err
 }
 
-func toWireKeys(keys []store.Key) []WireKey {
-	out := make([]WireKey, len(keys))
-	for i, k := range keys {
-		out[i] = WireKey(k)
+// ReadPull reads and decodes a WritePull response. Any non-200 status,
+// bad header, bad or truncated frame or section, trailing bytes, or a
+// body that reaches maxPullBody is an error, and then nothing decoded is
+// returned: a damaged pull applies nothing.
+func ReadPull(r *http.Response) (*PullResponse, error) {
+	if r.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(r.Body, 512))
+		return nil, fmt.Errorf("status %d: %s", r.StatusCode, msg)
 	}
-	return out
-}
-
-func fromWireKeys(keys []WireKey) []store.Key {
-	out := make([]store.Key, len(keys))
-	for i, k := range keys {
-		out[i] = store.Key(k)
-	}
-	return out
-}
-
-// StateToWire converts a replica's catch-up state for a response.
-func StateToWire(st *store.ReplicaState) *WireState {
-	ws := &WireState{
-		Epoch:      st.Epoch,
-		FoldLC:     st.FoldPos.LC,
-		FoldOrigin: st.FoldPos.Origin,
-		FoldSeq:    st.FoldPos.Seq,
-		Queries:    st.Queries,
-		Records:    ToWireRecords(st.Tail),
-	}
-	for _, e := range st.Feedback {
-		ws.Feedback = append(ws.Feedback, WireFeedback{Key: WireKey(e.Key), Value: e.Value})
-	}
-	for _, o := range st.Origins {
-		ws.Origins = append(ws.Origins, WireOrigin{ID: o.ID, Seq: o.Seq, LC: o.LC})
-	}
-	return ws
-}
-
-// StateFromWire converts a pulled catch-up state back, validating record
-// identities.
-func StateFromWire(ws *WireState) (*store.ReplicaState, error) {
-	tail, err := FromWireRecords(ws.Records)
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(maxPullBody)))
 	if err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	if len(body) == maxPullBody {
+		return nil, fmt.Errorf("body reaches the %d-byte limit", maxPullBody)
+	}
+	h := r.Header
+	resp := &PullResponse{
+		Origin: h.Get(hdrOrigin),
+		More:   h.Get(hdrMore) == "true",
+		Behind: h.Get(hdrBehind) == "true",
+	}
+	if err := store.ValidReplicaID(resp.Origin); err != nil {
 		return nil, err
 	}
-	st := &store.ReplicaState{
-		Epoch:   ws.Epoch,
-		FoldPos: store.Pos{LC: ws.FoldLC, Origin: ws.FoldOrigin, Seq: ws.FoldSeq},
-		Queries: ws.Queries,
-		Tail:    tail,
+	if resp.Vector, err = ParseVector(h.Get(hdrVector)); err != nil {
+		return nil, err
 	}
-	for _, e := range ws.Feedback {
-		st.Feedback = append(st.Feedback, store.FeedbackEntry{Key: store.Key(e.Key), Value: e.Value})
+	if resp.LC, err = strconv.ParseUint(h.Get(hdrLC), 10, 64); err != nil {
+		return nil, fmt.Errorf("cluster: bad %s header: %w", hdrLC, err)
 	}
-	for _, o := range ws.Origins {
-		if err := store.ValidReplicaID(o.ID); err != nil {
+	if !resp.Behind {
+		if resp.Records, err = store.DecodeRecords(body); err != nil {
 			return nil, err
 		}
-		st.Origins = append(st.Origins, store.OriginState{ID: o.ID, Seq: o.Seq, LC: o.LC})
+		return resp, nil
 	}
-	return st, nil
+	epoch, err := strconv.ParseUint(h.Get(hdrEpoch), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: bad %s header: %w", hdrEpoch, err)
+	}
+	if resp.State, err = store.DecodeState(body); err != nil {
+		return nil, err
+	}
+	resp.State.Epoch = epoch
+	return resp, nil
 }
 
 // PullURL builds the pull request URL for a peer base URL.

@@ -1,10 +1,12 @@
 package cluster
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -39,37 +41,72 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireRecordRoundTrip(t *testing.T) {
-	recs := []store.Record{
-		{Origin: "a", OriginSeq: 1, LC: 1, Op: store.OpLike, Keys: []store.Key{{Node: "n"}, {Table: "t", Column: "c"}}},
-		{Origin: "b", OriginSeq: 9, LC: 14, Op: store.OpReset},
-	}
-	back, err := FromWireRecords(ToWireRecords(recs))
-	if err != nil {
+// recordPull returns what WritePull puts on the wire for resp.
+func recordPull(t testing.TB, resp *PullResponse) *http.Response {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	if err := WritePull(rec, resp); err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if back[i].Origin != recs[i].Origin || back[i].OriginSeq != recs[i].OriginSeq ||
-			back[i].LC != recs[i].LC || back[i].Op != recs[i].Op ||
-			!reflect.DeepEqual(append([]store.Key{}, back[i].Keys...), append([]store.Key{}, recs[i].Keys...)) {
-			t.Fatalf("record %d = %+v, want %+v", i, back[i], recs[i])
+	return rec.Result()
+}
+
+// testState is a catch-up state with every section populated. Its saved
+// query has one required parameter and one whose default is the empty
+// string: the wire form must keep the two apart.
+func testState() *store.ReplicaState {
+	empty := ""
+	return &store.ReplicaState{
+		// Sorted by key, as the feedback section is.
+		Feedback: []store.FeedbackEntry{{Key: store.Key{Table: "t", Column: "c"}, Value: -1}, {Key: store.Key{Node: "n"}, Value: 0.5}},
+		Queries: []store.SavedQuery{{Name: "q", SQL: "SELECT * FROM t WHERE a = ? AND b = ?",
+			Params: []store.SavedParam{{Name: "a", Type: "int"}, {Name: "b", Type: "string", Default: &empty}}}},
+		Epoch:   7,
+		FoldPos: store.Pos{LC: 9, Origin: "peer", Seq: 9},
+		Origins: []store.OriginState{{ID: "peer", Seq: 9, LC: 9}},
+		Tail: []store.Record{{Origin: "peer", OriginSeq: 10, LC: 10, Op: store.OpSetQuery, Keys: []store.Key{},
+			Payload: store.EncodeSavedQuery(store.SavedQuery{Name: "r", SQL: "SELECT 1"})}},
+	}
+}
+
+func TestPullRoundTrip(t *testing.T) {
+	batch := &PullResponse{
+		Origin: "peer", Vector: store.Vector{"peer": 9, "a": 1}, LC: 14, More: true,
+		Records: []store.Record{
+			{Origin: "a", OriginSeq: 1, LC: 1, Op: store.OpLike, Keys: []store.Key{{Node: "n"}, {Table: "t", Column: "c"}}},
+			{Origin: "peer", OriginSeq: 9, LC: 14, Op: store.OpReset, Keys: []store.Key{}},
+		},
+	}
+	catchUp := &PullResponse{Origin: "peer", Vector: store.Vector{"peer": 10}, LC: 10, Behind: true, State: testState()}
+	for _, want := range []*PullResponse{batch, catchUp} {
+		got, err := ReadPull(recordPull(t, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip = %+v, want %+v", got, want)
 		}
 	}
-	if _, err := FromWireRecords([]WireRecord{{Origin: "a", Seq: 1, LC: 1, Op: 9}}); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	if _, err := FromWireRecords([]WireRecord{{Origin: "bad id", Seq: 1, LC: 1, Op: 1}}); err == nil {
-		t.Fatal("invalid origin accepted")
+
+	for _, bad := range []store.Record{
+		{Origin: "a", OriginSeq: 1, LC: 1, Op: 9},
+		{Origin: "bad id", OriginSeq: 1, LC: 1, Op: store.OpLike},
+	} {
+		resp := &PullResponse{Origin: "peer", Records: []store.Record{batch.Records[0], bad}}
+		if _, err := ReadPull(recordPull(t, resp)); err == nil {
+			t.Fatalf("record %+v accepted", bad)
+		}
 	}
 }
 
 // fakeLocal is a scripted Local for tailer tests.
 type fakeLocal struct {
-	mu      sync.Mutex
-	vector  store.Vector
-	applied []store.Record
-	adopted *store.ReplicaState
-	clocks  map[string]uint64
+	mu         sync.Mutex
+	vector     store.Vector
+	applyCalls int
+	applied    []store.Record
+	adopted    *store.ReplicaState
+	clocks     map[string]uint64
 }
 
 func (f *fakeLocal) ReplicaID() string { return "me" }
@@ -81,6 +118,7 @@ func (f *fakeLocal) AppliedVector() store.Vector {
 func (f *fakeLocal) ApplyRemote(recs []store.Record) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.applyCalls++
 	n := 0
 	for _, r := range recs {
 		if r.OriginSeq == f.vector[r.Origin]+1 {
@@ -138,8 +176,8 @@ func TestTailerDrainsBatches(t *testing.T) {
 		if len(out) > 1 { // force batching: one record per pull
 			out, resp.More = out[:1], true
 		}
-		resp.Records = ToWireRecords(out)
-		_ = json.NewEncoder(w).Encode(resp)
+		resp.Records = out
+		_ = WritePull(w, &resp)
 	}))
 	defer srv.Close()
 
@@ -166,28 +204,19 @@ func TestTailerDrainsBatches(t *testing.T) {
 // TestTailerCatchUp: a "behind" response makes the tailer adopt the
 // peer's folded state, then resume incremental pulls.
 func TestTailerCatchUp(t *testing.T) {
-	empty := ""
-	state := &store.ReplicaState{
-		Feedback: []store.FeedbackEntry{{Key: store.Key{Node: "n"}, Value: 0.5}},
-		// One required parameter and one whose default is the empty
-		// string: the wire form must keep the two apart.
-		Queries: []store.SavedQuery{{Name: "q", SQL: "SELECT * FROM t WHERE a = ? AND b = ?",
-			Params: []store.SavedParam{{Name: "a", Type: "int"}, {Name: "b", Type: "string", Default: &empty}}}},
-		Epoch:   7,
-		FoldPos: store.Pos{LC: 9, Origin: "peer", Seq: 9},
-		Origins: []store.OriginState{{ID: "peer", Seq: 9, LC: 9}},
-	}
+	state := testState()
+	state.Tail = nil
 	tailRec := store.Record{Origin: "peer", OriginSeq: 10, LC: 10, Op: store.OpLike, Keys: []store.Key{{Node: "n"}}}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		since, _ := ParseVector(r.URL.Query().Get("since"))
 		resp := PullResponse{Origin: "peer", Vector: store.Vector{"peer": 10}, LC: 10}
 		if since["peer"] < 9 {
 			resp.Behind = true
-			resp.State = StateToWire(state)
+			resp.State = state
 		} else if since["peer"] < 10 {
-			resp.Records = ToWireRecords([]store.Record{tailRec})
+			resp.Records = []store.Record{tailRec}
 		}
-		_ = json.NewEncoder(w).Encode(resp)
+		_ = WritePull(w, &resp)
 	}))
 	defer srv.Close()
 
@@ -229,4 +258,110 @@ func TestTailerRecordsPeerErrors(t *testing.T) {
 	tl.Start()
 	tl.Stop()
 	tl.Stop() // idempotent
+}
+
+// TestTailerAppliesNothingFromDamagedPull: a pull body cut mid-frame, one
+// cut at a frame boundary while Content-Length promises more, and one
+// that reaches the body limit each fail the whole pull. Frames can end
+// cleanly at a boundary, so only the length checks catch the last two.
+func TestTailerAppliesNothingFromDamagedPull(t *testing.T) {
+	recs := []store.Record{
+		{Origin: "peer", OriginSeq: 1, LC: 1, Op: store.OpLike, Keys: []store.Key{{Node: "x"}}},
+		{Origin: "peer", OriginSeq: 2, LC: 2, Op: store.OpLike, Keys: []store.Key{{Node: "y"}}},
+	}
+	full := recordPull(t, &PullResponse{Origin: "peer", Vector: store.Vector{"peer": 2}, LC: 2, Records: recs})
+	body, err := io.ReadAll(full.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstFrame := len(store.EncodeRecords(recs[:1]))
+	catchUp := recordPull(t, &PullResponse{Origin: "peer", Vector: store.Vector{"peer": 10}, LC: 10, Behind: true, State: testState()})
+	stateBody, err := io.ReadAll(catchUp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		header  http.Header
+		body    []byte
+		promise int // Content-Length sent
+		limit   int // maxPullBody during the pull
+	}{
+		{"cut mid-frame", full.Header, body[:len(body)-3], len(body) - 3, maxPullBody},
+		{"cut at a frame boundary", full.Header, body[:firstFrame], len(body), maxPullBody},
+		{"batch over the limit", full.Header, body, len(body), len(body)},
+		{"catch-up cut mid-section", catchUp.Header, stateBody[:len(stateBody)-1], len(stateBody) - 1, maxPullBody},
+		{"catch-up over the limit", catchUp.Header, stateBody, len(stateBody), len(stateBody) / 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func(old int) { maxPullBody = old }(maxPullBody)
+			maxPullBody = tc.limit
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				for k, v := range tc.header {
+					w.Header()[k] = v
+				}
+				w.Header().Set("Content-Length", strconv.Itoa(tc.promise))
+				_, _ = w.Write(tc.body)
+			}))
+			defer srv.Close()
+
+			local := &fakeLocal{vector: store.Vector{}}
+			tl := NewTailer(Config{Local: local, Peers: []string{srv.URL}, Interval: time.Hour})
+			tl.SyncOnce(t.Context())
+			tl.Stop()
+			ps := tl.Peers()[0]
+			if ps.LastError == "" {
+				t.Fatal("damaged pull recorded no error")
+			}
+			t.Log(ps.LastError)
+			if local.applyCalls != 0 || local.adopted != nil || local.clocks != nil {
+				t.Fatalf("damaged pull reached the local replica: %d applies, adopted %v, clocks %v",
+					local.applyCalls, local.adopted != nil, local.clocks)
+			}
+		})
+	}
+}
+
+// FuzzReadPull feeds arbitrary bodies under real batch and catch-up
+// headers. The record frames and state sections are the WAL and snapshot
+// codecs, so this fuzzes those decoders too. A body that decodes must
+// re-encode to a fixpoint.
+func FuzzReadPull(f *testing.F) {
+	batch := &PullResponse{Origin: "peer", Vector: store.Vector{"peer": 2}, LC: 2, More: true, Records: []store.Record{
+		{Origin: "peer", OriginSeq: 1, LC: 1, Op: store.OpLike, Keys: []store.Key{{Node: "x"}, {Table: "t", Column: "c"}}},
+		{Origin: "peer", OriginSeq: 2, LC: 2, Op: store.OpDelQuery, Payload: []byte("q")},
+	}}
+	catchUp := &PullResponse{Origin: "peer", Vector: store.Vector{"peer": 10}, LC: 10, Behind: true, State: testState()}
+	headers := map[bool]http.Header{}
+	for _, resp := range []*PullResponse{batch, catchUp} {
+		r := recordPull(f, resp)
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		headers[resp.Behind] = r.Header
+		f.Add(resp.Behind, body)
+	}
+	read := func(behind bool, body []byte) (*PullResponse, error) {
+		return ReadPull(&http.Response{StatusCode: http.StatusOK, Header: headers[behind],
+			Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))})
+	}
+	f.Fuzz(func(t *testing.T, behind bool, body []byte) {
+		first, err := read(behind, body)
+		if err != nil {
+			return
+		}
+		enc := recordPull(t, first)
+		encBody, _ := io.ReadAll(enc.Body)
+		second, err := read(behind, encBody)
+		if err != nil {
+			t.Fatalf("re-encoded pull does not decode: %v", err)
+		}
+		again, _ := io.ReadAll(recordPull(t, second).Body)
+		if !bytes.Equal(encBody, again) {
+			t.Fatalf("encoding is not a fixpoint:\n%x\n%x", encBody, again)
+		}
+	})
 }

@@ -8,9 +8,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -18,10 +16,6 @@ import (
 	"soda/internal/obs"
 	"soda/internal/store"
 )
-
-// maxPullBody caps a pull response body; feedback records are tiny, so
-// anything near this is a protocol error, not data.
-const maxPullBody = 64 << 20
 
 // maxRoundsPerTick bounds how many back-to-back pulls a single tick may
 // issue against one peer while draining a backlog (More=true).
@@ -204,32 +198,18 @@ func (t *Tailer) pullPeer(ctx context.Context, peer string) {
 			return
 		}
 		if resp.Behind {
-			if resp.State == nil {
-				t.recordError(peer, fmt.Errorf("peer says behind but sent no state"))
-				return
-			}
-			st, err := StateFromWire(resp.State)
-			if err != nil {
-				t.recordError(peer, err)
-				return
-			}
 			t.cfg.Log.Printf("behind peer %s (%s): adopting folded state (%d origins, %d tail records)",
-				peer, resp.Origin, len(st.Origins), len(st.Tail))
-			if err := t.cfg.Local.AdoptState(st); err != nil {
+				peer, resp.Origin, len(resp.State.Origins), len(resp.State.Tail))
+			if err := t.cfg.Local.AdoptState(resp.State); err != nil {
 				t.recordError(peer, err)
 				return
 			}
 			t.bump(peer, resp, 0, true)
 			continue // re-pull: the peer's tail applies as a normal batch
 		}
-		recs, err := FromWireRecords(resp.Records)
-		if err != nil {
-			t.recordError(peer, err)
-			return
-		}
 		applied := 0
-		if len(recs) > 0 {
-			if applied, err = t.cfg.Local.ApplyRemote(recs); err != nil {
+		if len(resp.Records) > 0 {
+			if applied, err = t.cfg.Local.ApplyRemote(resp.Records); err != nil {
 				t.recordError(peer, err)
 				return
 			}
@@ -256,19 +236,11 @@ func (t *Tailer) pullOnce(ctx context.Context, peer string, tc obs.TraceContext)
 		return nil, err
 	}
 	defer httpResp.Body.Close()
-	body := io.LimitReader(httpResp.Body, maxPullBody)
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(body, 512))
-		return nil, fmt.Errorf("pull %s: status %d: %s", peer, httpResp.StatusCode, msg)
-	}
-	var resp PullResponse
-	if err := json.NewDecoder(body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("pull %s: decoding response: %w", peer, err)
-	}
-	if err := store.ValidReplicaID(resp.Origin); err != nil {
+	resp, err := ReadPull(httpResp)
+	if err != nil {
 		return nil, fmt.Errorf("pull %s: %w", peer, err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 func (t *Tailer) bump(peer string, resp *PullResponse, applied int, catchUp bool) {

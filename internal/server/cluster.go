@@ -45,12 +45,13 @@ func (s *Server) handleDecommission(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterPull serves one replication pull to a peer replica: every
 // retained feedback record beyond the caller's applied vector (?since=,
-// in "origin:seq,origin:seq" form), in canonical order, capped at ?limit.
-// The caller identifies itself with ?from=<replica-id>; its vector is its
-// acknowledgement and gates this replica's WAL compaction. A caller that
-// fell behind the local fold point receives the folded state to adopt
-// ("behind": true) instead of records. Pulling is idempotent and
-// read-only on the feedback state.
+// in "origin:seq,origin:seq" form), in canonical order, capped at ?limit,
+// as WAL record frames. The caller identifies itself with
+// ?from=<replica-id>; its vector is its acknowledgement and gates this
+// replica's WAL compaction. A caller that fell behind the local fold
+// point receives the folded state to adopt (Soda-Behind, a body of
+// snapshot sections) instead of records. cluster.WritePull lays out the
+// response. Pulling is idempotent and read-only on the feedback state.
 func (s *Server) handleClusterPull(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	since, err := cluster.ParseVector(q.Get("since"))
@@ -78,5 +79,6 @@ func (s *Server) handleClusterPull(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusConflict, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// A write error means the peer hung up; it pulls again next tick.
+	_ = cluster.WritePull(w, resp)
 }

@@ -4,7 +4,9 @@ package store
 // query library. A saved query travels as the Payload of an OpSetQuery
 // WAL record (OpDelQuery carries just the name) and is folded into the
 // snapshot's "queries" section, so the library survives restarts and
-// replicates through the same canonical-order machinery as feedback.
+// replicates through the same canonical-order machinery as feedback: a
+// pull carries the records as WAL frames, and a catch-up state carries
+// the same "queries" section (EncodeState).
 // The store keeps the SQL as rendered text (generic dialect, with
 // placeholders); parsing it back into an AST is the caller's concern —
 // the storage layer must not depend on the SQL packages.
@@ -16,8 +18,9 @@ import (
 )
 
 // SavedQuery is one approved parameterized query. Its JSON form is the
-// one every surface speaks: the /admin/queries bodies and responses, the
-// -queries library file and the /cluster/pull catch-up state.
+// one every HTTP and file surface speaks: the /admin/queries bodies and
+// responses and the -queries library file. Disk and replication use
+// EncodeSavedQuery's binary form.
 type SavedQuery struct {
 	// Name is the registry key, unique per system.
 	Name string `json:"name"`
@@ -79,12 +82,9 @@ func DecodeSavedQuery(payload []byte) (SavedQuery, error) {
 	if q.SQL, rest, err = takeString(rest); err != nil {
 		return q, fmt.Errorf("store: saved query sql: %w", err)
 	}
-	n, rest, err := takeUvarint(rest)
+	n, rest, err := takeCount(rest, 4)
 	if err != nil {
 		return q, fmt.Errorf("store: saved query param count: %w", err)
-	}
-	if n > walMaxRecordSize {
-		return q, fmt.Errorf("store: saved query param count %d exceeds limit", n)
 	}
 	q.Params = make([]SavedParam, n)
 	for i := range q.Params {
@@ -129,15 +129,12 @@ func encodeQueries(queries []SavedQuery) []byte {
 }
 
 func decodeQueries(payload []byte) ([]SavedQuery, error) {
-	n, rest, err := takeUvarint(payload)
+	n, rest, err := takeCount(payload, 1)
 	if err != nil {
 		return nil, fmt.Errorf("query count: %w", err)
 	}
-	if n > walMaxRecordSize {
-		return nil, fmt.Errorf("query count %d exceeds limit", n)
-	}
 	queries := make([]SavedQuery, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var body string
 		if body, rest, err = takeString(rest); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)

@@ -30,12 +30,11 @@ package store
 // wrong.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,9 +59,9 @@ const (
 	// snapshot without it decodes to an empty library (readers that
 	// predate it skip the unknown section).
 	sectionQueries = "queries"
-
-	// snapshotMaxSection caps a section payload readers will allocate.
-	snapshotMaxSection = 1 << 31
+	// sectionTail holds a catch-up state's unfolded records as WAL frames;
+	// snapshots never carry it (their tail is the WAL itself).
+	sectionTail = "tail"
 )
 
 // FeedbackEntry is one accumulated adjustment in the feedback section.
@@ -117,135 +116,67 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 	if err := snap.Meta.Encode(&metaBuf); err != nil {
 		return nil, fmt.Errorf("store: encode metagraph: %w", err)
 	}
-	fbBuf := encodeFeedback(snap.Feedback)
-	orgBuf := encodeOrigins(snap.FoldPos, snap.Origins)
-	qBuf := encodeQueries(snap.Queries)
-
-	var out bytes.Buffer
-	out.WriteString(snapshotMagic)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], snapshotVersion)
-	out.Write(u16[:])
-	var u64 [8]byte
+	out := []byte(snapshotMagic)
+	out = binary.LittleEndian.AppendUint16(out, snapshotVersion)
 	for _, v := range []uint64{snap.Fingerprint, snap.Epoch, snap.AppliedSeq} {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		out.Write(u64[:])
+		out = binary.LittleEndian.AppendUint64(out, v)
 	}
-	sections := []struct {
-		name    string
-		payload []byte
-	}{
-		{sectionIndex, idxBuf.Bytes()},
-		{sectionMeta, metaBuf.Bytes()},
-		{sectionFeedback, fbBuf},
-		{sectionOrigins, orgBuf},
-		{sectionQueries, qBuf},
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(sections)))
-	out.Write(u32[:])
-	for _, s := range sections {
-		out.WriteByte(byte(len(s.name)))
-		out.WriteString(s.name)
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(s.payload)))
-		out.Write(u64[:])
-		binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(s.payload))
-		out.Write(u32[:])
-		out.Write(s.payload)
-	}
-	return out.Bytes(), nil
+	out = binary.LittleEndian.AppendUint32(out, 5) // sections
+	out = appendSection(out, sectionIndex, idxBuf.Bytes())
+	out = appendSection(out, sectionMeta, metaBuf.Bytes())
+	out = appendSection(out, sectionFeedback, encodeFeedback(snap.Feedback))
+	out = appendSection(out, sectionOrigins, encodeOrigins(snap.FoldPos, snap.Origins))
+	return appendSection(out, sectionQueries, encodeQueries(snap.Queries)), nil
 }
 
 // decodeSnapshot parses and validates a snapshot file's bytes. wantFP is
 // the fingerprint of the world the caller is booting; any validation
 // failure returns an error describing why the snapshot is unusable.
-func decodeSnapshot(r io.Reader, wantFP uint64) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("short header: %w", err)
+func decodeSnapshot(data []byte, wantFP uint64) (*Snapshot, error) {
+	const headerLen = len(snapshotMagic) + 2 + 3*8 + 4
+	if len(data) < headerLen {
+		return nil, fmt.Errorf("short header (%d bytes)", len(data))
 	}
-	if string(magic) != snapshotMagic {
+	if magic := data[:len(snapshotMagic)]; string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
-	var u16 [2]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return nil, fmt.Errorf("short version: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(u16[:]); v != snapshotVersion {
+	rest := data[len(snapshotMagic):]
+	if v := binary.LittleEndian.Uint16(rest); v != snapshotVersion {
 		return nil, fmt.Errorf("format version %d (reader speaks %d)", v, snapshotVersion)
 	}
-	snap := &Snapshot{}
-	var u64 [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
-	}
-	var err error
-	if snap.Fingerprint, err = readU64(); err != nil {
-		return nil, fmt.Errorf("short fingerprint: %w", err)
+	rest = rest[2:]
+	snap := &Snapshot{
+		Fingerprint: binary.LittleEndian.Uint64(rest[0:]),
+		Epoch:       binary.LittleEndian.Uint64(rest[8:]),
+		AppliedSeq:  binary.LittleEndian.Uint64(rest[16:]),
 	}
 	if snap.Fingerprint != wantFP {
 		return nil, fmt.Errorf("world fingerprint %x does not match %x", snap.Fingerprint, wantFP)
 	}
-	if snap.Epoch, err = readU64(); err != nil {
-		return nil, fmt.Errorf("short epoch: %w", err)
-	}
-	if snap.AppliedSeq, err = readU64(); err != nil {
-		return nil, fmt.Errorf("short appliedSeq: %w", err)
-	}
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("short section count: %w", err)
-	}
-	nSections := binary.LittleEndian.Uint32(u32[:])
+	nSections := binary.LittleEndian.Uint32(rest[24:])
+	rest = rest[28:]
 	if nSections > 64 {
 		return nil, fmt.Errorf("section count %d exceeds limit", nSections)
 	}
-	// Slice out every section's payload first, then verify and decode the
-	// sections concurrently: the index and the metadata graph are the two
-	// expensive payloads, and decoding them in parallel bounds the warm
-	// start by the slower of the two instead of their sum.
-	type section struct {
-		name    string
-		wantSum uint32
-		payload []byte
-	}
+	// Slice out every section first, then verify and decode the sections
+	// concurrently: the index and the metadata graph are the two expensive
+	// payloads, and decoding them in parallel bounds the warm start by the
+	// slower of the two instead of their sum.
 	sections := make([]section, 0, nSections)
 	seen := map[string]bool{}
 	for i := uint32(0); i < nSections; i++ {
-		nameLen, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("section %d name length: %w", i, err)
+		var s section
+		var err error
+		if s, rest, err = takeSection(rest); err != nil {
+			return nil, fmt.Errorf("section %d: %w", i, err)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("section %d name: %w", i, err)
-		}
-		length, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("section %q length: %w", name, err)
-		}
-		if length > snapshotMaxSection {
-			return nil, fmt.Errorf("section %q length %d exceeds limit", name, length)
-		}
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return nil, fmt.Errorf("section %q crc: %w", name, err)
-		}
-		wantSum := binary.LittleEndian.Uint32(u32[:])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("section %q payload: %w", name, err)
-		}
-		if seen[string(name)] {
+		if seen[s.name] {
 			// Duplicates never come from a valid writer, and decoding two
 			// copies concurrently would race on the same Snapshot field.
-			return nil, fmt.Errorf("duplicate section %q", name)
+			return nil, fmt.Errorf("duplicate section %q", s.name)
 		}
-		seen[string(name)] = true
-		sections = append(sections, section{string(name), wantSum, payload})
+		seen[s.name] = true
+		sections = append(sections, s)
 	}
 	for _, name := range []string{sectionIndex, sectionMeta, sectionFeedback, sectionOrigins} {
 		if !seen[name] {
@@ -259,11 +190,11 @@ func decodeSnapshot(r io.Reader, wantFP uint64) (*Snapshot, error) {
 		go func(i int) {
 			defer wg.Done()
 			s := sections[i]
-			if crc32.ChecksumIEEE(s.payload) != s.wantSum {
-				errs[i] = fmt.Errorf("section %q checksum mismatch", s.name)
+			err := s.verify()
+			if err != nil {
+				errs[i] = err
 				return
 			}
-			var err error
 			switch s.name {
 			case sectionIndex:
 				snap.Index, err = invidx.DecodeIndex(s.payload)
@@ -291,6 +222,106 @@ func decodeSnapshot(r io.Reader, wantFP uint64) (*Snapshot, error) {
 		}
 	}
 	return snap, nil
+}
+
+// section is one named, checksummed payload: the unit of a snapshot file
+// and of a catch-up state (EncodeState).
+type section struct {
+	name    string
+	sum     uint32
+	payload []byte
+}
+
+// appendSection appends one section: name (u8 length + bytes), payload
+// length (u64), IEEE CRC32 of the payload (u32), payload.
+func appendSection(buf []byte, name string, payload []byte) []byte {
+	buf = append(buf, byte(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// takeSection slices the next section off b. A length the remaining input
+// cannot hold is an error, so nothing is sized from it; the checksum is
+// left to verify, which a caller may run concurrently.
+func takeSection(b []byte) (section, []byte, error) {
+	if len(b) == 0 || len(b) < 1+int(b[0])+12 {
+		return section{}, nil, errors.New("truncated section header")
+	}
+	nameLen := int(b[0])
+	s := section{name: string(b[1 : 1+nameLen])}
+	b = b[1+nameLen:]
+	length := binary.LittleEndian.Uint64(b)
+	s.sum = binary.LittleEndian.Uint32(b[8:])
+	b = b[12:]
+	if length > uint64(len(b)) {
+		return section{}, nil, fmt.Errorf("section %q length %d exceeds the %d bytes left", s.name, length, len(b))
+	}
+	s.payload = b[:length]
+	return s, b[length:], nil
+}
+
+// verify checks the section's payload against its checksum.
+func (s section) verify() error {
+	if crc32.ChecksumIEEE(s.payload) != s.sum {
+		return fmt.Errorf("section %q checksum mismatch", s.name)
+	}
+	return nil
+}
+
+// EncodeState encodes a catch-up state as snapshot sections: the folded
+// feedback, origins (with the fold watermark) and queries, plus a "tail"
+// section holding the unfolded records as WAL frames. Epoch is not
+// encoded; it travels beside the body.
+func EncodeState(st *ReplicaState) []byte {
+	buf := appendSection(nil, sectionFeedback, encodeFeedback(st.Feedback))
+	buf = appendSection(buf, sectionOrigins, encodeOrigins(st.FoldPos, st.Origins))
+	buf = appendSection(buf, sectionQueries, encodeQueries(st.Queries))
+	return appendSection(buf, sectionTail, EncodeRecords(st.Tail))
+}
+
+// DecodeState decodes EncodeState's output received from a peer. Every
+// section must be present exactly once and pass its checksum and decoder,
+// and nothing may follow the last one. Epoch is left zero.
+func DecodeState(b []byte) (*ReplicaState, error) {
+	st := &ReplicaState{}
+	seen := map[string]bool{}
+	for len(b) > 0 {
+		s, rest, err := takeSection(b)
+		if err != nil {
+			return nil, fmt.Errorf("store: state: %w", err)
+		}
+		b = rest
+		if seen[s.name] {
+			return nil, fmt.Errorf("store: state: duplicate section %q", s.name)
+		}
+		seen[s.name] = true
+		if err := s.verify(); err != nil {
+			return nil, fmt.Errorf("store: state: %w", err)
+		}
+		switch s.name {
+		case sectionFeedback:
+			st.Feedback, err = decodeFeedback(s.payload)
+		case sectionOrigins:
+			st.FoldPos, st.Origins, err = decodeOrigins(s.payload)
+		case sectionQueries:
+			st.Queries, err = decodeQueries(s.payload)
+		case sectionTail:
+			st.Tail, err = DecodeRecords(s.payload)
+		default:
+			err = errors.New("unknown section")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: state section %q: %w", s.name, err)
+		}
+	}
+	for _, name := range []string{sectionFeedback, sectionOrigins, sectionQueries, sectionTail} {
+		if !seen[name] {
+			return nil, fmt.Errorf("store: state: missing section %q", name)
+		}
+	}
+	return st, nil
 }
 
 // encodeFeedback serialises the adjustments sorted by key, so snapshots
@@ -321,12 +352,9 @@ func encodeFeedback(entries []FeedbackEntry) []byte {
 }
 
 func decodeFeedback(payload []byte) ([]FeedbackEntry, error) {
-	n, rest, err := takeUvarint(payload)
+	n, rest, err := takeCount(payload, 3+8)
 	if err != nil {
 		return nil, fmt.Errorf("feedback count: %w", err)
-	}
-	if n > walMaxRecordSize {
-		return nil, fmt.Errorf("feedback count %d exceeds limit", n)
 	}
 	entries := make([]FeedbackEntry, n)
 	for i := range entries {
@@ -382,16 +410,16 @@ func decodeOrigins(payload []byte) (Pos, []OriginState, error) {
 	if fold.Seq, rest, err = takeUvarint(rest); err != nil {
 		return fold, nil, fmt.Errorf("fold watermark seq: %w", err)
 	}
-	n, rest, err := takeUvarint(rest)
+	n, rest, err := takeCount(rest, 3)
 	if err != nil {
 		return fold, nil, fmt.Errorf("origin count: %w", err)
-	}
-	if n > walMaxRecordSize {
-		return fold, nil, fmt.Errorf("origin count %d exceeds limit", n)
 	}
 	origins := make([]OriginState, n)
 	for i := range origins {
 		if origins[i].ID, rest, err = takeString(rest); err != nil {
+			return fold, nil, err
+		}
+		if err := ValidReplicaID(origins[i].ID); err != nil {
 			return fold, nil, err
 		}
 		if origins[i].Seq, rest, err = takeUvarint(rest); err != nil {

@@ -59,7 +59,8 @@ func (v Vector) Includes(origin string, seq uint64) bool { return v[origin] >= s
 // ReplicaState is a replica's full replication state: the folded feedback
 // base with its canonical watermark and per-origin vector, plus the
 // unfolded record tail. It is the anti-entropy payload a replica that
-// fell behind a peer's fold point adopts wholesale.
+// fell behind a peer's fold point adopts wholesale; EncodeState gives its
+// byte form.
 type ReplicaState struct {
 	Feedback []FeedbackEntry
 	// Queries is the folded saved-query library at FoldPos.
@@ -163,17 +164,14 @@ func (st *Store) Dir() string { return st.dir }
 // snapshot's applied sequence, so records appended after a compacted WAL
 // can never reuse sequence numbers the snapshot already folded in.
 func (st *Store) LoadSnapshot(fingerprint uint64) (*Snapshot, error) {
-	path := filepath.Join(st.dir, snapshotFileName)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(filepath.Join(st.dir, snapshotFileName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: open snapshot: %w", err)
+		return nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
-	defer f.Close()
-	info, _ := f.Stat()
-	snap, derr := decodeSnapshot(f, fingerprint)
+	snap, derr := decodeSnapshot(data, fingerprint)
 	if derr == nil {
 		// Seed the write-monotonicity guard from the loaded state (snapMu
 		// strictly before st.mu: WriteSnapshot takes them in that order).
@@ -190,9 +188,7 @@ func (st *Store) LoadSnapshot(fingerprint uint64) (*Snapshot, error) {
 		st.invalidReason = derr.Error()
 		return nil, nil
 	}
-	if info != nil {
-		st.snapshotBytes = info.Size()
-	}
+	st.snapshotBytes = int64(len(data))
 	st.snapshotEpoch = snap.Epoch
 	st.snapshotSeq = snap.AppliedSeq
 	st.wal.ensureSeqAfter(snap.AppliedSeq)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,57 +193,101 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
-// TestWALRejectsIdentitylessRecord hand-builds a CRC-valid frame whose op
-// byte lacks opIdentityFlag. Nothing downstream may admit a record without
-// a canonical position, so the decode fails and the scan treats the frame
-// like any other undecodable one: replay stops before it and the tail is
-// truncated away.
+// TestWALRejectsIdentitylessRecord hand-builds CRC-valid frames whose
+// record has no usable identity: an op byte without opIdentityFlag, and
+// an origin that is not a valid replica id. Nothing downstream may admit
+// such a record, so the decode fails and the scan treats the frame like
+// any other undecodable one: replay stops before it and the tail is
+// truncated away. DecodeRecords, which reads pulled records, rejects the
+// same frames.
 func TestWALRejectsIdentitylessRecord(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir)
-	if _, err := st.Append(rec(OpLike, 1, Key{Node: "a"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	walPath := filepath.Join(dir, walFileName)
-	good, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	payload := binary.AppendUvarint(nil, 2) // seq
-	payload = append(payload, byte(OpLike)) // no opIdentityFlag
-	payload = binary.AppendUvarint(payload, 1)
+	noFlag := binary.AppendUvarint(nil, 2) // seq
+	noFlag = append(noFlag, byte(OpLike))  // no opIdentityFlag
+	noFlag = binary.AppendUvarint(noFlag, 1)
 	for _, field := range []string{"b", "", ""} { // one key: node, table, column
-		payload = appendString(payload, field)
+		noFlag = appendString(noFlag, field)
 	}
-	if _, err := decodeRecord(payload); err == nil {
-		t.Fatal("decodeRecord accepted a record without replication identity")
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	if err := os.WriteFile(walPath, append(good, frame...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	badOrigin := appendRecord(nil, Record{Seq: 2, Origin: "bad id", OriginSeq: 1, LC: 2, Op: OpLike, Keys: []Key{{Node: "b"}}})
 
-	st2 := mustOpen(t, dir)
-	got := st2.Replayed()
-	if len(got) != 1 || got[0].Origin != "r1" {
-		t.Fatalf("replayed %+v, want only the identified record", got)
-	}
-	if info, err := os.Stat(walPath); err != nil || info.Size() != int64(len(good)) {
-		t.Fatalf("identity-less frame not truncated away: %v, %v", info, err)
+	for name, payload := range map[string][]byte{"no identity": noFlag, "bad origin": badOrigin} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := mustOpen(t, dir)
+			if _, err := st.Append(rec(OpLike, 1, Key{Node: "a"})); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(dir, walFileName)
+			good, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := decodeRecord(payload); err == nil {
+				t.Fatal("decodeRecord accepted a record without a usable identity")
+			}
+			frame := make([]byte, 8+len(payload))
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+			copy(frame[8:], payload)
+			if _, err := DecodeRecords(frame); err == nil {
+				t.Fatal("DecodeRecords accepted a record without a usable identity")
+			}
+			if err := os.WriteFile(walPath, append(good, frame...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := mustOpen(t, dir)
+			got := st2.Replayed()
+			if len(got) != 1 || got[0].Origin != "r1" {
+				t.Fatalf("replayed %+v, want only the identified record", got)
+			}
+			if info, err := os.Stat(walPath); err != nil || info.Size() != int64(len(good)) {
+				t.Fatalf("unidentified frame not truncated away: %v, %v", info, err)
+			}
+		})
 	}
 }
 
-// TestWriteSnapshotMonotonicityGuard: a snapshot capture that is older
-// than the one already on disk (its folded vector is dominated) must be
-// skipped — writing it would orphan the WAL records the newer snapshot's
-// compaction already dropped.
+// TestDecodersBoundCountsByInput feeds every count-prefixed decoder a few
+// bytes that claim 16M elements. Each must fail before it allocates for
+// the claim.
+func TestDecodersBoundCountsByInput(t *testing.T) {
+	const huge = 1 << 24
+	count := func(prefix []byte) []byte { return binary.AppendUvarint(prefix, huge) }
+	record := binary.AppendUvarint(nil, 1)
+	record = append(record, byte(OpLike)|opIdentityFlag)
+	record = appendString(record, "r1")
+	record = binary.AppendUvarint(binary.AppendUvarint(record, 1), 1)
+	origins := binary.AppendUvarint(appendString(binary.AppendUvarint(nil, 1), "r1"), 1)
+	query := appendString(appendString(appendString(nil, "q"), ""), "SELECT ?")
+	section := binary.LittleEndian.AppendUint64(append([]byte{4}, "tail"...), 1<<31)
+	section = binary.LittleEndian.AppendUint32(section, 0)
+
+	decoders := map[string]func() error{
+		"decodeRecord":     func() error { _, err := decodeRecord(count(record)); return err },
+		"decodeFeedback":   func() error { _, err := decodeFeedback(count(nil)); return err },
+		"decodeOrigins":    func() error { _, _, err := decodeOrigins(count(origins)); return err },
+		"decodeQueries":    func() error { _, err := decodeQueries(count(nil)); return err },
+		"DecodeSavedQuery": func() error { _, err := DecodeSavedQuery(count(query)); return err },
+		"DecodeState":      func() error { _, err := DecodeState(section); return err },
+	}
+	for name, decode := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a count its input cannot hold", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s allocated %d bytes before failing", name, alloc)
+		}
+	}
+}
+
 func TestWriteSnapshotMonotonicityGuard(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)

@@ -198,41 +198,33 @@ func openWAL(path string) (*wal, []Record, error) {
 }
 
 // scanWAL reads every well-formed record from the start of f. It stops —
-// without error — at the first truncated or checksum-failing record and
-// reports the offset of the last good byte.
+// without error — at the first truncated, checksum-failing or undecodable
+// frame, or at a local Seq that does not increase, and reports the offset
+// of the last good byte.
 func scanWAL(f *os.File) (records []Record, goodOffset int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, err
 	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, 0, err
+	}
 	var lastSeq uint64
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			return records, goodOffset, nil // clean EOF or torn header
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > walMaxRecordSize {
-			return records, goodOffset, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, goodOffset, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return records, goodOffset, nil // corrupt record
+	rest := data
+	for len(rest) > 0 {
+		payload, next, err := takeFrame(rest)
+		if err != nil {
+			break // torn or corrupt tail
 		}
 		rec, err := decodeRecord(payload)
-		if err != nil {
-			return records, goodOffset, nil // framing is fine, content isn't
-		}
-		if rec.Seq <= lastSeq {
-			return records, goodOffset, nil // out-of-order seq: stop trusting
+		if err != nil || rec.Seq <= lastSeq {
+			break // framing is fine, content isn't: stop trusting
 		}
 		lastSeq = rec.Seq
 		records = append(records, rec)
-		goodOffset += int64(8 + length)
+		rest = next
 	}
+	return records, int64(len(data) - len(rest)), nil
 }
 
 // append assigns the next local sequence number to the record (its
@@ -249,7 +241,7 @@ func (w *wal) append(rec Record) (Record, error) {
 		return Record{}, w.failed
 	}
 	rec.Seq = w.nextSeq
-	frame := frameRecord(rec)
+	frame := appendFrame(nil, rec)
 	if len(frame)-8 > walMaxRecordSize {
 		// A record the scanner would reject must never be written: replay
 		// stops at the first bad frame, so persisting it would silently
@@ -277,13 +269,69 @@ func (w *wal) append(rec Record) (Record, error) {
 	return rec, nil
 }
 
-func frameRecord(rec Record) []byte {
-	payload := encodeRecord(rec)
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame
+// appendFrame appends rec as one WAL frame: a little-endian u32 payload
+// length, the payload's IEEE CRC32, then the encoded record.
+func appendFrame(buf []byte, rec Record) []byte {
+	start := len(buf)
+	buf = appendRecord(append(buf, 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// takeFrame slices the next frame's payload off b, checking its length
+// against the bytes left and its checksum. Every frame reader — the WAL
+// scan and DecodeRecords — goes through it.
+func takeFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < 8 {
+		return nil, nil, errors.New("store: truncated frame header")
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	sum := binary.LittleEndian.Uint32(b[4:8])
+	if length == 0 || length > walMaxRecordSize {
+		return nil, nil, fmt.Errorf("store: bad frame length %d", length)
+	}
+	if uint64(length) > uint64(len(b)-8) {
+		return nil, nil, fmt.Errorf("store: frame of %d bytes truncated at %d", length, len(b)-8)
+	}
+	payload = b[8 : 8+length]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, nil, errors.New("store: frame checksum mismatch")
+	}
+	return payload, b[8+length:], nil
+}
+
+// EncodeRecords encodes recs as a stream of WAL frames — the body of a
+// replication pull batch and the tail of a catch-up state.
+func EncodeRecords(recs []Record) []byte {
+	var buf []byte
+	for _, rec := range recs {
+		buf = appendFrame(buf, rec)
+	}
+	return buf
+}
+
+// DecodeRecords decodes EncodeRecords' output received from a peer.
+// Unlike the WAL scan, it fails on any bad, truncated or trailing frame,
+// so a damaged stream yields no records at all. The sender's local Seq
+// means nothing here and is zeroed.
+func DecodeRecords(b []byte) ([]Record, error) {
+	var recs []Record
+	for len(b) > 0 {
+		payload, rest, err := takeFrame(b)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return nil, err
+		}
+		rec.Seq = 0
+		recs = append(recs, rec)
+		b = rest
+	}
+	return recs, nil
 }
 
 // sync forces everything appended so far to disk.
@@ -353,7 +401,7 @@ func (w *wal) compact(keep func(Record) bool) error {
 		if !keep(rec) {
 			continue
 		}
-		frame := frameRecord(rec)
+		frame := appendFrame(nil, rec)
 		if _, err := tmp.Write(frame); err != nil {
 			tmp.Close()
 			os.Remove(tmpPath)
@@ -445,8 +493,8 @@ const (
 	opPayloadFlag  = 0x40
 )
 
-func encodeRecord(rec Record) []byte {
-	buf := binary.AppendUvarint(nil, rec.Seq)
+func appendRecord(buf []byte, rec Record) []byte {
+	buf = binary.AppendUvarint(buf, rec.Seq)
 	opByte := byte(rec.Op) | opIdentityFlag
 	if len(rec.Payload) > 0 {
 		opByte |= opPayloadFlag
@@ -490,6 +538,9 @@ func decodeRecord(payload []byte) (Record, error) {
 	if rec.Origin, rest, err = takeString(rest); err != nil {
 		return rec, fmt.Errorf("store: record origin: %w", err)
 	}
+	if err := ValidReplicaID(rec.Origin); err != nil {
+		return rec, err
+	}
 	if rec.OriginSeq, rest, err = takeUvarint(rest); err != nil {
 		return rec, fmt.Errorf("store: record origin seq: %w", err)
 	}
@@ -503,12 +554,9 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 		rec.Payload = []byte(body)
 	}
-	n, rest, err := takeUvarint(rest)
+	n, rest, err := takeCount(rest, 3)
 	if err != nil {
 		return rec, fmt.Errorf("store: record key count: %w", err)
-	}
-	if n > walMaxRecordSize {
-		return rec, fmt.Errorf("store: record key count %d exceeds limit", n)
 	}
 	rec.Keys = make([]Key, n)
 	for i := range rec.Keys {
@@ -539,6 +587,20 @@ func takeUvarint(b []byte) (uint64, []byte, error) {
 		return 0, nil, errors.New("bad uvarint")
 	}
 	return v, b[n:], nil
+}
+
+// takeCount reads an element count and rejects one that the remaining
+// input cannot hold at minSize bytes per element, so no decoder sizes an
+// allocation from a count alone.
+func takeCount(b []byte, minSize int) (int, []byte, error) {
+	n, rest, err := takeUvarint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(rest)/minSize) {
+		return 0, nil, fmt.Errorf("count %d exceeds the %d bytes left", n, len(rest))
+	}
+	return int(n), rest, nil
 }
 
 func takeString(b []byte) (string, []byte, error) {
