@@ -139,11 +139,11 @@ func (o Options) withDefaults() Options {
 // inverted index and pattern registry. A System is safe for concurrent
 // use and concurrent searches proceed in parallel: the substrates are
 // read-only after construction; the derived structures (the compiled
-// schema model with every entry point's Step 3 table list, the join
-// graph with every table's FK closure, the bridge tables and the label
-// hits) are built once, by Warm or on first use, and then only read; the
-// two shortest-path memos take a narrow lock; and the feedback store has
-// its own lock plus an epoch counter that invalidates the answer cache
+// schema model with Step 1's label table and every entry point's Step 3
+// table list, the join graph with every table's FK closure, and the
+// bridge tables) are built once, by Warm or on first use, and then only
+// read, so the pipeline takes no lock but the feedback store's; and the
+// feedback store keeps an epoch counter that invalidates the answer cache
 // whenever the ranking function changes.
 type System struct {
 	// Backend executes the generated SQL. The pipeline itself never
@@ -165,24 +165,13 @@ type System struct {
 	indexReady chan struct{}
 
 	// Derived structures, built once by Warm (or on first use) and
-	// read-only afterwards: the compiled schema model (model.go), the join
-	// graph, bridge tables and, for Step 1, the base-data hits of every
-	// metadata label, by normalised label.
+	// read-only afterwards: the compiled schema model (model.go), which
+	// holds Step 1's label table, the join graph and the bridge tables.
 	derivedOnce sync.Once
 	model       *schemaModel
 	jg          *joinGraph
 	bridgeMemo  []bridgeRel
 	bridgeIDs   []discoveredBridge
-	labelHits   map[string][]invidx.ColumnHit
-
-	// The two combinatorial Step 3 memos, over the derived join graph
-	// (pathing.go): shortest join paths per anchor pair and per anchor
-	// set. Both are filled through memoized under memoMu. Values are
-	// deterministic functions of the key over immutable substrates, so
-	// racing fills are benign.
-	memoMu     sync.RWMutex
-	pairPaths  map[pairPathKey]pathResult
-	multiPaths map[string]pathResult
 
 	// Relevance feedback. epoch counts ranking-function changes; cached
 	// answers from older epochs are never served. When a persistent
@@ -254,10 +243,10 @@ func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, op
 // NewSystemIndexing is NewSystem for an inverted index that is not built
 // yet. build runs on its own goroutine, started here, so the index build
 // overlaps Warm: Warm compiles everything that needs only the metadata
-// graph while the index builds, and joins the build before Step 1's label
-// hits, the one derived structure that reads the index. Anything else that
-// reads the index before then waits for the build too. The goroutine ends
-// when build returns; nothing cancels it.
+// graph while the index builds, and joins the build before the label
+// table's base-data hits, the one derived fact that reads the index.
+// Anything else that reads the index before then waits for the build too.
+// The goroutine ends when build returns; nothing cancels it.
 func NewSystemIndexing(be backend.Executor, meta *metagraph.Graph, build func() *invidx.Index, opt Options) *System {
 	s := newSystem(be, meta, opt)
 	go func() {
@@ -275,8 +264,6 @@ func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System 
 		Reg:          reg,
 		Opt:          opt.withDefaults(),
 		indexReady:   make(chan struct{}),
-		pairPaths:    make(map[pairPathKey]pathResult),
-		multiPaths:   make(map[string]pathResult),
 		vector:       make(store.Vector),
 		lastLC:       make(map[string]uint64),
 		foldedVector: make(store.Vector),
@@ -572,11 +559,11 @@ type Analysis struct {
 }
 
 // Warm builds the derived structures: the compiled schema model with
-// every node's Step 3 table list and resolved column, the bridge tables,
-// the join graph with every table's FK closure, and the label hits. After
-// it, no query pays a first touch: the first search of an entry point the
-// daemon has never seen measures the pipeline, not a traversal of the
-// metadata graph. The paper's Table 4 likewise excludes the 24-hour
+// Step 1's label table and every node's Step 3 table list and resolved
+// column, the bridge tables, and the join graph with every table's FK
+// closure. After it, /search reads only what Warm built and nothing
+// changes later: the first search of an entry point the daemon has never
+// seen measures the pipeline, not a traversal of the metadata graph. The paper's Table 4 likewise excludes the 24-hour
 // inverted-index build from per-query runtimes. Warm is idempotent, and a
 // search before it builds the same structures on first use.
 func (s *System) Warm() {

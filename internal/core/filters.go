@@ -88,7 +88,9 @@ func (s *System) ensureTable(sol *Solution, table string) {
 		sol.SQLTables = append(sol.SQLTables, table)
 		return
 	}
-	path, ok := s.multiPath(sol.SQLTables, table, s.Opt.DisableBridges, s.Opt.MaxPathLen)
+	jg := s.joinGraphCached()
+	var buf [8]int32
+	path, ok := jg.multiPath(buf[:0], sol.SQLTables, table, s.Opt.DisableBridges, s.Opt.MaxPathLen)
 	if !ok {
 		sol.SQLTables = append(sol.SQLTables, table)
 		sol.Disconnected = true
@@ -102,7 +104,8 @@ func (s *System) ensureTable(sol *Solution, table string) {
 	for _, j := range sol.Joins {
 		joinSeen[j] = true
 	}
-	for _, e := range path {
+	for _, ei := range path {
+		e := &jg.edges[ei]
 		j := e.join()
 		if !joinSeen[j] {
 			joinSeen[j] = true

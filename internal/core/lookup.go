@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 
 	"soda/internal/invidx"
@@ -16,6 +17,7 @@ import (
 // step 2 to honour Options.MaxSolutions.
 func (s *System) lookup(a *Analysis) {
 	q := a.Query
+	s.derivedOnce.Do(s.buildDerived)
 
 	// Plain keyword groups, with operator attachments. A group whose
 	// words are all unknown has no term to take a comparison.
@@ -62,13 +64,12 @@ func (s *System) lookup(a *Analysis) {
 		}
 	}
 
-	// Candidates per term, read from the label hits and the compiled
-	// schema model (derived once per System) and the index's own table.
-	// The feedback read-lock spans all terms: a concurrent Feedback call
-	// is either fully visible to this search or not at all, never
+	// Candidates per term, read from the compiled schema model's label
+	// table (derived once per System) and the index's own table. The
+	// feedback read-lock spans all terms: a concurrent Feedback call is
+	// either fully visible to this search or not at all, never
 	// half-applied. Nothing under it walks the graph, so a waiting
 	// Feedback never queues later lookups behind a traversal.
-	s.derivedOnce.Do(s.buildDerived)
 	a.Candidates = make([][]EntryPoint, len(a.Terms))
 	a.Complexity = 1
 	func() {
@@ -80,9 +81,14 @@ func (s *System) lookup(a *Analysis) {
 			a.Candidates[ti] = s.candidates(ti, term)
 		}
 	}()
+	// The product saturates: forty three-way terms would overflow an int.
 	for _, cands := range a.Candidates {
-		if len(cands) > 0 {
-			a.Complexity *= len(cands)
+		if n := len(cands); n > 0 {
+			if a.Complexity > math.MaxInt/n {
+				a.Complexity = math.MaxInt
+			} else {
+				a.Complexity *= n
+			}
 		}
 	}
 }
@@ -90,12 +96,28 @@ func (s *System) lookup(a *Analysis) {
 // segment implements the longest-word-combination matching of §4.2.2: try
 // to match all words; on failure, recursively try smaller combinations;
 // single words known to neither index are ignored (like "and" in the
-// paper's example).
+// paper's example). A phrase of two or more words is known only as a
+// label or a stored value, so no longer phrase than the longest of those
+// is tried; the lengths are counted in normalised tokens, since a quoted
+// word may hold several or none. A single word is always tried: it may
+// match by the conjunction of its tokens.
 func (s *System) segment(words []string) (segments []string, unknown []string) {
+	limit := max(s.compiled().labelTokens, s.Index().MaxValueTokens())
+	// pre[k] counts the normalised tokens of words[:k].
+	var buf [16]int
+	pre := append(buf[:0], 0)
+	for _, w := range words {
+		pre = append(pre, pre[len(pre)-1]+tokenCount(w))
+	}
+	end := 0 // words[i:end] is the longest run of at most limit tokens
 	i := 0
 	for i < len(words) {
+		end = max(end, i)
+		for end < len(words) && pre[end+1]-pre[i] <= limit {
+			end++
+		}
 		matched := false
-		for l := len(words) - i; l >= 1; l-- {
+		for l := max(end-i, 1); l >= 1; l-- {
 			phrase := termKey(words[i : i+l])
 			if s.known(phrase) {
 				segments = append(segments, phrase)
@@ -112,22 +134,27 @@ func (s *System) segment(words []string) (segments []string, unknown []string) {
 	return segments, unknown
 }
 
+// tokenCount returns len(strings.Fields(invidx.Normalize(w))) without
+// building the slice: Normalize joins its tokens with single spaces.
+func tokenCount(w string) int {
+	norm := invidx.Normalize(w)
+	if norm == "" {
+		return 0
+	}
+	return strings.Count(norm, " ") + 1
+}
+
 // known reports whether the phrase exists in the classification index or
 // the base data. Multi-word phrases only count as base-data matches when
 // they equal a stored value ("Credit Suisse"); loose co-occurrence would
 // glue unrelated words into one term and lose schema matches ("gold
 // agreement" must split into base-data "gold" + schema term "agreement").
 func (s *System) known(phrase string) bool {
-	if s.Meta.HasLabel(phrase) {
-		if !s.Opt.DisableDBpedia {
-			return true
-		}
+	for _, n := range s.model.labels[invidx.Normalize(phrase)].nodes {
 		// With DBpedia disabled a phrase known only to DBpedia falls
 		// through to the base-data checks.
-		for _, n := range s.Meta.LookupLabel(phrase) {
-			if s.Meta.LayerOf(n) != metagraph.LayerDBpedia {
-				return true
-			}
+		if !s.Opt.DisableDBpedia || n.layer != metagraph.LayerDBpedia {
+			return true
 		}
 	}
 	if strings.Contains(phrase, " ") {
@@ -138,15 +165,21 @@ func (s *System) known(phrase string) bool {
 
 // candidates returns the entry points for one term: every metadata node
 // carrying the label, plus every base-data column containing the phrase.
+// A label's hits are the table's; any other phrase's come from the
+// index, a map read for a token or a stored value.
 func (s *System) candidates(ti int, term Term) []EntryPoint {
-	nodes, hits := s.Meta.LookupLabel(term.Text), s.baseHits(term.Text)
+	label, ok := s.model.labels[invidx.Normalize(term.Text)]
+	hits := label.hits
+	if !ok {
+		hits = s.Index().Hits(term.Text)
+	}
 	// Sized once for every node and hit, the most it can hold.
 	var out []EntryPoint
-	if n := len(nodes) + len(hits); n > 0 {
+	if n := len(label.nodes) + len(hits); n > 0 {
 		out = make([]EntryPoint, 0, n)
 	}
-	for _, node := range nodes {
-		layer := s.Meta.LayerOf(node)
+	for _, n := range label.nodes {
+		node, layer := n.node, n.layer
 		if s.Opt.DisableDBpedia && layer == metagraph.LayerDBpedia {
 			continue
 		}
@@ -191,29 +224,6 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 		return nil // every node filtered out: no candidates, not an empty list
 	}
 	return out
-}
-
-// resolveLabelHits returns the base-data hits of every metadata label, by
-// normalised label. The index's table already answers a label that is a
-// token or a stored value; for the rest (physical names such as
-// a001_t6_td) this is the one time their words are intersected.
-func (s *System) resolveLabelHits() map[string][]invidx.ColumnHit {
-	labels := s.Meta.Labels()
-	out := make(map[string][]invidx.ColumnHit, len(labels))
-	for _, l := range labels {
-		out[l] = s.Index().Hits(l)
-	}
-	return out
-}
-
-// baseHits returns the base-data hits of a term: a map read for a label,
-// a token or a stored value, and the index's conjunctive path for
-// anything else. The slices are shared and must not be modified.
-func (s *System) baseHits(phrase string) []invidx.ColumnHit {
-	if hits, ok := s.labelHits[invidx.Normalize(phrase)]; ok {
-		return hits
-	}
-	return s.Index().Hits(phrase)
 }
 
 func (s *System) entryScore(layer string) float64 {

@@ -3,19 +3,22 @@ package core
 import (
 	"strings"
 
+	"soda/internal/invidx"
 	"soda/internal/metagraph"
 	"soda/internal/rdf"
 )
 
 // The compiled schema model: the facts query-time code reads from the
-// metadata graph, derived once in buildDerived and stored in flat slices
-// indexed by the graph's own dense rdf.ID. Every node's Step 3 table list
-// (the tables a traversal from it collects) is filled here, by a
+// metadata graph, derived once in buildDerived. Step 1 reads one label
+// table, keyed by normalised label. Steps 3 and 4 read flat slices indexed
+// by the graph's own dense rdf.ID. Every node's Step 3 table list (the
+// tables a traversal from it collects) is filled here, by a
 // generation-stamped BFS over a CSR copy of the graph's outgoing IRI
 // edges, so no query pays for an entry point's first touch: the paper
 // likewise keeps preprocessing out of per-query runtime (Table 4 leaves
 // out the index build). The substrates are immutable after construction,
-// so the model is valid for the lifetime of the System.
+// so the model is valid for the lifetime of the System, and it depends on
+// no option.
 
 // schemaModel is the compiled metadata graph. Per-node slices have one
 // slot per dictionary ID; slot 0 (rdf.NoID) is unused and reads as "no
@@ -41,6 +44,25 @@ type schemaModel struct {
 	// ("col:<table>.<column>"), keyed by what follows "col:".
 	baseTables  map[string]baseTable
 	columnNodes map[string]rdf.ID
+
+	// labels is Step 1's label table, by normalised label. labelTokens is
+	// the most tokens a label has; a longer phrase is no label.
+	labels      map[string]labelFacts
+	labelTokens int
+}
+
+// labelFacts is what Step 1 reads for one label: the metadata nodes
+// carrying it, in Meta.LookupLabel order, and its base-data hits, as
+// Index().Hits reports them. Shared, read-only.
+type labelFacts struct {
+	nodes []labelNode
+	hits  []invidx.ColumnHit
+}
+
+// labelNode is one metadata node carrying a label, with its layer.
+type labelNode struct {
+	node  rdf.Term
+	layer string
 }
 
 // baseTable is one table as a base-data entry point sees it.
@@ -232,6 +254,7 @@ func (s *System) compileModel(it *tableInterner) *schemaModel {
 	b.resolveColumns()
 	b.collectFilters()
 	b.indexBaseData()
+	b.collectLabels()
 	m.impliedAgg = make([]string, n)
 	for _, tr := range g.WithPredicate(rdf.NewIRI(metagraph.PredImpliesAgg)) {
 		if id := dict.Lookup(tr.S); m.impliedAgg[id] == "" {
@@ -434,5 +457,22 @@ func (b *modelBuild) indexBaseData() {
 		if _, ok := m.baseTables[name]; !ok {
 			m.baseTables[name] = baseTable{id: int32(i)}
 		}
+	}
+}
+
+// collectLabels fills the label table's nodes and layers. The base-data
+// hits read the inverted index, so buildDerived adds them last.
+func (b *modelBuild) collectLabels() {
+	meta, m := b.s.Meta, b.m
+	labels := meta.Labels()
+	m.labels = make(map[string]labelFacts, len(labels))
+	for _, l := range labels {
+		nodes := meta.LookupLabel(l)
+		f := labelFacts{nodes: make([]labelNode, len(nodes))}
+		for i, n := range nodes {
+			f.nodes[i] = labelNode{node: n, layer: meta.LayerOf(n)}
+		}
+		m.labels[l] = f
+		m.labelTokens = max(m.labelTokens, tokenCount(l))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"soda/internal/backend"
@@ -74,8 +75,11 @@ func refMetadataFilters(s *System, node rdf.Term) []Filter {
 // table name the Table pattern matcher, its metadata filters
 // refMetadataFilters and its implied aggregate the graph's. Every
 // base-data (table, column) entry is checked the same way, including
-// tables and columns the schema graph does not know. Under -race a fixed
-// stride of warehouse nodes is checked.
+// tables and columns the schema graph does not know. Step 1's label table
+// must hold every label: its nodes and layers as Meta.LookupLabel and
+// Meta.LayerOf give them, in order, its hits as Index().Hits, and its
+// longest label in tokens. Under -race a fixed stride of warehouse nodes
+// is checked.
 func TestCompiledModelMatchesReference(t *testing.T) {
 	worlds := []modelWorld{{name: "minibank", meta: world.Meta, db: world.DB, idx: world.Index, stride: 1}}
 	wh := warehouse.Build(warehouse.Default())
@@ -154,6 +158,29 @@ func TestCompiledModelMatchesReference(t *testing.T) {
 				if got := m.impliedAgg[m.node(n)]; got != want.agg {
 					t.Fatalf("%s %d opt %d node %s: implied aggregate %q, reference %q", w.name, wi, oi, n, got, want.agg)
 				}
+			}
+			labels := w.meta.Labels()
+			if len(m.labels) != len(labels) {
+				t.Fatalf("%s %d opt %d: %d labels in the table, %d in the graph", w.name, wi, oi, len(m.labels), len(labels))
+			}
+			maxTokens := 0
+			for _, l := range labels {
+				f, nodes := m.labels[l], w.meta.LookupLabel(l)
+				if len(f.nodes) != len(nodes) {
+					t.Fatalf("%s %d opt %d label %q: %d nodes, reference %d", w.name, wi, oi, l, len(f.nodes), len(nodes))
+				}
+				for i, n := range nodes {
+					if got, want := f.nodes[i], (labelNode{node: n, layer: w.meta.LayerOf(n)}); got != want {
+						t.Fatalf("%s %d opt %d label %q node %d: %v, reference %v", w.name, wi, oi, l, i, got, want)
+					}
+				}
+				if want := w.idx.Hits(l); !reflect.DeepEqual(f.hits, want) {
+					t.Fatalf("%s %d opt %d label %q: hits %v, reference %v", w.name, wi, oi, l, f.hits, want)
+				}
+				maxTokens = max(maxTokens, len(strings.Fields(l)))
+			}
+			if m.labelTokens != maxTokens {
+				t.Fatalf("%s %d opt %d: longest label %d tokens, reference %d", w.name, wi, oi, m.labelTokens, maxTokens)
 			}
 			for bi, tc := range w.base {
 				e := EntryPoint{Kind: KindBaseData, Table: tc[0], Column: tc[1]}

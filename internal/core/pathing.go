@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,10 +9,10 @@ import (
 	"soda/internal/rdf"
 )
 
-// The interned join-graph machinery behind Step 3 (ISSUE 9). The join
-// graph is a pure function of the schema graph, which only changes on
-// world rebuild, so everything derivable from it is precomputed once in
-// buildDerived and memoized afterwards:
+// The interned join-graph machinery behind Step 3. The join graph is a
+// pure function of the schema graph, which only changes on world
+// rebuild, so everything derivable from it is computed once in
+// buildDerived and only read afterwards:
 //
 //   - table names are interned into dense integer IDs, assigned in
 //     lexicographic name order so sorting IDs equals sorting names — the
@@ -21,12 +21,9 @@ import (
 //   - adjacency lists are stored pre-sorted in the exact (neighbour,
 //     edge-index) order the BFS used to establish per visit, so the
 //     per-expansion candidate sort disappears entirely;
-//   - FK upward closures are computed for every table at build, and
-//     shortest-path results are memoized per (anchor-set, skipBridges,
-//     maxLen) through memoized; both are — like the join graph itself —
-//     valid for the lifetime of the System (the substrates are immutable
-//     after construction; a schema change means a new System, which
-//     rebuilds everything);
+//   - FK upward closures are computed for every table at build. Shortest
+//     paths are not stored: each is one BFS over the immutable graph,
+//     appending edge indices to a slice its caller passes in;
 //   - BFS/traversal scratch (generation-stamped visited sets, state
 //     slices) is pooled, so a cold search allocates O(result), not
 //     O(graph).
@@ -132,12 +129,18 @@ type bfsScratch struct {
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 
-// pathIDs is the zero-sort BFS: sources must be sorted, deduplicated,
-// valid IDs; dst is a single valid ID not contained in the sources.
-// Adjacency lists are pre-sorted in (neighbour, edge-index) order, so
-// expanding them in storage order reproduces exactly the deterministic
-// order the per-visit sort used to establish.
-func (g *joinGraph) pathIDs(srcIDs []int32, dst int32, skipBridges bool, maxLen int) ([]jgEdge, bool) {
+// pathIDs is the zero-sort BFS: it appends to path the edge indices of
+// the shortest join path from any of srcIDs to dst, in path order.
+// Sources must be in ascending ID order, which is name order; duplicates
+// are skipped, and so is -1, a table outside the schema graph, which no
+// join edge reaches. Callers guarantee dst is not a source. Adjacency
+// lists are pre-sorted in (neighbour, edge-index) order, so expanding
+// them in storage order reproduces exactly the deterministic order the
+// per-visit sort used to establish.
+func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges bool, maxLen int) ([]int32, bool) {
+	if dst < 0 {
+		return path, false
+	}
 	adj := g.adj
 	if skipBridges {
 		adj = g.adjNB
@@ -147,22 +150,19 @@ func (g *joinGraph) pathIDs(srcIDs []int32, dst int32, skipBridges bool, maxLen 
 	sc.visited.reset(g.tables.size())
 	states := sc.states[:0]
 	for _, t := range srcIDs {
-		if !sc.visited.add(t) {
-			continue
+		if t >= 0 && sc.visited.add(t) {
+			states = append(states, bfsState{table: t, via: -1, prev: -1})
 		}
-		states = append(states, bfsState{table: t, via: -1, prev: -1})
 	}
-	var path []jgEdge
 	found := false
 	for head := 0; head < len(states); head++ {
 		st := states[head]
 		if st.table == dst {
+			start := len(path)
 			for cur := int32(head); states[cur].via >= 0; cur = states[cur].prev {
-				path = append(path, g.edges[states[cur].via])
+				path = append(path, states[cur].via)
 			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
+			slices.Reverse(path[start:])
 			found = true
 			break
 		}
@@ -180,89 +180,16 @@ func (g *joinGraph) pathIDs(srcIDs []int32, dst int32, skipBridges bool, maxLen 
 	return path, found
 }
 
-// pathResult is a memoized shortest-path outcome. The edge slice is
-// shared between callers and must be treated as read-only.
-type pathResult struct {
-	path []jgEdge
-	ok   bool
-}
-
-// pairPathKey keys the single-source shortest-path memo.
-type pairPathKey struct {
-	src, dst int32
-	skip     bool
-	maxLen   int32
-}
-
-// pairPath returns the shortest join path between two anchor tables (the
-// Figure 9 case), memoized for the lifetime of the derived join graph.
-// Callers guarantee the anchors differ; an anchor outside the schema
-// graph (-1) can appear in no join edge, so no path reaches it.
-func (s *System) pairPath(a, b int32, skipBridges bool, maxLen int) ([]jgEdge, bool) {
-	if a < 0 || b < 0 {
-		return nil, false
-	}
-	jg := s.joinGraphCached()
-	k := pairPathKey{src: a, dst: b, skip: skipBridges, maxLen: int32(maxLen)}
-	r := memoized(s, s.pairPaths, k, func() pathResult {
-		srcs := [1]int32{a}
-		path, found := jg.pathIDs(srcs[:], b, skipBridges, maxLen)
-		return pathResult{path: path, ok: found}
-	})
-	return r.path, r.ok
-}
-
-// multiPath returns the shortest join path from any table in srcs to
-// dst, memoized per (sorted anchor-set, skipBridges, maxLen). Callers
-// guarantee dst is not an element of srcs.
-func (s *System) multiPath(srcs []string, dst string, skipBridges bool, maxLen int) ([]jgEdge, bool) {
-	jg := s.joinGraphCached()
-	if len(srcs) == 1 {
-		return s.pairPath(jg.tables.id(srcs[0]), jg.tables.id(dst), skipBridges, maxLen)
-	}
-	d := jg.tables.id(dst)
-	if d < 0 {
-		return nil, false
-	}
-	// Unknown sources are dropped: they have no adjacency, contribute no
-	// expansion, and cannot equal dst (which is interned).
-	ids := make([]int32, 0, len(srcs))
+// multiPath appends to path the shortest join path from any table in
+// srcs to dst, by name. Callers guarantee dst is not an element of srcs.
+func (g *joinGraph) multiPath(path []int32, srcs []string, dst string, skipBridges bool, maxLen int) ([]int32, bool) {
+	var buf [16]int32
+	ids := buf[:0]
 	for _, t := range srcs {
-		if id := jg.tables.id(t); id >= 0 {
-			ids = append(ids, id)
-		}
+		ids = append(ids, g.tables.id(t))
 	}
-	if len(ids) == 0 {
-		return nil, false
-	}
-	// Canonical anchor-set: sorted + deduplicated. ID order is name
-	// order, so seeding in ID order reproduces the sorted-source BFS.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	uniq := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	ids = uniq
-
-	key := make([]byte, 0, 4*len(ids)+12)
-	for _, id := range ids {
-		key = binary.LittleEndian.AppendUint32(key, uint32(id))
-	}
-	key = binary.LittleEndian.AppendUint32(key, uint32(d))
-	if skipBridges {
-		key = append(key, 1)
-	} else {
-		key = append(key, 0)
-	}
-	key = binary.LittleEndian.AppendUint32(key, uint32(maxLen))
-
-	r := memoized(s, s.multiPaths, string(key), func() pathResult {
-		path, found := jg.pathIDs(ids, d, skipBridges, maxLen)
-		return pathResult{path: path, ok: found}
-	})
-	return r.path, r.ok
+	slices.Sort(ids)
+	return g.pathIDs(path, ids, g.tables.id(dst), skipBridges, maxLen)
 }
 
 // closureStep is one replayable action of an FK upward closure: join the
@@ -335,6 +262,7 @@ type tablesScratch struct {
 	primIDs    []int32 // anchor table IDs, aligned with the primaries
 	sqlIDs     []int32
 	joinEdges  []int32
+	path       []int32  // one anchor pair's join path, as edge indices
 	tables     []string // the discovery view, before it is copied out
 }
 

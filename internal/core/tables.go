@@ -129,14 +129,15 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			if primaries[i] == primaries[j] {
 				continue
 			}
-			path, ok := s.pairPath(primIDs[i], primIDs[j],
+			path, ok := jg.pathIDs(sc.path[:0], primIDs[i:i+1], primIDs[j],
 				s.Opt.DisableBridges, s.Opt.MaxPathLen)
+			sc.path = path
 			if !ok {
 				sol.Disconnected = true
 				continue
 			}
-			for _, e := range path {
-				addJoinEdge(e.idx)
+			for _, ei := range path {
+				addJoinEdge(ei)
 			}
 		}
 	}
@@ -185,42 +186,15 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	sc.joinEdges = joinEdges
 }
 
-// memoized returns m[k], computing it on first use. The System's two
-// combinatorial Step 3 memos (pairPaths, multiPaths: shortest join paths
-// per anchor pair and anchor set) go through here under memoMu: probe
-// under the read lock, compute outside any lock, fill under the write
-// lock. Values are deterministic functions of the key over substrates
-// that are immutable after construction, so racing fills compute the same
-// value; the first one stored is kept and returned, so shared slices stay
-// canonical.
-func memoized[K comparable, V any](s *System, m map[K]V, k K, compute func() V) V {
-	s.memoMu.RLock()
-	v, ok := m[k]
-	s.memoMu.RUnlock()
-	if ok {
-		return v
-	}
-	v = compute()
-	s.memoMu.Lock()
-	if have, dup := m[k]; dup {
-		v = have
-	} else {
-		m[k] = v
-	}
-	s.memoMu.Unlock()
-	return v
-}
-
 // ---- Join graph -----------------------------------------------------
 
 // jgEdge is one join condition in the global join graph. Besides the
-// semantic fields, each edge carries its own index and the interned IDs
-// of its endpoint tables, assigned once at build time.
+// semantic fields, each edge carries the interned IDs of its endpoint
+// tables, assigned once at build time.
 type jgEdge struct {
 	t1, c1, t2, c2 string
 	via            string // "fk", "joinrel", "inheritance", "bridge"
 	ignored        bool
-	idx            int32 // index of this edge in joinGraph.edges
 	t1id, t2id     int32 // interned table IDs of t1/t2
 }
 
@@ -261,17 +235,16 @@ type bridgeRel struct {
 
 // buildDerived computes the one-time derived structures: the table
 // interner (everything else speaks interned IDs), the compiled schema
-// model (model.go: every node's Step 3 table list and resolved column),
-// bridge tables (the join graph tags edges touching them), the global join
-// graph with every table's FK upward closure, the interned view of the
-// bridge list, and Step 1's label hits. It runs exactly once per System,
-// through derivedOnce; the path memos (pairPaths, multiPaths) are derived
-// from these structures and share their lifetime.
+// model (model.go: Step 1's label table, every node's Step 3 table list
+// and resolved column), bridge tables (the join graph tags edges touching
+// them), the global join graph with every table's FK upward closure, and
+// the interned view of the bridge list. It runs exactly once per System,
+// through derivedOnce; query time only reads what it built.
 //
-// Everything before the label hits reads only the metadata graph. The
-// label hits read the inverted index, so they come last: under
-// NewSystemIndexing the index build runs while the rest compiles, and
-// joins here.
+// Everything before the label table's base-data hits reads only the
+// metadata graph. The hits read the inverted index, so they come last:
+// under NewSystemIndexing the index build runs while the rest compiles,
+// and joins here.
 func (s *System) buildDerived() {
 	it := s.buildTableInterner()
 	s.model = s.compileModel(it)
@@ -289,7 +262,14 @@ func (s *System) buildDerived() {
 		bids = append(bids, discoveredBridge{left: l, right: r, bridge: b})
 	}
 	s.bridgeIDs = bids
-	s.labelHits = s.resolveLabelHits()
+	// The index's own table answers a label that is a token or a stored
+	// value; for the rest (physical names such as a001_t6_td) this is the
+	// one time their words are intersected.
+	idx := s.Index()
+	for l, f := range s.model.labels {
+		f.hits = idx.Hits(l)
+		s.model.labels[l] = f
+	}
 }
 
 // joinGraphCached returns the global join graph, building it on first use.
@@ -320,7 +300,7 @@ func (s *System) buildJoinGraph(it *tableInterner) *joinGraph {
 	jg := &joinGraph{tables: it}
 	ignorePred := rdf.NewIRI(metagraph.PredIgnoreJoin)
 
-	// Dedup on the semantic fields only (idx/t1id/t2id are derived).
+	// Dedup on the semantic fields only (t1id/t2id are derived).
 	type edgeKey struct {
 		t1, c1, t2, c2, via string
 		ignored             bool
@@ -350,7 +330,7 @@ func (s *System) buildJoinGraph(it *tableInterner) *joinGraph {
 		seen[k] = true
 		jg.edges = append(jg.edges, jgEdge{
 			t1: k.t1, c1: k.c1, t2: k.t2, c2: k.c2, via: via, ignored: ignored,
-			idx: int32(len(jg.edges)), t1id: it.id(k.t1), t2id: it.id(k.t2),
+			t1id: it.id(k.t1), t2id: it.id(k.t2),
 		})
 	}
 

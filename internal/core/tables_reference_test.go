@@ -18,7 +18,7 @@ import (
 // randomized tests below drive the optimized tablesStep/multiPath and
 // this oracle over random metagraphs and query mixes and require
 // identical output — the guarantee that interning, pre-sorted adjacency
-// and memo replay changed the cost of Step 3, not its semantics.
+// and precomputed closures changed the cost of Step 3, not its semantics.
 
 // refJoinView rebuilds the old string-keyed adjacency over the shared
 // edge list. Edges were appended to adj[t1]/adj[t2] at insertion, so
@@ -205,7 +205,7 @@ func (r *refTables) tablesAt(node rdf.Term) []string {
 	return tables
 }
 
-// entryTables is the old (unmemoized) computeEntryTables, verbatim.
+// entryTables is the old computeEntryTables, verbatim, without its cache.
 func (r *refTables) entryTables(e EntryPoint) []string {
 	s := r.s
 	collected := make(map[string]bool)
@@ -624,8 +624,8 @@ func TestTablesStepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMultiPathMatchesReference checks the memoized multi-anchor
-// pathfinder (the filters-step ensureTable path) against the oracle BFS.
+// TestMultiPathMatchesReference checks the multi-anchor pathfinder (the
+// filters-step ensureTable path, one BFS per call) against the oracle BFS.
 func TestMultiPathMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for wi := 0; wi < 25; wi++ {
@@ -649,16 +649,16 @@ func TestMultiPathMatchesReference(t *testing.T) {
 			if r.Intn(6) == 0 {
 				srcs = append(srcs, "ghost_table")
 			}
-			gotPath, gotOK := sys.multiPath(srcs, dst, skip, maxLen)
+			gotPath, gotOK := jg.multiPath(nil, srcs, dst, skip, maxLen)
 			wantPath, wantOK := refShortestPath(ref, srcs, []string{dst}, skip, maxLen)
 			if gotOK != wantOK || len(gotPath) != len(wantPath) {
 				t.Fatalf("world %d query %d: multiPath(%v->%s skip=%v max=%d) = (%d edges, %v), ref = (%d edges, %v)",
 					wi, qi, srcs, dst, skip, maxLen, len(gotPath), gotOK, len(wantPath), wantOK)
 			}
 			for i := range gotPath {
-				if gotPath[i].join() != wantPath[i].join() {
+				if jg.edges[gotPath[i]].join() != wantPath[i].join() {
 					t.Fatalf("world %d query %d: path edge %d differs: %v vs %v",
-						wi, qi, i, gotPath[i].join(), wantPath[i].join())
+						wi, qi, i, jg.edges[gotPath[i]].join(), wantPath[i].join())
 				}
 			}
 		}

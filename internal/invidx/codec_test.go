@@ -67,6 +67,23 @@ func TestCodecRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestMaxValueTokens checks that Build and DecodeIndex both record the
+// longest stored value, "gold certificate for Credit Suisse".
+func TestMaxValueTokens(t *testing.T) {
+	idx := Build(buildCodecTestDB())
+	var buf bytes.Buffer
+	if err := idx.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.MaxValueTokens() != 5 || got.MaxValueTokens() != 5 {
+		t.Fatalf("MaxValueTokens = %d built, %d decoded, want 5", idx.MaxValueTokens(), got.MaxValueTokens())
+	}
+}
+
 func TestCodecRejectsCorruptInput(t *testing.T) {
 	idx := Build(buildCodecTestDB())
 	var buf bytes.Buffer

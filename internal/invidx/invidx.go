@@ -77,6 +77,9 @@ type Index struct {
 	// path.
 	hits  map[string][]ColumnHit
 	cells map[string][]uint64
+	// valueTokens is the most whitespace-separated tokens any stored
+	// value has.
+	valueTokens int
 }
 
 // rawAt returns the original value behind a cell.
@@ -212,7 +215,8 @@ func Build(db *backend.DB) *Index {
 // bake derives the lookup tables. A token's hits group its own cells; a
 // multi-word stored value's hits group its phraseCells. A single-word
 // stored value shares its token's entry. The work is one pass over the
-// postings plus one intersection per multi-word stored value.
+// postings plus one intersection per multi-word stored value. It also
+// records the longest stored value, in tokens.
 func (x *Index) bake() {
 	g := newGrouper(x)
 	x.hits = make(map[string][]ColumnHit, len(x.postings)+len(x.values))
@@ -228,6 +232,7 @@ func (x *Index) bake() {
 		x.cells[tok] = slices.Clone(slices.Compact(sorted))
 	}
 	for v := range x.values {
+		x.valueTokens = max(x.valueTokens, len(strings.Fields(v)))
 		switch words := words(v); {
 		case len(words) > 1:
 			x.hits[v] = g.group(x.phraseCells(v, words))
@@ -458,6 +463,12 @@ func (x *Index) Contains(phrase string) bool {
 func (x *Index) ContainsExact(phrase string) bool {
 	return len(x.values[Normalize(phrase)]) > 0
 }
+
+// MaxValueTokens returns the most tokens a stored value has, counted as
+// strings.Fields counts the words of its normalised form. A phrase whose
+// normalised form has more is no stored value, so ContainsExact is false
+// for it.
+func (x *Index) MaxValueTokens() int { return x.valueTokens }
 
 // Normalize lower-cases and folds simple diacritics so "Zürich" matches
 // "Zurich", mirroring the paper's example where the keyword is written

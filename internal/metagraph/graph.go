@@ -44,11 +44,6 @@ func (g *Graph) LookupLabel(phrase string) []rdf.Term {
 	return g.labelIndex[invidx.Normalize(phrase)]
 }
 
-// HasLabel reports whether any node carries the given label.
-func (g *Graph) HasLabel(phrase string) bool {
-	return len(g.LookupLabel(phrase)) > 0
-}
-
 // NumLabels returns the number of distinct normalised labels.
 func (g *Graph) NumLabels() int { return len(g.labelIndex) }
 

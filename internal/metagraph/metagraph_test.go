@@ -115,10 +115,10 @@ func TestLabelLookupNormalised(t *testing.T) {
 		t.Fatalf("LookupLabel = %v", hits)
 	}
 	// Synonym label.
-	if !g.HasLabel("customer") {
+	if len(g.LookupLabel("customer")) == 0 {
 		t.Fatal("synonym label should be indexed")
 	}
-	if g.HasLabel("no such label") {
+	if len(g.LookupLabel("no such label")) > 0 {
 		t.Fatal("absent label matched")
 	}
 	// tablename auto-label.

@@ -92,7 +92,7 @@ func TestFigure5LookupCardinalities(t *testing.T) {
 		t.Fatalf("layers = %v", layers)
 	}
 	// "Zürich": not in metadata, only in base data.
-	if w.Meta.HasLabel("Zürich") {
+	if len(w.Meta.LookupLabel("Zürich")) > 0 {
 		t.Fatal("Zürich must not be a metadata label")
 	}
 	if !w.Index.Contains("Zürich") {
