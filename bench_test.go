@@ -232,31 +232,21 @@ func BenchmarkSearchWarehouse(b *testing.B) {
 }
 
 // BenchmarkConcurrentSearch measures the serving-layer hot path on the
-// 472-table warehouse: the same query pipeline run sequentially
-// (Parallelism=1), with the per-solution steps 3-5 spread across all
-// cores, and with many concurrent client goroutines sharing one System —
-// the daemon's production shape. Caching is disabled so every iteration
-// pays the full pipeline.
+// 472-table warehouse: the query pipeline run by one client, and by many
+// concurrent client goroutines sharing one System — the daemon's
+// production shape. Caching is disabled so every iteration pays the full
+// pipeline.
 func BenchmarkConcurrentSearch(b *testing.B) {
 	e := sharedEnv()
 	const query = "YEN trade order"
-	mkSys := func(parallelism int) *core.System {
+	mkSys := func() *core.System {
 		sys := core.NewSystem(memory.New(e.Warehouse.DB), e.Warehouse.Meta, e.Warehouse.Index,
-			core.Options{Parallelism: parallelism, CacheSize: -1})
+			core.Options{CacheSize: -1})
 		sys.Warm()
 		return sys
 	}
 	b.Run("sequential", func(b *testing.B) {
-		sys := mkSys(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Search(query); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		sys := mkSys(0) // GOMAXPROCS workers
+		sys := mkSys()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sys.Search(query); err != nil {
@@ -265,7 +255,7 @@ func BenchmarkConcurrentSearch(b *testing.B) {
 		}
 	})
 	b.Run("clients", func(b *testing.B) {
-		sys := mkSys(1) // per-query sequential; concurrency across clients
+		sys := mkSys()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {

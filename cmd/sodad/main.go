@@ -9,7 +9,7 @@
 //
 //	-addr string        listen address (default ":8080")
 //	-world string       world to serve: minibank or warehouse (default "minibank")
-//	-parallelism int    pipeline worker-pool width (0 = GOMAXPROCS)
+//	-parallelism int    snippet-execution worker-pool width (0 = GOMAXPROCS)
 //	-cache int          answer-cache entries (0 = default 512, negative = off)
 //	-topn int           ranked statements kept per query (0 = paper's 10)
 //	-dialect string     default SQL dialect for generated statements:
@@ -178,7 +178,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		world       = flag.String("world", "minibank", "world to serve: minibank or warehouse")
-		parallelism = flag.Int("parallelism", 0, "pipeline worker-pool width (0 = GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "snippet-execution worker-pool width (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache", 0, "answer-cache entries (0 = default, negative = off)")
 		topN        = flag.Int("topn", 0, "ranked statements kept per query (0 = paper's 10)")
 		dialect     = flag.String("dialect", "generic", "default SQL dialect: "+strings.Join(soda.Dialects(), ", "))

@@ -270,28 +270,41 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
+	// Steps 1-5 run on the calling goroutine whatever the Parallelism;
+	// snippet execution is what the pool spreads, so the searches ask for
+	// snippets.
 	seq := newSys(t, Options{Parallelism: 1, CacheSize: -1})
 	par := newSys(t, Options{Parallelism: 8, CacheSize: -1})
+	so := SearchOptions{Snippets: true}
 	for _, q := range determinismQueries {
-		want := sqlsOf(t, seq, q)
-		got := sqlsOf(t, par, q)
-		if len(want) != len(got) {
-			t.Fatalf("%q: %d vs %d solutions", q, len(want), len(got))
+		// The whole trace, not just SQL: tables, joins, filters, scores
+		// and the snippet rows.
+		wa := searchWith(t, seq, q, so)
+		ga := searchWith(t, par, q, so)
+		if len(wa.Solutions) != len(ga.Solutions) {
+			t.Fatalf("%q: %d vs %d solutions", q, len(wa.Solutions), len(ga.Solutions))
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%q solution %d:\nsequential: %s\nparallel:   %s", q, i, want[i], got[i])
-			}
-		}
-		// The whole trace, not just SQL: tables, joins, filters, scores.
-		wa := search(t, seq, q)
-		ga := search(t, par, q)
 		for i := range wa.Solutions {
-			if w, g := solutionTrace(wa.Solutions[i]), solutionTrace(ga.Solutions[i]); w != g {
-				t.Fatalf("%q solution %d differs beyond SQL:\nsequential: %s\nparallel:   %s", q, i, w, g)
+			w, g := wa.Solutions[i], ga.Solutions[i]
+			if w.SQLText() != g.SQLText() {
+				t.Fatalf("%q solution %d:\nsequential: %s\nparallel:   %s", q, i, w.SQLText(), g.SQLText())
+			}
+			if wt, gt := solutionTrace(w), solutionTrace(g); wt != gt {
+				t.Fatalf("%q solution %d differs beyond SQL:\nsequential: %s\nparallel:   %s", q, i, wt, gt)
+			}
+			if ws, gs := snippetTrace(w), snippetTrace(g); ws != gs {
+				t.Fatalf("%q solution %d snippet differs:\nsequential: %s\nparallel:   %s", q, i, ws, gs)
 			}
 		}
 	}
+}
+
+// snippetTrace renders a solution's snippet rows or error.
+func snippetTrace(sol *Solution) string {
+	if sol.Snippet == nil {
+		return "error: " + sol.SnippetErr
+	}
+	return fmt.Sprintf("%v %v", sol.Snippet.Columns, sol.Snippet.Rows)
 }
 
 // TestForEachSolutionPanicPropagates pins the worker-pool contract: a

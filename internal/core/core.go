@@ -59,9 +59,11 @@ type Options struct {
 	// "we might not be able to find a join path between two entities".
 	MaxPathLen int
 
-	// Parallelism is the worker-pool width for the per-solution steps
-	// 3-5 (tables/filters/SQL). 0 means GOMAXPROCS; 1 runs the steps
-	// sequentially. The ranked output is byte-identical either way.
+	// Parallelism is the worker-pool width for snippet execution, the one
+	// per-solution step that runs a backend statement. 0 means
+	// GOMAXPROCS; 1 runs the snippets sequentially. Steps 1-5 always run
+	// on the calling goroutine. The ranked output is byte-identical either
+	// way.
 	Parallelism int
 
 	// CacheSize caps the answer cache (entries across all shards). 0
@@ -582,9 +584,10 @@ type SearchOptions struct {
 	// CountAllocs populates Analysis.StepAllocs with the heap allocations
 	// each pipeline step performed (runtime.MemStats Mallocs deltas).
 	// Benchmarking aid: the counts are process-wide, so they are only
-	// meaningful with Parallelism 1 and no concurrent load, and each
-	// sampled step pays two ReadMemStats calls. Off by default — the
-	// serving path never reads MemStats.
+	// meaningful with no concurrent load (the snippet step's count
+	// includes its pool workers), and each sampled step pays two
+	// ReadMemStats calls. Off by default — the serving path never reads
+	// MemStats.
 	CountAllocs bool
 }
 
@@ -628,57 +631,46 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	}
 
 	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, Epoch: epoch}
-
-	// runStep is the identity wrapper unless the request asked for
-	// per-step allocation counts (a benchmarking aid; see CountAllocs).
-	runStep := func(name string, f func()) { f() }
 	if so.CountAllocs {
 		a.StepAllocs = make(map[string]uint64, 6)
-		runStep = func(name string, f func()) {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			f()
-			runtime.ReadMemStats(&m1)
-			a.StepAllocs[name] = m1.Mallocs - m0.Mallocs
-		}
 	}
 
-	// The five steps run in order, each timed into a.Timings and its
-	// histogram. Steps 3-5 are independent per solution; each runs across
-	// the bounded worker pool. Solutions keep their slice positions, so
-	// the ranked output is byte-identical to a sequential run. The
-	// request's context is checked after every step: a cancelled or
-	// expired request stops there with the context's error, and nothing
-	// is cached.
+	// The five steps run in order on the calling goroutine, each timed into
+	// a.Timings and its histogram. Steps 3-5 walk a few short slices per
+	// solution, microseconds in all, which is less than starting a worker
+	// pool would cost. The step functions capture nothing, so the table
+	// allocates nothing. The request's context is checked after every
+	// step: a cancelled or expired request stops there with the context's
+	// error, and nothing is cached.
 	steps := [...]struct {
 		name string
-		run  func()
+		run  func(*System, *Analysis)
 		took *time.Duration
 		hist *obs.Histogram
 	}{
-		{"lookup", func() { s.lookup(a) }, &a.Timings.Lookup, s.metrics.stepLookup},
-		{"rank", func() {
-			s.rank(a)
-			// Stamp every solution with the pipeline's epoch: Feedback
-			// checks it so feedback from a page ranked under an older
-			// function is detected instead of silently applied.
+		{"lookup", (*System).lookup, &a.Timings.Lookup, s.metrics.stepLookup},
+		{"rank", (*System).rank, &a.Timings.Rank, s.metrics.stepRank},
+		{"tables", func(s *System, a *Analysis) {
 			for _, sol := range a.Solutions {
-				sol.Epoch = epoch
+				s.tablesStep(sol, a)
 			}
-		}, &a.Timings.Rank, s.metrics.stepRank},
-		{"tables", func() {
-			s.forEachSolution(a.Solutions, func(sol *Solution) { s.tablesStep(sol, a) })
 		}, &a.Timings.Tables, s.metrics.stepTables},
-		{"filters", func() {
-			s.forEachSolution(a.Solutions, func(sol *Solution) { s.filtersStep(sol, a) })
+		{"filters", func(s *System, a *Analysis) {
+			for _, sol := range a.Solutions {
+				s.filtersStep(sol, a)
+			}
 		}, &a.Timings.Filters, s.metrics.stepFilters},
-		{"sqlgen", func() {
-			s.forEachSolution(a.Solutions, func(sol *Solution) { s.sqlStep(sol, a) })
+		{"sqlgen", func(s *System, a *Analysis) {
+			for _, sol := range a.Solutions {
+				s.sqlStep(sol, a)
+			}
 		}, &a.Timings.SQL, s.metrics.stepSQL},
 	}
 	for _, st := range steps {
 		start := time.Now()
-		runStep(st.name, st.run)
+		m0 := a.mallocs()
+		st.run(s, a)
+		a.countAllocs(st.name, m0)
 		*st.took = time.Since(start)
 		st.hist.Record(*st.took)
 		if err := ctx.Err(); err != nil {
@@ -692,14 +684,16 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	s.approvedStep(a, epoch)
 
 	if so.Snippets {
-		// Snippet execution rides the same worker pool; rows live on the
-		// solutions and are cached (and epoch-invalidated) with them.
+		// Snippet execution is a backend run per solution, tens of
+		// microseconds to milliseconds each, so it spreads across the worker
+		// pool; rows live on the solutions and are cached (and
+		// epoch-invalidated) with them.
 		start := time.Now()
-		runStep("snippet", func() {
-			s.forEachSolution(a.Solutions, func(sol *Solution) {
-				s.snippetStep(ctx, sol)
-			})
+		m0 := a.mallocs()
+		s.forEachSolution(a.Solutions, func(sol *Solution) {
+			s.snippetStep(ctx, sol)
 		})
+		a.countAllocs("snippet", m0)
 		a.Timings.Snippet = time.Since(start)
 		s.metrics.stepSnippet.Record(a.Timings.Snippet)
 	}
@@ -722,24 +716,36 @@ func (s *System) snippetStep(ctx context.Context, sol *Solution) {
 	sol.Snippet = res
 }
 
-// forEachSolution applies fn to every solution using up to
-// Opt.Parallelism workers. fn must only mutate its own solution.
-func (s *System) forEachSolution(sols []*Solution, fn func(*Solution)) {
-	s.parallelDo(len(sols), func(i int) { fn(sols[i]) })
+// mallocs returns the process's heap allocation count when the search
+// counts per-step allocations (SearchOptions.CountAllocs), and 0 otherwise.
+func (a *Analysis) mallocs() uint64 {
+	if a.StepAllocs == nil {
+		return 0
+	}
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
 }
 
-// parallelDo runs fn(i) for every i in [0, n) across up to
-// Opt.Parallelism workers. Indices are handed out atomically, so fn calls
-// that write only to their own index-addressed slot produce output
-// byte-identical to a sequential run.
-func (s *System) parallelDo(n int, fn func(int)) {
-	workers := s.Opt.Parallelism
-	if workers > n {
-		workers = n
+// countAllocs records the allocations since m0, a mallocs reading, as
+// step's count. It does nothing unless the search counts allocations.
+func (a *Analysis) countAllocs(step string, m0 uint64) {
+	if a.StepAllocs != nil {
+		a.StepAllocs[step] = a.mallocs() - m0
 	}
+}
+
+// forEachSolution applies fn to every solution across up to
+// Opt.Parallelism workers; the snippet step is its one user. fn must only
+// mutate its own solution. Solutions are handed out atomically and keep
+// their slice positions, so the output is byte-identical to a sequential
+// run.
+func (s *System) forEachSolution(sols []*Solution, fn func(*Solution)) {
+	n := len(sols)
+	workers := min(s.Opt.Parallelism, n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for _, sol := range sols {
+			fn(sol)
 		}
 		return
 	}
@@ -765,7 +771,7 @@ func (s *System) parallelDo(n int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(sols[i])
 			}
 		}()
 	}

@@ -262,8 +262,13 @@ type tablesScratch struct {
 	primIDs    []int32 // anchor table IDs, aligned with the primaries
 	sqlIDs     []int32
 	joinEdges  []int32
-	path       []int32  // one anchor pair's join path, as edge indices
-	tables     []string // the discovery view, before it is copied out
+	path       []int32 // one anchor pair's join path, as edge indices
+
+	// The solution's lists before they are copied out.
+	tables    []string // the discovery view
+	primaries []string
+	sqlTables []string
+	joins     []Join
 }
 
 var tablesPool = sync.Pool{New: func() any { return new(tablesScratch) }}

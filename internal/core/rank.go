@@ -10,7 +10,8 @@ func (s *System) rank(a *Analysis) {
 	// Terms without candidates are skipped entirely (unknown words are
 	// ignored, §4.4.1: "'and' might be unknown and we therefore ignore
 	// it").
-	var active [][]EntryPoint
+	var buf [8][]EntryPoint
+	active := buf[:0]
 	for _, cands := range a.Candidates {
 		if len(cands) > 0 {
 			active = append(active, cands)
@@ -20,7 +21,7 @@ func (s *System) rank(a *Analysis) {
 		// A query can still be meaningful with zero lookup terms (pure
 		// "count()" aggregations); emit one empty solution.
 		if len(a.Query.Aggregations) > 0 {
-			a.Solutions = []*Solution{{Score: 1.0, TopN: a.Query.TopN}}
+			a.Solutions = []*Solution{{Score: 1.0, TopN: a.Query.TopN, Epoch: a.Epoch}}
 		}
 		return
 	}
@@ -33,16 +34,20 @@ func (s *System) rank(a *Analysis) {
 	for _, cands := range active {
 		n = min(n*len(cands), s.Opt.MaxSolutions)
 	}
-	pick := make([]int, len(active)) // the current combination, one index per term
-	best := make([]ranked, 0, min(n, s.Opt.TopN))
+	k, keep := len(active), min(n, s.Opt.TopN)
+	// One index slab: the current combination first, then one pick array
+	// per kept slot.
+	picks := make([]int, (keep+1)*k)
+	pick := picks[:k:k]
+	best := make([]ranked, 0, keep)
 	for i := 0; i < n; i++ {
 		score := 0.0
 		for t, c := range pick {
 			score += active[t][c].Score
 		}
-		score /= float64(len(pick))
-		best = keepBest(best, ranked{score: score, pick: pick}, s.Opt.TopN)
-		for t := len(pick) - 1; t >= 0; t-- {
+		score /= float64(k)
+		best = keepBest(best, ranked{score: score, pick: pick}, s.Opt.TopN, picks[k:])
+		for t := k - 1; t >= 0; t-- {
 			if pick[t]++; pick[t] < len(active[t]) {
 				break
 			}
@@ -50,13 +55,21 @@ func (s *System) rank(a *Analysis) {
 		}
 	}
 
+	// The kept solutions and their entries are two slabs; each solution's
+	// Entries is a capped window of the entry slab. Every solution carries
+	// the pipeline's epoch: Feedback checks it, so feedback from a page
+	// ranked under an older function is detected instead of silently
+	// applied.
 	sols := make([]*Solution, len(best))
+	slab := make([]Solution, len(best))
+	entries := make([]EntryPoint, len(best)*k)
 	for i, r := range best {
-		entries := make([]EntryPoint, len(r.pick))
+		own := entries[i*k : (i+1)*k : (i+1)*k]
 		for t, c := range r.pick {
-			entries[t] = active[t][c]
+			own[t] = active[t][c]
 		}
-		sols[i] = &Solution{Entries: entries, Score: r.score, TopN: a.Query.TopN}
+		slab[i] = Solution{Entries: own, Score: r.score, TopN: a.Query.TopN, Epoch: a.Epoch}
+		sols[i] = &slab[i]
 	}
 	a.Solutions = sols
 }
@@ -71,8 +84,9 @@ type ranked struct {
 // keepBest inserts r into best, which holds at most limit combinations by
 // descending score. r was enumerated after every combination in best, so
 // it goes after those scoring at least as high: the order a stable sort of
-// the whole product would give.
-func keepBest(best []ranked, r ranked, limit int) []ranked {
+// the whole product would give. A slot added to best takes the next pick
+// array of spares (len(r.pick) ints per slot).
+func keepBest(best []ranked, r ranked, limit int, spares []int) []ranked {
 	at := len(best)
 	for at > 0 && best[at-1].score < r.score {
 		at--
@@ -81,7 +95,7 @@ func keepBest(best []ranked, r ranked, limit int) []ranked {
 		return best
 	}
 	if len(best) < limit {
-		best = append(best, ranked{pick: make([]int, len(r.pick))})
+		best = append(best, ranked{pick: spares[len(best)*len(r.pick):][:len(r.pick)]})
 	}
 	// Shift the tail down one slot; the slot that falls off the end lends
 	// its pick array to r.

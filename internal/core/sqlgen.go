@@ -26,46 +26,47 @@ func (s *System) sqlStep(sol *Solution, a *Analysis) {
 	}
 
 	sel := sqlast.NewSelect()
+	nodes := newNodeSlab(sol)
 
 	// FROM: anchors first, then join-path tables, in discovery order.
-	for _, t := range sol.SQLTables {
-		sel.From = append(sel.From, sqlast.TableRef{Table: t})
+	sel.From = make([]sqlast.TableRef, len(sol.SQLTables))
+	for i, t := range sol.SQLTables {
+		sel.From[i] = sqlast.TableRef{Table: t}
 	}
 
 	// WHERE: join conditions first (reasonable SQL shows joins up front,
-	// like the paper's Query 1), then filters.
-	var conjuncts []sqlast.Expr
+	// like the paper's Query 1), then filters, chained left-deep as
+	// sqlast.AndAll would.
+	var where sqlast.Expr
 	for _, j := range sol.Joins {
-		conjuncts = append(conjuncts, &sqlast.Binary{
-			Op: sqlast.OpEq,
-			L:  &sqlast.ColumnRef{Table: j.LeftTable, Column: j.LeftCol},
-			R:  &sqlast.ColumnRef{Table: j.RightTable, Column: j.RightCol},
-		})
+		where = nodes.and(where, nodes.binary(sqlast.OpEq,
+			nodes.column(j.LeftTable, j.LeftCol), nodes.column(j.RightTable, j.RightCol)))
 	}
-
-	filterExprs := make([]sqlast.Expr, 0, len(sol.Filters))
+	var or sqlast.Expr
 	for _, f := range sol.Filters {
-		if e := filterExpr(f); e != nil {
-			filterExprs = append(filterExprs, e)
+		e := filterExpr(f, &nodes)
+		switch {
+		case e == nil:
+		case !a.Query.Disjunctive:
+			where = nodes.and(where, e)
+		case or == nil:
+			or = e
+		default:
+			// OR connective: user filters combine disjunctively.
+			or = nodes.binary(sqlast.OpOr, or, e)
 		}
 	}
-	if a.Query.Disjunctive && len(filterExprs) > 1 {
-		// OR connective: user filters combine disjunctively.
-		or := filterExprs[0]
-		for _, e := range filterExprs[1:] {
-			or = &sqlast.Binary{Op: sqlast.OpOr, L: or, R: e}
-		}
-		conjuncts = append(conjuncts, or)
-	} else {
-		conjuncts = append(conjuncts, filterExprs...)
-	}
-	sel.Where = sqlast.AndAll(conjuncts...)
+	sel.Where = nodes.and(where, or)
 
 	// SELECT list and grouping.
 	switch {
 	case len(sol.Aggs) > 0:
+		sel.Items = make([]sqlast.SelectItem, 0, len(sol.GroupBy)+len(sol.Aggs))
+		if len(sol.GroupBy) > 0 {
+			sel.GroupBy = make([]sqlast.Expr, 0, len(sol.GroupBy))
+		}
 		for _, g := range sol.GroupBy {
-			ref := &sqlast.ColumnRef{Table: g.Table, Column: g.Column}
+			ref := nodes.column(g.Table, g.Column)
 			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: ref})
 			sel.GroupBy = append(sel.GroupBy, ref)
 		}
@@ -74,7 +75,7 @@ func (s *System) sqlStep(sol *Solution, a *Analysis) {
 			if agg.Col == nil {
 				call.Star = true
 			} else {
-				call.Args = []sqlast.Expr{&sqlast.ColumnRef{Table: agg.Col.Table, Column: agg.Col.Column}}
+				call.Args = []sqlast.Expr{nodes.column(agg.Col.Table, agg.Col.Column)}
 			}
 			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: call})
 		}
@@ -184,20 +185,75 @@ func (s *System) keyColumn(table string) string {
 	return "id"
 }
 
-// filterExpr converts a Filter into an AST predicate.
-func filterExpr(f Filter) sqlast.Expr {
-	col := &sqlast.ColumnRef{Table: f.Col.Table, Column: f.Col.Column}
+// nodeSlab hands out one solution's Binary and ColumnRef nodes from two
+// slabs sized before the statement is built. The sizes are upper bounds;
+// should one run short, nodes come from the heap, so a miscount costs
+// allocations, never output.
+type nodeSlab struct {
+	bins []sqlast.Binary
+	cols []sqlast.ColumnRef
+}
+
+// newNodeSlab sizes the slabs for sol's statement: per join an equality
+// and two columns; per filter a column and a comparison, two more for a
+// BETWEEN; one AND or OR per join and filter; one column per grouping key
+// and aggregate.
+func newNodeSlab(sol *Solution) nodeSlab {
+	nb := 2*len(sol.Joins) + 2*len(sol.Filters)
+	for _, f := range sol.Filters {
+		if f.Op == "between" {
+			nb += 2
+		}
+	}
+	nc := 2*len(sol.Joins) + len(sol.Filters) + len(sol.GroupBy) + len(sol.Aggs)
+	return nodeSlab{bins: make([]sqlast.Binary, nb), cols: make([]sqlast.ColumnRef, nc)}
+}
+
+func (n *nodeSlab) binary(op sqlast.BinOp, l, r sqlast.Expr) *sqlast.Binary {
+	if len(n.bins) == 0 {
+		return &sqlast.Binary{Op: op, L: l, R: r}
+	}
+	b := &n.bins[0]
+	n.bins = n.bins[1:]
+	*b = sqlast.Binary{Op: op, L: l, R: r}
+	return b
+}
+
+func (n *nodeSlab) column(table, column string) *sqlast.ColumnRef {
+	if len(n.cols) == 0 {
+		return &sqlast.ColumnRef{Table: table, Column: column}
+	}
+	c := &n.cols[0]
+	n.cols = n.cols[1:]
+	*c = sqlast.ColumnRef{Table: table, Column: column}
+	return c
+}
+
+// and chains e onto acc with AND, skipping a nil operand: one step of
+// sqlast.AndAll.
+func (n *nodeSlab) and(acc, e sqlast.Expr) sqlast.Expr {
+	switch {
+	case e == nil:
+		return acc
+	case acc == nil:
+		return e
+	}
+	return n.binary(sqlast.OpAnd, acc, e)
+}
+
+// filterExpr converts a Filter into an AST predicate, its nodes drawn
+// from nodes.
+func filterExpr(f Filter, nodes *nodeSlab) sqlast.Expr {
+	col := nodes.column(f.Col.Table, f.Col.Column)
 	if f.Op == "between" {
 		lo := literal(f.Value, f.IsDate, f.IsNum)
 		hi := literal(f.Value2, f.IsDate, f.IsNum)
 		if lo == nil || hi == nil {
 			return nil
 		}
-		return &sqlast.Binary{
-			Op: sqlast.OpAnd,
-			L:  &sqlast.Binary{Op: sqlast.OpGe, L: col, R: lo},
-			R:  &sqlast.Binary{Op: sqlast.OpLe, L: col, R: hi},
-		}
+		return nodes.binary(sqlast.OpAnd,
+			nodes.binary(sqlast.OpGe, col, lo),
+			nodes.binary(sqlast.OpLe, col, hi))
 	}
 	val := literal(f.Value, f.IsDate, f.IsNum)
 	if val == nil {
@@ -226,7 +282,7 @@ func filterExpr(f Filter) sqlast.Expr {
 	default:
 		return nil
 	}
-	return &sqlast.Binary{Op: op, L: col, R: val}
+	return nodes.binary(op, col, val)
 }
 
 func literal(v string, isDate, isNum bool) sqlast.Expr {

@@ -41,16 +41,16 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 
 	// Part 1: the discovery view is the union of the entries' table
 	// lists, prefilled per node by the compiled model and deduplicated
-	// here by table ID. It can run to hundreds of tables; it is gathered
-	// in scratch and copied out once at its final size. Each entry's
-	// anchor is the first table of its own list.
+	// here by table ID. It can run to hundreds of tables. Each entry's
+	// anchor is the first table of its own list. Like every list below it
+	// is gathered in scratch and copied out once, at its final size.
 	tables := sc.tables[:0]
 	addDiscovered := func(id int32) {
 		if sc.discovered.add(id) {
 			tables = append(tables, it.name(id))
 		}
 	}
-	var primaries []string
+	primaries := sc.primaries[:0]
 	primIDs := sc.primIDs[:0]
 	for _, e := range sol.Entries {
 		et := m.entryTables(e)
@@ -71,7 +71,6 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			primIDs = append(primIDs, id)
 		}
 	}
-	sc.primIDs = primIDs
 
 	// Discovery view of bridges: a bridge between two discovered tables
 	// is part of the Figure 6 output.
@@ -82,17 +81,11 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			}
 		}
 	}
-	sol.Tables = nil // nil, not empty, when nothing was discovered
-	if len(tables) > 0 {
-		sol.Tables = slices.Clone(tables)
-	}
-	sc.tables = tables
-	sol.Primaries = primaries
 
 	// Part 2+3: joins on direct paths between the anchors, walking the
 	// global join graph built from the Foreign Key / Join-Relationship
 	// patterns (bridge edges included unless ablated).
-	var sqlTables []string
+	sqlTables := sc.sqlTables[:0]
 	sqlIDs := sc.sqlIDs[:0]
 	addSQLTable := func(id int32, t string) {
 		if id >= 0 {
@@ -108,7 +101,7 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// Joins are deduplicated by edge index: every join emitted below is
 	// some edge's join(), and distinct non-ignored edges always render
 	// distinct Join values (identical tuples were merged at build time).
-	var joins []Join
+	joins := sc.joins[:0]
 	joinEdges := sc.joinEdges[:0]
 	addJoinEdge := func(ei int32) {
 		if !sc.edgeSeen.add(ei) {
@@ -177,13 +170,33 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 		}
 	}
 
-	sol.SQLTables = sqlTables
-	sol.Joins = joins
 	if !jg.connectedIDs(sc, sqlIDs, joinEdges) {
 		sol.Disconnected = true
 	}
-	sc.sqlIDs = sqlIDs
-	sc.joinEdges = joinEdges
+
+	// Copy out: one string slab holds the discovery view, the anchors and
+	// the FROM list, each a capped window of it, because ensureTable
+	// appends to SQLTables (and Joins) later. An empty list stays nil.
+	strs := make([]string, 0, len(tables)+len(primaries)+len(sqlTables))
+	sol.Tables = appendWindow(&strs, tables)
+	sol.Primaries = appendWindow(&strs, primaries)
+	sol.SQLTables = appendWindow(&strs, sqlTables)
+	js := make([]Join, 0, len(joins))
+	sol.Joins = appendWindow(&js, joins)
+	sc.tables, sc.primaries, sc.sqlTables, sc.joins = tables, primaries, sqlTables, joins
+	sc.primIDs, sc.sqlIDs, sc.joinEdges = primIDs, sqlIDs, joinEdges
+}
+
+// appendWindow appends src to *slab and returns the appended elements as
+// a capped window, or nil when src is empty. slab must have room for src,
+// so every window shares its backing array.
+func appendWindow[T any](slab *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	i := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[i:len(*slab):len(*slab)]
 }
 
 // ---- Join graph -----------------------------------------------------

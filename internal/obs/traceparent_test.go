@@ -98,3 +98,39 @@ func TestActiveTraceContext(t *testing.T) {
 		t.Fatal("span did not land in the active trace")
 	}
 }
+
+// FuzzParseTraceparent feeds arbitrary header values to the parser: it
+// must never panic, and any context it accepts must be valid and reparse
+// from its own Header() to the same value.
+func FuzzParseTraceparent(f *testing.F) {
+	const trace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	const span = "00f067aa0ba902b7"
+	for _, s := range []string{
+		"00-" + trace + "-" + span + "-01",
+		"01-" + trace + "-" + span + "-01-extra",
+		"00-" + trace + "-" + span + "-01-extra",
+		"ff-" + trace + "-" + span + "-01",
+		"00-00000000000000000000000000000000-" + span + "-01",
+		"00-" + trace + "-" + span,
+		"",
+		"banana",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, ok := ParseTraceparent(h)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected but returned %+v", h, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, tc)
+		}
+		back, ok := ParseTraceparent(tc.Header())
+		if !ok || back != tc {
+			t.Fatalf("ParseTraceparent(%q) = %+v; Header %q reparses to %+v (ok=%v)", h, tc, tc.Header(), back, ok)
+		}
+	})
+}

@@ -281,7 +281,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveRecovered routes one request and turns a handler panic — including
-// one parallelDo re-panics from a pipeline worker — into a 500 with the
+// one forEachSolution re-panics from a snippet worker — into a 500 with the
 // JSON error envelope, if nothing was written yet, and a log line with
 // the stack. It reports whether the handler panicked, so the request is
 // recorded as a 500 either way. http.ErrAbortHandler is re-panicked: it

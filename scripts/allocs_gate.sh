@@ -22,11 +22,12 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 # workload=reference: server_allocs_per_op, median of three or more runs
 # of this script's own command (2 cores, go1.24.0 linux/amd64).
 # explore_hot was measured at commit 4219591 (the runs spread by 0.15% of
-# the median). adhoc_cold, snippet_exec and feedback_mix were measured at
-# commit c3ab45c, which renders /search straight from the cached analysis
-# (ten runs spread by 0.3%, three by 1.0% and 1.0%). At its parent ad88770
-# they read 380.6, 957 and 111.1.
-refs="explore_hot=49.4 adhoc_cold=252 snippet_exec=640 feedback_mix=87.7"
+# the median). adhoc_cold, snippet_exec and feedback_mix were measured on
+# the child of commit 338e504, which runs Steps 3-5 on the request
+# goroutine and sizes Steps 2-5's outputs once per solution (three runs
+# each, spread by 0.07%, 0.8% and 0.15% of the median). At 338e504 they
+# read 238, 631 and 84.0.
+refs="explore_hot=49.4 adhoc_cold=137.9 snippet_exec=556 feedback_mix=65.8"
 
 limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0

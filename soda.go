@@ -66,9 +66,10 @@ import (
 type Options struct {
 	// TopN caps the ranked statements kept after step 2.
 	TopN int
-	// Parallelism is the worker-pool width for the per-solution pipeline
-	// steps 3-5 (0 = GOMAXPROCS, 1 = sequential); the ranked output is
-	// identical either way.
+	// Parallelism is the worker-pool width for snippet execution, which
+	// runs each ranked statement on the backend (0 = GOMAXPROCS, 1 =
+	// sequential); the pipeline's five steps always run on the calling
+	// goroutine, and the ranked output is identical either way.
 	Parallelism int
 	// CacheSize caps the answer cache in entries (0 = default 512,
 	// negative = disabled). Cached answers are invalidated whenever
