@@ -1,12 +1,11 @@
 // Command metricslint validates a Prometheus text exposition against the
 // repo's metric catalog: it parses stdin with the in-tree parser
-// (internal/obs) — the same code /metrics is written and /admin/fleet/metrics
-// is merged with — checks every family is well-formed (legal metric name,
-// at least one sample, a TYPE line), and verifies that every family name
-// given as an argument is present. CI pipes a live sodad scrape plus the
-// names extracted from the README's Observability catalog through it, so
-// the documented names can never silently drift from what the daemon
-// serves.
+// (internal/obs) — the package /metrics is written with — checks every
+// family is well-formed (legal metric name, at least one sample, a TYPE
+// line), and verifies that every family name given as an argument is
+// present. CI pipes each replica's live sodad scrape plus the names
+// extracted from the README's Observability catalog through it, so the
+// documented names can never silently drift from what the daemon serves.
 //
 // Usage:
 //

@@ -102,11 +102,6 @@
 //	    carrying a W3C `traceparent` header keep their trace id, so a
 //	    caller can follow one query across the fleet.
 //
-//	GET  /admin/fleet/metrics
-//	    Fleet-wide metric aggregation: this replica's /metrics merged
-//	    with every -peers replica's scrape (counters and histogram
-//	    counts summed, gauges per-replica under a `replica` label).
-//
 //	POST /search
 //	    {"query": "customers Zürich", "snippets": true, "dialect": "db2"}
 //	    Ranked SQL statements with scores, tables, joins, filters and
@@ -339,7 +334,6 @@ func run(addr, world, dialect, dataDir, queriesFile string, be backendOptions, c
 		MaxInflight:        sv.MaxInflight,
 		Logf:               log.Printf,
 		DisableMetrics:     !sv.Metrics,
-		FleetPeers:         cl.Peers,
 		FlightRecorderSize: sv.FlightSize,
 	}
 	if sv.AccessLog != "" {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"soda/internal/obs"
 	"soda/internal/store"
 )
 
@@ -151,14 +152,22 @@ func (f *fakeLocal) NoteOriginClock(origin string, lc uint64) {
 
 // TestTailerDrainsBatches: a peer with a backlog is drained across
 // multiple pulls within one sync round, and the peer's clock is noted
-// only after the final (More=false) batch.
+// only after the final (More=false) batch. Every pull of the drain
+// carries a child of one trace — a shared, valid trace id with a
+// distinct span id per pull — so the peer's request log groups them as
+// one pass.
 func TestTailerDrainsBatches(t *testing.T) {
 	backlog := []store.Record{
 		{Origin: "peer", OriginSeq: 1, LC: 1, Op: store.OpLike, Keys: []store.Key{{Node: "x"}}},
 		{Origin: "peer", OriginSeq: 2, LC: 2, Op: store.OpLike, Keys: []store.Key{{Node: "y"}}},
 		{Origin: "peer", OriginSeq: 3, LC: 3, Op: store.OpDislike, Keys: []store.Key{{Node: "x"}}},
 	}
+	var mu sync.Mutex
+	var parents []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		parents = append(parents, r.Header.Get(obs.TraceparentHeader))
+		mu.Unlock()
 		since, err := ParseVector(r.URL.Query().Get("since"))
 		if err != nil {
 			t.Errorf("peer received bad vector: %v", err)
@@ -173,8 +182,8 @@ func TestTailerDrainsBatches(t *testing.T) {
 			}
 		}
 		resp := PullResponse{Origin: "peer", Vector: store.Vector{"peer": 3}, LC: 3}
-		if len(out) > 1 { // force batching: one record per pull
-			out, resp.More = out[:1], true
+		if limit, _ := strconv.Atoi(r.URL.Query().Get("limit")); limit > 0 && len(out) > limit {
+			out, resp.More = out[:limit], true
 		}
 		resp.Records = out
 		_ = WritePull(w, &resp)
@@ -182,12 +191,26 @@ func TestTailerDrainsBatches(t *testing.T) {
 	defer srv.Close()
 
 	local := &fakeLocal{vector: store.Vector{}}
-	tl := NewTailer(Config{Local: local, Peers: []string{srv.URL}, Interval: time.Hour})
+	tl := NewTailer(Config{Local: local, Peers: []string{srv.URL}, Interval: time.Hour, BatchLimit: 1})
 	tl.SyncOnce(t.Context())
 	tl.Stop()
 
-	if len(local.applied) != 3 {
-		t.Fatalf("applied %d records, want 3", len(local.applied))
+	if len(local.applied) != 3 || len(parents) != 3 {
+		t.Fatalf("applied %d records over %d pulls, want 3 over 3", len(local.applied), len(parents))
+	}
+	spans := map[string]bool{}
+	for i, h := range parents {
+		tc, ok := obs.ParseTraceparent(h)
+		if !ok || !tc.Valid() {
+			t.Fatalf("pull %d traceparent %q is not a valid trace context", i, h)
+		}
+		if first, _ := obs.ParseTraceparent(parents[0]); tc.TraceID != first.TraceID {
+			t.Fatalf("pull %d trace id %s, want the drain's %s", i, tc.TraceID, first.TraceID)
+		}
+		if spans[tc.SpanID] {
+			t.Fatalf("pull %d reuses span id %s", i, tc.SpanID)
+		}
+		spans[tc.SpanID] = true
 	}
 	if local.clocks["peer"] != 3 {
 		t.Fatalf("peer clock = %d, want 3 (noted after the final batch)", local.clocks["peer"])

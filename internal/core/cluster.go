@@ -330,7 +330,7 @@ func (s *System) AdoptClusterState(cs *store.ReplicaState) error {
 	snap := s.snapshotLocked()
 	st := s.store
 	s.fbMu.Unlock()
-	if err := st.WriteSnapshot(snap); err != nil {
+	if err := s.persistSnapshot(st, snap); err != nil {
 		return fmt.Errorf("core: persisting adopted state: %w", err)
 	}
 	return nil

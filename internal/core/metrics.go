@@ -69,7 +69,7 @@ func newSysMetrics(reg *obs.Registry, backendName string) *sysMetrics {
 			"Backend execution latency by backend identity and path.", bl, be("prepared")),
 
 		snapshotErrors: reg.Counter("soda_snapshot_errors_total",
-			"Snapshot persist failures (background compaction and explicit writes)."),
+			"Failed snapshot writes (compaction, /admin/snapshot, cluster catch-up, boot and shutdown)."),
 	}
 }
 

@@ -158,7 +158,7 @@ func (s *System) WriteSnapshot() (store.Stats, error) {
 	snap := s.snapshotLocked()
 	st := s.store
 	s.fbMu.Unlock()
-	if err := st.WriteSnapshot(snap); err != nil {
+	if err := s.persistSnapshot(st, snap); err != nil {
 		return store.Stats{}, err
 	}
 	return st.Stats(), nil
@@ -329,7 +329,20 @@ func (s *System) snapshotLocked() *store.Snapshot {
 // writeSnapshotLocked builds and writes a snapshot; see snapshotLocked
 // for the locking contract.
 func (s *System) writeSnapshotLocked() error {
-	return s.store.WriteSnapshot(s.snapshotLocked())
+	return s.persistSnapshot(s.store, s.snapshotLocked())
+}
+
+// persistSnapshot writes snap to st; every snapshot write goes through
+// it. A failure other than a closed store (the shutdown race, not a
+// fault) is counted in soda_snapshot_errors_total, whichever path hit it:
+// a disk that rejects every snapshot means unbounded WAL growth an
+// operator must see.
+func (s *System) persistSnapshot(st *store.Store, snap *store.Snapshot) error {
+	err := st.WriteSnapshot(snap)
+	if err != nil && !errors.Is(err, store.ErrClosed) {
+		s.metrics.snapshotErrors.Inc()
+	}
+	return err
 }
 
 // maybeCompactLocked snapshots and compacts once the WAL grows past the
@@ -341,9 +354,7 @@ func (s *System) writeSnapshotLocked() error {
 // call — the WAL record that triggered it is already durable, and records
 // appended while the write runs stay in the compacted log (they sort
 // after the captured fold watermark) — but it is never silent: the error
-// is logged with the store component tag and counted in
-// soda_snapshot_errors_total, because a disk that rejects every snapshot
-// means unbounded WAL growth an operator must see.
+// is logged with the store component tag and counted (persistSnapshot).
 func (s *System) maybeCompactLocked() {
 	if s.store == nil || s.Opt.CompactEvery <= 0 {
 		return
@@ -366,10 +377,7 @@ func (s *System) maybeCompactLocked() {
 	st := s.store
 	go func() {
 		defer s.compacting.Store(false)
-		if err := st.WriteSnapshot(snap); err != nil && !errors.Is(err, store.ErrClosed) {
-			// A closed store is the shutdown race, not a fault; anything
-			// else is a real persistence failure.
-			s.metrics.snapshotErrors.Inc()
+		if err := s.persistSnapshot(st, snap); err != nil && !errors.Is(err, store.ErrClosed) {
 			s.log.With("store").Printf("background snapshot write failed (WAL keeps growing until one succeeds): %v", err)
 		}
 	}()

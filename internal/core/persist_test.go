@@ -167,6 +167,24 @@ func TestCloseWritesFinalSnapshot(t *testing.T) {
 	assertSameRankings(t, want, rankingsOf(t, sys2), "post-close reopen")
 }
 
+// TestSnapshotWriteFailureCounted: an explicit snapshot write that fails
+// returns its error and is counted in soda_snapshot_errors_total, like a
+// failed background compaction.
+func TestSnapshotWriteFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	sys := openSysWithStore(t, dir, Options{})
+	defer sys.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.WriteSnapshot(); err == nil {
+		t.Fatal("WriteSnapshot into a removed data dir succeeded")
+	}
+	if got := sys.metrics.snapshotErrors.Value(); got != 1 {
+		t.Fatalf("soda_snapshot_errors_total = %d, want 1", got)
+	}
+}
+
 // TestAutoCompaction: once the WAL passes CompactEvery records the System
 // snapshots and truncates it on its own.
 func TestAutoCompaction(t *testing.T) {

@@ -1,9 +1,10 @@
 package obs
 
 // Prometheus text exposition (version 0.0.4) writer, plus a minimal
-// parser used by tests and by sodabench's before/after counter-delta
-// scrapes. Histograms are exposed as summaries: quantile series in
-// seconds, <name>_sum in seconds, <name>_count.
+// parser for trusted input: tests, the serving benchmark's scrapes of the
+// sodad it started, and cmd/metricslint. Histograms are exposed as
+// summaries: quantile series in seconds, <name>_sum in seconds,
+// <name>_count.
 
 import (
 	"bufio"
@@ -147,6 +148,103 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return b.Flush()
+}
+
+// MetricPoint is one sample line of a family. Suffix distinguishes the
+// summary sub-series ("", "_sum" or "_count"); Labels are in input order.
+type MetricPoint struct {
+	Suffix string
+	Labels []Label
+	Value  float64
+}
+
+// MetricFamily is one metric name with its TYPE and all sample lines, in
+// input order.
+type MetricFamily struct {
+	Name   string
+	Type   string // "counter", "gauge", "summary" or "untyped"
+	Points []MetricPoint
+}
+
+// ParseFamilies parses text exposition preserving family structure.
+// Sample lines are attached to the family whose name matches exactly, or
+// — for summaries — whose name plus "_sum"/"_count" matches. Lines with
+// no preceding HELP/TYPE start an untyped family.
+func ParseFamilies(r io.Reader) ([]*MetricFamily, error) {
+	var fams []*MetricFamily
+	byName := make(map[string]*MetricFamily)
+	get := func(name, typ string) *MetricFamily {
+		if f := byName[name]; f != nil {
+			return f
+		}
+		f := &MetricFamily{Name: name, Type: typ}
+		byName[name] = f
+		fams = append(fams, f)
+		return f
+	}
+
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			rest := strings.TrimSpace(line[1:])
+			switch {
+			case strings.HasPrefix(rest, "HELP "):
+				name, _, _ := strings.Cut(rest[len("HELP "):], " ")
+				get(name, "untyped")
+			case strings.HasPrefix(rest, "TYPE "):
+				parts := strings.SplitN(rest[len("TYPE "):], " ", 2)
+				if len(parts) == 2 {
+					get(parts[0], parts[1]).Type = parts[1]
+				}
+			}
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return nil, fmt.Errorf("obs: unparseable exposition line %q", line)
+		}
+		key, valStr := line[:sp], line[sp+1:]
+		v, err := strconv.ParseFloat(valStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: bad value in line %q: %w", line, err)
+		}
+		name := key
+		var labels []Label
+		if open := strings.IndexByte(key, '{'); open >= 0 {
+			if !strings.HasSuffix(key, "}") {
+				return nil, fmt.Errorf("obs: unterminated label set in line %q", line)
+			}
+			name = key[:open]
+			labels, err = parseLabelBody(key[open+1 : len(key)-1])
+			if err != nil {
+				return nil, fmt.Errorf("obs: %w in line %q", err, line)
+			}
+		}
+		famName, suffix := name, ""
+		if f := byName[name]; f == nil {
+			// Summary sub-series carry the family name plus a suffix.
+			for _, suf := range []string{"_sum", "_count"} {
+				base := strings.TrimSuffix(name, suf)
+				if base != name {
+					if bf := byName[base]; bf != nil && bf.Type == "summary" {
+						famName, suffix = base, suf
+						break
+					}
+				}
+			}
+		}
+		f := get(famName, "untyped")
+		f.Points = append(f.Points, MetricPoint{Suffix: suffix, Labels: labels, Value: v})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return fams, nil
 }
 
 // ParseText parses text exposition into a flat map: ParseFamilies'

@@ -160,3 +160,45 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatalf("timed span dur = %v", spans[1].Dur)
 	}
 }
+
+// TestParseFamiliesRoundTrip: ParseFamilies keeps a real registry scrape's
+// families and types, attaches a summary's _sum/_count lines to their
+// family, and reads escaped label values back exactly.
+func TestParseFamiliesRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	peer := Label{"peer", "say \"hi\"\nnow\\"}
+	r.Counter("soda_requests_total", "Requests served.", peer).Add(4)
+	h := r.Histogram("soda_search_seconds", "Search latency.")
+	for i := 0; i < 5; i++ {
+		h.Record(time.Millisecond)
+	}
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseFamilies(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fams) != 2 {
+		t.Fatalf("parsed %d families, want 2: %+v", len(fams), fams)
+	}
+	ctr, sum := fams[0], fams[1]
+	if ctr.Name != "soda_requests_total" || ctr.Type != "counter" || len(ctr.Points) != 1 {
+		t.Fatalf("counter family = %+v", ctr)
+	}
+	if p := ctr.Points[0]; len(p.Labels) != 1 || p.Labels[0] != peer || p.Value != 4 {
+		t.Fatalf("escaped counter point = %+v, want %v = 4", p, peer)
+	}
+	if sum.Name != "soda_search_seconds" || sum.Type != "summary" {
+		t.Fatalf("summary family = %+v", sum)
+	}
+	bySuffix := map[string]float64{}
+	for _, p := range sum.Points {
+		bySuffix[p.Suffix] = p.Value
+	}
+	if len(sum.Points) != len(summaryQuantiles)+2 || bySuffix["_count"] != 5 || bySuffix["_sum"] != 0.005 {
+		t.Fatalf("summary points = %+v, want %d quantiles plus _sum 0.005 and _count 5",
+			sum.Points, len(summaryQuantiles))
+	}
+}

@@ -4,9 +4,9 @@ package obs
 // tracing currency. A TraceContext is the parsed form of the
 // `traceparent` request header — trace id, parent span id, flags — and
 // every layer that crosses a process boundary (serving, cluster tailer,
-// fleet metric scrapes, bench load) either adopts the caller's context
-// or mints a fresh one, so one trace id follows a query across the whole
-// fleet. Stdlib-only, like the rest of the package.
+// bench load) either adopts the caller's context or mints a fresh one, so
+// one trace id follows a query across the whole fleet. Stdlib-only, like
+// the rest of the package.
 
 import (
 	"context"
@@ -175,9 +175,8 @@ func MintTraceContext() TraceContext {
 
 // ActiveTrace binds one request's W3C trace context to its span
 // collector. The serving layer embeds one per request and stores it in
-// the request context; the core pipeline appends backend-execution spans
-// through TraceFromContext, and outbound HTTP calls (fleet metric
-// scrapes) propagate TC.Child() — all without the layers importing each
+// the request context, and the core pipeline appends backend-execution
+// spans through TraceFromContext — without the layers importing each
 // other.
 type ActiveTrace struct {
 	TC    TraceContext
@@ -191,19 +190,13 @@ func ContextWithActive(ctx context.Context, at *ActiveTrace) context.Context {
 	return context.WithValue(ctx, activeTraceKey{}, at)
 }
 
-// ActiveFromContext returns the request's active trace, or nil.
-func ActiveFromContext(ctx context.Context) *ActiveTrace {
-	if ctx == nil {
-		return nil
-	}
-	at, _ := ctx.Value(activeTraceKey{}).(*ActiveTrace)
-	return at
-}
-
 // TraceFromContext returns the request's span collector, or nil (a valid
 // no-op Trace receiver) when the caller is not inside a traced request.
 func TraceFromContext(ctx context.Context) *Trace {
-	if at := ActiveFromContext(ctx); at != nil {
+	if ctx == nil {
+		return nil
+	}
+	if at, _ := ctx.Value(activeTraceKey{}).(*ActiveTrace); at != nil {
 		return at.Spans
 	}
 	return nil

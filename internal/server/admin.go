@@ -1,9 +1,8 @@
 package server
 
 // The operator routes under /admin: manual snapshots and the saved-query
-// library, with the library's wire types. (/admin/fleet/metrics lives in
-// fleet.go, /admin/decommission with the replication routes in
-// cluster.go.)
+// library, with the library's wire types. (/admin/decommission lives
+// with the replication routes in cluster.go.)
 
 import (
 	"fmt"

@@ -11,9 +11,6 @@
 //	GET  /metrics          Prometheus text exposition of the full metric registry
 //	GET  /debug/requests   flight recorder: recent + slow/error request traces
 //	                       (?id=<trace or request id> for one trace's spans)
-//	GET  /admin/fleet/metrics
-//	                       fleet-wide metric aggregation: local + every peer's
-//	                       /metrics merged into one exposition
 //	POST /search           {"query": "...", "snippets": true?, "dialect": "db2"?} -> ranked SQL
 //	POST /sql              {"sql": "...", "dialect": "mysql"?} -> rows (exploration, §5.3.2)
 //	GET  /browse/{table}   schema-browser view of one physical table
@@ -52,6 +49,11 @@ import (
 
 // maxBodyBytes caps request bodies; queries and SQL are tiny.
 const maxBodyBytes = 1 << 20
+
+// queuePerSlot sizes the /search admission queue: with MaxInflight set,
+// up to queuePerSlot×MaxInflight requests wait for a slot before any is
+// shed.
+const queuePerSlot = 2
 
 // The server's latency SLO: a cache-hit /search answers within 1ms, every
 // other request within 20ms. A request over its threshold is logged to
@@ -103,24 +105,16 @@ type Server struct {
 	slowOther *obs.Counter // soda_slow_requests_total{outcome="other"}
 	slowLog   *obs.Logger
 	backendID string
-
-	// Fleet metric aggregation (GET /admin/fleet/metrics).
-	fleetPeers  []string
-	fleetClient *http.Client
-	scrapeErrs  *obs.Counter // soda_fleet_scrape_errors_total
 }
 
 // Config tunes the serving layer. The zero value serves like the
 // pre-Config server: no admission limit, silent logging, metrics on.
 type Config struct {
 	// MaxInflight caps concurrently executing /search requests
-	// (the daemon's -max-inflight flag); 0 means unlimited.
+	// (the daemon's -max-inflight flag); 0 means unlimited. Up to
+	// 2×MaxInflight more (queuePerSlot) wait for a slot before load
+	// shedding starts.
 	MaxInflight int
-	// QueueDepth is how many /search requests may wait for an inflight
-	// slot before load shedding starts. 0 defaults to 2×MaxInflight;
-	// negative means no queue (shed as soon as saturated). Ignored when
-	// MaxInflight is 0.
-	QueueDepth int
 	// Logf receives serving diagnostics — response-write failures, encode
 	// errors. nil is silent.
 	Logf func(format string, args ...any)
@@ -132,10 +126,6 @@ type Config struct {
 	// DisableMetrics hides GET /metrics (the daemon's -metrics=false).
 	// Instruments still record — only the exposition route is gated.
 	DisableMetrics bool
-	// FleetPeers lists peer base URLs whose /metrics are scraped and
-	// merged into GET /admin/fleet/metrics (normally the daemon's -peers).
-	// Empty still serves the endpoint with just the local scrape.
-	FleetPeers []string
 	// FlightRecorderSize is the total trace-slot capacity of the flight
 	// recorder (0 defaults to 256; one third is reserved for over-SLO and
 	// 5xx traces).
@@ -167,8 +157,6 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 		"Requests that exceeded their SLO threshold, by cache outcome.", outcome("cold"))
 	s.slowOther = reg.Counter("soda_slow_requests_total",
 		"Requests that exceeded their SLO threshold, by cache outcome.", outcome("other"))
-	s.scrapeErrs = reg.Counter("soda_fleet_scrape_errors_total",
-		"Peer /metrics scrapes that failed during fleet aggregation.")
 	s.backendID = sys.Backend()
 	replica := sys.ReplicaID()
 	if replica == "" {
@@ -184,22 +172,13 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 	).Set(1)
 	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, sloHit, sloCold)
 	s.slowLog = obs.NewLogger(cfg.Logf).With("server/slow")
-	s.fleetPeers = append([]string(nil), cfg.FleetPeers...)
-	s.fleetClient = &http.Client{Timeout: 5 * time.Second}
 	if cfg.AccessLog != nil {
 		s.accessLog = &accessLogger{w: cfg.AccessLog}
 	}
 	s.reqIDs.init()
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
-		depth := cfg.QueueDepth
-		if depth == 0 {
-			depth = 2 * cfg.MaxInflight
-		}
-		if depth < 0 {
-			depth = 0
-		}
-		s.queue = make(chan struct{}, depth)
+		s.queue = make(chan struct{}, queuePerSlot*cfg.MaxInflight)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if !cfg.DisableMetrics {
@@ -218,7 +197,6 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 	s.mux.HandleFunc("POST /admin/decommission", s.handleDecommission)
 	s.mux.HandleFunc("GET /cluster/pull", s.handleClusterPull)
 	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	s.mux.HandleFunc("GET /admin/fleet/metrics", s.handleFleetMetrics)
 	return s
 }
 

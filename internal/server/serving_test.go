@@ -16,16 +16,23 @@ import (
 // --- admission control --------------------------------------------------
 
 func TestSearchOverloadSheds503(t *testing.T) {
-	srv := NewWith(sharedSys(), Config{MaxInflight: 1, QueueDepth: -1})
+	srv := NewWith(sharedSys(), Config{MaxInflight: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Saturate the only inflight slot; with no queue the next request is
-	// shed immediately.
+	// Saturate the only inflight slot and every queue place; the next
+	// request is shed immediately.
 	srv.inflight <- struct{}{}
+	for len(srv.queue) < cap(srv.queue) {
+		srv.queue <- struct{}{}
+	}
+	shed := srv.shed.Value() // the shared System's counter: count the delta
 	resp, body := postJSON(t, ts.URL+"/search", `{"query": "customer"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated status = %d, body %s", resp.StatusCode, body)
+	}
+	if got := srv.shed.Value(); got != shed+1 {
+		t.Fatalf("soda_search_shed_total = %d, want %d", got, shed+1)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\"", ra)
@@ -34,7 +41,10 @@ func TestSearchOverloadSheds503(t *testing.T) {
 		t.Fatalf("shed body = %s", body)
 	}
 
-	// Slot released: serving resumes.
+	// Slot and queue released: serving resumes.
+	for len(srv.queue) > 0 {
+		<-srv.queue
+	}
 	<-srv.inflight
 	resp, body = postJSON(t, ts.URL+"/search", `{"query": "customer"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -43,11 +53,15 @@ func TestSearchOverloadSheds503(t *testing.T) {
 }
 
 func TestSearchQueueHoldsThenAdmits(t *testing.T) {
-	srv := NewWith(sharedSys(), Config{MaxInflight: 1, QueueDepth: 1})
+	srv := NewWith(sharedSys(), Config{MaxInflight: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
+	// Saturate the only inflight slot and leave one queue place free.
 	srv.inflight <- struct{}{}
+	for len(srv.queue) < cap(srv.queue)-1 {
+		srv.queue <- struct{}{}
+	}
 	// This request parks in the queue waiting for the slot.
 	type result struct {
 		status int
@@ -59,7 +73,7 @@ func TestSearchQueueHoldsThenAdmits(t *testing.T) {
 		done <- result{resp.StatusCode, string(body)}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.queue) != 1 {
+	for len(srv.queue) != cap(srv.queue) {
 		if time.Now().After(deadline) {
 			t.Fatal("request never entered the admission queue")
 		}

@@ -2,7 +2,7 @@ package server
 
 // Tests for the distributed-tracing plumbing: traceparent adoption and
 // minting, the /debug/requests flight recorder, the /healthz build and
-// flight-recorder blocks, and /admin/fleet/metrics aggregation.
+// flight-recorder blocks.
 
 import (
 	"bytes"
@@ -280,94 +280,6 @@ func TestHealthzBuildAndFlight(t *testing.T) {
 	}
 	if !found {
 		t.Error("soda_build_info missing from /metrics")
-	}
-}
-
-// TestFleetMetricsMerge: /admin/fleet/metrics merges the local scrape
-// with every peer's — counters and histogram counts summed, gauges kept
-// per-replica — and propagates the request's trace id to each peer.
-func TestFleetMetricsMerge(t *testing.T) {
-	var peerLog syncBuffer
-	sys0 := soda.NewSystem(soda.MiniBank(), soda.Options{})
-	sys0.Warm()
-	sys1 := soda.NewSystem(soda.MiniBank(), soda.Options{})
-	sys1.Warm()
-	ts1 := httptest.NewServer(NewWith(sys1, Config{AccessLog: &peerLog}))
-	t.Cleanup(ts1.Close)
-	ts0 := httptest.NewServer(NewWith(sys0, Config{FleetPeers: []string{ts1.URL}}))
-	t.Cleanup(ts0.Close)
-
-	// One cold search per replica, so per-replica counters are 1 each.
-	for _, u := range []string{ts0.URL, ts1.URL} {
-		if resp, body := postJSON(t, u+"/search", `{"query": "customer"}`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("search status = %d, body %s", resp.StatusCode, body)
-		}
-	}
-	per0 := scrapeMetrics(t, ts0.URL)
-	per1 := scrapeMetrics(t, ts1.URL)
-
-	resp, body := doJSON(t, http.MethodGet, ts0.URL+"/admin/fleet/metrics", "", fixedParent)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet metrics status = %d, body %s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Fatalf("fleet metrics Content-Type = %q, want %q", ct, obs.ContentType)
-	}
-	// The merged output must be valid exposition for both in-tree parsers.
-	if _, err := obs.ParseFamilies(bytes.NewReader(body)); err != nil {
-		t.Fatalf("fleet output does not parse as families: %v\n%s", err, body)
-	}
-	merged, err := obs.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("fleet output does not parse: %v\n%s", err, body)
-	}
-
-	// Counters and histogram counts: merged value == sum of the
-	// per-replica scrapes taken just before.
-	for _, key := range []string{
-		obs.SeriesKey("soda_search_requests_total", obs.Label{Name: "outcome", Value: "cold"}),
-		obs.SeriesKey("soda_pipeline_step_seconds_count", obs.Label{Name: "step", Value: "lookup"}),
-		obs.SeriesKey("soda_cache_misses_total"),
-	} {
-		if got, want := merged[key], per0[key]+per1[key]; got != want {
-			t.Errorf("merged %s = %v, want %v (sum of per-replica scrapes)", key, got, want)
-		}
-	}
-	// Gauges stay per-replica under a replica label: the local scrape as
-	// "local", the peer under its URL host.
-	host1 := strings.TrimPrefix(ts1.URL, "http://")
-	for _, rep := range []string{"local", host1} {
-		key := obs.SeriesKey("soda_cache_entries", obs.Label{Name: "replica", Value: rep})
-		if _, ok := merged[key]; !ok {
-			t.Errorf("merged output is missing gauge series %s", key)
-		}
-	}
-	// The peer's scrape carried a child of the inbound trace context.
-	waitContains(t, &peerLog, fixedTraceID)
-	if got := resp.Header.Get("X-Request-Id"); got != fixedTraceID {
-		t.Errorf("fleet metrics X-Request-Id = %q, want propagated trace id", got)
-	}
-}
-
-// TestFleetMetricsPeerDown: an unreachable peer degrades the aggregation
-// to the replicas that answered (still 200) and bumps the scrape-error
-// counter.
-func TestFleetMetricsPeerDown(t *testing.T) {
-	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
-	sys.Warm()
-	ts := httptest.NewServer(NewWith(sys, Config{FleetPeers: []string{"http://127.0.0.1:9"}}))
-	t.Cleanup(ts.Close)
-
-	resp, body := getBody(t, ts.URL+"/admin/fleet/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet metrics with dead peer status = %d, body %s", resp.StatusCode, body)
-	}
-	if _, err := obs.ParseText(strings.NewReader(body)); err != nil {
-		t.Fatalf("degraded fleet output does not parse: %v", err)
-	}
-	vals := scrapeMetrics(t, ts.URL)
-	if got := vals[obs.SeriesKey("soda_fleet_scrape_errors_total")]; got < 1 {
-		t.Errorf("soda_fleet_scrape_errors_total = %v, want >= 1", got)
 	}
 }
 

@@ -208,26 +208,4 @@ for i in 1 2; do
     { echo "replica $i has /cluster/pull log lines without a trace id" >&2; exit 1; }
 done
 
-echo "== assert /admin/fleet/metrics merges the fleet and propagates its trace =="
-FLEET_TRACE=1234567890abcdef1234567890abcdef
-curl -sf "http://${ADDRS[0]}/admin/fleet/metrics" \
-  -H "traceparent: 00-$FLEET_TRACE-00f067aa0ba902b7-01" >"$WORKDIR/fleet_metrics.txt"
-for i in 1 2; do
-  wait_log "$WORKDIR/access$i.log" "\"trace_id\":\"$FLEET_TRACE\"" ||
-    { echo "fleet-metrics trace missing from replica $i request log" >&2; exit 1; }
-done
-# The merged histogram count equals the sum of the per-replica scrapes
-# taken immediately after (no cold searches run in between).
-sum=0
-for a in "${ADDRS[@]}"; do
-  v=$(metric "$a" '^soda_pipeline_step_seconds_count\{step="lookup"\}')
-  sum=$((sum + v))
-done
-merged=$(awk '/^soda_pipeline_step_seconds_count\{step="lookup"\}/ {print $2; exit}' \
-  "$WORKDIR/fleet_metrics.txt")
-if [ -z "$merged" ] || [ "$merged" != "$sum" ]; then
-  echo "fleet lookup count = '$merged', want sum of per-replica scrapes = $sum" >&2
-  exit 1
-fi
-
 echo "OK: fleet converged to byte-identical /search after SIGKILL + restart"
