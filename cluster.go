@@ -5,7 +5,6 @@ package soda
 // /healthz, /admin/decommission and /cluster/pull.
 
 import (
-	"errors"
 	"time"
 
 	"soda/internal/cluster"
@@ -46,15 +45,6 @@ func (s *System) registerClusterMetrics(peers []string) {
 			}, pl)
 	}
 }
-
-// clusterLocal adapts core.System to the tailer's Local interface.
-type clusterLocal struct{ sys *core.System }
-
-func (c clusterLocal) ReplicaID() string                            { return c.sys.ReplicaID() }
-func (c clusterLocal) AppliedVector() store.Vector                  { return c.sys.AppliedVector() }
-func (c clusterLocal) ApplyRemote(recs []store.Record) (int, error) { return c.sys.ApplyRemote(recs) }
-func (c clusterLocal) AdoptState(st *store.ReplicaState) error      { return c.sys.AdoptClusterState(st) }
-func (c clusterLocal) NoteOriginClock(origin string, lc uint64)     { c.sys.NoteOriginClock(origin, lc) }
 
 // ReplicationInfo re-exports the local replication diagnostics (replica
 // id, applied vector, unfolded tail size).
@@ -118,30 +108,8 @@ func (s *System) AppliedVector() map[string]uint64 { return s.sys.AppliedVector(
 // the requester fell behind this replica's fold point — the folded state
 // to adopt. The requester's vector doubles as its acknowledgement, which
 // gates local WAL compaction (a record is only compacted away once every
-// peer holds it).
+// peer holds it). The response is read at one moment: its vector and
+// clock cover every record it carries.
 func (s *System) ClusterPull(from string, since map[string]uint64, limit int) (*cluster.PullResponse, error) {
-	info := s.sys.ReplicationInfo()
-	if info == nil {
-		return nil, errors.New("soda: replication requires a persistent data dir (-data-dir)")
-	}
-	if from != "" {
-		if err := store.ValidReplicaID(from); err != nil {
-			return nil, err
-		}
-		s.sys.NoteAck(from, since)
-	}
-	recs, behind, more := s.sys.RecordsSince(since, limit)
-	resp := &cluster.PullResponse{
-		Origin: info.ReplicaID,
-		Vector: info.Vector,
-		LC:     info.Lamport,
-		More:   more,
-	}
-	if behind {
-		resp.Behind = true
-		resp.State = s.sys.ClusterState()
-	} else {
-		resp.Records = recs
-	}
-	return resp, nil
+	return s.sys.ServePull(from, since, limit)
 }

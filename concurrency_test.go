@@ -204,3 +204,59 @@ func TestFeedbackInvalidatesCacheAcrossAPI(t *testing.T) {
 		t.Fatalf("after ResetFeedback score = %v, want the original %v", reset.Results[0].Score, scoreBefore)
 	}
 }
+
+// TestClusterPullConsistentUnderFeedback: one goroutine likes answers while
+// another serves pulls. Each pull response must describe one moment of the
+// replica: its vector covers every record it returns, and its clock is at
+// least every returned record's. Run with -race.
+func TestClusterPullConsistentUnderFeedback(t *testing.T) {
+	sys, err := Open(MiniBank(), Options{}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	// Fewer likes than the compaction threshold, so nothing folds and an
+	// empty vector is never behind.
+	const likes = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < likes; i++ {
+			ans, err := sys.Search(stressQueries[i%len(stressQueries)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ans.Results[0].Like(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for pulls := 0; ; pulls++ {
+		select {
+		case <-done:
+			if pulls == 0 {
+				t.Fatal("no pull overlapped the writes")
+			}
+			return
+		default:
+		}
+		resp, err := sys.ClusterPull("", nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Behind {
+			t.Fatal("empty vector reported behind before any fold")
+		}
+		for _, rec := range resp.Records {
+			if !resp.Vector.Includes(rec.Origin, rec.OriginSeq) {
+				t.Fatalf("pull %d: vector %v omits returned record %s/%d", pulls, resp.Vector, rec.Origin, rec.OriginSeq)
+			}
+			if rec.LC > resp.LC {
+				t.Fatalf("pull %d: clock %d below returned record's %d", pulls, resp.LC, rec.LC)
+			}
+		}
+	}
+}

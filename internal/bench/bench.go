@@ -12,9 +12,10 @@
 //	Figure 9 – joins on the direct path between entry points
 //	Figure 10 – bridge table between inheritance siblings
 //
-// plus the ablation experiments DESIGN.md calls out. Each experiment
-// returns structured rows and renders to text; cmd/sodabench prints them
-// and bench_test.go wraps them in testing.B benchmarks.
+// plus the design-choice ablations (Ablations; sodabench -ablations).
+// Each experiment returns structured rows and renders to text;
+// cmd/sodabench prints them and bench_test.go wraps them in testing.B
+// benchmarks.
 package bench
 
 import (
@@ -404,7 +405,9 @@ type AblationRow struct {
 	Disconnected int
 }
 
-// Ablations runs the design-choice experiments DESIGN.md lists.
+// Ablations runs the design-choice experiments — each core.Options
+// ablation switch, and two worlds with repaired metadata — over the
+// evaluation corpus; sodabench -ablations prints them.
 func (e *Env) Ablations() ([]AblationRow, error) {
 	configs := []struct {
 		name string

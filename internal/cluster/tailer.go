@@ -21,8 +21,8 @@ import (
 // issue against one peer while draining a backlog (More=true).
 const maxRoundsPerTick = 64
 
-// Local is the tailer's view of the replica it feeds — implemented by the
-// soda layer over core.System.
+// Local is the tailer's view of the replica it feeds — implemented by
+// core.System.
 type Local interface {
 	ReplicaID() string
 	AppliedVector() store.Vector

@@ -162,13 +162,3 @@ func (s *System) businessTerms(node rdf.Term) []string {
 	sort.Strings(labels)
 	return labels
 }
-
-// Tables lists every physical table known to the metadata graph, sorted.
-func (s *System) Tables() []string {
-	var out []string
-	for _, tr := range s.Meta.G.WithPredicate(rdf.NewIRI(metagraph.PredTableName)) {
-		out = append(out, tr.O.Value())
-	}
-	sort.Strings(out)
-	return out
-}

@@ -4,107 +4,112 @@ package core
 // exchanges feedback WAL records with its peers and converges on the
 // same learned rankings.
 //
-// The model: every feedback event is a record with a global identity
+// The model: every write is a record with a global identity
 // (Origin, OriginSeq) and a Lamport clock LC; the triple
 // (LC, Origin, OriginSeq) is the record's canonical position, a total
-// order every replica agrees on. The feedback state is *defined* as the
+// order every replica agrees on. The ranking state is *defined* as the
 // fold of the applied records in canonical order, so it is a
 // deterministic function of the applied set — two replicas that have
 // exchanged the same records compute bit-identical adjustment maps (and
 // therefore byte-identical /search responses), no matter in which order
 // the network delivered them.
 //
-// In memory the fold is split in two: a folded base (persisted by
-// snapshots) and a canonical tail of unfolded records. Local events
-// always extend the order at the end (their LC exceeds everything seen),
-// so they apply incrementally; a pulled record that sorts into the middle
-// triggers a re-fold of base+tail. The base only advances over records
-// that (a) nothing still in flight can sort below and (b) every peer has
-// acknowledged pulling — see foldLocked — which makes WAL compaction safe
-// in a fleet: a peer can always pull what it is missing from someone's
-// unfolded tail, or, if it fell behind a fold point (fresh replica, lost
-// data dir), adopt the peer's folded state wholesale (AdoptClusterState).
+// Two types hold this state, each behind its own lock. The replica (this
+// file) owns the durable, replicated side: the store handle, the folded
+// base (persisted by snapshots), the canonical tail of unfolded records
+// and the per-origin cursors. The ranking (feedback.go) owns the live
+// maps the pipeline reads — the fold of base+tail — and the epoch. The
+// lock order is replica → ranking: every writer logs under the replica's
+// lock and then applies under the ranking's, so no search waits on
+// store.Append.
+//
+// Local writes always extend the order at the end (their LC exceeds
+// everything seen), so they apply incrementally; a pulled record that
+// sorts into the middle triggers a re-fold of base+tail. The base only
+// advances over records that (a) nothing still in flight can sort below
+// and (b) every peer has acknowledged pulling — see foldLocked — which
+// makes WAL compaction safe in a fleet: a peer can always pull what it is
+// missing from someone's unfolded tail, or, if it fell behind a fold point
+// (fresh replica, lost data dir), adopt the peer's folded state wholesale
+// (AdoptState).
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"soda/internal/cluster"
 	"soda/internal/store"
 )
 
-// SetReplica fixes the System's replication identity and the number of
-// configured peers (the fold gates require hearing from — and being
-// acknowledged by — that many distinct replicas). Must be called before
-// OpenStore; a System that never calls it behaves as the single replica
-// "local".
-func (s *System) SetReplica(id string, peers int) {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	s.replicaID = id
-	s.fleetPeers = peers
+// replica is a System's durable and replicated state. mu serialises every
+// writer — local writes, pulled batches, adoption, snapshots and
+// compaction — and guards every field below but compacting.
+type replica struct {
+	mu sync.Mutex
+
+	// store is the attached data dir (OpenStore); nil runs in memory only.
+	// fingerprint is the world hash stamped into snapshots, warmStart and
+	// replayedRecords describe the open.
+	store           *store.Store
+	compacting      atomic.Bool // an async auto-compaction is in flight
+	fingerprint     uint64
+	warmStart       bool
+	replayedRecords int
+
+	// Replication cursors, maintained only with a store attached. tail
+	// holds the applied-but-unfolded records in canonical (LC, origin,
+	// originSeq) order; base/baseQueries/baseEpoch/foldPos describe the
+	// folded prefix the snapshot persists; vector and lastLC track, per
+	// origin, the highest contiguous OriginSeq applied and the newest
+	// Lamport clock heard; acks remembers each peer's pull vector (the
+	// compaction-safe retention gate).
+	replicaID    string // "local" unless OpenStore names it
+	fleetPeers   int    // configured peer count; 0 = single replica
+	lamport      uint64
+	vector       store.Vector
+	lastLC       map[string]uint64
+	tail         []store.Record
+	base         map[feedbackKey]float64
+	baseQueries  map[string]*savedQueryEntry
+	baseEpoch    uint64
+	foldPos      store.Pos
+	foldedVector store.Vector
+	foldedLastLC map[string]uint64
+	acks         map[string]store.Vector
+	reorders     uint64 // remote records that arrived below the fold watermark
+
+	// Dead-peer bookkeeping for the fold gate's escape hatches:
+	// decommissioned peers are permanently out of the quorum (operator
+	// action), lastContact timestamps every ack/clock/record heard per
+	// origin, and replStart anchors the staleness bound for peers never
+	// heard from at all (set when OpenStore attaches the store).
+	decommissioned map[string]bool
+	lastContact    map[string]time.Time
+	replStart      time.Time
+
+	now func() time.Time // the staleness clock: time.Now
 }
 
-func (s *System) replicaIDLocked() string {
-	if s.replicaID == "" {
-		s.replicaID = "local"
-	}
-	return s.replicaID
-}
-
-// ReplicaID returns the System's replication identity.
+// ReplicaID returns the System's replication identity ("local" for a
+// System without a store).
 func (s *System) ReplicaID() string {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	if s.replicaID == "" {
-		return "local"
-	}
-	return s.replicaID
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	return s.rep.replicaID
 }
 
 // AppliedVector returns a copy of the replication vector: per origin, the
 // highest contiguous OriginSeq applied to this System.
 func (s *System) AppliedVector() store.Vector {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	return s.vector.Clone()
-}
-
-// Lamport returns the System's current Lamport clock (the newest clock it
-// has seen). Pull responses carry it so an idle replica still advances
-// its peers' fold watermarks.
-func (s *System) Lamport() uint64 {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	return s.lamport
-}
-
-// NoteAck records that the named peer has pulled with the given vector —
-// proof it holds every record the vector covers. Acks gate folding (and
-// therefore WAL compaction): a record is only made permanent once every
-// peer could never need to pull it again.
-func (s *System) NoteAck(from string, v store.Vector) {
-	if from == "" {
-		return
-	}
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if from == s.replicaIDLocked() {
-		return
-	}
-	s.lastContact[from] = time.Now()
-	prev := s.acks[from]
-	merged := v.Clone()
-	if merged == nil {
-		merged = make(store.Vector, len(prev))
-	}
-	for o, seq := range prev {
-		if merged[o] < seq {
-			merged[o] = seq
-		}
-	}
-	s.acks[from] = merged
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	return s.rep.vector.Clone()
 }
 
 // NoteOriginClock raises the last-heard Lamport clock for an origin
@@ -116,14 +121,13 @@ func (s *System) NoteOriginClock(origin string, lc uint64) {
 	if origin == "" {
 		return
 	}
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if origin != s.replicaIDLocked() {
-		s.lastContact[origin] = time.Now()
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if origin != r.replicaID {
+		r.lastContact[origin] = r.now()
 	}
-	if lc > s.lastLC[origin] {
-		s.lastLC[origin] = lc
-	}
+	r.lastLC[origin] = max(r.lastLC[origin], lc)
 }
 
 // ApplyRemote applies records pulled from a peer. Records must arrive in
@@ -134,202 +138,188 @@ func (s *System) NoteOriginClock(origin string, lc uint64) {
 // by the vector) are skipped, and a per-origin gap stops that origin's
 // sequence for this batch (the next pull refills it). Every applied
 // record bumps the ranking epoch, so cached answers and in-flight
-// solutions go stale exactly as they do for local feedback.
+// solutions go stale exactly as they do for local feedback. The batch
+// reaches the ranking in one write, after every append: a search sees all
+// of it or none.
 func (s *System) ApplyRemote(recs []store.Record) (int, error) {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if s.store == nil {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store == nil {
 		return 0, errors.New("core: ApplyRemote: no store attached (replication requires a data dir)")
 	}
-	applied := 0
+	var applied []store.Record
 	refold := false
-	now := time.Now()
 	defer func() {
 		// One re-fold per batch, not per record: a batch of concurrent
 		// feedback routinely sorts into the middle of the tail, and
 		// cloning the base plus replaying the whole tail for each record
-		// would hold fbMu for O(batch × tail) work.
+		// would be O(batch × tail) work.
 		if refold {
-			s.refoldLocked()
+			fb, qs := r.refold()
+			s.ranking.set(fb, qs, s.ranking.epoch.Load()+uint64(len(applied)))
+		} else if len(applied) > 0 {
+			s.ranking.apply(applied...)
 		}
-		if applied > 0 {
+		if len(applied) > 0 {
 			s.maybeCompactLocked()
 		}
 	}()
+	now := r.now()
 	for _, rec := range recs {
 		if rec.Origin == "" || rec.OriginSeq == 0 || rec.LC == 0 {
-			return applied, fmt.Errorf("core: remote record without identity: %+v", rec.Pos())
+			return len(applied), fmt.Errorf("core: remote record without identity: %+v", rec.Pos())
 		}
-		if rec.OriginSeq <= s.vector[rec.Origin] {
+		if rec.OriginSeq <= r.vector[rec.Origin] {
 			continue // duplicate: already applied (possibly via another peer)
 		}
-		if rec.OriginSeq != s.vector[rec.Origin]+1 {
+		if rec.OriginSeq != r.vector[rec.Origin]+1 {
 			continue // gap: skip; the vector did not advance, so it will be re-pulled
 		}
-		stored, err := s.store.Append(rec)
+		stored, err := r.store.Append(rec)
 		if err != nil {
-			return applied, fmt.Errorf("core: logging remote record: %w", err)
+			return len(applied), fmt.Errorf("core: logging remote record: %w", err)
 		}
-		if !stored.Pos().After(s.foldPos) {
+		if !stored.Pos().After(r.foldPos) {
 			// The record sorts below our fold watermark — a replica joined
 			// mid-stream with a cold clock (see README: fleets should be
 			// full-mesh so clocks are exchanged before folding). We cannot
 			// unfold the base, so the record applies on top; replicas that
 			// had not folded yet order it canonically. Counted for /healthz.
-			s.reorders++
+			r.reorders++
 		}
-		if s.insertTailLocked(stored) && !refold {
-			s.feedback = applyRecordTo(s.feedback, stored)
-			s.queries = applyQueryRecordTo(s.queries, stored)
-		} else {
+		if !r.insertTailLocked(stored) {
 			refold = true
 		}
-		s.noteAppliedLocked(stored)
-		if stored.Origin != s.replicaIDLocked() {
-			s.lastContact[stored.Origin] = now
+		r.noteAppliedLocked(stored)
+		if stored.Origin != r.replicaID {
+			r.lastContact[stored.Origin] = now
 		}
-		s.epoch.Add(1)
-		applied++
+		applied = append(applied, stored)
 	}
-	return applied, nil
+	return len(applied), nil
 }
 
 // insertTailLocked places the record at its canonical position in the
 // tail, reporting whether it extended the tail at the end (in which case
 // the caller may apply it incrementally instead of re-folding).
-func (s *System) insertTailLocked(rec store.Record) (atEnd bool) {
+func (r *replica) insertTailLocked(rec store.Record) (atEnd bool) {
 	pos := rec.Pos()
-	n := len(s.tail)
-	if n == 0 || s.tail[n-1].Pos().Before(pos) {
-		s.tail = append(s.tail, rec)
-		return true
-	}
-	i := sort.Search(n, func(i int) bool { return pos.Before(s.tail[i].Pos()) })
-	s.tail = append(s.tail, store.Record{})
-	copy(s.tail[i+1:], s.tail[i:n])
-	s.tail[i] = rec
-	return false
+	i := sort.Search(len(r.tail), func(i int) bool { return pos.Before(r.tail[i].Pos()) })
+	r.tail = slices.Insert(r.tail, i, rec)
+	return i == len(r.tail)-1
 }
 
-// RecordsSince serves one pull: the retained records beyond the
-// requester's vector, in canonical order, capped at limit. behind reports
-// that the requester's vector predates this replica's fold point for some
-// origin — the records it needs no longer exist individually and it must
-// adopt the folded state (ClusterState) instead. more reports a truncated
-// batch (pull again to drain).
-func (s *System) RecordsSince(v store.Vector, limit int) (recs []store.Record, behind, more bool) {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	for o, folded := range s.foldedVector {
-		if folded > 0 && v[o] < folded {
-			return nil, true, false
+// ServePull serves one replication pull (the /cluster/pull endpoint) under
+// one replica lock, so the vector and clock it reports cover every record
+// it returns. A non-empty from names the requesting replica, and since,
+// its applied vector, doubles as that replica's acknowledgement, which
+// gates folding (a record is compacted away only once every peer holds
+// it). The response carries the retained records beyond since in
+// canonical order, capped at limit (More reports a capped batch: pull
+// again to drain) — or, when since predates this replica's fold point for
+// some origin, so that the records it needs no longer exist individually,
+// Behind and the folded state to adopt.
+func (s *System) ServePull(from string, since store.Vector, limit int) (*cluster.PullResponse, error) {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store == nil {
+		return nil, errors.New("core: replication requires a persistent data dir (-data-dir)")
+	}
+	if from != "" {
+		if err := store.ValidReplicaID(from); err != nil {
+			return nil, err
+		}
+		if from != r.replicaID {
+			r.noteAckLocked(from, since)
 		}
 	}
-	for _, rec := range s.tail {
-		if rec.OriginSeq <= v[rec.Origin] {
+	resp := &cluster.PullResponse{Origin: r.replicaID, Vector: r.vector.Clone(), LC: r.lamport}
+	for o, folded := range r.foldedVector {
+		if folded > 0 && since[o] < folded {
+			state := r.foldedLocked()
+			state.Tail = slices.Clone(r.tail)
+			resp.Behind, resp.State = true, state
+			return resp, nil
+		}
+	}
+	for _, rec := range r.tail {
+		if rec.OriginSeq <= since[rec.Origin] {
 			continue
 		}
-		recs = append(recs, rec)
-		if limit > 0 && len(recs) >= limit {
-			more = true
+		resp.Records = append(resp.Records, rec)
+		if limit > 0 && len(resp.Records) >= limit {
+			resp.More = true
 			break
 		}
 	}
-	return recs, false, more
+	return resp, nil
 }
 
-// ClusterState captures the System's replication state for a catch-up
-// response.
-func (s *System) ClusterState() *store.ReplicaState {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	cs := &store.ReplicaState{
-		Epoch:   s.baseEpoch,
-		FoldPos: s.foldPos,
-		Tail:    append([]store.Record(nil), s.tail...),
+// noteAckLocked records that peer from has pulled with vector v — proof it
+// holds every record v covers. Acks gate folding (and therefore WAL
+// compaction): a record is only made permanent once every peer could never
+// need to pull it again.
+func (r *replica) noteAckLocked(from string, v store.Vector) {
+	r.lastContact[from] = r.now()
+	prev := r.acks[from]
+	merged := v.Clone()
+	if merged == nil {
+		merged = make(store.Vector, len(prev))
 	}
-	for k, v := range s.base {
-		cs.Feedback = append(cs.Feedback, store.FeedbackEntry{Key: storeKey(k), Value: v})
+	for o, seq := range prev {
+		if merged[o] < seq {
+			merged[o] = seq
+		}
 	}
-	cs.Queries = rawQueries(s.baseQueries)
-	for id, seq := range s.foldedVector {
-		cs.Origins = append(cs.Origins, store.OriginState{ID: id, Seq: seq, LC: s.foldedLastLC[id]})
-	}
-	return cs
+	r.acks[from] = merged
 }
 
-// AdoptClusterState replaces this replica's folded base with a peer's —
-// the catch-up path when the peer compacted past our vector. Our own
-// records beyond the adopted fold vector are kept and re-folded on top
-// (records below it are already inside the adopted base: a peer only
-// folds what the whole fleet acknowledged, which includes us). The
-// adopted state is snapshotted immediately so the catch-up survives a
-// crash, and the old WAL records it supersedes are compacted away.
-// The peer's unfolded tail (cs.Tail) is NOT applied here — feed it
-// through ApplyRemote afterwards like any pull batch.
-func (s *System) AdoptClusterState(cs *store.ReplicaState) error {
-	s.fbMu.Lock()
-	if s.store == nil {
-		s.fbMu.Unlock()
-		return errors.New("core: AdoptClusterState: no store attached")
-	}
-	adoptedVector := make(store.Vector, len(cs.Origins))
-	adoptedLC := make(map[string]uint64, len(cs.Origins))
-	for _, o := range cs.Origins {
-		adoptedVector[o.ID] = o.Seq
-		adoptedLC[o.ID] = o.LC
+// AdoptState replaces this replica's folded base with a peer's — the
+// catch-up path when the peer compacted past our vector. Our own records
+// beyond the adopted fold vector are kept and re-folded on top (records
+// below it are already inside the adopted base: a peer only folds what
+// the whole fleet acknowledged, which includes us). The adopted state is
+// snapshotted immediately so the catch-up survives a crash, and the old
+// WAL records it supersedes are compacted away. The peer's unfolded tail
+// (cs.Tail) is NOT applied here — feed it through ApplyRemote afterwards
+// like any pull batch.
+func (s *System) AdoptState(cs *store.ReplicaState) error {
+	r := &s.rep
+	r.mu.Lock()
+	if r.store == nil {
+		r.mu.Unlock()
+		return errors.New("core: AdoptState: no store attached")
 	}
 	// Sanity: adopting must move us forward, never sideways — refuse a
 	// state whose fold point is below ours (we would unfold our own base).
-	if cs.FoldPos.Before(s.foldPos) {
-		s.fbMu.Unlock()
-		return fmt.Errorf("core: refusing to adopt state folded at %+v, behind local fold %+v", cs.FoldPos, s.foldPos)
+	if cs.FoldPos.Before(r.foldPos) {
+		r.mu.Unlock()
+		return fmt.Errorf("core: refusing to adopt state folded at %+v, behind local fold %+v", cs.FoldPos, r.foldPos)
 	}
-	var keep []store.Record
-	for _, rec := range s.tail {
-		if rec.OriginSeq > adoptedVector[rec.Origin] {
-			keep = append(keep, rec)
+	old := r.tail
+	r.installLocked(cs)
+	for _, rec := range old { // old is in canonical order
+		if rec.OriginSeq != r.vector[rec.Origin]+1 {
+			continue // inside the adopted base, or superseded by it mid-sequence
 		}
+		r.tail = append(r.tail, rec)
+		r.noteAppliedLocked(rec)
 	}
-	s.base = make(map[feedbackKey]float64, len(cs.Feedback))
-	for _, e := range cs.Feedback {
-		s.base[keyFromStore(e.Key)] = e.Value
-	}
-	s.baseQueries = buildQueryMap(cs.Queries)
-	s.baseEpoch = cs.Epoch
-	s.foldPos = cs.FoldPos
-	s.foldedVector = adoptedVector.Clone()
-	s.foldedLastLC = make(map[string]uint64, len(adoptedLC))
-	s.vector = adoptedVector.Clone()
-	s.lastLC = make(map[string]uint64, len(adoptedLC))
-	for o, lc := range adoptedLC {
-		s.foldedLastLC[o] = lc
-		s.lastLC[o] = lc
-		if lc > s.lamport {
-			s.lamport = lc
-		}
-	}
-	s.tail = nil
-	for _, rec := range keep { // keep preserves canonical order
-		if rec.OriginSeq != s.vector[rec.Origin]+1 {
-			continue // superseded by the adopted vector mid-sequence
-		}
-		s.tail = append(s.tail, rec)
-		s.noteAppliedLocked(rec)
-	}
-	s.refoldLocked()
 	// The epoch only ever moves forward: solutions and cached answers
 	// stamped before the adoption must come out stale.
-	s.epoch.Add(1)
+	fb, qs := r.refold()
+	s.ranking.set(fb, qs, s.ranking.epoch.Load()+1)
 	// Make the adoption durable: the old WAL records are superseded by
 	// the adopted base; a crash before this snapshot would boot from the
 	// pre-adoption state and simply catch up again. The snapshot value is
 	// captured under the lock but encoded and fsynced outside it, so
-	// searches are not stalled behind a warehouse-scale encode while the
+	// writers are not stalled behind a warehouse-scale encode while the
 	// replica rejoins.
 	snap := s.snapshotLocked()
-	st := s.store
-	s.fbMu.Unlock()
+	st := r.store
+	r.mu.Unlock()
 	if err := s.persistSnapshot(st, snap); err != nil {
 		return fmt.Errorf("core: persisting adopted state: %w", err)
 	}
@@ -342,19 +332,18 @@ func (s *System) AdoptClusterState(cs *store.ReplicaState) error {
 // again. This is the operator's escape hatch for a static -peers entry
 // that is never coming back — without it one dead peer pins the tail (and
 // the WAL) forever. Safe even if the peer does return: it finds itself
-// behind the fold point (RecordsSince reports behind=true) and adopts the
-// folded state through the normal catch-up path, exactly like a fresh
-// replica.
+// behind the fold point (ServePull reports Behind) and adopts the folded
+// state through the normal catch-up path, exactly like a fresh replica.
 func (s *System) DecommissionReplica(id string) error {
 	if id == "" {
 		return errors.New("core: decommission: empty replica id")
 	}
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if id == s.replicaIDLocked() {
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	if id == s.rep.replicaID {
 		return fmt.Errorf("core: refusing to decommission the local replica %q", id)
 	}
-	s.decommissioned[id] = true
+	s.rep.decommissioned[id] = true
 	return nil
 }
 
@@ -377,25 +366,19 @@ type ReplicationInfo struct {
 // ReplicationInfo returns the replication diagnostics, or nil when the
 // System has no store attached.
 func (s *System) ReplicationInfo() *ReplicationInfo {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	if s.store == nil {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store == nil {
 		return nil
 	}
-	id := s.replicaID
-	if id == "" {
-		id = "local"
-	}
 	info := &ReplicationInfo{
-		ReplicaID:   id,
-		Vector:      s.vector.Clone(),
-		Lamport:     s.lamport,
-		TailRecords: len(s.tail),
-		Reorders:    s.reorders,
+		ReplicaID:   r.replicaID,
+		Vector:      r.vector.Clone(),
+		Lamport:     r.lamport,
+		TailRecords: len(r.tail),
+		Reorders:    r.reorders,
 	}
-	for peer := range s.decommissioned {
-		info.Decommissioned = append(info.Decommissioned, peer)
-	}
-	sort.Strings(info.Decommissioned)
+	info.Decommissioned = slices.Sorted(maps.Keys(r.decommissioned))
 	return info
 }

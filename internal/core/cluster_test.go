@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"soda/internal/backend/memory"
+	"soda/internal/cluster"
 	"soda/internal/store"
 )
 
@@ -14,30 +14,15 @@ import (
 // exchange records land on byte-identical rankings regardless of
 // delivery order, and a restart replays to the same state.
 
-// openReplica builds a fleet-member System over the shared minibank world
-// with its own store in dir.
-func openReplica(t *testing.T, dir, id string, peers int) *System {
+// pull serves one pull from src to a requester named from (no ack when
+// empty) holding the vector since.
+func pull(t *testing.T, src *System, from string, since store.Vector) *cluster.PullResponse {
 	t.Helper()
-	st, err := store.Open(dir)
+	resp, err := src.ServePull(from, since, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
-	snap, err := st.LoadSnapshot(persistTestFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, idx := world.Meta, world.Index
-	if snap != nil {
-		meta, idx = snap.Meta, snap.Index
-	}
-	sys := NewSystem(memory.New(world.DB), meta, idx, Options{})
-	sys.SetFingerprint(persistTestFP)
-	sys.SetReplica(id, peers)
-	if err := sys.OpenStore(st, snap); err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return resp
 }
 
 // keysOf extracts the on-disk feedback keys of a solution, for crafting
@@ -59,15 +44,15 @@ func exchange(t *testing.T, a, b *System) {
 		moved := false
 		for _, pair := range [][2]*System{{a, b}, {b, a}} {
 			src, dst := pair[0], pair[1]
-			recs, behind, more := src.RecordsSince(dst.AppliedVector(), 0)
-			if behind {
+			resp := pull(t, src, dst.ReplicaID(), dst.AppliedVector())
+			if resp.Behind {
 				t.Fatal("exchange: unexpected behind (nothing was folded)")
 			}
-			if more {
+			if resp.More {
 				t.Fatal("exchange: unlimited pull reported more")
 			}
-			if len(recs) > 0 {
-				n, err := dst.ApplyRemote(recs)
+			if len(resp.Records) > 0 {
+				n, err := dst.ApplyRemote(resp.Records)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,8 +60,7 @@ func exchange(t *testing.T, a, b *System) {
 					moved = true
 				}
 			}
-			src.NoteAck(dst.ReplicaID(), dst.AppliedVector())
-			dst.NoteOriginClock(src.ReplicaID(), src.Lamport())
+			dst.NoteOriginClock(src.ReplicaID(), resp.LC)
 		}
 		if !moved {
 			return
@@ -101,9 +85,9 @@ func assertSameVector(t *testing.T, a, b store.Vector, context string) {
 // converges to byte-identical rankings once records are exchanged — in
 // either exchange order.
 func TestTwoReplicasConverge(t *testing.T) {
-	a := openReplica(t, t.TempDir(), "a", 1)
+	a := openReplica(t, t.TempDir(), "a", 1, Options{})
 	defer a.Close()
-	b := openReplica(t, t.TempDir(), "b", 1)
+	b := openReplica(t, t.TempDir(), "b", 1, Options{})
 	defer b.Close()
 
 	applyTestFeedback(t, a, 2)
@@ -122,9 +106,9 @@ func TestTwoReplicasConverge(t *testing.T) {
 // remote records in different interleavings (one canonical, one reversed
 // per-batch) fold to identical state — the out-of-order path re-folds.
 func TestRemoteDeliveryOrderIrrelevant(t *testing.T) {
-	a := openReplica(t, t.TempDir(), "a", 2)
+	a := openReplica(t, t.TempDir(), "a", 2, Options{})
 	defer a.Close()
-	b := openReplica(t, t.TempDir(), "b", 2)
+	b := openReplica(t, t.TempDir(), "b", 2, Options{})
 	defer b.Close()
 
 	// Craft records from two fictitious origins with interleaved clocks.
@@ -171,7 +155,7 @@ func TestRemoteDeliveryOrderIrrelevant(t *testing.T) {
 // to the exact pre-crash state — with and without the snapshot.
 func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 	dir := t.TempDir()
-	sys1 := openReplica(t, dir, "a", 1)
+	sys1 := openReplica(t, dir, "a", 1, Options{})
 
 	// Local feedback (advancing a's clock), then remote records whose
 	// clocks interleave below it, then more local feedback.
@@ -188,19 +172,19 @@ func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 	applyTestFeedback(t, sys1, 1)
 	want := rankingsOf(t, sys1)
 	wantVec := sys1.AppliedVector()
-	if err := sys1.store.Sync(); err != nil {
+	if err := sys1.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Simulated crash: no Close, no final snapshot — the WAL carries the
 	// interleaved history.
 
-	sys2 := openReplica(t, dir, "a", 1)
+	sys2 := openReplica(t, dir, "a", 1, Options{})
 	if sys2.StoreStats().ReplayedRecords == 0 {
 		t.Fatal("expected WAL records to replay")
 	}
 	assertSameVector(t, wantVec, sys2.AppliedVector(), "replayed vector")
 	assertSameRankings(t, want, rankingsOf(t, sys2), "snapshot+interleaved tail replay")
-	if err := sys2.store.Sync(); err != nil {
+	if err := sys2.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,11 +192,11 @@ func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "snapshot.soda")); err != nil {
 		t.Fatal(err)
 	}
-	sys3 := openReplica(t, dir, "a", 1)
+	sys3 := openReplica(t, dir, "a", 1, Options{})
 	assertSameVector(t, wantVec, sys3.AppliedVector(), "cold replayed vector")
 	assertSameRankings(t, want, rankingsOf(t, sys3), "cold interleaved replay")
-	if sys3.epoch.Load() != sys2.epoch.Load() {
-		t.Fatalf("replayed epochs differ: %d vs %d", sys3.epoch.Load(), sys2.epoch.Load())
+	if sys3.ranking.epoch.Load() != sys2.ranking.epoch.Load() {
+		t.Fatalf("replayed epochs differ: %d vs %d", sys3.ranking.epoch.Load(), sys2.ranking.epoch.Load())
 	}
 }
 
@@ -222,7 +206,7 @@ func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 // told to adopt the folded state.
 func TestFoldGatesRetainRecordsForPeers(t *testing.T) {
 	dir := t.TempDir()
-	sys := openReplica(t, dir, "a", 1)
+	sys := openReplica(t, dir, "a", 1, Options{})
 	defer sys.Close()
 	applyTestFeedback(t, sys, 2)
 	before := sys.StoreStats().WALRecords
@@ -237,13 +221,13 @@ func TestFoldGatesRetainRecordsForPeers(t *testing.T) {
 	if got := sys.StoreStats().WALRecords; got != before {
 		t.Fatalf("snapshot compacted %d records with an unacked peer", before-got)
 	}
-	if recs, behind, _ := sys.RecordsSince(store.Vector{}, 0); behind || len(recs) != before {
-		t.Fatalf("retained records = %d (behind=%v), want %d", len(recs), behind, before)
+	if resp := pull(t, sys, "", store.Vector{}); resp.Behind || len(resp.Records) != before {
+		t.Fatalf("retained records = %d (behind=%v), want %d", len(resp.Records), resp.Behind, before)
 	}
 
 	// Peer heard (clock note) and fully acked: everything folds.
-	sys.NoteOriginClock("b", sys.Lamport())
-	sys.NoteAck("b", sys.AppliedVector())
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
+	pull(t, sys, "b", sys.AppliedVector())
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,20 +236,20 @@ func TestFoldGatesRetainRecordsForPeers(t *testing.T) {
 	}
 
 	// A blank puller is now behind the fold point.
-	if _, behind, _ := sys.RecordsSince(store.Vector{}, 0); !behind {
+	if !pull(t, sys, "", store.Vector{}).Behind {
 		t.Fatal("blank puller not reported behind after fold")
 	}
 	// The acked peer itself is not behind.
-	if _, behind, _ := sys.RecordsSince(sys.AppliedVector(), 0); behind {
+	if pull(t, sys, "", sys.AppliedVector()).Behind {
 		t.Fatal("up-to-date puller reported behind")
 	}
 
 	// A ghost ack — an operator's one-off debug pull with a stale vector —
 	// must not wedge folding: enough *distinct* coverage suffices.
-	sys.NoteAck("debug-probe", store.Vector{})
+	pull(t, sys, "debug-probe", store.Vector{})
 	applyTestFeedback(t, sys, 1)
-	sys.NoteAck("b", sys.AppliedVector())
-	sys.NoteOriginClock("b", sys.Lamport())
+	pull(t, sys, "b", sys.AppliedVector())
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +262,16 @@ func TestFoldGatesRetainRecordsForPeers(t *testing.T) {
 // point adopts the folded state and converges, including its own local
 // feedback on top.
 func TestAdoptClusterState(t *testing.T) {
-	a := openReplica(t, t.TempDir(), "a", 1)
+	a := openReplica(t, t.TempDir(), "a", 1, Options{})
 	defer a.Close()
 	applyTestFeedback(t, a, 2)
-	a.NoteOriginClock("b", a.Lamport())
-	a.NoteAck("b", a.AppliedVector())
+	a.NoteOriginClock("b", a.ReplicationInfo().Lamport)
+	pull(t, a, "b", a.AppliedVector())
 	if _, err := a.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 
-	b := openReplica(t, t.TempDir(), "b", 1)
+	b := openReplica(t, t.TempDir(), "b", 1, Options{})
 	defer b.Close()
 	// b has local feedback of its own that a has never seen.
 	ans := search(t, b, "wealthy customers")
@@ -295,11 +279,11 @@ func TestAdoptClusterState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, behind, _ := a.RecordsSince(b.AppliedVector(), 0)
-	if !behind {
+	resp := pull(t, a, "", b.AppliedVector())
+	if !resp.Behind {
 		t.Fatal("fresh replica should be behind a's fold point")
 	}
-	if err := b.AdoptClusterState(a.ClusterState()); err != nil {
+	if err := b.AdoptState(resp.State); err != nil {
 		t.Fatal(err)
 	}
 	// After adoption the incremental path works again; drain both ways.
@@ -310,10 +294,10 @@ func TestAdoptClusterState(t *testing.T) {
 	// The adoption is durable: b replays to the same state.
 	wantVec := b.AppliedVector()
 	want := rankingsOf(t, b)
-	if err := b.store.Sync(); err != nil {
+	if err := b.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	b2 := openReplica(t, b.store.Dir(), "b", 1)
+	b2 := openReplica(t, b.rep.store.Dir(), "b", 1, Options{})
 	assertSameVector(t, wantVec, b2.AppliedVector(), "adopted state replay vector")
 	assertSameRankings(t, want, rankingsOf(t, b2), "adopted state replay")
 }

@@ -20,8 +20,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,9 +32,7 @@ import (
 	"soda/internal/obs"
 	"soda/internal/pattern"
 	"soda/internal/queryparse"
-	"soda/internal/rdf"
 	"soda/internal/sqlast"
-	"soda/internal/sqlparse"
 	"soda/internal/store"
 )
 
@@ -88,7 +84,7 @@ type Options struct {
 	// operator decommissions it (DecommissionReplica). Positive values
 	// trade that safety for bounded staleness: a peer silent longer than
 	// this is treated as dead and folded past; if it returns it re-enters
-	// through the normal catch-up path (RecordsSince reports it behind and
+	// through the normal catch-up path (ServePull reports it behind and
 	// it adopts the folded state wholesale).
 	PeerDeadAfter time.Duration
 
@@ -98,7 +94,7 @@ type Options struct {
 	// override it per request via SearchOptions.Dialect.
 	Dialect *sqlast.Dialect
 
-	// Ablation switches (DESIGN.md "ablation benches").
+	// Ablation switches (see (*bench.Env).Ablations, sodabench -ablations).
 	DisableBridges bool // skip bridge-table discovery (§4.2.1 last part)
 	DisableDBpedia bool // ignore DBpedia entry points (§7 future work)
 	UniformRanking bool // score all entry points equally (step 2 ablation)
@@ -137,16 +133,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// System wires the substrates together: base data, metadata graph,
-// inverted index and pattern registry. A System is safe for concurrent
-// use and concurrent searches proceed in parallel: the substrates are
-// read-only after construction; the derived structures (the compiled
-// schema model with Step 1's label table and every entry point's Step 3
-// table list, the join graph with every table's FK closure, and the
-// bridge tables) are built once, by Warm or on first use, and then only
-// read, so the pipeline takes no lock but the feedback store's; and the
-// feedback store keeps an epoch counter that invalidates the answer cache
-// whenever the ranking function changes.
+// System wires the substrates together and runs the pipeline. It is safe
+// for concurrent use, and concurrent searches proceed in parallel. Its
+// state has three lifetimes:
+//
+//   - The world, Backend through bridgeIDs: the substrates, and the
+//     structures derived from them once, by Warm or on first use (the
+//     compiled schema model with Step 1's label table and every entry
+//     point's Step 3 table list, the join graph with every table's FK
+//     closure, the bridge tables). It is only read afterwards, without a
+//     lock.
+//   - The ranking (feedback.go): the live feedback map, the saved-query
+//     library and the epoch — all that Step 2, approvedStep and the
+//     answer cache read of what changes at run time.
+//   - The replica (cluster.go): the store, compaction and the replication
+//     cursors, behind the one lock that serialises every writer.
+//
+// The lock order is replica → ranking. A write logs its record under the
+// replica's lock, then applies it under the ranking's; a search takes only
+// the ranking's read lock, once in Step 1 and once in approvedStep, so it
+// never waits on a WAL append. The answer cache and the instruments
+// synchronise themselves.
 type System struct {
 	// Backend executes the generated SQL. The pipeline itself never
 	// touches a database representation: snippet execution, Execute and
@@ -175,52 +182,8 @@ type System struct {
 	bridgeMemo  []bridgeRel
 	bridgeIDs   []discoveredBridge
 
-	// Relevance feedback. epoch counts ranking-function changes; cached
-	// answers from older epochs are never served. When a persistent
-	// store is attached (OpenStore) every change is logged to its WAL
-	// before it is applied. feedback is the *live* map — the fold of the
-	// folded base plus the unfolded tail in canonical record order (see
-	// cluster.go for the replication model).
-	fbMu            sync.RWMutex
-	feedback        map[feedbackKey]float64
-	queries         map[string]*savedQueryEntry
-	epoch           atomic.Uint64
-	store           *store.Store
-	warmStart       bool
-	replayedRecords int
-	fingerprint     uint64
-	compacting      atomic.Bool // an async auto-compaction is in flight
-
-	// Replication state (all under fbMu; maintained only with a store
-	// attached). tail holds the applied-but-unfolded records in canonical
-	// (LC, origin, originSeq) order; base/baseEpoch/foldPos describe the
-	// folded prefix the snapshot persists; vector and lastLC track, per
-	// origin, the highest contiguous OriginSeq applied and the newest
-	// Lamport clock heard; acks remembers each peer's pull vector (the
-	// compaction-safe retention gate).
-	replicaID    string
-	fleetPeers   int // configured peer count; 0 = single replica
-	lamport      uint64
-	vector       store.Vector
-	lastLC       map[string]uint64
-	tail         []store.Record
-	base         map[feedbackKey]float64
-	baseQueries  map[string]*savedQueryEntry
-	baseEpoch    uint64
-	foldPos      store.Pos
-	foldedVector store.Vector
-	foldedLastLC map[string]uint64
-	acks         map[string]store.Vector
-	reorders     uint64 // remote records that arrived below the fold watermark
-
-	// Dead-peer bookkeeping for the fold gate's escape hatches:
-	// decommissioned peers are permanently out of the quorum (operator
-	// action), lastContact timestamps every ack/clock/record heard per
-	// origin, and replStart anchors the staleness bound for peers never
-	// heard from at all (set when OpenStore attaches the store).
-	decommissioned map[string]bool
-	lastContact    map[string]time.Time
-	replStart      time.Time
+	ranking ranking
+	rep     replica
 
 	cache *answerCache
 
@@ -261,19 +224,22 @@ func NewSystemIndexing(be backend.Executor, meta *metagraph.Graph, build func() 
 func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System {
 	reg := metagraph.Patterns()
 	s := &System{
-		Backend:      be,
-		Meta:         meta,
-		Reg:          reg,
-		Opt:          opt.withDefaults(),
-		indexReady:   make(chan struct{}),
-		vector:       make(store.Vector),
-		lastLC:       make(map[string]uint64),
-		foldedVector: make(store.Vector),
-		foldedLastLC: make(map[string]uint64),
-		acks:         make(map[string]store.Vector),
-
-		decommissioned: make(map[string]bool),
-		lastContact:    make(map[string]time.Time),
+		Backend:    be,
+		Meta:       meta,
+		Reg:        reg,
+		Opt:        opt.withDefaults(),
+		indexReady: make(chan struct{}),
+		rep: replica{
+			replicaID:      "local",
+			vector:         make(store.Vector),
+			lastLC:         make(map[string]uint64),
+			foldedVector:   make(store.Vector),
+			foldedLastLC:   make(map[string]uint64),
+			acks:           make(map[string]store.Vector),
+			decommissioned: make(map[string]bool),
+			lastContact:    make(map[string]time.Time),
+			now:            time.Now,
+		},
 	}
 	s.matcher = pattern.NewMatcher(meta.G, reg)
 	if s.Opt.CacheSize > 0 {
@@ -293,271 +259,6 @@ func (s *System) Index() *invidx.Index {
 	}
 	<-s.indexReady
 	return s.index.Load()
-}
-
-// Role says how a term participates in SQL generation.
-type Role uint8
-
-// Term roles.
-const (
-	RolePlain Role = iota
-	RoleAggAttr
-	RoleGroupBy
-)
-
-func (r Role) String() string {
-	switch r {
-	case RoleAggAttr:
-		return "agg-attr"
-	case RoleGroupBy:
-		return "group-by"
-	default:
-		return "keyword"
-	}
-}
-
-// Term is one semantic unit of the query after longest-combination
-// segmentation (§4.2.2 Keywords).
-type Term struct {
-	Text    string
-	Role    Role
-	AggFunc string // for RoleAggAttr
-	// Comparisons attached to this term by the input parser.
-	Comparisons []queryparse.Comparison
-}
-
-// EntryKind discriminates metadata entry points from base-data hits.
-type EntryKind uint8
-
-// Entry point kinds.
-const (
-	KindMetadata EntryKind = iota
-	KindBaseData
-)
-
-// EntryPoint is one place in the extended metadata graph (or base data)
-// where a term was found.
-type EntryPoint struct {
-	Term  int // index into Analysis.Terms
-	Kind  EntryKind
-	Node  rdf.Term // metadata node (KindMetadata)
-	Layer string
-	// Base-data location and the matching values (KindBaseData).
-	Table, Column string
-	Values        []string
-	Score         float64
-}
-
-// Describe renders the entry point the way Figure 5 annotates them.
-func (e EntryPoint) Describe() string {
-	if e.Kind == KindBaseData {
-		return fmt.Sprintf("%s.%s (Basedata)", e.Table, e.Column)
-	}
-	return fmt.Sprintf("%s (%s)", e.Node.Value(), layerTitle(e.Layer))
-}
-
-func layerTitle(layer string) string {
-	switch layer {
-	case metagraph.LayerDomainOntology:
-		return "Domain ontology"
-	case metagraph.LayerConceptual:
-		return "Conceptual schema"
-	case metagraph.LayerLogical:
-		return "Logical schema"
-	case metagraph.LayerPhysical:
-		return "Physical schema"
-	case metagraph.LayerDBpedia:
-		return "DBpedia"
-	case metagraph.LayerBaseData:
-		return "Basedata"
-	default:
-		return layer
-	}
-}
-
-// ColRef names a physical column.
-type ColRef struct {
-	Table, Column string
-}
-
-func (c ColRef) String() string { return c.Table + "." + c.Column }
-
-// Join is one join condition between two tables. Via records which pattern
-// produced it: "fk", "joinrel", "inheritance", or "bridge".
-type Join struct {
-	LeftTable, LeftCol   string
-	RightTable, RightCol string
-	Via                  string
-}
-
-func (j Join) String() string {
-	var buf [96]byte
-	return string(j.Append(buf[:0]))
-}
-
-// Append appends String() to dst: "l.c = r.c [via]".
-func (j Join) Append(dst []byte) []byte {
-	dst = append(append(append(dst, j.LeftTable...), '.'), j.LeftCol...)
-	dst = append(append(append(append(dst, " = "...), j.RightTable...), '.'), j.RightCol...)
-	return append(append(append(dst, " ["...), j.Via...), ']')
-}
-
-// Filter is one WHERE condition. Source records provenance: "input" (an
-// operator in the query), "basedata" (an inverted-index hit), or
-// "metadata" (a filter stored in the metadata graph, e.g. wealthy
-// customers).
-type Filter struct {
-	Col    ColRef
-	Op     string // =, <>, >, >=, <, <=, like, between
-	Value  string
-	Value2 string // for between
-	IsDate bool
-	IsNum  bool
-	Source string
-}
-
-func (f Filter) String() string {
-	var buf [96]byte
-	return string(f.Append(buf[:0]))
-}
-
-// Append appends String() to dst: "t.c op value [source]", or
-// "t.c BETWEEN value AND value2 [source]".
-func (f Filter) Append(dst []byte) []byte {
-	dst = append(append(append(dst, f.Col.Table...), '.'), f.Col.Column...)
-	if f.Op == "between" {
-		dst = append(append(append(dst, " BETWEEN "...), f.Value...), " AND "...)
-		dst = append(dst, f.Value2...)
-	} else {
-		dst = append(append(append(append(dst, ' '), f.Op...), ' '), f.Value...)
-	}
-	return append(append(append(dst, " ["...), f.Source...), ']')
-}
-
-// Agg is a resolved aggregate; a nil Col means count(*).
-type Agg struct {
-	Func string
-	Col  *ColRef
-}
-
-// Solution is one fully processed combination of entry points, carrying
-// everything the five steps derived and the final SQL.
-type Solution struct {
-	Entries []EntryPoint
-	Score   float64
-
-	// Tables is the discovery output of the tables step (Figure 6): every
-	// table reachable from the entry points plus bridge tables between
-	// them. Primaries anchors each entry to its nearest table, and
-	// SQLTables is the pruned FROM list: anchors, join-path intermediates
-	// and inheritance parents.
-	Tables    []string
-	Primaries []string
-	SQLTables []string
-
-	Joins        []Join
-	Filters      []Filter
-	Aggs         []Agg
-	GroupBy      []ColRef
-	TopN         int
-	Disconnected bool // no join path connected some entry points
-
-	// Epoch is the ranking epoch the solution was computed under.
-	// Feedback validates it against the current epoch: a solution from
-	// an older epoch was ranked by a different function, and applying
-	// its feedback silently (or replaying it from a WAL twice) would
-	// corrupt the accumulated adjustments.
-	Epoch uint64
-
-	SQL *sqlast.Select
-	// Dialect the statement is rendered in (set by the SQL step; nil
-	// means sqlast.Generic).
-	Dialect *sqlast.Dialect
-
-	// Snippet rows executed during the pipeline when the search asked
-	// for them (SearchOptions.Snippets). Cached with the analysis, so a
-	// cache hit serves them without re-executing the SQL; feedback
-	// invalidates them together with the answer (same epoch).
-	Snippet    *backend.Result
-	SnippetErr string
-	// snippetCut marks a snippet execution ended by the request's context
-	// (cancelled or past its deadline): the error says nothing about the
-	// statement, so the answer must not be cached.
-	snippetCut bool
-
-	// Approved marks a solution drawn from the saved-query library
-	// (queries.go) rather than generated by the pipeline. QueryName is
-	// the library key and Bindings the parameter values extracted from
-	// the search input (or defaults). Approved solutions execute
-	// exclusively through the backend's prepared-statement path.
-	Approved  bool
-	QueryName string
-	Bindings  []BoundParam
-}
-
-// SQLText renders the generated statement in the solution's dialect; the
-// empty string means SQL generation failed for this solution.
-func (s *Solution) SQLText() string {
-	if s.SQL == nil {
-		return ""
-	}
-	return s.SQL.Render(s.dialect())
-}
-
-// AppendSQL appends SQLText() to dst.
-func (s *Solution) AppendSQL(dst []byte) []byte {
-	if s.SQL == nil {
-		return dst
-	}
-	return s.SQL.AppendRender(dst, s.dialect())
-}
-
-func (s *Solution) dialect() *sqlast.Dialect {
-	if s.Dialect == nil {
-		return sqlast.Generic
-	}
-	return s.Dialect
-}
-
-// Timings records per-step wall-clock durations (Table 4 reports the SODA
-// runtime split by algorithmic step).
-type Timings struct {
-	Lookup  time.Duration
-	Rank    time.Duration
-	Tables  time.Duration
-	Filters time.Duration
-	SQL     time.Duration
-	Snippet time.Duration // snippet execution, when requested
-}
-
-// Total sums the step durations.
-func (t Timings) Total() time.Duration {
-	return t.Lookup + t.Rank + t.Tables + t.Filters + t.SQL + t.Snippet
-}
-
-// Analysis is the full result of running the pipeline on one input query.
-type Analysis struct {
-	Query      *queryparse.Query
-	Terms      []Term
-	Candidates [][]EntryPoint // per term
-	Ignored    []string       // words that matched nothing ("and" ...)
-	Complexity int            // product of entry-point counts (Table 4)
-	Solutions  []*Solution    // ranked, best first, len <= TopN
-	Timings    Timings
-
-	// Dialect the solutions' SQL is rendered in; WithSnippets records
-	// that snippet rows were executed and cached on the solutions.
-	Dialect      *sqlast.Dialect
-	WithSnippets bool
-
-	// Epoch is the ranking epoch the analysis was computed under (the
-	// same value stamped on every solution).
-	Epoch uint64
-
-	// StepAllocs is the number of heap allocations each step performed,
-	// keyed by step name ("lookup" ... "sqlgen", "snippet"). Only set
-	// when the search ran with SearchOptions.CountAllocs.
-	StepAllocs map[string]uint64
 }
 
 // Warm builds the derived structures: the compiled schema model with
@@ -621,7 +322,7 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	}
 	dialect := s.searchDialect(so)
 	canonical := q.String()
-	epoch := s.epoch.Load()
+	epoch := s.ranking.epoch.Load()
 	if s.cache != nil {
 		if a, _ := s.cacheLookup(canonical, so, epoch); a != nil {
 			s.cache.hits.Add(1)
@@ -704,18 +405,6 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 	return a, nil
 }
 
-// snippetStep executes one solution with the snippet row cap and stores
-// the rows (or the error) on the solution.
-func (s *System) snippetStep(ctx context.Context, sol *Solution) {
-	res, err := s.exec(ctx, sol, s.Opt.SnippetRows)
-	if err != nil {
-		sol.SnippetErr = err.Error()
-		sol.snippetCut = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		return
-	}
-	sol.Snippet = res
-}
-
 // mallocs returns the process's heap allocation count when the search
 // counts per-step allocations (SearchOptions.CountAllocs), and 0 otherwise.
 func (a *Analysis) mallocs() uint64 {
@@ -734,128 +423,6 @@ func (a *Analysis) countAllocs(step string, m0 uint64) {
 		a.StepAllocs[step] = a.mallocs() - m0
 	}
 }
-
-// forEachSolution applies fn to every solution across up to
-// Opt.Parallelism workers; the snippet step is its one user. fn must only
-// mutate its own solution. Solutions are handed out atomically and keep
-// their slice positions, so the output is byte-identical to a sequential
-// run.
-func (s *System) forEachSolution(sols []*Solution, fn func(*Solution)) {
-	n := len(sols)
-	workers := min(s.Opt.Parallelism, n)
-	if workers <= 1 {
-		for _, sol := range sols {
-			fn(sol)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// A panic in a bare worker goroutine would kill the whole
-			// process (the daemon serves many users off one System);
-			// re-panic on the calling goroutine instead, where net/http's
-			// per-request recovery applies, matching sequential behaviour.
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(sols[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-}
-
-// Execute runs a solution's generated SQL through the text parser and
-// the backend, proving the statement is executable SQL text, not just an
-// AST. The text is parsed in the solution's dialect — the same round
-// trip a real warehouse client would perform. An approved solution
-// (saved query) instead goes through the backend's prepared-statement
-// path with its extracted bindings: the values never touch the SQL text.
-// ctx carries cancellation and the request's trace-span collector.
-func (s *System) Execute(ctx context.Context, sol *Solution) (*backend.Result, error) {
-	return s.exec(ctx, sol, 0)
-}
-
-// exec is the one way a solution reaches the backend — Execute, Snippet
-// and the pipeline's snippet step all come through here. rowCap > 0 caps
-// the result (snippets); 0 runs the statement as generated.
-func (s *System) exec(ctx context.Context, sol *Solution, rowCap int) (*backend.Result, error) {
-	if sol.SQL == nil {
-		return nil, fmt.Errorf("core: solution has no SQL")
-	}
-	if sol.Approved {
-		return s.execApproved(ctx, sol, rowCap)
-	}
-	sel, err := sqlparse.ParseDialect(sol.SQLText(), sol.dialect())
-	if err != nil {
-		return nil, fmt.Errorf("core: generated SQL does not reparse: %w", err)
-	}
-	if rowCap > 0 && (sel.Limit < 0 || sel.Limit > rowCap) {
-		sel.Limit = rowCap
-	}
-	return s.runSQL(ctx, sel)
-}
-
-// ExecSQL parses and runs an arbitrary statement in the supported SQL
-// subset against the system's backend — used by the exploration
-// workflows of §5.3.2. The statement is read in dialect d; nil means the
-// System's configured dialect.
-func (s *System) ExecSQL(ctx context.Context, sql string, d *sqlast.Dialect) (*backend.Result, error) {
-	if d == nil {
-		d = s.Opt.Dialect
-	}
-	sel, err := sqlparse.ParseDialect(sql, d)
-	if err != nil {
-		return nil, err
-	}
-	return s.runSQL(ctx, sel)
-}
-
-// Snippet returns a solution's result snippet (paper: "result snippets
-// (up to twenty tuples)"). Rows cached by a snippet search are served
-// as-is — zero SQL executions; otherwise the statement is executed with
-// the snippet row cap.
-func (s *System) Snippet(sol *Solution) (*backend.Result, error) {
-	if sol.Snippet != nil {
-		return sol.Snippet, nil
-	}
-	if sol.SnippetErr != "" {
-		return nil, fmt.Errorf("%s", sol.SnippetErr)
-	}
-	return s.exec(context.Background(), sol, s.Opt.SnippetRows)
-}
-
-// runSQL executes a parsed statement on the backend, with per-backend
-// latency and error accounting and a "backend:exec" span on the
-// request's trace (when ctx carries one).
-func (s *System) runSQL(ctx context.Context, sel *sqlast.Select) (*backend.Result, error) {
-	m := s.metrics
-	return instrumentedExec(ctx, "backend:exec", m.execTotal, m.execErrors, m.execSeconds, func() (*backend.Result, error) {
-		return s.Backend.Exec(ctx, sel)
-	})
-}
-
-// ExecCount reports how many SQL statements the backend has executed on
-// behalf of this System (snippets, Execute, ExecSQL). Answer-cache hits
-// do not execute anything, so the counter makes snippet caching
-// observable — per backend, since each executor counts its own work.
-func (s *System) ExecCount() uint64 { return s.Backend.ExecCount() }
 
 // termKey lower-cases and joins words for display.
 func termKey(words []string) string {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"soda/internal/backend/memory"
 	"soda/internal/store"
 )
 
@@ -14,39 +13,13 @@ import (
 // late return of that peer must land on the folded state via the
 // catch-up path rather than a record stream it can no longer get.
 
-// openReplicaOpt is openReplica with explicit Options, for the
-// PeerDeadAfter variants.
-func openReplicaOpt(t *testing.T, dir, id string, peers int, opt Options) *System {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	snap, err := st.LoadSnapshot(persistTestFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, idx := world.Meta, world.Index
-	if snap != nil {
-		meta, idx = snap.Meta, snap.Index
-	}
-	sys := NewSystem(memory.New(world.DB), meta, idx, opt)
-	sys.SetFingerprint(persistTestFP)
-	sys.SetReplica(id, peers)
-	if err := sys.OpenStore(st, snap); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // TestDecommissionUnblocksFolding: replica "a" of a three-node fleet has
 // heard from and been acked by "b", but "c" died before ever pulling.
 // Folding is wedged until the operator decommissions "c"; afterwards the
 // log folds on b's acks alone, and a resurrected "c" safely adopts the
 // folded state.
 func TestDecommissionUnblocksFolding(t *testing.T) {
-	sys := openReplica(t, t.TempDir(), "a", 2)
+	sys := openReplica(t, t.TempDir(), "a", 2, Options{})
 	defer sys.Close()
 
 	// Concurrent introspection while the fold state flips — the -race
@@ -76,8 +49,8 @@ func TestDecommissionUnblocksFolding(t *testing.T) {
 	}
 
 	// b is live and fully caught up; c has never been heard from.
-	sys.NoteOriginClock("b", sys.Lamport())
-	sys.NoteAck("b", sys.AppliedVector())
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
+	pull(t, sys, "b", sys.AppliedVector())
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +82,8 @@ func TestDecommissionUnblocksFolding(t *testing.T) {
 
 	// Folding keeps working for subsequent feedback, still without c.
 	applyTestFeedback(t, sys, 1)
-	sys.NoteOriginClock("b", sys.Lamport())
-	sys.NoteAck("b", sys.AppliedVector())
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
+	pull(t, sys, "b", sys.AppliedVector())
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +93,13 @@ func TestDecommissionUnblocksFolding(t *testing.T) {
 
 	// A blank puller — the returning c — is behind the fold point and is
 	// told to adopt.
-	if _, behind, _ := sys.RecordsSince(store.Vector{}, 0); !behind {
+	resp := pull(t, sys, "", store.Vector{})
+	if !resp.Behind {
 		t.Fatal("blank puller not reported behind after fold")
 	}
-	c := openReplica(t, t.TempDir(), "c", 2)
+	c := openReplica(t, t.TempDir(), "c", 2, Options{})
 	defer c.Close()
-	if err := c.AdoptClusterState(sys.ClusterState()); err != nil {
+	if err := c.AdoptState(resp.State); err != nil {
 		t.Fatal(err)
 	}
 	assertSameRankings(t, rankingsOf(t, sys), rankingsOf(t, c), "late-returning decommissioned peer after adopt")
@@ -133,15 +107,18 @@ func TestDecommissionUnblocksFolding(t *testing.T) {
 
 // TestPeerDeadAfterUnblocksFolding covers both staleness gates: a peer
 // never heard from ages against the store-open time, and a peer heard
-// from and then silent ages against its last contact. The
-// "still gates while fresh" assertions are skipped when a loaded
-// machine burns through the bound during setup — the fold-side
-// assertions are the contract; the retention side is best-effort timing.
+// from and then silent ages against its last contact. The replica reads
+// a fake clock, so both "still gates while fresh" assertions hold however
+// slow the machine is.
 func TestPeerDeadAfterUnblocksFolding(t *testing.T) {
 	const bound = 150 * time.Millisecond
-	opened := time.Now() // before OpenStore, so it lower-bounds replStart
-	sys := openReplicaOpt(t, t.TempDir(), "a", 1, Options{PeerDeadAfter: bound})
+	sys := openReplica(t, t.TempDir(), "a", 1, Options{PeerDeadAfter: bound})
 	defer sys.Close()
+	clock := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	sys.rep.mu.Lock()
+	sys.rep.now = func() time.Time { return clock }
+	sys.rep.replStart = clock // as if the store had opened at the fake time
+	sys.rep.mu.Unlock()
 
 	applyTestFeedback(t, sys, 2)
 	before := sys.StoreStats().WALRecords
@@ -153,14 +130,13 @@ func TestPeerDeadAfterUnblocksFolding(t *testing.T) {
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	got := sys.StoreStats().WALRecords
-	if time.Since(opened) < bound && got != before {
+	if got := sys.StoreStats().WALRecords; got != before {
 		t.Fatalf("snapshot compacted %d records inside the staleness bound", before-got)
 	}
 
 	// Past the bound with no contact at all: the unheard slot is declared
 	// dead, the quorum drops to zero and everything folds.
-	time.Sleep(bound + 50*time.Millisecond)
+	clock = clock.Add(bound + time.Millisecond)
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,22 +146,21 @@ func TestPeerDeadAfterUnblocksFolding(t *testing.T) {
 
 	// The peer shows up, acks, then goes silent: new records are retained
 	// while it is fresh, and fold once it ages out again.
-	acked := time.Now()
-	sys.NoteOriginClock("b", sys.Lamport())
-	sys.NoteAck("b", sys.AppliedVector())
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
+	pull(t, sys, "b", sys.AppliedVector())
 	applyTestFeedback(t, sys, 1)
 	retained := sys.StoreStats().WALRecords
 	if retained == 0 {
 		t.Fatal("post-ack feedback wrote no WAL records")
 	}
+	clock = clock.Add(bound) // at the bound, not past it: still fresh
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	got = sys.StoreStats().WALRecords
-	if time.Since(acked) < bound && got != retained {
+	if got := sys.StoreStats().WALRecords; got != retained {
 		t.Fatalf("snapshot compacted %d records b has not acked while fresh", retained-got)
 	}
-	time.Sleep(bound + 50*time.Millisecond)
+	clock = clock.Add(time.Millisecond)
 	if _, err := sys.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"soda/internal/rdf"
 	"soda/internal/store"
@@ -15,9 +17,12 @@ import (
 // (§1.2: "SODA can evolve over time thereby adapting ... based on user
 // feedback").
 //
-// When a persistent store is attached (OpenStore) every accepted feedback
-// call is appended to the write-ahead log before it is applied, so the
-// accumulated adjustments survive daemon restarts.
+// Every local write — a like or dislike, a reset, a saved-query change —
+// is one store.Record. With a persistent store attached (OpenStore) the
+// replica appends it to the write-ahead log before the ranking applies it,
+// so the accumulated adjustments survive daemon restarts; replay, pulled
+// records and re-folds apply records through the same fold
+// (applyRecordTo, applyQueryRecordTo).
 
 // feedbackStep is the score adjustment per like/dislike on one entry
 // point; adjustments accumulate and are clamped to ±maxFeedback.
@@ -73,6 +78,57 @@ func (e *StaleSolutionError) Error() string {
 		e.SolutionEpoch, e.CurrentEpoch)
 }
 
+// ranking is the run-time state the pipeline reads: the live feedback
+// map (Step 1 scores entry points with it, Step 2 ranks by those scores),
+// the saved-query library (approvedStep) and the epoch the answer cache
+// checks. The live maps are the fold of the replica's folded base and its
+// unfolded tail, in canonical record order (cluster.go).
+//
+// mu guards the two maps and nothing else. They change only under both
+// the replica's lock and mu's write lock, so a writer, which already holds
+// the replica's lock, reads them without mu. A search holds the read lock
+// across Step 1's probes and again in approvedStep, so it sees a write
+// entirely or not at all. epoch counts applied changes — cached answers
+// and solutions from older epochs are stale — and is atomic, so the cache
+// probe takes no lock.
+type ranking struct {
+	mu       sync.RWMutex
+	feedback map[feedbackKey]float64
+	queries  map[string]*savedQueryEntry
+	epoch    atomic.Uint64
+}
+
+// apply folds recs, in order, into the live maps and advances the epoch by
+// one per record, under one write lock.
+func (rk *ranking) apply(recs ...store.Record) {
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	for _, rec := range recs {
+		rk.feedback = applyRecordTo(rk.feedback, rec)
+		rk.queries = applyQueryRecordTo(rk.queries, rec)
+	}
+	rk.epoch.Add(uint64(len(recs)))
+}
+
+// set replaces the live maps with a fresh fold (replica.refold) and moves
+// the epoch to epoch.
+func (rk *ranking) set(fb map[feedbackKey]float64, qs map[string]*savedQueryEntry, epoch uint64) {
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	rk.feedback, rk.queries = fb, qs
+	rk.epoch.Store(epoch)
+}
+
+// adjustmentLocked returns the accumulated adjustment for an entry point
+// (0 when no feedback was given). The caller holds mu; the lookup step
+// holds the read lock across all terms.
+func (rk *ranking) adjustmentLocked(e EntryPoint) float64 {
+	if rk.feedback == nil {
+		return 0
+	}
+	return rk.feedback[keyOf(e)]
+}
+
 // Feedback records a like (true) or dislike (false) for every entry point
 // of the solution. Each accepted call bumps the ranking epoch,
 // invalidating every cached answer: the feedback must be observable on the
@@ -80,66 +136,56 @@ func (e *StaleSolutionError) Error() string {
 // *StaleSolutionError instead of being silently applied against a ranking
 // function it was never scored by.
 func (s *System) Feedback(sol *Solution, like bool) error {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if cur := s.epoch.Load(); sol.Epoch != cur {
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	if cur := s.ranking.epoch.Load(); sol.Epoch != cur {
 		return &StaleSolutionError{SolutionEpoch: sol.Epoch, CurrentEpoch: cur}
 	}
-	op := store.OpDislike
+	rec := store.Record{Op: store.OpDislike, Keys: make([]store.Key, len(sol.Entries))}
 	if like {
-		op = store.OpLike
+		rec.Op = store.OpLike
 	}
-	keys := make([]store.Key, len(sol.Entries))
 	for i, e := range sol.Entries {
-		keys[i] = storeKey(keyOf(e))
+		rec.Keys[i] = storeKey(keyOf(e))
 	}
-	if err := s.appendLocalLocked(op, keys, nil); err != nil {
+	if err := s.commitLocked(rec); err != nil {
 		return fmt.Errorf("core: logging feedback: %w", err)
 	}
-	s.applyFeedbackLocked(keys, like)
-	s.epoch.Add(1)
+	return nil
+}
+
+// ResetFeedback forgets all recorded feedback and, like Feedback,
+// invalidates the answer cache by bumping the ranking epoch. With a store
+// attached the reset is WAL-logged, so a replay reproduces it.
+func (s *System) ResetFeedback() error {
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	if err := s.commitLocked(store.Record{Op: store.OpReset}); err != nil {
+		return fmt.Errorf("core: logging feedback reset: %w", err)
+	}
+	return nil
+}
+
+// commitLocked makes one local write. With a store attached the replica
+// stamps rec with the next identity and Lamport clock — so it extends the
+// canonical order at the end and applies incrementally — appends it to
+// the WAL and adds it to the replication tail. The ranking then applies
+// it and bumps the epoch, and the log is compacted when due. Without a
+// store the write applies in memory only. The caller holds rep.mu.
+func (s *System) commitLocked(rec store.Record) error {
+	if r := &s.rep; r.store != nil {
+		rec.Origin, rec.OriginSeq, rec.LC = r.replicaID, r.vector[r.replicaID]+1, r.lamport+1
+		stored, err := r.store.Append(rec)
+		if err != nil {
+			return err
+		}
+		r.tail = append(r.tail, stored)
+		r.noteAppliedLocked(stored)
+		rec = stored
+	}
+	s.ranking.apply(rec)
 	s.maybeCompactLocked()
 	return nil
-}
-
-// appendLocalLocked creates a locally-originated record for the event,
-// persists it to the WAL and adds it to the replication tail. A local
-// record always takes the next Lamport clock, so it extends the canonical
-// order at the end and the caller's incremental live-map apply is exact.
-// Without a store the event is applied in memory only (no replication, no
-// durability — the pre-cluster NewSystem behaviour).
-func (s *System) appendLocalLocked(op store.Op, keys []store.Key, payload []byte) error {
-	if s.store == nil {
-		return nil
-	}
-	rec := store.Record{
-		Origin:    s.replicaIDLocked(),
-		OriginSeq: s.vector[s.replicaIDLocked()] + 1,
-		LC:        s.lamport + 1,
-		Op:        op,
-		Keys:      keys,
-		Payload:   payload,
-	}
-	stored, err := s.store.Append(rec)
-	if err != nil {
-		return err
-	}
-	s.tail = append(s.tail, stored)
-	s.noteAppliedLocked(stored)
-	return nil
-}
-
-// applyFeedbackLocked folds one feedback event into the live adjustment
-// map. The caller holds fbMu and is responsible for the epoch bump. The
-// live path, WAL replay and canonical re-folds all go through the same
-// per-record application (applyRecordTo), so replay is exactly as
-// deterministic as the original sequence of calls.
-func (s *System) applyFeedbackLocked(keys []store.Key, like bool) {
-	op := store.OpDislike
-	if like {
-		op = store.OpLike
-	}
-	s.feedback = applyRecordTo(s.feedback, store.Record{Op: op, Keys: keys})
 }
 
 // applyRecordTo folds one record into an adjustment map (allocating it on
@@ -160,66 +206,8 @@ func applyRecordTo(m map[feedbackKey]float64, rec store.Record) map[feedbackKey]
 		}
 		for _, sk := range rec.Keys {
 			k := keyFromStore(sk)
-			v := m[k] + delta
-			if v > maxFeedback {
-				v = maxFeedback
-			}
-			if v < -maxFeedback {
-				v = -maxFeedback
-			}
-			m[k] = v
+			m[k] = min(max(m[k]+delta, -maxFeedback), maxFeedback)
 		}
 	}
 	return m
-}
-
-// FeedbackAdjustment returns the accumulated adjustment for an entry
-// point (0 when no feedback was given).
-func (s *System) FeedbackAdjustment(e EntryPoint) float64 {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	return s.feedbackAdjustmentLocked(e)
-}
-
-// feedbackAdjustmentLocked reads the adjustment; the caller must hold
-// fbMu (read or write). The lookup step holds the read-lock across all
-// terms so one search never observes a Feedback call half-applied.
-func (s *System) feedbackAdjustmentLocked(e EntryPoint) float64 {
-	if s.feedback == nil {
-		return 0
-	}
-	return s.feedback[keyOf(e)]
-}
-
-// ResetFeedback forgets all recorded feedback and, like Feedback,
-// invalidates the answer cache by bumping the ranking epoch. With a store
-// attached the reset is WAL-logged, so a replay reproduces it.
-func (s *System) ResetFeedback() error {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if err := s.appendLocalLocked(store.OpReset, nil, nil); err != nil {
-		return fmt.Errorf("core: logging feedback reset: %w", err)
-	}
-	s.feedback = nil
-	s.epoch.Add(1)
-	s.maybeCompactLocked()
-	return nil
-}
-
-// FeedbackSummary lists the non-zero adjustments for diagnostics.
-func (s *System) FeedbackSummary() []string {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	var out []string
-	for k, v := range s.feedback {
-		if v == 0 {
-			continue
-		}
-		if k.node.IsZero() {
-			out = append(out, fmt.Sprintf("%s: %+.2f", k.column, v))
-		} else {
-			out = append(out, fmt.Sprintf("%s: %+.2f", k.node.Value(), v))
-		}
-	}
-	return out
 }

@@ -85,7 +85,7 @@ func TestFeedbackClamped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	adj := sys.FeedbackAdjustment(best(t, search(t, sys, "customers")).Entries[0])
+	adj := adjustment(sys, best(t, search(t, sys, "customers")).Entries[0])
 	if adj != maxFeedback {
 		t.Fatalf("adjustment = %f, want clamped accumulation to %f", adj, maxFeedback)
 	}
@@ -108,7 +108,7 @@ func TestFeedbackStaleSolutionRejected(t *testing.T) {
 	if stale.SolutionEpoch >= stale.CurrentEpoch {
 		t.Fatalf("stale error epochs: %+v", stale)
 	}
-	if adj := sys.FeedbackAdjustment(sol.Entries[0]); adj != feedbackStep {
+	if adj := adjustment(sys, sol.Entries[0]); adj != feedbackStep {
 		t.Fatalf("adjustment = %f, want single step %f (stale call must not apply)", adj, feedbackStep)
 	}
 }
@@ -120,26 +120,20 @@ func TestFeedbackResetAndSummary(t *testing.T) {
 	if err := sys.Feedback(sol, true); err != nil {
 		t.Fatal(err)
 	}
-	sum := sys.FeedbackSummary()
-	if len(sum) == 0 {
-		t.Fatal("summary should list adjustments")
+	if len(sys.ranking.feedback) == 0 {
+		t.Fatal("feedback should record adjustments")
 	}
-	foundBaseData := false
-	for _, s := range sum {
-		if strings.Contains(s, "addresses.city") {
-			foundBaseData = true
-		}
-	}
-	if !foundBaseData {
-		t.Fatalf("base-data adjustment missing from summary: %v", sum)
+	city := feedbackKey{column: ColRef{Table: "addresses", Column: "city"}}
+	if sys.ranking.feedback[city] == 0 {
+		t.Fatalf("base-data adjustment missing: %v", sys.ranking.feedback)
 	}
 	if err := sys.ResetFeedback(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.FeedbackSummary()) != 0 {
+	if len(sys.ranking.feedback) != 0 {
 		t.Fatal("reset should clear feedback")
 	}
-	if sys.FeedbackAdjustment(sol.Entries[0]) != 0 {
+	if adjustment(sys, sol.Entries[0]) != 0 {
 		t.Fatal("adjustment after reset should be 0")
 	}
 }
@@ -147,7 +141,7 @@ func TestFeedbackResetAndSummary(t *testing.T) {
 func TestFeedbackOnFreshSystemIsNeutral(t *testing.T) {
 	sys := NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{})
 	a := search(t, sys, "customers")
-	if sys.FeedbackAdjustment(a.Solutions[0].Entries[0]) != 0 {
+	if adjustment(sys, a.Solutions[0].Entries[0]) != 0 {
 		t.Fatal("fresh system must have zero adjustments")
 	}
 }
@@ -214,15 +208,10 @@ func TestBrowseUnknownTable(t *testing.T) {
 	}
 }
 
-func TestTablesList(t *testing.T) {
-	sys := NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{})
-	tables := sys.Tables()
-	if len(tables) != 10 {
-		t.Fatalf("tables = %d, want 10", len(tables))
-	}
-	for i := 1; i < len(tables); i++ {
-		if tables[i-1] >= tables[i] {
-			t.Fatal("tables not sorted")
-		}
-	}
+// adjustment reads the live adjustment for an entry point the way Step 1
+// does, under the ranking's read lock.
+func adjustment(sys *System, e EntryPoint) float64 {
+	sys.ranking.mu.RLock()
+	defer sys.ranking.mu.RUnlock()
+	return sys.ranking.adjustmentLocked(e)
 }

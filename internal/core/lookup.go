@@ -66,17 +66,17 @@ func (s *System) lookup(a *Analysis) {
 
 	// Candidates per term, read from the compiled schema model's label
 	// table (derived once per System) and the index's own table. The
-	// feedback read-lock spans all terms: a concurrent Feedback call is
-	// either fully visible to this search or not at all, never
-	// half-applied. Nothing under it walks the graph, so a waiting
-	// Feedback never queues later lookups behind a traversal.
+	// ranking's read lock spans all terms: a concurrent write is either
+	// fully visible to this search or not at all, never half-applied.
+	// Nothing under it walks the graph, so a waiting write never queues
+	// later lookups behind a traversal.
 	a.Candidates = make([][]EntryPoint, len(a.Terms))
 	a.Complexity = 1
 	func() {
 		// The deferred unlock keeps a panicking probe from wedging every
-		// future Feedback call.
-		s.fbMu.RLock()
-		defer s.fbMu.RUnlock()
+		// future write.
+		s.ranking.mu.RLock()
+		defer s.ranking.mu.RUnlock()
 		for ti, term := range a.Terms {
 			a.Candidates[ti] = s.candidates(ti, term)
 		}
@@ -189,7 +189,7 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 			Node:  node,
 			Layer: layer,
 		}
-		ep.Score = s.entryScore(layer) + s.feedbackAdjustmentLocked(ep)
+		ep.Score = s.entryScore(layer) + s.ranking.adjustmentLocked(ep)
 		switch term.Role {
 		case RoleGroupBy:
 			// Grouping attributes must resolve to a physical column.
@@ -217,7 +217,7 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 			Column: hit.Column,
 			Values: hit.Values,
 		}
-		ep.Score = s.entryScore(metagraph.LayerBaseData) + s.feedbackAdjustmentLocked(ep)
+		ep.Score = s.entryScore(metagraph.LayerBaseData) + s.ranking.adjustmentLocked(ep)
 		out = append(out, ep)
 	}
 	if len(out) == 0 {

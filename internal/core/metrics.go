@@ -100,7 +100,7 @@ func (s *System) registerCacheMetrics() {
 // registerStoreMetrics wires the durability-path instruments and exposes
 // the store's counters; called when a persistent store attaches.
 func (s *System) registerStoreMetrics() {
-	st := s.store
+	st := s.rep.store
 	st.SetMetrics(storeMetricsOf(s.reg))
 	s.reg.GaugeFunc("soda_wal_records",
 		"Feedback-WAL records awaiting fold (replay debt of a restart).",

@@ -6,6 +6,13 @@ package core
 // is snapshotted for instant warm starts. The soda layer decides which
 // substrates to boot from (snapshot vs cold rebuild); this file owns the
 // feedback restore, WAL replay, snapshot writes and compaction policy.
+//
+// All of it is the replica's (cluster.go) and runs under the replica's
+// lock. It touches the ranking once, to swap in the replayed fold
+// (ranking.set), keeping the lock order replica → ranking. No search
+// waits on anything here: folding and snapshot capture hold only the
+// replica's lock, and WriteSnapshot, compaction and adoption encode and
+// fsync the snapshot outside it too.
 
 import (
 	"errors"
@@ -33,48 +40,38 @@ type StoreStats struct {
 	ReplayedRecords int `json:"replayed_records"`
 }
 
-// OpenStore attaches an open store to the System: it restores the folded
-// feedback base and its ranking epoch from the snapshot (when one was
-// loaded), replays the WAL tail in canonical record order — skipping
-// records at or below the snapshot's fold watermark, so nothing can
-// double-apply — and from then on logs every feedback change through the
+// OpenStore attaches an open store to the System: it names the replica
+// (replicaID; "" keeps "local") and the number of configured peers (the
+// fold gates require hearing from — and being acknowledged by — that many
+// distinct replicas), records the world fingerprint stamped into
+// snapshots, restores the folded base and its ranking epoch from the
+// snapshot (when one was loaded), replays the WAL tail in canonical record
+// order — skipping records at or below the snapshot's fold watermark, so
+// nothing can double-apply — and from then on logs every write through the
 // WAL. When the boot was cold (snap == nil) a fresh snapshot is written
 // immediately so the *next* boot is warm.
 //
-// OpenStore must be called once, before the System serves searches (and
-// after SetReplica when the System is part of a fleet). The snapshot's
-// Index/Meta sections are the caller's concern: pass them to NewSystem to
-// skip the cold rebuild, then hand the same snapshot here.
-func (s *System) OpenStore(st *store.Store, snap *store.Snapshot) error {
+// OpenStore must be called once, before the System serves searches. The
+// snapshot's Index/Meta sections are the caller's concern: pass them to
+// NewSystem to skip the cold rebuild, then hand the same snapshot here.
+func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID string, peers int, fingerprint uint64) error {
 	if st == nil {
 		return errors.New("core: OpenStore: nil store")
 	}
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if s.store != nil {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store != nil {
 		return errors.New("core: store already attached")
 	}
-	if s.replicaID == "" {
-		s.replicaID = "local"
+	if replicaID != "" {
+		r.replicaID = replicaID
 	}
+	r.fleetPeers, r.fingerprint = peers, fingerprint
 	if snap != nil {
-		s.base = make(map[feedbackKey]float64, len(snap.Feedback))
-		for _, e := range snap.Feedback {
-			s.base[keyFromStore(e.Key)] = e.Value
-		}
-		s.baseQueries = buildQueryMap(snap.Queries)
-		s.baseEpoch = snap.Epoch
-		s.foldPos = snap.FoldPos
-		for _, o := range snap.Origins {
-			s.foldedVector[o.ID] = o.Seq
-			s.foldedLastLC[o.ID] = o.LC
-			s.vector[o.ID] = o.Seq
-			s.lastLC[o.ID] = o.LC
-			if o.LC > s.lamport {
-				s.lamport = o.LC
-			}
-		}
-		s.warmStart = true
+		r.installLocked(&store.ReplicaState{Feedback: snap.Feedback, Queries: snap.Queries,
+			Epoch: snap.Epoch, FoldPos: snap.FoldPos, Origins: snap.Origins})
+		r.warmStart = true
 	}
 	// Replay: the WAL holds records in arrival order; sort them into
 	// canonical order and fold on top of the base. The result is the same
@@ -86,78 +83,105 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot) error {
 	// snap.Origins.
 	pending := slices.Clone(st.Replayed())
 	sort.Slice(pending, func(i, j int) bool { return pending[i].Pos().Before(pending[j].Pos()) })
-	s.feedback = maps.Clone(s.base)
-	s.queries = maps.Clone(s.baseQueries)
-	applied := 0
 	for _, rec := range pending {
-		if rec.OriginSeq <= s.vector[rec.Origin] {
+		if rec.OriginSeq <= r.vector[rec.Origin] {
 			continue // folded into the snapshot base, or a duplicate
 		}
-		s.tail = append(s.tail, rec)
-		s.noteAppliedLocked(rec)
-		s.feedback = applyRecordTo(s.feedback, rec)
-		s.queries = applyQueryRecordTo(s.queries, rec)
-		applied++
+		r.tail = append(r.tail, rec)
+		r.noteAppliedLocked(rec)
 	}
-	s.epoch.Store(s.baseEpoch + uint64(applied))
-	s.replayedRecords = applied
-	s.store = st
+	fb, qs := r.refold()
+	s.ranking.set(fb, qs, r.baseEpoch+uint64(len(r.tail)))
+	r.replayedRecords = len(r.tail)
+	r.store = st
 	s.registerStoreMetrics()
 	// Anchor the dead-peer staleness bound: a peer never heard from at
 	// all ages against the moment replication started, not the zero time.
-	s.replStart = time.Now()
+	r.replStart = r.now()
 	if snap == nil {
 		// Cold boot: pre-bake the snapshot (and compact any replayed WAL)
 		// so the next boot opens warm.
-		if err := s.writeSnapshotLocked(); err != nil {
+		if err := s.persistSnapshot(st, s.snapshotLocked()); err != nil {
 			return fmt.Errorf("core: initial snapshot: %w", err)
 		}
 	}
 	return nil
 }
 
+// installLocked makes fs the folded base and restarts the replication
+// cursors from its per-origin vector, dropping the tail: the one install
+// a warm open (from the snapshot) and an adoption (from a peer) share.
+func (r *replica) installLocked(fs *store.ReplicaState) {
+	r.base = make(map[feedbackKey]float64, len(fs.Feedback))
+	for _, e := range fs.Feedback {
+		r.base[keyFromStore(e.Key)] = e.Value
+	}
+	r.baseQueries = buildQueryMap(fs.Queries)
+	r.baseEpoch, r.foldPos = fs.Epoch, fs.FoldPos
+	r.vector = make(store.Vector, len(fs.Origins))
+	r.lastLC = make(map[string]uint64, len(fs.Origins))
+	r.foldedVector = make(store.Vector, len(fs.Origins))
+	r.foldedLastLC = make(map[string]uint64, len(fs.Origins))
+	for _, o := range fs.Origins {
+		r.vector[o.ID], r.foldedVector[o.ID] = o.Seq, o.Seq
+		r.lastLC[o.ID], r.foldedLastLC[o.ID] = o.LC, o.LC
+		r.lamport = max(r.lamport, o.LC)
+	}
+	r.tail = nil
+}
+
+// foldedLocked captures the folded base — what a snapshot persists and
+// what a peer behind the fold point adopts — without the tail.
+func (r *replica) foldedLocked() *store.ReplicaState {
+	fs := &store.ReplicaState{Epoch: r.baseEpoch, FoldPos: r.foldPos, Queries: rawQueries(r.baseQueries)}
+	for k, v := range r.base {
+		fs.Feedback = append(fs.Feedback, store.FeedbackEntry{Key: storeKey(k), Value: v})
+	}
+	for id, seq := range r.foldedVector {
+		fs.Origins = append(fs.Origins, store.OriginState{ID: id, Seq: seq, LC: r.foldedLastLC[id]})
+	}
+	return fs
+}
+
 // noteAppliedLocked advances the replication cursors for one applied
 // record: the per-origin contiguous vector, the per-origin Lamport
 // high-water mark, and the local Lamport clock.
-func (s *System) noteAppliedLocked(rec store.Record) {
-	s.vector[rec.Origin] = rec.OriginSeq
-	if rec.LC > s.lastLC[rec.Origin] {
-		s.lastLC[rec.Origin] = rec.LC
-	}
-	if rec.LC > s.lamport {
-		s.lamport = rec.LC
-	}
+func (r *replica) noteAppliedLocked(rec store.Record) {
+	r.vector[rec.Origin] = rec.OriginSeq
+	r.lastLC[rec.Origin] = max(r.lastLC[rec.Origin], rec.LC)
+	r.lamport = max(r.lamport, rec.LC)
 }
 
-// refoldLocked recomputes the live feedback map from the folded base plus
-// the canonical tail — the out-of-order path: a pulled record sorted into
-// the middle of the tail, so the incremental apply would have folded it
-// in the wrong order.
-func (s *System) refoldLocked() {
-	s.feedback = maps.Clone(s.base)
-	s.queries = maps.Clone(s.baseQueries)
-	for _, rec := range s.tail {
-		s.feedback = applyRecordTo(s.feedback, rec)
-		s.queries = applyQueryRecordTo(s.queries, rec)
+// refold computes the live maps from scratch: the tail folded, in
+// canonical order, onto a copy of the base. It is the open's replay and
+// the out-of-order path — a pulled record sorted into the middle of the
+// tail, so the incremental apply would have folded it in the wrong order.
+// The maps are new, so the ranking can swap them in (ranking.set).
+func (r *replica) refold() (map[feedbackKey]float64, map[string]*savedQueryEntry) {
+	fb, qs := maps.Clone(r.base), maps.Clone(r.baseQueries)
+	for _, rec := range r.tail {
+		fb = applyRecordTo(fb, rec)
+		qs = applyQueryRecordTo(qs, rec)
 	}
+	return fb, qs
 }
 
 // WriteSnapshot persists the current derived state (index, metadata
 // graph, folded feedback base and epoch) and compacts the WAL down to the
-// unfolded tail. Safe to call concurrently with searches and feedback:
-// only the fold advance and the state capture happen under the feedback
+// unfolded tail. Safe to call concurrently with searches and writes:
+// only the fold advance and the state capture happen under the replica's
 // lock — the snapshot value is self-contained (copied feedback entries,
 // immutable index/graph), so the expensive encode and fsync run without
-// stalling concurrent searches.
+// stalling later writes. Searches never wait on it.
 func (s *System) WriteSnapshot() (store.Stats, error) {
-	s.fbMu.Lock()
-	if s.store == nil {
-		s.fbMu.Unlock()
+	s.rep.mu.Lock()
+	if s.rep.store == nil {
+		s.rep.mu.Unlock()
 		return store.Stats{}, errors.New("core: no store attached")
 	}
 	snap := s.snapshotLocked()
-	st := s.store
-	s.fbMu.Unlock()
+	st := s.rep.store
+	s.rep.mu.Unlock()
 	if err := s.persistSnapshot(st, snap); err != nil {
 		return store.Stats{}, err
 	}
@@ -172,53 +196,51 @@ func (s *System) WriteSnapshot() (store.Stats, error) {
 // carry), so compacting it away can never strand a peer that still needs
 // to pull it. A single replica (no peers) folds everything, which is
 // exactly the pre-cluster snapshot behaviour.
-func (s *System) foldLocked() {
-	k := s.foldableLocked()
+func (r *replica) foldLocked(deadAfter time.Duration) {
+	k := r.foldableLocked(deadAfter)
 	if k == 0 {
 		return
 	}
-	for _, rec := range s.tail[:k] {
-		s.base = applyRecordTo(s.base, rec)
-		s.baseQueries = applyQueryRecordTo(s.baseQueries, rec)
-		s.foldedVector[rec.Origin] = rec.OriginSeq
-		if rec.LC > s.foldedLastLC[rec.Origin] {
-			s.foldedLastLC[rec.Origin] = rec.LC
-		}
-		s.foldPos = rec.Pos()
+	for _, rec := range r.tail[:k] {
+		r.base = applyRecordTo(r.base, rec)
+		r.baseQueries = applyQueryRecordTo(r.baseQueries, rec)
+		r.foldedVector[rec.Origin] = rec.OriginSeq
+		r.foldedLastLC[rec.Origin] = max(r.foldedLastLC[rec.Origin], rec.LC)
+		r.foldPos = rec.Pos()
 	}
-	s.baseEpoch += uint64(k)
-	s.tail = append([]store.Record(nil), s.tail[k:]...)
+	r.baseEpoch += uint64(k)
+	r.tail = append([]store.Record(nil), r.tail[k:]...)
 }
 
 // deadPeerLocked reports whether a peer no longer gates folding: it was
-// decommissioned by an operator, or — with Options.PeerDeadAfter set —
-// nothing has been heard from it for longer than the bound (a peer never
-// heard from at all ages against replStart). Dead peers are excluded from
-// the fold watermark and the ack quorum; one that returns re-enters
-// through the catch-up path, behind the fold point.
-func (s *System) deadPeerLocked(id string, now time.Time) bool {
-	if s.decommissioned[id] {
+// decommissioned by an operator, or — with a positive deadAfter
+// (Options.PeerDeadAfter) — nothing has been heard from it for longer than
+// that (a peer never heard from at all ages against replStart). Dead peers
+// are excluded from the fold watermark and the ack quorum; one that
+// returns re-enters through the catch-up path, behind the fold point.
+func (r *replica) deadPeerLocked(id string, now time.Time, deadAfter time.Duration) bool {
+	if r.decommissioned[id] {
 		return true
 	}
-	if s.Opt.PeerDeadAfter <= 0 {
+	if deadAfter <= 0 {
 		return false
 	}
-	last, ok := s.lastContact[id]
+	last, ok := r.lastContact[id]
 	if !ok {
-		last = s.replStart
+		last = r.replStart
 	}
-	return now.Sub(last) > s.Opt.PeerDeadAfter
+	return now.Sub(last) > deadAfter
 }
 
 // foldableLocked counts the tail prefix foldLocked may fold.
-func (s *System) foldableLocked() int {
-	if len(s.tail) == 0 {
+func (r *replica) foldableLocked(deadAfter time.Duration) int {
+	if len(r.tail) == 0 {
 		return 0
 	}
-	if s.fleetPeers == 0 {
-		return len(s.tail)
+	if r.fleetPeers == 0 {
+		return len(r.tail)
 	}
-	now := time.Now()
+	now := r.now()
 	// Watermark: the minimum last-heard canonical position across the
 	// *live* remote origins. Anything the fleet can still send sorts above
 	// it — every origin's clocks and sequences only grow, and pulls
@@ -228,15 +250,15 @@ func (s *System) foldableLocked() int {
 	live := 0
 	heard := 0
 	var w store.Pos
-	for o, lc := range s.lastLC {
-		if o == s.replicaID {
+	for o, lc := range r.lastLC {
+		if o == r.replicaID {
 			continue
 		}
 		heard++
-		if s.deadPeerLocked(o, now) {
+		if r.deadPeerLocked(o, now, deadAfter) {
 			continue
 		}
-		p := store.Pos{LC: lc, Origin: o, Seq: s.vector[o]}
+		p := store.Pos{LC: lc, Origin: o, Seq: r.vector[o]}
 		if live == 0 || p.Before(w) {
 			w = p
 		}
@@ -249,32 +271,24 @@ func (s *System) foldableLocked() int {
 	// slots. Until every *live* configured peer has been heard from at
 	// least once the watermark is unknown, so nothing folds.
 	deadHeard := heard - live
-	unheard := s.fleetPeers - heard
-	if unheard < 0 {
-		unheard = 0
-	}
+	unheard := max(r.fleetPeers-heard, 0)
 	deadUnheard := 0
-	if s.Opt.PeerDeadAfter > 0 && now.Sub(s.replStart) > s.Opt.PeerDeadAfter {
+	if deadAfter > 0 && now.Sub(r.replStart) > deadAfter {
 		deadUnheard = unheard
 	} else {
-		for id := range s.decommissioned {
-			if _, ok := s.lastLC[id]; !ok && id != s.replicaID {
+		for id := range r.decommissioned {
+			if _, ok := r.lastLC[id]; !ok && id != r.replicaID {
 				deadUnheard++
 			}
 		}
-		if deadUnheard > unheard {
-			deadUnheard = unheard
-		}
+		deadUnheard = min(deadUnheard, unheard)
 	}
-	required := s.fleetPeers - deadHeard - deadUnheard
-	if required < 0 {
-		required = 0
-	}
+	required := max(r.fleetPeers-deadHeard-deadUnheard, 0)
 	if live < required {
 		return 0
 	}
 	k := 0
-	for _, rec := range s.tail {
+	for _, rec := range r.tail {
 		if live > 0 && w.Before(rec.Pos()) {
 			break
 		}
@@ -285,8 +299,8 @@ func (s *System) foldableLocked() int {
 		// a peer that genuinely misses a compacted record still recovers
 		// through the anti-entropy catch-up.
 		covered := 0
-		for from, av := range s.acks {
-			if s.deadPeerLocked(from, now) {
+		for from, av := range r.acks {
+			if r.deadPeerLocked(from, now, deadAfter) {
 				continue
 			}
 			if av.Includes(rec.Origin, rec.OriginSeq) {
@@ -303,33 +317,23 @@ func (s *System) foldableLocked() int {
 
 // snapshotLocked folds what is safe to fold, then captures a consistent
 // snapshot value: the folded base, its watermark and per-origin vector.
-// The caller holds fbMu for writing (folding mutates the base). The
-// capture is cheap — the expensive encode happens when the snapshot is
-// written.
+// The caller holds rep.mu (folding mutates the base). The capture is
+// cheap — the expensive encode happens when the snapshot is written.
 func (s *System) snapshotLocked() *store.Snapshot {
-	s.foldLocked()
-	snap := &store.Snapshot{
-		Fingerprint: s.fingerprint,
-		Epoch:       s.baseEpoch,
-		AppliedSeq:  s.store.Stats().NextSeq - 1,
-		FoldPos:     s.foldPos,
+	r := &s.rep
+	r.foldLocked(s.Opt.PeerDeadAfter)
+	fs := r.foldedLocked()
+	return &store.Snapshot{
+		Fingerprint: r.fingerprint,
+		Epoch:       fs.Epoch,
+		AppliedSeq:  r.store.Stats().NextSeq - 1,
+		FoldPos:     fs.FoldPos,
+		Origins:     fs.Origins,
 		Index:       s.Index(),
 		Meta:        s.Meta,
+		Feedback:    fs.Feedback,
+		Queries:     fs.Queries,
 	}
-	for id, seq := range s.foldedVector {
-		snap.Origins = append(snap.Origins, store.OriginState{ID: id, Seq: seq, LC: s.foldedLastLC[id]})
-	}
-	for k, v := range s.base {
-		snap.Feedback = append(snap.Feedback, store.FeedbackEntry{Key: storeKey(k), Value: v})
-	}
-	snap.Queries = rawQueries(s.baseQueries)
-	return snap
-}
-
-// writeSnapshotLocked builds and writes a snapshot; see snapshotLocked
-// for the locking contract.
-func (s *System) writeSnapshotLocked() error {
-	return s.persistSnapshot(s.store, s.snapshotLocked())
 }
 
 // persistSnapshot writes snap to st; every snapshot write goes through
@@ -346,60 +350,54 @@ func (s *System) persistSnapshot(st *store.Store, snap *store.Snapshot) error {
 }
 
 // maybeCompactLocked snapshots and compacts once the WAL grows past the
-// configured threshold. Called with fbMu held after an append. Only the
+// configured threshold. Called with rep.mu held after an append. Only the
 // state capture happens under the lock: encoding and fsyncing a
 // warehouse-scale snapshot takes long enough that doing it inline would
-// stall every concurrent search behind the one unlucky feedback call
-// that crossed the threshold. A failed write does not fail the feedback
-// call — the WAL record that triggered it is already durable, and records
-// appended while the write runs stay in the compacted log (they sort
-// after the captured fold watermark) — but it is never silent: the error
-// is logged with the store component tag and counted (persistSnapshot).
+// stall every later write behind the one unlucky call that crossed the
+// threshold. A failed write does not fail the write that triggered it —
+// its WAL record is already durable, and records appended while the
+// snapshot is written stay in the compacted log (they sort after the
+// captured fold watermark) — but it is never silent: the error is logged
+// with the store component tag and counted (persistSnapshot).
 func (s *System) maybeCompactLocked() {
-	if s.store == nil || s.Opt.CompactEvery <= 0 {
+	r := &s.rep
+	if r.store == nil || s.Opt.CompactEvery <= 0 {
 		return
 	}
-	if s.store.WALRecords() < s.Opt.CompactEvery {
+	if r.store.WALRecords() < s.Opt.CompactEvery {
 		return
 	}
-	if s.fleetPeers > 0 && s.foldableLocked() == 0 {
+	if r.fleetPeers > 0 && r.foldableLocked(s.Opt.PeerDeadAfter) == 0 {
 		// Nothing is safe to fold yet (a peer unheard-from or behind on
 		// acks): a snapshot now would rewrite the same base and compact
-		// nothing, over and over, on every feedback call past the
-		// threshold. The log keeps growing until the fleet catches up —
-		// retention is the price of never stranding a peer.
+		// nothing, over and over, on every write past the threshold. The
+		// log keeps growing until the fleet catches up — retention is the
+		// price of never stranding a peer.
 		return
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
+	if !r.compacting.CompareAndSwap(false, true) {
 		return // one in-flight compaction is plenty
 	}
 	snap := s.snapshotLocked()
-	st := s.store
+	st := r.store
 	go func() {
-		defer s.compacting.Store(false)
+		defer r.compacting.Store(false)
 		if err := s.persistSnapshot(st, snap); err != nil && !errors.Is(err, store.ErrClosed) {
 			s.log.With("store").Printf("background snapshot write failed (WAL keeps growing until one succeeds): %v", err)
 		}
 	}()
 }
 
-// SetFingerprint records the world fingerprint stamped into snapshots.
-// The soda layer computes it from the world's structure before attaching
-// the store.
-func (s *System) SetFingerprint(fp uint64) { s.fingerprint = fp }
-
-// WarmStart reports whether this System booted from a snapshot.
-func (s *System) WarmStart() bool { return s.warmStart }
-
 // StoreStats describes the attached store, or nil when the System runs
 // without persistence.
 func (s *System) StoreStats() *StoreStats {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	if s.store == nil {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store == nil {
 		return nil
 	}
-	return &StoreStats{Stats: s.store.Stats(), WarmStart: s.warmStart, ReplayedRecords: s.replayedRecords}
+	return &StoreStats{Stats: r.store.Stats(), WarmStart: r.warmStart, ReplayedRecords: r.replayedRecords}
 }
 
 // Close flushes persistent state and detaches the store: any WAL tail is
@@ -407,18 +405,19 @@ func (s *System) StoreStats() *StoreStats {
 // store is closed. A System without a store closes trivially. The System
 // must not be used after Close.
 func (s *System) Close() error {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if s.store == nil {
+	r := &s.rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.store == nil {
 		return nil
 	}
 	var err error
-	if s.store.WALRecords() > 0 {
-		err = s.writeSnapshotLocked()
+	if r.store.WALRecords() > 0 {
+		err = s.persistSnapshot(r.store, s.snapshotLocked())
 	}
-	if cerr := s.store.Close(); err == nil {
+	if cerr := r.store.Close(); err == nil {
 		err = cerr
 	}
-	s.store = nil
+	r.store = nil
 	return err
 }

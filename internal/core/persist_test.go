@@ -18,9 +18,10 @@ import (
 
 const persistTestFP = uint64(0x50DA)
 
-// openSysWithStore builds a System over the shared minibank world and
-// attaches a store in dir. Returned systems are closed by the caller.
-func openSysWithStore(t *testing.T, dir string, opt Options) *System {
+// openReplica builds a System over the shared minibank world and attaches
+// a store in dir under replica id id ("" keeps "local") with peers
+// configured peers. Returned systems are closed by the caller.
+func openReplica(t *testing.T, dir, id string, peers int, opt Options) *System {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -39,8 +40,7 @@ func openSysWithStore(t *testing.T, dir string, opt Options) *System {
 		meta, idx = snap.Meta, snap.Index
 	}
 	sys := NewSystem(memory.New(world.DB), meta, idx, opt)
-	sys.SetFingerprint(persistTestFP)
-	if err := sys.OpenStore(st, snap); err != nil {
+	if err := sys.OpenStore(st, snap, id, peers, persistTestFP); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -100,22 +100,22 @@ func assertSameRankings(t *testing.T, a, b []string, context string) {
 // feedback map — and a second replay does not double-apply.
 func TestWALReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
-	sys1 := openSysWithStore(t, dir, Options{})
+	sys1 := openReplica(t, dir, "", 0, Options{})
 	applyTestFeedback(t, sys1, 3)
 	want := rankingsOf(t, sys1)
-	if err := sys1.store.Sync(); err != nil {
+	if err := sys1.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Simulated crash: the store is NOT closed, so no final snapshot is
 	// written — the WAL tail carries all the feedback.
 
 	// Reopen 1: initial snapshot (epoch 0, from the cold open) + WAL tail.
-	sys2 := openSysWithStore(t, dir, Options{})
+	sys2 := openReplica(t, dir, "", 0, Options{})
 	if sys2.StoreStats().ReplayedRecords == 0 {
 		t.Fatal("expected WAL records to replay")
 	}
 	assertSameRankings(t, want, rankingsOf(t, sys2), "snapshot+tail replay")
-	if err := sys2.store.Sync(); err != nil {
+	if err := sys2.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,10 +124,10 @@ func TestWALReplayDeterminism(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "snapshot.soda")); err != nil {
 		t.Fatal(err)
 	}
-	sys3 := openSysWithStore(t, dir, Options{})
+	sys3 := openReplica(t, dir, "", 0, Options{})
 	assertSameRankings(t, want, rankingsOf(t, sys3), "cold WAL replay")
-	if sys3.epoch.Load() != sys1.epoch.Load() {
-		t.Fatalf("replayed epoch %d != original %d", sys3.epoch.Load(), sys1.epoch.Load())
+	if sys3.ranking.epoch.Load() != sys1.ranking.epoch.Load() {
+		t.Fatalf("replayed epoch %d != original %d", sys3.ranking.epoch.Load(), sys1.ranking.epoch.Load())
 	}
 
 	// Reopen 3: sys3's cold open wrote a fresh snapshot and compacted the
@@ -135,7 +135,7 @@ func TestWALReplayDeterminism(t *testing.T) {
 	if err := sys3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sys4 := openSysWithStore(t, dir, Options{})
+	sys4 := openReplica(t, dir, "", 0, Options{})
 	defer sys4.Close()
 	st := sys4.StoreStats()
 	if !st.WarmStart {
@@ -151,14 +151,14 @@ func TestWALReplayDeterminism(t *testing.T) {
 // into a snapshot, and the next boot is warm with nothing to replay.
 func TestCloseWritesFinalSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	sys1 := openSysWithStore(t, dir, Options{})
+	sys1 := openReplica(t, dir, "", 0, Options{})
 	applyTestFeedback(t, sys1, 2)
 	want := rankingsOf(t, sys1)
 	if err := sys1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	sys2 := openSysWithStore(t, dir, Options{})
+	sys2 := openReplica(t, dir, "", 0, Options{})
 	defer sys2.Close()
 	st := sys2.StoreStats()
 	if !st.WarmStart || st.ReplayedRecords != 0 || st.WALRecords != 0 {
@@ -172,7 +172,7 @@ func TestCloseWritesFinalSnapshot(t *testing.T) {
 // failed background compaction.
 func TestSnapshotWriteFailureCounted(t *testing.T) {
 	dir := t.TempDir()
-	sys := openSysWithStore(t, dir, Options{})
+	sys := openReplica(t, dir, "", 0, Options{})
 	defer sys.Close()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSnapshotWriteFailureCounted(t *testing.T) {
 // snapshots and truncates it on its own.
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	sys := openSysWithStore(t, dir, Options{CompactEvery: 4})
+	sys := openReplica(t, dir, "", 0, Options{CompactEvery: 4})
 	defer sys.Close()
 	for i := 0; i < 6; i++ {
 		a := search(t, sys, "customer")
@@ -218,7 +218,7 @@ func TestAutoCompaction(t *testing.T) {
 // parallel searches, feedback and snapshot writes (run under -race in CI).
 func TestConcurrentFeedbackSearchSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	sys := openSysWithStore(t, dir, Options{})
+	sys := openReplica(t, dir, "", 0, Options{})
 	defer sys.Close()
 
 	const goroutines = 12
@@ -266,7 +266,7 @@ func TestConcurrentFeedbackSearchSnapshot(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sys2 := openSysWithStore(t, dir, Options{})
+	sys2 := openReplica(t, dir, "", 0, Options{})
 	defer sys2.Close()
 	assertSameRankings(t, want, rankingsOf(t, sys2), "post-stress reopen")
 }

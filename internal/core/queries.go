@@ -252,48 +252,39 @@ func (s *System) RegisterQuery(q store.SavedQuery) error {
 	if err != nil {
 		return err
 	}
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if err := s.appendLocalLocked(store.OpSetQuery, nil, store.EncodeSavedQuery(e.raw)); err != nil {
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	if err := s.commitLocked(store.Record{Op: store.OpSetQuery, Payload: store.EncodeSavedQuery(e.raw)}); err != nil {
 		return fmt.Errorf("core: logging saved query: %w", err)
 	}
-	if s.queries == nil {
-		s.queries = make(map[string]*savedQueryEntry)
-	}
-	s.queries[e.raw.Name] = e
-	s.epoch.Add(1)
-	s.maybeCompactLocked()
 	return nil
 }
 
 // DeleteQuery removes a saved query from the library.
 func (s *System) DeleteQuery(name string) error {
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	if _, ok := s.queries[name]; !ok {
+	s.rep.mu.Lock()
+	defer s.rep.mu.Unlock()
+	if _, ok := s.ranking.queries[name]; !ok {
 		return fmt.Errorf("core: no saved query named %q", name)
 	}
-	if err := s.appendLocalLocked(store.OpDelQuery, nil, []byte(name)); err != nil {
+	if err := s.commitLocked(store.Record{Op: store.OpDelQuery, Payload: []byte(name)}); err != nil {
 		return fmt.Errorf("core: logging saved-query delete: %w", err)
 	}
-	delete(s.queries, name)
-	s.epoch.Add(1)
-	s.maybeCompactLocked()
 	return nil
 }
 
 // SavedQueries lists the library sorted by name.
 func (s *System) SavedQueries() []store.SavedQuery {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	return rawQueries(s.queries)
+	s.ranking.mu.RLock()
+	defer s.ranking.mu.RUnlock()
+	return rawQueries(s.ranking.queries)
 }
 
 // SavedQueryByName returns one library entry.
 func (s *System) SavedQueryByName(name string) (store.SavedQuery, bool) {
-	s.fbMu.RLock()
-	defer s.fbMu.RUnlock()
-	e, ok := s.queries[name]
+	s.ranking.mu.RLock()
+	defer s.ranking.mu.RUnlock()
+	e, ok := s.ranking.queries[name]
 	if !ok {
 		return store.SavedQuery{}, false
 	}
@@ -322,12 +313,12 @@ type BoundParam struct {
 // half-bound. Called with the pipeline's epoch after the SQL step; the
 // merged list is re-sorted and trimmed to TopN like any ranked output.
 func (s *System) approvedStep(a *Analysis, epoch uint64) {
-	s.fbMu.RLock()
-	entries := make([]*savedQueryEntry, 0, len(s.queries))
-	for _, e := range s.queries {
+	s.ranking.mu.RLock()
+	entries := make([]*savedQueryEntry, 0, len(s.ranking.queries))
+	for _, e := range s.ranking.queries {
 		entries = append(entries, e)
 	}
-	s.fbMu.RUnlock()
+	s.ranking.mu.RUnlock()
 	if len(entries) == 0 {
 		return
 	}
@@ -524,7 +515,10 @@ func (sol *Solution) binding(name string) (backend.Value, bool) {
 // prepared-statement path — the only execution path for saved queries:
 // the statement text is the registration-time render and the bound
 // values travel as arguments. limit > 0 caps the row count (snippets)
-// via a shallow statement copy; the shared AST is never mutated.
+// via a shallow statement copy; the shared AST is never mutated. Prepare,
+// binding and execution are one attempt on the prepared-path
+// instruments, so a failure at any stage counts once in both the total
+// and the errors.
 func (s *System) execApproved(ctx context.Context, sol *Solution, limit int) (*backend.Result, error) {
 	sel := sol.SQL
 	if limit > 0 && (sel.Limit < 0 || sel.Limit > limit) {
@@ -532,23 +526,22 @@ func (s *System) execApproved(ctx context.Context, sol *Solution, limit int) (*b
 		capped.Limit = limit
 		sel = &capped
 	}
-	pq, err := s.Backend.Prepare(ctx, sel)
-	if err != nil {
-		s.metrics.prepErrors.Inc()
-		return nil, fmt.Errorf("core: preparing saved query %q: %w", sol.QueryName, err)
-	}
-	defer pq.Close()
-	names := pq.BindNames()
-	args := make([]backend.Value, len(names))
-	for i, name := range names {
-		v, ok := sol.binding(name)
-		if !ok {
-			return nil, fmt.Errorf("core: saved query %q: no binding for parameter %q", sol.QueryName, name)
-		}
-		args[i] = v
-	}
 	m := s.metrics
 	return instrumentedExec(ctx, "backend:prepared", m.prepTotal, m.prepErrors, m.prepSeconds, func() (*backend.Result, error) {
+		pq, err := s.Backend.Prepare(ctx, sel)
+		if err != nil {
+			return nil, fmt.Errorf("core: preparing saved query %q: %w", sol.QueryName, err)
+		}
+		defer pq.Close()
+		names := pq.BindNames()
+		args := make([]backend.Value, len(names))
+		for i, name := range names {
+			v, ok := sol.binding(name)
+			if !ok {
+				return nil, fmt.Errorf("core: saved query %q: no binding for parameter %q", sol.QueryName, name)
+			}
+			args[i] = v
+		}
 		return s.Backend.ExecPrepared(ctx, pq, args)
 	})
 }

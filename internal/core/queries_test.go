@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"soda/internal/backend"
+	"soda/internal/backend/memory"
+	"soda/internal/sqlast"
 	"soda/internal/store"
 )
 
@@ -222,7 +226,7 @@ func TestRegisterQueryInvalidatesCache(t *testing.T) {
 // the snapshot) and a crash (via WAL replay), byte-identically.
 func TestSavedQueriesPersist(t *testing.T) {
 	dir := t.TempDir()
-	sys1 := openSysWithStore(t, dir, Options{})
+	sys1 := openReplica(t, dir, "", 0, Options{})
 	if err := sys1.RegisterQuery(bigEarners()); err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +234,10 @@ func TestSavedQueriesPersist(t *testing.T) {
 	wantSQL := approvedOf(search(t, sys1, "big earners"))[0].SQLText()
 
 	// Crash: WAL only, no final snapshot.
-	if err := sys1.store.Sync(); err != nil {
+	if err := sys1.rep.store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	sys2 := openSysWithStore(t, dir, Options{})
+	sys2 := openReplica(t, dir, "", 0, Options{})
 	got, ok := sys2.SavedQueryByName("big earners")
 	if !ok {
 		t.Fatal("saved query lost across WAL replay")
@@ -250,7 +254,7 @@ func TestSavedQueriesPersist(t *testing.T) {
 	if err := sys2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sys3 := openSysWithStore(t, dir, Options{})
+	sys3 := openReplica(t, dir, "", 0, Options{})
 	defer sys3.Close()
 	if st := sys3.StoreStats(); !st.WarmStart || st.ReplayedRecords != 0 {
 		t.Fatalf("after graceful close: %+v, want warm start with empty WAL", st)
@@ -275,5 +279,50 @@ func TestResetFeedbackKeepsQueries(t *testing.T) {
 	}
 	if _, ok := sys.SavedQueryByName("big earners"); !ok {
 		t.Fatal("ResetFeedback removed the saved query")
+	}
+}
+
+// refusePrepare is an Executor whose Prepare always fails.
+type refusePrepare struct{ backend.Executor }
+
+func (refusePrepare) Prepare(context.Context, *sqlast.Select) (backend.PreparedQuery, error) {
+	return nil, errors.New("prepare refused")
+}
+
+// TestApprovedFailureCountsOneAttempt: a saved-query run that fails before
+// its statement executes — Prepare refused, or a parameter left unbound —
+// is still one attempt on the prepared-path instruments. Total, errors and
+// the latency count all read 1, so errors never exceed the total.
+func TestApprovedFailureCountsOneAttempt(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		be     backend.Executor
+		unbind bool
+	}{
+		{"prepare refused", refusePrepare{memory.New(world.DB)}, false},
+		{"binding missing", memory.New(world.DB), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := NewSystem(c.be, world.Meta, world.Index, Options{})
+			if err := sys.RegisterQuery(bigEarners()); err != nil {
+				t.Fatal(err)
+			}
+			apr := approvedOf(search(t, sys, "big earners salary >= 40000"))
+			if len(apr) != 1 {
+				t.Fatalf("approved solutions = %d, want 1", len(apr))
+			}
+			sol := *apr[0]
+			if c.unbind {
+				sol.Bindings = nil
+			}
+			if _, err := sys.Execute(context.Background(), &sol); err == nil {
+				t.Fatal("run succeeded, want an error")
+			}
+			m := sys.metrics
+			got := [3]uint64{m.prepTotal.Value(), m.prepErrors.Value(), m.prepSeconds.Count()}
+			if got != [3]uint64{1, 1, 1} {
+				t.Fatalf("prepared total, errors, seconds count = %v, want [1 1 1]", got)
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func (s *System) cacheStore(q string, so SearchOptions, a *Analysis, data []byte
 // the cache: callers must write them out unmodified.
 func (s *System) SearchRenderedContext(ctx context.Context, input string, so SearchOptions, render func(*Analysis) ([]byte, error)) (data []byte, hit bool, err error) {
 	if s.cache != nil {
-		if _, data := s.cacheLookup(input, so, s.epoch.Load()); data != nil {
+		if _, data := s.cacheLookup(input, so, s.ranking.epoch.Load()); data != nil {
 			s.cache.hits.Add(1)
 			return data, true, nil
 		}

@@ -158,17 +158,13 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 	s.slowOther = reg.Counter("soda_slow_requests_total",
 		"Requests that exceeded their SLO threshold, by cache outcome.", outcome("other"))
 	s.backendID = sys.Backend()
-	replica := sys.ReplicaID()
-	if replica == "" {
-		replica = "local"
-	}
 	// Build identity as a constant-1 gauge: scrapes can tell replicas'
 	// versions apart during rolling upgrades by label, not value.
 	reg.Gauge("soda_build_info", "Build and corpus identity (value is always 1).",
 		obs.Label{Name: "go_version", Value: runtime.Version()},
 		obs.Label{Name: "corpus", Value: sys.World().Name()},
 		obs.Label{Name: "backend", Value: s.backendID},
-		obs.Label{Name: "replica", Value: replica},
+		obs.Label{Name: "replica", Value: sys.ReplicaID()},
 	).Set(1)
 	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, sloHit, sloCold)
 	s.slowLog = obs.NewLogger(cfg.Logf).With("server/slow")

@@ -131,7 +131,7 @@ type Options struct {
 	// peers, catch-up adoptions). nil is silent.
 	Logf func(format string, args ...any)
 
-	// Ablations (see DESIGN.md).
+	// Ablations (measured by (*bench.Env).Ablations, sodabench -ablations).
 	DisableBridges bool // skip bridge-table discovery
 	DisableDBpedia bool // drop DBpedia entry points
 	UniformRanking bool // ignore the metadata-layer ranking heuristic
@@ -366,15 +366,13 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 	}
 	cs := core.NewSystemIndexing(ex, w.meta, w.Index, opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
-	cs.SetFingerprint(fp)
-	cs.SetReplica(replicaID, len(opt.Peers))
 	if snap == nil {
 		// A cold boot pre-bakes a snapshot, which needs the index: warm
 		// now, while the index builds, rather than after the snapshot
 		// has waited for the whole build.
 		cs.Warm()
 	}
-	if err := cs.OpenStore(st, snap); err != nil {
+	if err := cs.OpenStore(st, snap, replicaID, len(opt.Peers), fp); err != nil {
 		st.Close()
 		if c, ok := ex.(io.Closer); ok {
 			c.Close() // release the sqldb connection pool
@@ -384,7 +382,7 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 	sys := &System{world: w, sys: cs}
 	if len(opt.Peers) > 0 {
 		sys.tailer = cluster.NewTailer(cluster.Config{
-			Local:    clusterLocal{cs},
+			Local:    cs,
 			Peers:    opt.Peers,
 			Interval: opt.SyncInterval,
 			Log:      cs.Logger().With("cluster"),
