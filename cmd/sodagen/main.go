@@ -200,7 +200,7 @@ func dumpSQL(world *soda.World, query, dialect string) {
 func printLayer(meta *metagraph.Graph, layerURI string) {
 	g := meta.G
 	var nodes []rdf.Term
-	for _, tr := range g.WithPredicate(rdf.NewIRI(metagraph.PredInLayer)) {
+	for tr := range g.WithPredicate(rdf.NewIRI(metagraph.PredInLayer)) {
 		if tr.O.Value() == layerURI {
 			nodes = append(nodes, tr.S)
 		}

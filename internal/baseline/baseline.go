@@ -79,7 +79,7 @@ func extractSchema(meta *metagraph.Graph) *schema {
 		adj:     make(map[string][]int),
 	}
 	tablePred := rdf.NewIRI(metagraph.PredTableName)
-	for _, tr := range meta.G.WithPredicate(tablePred) {
+	for tr := range meta.G.WithPredicate(tablePred) {
 		name := tr.O.Value()
 		s.tables = append(s.tables, name)
 		for _, col := range meta.G.Objects(tr.S, rdf.NewIRI(metagraph.PredColumn)) {
@@ -113,13 +113,13 @@ func extractSchema(meta *metagraph.Graph) *schema {
 		s.adj[ft] = append(s.adj[ft], idx)
 		s.adj[tt] = append(s.adj[tt], idx)
 	}
-	for _, tr := range meta.G.WithPredicate(rdf.NewIRI(metagraph.PredForeignKey)) {
+	for tr := range meta.G.WithPredicate(rdf.NewIRI(metagraph.PredForeignKey)) {
 		addEdge(tr.S, tr.O)
 	}
 	// Explicit join nodes carry ordinary key/foreign-key relationships
 	// too; a DB catalog would expose them as plain FKs, so the baselines
 	// see them (they just cannot exploit any richer metadata).
-	for _, tr := range meta.G.WithPredicate(rdf.NewIRI(metagraph.PredJoinFK)) {
+	for tr := range meta.G.WithPredicate(rdf.NewIRI(metagraph.PredJoinFK)) {
 		joinNode := tr.S
 		for _, pk := range meta.G.Objects(joinNode, rdf.NewIRI(metagraph.PredJoinPK)) {
 			addEdge(tr.O, pk)

@@ -50,7 +50,7 @@ func NewKeymantic(meta *metagraph.Graph) *Keymantic {
 	// Synonyms: DBpedia entries and ontology labels attached to schema
 	// elements, resolved to their physical tables where possible.
 	labelPred := rdf.NewIRI(metagraph.PredLabel)
-	for _, tr := range meta.G.WithPredicate(labelPred) {
+	for tr := range meta.G.WithPredicate(labelPred) {
 		layer := meta.LayerOf(tr.S)
 		if layer != metagraph.LayerDBpedia && layer != metagraph.LayerDomainOntology {
 			continue

@@ -182,6 +182,9 @@ func TestTailerDrainsBatches(t *testing.T) {
 			}
 		}
 		resp := PullResponse{Origin: "peer", Vector: store.Vector{"peer": 3}, LC: 3}
+		// More only while a record is left beyond the batch, as
+		// core.System.ServePull answers it: three records drain in
+		// three pulls.
 		if limit, _ := strconv.Atoi(r.URL.Query().Get("limit")); limit > 0 && len(out) > limit {
 			out, resp.More = out[:limit], true
 		}

@@ -216,8 +216,8 @@ func (r *replica) insertTailLocked(rec store.Record) (atEnd bool) {
 // its applied vector, doubles as that replica's acknowledgement, which
 // gates folding (a record is compacted away only once every peer holds
 // it). The response carries the retained records beyond since in
-// canonical order, capped at limit (More reports a capped batch: pull
-// again to drain) — or, when since predates this replica's fold point for
+// canonical order, capped at limit (More reports that a record the
+// batch left out remains: pull again to drain) — or, when since predates this replica's fold point for
 // some origin, so that the records it needs no longer exist individually,
 // Behind and the folded state to adopt.
 func (s *System) ServePull(from string, since store.Vector, limit int) (*cluster.PullResponse, error) {
@@ -248,11 +248,11 @@ func (s *System) ServePull(from string, since store.Vector, limit int) (*cluster
 		if rec.OriginSeq <= since[rec.Origin] {
 			continue
 		}
-		resp.Records = append(resp.Records, rec)
-		if limit > 0 && len(resp.Records) >= limit {
-			resp.More = true
+		if limit > 0 && len(resp.Records) == limit {
+			resp.More = true // a record is left beyond the batch
 			break
 		}
+		resp.Records = append(resp.Records, rec)
 	}
 	return resp, nil
 }

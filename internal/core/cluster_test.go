@@ -301,3 +301,47 @@ func TestAdoptClusterState(t *testing.T) {
 	assertSameVector(t, wantVec, b2.AppliedVector(), "adopted state replay vector")
 	assertSameRankings(t, want, rankingsOf(t, b2), "adopted state replay")
 }
+
+// TestServePullMoreOnlyWhenRecordsLeft: More promises that another pull
+// returns records. A backlog of exactly limit records fits one batch, so
+// it answers More=false, and a drain at limit 1 takes one pull per
+// record, not one more that returns nothing.
+func TestServePullMoreOnlyWhenRecordsLeft(t *testing.T) {
+	sys := openReplica(t, t.TempDir(), "a", 1, Options{})
+	defer sys.Close()
+	applyTestFeedback(t, sys, 2)
+	n := len(pull(t, sys, "", store.Vector{}).Records)
+	if n < 2 {
+		t.Fatalf("backlog of %d records, want at least 2", n)
+	}
+	for _, c := range []struct {
+		limit, records int
+		more           bool
+	}{{n, n, false}, {n + 1, n, false}, {n - 1, n - 1, true}} {
+		resp, err := sys.ServePull("", store.Vector{}, c.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Records) != c.records || resp.More != c.more {
+			t.Fatalf("limit %d over %d records: %d records, More=%v; want %d, %v",
+				c.limit, n, len(resp.Records), resp.More, c.records, c.more)
+		}
+	}
+	since, pulls := store.Vector{}, 0
+	for more := true; more; pulls++ {
+		resp, err := sys.ServePull("", since, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Records) == 0 {
+			t.Fatalf("pull %d returned no records", pulls+1)
+		}
+		for _, rec := range resp.Records {
+			since[rec.Origin] = max(since[rec.Origin], rec.OriginSeq)
+		}
+		more = resp.More
+	}
+	if pulls != n {
+		t.Fatalf("drained %d records in %d pulls at limit 1, want %d", n, pulls, n)
+	}
+}

@@ -256,7 +256,7 @@ func (s *System) compileModel(it *tableInterner) *schemaModel {
 	b.indexBaseData()
 	b.collectLabels()
 	m.impliedAgg = make([]string, n)
-	for _, tr := range g.WithPredicate(rdf.NewIRI(metagraph.PredImpliesAgg)) {
+	for tr := range g.WithPredicate(rdf.NewIRI(metagraph.PredImpliesAgg)) {
 		if id := dict.Lookup(tr.S); m.impliedAgg[id] == "" {
 			m.impliedAgg[id] = tr.O.Value() // the first, as Graph.Object reads it
 		}

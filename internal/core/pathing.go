@@ -42,7 +42,7 @@ type tableInterner struct {
 func (s *System) buildTableInterner() *tableInterner {
 	seen := make(map[string]bool)
 	var names []string
-	for _, tr := range s.Meta.G.WithPredicate(rdf.NewIRI(metagraph.PredTableName)) {
+	for tr := range s.Meta.G.WithPredicate(rdf.NewIRI(metagraph.PredTableName)) {
 		name := tr.O.Value()
 		if name == "" || seen[name] {
 			continue

@@ -33,14 +33,14 @@ func newJoinWitness(meta *metagraph.Graph) *joinWitness {
 	iri := rdf.NewIRI
 	names := func(pred string) map[rdf.Term]string {
 		m := make(map[rdf.Term]string)
-		for _, tr := range g.WithPredicate(iri(pred)) {
+		for tr := range g.WithPredicate(iri(pred)) {
 			m[tr.S] = tr.O.Value()
 		}
 		return m
 	}
 	tables, cols := names(metagraph.PredTableName), names(metagraph.PredColumnName)
 	w := &joinWitness{colNode: make(map[core.ColRef]rdf.Term), linked: make(map[[2]rdf.Term]bool)}
-	for _, tr := range g.WithPredicate(iri(metagraph.PredColumn)) {
+	for tr := range g.WithPredicate(iri(metagraph.PredColumn)) {
 		t, ok1 := tables[tr.S]
 		c, ok2 := cols[tr.O]
 		if ok1 && ok2 {
@@ -51,11 +51,11 @@ func newJoinWitness(meta *metagraph.Graph) *joinWitness {
 		w.linked[[2]rdf.Term{a, b}] = true
 		w.linked[[2]rdf.Term{b, a}] = true
 	}
-	for _, tr := range g.WithPredicate(iri(metagraph.PredForeignKey)) {
+	for tr := range g.WithPredicate(iri(metagraph.PredForeignKey)) {
 		link(tr.S, tr.O)
 	}
 	joinNode := iri(metagraph.TypeJoinNode)
-	for _, fk := range g.WithPredicate(iri(metagraph.PredJoinFK)) {
+	for fk := range g.WithPredicate(iri(metagraph.PredJoinFK)) {
 		if !g.Has(fk.S, iri(metagraph.PredType), joinNode) {
 			continue
 		}

@@ -80,9 +80,9 @@ func (x *Index) Encode(w io.Writer) error {
 	// Raw values are written as (table, column, row, value) tuples sorted
 	// by table/column/row — column IDs ascend in that order.
 	nRaw := 0
-	for _, col := range x.rawValues {
+	for _, col := range x.rawIDs {
 		for _, v := range col {
-			if v != "" {
+			if x.raws[v] != "" {
 				nRaw++
 			}
 		}
@@ -103,14 +103,14 @@ func (x *Index) Encode(w io.Writer) error {
 			e.intern(x.cols[c>>32].column)
 		}
 	}
-	for id, col := range x.rawValues {
+	for id, col := range x.rawIDs {
 		for _, v := range col {
-			if v == "" {
+			if x.raws[v] == "" {
 				continue
 			}
 			e.intern(x.cols[id].table)
 			e.intern(x.cols[id].column)
-			e.intern(v)
+			e.intern(x.raws[v])
 		}
 	}
 
@@ -138,15 +138,15 @@ func (x *Index) Encode(w io.Writer) error {
 	writePostingMap(postingKeys, x.postings)
 	writePostingMap(valueKeys, x.values)
 	e.uvarint(uint64(nRaw))
-	for id, col := range x.rawValues {
+	for id, col := range x.rawIDs {
 		for row, v := range col {
-			if v == "" {
+			if x.raws[v] == "" {
 				continue
 			}
 			e.uvarint(e.index[x.cols[id].table])
 			e.uvarint(e.index[x.cols[id].column])
 			e.uvarint(uint64(row))
-			e.uvarint(e.index[v])
+			e.uvarint(e.index[x.raws[v]])
 		}
 	}
 	e.uvarint(uint64(x.tokens))
@@ -324,7 +324,7 @@ func DecodeIndex(data []byte) (*Index, error) {
 		// corrupt row number could ask for gigabytes; a real index, one
 		// slot per row up to its last non-empty cell, stays far below
 		// this budget.
-		if grow := row + 1 - len(x.rawValues[col]); grow > 0 {
+		if grow := row + 1 - len(d.b.raws[col]); grow > 0 {
 			if slots += grow; slots > maxSlots {
 				return nil, fmt.Errorf("invidx: raw values span more than %d rows", maxSlots)
 			}

@@ -41,7 +41,7 @@ func TestCodecRoundTripExact(t *testing.T) {
 	if !reflect.DeepEqual(idx.values, got.values) {
 		t.Fatal("values map changed across the round trip")
 	}
-	if !reflect.DeepEqual(idx.rawValues, got.rawValues) {
+	if !reflect.DeepEqual(idx.raws, got.raws) || !reflect.DeepEqual(idx.rawIDs, got.rawIDs) {
 		t.Fatal("raw values changed across the round trip")
 	}
 	if idx.tokens != got.tokens {

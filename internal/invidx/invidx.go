@@ -60,12 +60,15 @@ type Index struct {
 	// values indexes full normalised column values, for exact phrase
 	// lookups ("Credit Suisse" as one term).
 	values map[string][]uint64
-	// rawValues recovers the original (non-normalised) value of a cell:
-	// per column ID, a slice indexed by row number. Rows whose cell was
-	// null/empty were never indexed, so their "" entries are never looked
-	// up.
-	rawValues [][]string
-	tokens    int
+	// raws and rawIDs recover the original (non-normalised) value of a
+	// cell. A value ID names one (column, raw value) pair: IDs below
+	// len(cols) are each column's empty value, the rest are numbered in
+	// column and then first-row order. rawIDs holds, per column ID, each
+	// row's value ID, up to the column's last non-empty row; raws holds
+	// each ID's value.
+	raws   []string
+	rawIDs [][]uint32
+	tokens int
 
 	// The lookup tables below are derived by bake at the end of Build
 	// and DecodeIndex and never change afterwards, so concurrent lookups
@@ -82,13 +85,19 @@ type Index struct {
 	valueTokens int
 }
 
-// rawAt returns the original value behind a cell.
-func (x *Index) rawAt(c uint64) string {
-	if col, row := x.rawValues[c>>32], int(c&rowMask); row < len(col) {
-		return col[row]
+// rawID returns the value ID of a cell. A row past its column's last
+// non-empty row (only a decoded index has a posting there) holds the
+// column's empty value.
+func (x *Index) rawID(c uint64) uint32 {
+	col := c >> 32
+	if ids, row := x.rawIDs[col], c&rowMask; row < uint64(len(ids)) {
+		return ids[row]
 	}
-	return ""
+	return uint32(col)
 }
+
+// rawAt returns the original value behind a cell.
+func (x *Index) rawAt(c uint64) string { return x.raws[x.rawID(c)] }
 
 // posting unpacks a cell.
 func (x *Index) posting(c uint64) Posting {
@@ -109,13 +118,15 @@ func (x *Index) unpack(cells []uint64) []Posting {
 }
 
 // builder fills an index under provisional column IDs, numbered as the
-// columns first appear; finish renumbers them in (table, column) order.
-// Build and DecodeIndex both go through it, so the two produce deeply
-// equal indexes.
+// columns first appear; finish renumbers them in (table, column) order
+// and assigns the value IDs. Build and DecodeIndex both go through it, so
+// the two produce deeply equal indexes.
 type builder struct {
 	x    *Index
 	ids  map[colKey]uint32
 	cols []colKey
+	// raws holds each provisional column's raw values by row.
+	raws [][]string
 }
 
 func newBuilder() *builder {
@@ -133,7 +144,7 @@ func (b *builder) col(table, column string) uint32 {
 		id = uint32(len(b.cols))
 		b.ids[k] = id
 		b.cols = append(b.cols, k)
-		b.x.rawValues = append(b.x.rawValues, nil)
+		b.raws = append(b.raws, nil)
 	}
 	return id
 }
@@ -143,16 +154,17 @@ func (b *builder) col(table, column string) uint32 {
 // from a snapshot (which only carries non-empty entries) are deeply
 // equal.
 func (b *builder) setRaw(col uint32, row int, s string) {
-	raws := b.x.rawValues[col]
+	raws := b.raws[col]
 	for len(raws) <= row {
 		raws = append(raws, "")
 	}
 	raws[row] = s
-	b.x.rawValues[col] = raws
+	b.raws[col] = raws
 }
 
 // finish numbers the columns in (table, column) order, rewrites every
-// cell to match, and bakes the lookup tables.
+// cell to match, numbers the (column, raw value) pairs, and bakes the
+// lookup tables.
 func (b *builder) finish() *Index {
 	x := b.x
 	order := make([]uint32, len(b.cols))
@@ -162,18 +174,45 @@ func (b *builder) finish() *Index {
 	slices.SortFunc(order, func(i, j uint32) int { return compareCols(b.cols[i], b.cols[j]) })
 	renumber := make([]uint64, len(order))
 	x.cols = make([]colKey, len(order))
-	raws := make([][]string, len(order))
+	rows := 0
 	for id, prov := range order {
 		renumber[prov] = uint64(id) << 32
-		x.cols[id], raws[id] = b.cols[prov], x.rawValues[prov]
+		x.cols[id] = b.cols[prov]
+		rows += len(b.raws[prov])
 	}
-	x.rawValues = raws
 	for _, m := range []map[string][]uint64{x.postings, x.values} {
 		for _, list := range m {
 			for i, c := range list {
 				list[i] = renumber[c>>32] | c&rowMask
 			}
 		}
+	}
+	// Each column's value IDs are carved out of one backing array.
+	backing := make([]uint32, rows)
+	x.rawIDs = make([][]uint32, len(order))
+	x.raws = make([]string, len(order))
+	// A value's entry holds the last column it was numbered in, so one
+	// map serves every column without being cleared.
+	type numbered struct{ col, id uint32 }
+	ids := make(map[string]numbered)
+	for col, prov := range order {
+		raws := b.raws[prov]
+		rowIDs := backing[:len(raws):len(raws)]
+		backing = backing[len(raws):]
+		for row, s := range raws {
+			if s == "" {
+				rowIDs[row] = uint32(col)
+				continue
+			}
+			v, ok := ids[s]
+			if !ok || v.col != uint32(col) {
+				v = numbered{uint32(col), uint32(len(x.raws))}
+				ids[s] = v
+				x.raws = append(x.raws, s)
+			}
+			rowIDs[row] = v.id
+		}
+		x.rawIDs[col] = rowIDs
 	}
 	x.bake()
 	return x
@@ -214,11 +253,17 @@ func Build(db *backend.DB) *Index {
 
 // bake derives the lookup tables. A token's hits group its own cells; a
 // multi-word stored value's hits group its phraseCells. A single-word
-// stored value shares its token's entry. The work is one pass over the
-// postings plus one intersection per multi-word stored value. It also
-// records the longest stored value, in tokens.
+// stored value shares its token's entry. It also records the longest
+// stored value, in tokens.
+//
+// The work is one pass over the postings plus one intersection and one
+// grouping per multi-word stored value, in scratch reused across values,
+// so only the tables themselves are allocated. An intersection costs a
+// few probes per run of cells that one list holds and the other does not
+// (see intersect), and grouping a cell costs two slice reads, since its
+// column and its (column, raw value) pair are dense IDs.
 func (x *Index) bake() {
-	g := newGrouper(x)
+	g := newGrouper(x, true)
 	x.hits = make(map[string][]ColumnHit, len(x.postings)+len(x.values))
 	x.cells = make(map[string][]uint64, len(x.postings))
 	var sorted []uint64
@@ -231,11 +276,12 @@ func (x *Index) bake() {
 		slices.Sort(sorted)
 		x.cells[tok] = slices.Clone(slices.Compact(sorted))
 	}
+	var sc scratch
 	for v := range x.values {
 		x.valueTokens = max(x.valueTokens, len(strings.Fields(v)))
 		switch words := words(v); {
 		case len(words) > 1:
-			x.hits[v] = g.group(x.phraseCells(v, words))
+			x.hits[v] = g.group(x.phraseCells(&sc, v, words))
 		case len(words) == 1 && words[0] != v:
 			if hits, ok := x.hits[words[0]]; ok {
 				x.hits[v] = hits
@@ -282,7 +328,8 @@ func (x *Index) LookupPhrase(phrase string) []Posting {
 	case 1:
 		return x.unpack(x.postings[words[0]])
 	}
-	if cells := x.phraseCells(norm, words); len(cells) > 0 {
+	var sc scratch
+	if cells := x.phraseCells(&sc, norm, words); len(cells) > 0 {
 		return x.unpack(cells)
 	}
 	return nil
@@ -306,102 +353,170 @@ func (x *Index) Hits(phrase string) []ColumnHit {
 	case 1:
 		return x.hits[words[0]]
 	}
-	return newGrouper(x).group(x.phraseCells(norm, words))
+	var sc scratch
+	cells := x.phraseCells(&sc, norm, words)
+	if len(cells) == 0 {
+		return nil
+	}
+	return newGrouper(x, false).group(cells)
+}
+
+// scratch holds the buffers phraseCells gathers a phrase's cells in. The
+// bake reuses one across every stored value; a lookup starts from an
+// empty one.
+type scratch struct {
+	conj, seen, out []uint64
 }
 
 // phraseCells returns the cells a multi-word phrase matches: the cells
 // whose value equals it, in stored order, then the other cells holding
-// every word, ascending.
-func (x *Index) phraseCells(norm string, words []string) []uint64 {
-	out := slices.Clone(x.values[norm])
-	seen := slices.Clone(out)
-	slices.Sort(seen)
-	if seen = slices.Compact(seen); len(seen) < len(out) {
+// every word, ascending. The result lives in sc's buffers, valid until
+// its next use.
+func (x *Index) phraseCells(sc *scratch, norm string, words []string) []uint64 {
+	sc.conj = x.conjunction(sc.conj[:0], words)
+	exact := x.values[norm]
+	if len(exact) == 0 {
+		return sc.conj
+	}
+	sc.seen = append(sc.seen[:0], exact...)
+	slices.Sort(sc.seen)
+	sc.seen = slices.Compact(sc.seen)
+	sc.out = append(sc.out[:0], exact...)
+	if len(sc.seen) < len(exact) {
 		// Only a decoded index can list a posting twice; keep the first.
-		kept := make(map[uint64]bool, len(seen))
-		out = slices.DeleteFunc(out, func(c uint64) bool {
+		kept := make(map[uint64]bool, len(sc.seen))
+		sc.out = slices.DeleteFunc(sc.out, func(c uint64) bool {
 			dup := kept[c]
 			kept[c] = true
 			return dup
 		})
 	}
-	for _, c := range x.conjunction(words) {
-		if _, found := slices.BinarySearch(seen, c); !found {
-			out = append(out, c)
+	// Both ascending: one merge finds the conjunction's other cells.
+	seen := sc.seen
+	for _, c := range sc.conj {
+		for len(seen) > 0 && seen[0] < c {
+			seen = seen[1:]
+		}
+		if len(seen) == 0 || seen[0] != c {
+			sc.out = append(sc.out, c)
 		}
 	}
-	return out
+	return sc.out
 }
 
-// conjunction returns the cells holding every one of the (two or more)
-// words, ascending. It intersects the words' cell lists rarest first and
-// stops at the first empty list or intersection.
-func (x *Index) conjunction(words []string) []uint64 {
-	lists := make([][]uint64, len(words))
-	for i, w := range words {
-		if lists[i] = x.cells[w]; len(lists[i]) == 0 {
-			return nil
+// conjunction appends to the empty dst the cells holding every one of the
+// (two or more) words, ascending. It intersects the words' cell lists
+// rarest first, in place in dst, which it grows once to the rarest
+// list's length, and stops at the first empty list or intersection.
+func (x *Index) conjunction(dst []uint64, words []string) []uint64 {
+	var buf [8][]uint64
+	lists := buf[:0]
+	for _, w := range words {
+		l := x.cells[w]
+		if len(l) == 0 {
+			return dst
 		}
+		lists = append(lists, l)
 	}
 	slices.SortFunc(lists, func(a, b []uint64) int { return len(a) - len(b) })
-	out := intersect(make([]uint64, 0, len(lists[0])), lists[0], lists[1])
+	dst = intersect(slices.Grow(dst, len(lists[0])), lists[0], lists[1])
 	for _, l := range lists[2:] {
-		if len(out) == 0 {
-			return nil
+		if len(dst) == 0 {
+			break
 		}
-		out = intersect(out[:0], out, l)
+		dst = intersect(dst[:0], dst, l)
 	}
-	return out
+	return dst
 }
 
 // intersect appends to dst the elements of a that b holds; a and b are
-// ascending, and dst may share a's array. Each element gallops forward
-// through b, so the cost grows with len(a) but only logarithmically with
-// len(b).
+// ascending, and dst may share a's array. It leapfrogs: whichever list is
+// behind gallops to the other's head, so the cost grows with the number
+// of runs in which the two alternate, each logarithmically in its length,
+// and not with the length of either list.
 func intersect(dst, a, b []uint64) []uint64 {
-	for _, c := range a {
-		n := 1
-		for n < len(b) && b[n-1] < c {
-			n *= 2
-		}
-		i, found := slices.BinarySearch(b[:min(n, len(b))], c)
-		if found {
-			dst = append(dst, c)
-		}
-		if b = b[i:]; len(b) == 0 {
-			break
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[seek(a, b[0]):]
+		case b[0] < a[0]:
+			b = b[seek(b, a[0]):]
+		default:
+			dst = append(dst, a[0])
+			a, b = a[1:], b[1:]
 		}
 	}
 	return dst
 }
 
-// grouper folds cells into column hits. Its sets are stamped with a
-// per-call generation instead of being cleared, so one grouper serves
-// the whole bake in time linear in the cells it is given.
+// seek returns the index of the first element of s that is not below c,
+// given s[0] < c: it gallops in doubling steps past c, then binary-searches
+// the last step.
+func seek(s []uint64, c uint64) int {
+	lo, step := 0, 1
+	for lo+step < len(s) && s[lo+step] < c {
+		lo += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(s[lo+1:min(lo+step, len(s))], c)
+	return lo + 1 + i
+}
+
+// grouper folds cells into column hits. Its slots are stamped with a
+// per-call generation instead of being cleared, so one grouper serves the
+// whole bake in time linear in the cells it is given.
 type grouper struct {
 	x    *Index
 	gen  uint32
-	col  map[uint32]colSlot  // column ID → its hit in this call's output
-	seen map[colValue]uint32 // (column, raw value) → generation that emitted it
+	col  slots // column ID → its hit in this call's output
+	seen slots // value ID → the generation that emitted it
 	// Per-call scratch: each cell's hit (-1 for a repeated value), and
 	// each hit's column ID and number of distinct values.
-	hitOf []int
+	hitOf []int32
 	ids   []uint32
 	n     []int
 }
 
-type colSlot struct {
+// slots maps column or value IDs to stamped slots. The bake's grouper
+// indexes a slice by the dense ID. A lookup's groups once, so it keeps a
+// map: its scratch grows with the cells it groups, never with the index.
+type slots struct {
+	dense  []slot
+	sparse map[uint32]slot
+}
+
+type slot struct {
 	gen uint32
-	at  int
+	at  int32
 }
 
-type colValue struct {
-	col uint32
-	raw string
+func (s *slots) get(id uint32) slot {
+	if s.sparse != nil {
+		return s.sparse[id]
+	}
+	return s.dense[id]
 }
 
-func newGrouper(x *Index) *grouper {
-	return &grouper{x: x, col: make(map[uint32]colSlot), seen: make(map[colValue]uint32)}
+func (s *slots) set(id uint32, v slot) {
+	if s.sparse != nil {
+		s.sparse[id] = v
+		return
+	}
+	s.dense[id] = v
+}
+
+// newGrouper returns a grouper for a whole bake (dense) or for one
+// lookup.
+func newGrouper(x *Index, dense bool) *grouper {
+	g := &grouper{x: x}
+	if dense {
+		g.col.dense = make([]slot, len(x.cols))
+		g.seen.dense = make([]slot, len(x.raws))
+	} else {
+		g.col.sparse = make(map[uint32]slot)
+		g.seen.sparse = make(map[uint32]slot)
+	}
+	return g
 }
 
 // group returns one hit per column in first-seen order, each with its
@@ -417,17 +532,17 @@ func (g *grouper) group(cells []uint64) []ColumnHit {
 	total := 0
 	for _, c := range cells {
 		id := uint32(c >> 32)
-		slot := g.col[id]
-		if slot.gen != g.gen {
-			slot = colSlot{gen: g.gen, at: len(g.ids)}
-			g.col[id] = slot
+		col := g.col.get(id)
+		if col.gen != g.gen {
+			col = slot{gen: g.gen, at: int32(len(g.ids))}
+			g.col.set(id, col)
 			g.ids = append(g.ids, id)
 			g.n = append(g.n, 0)
 		}
-		hit := -1
-		if v := (colValue{id, g.x.rawAt(c)}); g.seen[v] != g.gen {
-			g.seen[v] = g.gen
-			hit = slot.at
+		hit := int32(-1)
+		if v := g.x.rawID(c); g.seen.get(v).gen != g.gen {
+			g.seen.set(v, slot{gen: g.gen})
+			hit = col.at
 			g.n[hit]++
 			total++
 		}

@@ -238,7 +238,8 @@ func randomPhrase(rng *rand.Rand, vocab []string) string {
 
 // property: on random databases, every lookup answers as the reference
 // does — for every token and stored value, for every cell as written, and
-// for random phrases — before and after a snapshot round trip.
+// for random phrases — and the baked tables equal the old bake's, before
+// and after a snapshot round trip.
 func TestLookupMatchesReferenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -248,8 +249,11 @@ func TestLookupMatchesReferenceQuick(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			phrases = append(phrases, randomPhrase(rng, vocab))
 		}
+		decoded := roundTrip(t, idx)
 		CheckAgainstReference(t, idx, phrases)
-		CheckAgainstReference(t, roundTrip(t, idx), phrases)
+		CheckAgainstReference(t, decoded, phrases)
+		CheckBakeAgainstReference(t, idx)
+		CheckBakeAgainstReference(t, decoded)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

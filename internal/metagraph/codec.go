@@ -2,8 +2,8 @@ package metagraph
 
 // Snapshot serialisation of the metadata graph. The triple store carries
 // all durable state; the label (classification) index is derived and is
-// rebuilt on load, in an order provably identical to the one incremental
-// addLabel calls produced — lookup results, and therefore rankings, are
+// rebuilt on load, in an order provably identical to the one the
+// builder's incremental label calls produced — lookup results, and therefore rankings, are
 // byte-identical across a snapshot round trip.
 
 import (
@@ -30,25 +30,28 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 }
 
 // FromTriples wraps an existing triple store, reconstructing the label
-// index from its label triples. addLabel appends a node to a label's list
-// exactly when it also inserts a new (node, label) triple, so scanning
-// label triples in insertion order reproduces the original index order.
+// index from its label triples. The builder appends a node to a
+// normalised label's list when it first writes a label triple of that
+// form for the node, so scanning label triples in insertion order and
+// keeping each (normalised label, node) once reproduces the original
+// index order.
 func FromTriples(rg *rdf.Graph) *Graph {
-	labels := rg.WithPredicate(rdf.NewIRI(PredLabel))
-	g := &Graph{G: rg, labelIndex: make(map[string][]rdf.Term, len(labels))}
+	d := rg.Dict()
+	labels := rg.PairIDs(d.Lookup(rdf.NewIRI(PredLabel)))
+	g := &Graph{G: rg, labelIndex: make(map[string][]rdf.Term, labels.Len())}
 	type entry struct {
 		key  string
-		node rdf.Term
+		node rdf.ID
 	}
-	seen := make(map[entry]struct{}, len(labels))
-	for _, tr := range labels {
-		key := invidx.Normalize(tr.O.Value())
-		e := entry{key, tr.S}
+	seen := make(map[entry]struct{}, labels.Len())
+	for s, o, ok := labels.Next(); ok; s, o, ok = labels.Next() {
+		key := invidx.Normalize(d.Term(o).Value())
+		e := entry{key, s}
 		if _, dup := seen[e]; dup {
 			continue
 		}
 		seen[e] = struct{}{}
-		g.labelIndex[key] = append(g.labelIndex[key], tr.S)
+		g.labelIndex[key] = append(g.labelIndex[key], d.Term(s))
 	}
 	return g
 }

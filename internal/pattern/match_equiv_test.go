@@ -48,7 +48,7 @@ func compareWithOracle(t testing.TB, g *rdf.Graph, reg *Registry, pats []*Patter
 // label the graph holds, which Match accepts as x as readily as a node.
 func probeNodes(g *rdf.Graph) []rdf.Term {
 	nodes := append(g.Nodes(), rdf.NewIRI("absent:node"))
-	for _, tr := range g.All() {
+	for tr := range g.All() {
 		if tr.O.IsText() {
 			return append(nodes, tr.O)
 		}

@@ -118,7 +118,7 @@ func (m *oracle) solveClause(c Clause, binding Binding, depth int) []Binding {
 	default:
 		// Both ends unbound: scan the predicate index.
 		var out []Binding
-		for _, tr := range m.g.WithPredicate(pred) {
+		for tr := range m.g.WithPredicate(pred) {
 			b, ok := bind(c.S, tr.S, binding)
 			if !ok {
 				continue

@@ -28,22 +28,22 @@ const binaryMaxTerms = 1 << 26
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 
-	terms := make([]Term, 0, 2*g.Len()/3+1)
-	index := make(map[Term]uint64, cap(terms))
-	intern := func(t Term) uint64 {
-		if i, ok := index[t]; ok {
-			return i
+	// The table numbers the dictionary's terms in the order the triples
+	// first mention them: slot[id] is a term's table index + 1, 0 while
+	// it has not appeared.
+	terms := make([]ID, 0, g.dict.Len())
+	slot := make([]uint64, g.dict.Len()+1)
+	intern := func(id ID) uint64 {
+		if slot[id] == 0 {
+			terms = append(terms, id)
+			slot[id] = uint64(len(terms))
 		}
-		i := uint64(len(terms))
-		index[t] = i
-		terms = append(terms, t)
-		return i
+		return slot[id] - 1
 	}
-	triples := g.All()
 	type encTriple struct{ s, p, o uint64 }
-	enc := make([]encTriple, len(triples))
-	for i, tr := range triples {
-		enc[i] = encTriple{intern(tr.S), intern(tr.P), intern(tr.O)}
+	enc := make([]encTriple, len(g.triples))
+	for i, t := range g.triples {
+		enc[i] = encTriple{intern(t[0]), intern(t[1]), intern(t[2])}
 	}
 
 	var buf [binary.MaxVarintLen64]byte
@@ -56,7 +56,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := writeUvarint(uint64(len(terms))); err != nil {
 		return err
 	}
-	for _, t := range terms {
+	for _, id := range terms {
+		t := g.dict.Term(id)
 		if err := bw.WriteByte(byte(t.Kind())); err != nil {
 			return err
 		}
@@ -159,9 +160,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// reallocates, and the whole graph costs a handful of allocations
 	// instead of one per node.
 	g := &Graph{
-		dict:    NewDict(),
-		seen:    make(map[[3]ID]struct{}, nTriples),
-		triples: make([]Triple, 0, nTriples),
+		dict: NewDict(),
+		seen: make(map[[3]ID]struct{}, nTriples),
 	}
 	for _, t := range terms {
 		g.dict.Intern(t)
@@ -230,19 +230,19 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	g.out = carveAdj(outCnt)
 	g.in = carveAdj(inCnt)
-	predBacking := make([]Triple, len(keys))
-	g.byPred = make([][]Triple, nIDs)
+	predBacking := make([]int32, len(keys))
+	g.byPred = make([][]int32, nIDs)
 	for id, off := 1, 0; id < nIDs; id++ {
 		c := int(predCnt[id])
 		g.byPred[id] = predBacking[off : off : off+c]
 		off += c
 	}
+	g.triples = make([][3]ID, 0, len(keys))
 
 	// Pass 2: fill every index in insertion order. The indexes are sized,
 	// so addInterned only appends within capacity.
 	for _, key := range keys {
-		sid, pid, oid := key[0], key[1], key[2]
-		g.addInterned(sid, pid, oid, Triple{S: g.dict.Term(sid), P: g.dict.Term(pid), O: g.dict.Term(oid)})
+		g.addInterned(key)
 	}
 	return g, nil
 }

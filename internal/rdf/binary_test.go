@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestBinaryRoundTripPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := g.All(), g2.All()
+	a, b := slices.Collect(g.All()), slices.Collect(g2.All())
 	if len(a) != len(b) {
 		t.Fatalf("triple count %d != %d", len(a), len(b))
 	}

@@ -1,5 +1,7 @@
 package rdf
 
+import "iter"
+
 // edge is one (predicate, endpoint) pair in an adjacency list. For the
 // outgoing index the endpoint is the object; for the incoming index it is
 // the subject.
@@ -74,18 +76,22 @@ func (a *adjacency) countPred(p ID) int {
 // keeps SODA's ranked output stable across runs — important because the
 // paper presents users an ordered result page.
 //
-// The per-node and per-predicate indexes are dense slices keyed by the
-// dictionary's sequential IDs rather than maps: node counts are known to
-// be dict-bounded, and indexing an array by a small integer beats hashing
-// on every one of the hundreds of thousands of insertions a
-// warehouse-scale build (or snapshot decode) performs.
+// Everything is kept as dictionary IDs. The per-node and per-predicate
+// indexes are dense slices keyed by the dictionary's sequential IDs
+// rather than maps: node counts are known to be dict-bounded, and
+// indexing an array by a small integer beats hashing on every one of the
+// insertions a warehouse-scale build (or snapshot decode) performs. The
+// triples themselves are one pointer-free [3]ID list that the
+// per-predicate index points into, so an insertion appends 16 bytes the
+// garbage collector never scans; a Triple of Terms is built only when
+// All or WithPredicate hands one out.
 type Graph struct {
 	dict    *Dict
 	seen    map[[3]ID]struct{} // interned (s, p, o), for set semantics
 	out     []adjacency        // subject ID   -> (predicate, object); [0] unused
 	in      []adjacency        // object ID    -> (predicate, subject); [0] unused
-	byPred  [][]Triple         // predicate ID -> triples in insertion order
-	triples []Triple           // insertion order, for All
+	triples [][3]ID            // (s, p, o) in insertion order
+	byPred  [][]int32          // predicate ID -> its triples' positions, in order
 	nodes   []ID               // IRI subjects and objects, first-appearance order
 }
 
@@ -130,32 +136,50 @@ func (g *Graph) Add(s, p, o Term) bool {
 	if !s.IsIRI() || !p.IsIRI() {
 		panic("rdf: subject and predicate must be IRIs: " + Triple{s, p, o}.String())
 	}
-	sid, pid, oid := g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o)
-	key := [3]ID{sid, pid, oid}
-	if _, dup := g.seen[key]; dup {
+	return g.insert([3]ID{g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o)})
+}
+
+// AddIDs is Add over terms already interned in the graph's dictionary,
+// for builders that intern a term once and use it in many triples.
+func (g *Graph) AddIDs(s, p, o ID) bool {
+	if !g.dict.Term(s).IsIRI() || !g.dict.Term(p).IsIRI() {
+		panic("rdf: subject and predicate must be IRIs: " + g.triple([3]ID{s, p, o}).String())
+	}
+	return g.insert([3]ID{s, p, o})
+}
+
+// insert adds an interned triple unless the graph holds it already.
+func (g *Graph) insert(t [3]ID) bool {
+	if _, dup := g.seen[t]; dup {
 		return false
 	}
-	g.seen[key] = struct{}{}
-	g.addInterned(sid, pid, oid, Triple{S: s, P: p, O: o})
+	g.seen[t] = struct{}{}
+	g.addInterned(t)
 	return true
 }
 
 // addInterned appends the already-deduplicated triple to every index. The
 // caller has interned the terms and updated seen.
-func (g *Graph) addInterned(sid, pid, oid ID, tr Triple) {
+func (g *Graph) addInterned(t [3]ID) {
+	sid, pid, oid := t[0], t[1], t[2]
 	g.noteNode(sid)
 	g.out = growDense(g.out, int(sid))
 	g.out[sid].add(pid, oid)
 
-	if tr.O.IsIRI() {
+	if g.dict.Term(oid).IsIRI() {
 		g.noteNode(oid)
 	}
 	g.in = growDense(g.in, int(oid))
 	g.in[oid].add(pid, sid)
 
 	g.byPred = growDense(g.byPred, int(pid))
-	g.byPred[pid] = append(g.byPred[pid], tr)
-	g.triples = append(g.triples, tr)
+	g.byPred[pid] = append(g.byPred[pid], int32(len(g.triples)))
+	g.triples = append(g.triples, t)
+}
+
+// triple builds the Terms of an interned triple.
+func (g *Graph) triple(t [3]ID) Triple {
+	return Triple{S: g.dict.Term(t[0]), P: g.dict.Term(t[1]), O: g.dict.Term(t[2])}
 }
 
 // noteNode records id in the node order if it has no edge yet in either
@@ -183,9 +207,16 @@ func (g *Graph) Has(s, p, o Term) bool {
 // Len reports the number of distinct triples.
 func (g *Graph) Len() int { return len(g.triples) }
 
-// All returns every triple in insertion order. The returned slice is shared;
-// callers must not modify it.
-func (g *Graph) All() []Triple { return g.triples }
+// All iterates every triple in insertion order.
+func (g *Graph) All() iter.Seq[Triple] {
+	return func(yield func(Triple) bool) {
+		for _, t := range g.triples {
+			if !yield(g.triple(t)) {
+				return
+			}
+		}
+	}
+}
 
 // Objects returns all objects o such that (s, p, o) is in the graph, in
 // insertion order.
@@ -257,14 +288,17 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	return res
 }
 
-// WithPredicate returns every triple whose predicate is p, in insertion
-// order. The returned slice is shared; callers must not modify it.
-func (g *Graph) WithPredicate(p Term) []Triple {
-	pid := g.dict.Lookup(p)
-	if pid == NoID || int(pid) >= len(g.byPred) {
-		return nil
+// WithPredicate iterates every triple whose predicate is p, in insertion
+// order.
+func (g *Graph) WithPredicate(p Term) iter.Seq[Triple] {
+	return func(yield func(Triple) bool) {
+		it := g.PairIDs(g.dict.Lookup(p))
+		for s, o, ok := it.Next(); ok; s, o, ok = it.Next() {
+			if !yield(Triple{S: g.dict.Term(s), P: p, O: g.dict.Term(o)}) {
+				return
+			}
+		}
 	}
-	return g.byPred[pid]
 }
 
 // Outgoing calls fn for every edge (p, o) leaving s, in insertion order,
@@ -405,29 +439,30 @@ func (g *Graph) ObjectIDs(s, p ID) Ends { return adj(g.out, s).ends(p) }
 func (g *Graph) SubjectIDs(p, o ID) Ends { return adj(g.in, o).ends(p) }
 
 // Pairs iterates the (subject, object) IDs of every triple with one
-// predicate, in insertion order: the ID-level WithPredicate. The
-// per-predicate index holds Terms, so each step looks both up in the
-// dictionary; callers that know one endpoint use ObjectIDs or
-// SubjectIDs instead.
+// predicate, in insertion order: the ID-level WithPredicate. The zero
+// value is empty.
 type Pairs struct {
-	triples []Triple
-	dict    *Dict
+	at      []int32 // positions in triples still to visit
+	triples [][3]ID
 }
 
 // Next returns the next pair, or false when there is none.
 func (it *Pairs) Next() (s, o ID, ok bool) {
-	if len(it.triples) == 0 {
+	if len(it.at) == 0 {
 		return NoID, NoID, false
 	}
-	tr := it.triples[0]
-	it.triples = it.triples[1:]
-	return it.dict.Lookup(tr.S), it.dict.Lookup(tr.O), true
+	t := it.triples[it.at[0]]
+	it.at = it.at[1:]
+	return t[0], t[2], true
 }
+
+// Len reports how many pairs are left.
+func (it *Pairs) Len() int { return len(it.at) }
 
 // PairIDs iterates the triples whose predicate has ID p.
 func (g *Graph) PairIDs(p ID) Pairs {
 	if int(p) >= len(g.byPred) {
 		return Pairs{}
 	}
-	return Pairs{triples: g.byPred[p], dict: g.dict}
+	return Pairs{at: g.byPred[p], triples: g.triples}
 }

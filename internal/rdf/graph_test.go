@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,12 +243,19 @@ func TestGraphWithPredicate(t *testing.T) {
 	g.Add(NewIRI("a"), p, NewIRI("b"))
 	g.Add(NewIRI("c"), p, NewIRI("d"))
 	g.Add(NewIRI("a"), NewIRI("other"), NewIRI("b"))
-	trs := g.WithPredicate(p)
-	if len(trs) != 2 {
-		t.Fatalf("WithPredicate returned %d triples, want 2", len(trs))
+	trs := slices.Collect(g.WithPredicate(p))
+	want := []Triple{{NewIRI("a"), p, NewIRI("b")}, {NewIRI("c"), p, NewIRI("d")}}
+	if !reflect.DeepEqual(trs, want) {
+		t.Fatalf("WithPredicate = %v, want %v", trs, want)
 	}
-	if g.WithPredicate(NewIRI("absent")) != nil {
-		t.Fatal("WithPredicate of absent predicate should be nil")
+	for tr := range g.WithPredicate(NewIRI("absent")) {
+		t.Fatalf("WithPredicate of an absent predicate yielded %v", tr)
+	}
+	for tr := range g.WithPredicate(p) {
+		if tr != want[0] {
+			t.Fatalf("WithPredicate yielded %v first, want %v", tr, want[0])
+		}
+		break // an iteration stopped early must not yield again
 	}
 }
 
@@ -294,7 +302,7 @@ func TestGraphIndexesAgreeQuick(t *testing.T) {
 				return false
 			}
 			found := false
-			for _, got := range g.WithPredicate(tr.P) {
+			for got := range g.WithPredicate(tr.P) {
 				if got == tr {
 					found = true
 					break
@@ -373,7 +381,7 @@ func TestGraphIDAccessorsAgreeQuick(t *testing.T) {
 		}
 		var want []Term
 		seen := make(map[Term]bool)
-		for _, tr := range g.All() {
+		for tr := range g.All() {
 			for _, x := range []Term{tr.S, tr.O} {
 				if x.IsIRI() && !seen[x] {
 					seen[x] = true
@@ -411,7 +419,7 @@ func TestGraphIDAccessorsAgreeQuick(t *testing.T) {
 					}
 					pairs = append(pairs, Triple{d.Term(s), pt, d.Term(o)})
 				}
-				if !reflect.DeepEqual(pairs, g.WithPredicate(pt)) {
+				if !reflect.DeepEqual(pairs, slices.Collect(g.WithPredicate(pt))) {
 					return false
 				}
 			}

@@ -21,7 +21,7 @@ import (
 // WriteNTriples serialises every triple of g to w in insertion order.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, tr := range g.All() {
+	for tr := range g.All() {
 		if _, err := fmt.Fprintf(bw, "%s %s %s .\n",
 			formatIRI(tr.S.Value()), formatIRI(tr.P.Value()), formatTerm(tr.O)); err != nil {
 			return err

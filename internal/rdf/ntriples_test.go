@@ -26,7 +26,7 @@ func TestNTriplesRoundTripBasic(t *testing.T) {
 	if g2.Len() != g.Len() {
 		t.Fatalf("round trip lost triples: %d vs %d", g2.Len(), g.Len())
 	}
-	for _, tr := range g.All() {
+	for tr := range g.All() {
 		if !g2.Has(tr.S, tr.P, tr.O) {
 			t.Fatalf("missing triple after round trip: %v", tr)
 		}
@@ -108,7 +108,7 @@ func TestNTriplesRoundTripQuick(t *testing.T) {
 		if g2.Len() != g.Len() {
 			return false
 		}
-		for _, tr := range g.All() {
+		for tr := range g.All() {
 			if !g2.Has(tr.S, tr.P, tr.O) {
 				return false
 			}

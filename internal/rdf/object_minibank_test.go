@@ -14,7 +14,7 @@ func TestObjectMatchesObjectsMiniBank(t *testing.T) {
 	g := minibank.BuildNoIndex(minibank.Default()).Meta.G
 	absent := rdf.NewIRI("soda:no-such-predicate")
 	pairs := 0
-	for _, tr := range g.All() {
+	for tr := range g.All() {
 		for _, p := range []rdf.Term{tr.P, absent} {
 			objs := g.Objects(tr.S, p)
 			o, ok := g.Object(tr.S, p)
