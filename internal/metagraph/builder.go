@@ -14,9 +14,10 @@ import (
 // It writes triples at the ID level: a node's IRI is interned once for
 // all its triples, and each fixed predicate, type and layer IRI once per
 // graph (see fixed), so most triples cost no dictionary hashing. Every
-// term is still interned in the order Graph.Add would have interned it,
-// so dictionary IDs, like the triples, come out as if each triple had
-// gone through Add.
+// term is still interned in the order Graph.Add would have interned it
+// (subject, predicate, object: Go evaluates the arguments of an AddIDs
+// call left to right), so dictionary IDs, like the triples, come out as
+// if each triple had gone through Add.
 type Builder struct {
 	g       *Graph
 	dict    *rdf.Dict
@@ -145,13 +146,6 @@ func (b *Builder) iri(f fixed) rdf.ID {
 	return b.ids[f]
 }
 
-// intern returns the ID of a term.
-func (b *Builder) intern(t rdf.Term) rdf.ID { return b.dict.Intern(t) }
-
-// add inserts (s, p, o). Its arguments are evaluated left to right, so a
-// caller that interns s, then p, then o there interns them in Add's order.
-func (b *Builder) add(s, p, o rdf.ID) { b.g.G.AddIDs(s, p, o) }
-
 func (b *Builder) fresh(prefix string) rdf.Term {
 	b.counter++
 	return rdf.NewIRI(prefix + ":" + strconv.Itoa(b.counter))
@@ -160,9 +154,9 @@ func (b *Builder) fresh(prefix string) rdf.Term {
 // node types a fresh node, places it in a layer and labels it, and
 // returns its ID.
 func (b *Builder) node(id rdf.Term, typ, layer fixed, labels ...string) rdf.ID {
-	sid := b.intern(id)
-	b.add(sid, b.iri(predType), b.iri(typ))
-	b.add(sid, b.iri(predInLayer), b.iri(layer))
+	sid := b.dict.Intern(id)
+	b.g.G.AddIDs(sid, b.iri(predType), b.iri(typ))
+	b.g.G.AddIDs(sid, b.iri(predInLayer), b.iri(layer))
 	for _, l := range labels {
 		b.label(sid, id, l)
 	}
@@ -175,7 +169,7 @@ func (b *Builder) label(sid rdf.ID, node rdf.Term, label string) {
 	if label == "" {
 		return
 	}
-	b.add(sid, b.iri(predLabel), b.intern(rdf.NewText(label)))
+	b.g.G.AddIDs(sid, b.iri(predLabel), b.dict.Intern(rdf.NewText(label)))
 	key := invidx.Normalize(label)
 	if e := (labeled{key, sid}); !b.labeled[e] {
 		b.labeled[e] = true
@@ -183,14 +177,14 @@ func (b *Builder) label(sid rdf.ID, node rdf.Term, label string) {
 	}
 }
 
-// text adds (s, p, text) with a fresh text object.
+// text adds (s, p, text) with a text object.
 func (b *Builder) text(s rdf.ID, p fixed, text string) {
-	b.add(s, b.iri(p), b.intern(rdf.NewText(text)))
+	b.g.G.AddIDs(s, b.iri(p), b.dict.Intern(rdf.NewText(text)))
 }
 
 // link adds (s, p, o) between two nodes.
 func (b *Builder) link(s rdf.Term, p fixed, o rdf.Term) {
-	b.add(b.intern(s), b.iri(p), b.intern(o))
+	b.g.G.AddIDs(b.dict.Intern(s), b.iri(p), b.dict.Intern(o))
 }
 
 // PhysicalTable adds a physical table node named name.
@@ -345,20 +339,20 @@ func (b *Builder) MetadataFilter(concept rdf.Term, column rdf.Term, op, value st
 // IgnoreJoin annotates a join node or FK column so join discovery skips it
 // (the §5.3.1 war-story mitigation).
 func (b *Builder) IgnoreJoin(node rdf.Term) {
-	b.text(b.intern(node), predIgnoreJoin, "true")
+	b.text(b.dict.Intern(node), predIgnoreJoin, "true")
 }
 
 // ImpliesAggregation marks an ontology concept as a measure computed with
 // the given aggregate function ("trading volume" → sum).
 func (b *Builder) ImpliesAggregation(concept rdf.Term, fn string) {
-	b.text(b.intern(concept), predImpliesAgg, fn)
+	b.text(b.dict.Intern(concept), predImpliesAgg, fn)
 }
 
 // Label adds extra searchable labels to any node.
 func (b *Builder) Label(node rdf.Term, labels ...string) {
 	for _, l := range labels {
 		if l != "" {
-			b.label(b.intern(node), node, l)
+			b.label(b.dict.Intern(node), node, l)
 		}
 	}
 }
