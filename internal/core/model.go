@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"soda/internal/invidx"
@@ -323,16 +324,20 @@ func (b *modelBuild) collectTablesAt() {
 // fillEntryLists runs part 1 of Step 3 from every node: BFS over the
 // outgoing edges, collecting the tables found at each visited node in
 // visit order, each once. BFS order makes the first table the nearest
-// one, the entry's anchor.
+// one, the entry's anchor. The BFS follows only the edges towardTables
+// keeps: their targets are closed under predecessors, so the BFS visits
+// them in the order a BFS over all edges does, and it skips the type and
+// layer edges that end at class and layer sinks.
 func (b *modelBuild) fillEntryLists() {
 	n := len(b.terms)
 	m := b.m
+	edges, live := b.towardTables()
 	m.entryOff = make([]int32, n+1)
 	var visited, seen idSet
 	var queue []int32
 	for id := 1; id < n; id++ {
 		m.entryOff[id] = int32(len(m.entryIDs))
-		if !b.iri[id] {
+		if !b.iri[id] || !live[id] {
 			continue
 		}
 		visited.reset(n)
@@ -346,7 +351,7 @@ func (b *modelBuild) fillEntryLists() {
 					m.entryIDs = append(m.entryIDs, t)
 				}
 			}
-			for _, o := range b.out.row(node) {
+			for _, o := range edges.row(node) {
 				if visited.add(o) {
 					queue = append(queue, o)
 				}
@@ -354,6 +359,56 @@ func (b *modelBuild) fillEntryLists() {
 		}
 	}
 	m.entryOff[n] = int32(len(m.entryIDs))
+}
+
+// towardTables marks the nodes from which a node that collects tables
+// can be reached over outgoing edges, by one BFS backwards from those
+// nodes, and returns the outgoing edges into marked nodes.
+func (b *modelBuild) towardTables() (edges csr, live []bool) {
+	n := len(b.terms)
+	var in csr
+	in.off = make([]int32, n+1)
+	for _, o := range b.out.adj {
+		in.off[o+1]++
+	}
+	for id := 1; id <= n; id++ {
+		in.off[id] += in.off[id-1]
+	}
+	in.adj = make([]int32, len(b.out.adj))
+	next := slices.Clone(in.off[:n])
+	for id := int32(1); id < int32(n); id++ {
+		for _, o := range b.out.row(id) {
+			in.adj[next[o]] = id
+			next[o]++
+		}
+	}
+	live = make([]bool, n)
+	var queue []int32
+	for id := int32(1); id < int32(n); id++ {
+		if len(b.at.row(id)) > 0 {
+			live[id] = true
+			queue = append(queue, id)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, p := range in.row(queue[head]) {
+			if !live[p] {
+				live[p] = true
+				queue = append(queue, p)
+			}
+		}
+	}
+	edges.off = make([]int32, n+1)
+	for id := int32(1); id < int32(n); id++ {
+		edges.off[id] = int32(len(edges.adj))
+		for _, o := range b.out.row(id) {
+			if live[o] {
+				edges.adj = append(edges.adj, o)
+			}
+		}
+	}
+	edges.off[n] = int32(len(edges.adj))
+	return edges, live
 }
 
 // resolveColumns follows the refinement chain from every node until it

@@ -50,7 +50,7 @@ func (tc TraceContext) Header() string {
 // id — what an outbound request propagates so the receiver's log line
 // can be distinguished from the originating request's.
 func (tc TraceContext) Child() TraceContext {
-	return TraceContext{TraceID: tc.TraceID, SpanID: mintHexID(16), Flags: tc.Flags}
+	return TraceContext{TraceID: tc.TraceID, SpanID: mintHex(16), Flags: tc.Flags}
 }
 
 const hexDigits = "0123456789abcdef"
@@ -127,7 +127,8 @@ func unhex(c byte) byte {
 
 // idRand is the trace-id source: a fast PRNG seeded once from
 // crypto/rand. Trace ids need uniqueness, not unpredictability, so the
-// per-request cost is two locked PRNG reads instead of a syscall.
+// per-request cost is one locked PRNG read per 16 hex digits instead of a
+// syscall.
 var (
 	idRandMu sync.Mutex
 	idRand   *mathrand.Rand
@@ -143,41 +144,40 @@ func init() {
 	idRand = mathrand.New(mathrand.NewPCG(chacha[0]^chacha[2], chacha[1]^chacha[3]))
 }
 
-// mintHexID returns n random lowercase hex digits (n must be even and
-// ≤ 32), never all-zero.
-func mintHexID(n int) string {
-	var raw [16]byte
+// mintHex returns n random lowercase hex digits as one string (n a
+// multiple of 16, at most 48). Each run of 16 digits is one PRNG word,
+// all read under one lock take, and no word is zero, so a caller that
+// cuts the string into 16- or 32-digit ids never gets an all-zero one.
+func mintHex(n int) string {
+	var words [3]uint64
 	idRandMu.Lock()
-	hi, lo := idRand.Uint64(), idRand.Uint64()
+	for i := range n / 16 {
+		words[i] = idRand.Uint64()
+	}
 	idRandMu.Unlock()
-	binary.BigEndian.PutUint64(raw[0:8], hi)
-	binary.BigEndian.PutUint64(raw[8:16], lo)
-	b := make([]byte, n)
-	zero := true
-	for i := 0; i < n; i += 2 {
-		c := raw[(i/2)%16]
-		b[i] = hexDigits[c>>4]
-		b[i+1] = hexDigits[c&0xf]
-		if c != 0 {
-			zero = false
+	var b [48]byte
+	for i := range n {
+		w := words[i/16]
+		if w == 0 {
+			w = 1 // astronomically unlikely; the spec forbids all-zero ids
 		}
+		b[i] = hexDigits[w>>(60-4*(i%16))&0xf]
 	}
-	if zero {
-		b[n-1] = '1' // astronomically unlikely; the spec forbids all-zero ids
-	}
-	return string(b)
+	return string(b[:n])
 }
 
-// MintTraceContext starts a new sampled trace: fresh trace and span ids.
+// MintTraceContext starts a new sampled trace: fresh trace and span ids,
+// minted as one string and cut in two.
 func MintTraceContext() TraceContext {
-	return TraceContext{TraceID: mintHexID(32), SpanID: mintHexID(16), Flags: 0x01}
+	ids := mintHex(48)
+	return TraceContext{TraceID: ids[:32], SpanID: ids[32:], Flags: 0x01}
 }
 
 // ActiveTrace binds one request's W3C trace context to its span
-// collector. The serving layer embeds one per request and stores it in
-// the request context, and the core pipeline appends backend-execution
-// spans through TraceFromContext — without the layers importing each
-// other.
+// collector. The serving layer embeds one per request in its request
+// context (an ActiveContext), and the core pipeline appends
+// backend-execution spans through TraceFromContext — without the layers
+// importing each other.
 type ActiveTrace struct {
 	TC    TraceContext
 	Spans *Trace
@@ -185,9 +185,21 @@ type ActiveTrace struct {
 
 type activeTraceKey struct{}
 
-// ContextWithActive attaches an active trace to ctx.
-func ContextWithActive(ctx context.Context, at *ActiveTrace) context.Context {
-	return context.WithValue(ctx, activeTraceKey{}, at)
+// ActiveContext is a context that carries its active trace by value: a
+// per-request record that embeds one binds the trace without a
+// context.WithValue node. Context is the parent; every other key goes to
+// it.
+type ActiveContext struct {
+	context.Context
+	Active ActiveTrace
+}
+
+// Value answers TraceFromContext's key with the embedded trace.
+func (c *ActiveContext) Value(key any) any {
+	if key == (activeTraceKey{}) {
+		return &c.Active
+	}
+	return c.Context.Value(key)
 }
 
 // TraceFromContext returns the request's span collector, or nil (a valid

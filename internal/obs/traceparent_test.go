@@ -74,10 +74,13 @@ func TestMintedIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		tc := MintTraceContext()
-		if seen[tc.TraceID] {
-			t.Fatalf("duplicate trace id %s", tc.TraceID)
+		if !tc.Valid() {
+			t.Fatalf("minted context invalid: %+v", tc)
 		}
-		seen[tc.TraceID] = true
+		if seen[tc.TraceID] || seen[tc.SpanID] {
+			t.Fatalf("duplicate id in %+v", tc)
+		}
+		seen[tc.TraceID], seen[tc.SpanID] = true, true
 	}
 }
 
@@ -85,8 +88,9 @@ func TestActiveTraceContext(t *testing.T) {
 	if tr := TraceFromContext(context.Background()); tr != nil {
 		t.Fatal("empty context carries a span collector")
 	}
-	at := &ActiveTrace{TC: MintTraceContext(), Spans: &Trace{}}
-	ctx := ContextWithActive(context.Background(), at)
+	ctx := &ActiveContext{Context: context.Background(),
+		Active: ActiveTrace{TC: MintTraceContext(), Spans: &Trace{}}}
+	at := &ctx.Active
 	if got := TraceFromContext(ctx); got != at.Spans {
 		t.Fatal("TraceFromContext lost the active trace's spans")
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,46 +39,55 @@ func (g *requestIDs) init() {
 }
 
 func (g *requestIDs) next() string {
-	buf := make([]byte, 0, len(g.prefix)+8)
-	buf = append(buf, g.prefix...)
-	buf = append(buf, '-')
-	n := g.n.Add(1)
+	var buf [32]byte // 8-digit prefix, '-', up to 20 digits
+	b := append(append(buf[:0], g.prefix...), '-')
 	var digits [20]byte
-	i := len(digits)
-	for {
-		i--
-		digits[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
+	d := strconv.AppendUint(digits[:0], g.n.Add(1), 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
 	}
-	for len(digits)-i < 6 {
-		i--
-		digits[i] = '0'
-	}
-	return string(append(buf, digits[i:]...))
+	return string(append(b, d...))
 }
 
-// requestInfo accumulates the request-log fields while a handler runs.
-// The trace collector and active trace context are embedded by value —
-// requestInfo is the one per-request heap allocation, so binding them
-// here keeps the cache-hit path free of further allocations. The setters
-// are nil-safe so handlers never guard; a mutex covers the annotations
-// because the search render callback may run concurrently with nothing
-// else but future readers shouldn't have to prove that.
+// requestInfo is one request's record, allocated once per request. It
+// is the ResponseWriter the handler writes to (the embedded
+// statusWriter), and it holds the context the handler reads (ctx), the
+// span collector the pipeline appends to and the backing arrays of the
+// X-Request-Id and Content-Length header values, so none of these is an
+// allocation of its own. Handlers annotate it through nil-safe setters,
+// so they never guard; a mutex covers the annotations because the search
+// render callback may run concurrently with nothing else but future
+// readers shouldn't have to prove that.
 type requestInfo struct {
+	statusWriter
+	ctx   requestContext
 	id    string
 	start time.Time
+	tr    obs.Trace // span collector (pipeline steps, backend calls)
 
-	tr     obs.Trace       // span collector (pipeline steps, backend calls)
-	active obs.ActiveTrace // W3C trace context bound to tr
+	reqIDHdr, lenHdr [1]string // header values: X-Request-Id, Content-Length
 
 	mu      sync.Mutex
 	dialect string
 	outcome string // "hit" | "cold" | "canceled" for /search
 	query   string // /search input
 	sqlText string // top-ranked resolved statement, or /sql body
+}
+
+// requestContext is the context a request's handler sees: the inbound
+// one, answering the server's key with the request record and obs's
+// active-trace key with the W3C trace context bound to the record's span
+// collector, with no context.WithValue node per request.
+type requestContext struct {
+	obs.ActiveContext
+	info *requestInfo
+}
+
+func (c *requestContext) Value(key any) any {
+	if key == (reqInfoKey{}) {
+		return c.info
+	}
+	return c.ActiveContext.Value(key)
 }
 
 type reqInfoKey struct{}

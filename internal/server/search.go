@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"soda"
@@ -50,6 +51,15 @@ func rowsJSON(rows *soda.Rows) *RowsJSON {
 	return out
 }
 
+// searchRequests recycles /search decode targets: encoding/json moves a
+// decode target to the heap, and /search is the hot route.
+var searchRequests = sync.Pool{New: func() any { return new(SearchRequest) }}
+
+func putSearchRequest(req *SearchRequest) {
+	*req = SearchRequest{} // decoding leaves absent fields as they were
+	searchRequests.Put(req)
+}
+
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(r) {
 		s.shed.Inc()
@@ -59,8 +69,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	var req SearchRequest
-	if !s.decodeBody(w, r, &req) {
+	req := searchRequests.Get().(*SearchRequest)
+	defer putSearchRequest(req)
+	if !s.decodeBody(w, r, req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {

@@ -32,7 +32,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -196,6 +195,11 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 	return s
 }
 
+// traceparentKey is the traceparent header's canonical form: looking the
+// header up by it does not canonicalise the name, an allocation, on every
+// request.
+var traceparentKey = http.CanonicalHeaderKey(obs.TraceparentHeader)
+
 // ServeHTTP implements http.Handler. Every request gets an id and a W3C
 // trace context — adopted from a valid inbound `traceparent` header, or
 // freshly minted — so one trace id follows a query across the fleet.
@@ -205,24 +209,27 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 // all three outputs — the flight recorder, the slow-query log and (when
 // on) the access log — so they agree on status, duration and trace id.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	info := &requestInfo{id: s.reqIDs.next(), start: time.Now()}
-	tc, propagated := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	if !propagated {
-		tc = obs.MintTraceContext()
+	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
+		// net/http already stops a body of known length at that length.
+		// Leaving such a body unwrapped also lets net/http see that
+		// decodeBody closed it, so it does not discard the rest.
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
-	info.active = obs.ActiveTrace{TC: tc, Spans: &info.tr}
+	info := &requestInfo{statusWriter: statusWriter{ResponseWriter: w},
+		id: s.reqIDs.next(), start: time.Now()}
+	tc, propagated := obs.ParseTraceparent(r.Header.Get(traceparentKey))
 	if propagated {
-		w.Header().Set("X-Request-Id", tc.TraceID)
+		info.reqIDHdr[0] = tc.TraceID
 	} else {
-		w.Header().Set("X-Request-Id", info.id)
+		tc = obs.MintTraceContext()
+		info.reqIDHdr[0] = info.id
 	}
-	sw := &statusWriter{ResponseWriter: w}
-	ctx := context.WithValue(r.Context(), reqInfoKey{}, info)
-	ctx = obs.ContextWithActive(ctx, &info.active)
-	panicked := s.serveRecovered(sw, r.WithContext(ctx))
+	info.ctx = requestContext{info: info, ActiveContext: obs.ActiveContext{
+		Context: r.Context(), Active: obs.ActiveTrace{TC: tc, Spans: &info.tr}}}
+	w.Header()["X-Request-Id"] = info.reqIDHdr[:]
+	panicked := s.serveRecovered(info, r.WithContext(&info.ctx))
 
-	status := sw.status
+	status := info.status
 	switch {
 	case panicked:
 		status = http.StatusInternalServerError
@@ -231,7 +238,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	info.mu.Lock()
 	sample := obs.FlightSample{
-		TraceID:   info.active.TC.TraceID,
+		TraceID:   info.ctx.Active.TC.TraceID,
 		RequestID: info.id,
 		Method:    r.Method,
 		Path:      r.URL.Path,
@@ -250,7 +257,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.finish(&sample)
 	if s.accessLog != nil {
-		s.accessLog.write(&sample, sw.bytes)
+		s.accessLog.write(&sample, info.bytes)
 	}
 }
 
@@ -260,7 +267,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the stack. It reports whether the handler panicked, so the request is
 // recorded as a 500 either way. http.ErrAbortHandler is re-panicked: it
 // is net/http's signal to abort the response.
-func (s *Server) serveRecovered(w *statusWriter, r *http.Request) (panicked bool) {
+func (s *Server) serveRecovered(w *requestInfo, r *http.Request) (panicked bool) {
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -368,12 +375,23 @@ func encodeJSON(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// jsonContentType is every JSON response's Content-Type value, shared so
+// that setting it allocates nothing. Nothing writes into a header value
+// in place, so sharing is safe.
+var jsonContentType = []string{"application/json"}
+
 // writeRaw writes pre-encoded JSON with an exact Content-Length. A write
 // failure means the client went away mid-response; it is logged, not
 // retried.
 func (s *Server) writeRaw(w http.ResponseWriter, status int, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if info, ok := w.(*requestInfo); ok {
+		info.lenHdr[0] = strconv.Itoa(len(data))
+		h["Content-Length"] = info.lenHdr[:]
+	} else {
+		h.Set("Content-Length", strconv.Itoa(len(data)))
+	}
 	w.WriteHeader(status)
 	if _, err := w.Write(data); err != nil {
 		s.log.Printf("writing response: %v", err)
@@ -417,20 +435,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeBody parses the JSON request body into v.
+// errTrailingData rejects a request body with more than one JSON value.
+var errTrailingData = errors.New("data after the JSON value")
+
+// decodeBody parses the JSON request body into v: one JSON value, with
+// nothing but whitespace after it. It reads the body to EOF and closes
+// it, so net/http has nothing left to discard after the handler.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, err)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			_ = r.Body.Close()
+			return true
 		}
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		var syntaxErr *json.SyntaxError
+		if err == nil || errors.As(err, &syntaxErr) {
+			err = errTrailingData
+		}
+	}
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, err)
 		return false
 	}
-	return true
+	s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	return false
 }
 
 // admit reserves an inflight slot for one /search, waiting in the bounded

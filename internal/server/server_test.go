@@ -168,11 +168,21 @@ func TestSearchErrors(t *testing.T) {
 	for _, tc := range []struct {
 		body string
 		want int
+		text string // the error text, when pinned
 	}{
-		{`{"query":""}`, http.StatusBadRequest},
-		{`{"query":"sum ("}`, http.StatusBadRequest}, // parse error
-		{`not json`, http.StatusBadRequest},
-		{`{"query":"x","bogus":1}`, http.StatusBadRequest}, // unknown field
+		{`{"query":""}`, http.StatusBadRequest, ""},
+		{`{"query":"sum ("}`, http.StatusBadRequest, ""}, // parse error
+		{`not json`, http.StatusBadRequest, ""},
+		{`{"query":"x","bogus":1}`, http.StatusBadRequest, // unknown field
+			`invalid request body: json: unknown field "bogus"`},
+		// One JSON value per body: anything after it but whitespace is
+		// rejected, a second value included.
+		{`{"query":"customers"}garbage`, http.StatusBadRequest,
+			"invalid request body: data after the JSON value"},
+		{`{"query":"customers"} {"query":"zzz"}`, http.StatusBadRequest,
+			"invalid request body: data after the JSON value"},
+		{`{"query":"customers"}}`, http.StatusBadRequest,
+			"invalid request body: data after the JSON value"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/search", tc.body)
 		if resp.StatusCode != tc.want {
@@ -181,6 +191,40 @@ func TestSearchErrors(t *testing.T) {
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Fatalf("body %q: error envelope missing: %s", tc.body, body)
+		}
+		if tc.text != "" && er.Error != tc.text {
+			t.Fatalf("body %q: error = %q want %q", tc.body, er.Error, tc.text)
+		}
+	}
+	// Whitespace after the value is no trailing data.
+	if resp, body := postJSON(t, ts.URL+"/search", "{\"query\":\"customers\"} \n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status = %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestBodyLimit: a body over maxBodyBytes answers 413 whether the client
+// declares its length or streams it chunked, and one just under the cap
+// is read.
+func TestBodyLimit(t *testing.T) {
+	ts := newTestServer(t)
+	big := `{"query":"customers"}` + strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"declared length", strings.NewReader(big), http.StatusRequestEntityTooLarge},
+		{"chunked", io.MultiReader(strings.NewReader(big)), http.StatusRequestEntityTooLarge},
+		{"under the cap", strings.NewReader(big[:maxBodyBytes]), http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/search", "application/json", tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status = %d want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
 		}
 	}
 }
@@ -202,6 +246,11 @@ func TestSQLEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/sql", `{"sql":"select * from nonexistent"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown table status = %d", resp.StatusCode)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/sql", `{"sql":"select * from parties"} x`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trailing data status = %d, body %s", resp.StatusCode, body)
 	}
 }
 

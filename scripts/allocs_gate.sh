@@ -20,14 +20,13 @@ set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload=reference: server_allocs_per_op, median of three or more runs
-# of this script's own command (2 cores, go1.24.0 linux/amd64).
-# explore_hot was measured at commit 4219591 (the runs spread by 0.15% of
-# the median). adhoc_cold, snippet_exec and feedback_mix were measured on
-# the child of commit 338e504, which runs Steps 3-5 on the request
-# goroutine and sizes Steps 2-5's outputs once per solution (three runs
-# each, spread by 0.07%, 0.8% and 0.15% of the median). At 338e504 they
-# read 238, 631 and 84.0.
-refs="explore_hot=49.4 adhoc_cold=137.9 snippet_exec=556 feedback_mix=65.8"
+# of this script's own command (2 cores, go1.24.0 linux/amd64), measured
+# on the child of commit 5a50c2b, whose serving layer makes 14 fewer
+# allocations per request (one request record, no per-request context
+# nodes, no discard of a read body): explore_hot over ten runs, the
+# others over three (the runs spread by 0.07%, 0.11%, 0.39% and 0.14% of
+# the median). At 5a50c2b they read 49.1, 137.8, 554 and 65.8.
+refs="explore_hot=35.1 adhoc_cold=123.7 snippet_exec=540 feedback_mix=51.8"
 
 limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0
