@@ -7,7 +7,8 @@
 //
 //	sodad [flags]
 //
-//	-addr string        listen address (default ":8080")
+//	-addr string        listen address (default ":8080"); port 0 binds a
+//	                    free port, which the "sodad serving" log line names
 //	-world string       world to serve: minibank or warehouse (default "minibank")
 //	-parallelism int    snippet-execution worker-pool width (0 = GOMAXPROCS)
 //	-cache int          answer-cache entries (0 = default 512, negative = off)
@@ -66,11 +67,6 @@
 //	                    One JSON line per request: request id, W3C trace
 //	                    id, method, path, dialect, cache outcome, per-step
 //	                    pipeline timings, status, bytes, duration.
-//	-flight int         flight-recorder capacity: how many completed
-//	                    request traces GET /debug/requests retains (0 =
-//	                    default 256; one third of the slots are reserved
-//	                    for over-SLO and 5xx traces, which normal traffic
-//	                    never evicts)
 //
 // Boot builds the world's base data and metadata graph, then a System
 // over them, and warms it before listening. Without -data-dir (or with
@@ -96,9 +92,10 @@
 //	    section for the metric catalog.
 //
 //	GET  /debug/requests
-//	    Flight recorder: recent and retained slow/error request traces
-//	    with per-step spans, resolved SQL, cache outcome and backend
-//	    identity; ?id=<trace or request id> fetches one trace. Requests
+//	    Flight recorder: the last 256 request traces, a third of the
+//	    slots kept for slow and 5xx ones, with per-step spans, resolved
+//	    SQL, cache outcome and backend identity; ?id=<trace or request
+//	    id> fetches one trace. Requests
 //	    carrying a W3C `traceparent` header keep their trace id, so a
 //	    caller can follow one query across the fleet.
 //
@@ -157,6 +154,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only via -debug-addr
 	"os"
@@ -170,59 +168,175 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		world       = flag.String("world", "minibank", "world to serve: minibank or warehouse")
-		parallelism = flag.Int("parallelism", 0, "snippet-execution worker-pool width (0 = GOMAXPROCS)")
-		cacheSize   = flag.Int("cache", 0, "answer-cache entries (0 = default, negative = off)")
-		topN        = flag.Int("topn", 0, "ranked statements kept per query (0 = paper's 10)")
-		dialect     = flag.String("dialect", "generic", "default SQL dialect: "+strings.Join(soda.Dialects(), ", "))
-		dataDir     = flag.String("data-dir", "", "persistent state directory (feedback WAL + snapshots); empty = in-memory")
-		backendName = flag.String("backend", "memory", "execution backend: "+strings.Join(soda.Backends(), ", "))
-		driver      = flag.String("driver", "", `database/sql driver for -backend sqldb ("sodalite", "pgwire")`)
-		dsn         = flag.String("dsn", "", "data source name for -backend sqldb")
-		load        = flag.Bool("load", false, "force-load the world's corpus into the SQL backend")
-		queriesFile = flag.String("queries", "", "JSON file of saved parameterized queries to register at startup")
-		peers       = flag.String("peers", "", "comma-separated base URLs of the other fleet replicas (requires -data-dir)")
-		replicaID   = flag.String("replica-id", "", "stable replica identity within the fleet (empty = generate and persist)")
-		syncEvery   = flag.Duration("sync-interval", 0, "peer poll interval (default 500ms)")
-		peerDead    = flag.Duration("peer-dead-after", 0, "treat a fleet peer silent this long as dead for WAL folding (0 = never)")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrently executing /search requests (0 = unlimited)")
-		metricsOn   = flag.Bool("metrics", true, "serve the Prometheus exposition on GET /metrics")
-		debugAddr   = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty = off)")
-		accessLog   = flag.String("access-log", "", `structured request log: file path or "-" for stdout (empty = off)`)
-		flightSize  = flag.Int("flight", 0, "flight-recorder trace capacity for GET /debug/requests (0 = default 256)")
-	)
-	flag.Parse()
-	be := backendOptions{Backend: *backendName, Driver: *driver, DSN: *dsn, Load: *load}
-	cl := clusterOptions{Peers: splitPeers(*peers), ReplicaID: *replicaID, SyncInterval: *syncEvery, PeerDeadAfter: *peerDead}
-	sv := servingOptions{MaxInflight: *maxInflight, Metrics: *metricsOn, DebugAddr: *debugAddr, AccessLog: *accessLog, FlightSize: *flightSize}
-	if err := run(*addr, *world, *dialect, *dataDir, *queriesFile, be, cl, sv, *parallelism, *cacheSize, *topN); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// backendOptions groups the execution-backend flags.
-type backendOptions struct {
-	Backend, Driver, DSN string
-	Load                 bool
-}
+// run parses sodad's flags from args, builds and warms the System and
+// serves it until SIGINT or SIGTERM; it then drains in-flight requests
+// and flushes the state store. Malformed flags exit with status 2, as
+// the flag package does; bad flag values return an error before any
+// world is built.
+func run(args []string) error {
+	fs := flag.NewFlagSet("sodad", flag.ExitOnError)
+	opts := soda.Options{Logf: log.Printf}
+	cfg := server.Config{Logf: log.Printf}
+	addr := fs.String("addr", ":8080", "listen address")
+	world := fs.String("world", "minibank", "world to serve: minibank or warehouse")
+	fs.IntVar(&opts.Parallelism, "parallelism", 0, "snippet-execution worker-pool width (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.CacheSize, "cache", 0, "answer-cache entries (0 = default, negative = off)")
+	fs.IntVar(&opts.TopN, "topn", 0, "ranked statements kept per query (0 = paper's 10)")
+	fs.StringVar(&opts.Dialect, "dialect", "generic", "default SQL dialect: "+strings.Join(soda.Dialects(), ", "))
+	dataDir := fs.String("data-dir", "", "persistent state directory (feedback WAL + snapshots); empty = in-memory")
+	fs.StringVar(&opts.Backend, "backend", "memory", "execution backend: "+strings.Join(soda.Backends(), ", "))
+	fs.StringVar(&opts.Driver, "driver", "", `database/sql driver for -backend sqldb ("sodalite", "pgwire")`)
+	fs.StringVar(&opts.DSN, "dsn", "", "data source name for -backend sqldb")
+	fs.BoolVar(&opts.LoadCorpus, "load", false, "force-load the world's corpus into the SQL backend")
+	queriesFile := fs.String("queries", "", "JSON file of saved parameterized queries to register at startup")
+	fs.Func("peers", "comma-separated base URLs of the other fleet replicas (requires -data-dir)", func(s string) error {
+		opts.Peers = splitPeers(s)
+		return nil
+	})
+	fs.StringVar(&opts.ReplicaID, "replica-id", "", "stable replica identity within the fleet (empty = generate and persist)")
+	fs.DurationVar(&opts.SyncInterval, "sync-interval", 0, "peer poll interval (default 500ms)")
+	fs.DurationVar(&opts.PeerDeadAfter, "peer-dead-after", 0, "treat a fleet peer silent this long as dead for WAL folding (0 = never)")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max concurrently executing /search requests (0 = unlimited)")
+	metricsOn := fs.Bool("metrics", true, "serve the Prometheus exposition on GET /metrics")
+	debugAddr := fs.String("debug-addr", "", "separate listen address for net/http/pprof (empty = off)")
+	accessLog := fs.String("access-log", "", `structured request log: file path or "-" for stdout (empty = off)`)
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits the process
+	cfg.DisableMetrics = !*metricsOn
 
-// clusterOptions groups the fleet-replication flags.
-type clusterOptions struct {
-	Peers         []string
-	ReplicaID     string
-	SyncInterval  time.Duration
-	PeerDeadAfter time.Duration
-}
+	newWorld := map[string]func() *soda.World{
+		"minibank":  soda.MiniBank,
+		"warehouse": func() *soda.World { return soda.Warehouse(soda.WarehouseConfig{}) },
+	}[*world]
+	switch {
+	case newWorld == nil:
+		return fmt.Errorf("unknown world %q (want minibank or warehouse)", *world)
+	case !soda.KnownDialect(opts.Dialect):
+		return fmt.Errorf("unknown dialect %q (want %s)", opts.Dialect, strings.Join(soda.Dialects(), ", "))
+	case len(opts.Peers) > 0 && *dataDir == "":
+		return fmt.Errorf("-peers requires -data-dir (replication persists pulled records in the local WAL)")
+	}
+	w := newWorld()
 
-// servingOptions groups the serving/observability flags.
-type servingOptions struct {
-	MaxInflight int
-	Metrics     bool
-	DebugAddr   string
-	AccessLog   string
-	FlightSize  int
+	var sys *soda.System
+	if *dataDir != "" {
+		var err error
+		sys, err = soda.Open(w, opts, *dataDir)
+		if err != nil {
+			return fmt.Errorf("opening state store: %w", err)
+		}
+		st := sys.StoreStats()
+		if st.WarmStart {
+			log.Printf("state store %s: warm start from snapshot (epoch %d, %d WAL records replayed)",
+				*dataDir, st.SnapshotEpoch, st.ReplayedRecords)
+		} else {
+			reason := st.InvalidReason
+			if reason == "" {
+				reason = "no snapshot"
+			}
+			log.Printf("state store %s: cold start (%s), snapshot pre-baked for next boot", *dataDir, reason)
+		}
+		if len(opts.Peers) > 0 {
+			log.Printf("cluster: replica %s pulling %d peer(s): %s",
+				sys.ReplicaID(), len(opts.Peers), strings.Join(opts.Peers, ", "))
+		}
+	} else {
+		var err error
+		sys, err = soda.Connect(w, opts)
+		if err != nil {
+			return fmt.Errorf("connecting execution backend: %w", err)
+		}
+	}
+	if *queriesFile != "" {
+		data, err := os.ReadFile(*queriesFile)
+		if err != nil {
+			return fmt.Errorf("reading query library: %w", err)
+		}
+		qs, err := soda.QueriesFromJSON(data)
+		if err != nil {
+			return err
+		}
+		for _, q := range qs {
+			if err := sys.RegisterQuery(q); err != nil {
+				return fmt.Errorf("query library %s: %q: %w", *queriesFile, q.Name, err)
+			}
+		}
+		log.Printf("registered %d saved quer(ies) from %s", len(qs), *queriesFile)
+	}
+	log.Printf("warming %s (%d tables, backend %s)...", w.Name(), len(w.TableNames()), sys.Backend())
+	sys.Warm()
+
+	if *accessLog != "" {
+		w, closeLog, err := openAccessLog(*accessLog)
+		if err != nil {
+			return err
+		}
+		defer closeLog()
+		cfg.AccessLog = w
+	}
+	srv := &http.Server{
+		Handler:           server.NewWith(sys, cfg),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// The pprof handlers live on http.DefaultServeMux (blank import
+	// above); the main server uses its own mux, so they are reachable only
+	// through this separate listener — never on the service port.
+	if *debugAddr != "" {
+		dbg := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
+		go func() {
+			log.Printf("debug server (pprof) on %s", *debugAddr)
+			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("debug server: %v", err)
+			}
+		}()
+		defer dbg.Close()
+	}
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	errc := make(chan error, 1)
+	go func() {
+		// The bound address, not the flag: with "-addr host:0" this line
+		// is how a caller learns the port.
+		log.Printf("sodad serving %s on %s", w.Name(), ln.Addr())
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			errc <- err
+			return
+		}
+		errc <- nil
+	}()
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+
+	log.Print("shutting down, draining in-flight requests...")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("graceful shutdown: %w", err)
+	}
+	// Fold the WAL tail into a final snapshot (the next boot opens warm
+	// with nothing to replay) and release backend connections.
+	if err := sys.Close(); err != nil {
+		return fmt.Errorf("closing system: %w", err)
+	}
+	if *dataDir != "" {
+		log.Printf("state store %s flushed", *dataDir)
+	}
+	return <-errc
 }
 
 // openAccessLog resolves the -access-log flag to a writer: "-" is
@@ -248,154 +362,4 @@ func splitPeers(s string) []string {
 		}
 	}
 	return out
-}
-
-func run(addr, world, dialect, dataDir, queriesFile string, be backendOptions, cl clusterOptions, sv servingOptions, parallelism, cacheSize, topN int) error {
-	var w *soda.World
-	switch world {
-	case "minibank":
-		w = soda.MiniBank()
-	case "warehouse":
-		w = soda.Warehouse(soda.WarehouseConfig{})
-	default:
-		return fmt.Errorf("unknown world %q (want minibank or warehouse)", world)
-	}
-	if !soda.KnownDialect(dialect) {
-		return fmt.Errorf("unknown dialect %q (want %s)", dialect, strings.Join(soda.Dialects(), ", "))
-	}
-
-	if len(cl.Peers) > 0 && dataDir == "" {
-		return fmt.Errorf("-peers requires -data-dir (replication persists pulled records in the local WAL)")
-	}
-	opts := soda.Options{
-		TopN:          topN,
-		Parallelism:   parallelism,
-		CacheSize:     cacheSize,
-		Dialect:       dialect,
-		Backend:       be.Backend,
-		Driver:        be.Driver,
-		DSN:           be.DSN,
-		LoadCorpus:    be.Load,
-		Peers:         cl.Peers,
-		ReplicaID:     cl.ReplicaID,
-		SyncInterval:  cl.SyncInterval,
-		PeerDeadAfter: cl.PeerDeadAfter,
-		Logf:          log.Printf,
-	}
-	var sys *soda.System
-	if dataDir != "" {
-		var err error
-		sys, err = soda.Open(w, opts, dataDir)
-		if err != nil {
-			return fmt.Errorf("opening state store: %w", err)
-		}
-		st := sys.StoreStats()
-		if st.WarmStart {
-			log.Printf("state store %s: warm start from snapshot (epoch %d, %d WAL records replayed)",
-				dataDir, st.SnapshotEpoch, st.ReplayedRecords)
-		} else {
-			reason := st.InvalidReason
-			if reason == "" {
-				reason = "no snapshot"
-			}
-			log.Printf("state store %s: cold start (%s), snapshot pre-baked for next boot", dataDir, reason)
-		}
-		if len(cl.Peers) > 0 {
-			log.Printf("cluster: replica %s pulling %d peer(s): %s",
-				sys.ReplicaID(), len(cl.Peers), strings.Join(cl.Peers, ", "))
-		}
-	} else {
-		var err error
-		sys, err = soda.Connect(w, opts)
-		if err != nil {
-			return fmt.Errorf("connecting execution backend: %w", err)
-		}
-	}
-	if queriesFile != "" {
-		data, err := os.ReadFile(queriesFile)
-		if err != nil {
-			return fmt.Errorf("reading query library: %w", err)
-		}
-		qs, err := soda.QueriesFromJSON(data)
-		if err != nil {
-			return err
-		}
-		for _, q := range qs {
-			if err := sys.RegisterQuery(q); err != nil {
-				return fmt.Errorf("query library %s: %q: %w", queriesFile, q.Name, err)
-			}
-		}
-		log.Printf("registered %d saved quer(ies) from %s", len(qs), queriesFile)
-	}
-	log.Printf("warming %s (%d tables, backend %s)...", w.Name(), len(w.TableNames()), sys.Backend())
-	sys.Warm()
-
-	srvCfg := server.Config{
-		MaxInflight:        sv.MaxInflight,
-		Logf:               log.Printf,
-		DisableMetrics:     !sv.Metrics,
-		FlightRecorderSize: sv.FlightSize,
-	}
-	if sv.AccessLog != "" {
-		w, closeLog, err := openAccessLog(sv.AccessLog)
-		if err != nil {
-			return err
-		}
-		defer closeLog()
-		srvCfg.AccessLog = w
-	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           server.NewWith(sys, srvCfg),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The pprof handlers live on http.DefaultServeMux (blank import
-	// above); the main server uses its own mux, so they are reachable only
-	// through this separate listener — never on the service port.
-	if sv.DebugAddr != "" {
-		dbg := &http.Server{Addr: sv.DebugAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			log.Printf("debug server (pprof) on %s", sv.DebugAddr)
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-		defer dbg.Close()
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("sodad serving %s on %s", w.Name(), addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	log.Print("shutting down, draining in-flight requests...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("graceful shutdown: %w", err)
-	}
-	// Fold the WAL tail into a final snapshot (the next boot opens warm
-	// with nothing to replay) and release backend connections.
-	if err := sys.Close(); err != nil {
-		return fmt.Errorf("closing system: %w", err)
-	}
-	if dataDir != "" {
-		log.Printf("state store %s flushed", dataDir)
-	}
-	return <-errc
 }

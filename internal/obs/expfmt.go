@@ -1,10 +1,11 @@
 package obs
 
 // Prometheus text exposition (version 0.0.4) writer, plus a minimal
-// parser for trusted input: tests, the serving benchmark's scrapes of the
-// sodad it started, and cmd/metricslint. Histograms are exposed as
-// summaries: quantile series in seconds, <name>_sum in seconds,
-// <name>_count.
+// parser for trusted input: tests (internal/server's
+// TestCatalogFamilyMeanings checks the metric catalog against live
+// scrapes with it) and the serving benchmark's scrapes of the sodad it
+// started. Histograms are exposed as summaries: quantile series in
+// seconds, <name>_sum in seconds, <name>_count.
 
 import (
 	"bufio"
@@ -150,58 +151,18 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return b.Flush()
 }
 
-// MetricPoint is one sample line of a family. Suffix distinguishes the
-// summary sub-series ("", "_sum" or "_count"); Labels are in input order.
-type MetricPoint struct {
-	Suffix string
-	Labels []Label
-	Value  float64
-}
-
-// MetricFamily is one metric name with its TYPE and all sample lines, in
-// input order.
-type MetricFamily struct {
-	Name   string
-	Type   string // "counter", "gauge", "summary" or "untyped"
-	Points []MetricPoint
-}
-
-// ParseFamilies parses text exposition preserving family structure.
-// Sample lines are attached to the family whose name matches exactly, or
-// — for summaries — whose name plus "_sum"/"_count" matches. Lines with
-// no preceding HELP/TYPE start an untyped family.
-func ParseFamilies(r io.Reader) ([]*MetricFamily, error) {
-	var fams []*MetricFamily
-	byName := make(map[string]*MetricFamily)
-	get := func(name, typ string) *MetricFamily {
-		if f := byName[name]; f != nil {
-			return f
-		}
-		f := &MetricFamily{Name: name, Type: typ}
-		byName[name] = f
-		fams = append(fams, f)
-		return f
-	}
-
+// ParseText parses text exposition into a flat map: each sample line's
+// value as float64, keyed by SeriesKey of its series name (a summary's
+// _sum and _count lines under their own names) and labels. Comment lines
+// (HELP, TYPE) are skipped. Enough for golden tests and counter-delta
+// reports.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			rest := strings.TrimSpace(line[1:])
-			switch {
-			case strings.HasPrefix(rest, "HELP "):
-				name, _, _ := strings.Cut(rest[len("HELP "):], " ")
-				get(name, "untyped")
-			case strings.HasPrefix(rest, "TYPE "):
-				parts := strings.SplitN(rest[len("TYPE "):], " ", 2)
-				if len(parts) == 2 {
-					get(parts[0], parts[1]).Type = parts[1]
-				}
-			}
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		sp := strings.LastIndexByte(line, ' ')
@@ -225,42 +186,10 @@ func ParseFamilies(r io.Reader) ([]*MetricFamily, error) {
 				return nil, fmt.Errorf("obs: %w in line %q", err, line)
 			}
 		}
-		famName, suffix := name, ""
-		if f := byName[name]; f == nil {
-			// Summary sub-series carry the family name plus a suffix.
-			for _, suf := range []string{"_sum", "_count"} {
-				base := strings.TrimSuffix(name, suf)
-				if base != name {
-					if bf := byName[base]; bf != nil && bf.Type == "summary" {
-						famName, suffix = base, suf
-						break
-					}
-				}
-			}
-		}
-		f := get(famName, "untyped")
-		f.Points = append(f.Points, MetricPoint{Suffix: suffix, Labels: labels, Value: v})
+		out[SeriesKey(name, labels...)] = v
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return fams, nil
-}
-
-// ParseText parses text exposition into a flat map: ParseFamilies'
-// points, each keyed by SeriesKey of its full series name (family name
-// plus summary suffix) and labels, value as float64 — enough for golden
-// tests and counter-delta reports.
-func ParseText(r io.Reader) (map[string]float64, error) {
-	fams, err := ParseFamilies(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, f := range fams {
-		for _, p := range f.Points {
-			out[SeriesKey(f.Name+p.Suffix, p.Labels...)] = p.Value
-		}
 	}
 	return out, nil
 }

@@ -161,9 +161,9 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
-// TestParseFamiliesRoundTrip: ParseFamilies keeps a real registry scrape's
-// families and types, attaches a summary's _sum/_count lines to their
-// family, and reads escaped label values back exactly.
+// TestParseFamiliesRoundTrip: ParseText keeps every sample line of a real
+// registry scrape — a summary's quantiles, _sum and _count each under
+// their own series name — and reads escaped label values back exactly.
 func TestParseFamiliesRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	peer := Label{"peer", "say \"hi\"\nnow\\"}
@@ -176,29 +176,21 @@ func TestParseFamiliesRoundTrip(t *testing.T) {
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseFamilies(strings.NewReader(sb.String()))
+	got, err := ParseText(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fams) != 2 {
-		t.Fatalf("parsed %d families, want 2: %+v", len(fams), fams)
+	if len(got) != 1+len(summaryQuantiles)+2 {
+		t.Fatalf("parsed %d series, want 1 counter plus %d quantiles, _sum and _count: %v",
+			len(got), len(summaryQuantiles), got)
 	}
-	ctr, sum := fams[0], fams[1]
-	if ctr.Name != "soda_requests_total" || ctr.Type != "counter" || len(ctr.Points) != 1 {
-		t.Fatalf("counter family = %+v", ctr)
+	if v, ok := got[SeriesKey("soda_requests_total", peer)]; !ok || v != 4 {
+		t.Fatalf("escaped counter %v = %v (present %v), want 4", peer, v, ok)
 	}
-	if p := ctr.Points[0]; len(p.Labels) != 1 || p.Labels[0] != peer || p.Value != 4 {
-		t.Fatalf("escaped counter point = %+v, want %v = 4", p, peer)
+	if v := got[SeriesKey("soda_search_seconds_count")]; v != 5 {
+		t.Fatalf("summary _count = %v, want 5", v)
 	}
-	if sum.Name != "soda_search_seconds" || sum.Type != "summary" {
-		t.Fatalf("summary family = %+v", sum)
-	}
-	bySuffix := map[string]float64{}
-	for _, p := range sum.Points {
-		bySuffix[p.Suffix] = p.Value
-	}
-	if len(sum.Points) != len(summaryQuantiles)+2 || bySuffix["_count"] != 5 || bySuffix["_sum"] != 0.005 {
-		t.Fatalf("summary points = %+v, want %d quantiles plus _sum 0.005 and _count 5",
-			sum.Points, len(summaryQuantiles))
+	if v := got[SeriesKey("soda_search_seconds_sum")]; v != 0.005 {
+		t.Fatalf("summary _sum = %v, want 0.005", v)
 	}
 }

@@ -125,10 +125,6 @@ type Config struct {
 	// DisableMetrics hides GET /metrics (the daemon's -metrics=false).
 	// Instruments still record — only the exposition route is gated.
 	DisableMetrics bool
-	// FlightRecorderSize is the total trace-slot capacity of the flight
-	// recorder (0 defaults to 256; one third is reserved for over-SLO and
-	// 5xx traces).
-	FlightRecorderSize int
 }
 
 // New builds a Server over sys with default Config.
@@ -165,7 +161,7 @@ func NewWith(sys *soda.System, cfg Config) *Server {
 		obs.Label{Name: "backend", Value: s.backendID},
 		obs.Label{Name: "replica", Value: sys.ReplicaID()},
 	).Set(1)
-	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, sloHit, sloCold)
+	s.flight = obs.NewFlightRecorder(0, sloHit, sloCold)
 	s.slowLog = obs.NewLogger(cfg.Logf).With("server/slow")
 	if cfg.AccessLog != nil {
 		s.accessLog = &accessLogger{w: cfg.AccessLog}

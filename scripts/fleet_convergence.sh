@@ -15,6 +15,7 @@ set -euo pipefail
 
 SODAD=${SODAD:-./sodad}
 WORKDIR=${1:-$(mktemp -d)}
+mkdir -p "$WORKDIR" # the replicas' logs are redirected into it
 BASE_PORT=${BASE_PORT:-18180}
 QUERY='{"query": "customers Zürich financial instruments"}'
 N=3
