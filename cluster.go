@@ -10,39 +10,36 @@ import (
 	"soda/internal/cluster"
 	"soda/internal/core"
 	"soda/internal/obs"
-	"soda/internal/store"
 )
 
 // registerClusterMetrics exposes per-peer replication lag as gauges read
-// from the tailer's status at scrape time:
+// from the tailer's status at scrape time, each -1 until the first
+// successful pull from the peer, so a peer that never answered does not
+// read as caught up:
 //
 //	soda_cluster_peer_records_behind{peer}        records applied by the
 //	                                              peer but not yet here
 //	soda_cluster_peer_last_contact_seconds{peer}  seconds since the last
-//	                                              successful pull; -1
-//	                                              until first contact
+//	                                              successful pull
 func (s *System) registerClusterMetrics(peers []string) {
 	reg := s.sys.MetricsRegistry()
 	for _, peer := range peers {
 		pl := obs.Label{Name: "peer", Value: peer}
-		addr := peer
-		reg.GaugeFunc("soda_cluster_peer_records_behind",
-			"Feedback records the peer has applied that this replica has not.",
-			func() float64 {
-				if st, ok := s.tailer.Status(addr); ok {
-					return float64(st.RecordsBehind)
-				}
-				return 0
-			}, pl)
-		reg.GaugeFunc("soda_cluster_peer_last_contact_seconds",
-			"Seconds since the last successful pull from the peer (-1 before first contact).",
-			func() float64 {
-				st, ok := s.tailer.Status(addr)
+		gauge := func(read func(cluster.PeerStatus) float64) func() float64 {
+			return func() float64 {
+				st, ok := s.tailer.Status(peer)
 				if !ok || st.LastContact.IsZero() {
 					return -1
 				}
-				return time.Since(st.LastContact).Seconds()
-			}, pl)
+				return read(st)
+			}
+		}
+		reg.GaugeFunc("soda_cluster_peer_records_behind",
+			"Feedback records the peer has applied that this replica has not (-1 before first contact).",
+			gauge(func(st cluster.PeerStatus) float64 { return float64(st.RecordsBehind) }), pl)
+		reg.GaugeFunc("soda_cluster_peer_last_contact_seconds",
+			"Seconds since the last successful pull from the peer (-1 before first contact).",
+			gauge(func(st cluster.PeerStatus) float64 { return time.Since(st.LastContact).Seconds() }), pl)
 	}
 }
 
@@ -90,14 +87,6 @@ func (s *System) ReplicaID() string { return s.sys.ReplicaID() }
 func (s *System) Decommission(replicaID string) error {
 	return s.sys.DecommissionReplica(replicaID)
 }
-
-// ClearReplicaIdentity removes the persisted replica id from a (closed)
-// data directory. Pre-baked directories that will be copied to several
-// fleet members must not ship one identity; after clearing, each replica
-// mints its own on first boot. Never call it on a directory that has
-// already produced feedback records as part of a fleet — the id must
-// stay stable for the per-origin sequences the peers have applied.
-func ClearReplicaIdentity(dir string) error { return store.ClearReplicaID(dir) }
 
 // AppliedVector returns the replication vector: per origin, the highest
 // contiguous record sequence applied.

@@ -31,12 +31,13 @@
 //	                    queries" guide for the format); registration is
 //	                    last-write-wins, so re-running with the same file
 //	                    is idempotent
-//	-data-dir string    persistent state directory (feedback WAL + index
-//	                    snapshots). Empty runs in-memory: feedback dies
-//	                    with the process. With a directory, relevance
-//	                    feedback survives restarts and a valid snapshot
-//	                    skips the cold inverted-index build entirely
-//	                    (warm start); pre-bake one with sodagen -prebake.
+//	-data-dir string    persistent state directory (feedback WAL +
+//	                    snapshots of the folded feedback, saved queries
+//	                    and replication vector). Empty runs in-memory:
+//	                    feedback dies with the process. With a directory,
+//	                    relevance feedback and saved queries survive
+//	                    restarts: a boot restores the latest snapshot and
+//	                    replays the WAL records written after it.
 //	-peers string       comma-separated base URLs of the other replicas in
 //	                    a fleet (e.g. "http://b:8080,http://c:8080").
 //	                    Requires -data-dir. Each replica pulls its peers'
@@ -69,14 +70,13 @@
 //	                    pipeline timings, status, bytes, duration.
 //
 // Boot builds the world's base data and metadata graph, then a System
-// over them, and warms it before listening. Without -data-dir (or with
-// one that holds no valid snapshot) the inverted index is built cold, on
-// its own goroutine, while Warm matches the §4.2.1 patterns over the
+// over them, and warms it before listening. The inverted index is built
+// on its own goroutine while Warm matches the §4.2.1 patterns over the
 // metadata graph and compiles the schema model, bridge tables and join
 // graph on the calling one; Warm then waits for the index and resolves
-// Step 1's label hits, the one derived structure that reads it. A valid
-// snapshot replaces the index build and the graph with its own copies,
-// and Warm runs alone. The daemon then serves until SIGINT/SIGTERM and
+// Step 1's label hits, the one derived structure that reads it. With
+// -data-dir the boot also restores the durable state from the data
+// dir's snapshot and WAL. The daemon then serves until SIGINT/SIGTERM and
 // shuts down gracefully, draining in-flight requests; with -data-dir it
 // then flushes a final snapshot so the next boot replays an empty WAL.
 //
@@ -188,7 +188,7 @@ func run(args []string) error {
 	fs.IntVar(&opts.CacheSize, "cache", 0, "answer-cache entries (0 = default, negative = off)")
 	fs.IntVar(&opts.TopN, "topn", 0, "ranked statements kept per query (0 = paper's 10)")
 	fs.StringVar(&opts.Dialect, "dialect", "generic", "default SQL dialect: "+strings.Join(soda.Dialects(), ", "))
-	dataDir := fs.String("data-dir", "", "persistent state directory (feedback WAL + snapshots); empty = in-memory")
+	dataDir := fs.String("data-dir", "", "persistent state directory (feedback WAL + snapshots of the durable state); empty = in-memory")
 	fs.StringVar(&opts.Backend, "backend", "memory", "execution backend: "+strings.Join(soda.Backends(), ", "))
 	fs.StringVar(&opts.Driver, "driver", "", `database/sql driver for -backend sqldb ("sodalite", "pgwire")`)
 	fs.StringVar(&opts.DSN, "dsn", "", "data source name for -backend sqldb")
@@ -231,14 +231,14 @@ func run(args []string) error {
 		}
 		st := sys.StoreStats()
 		if st.WarmStart {
-			log.Printf("state store %s: warm start from snapshot (epoch %d, %d WAL records replayed)",
+			log.Printf("state store %s: restored snapshot (epoch %d), %d WAL records replayed",
 				*dataDir, st.SnapshotEpoch, st.ReplayedRecords)
 		} else {
 			reason := st.InvalidReason
 			if reason == "" {
 				reason = "no snapshot"
 			}
-			log.Printf("state store %s: cold start (%s), snapshot pre-baked for next boot", *dataDir, reason)
+			log.Printf("state store %s: %s, %d WAL records replayed", *dataDir, reason, st.ReplayedRecords)
 		}
 		if len(opts.Peers) > 0 {
 			log.Printf("cluster: replica %s pulling %d peer(s): %s",
@@ -328,8 +328,8 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
-	// Fold the WAL tail into a final snapshot (the next boot opens warm
-	// with nothing to replay) and release backend connections.
+	// Fold the WAL tail into a final snapshot (the next boot has nothing
+	// to replay) and release backend connections.
 	if err := sys.Close(); err != nil {
 		return fmt.Errorf("closing system: %w", err)
 	}

@@ -13,12 +13,7 @@
 //	sodagen -world warehouse                    # Table 1 stats + index size
 //	sodagen -world minibank -query "wealthy customers" -dialect db2
 //	sodagen -world minibank -query "top 10 trading volume customer" -dialect all
-//	sodagen -world warehouse -prebake /var/lib/soda   # ship a warm snapshot
 //	sodagen -world minibank -ddl -dialect postgres > minibank.sql
-//
-// -prebake builds the world cold and writes a state-store snapshot into
-// the given data directory, so a deployment's first `sodad -data-dir`
-// boot is already warm (no inverted-index scan).
 //
 // -ddl dumps the world's base data as executable CREATE TABLE + INSERT
 // statements in the chosen dialect — the same loader the sqldb backend
@@ -50,7 +45,6 @@ func main() {
 	export := flag.String("export", "", "write the metadata graph as N-Triples to this file (the §5.3.2 RDF export)")
 	query := flag.String("query", "", "dump the generated SQL for this input query instead of world structure")
 	dialect := flag.String("dialect", "generic", "SQL dialect for -query: "+strings.Join(soda.Dialects(), ", ")+", or all")
-	prebake := flag.String("prebake", "", "write a state-store snapshot into this data directory (warm deployments)")
 	ddl := flag.Bool("ddl", false, "dump the world's base data as CREATE TABLE + INSERT statements in -dialect")
 	flag.Parse()
 
@@ -62,11 +56,6 @@ func main() {
 		world = soda.Warehouse(soda.WarehouseConfig{})
 	default:
 		log.Fatalf("unknown world %q", *worldName)
-	}
-
-	if *prebake != "" {
-		prebakeSnapshot(world, *prebake)
-		return
 	}
 
 	if *ddl {
@@ -129,32 +118,6 @@ func main() {
 		fmt.Printf("\n==== %s layer ====\n", l)
 		printLayer(world.Meta(), layers[l])
 	}
-}
-
-// prebakeSnapshot opens (or creates) the state store in dir, which on a
-// fresh directory builds the index cold and writes the snapshot, then
-// closes cleanly — exactly the warm state a sodad deployment ships with.
-func prebakeSnapshot(world *soda.World, dir string) {
-	sys, err := soda.Open(world, soda.Options{}, dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st, err := sys.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		log.Fatal(err)
-	}
-	// A pre-baked directory is a template that may be copied to several
-	// fleet replicas; it must not ship a replica identity (each member
-	// mints its own on first boot). The snapshot itself carries no
-	// origin state — prebaking writes no feedback records.
-	if err := soda.ClearReplicaIdentity(dir); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("prebaked %s snapshot in %s: %d bytes (epoch %d, %d WAL records)\n",
-		world.Name(), dir, st.SnapshotBytes, st.SnapshotEpoch, st.WALRecords)
 }
 
 // dumpDDL writes the world's corpus as an executable SQL script.

@@ -156,6 +156,11 @@ func TestRemoteDeliveryOrderIrrelevant(t *testing.T) {
 func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 	dir := t.TempDir()
 	sys1 := openReplica(t, dir, "a", 1, Options{})
+	// A snapshot of the empty state, for the first reopen to replay the
+	// WAL on top of.
+	if _, err := sys1.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Local feedback (advancing a's clock), then remote records whose
 	// clocks interleave below it, then more local feedback.

@@ -69,7 +69,7 @@ func newSysMetrics(reg *obs.Registry, backendName string) *sysMetrics {
 			"Backend execution latency by backend identity and path.", bl, be("prepared")),
 
 		snapshotErrors: reg.Counter("soda_snapshot_errors_total",
-			"Failed snapshot writes (compaction, /admin/snapshot, cluster catch-up, boot and shutdown)."),
+			"Failed snapshot writes (compaction, /admin/snapshot, cluster catch-up and shutdown)."),
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
-// Persistence hooks: a System can attach a store.Store so relevance
-// feedback survives restarts ("open the store, replay the tail") and the
-// expensive derived state — inverted index, metadata graph, feedback map —
-// is snapshotted for instant warm starts. The soda layer decides which
-// substrates to boot from (snapshot vs cold rebuild); this file owns the
-// feedback restore, WAL replay, snapshot writes and compaction policy.
+// Persistence hooks: a System can attach a store.Store so its durable
+// state — relevance feedback, the saved-query library and the replication
+// vector — survives restarts ("open the store, replay the tail"). This
+// file owns the restore from a snapshot, WAL replay, snapshot writes and
+// compaction policy. The inverted index and the metadata graph are not
+// persisted: every boot builds them from the world.
 //
 // All of it is the replica's (cluster.go) and runs under the replica's
 // lock. It touches the ranking once, to swap in the replayed fold
@@ -16,7 +16,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -30,8 +29,7 @@ import (
 const defaultCompactEvery = 1024
 
 // StoreStats describes the attached store for diagnostics; WarmStart
-// reports whether this System booted from a snapshot instead of a cold
-// rebuild.
+// reports whether this System's durable state came from a snapshot.
 type StoreStats struct {
 	store.Stats
 	WarmStart bool `json:"warm_start"`
@@ -48,12 +46,9 @@ type StoreStats struct {
 // snapshot (when one was loaded), replays the WAL tail in canonical record
 // order — skipping records at or below the snapshot's fold watermark, so
 // nothing can double-apply — and from then on logs every write through the
-// WAL. When the boot was cold (snap == nil) a fresh snapshot is written
-// immediately so the *next* boot is warm.
+// WAL. With no snapshot (snap == nil) the tail replays onto empty state.
 //
-// OpenStore must be called once, before the System serves searches. The
-// snapshot's Index/Meta sections are the caller's concern: pass them to
-// NewSystem to skip the cold rebuild, then hand the same snapshot here.
+// OpenStore must be called once, before the System serves searches.
 func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID string, peers int, fingerprint uint64) error {
 	if st == nil {
 		return errors.New("core: OpenStore: nil store")
@@ -69,8 +64,7 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID stri
 	}
 	r.fleetPeers, r.fingerprint = peers, fingerprint
 	if snap != nil {
-		r.installLocked(&store.ReplicaState{Feedback: snap.Feedback, Queries: snap.Queries,
-			Epoch: snap.Epoch, FoldPos: snap.FoldPos, Origins: snap.Origins})
+		r.installLocked(&snap.ReplicaState)
 		r.warmStart = true
 	}
 	// Replay: the WAL holds records in arrival order; sort them into
@@ -98,13 +92,6 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID stri
 	// Anchor the dead-peer staleness bound: a peer never heard from at
 	// all ages against the moment replication started, not the zero time.
 	r.replStart = r.now()
-	if snap == nil {
-		// Cold boot: pre-bake the snapshot (and compact any replayed WAL)
-		// so the next boot opens warm.
-		if err := s.persistSnapshot(st, s.snapshotLocked()); err != nil {
-			return fmt.Errorf("core: initial snapshot: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -166,13 +153,13 @@ func (r *replica) refold() (map[feedbackKey]float64, map[string]*savedQueryEntry
 	return fb, qs
 }
 
-// WriteSnapshot persists the current derived state (index, metadata
-// graph, folded feedback base and epoch) and compacts the WAL down to the
-// unfolded tail. Safe to call concurrently with searches and writes:
-// only the fold advance and the state capture happen under the replica's
-// lock — the snapshot value is self-contained (copied feedback entries,
-// immutable index/graph), so the expensive encode and fsync run without
-// stalling later writes. Searches never wait on it.
+// WriteSnapshot persists the durable state (the folded feedback base and
+// saved queries, their epoch, the fold watermark and vector) and compacts
+// the WAL down to the unfolded tail. Safe to call concurrently with
+// searches and writes: only the fold advance and the state capture happen
+// under the replica's lock — the snapshot value is self-contained (copied
+// entries), so the encode and fsync run without stalling later writes.
+// Searches never wait on it.
 func (s *System) WriteSnapshot() (store.Stats, error) {
 	s.rep.mu.Lock()
 	if s.rep.store == nil {
@@ -322,17 +309,10 @@ func (r *replica) foldableLocked(deadAfter time.Duration) int {
 func (s *System) snapshotLocked() *store.Snapshot {
 	r := &s.rep
 	r.foldLocked(s.Opt.PeerDeadAfter)
-	fs := r.foldedLocked()
 	return &store.Snapshot{
-		Fingerprint: r.fingerprint,
-		Epoch:       fs.Epoch,
-		AppliedSeq:  r.store.Stats().NextSeq - 1,
-		FoldPos:     fs.FoldPos,
-		Origins:     fs.Origins,
-		Index:       s.Index(),
-		Meta:        s.Meta,
-		Feedback:    fs.Feedback,
-		Queries:     fs.Queries,
+		Fingerprint:  r.fingerprint,
+		AppliedSeq:   r.store.Stats().NextSeq - 1,
+		ReplicaState: *r.foldedLocked(),
 	}
 }
 
@@ -351,9 +331,9 @@ func (s *System) persistSnapshot(st *store.Store, snap *store.Snapshot) error {
 
 // maybeCompactLocked snapshots and compacts once the WAL grows past the
 // configured threshold. Called with rep.mu held after an append. Only the
-// state capture happens under the lock: encoding and fsyncing a
-// warehouse-scale snapshot takes long enough that doing it inline would
-// stall every later write behind the one unlucky call that crossed the
+// state capture happens under the lock: fsyncing the snapshot and
+// rewriting the WAL take long enough that doing it inline would stall
+// every later write behind the one unlucky call that crossed the
 // threshold. A failed write does not fail the write that triggered it —
 // its WAL record is already durable, and records appended while the
 // snapshot is written stay in the compacted log (they sort after the

@@ -35,11 +35,7 @@ func openReplica(t *testing.T, dir, id string, peers int, opt Options) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, idx := world.Meta, world.Index
-	if snap != nil {
-		meta, idx = snap.Meta, snap.Index
-	}
-	sys := NewSystem(memory.New(world.DB), meta, idx, opt)
+	sys := NewSystem(memory.New(world.DB), world.Meta, world.Index, opt)
 	if err := sys.OpenStore(st, snap, id, peers, persistTestFP); err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +92,16 @@ func assertSameRankings(t *testing.T, a, b []string, context string) {
 }
 
 // TestWALReplayDeterminism: the same WAL produces byte-identical rankings
-// — whether replayed on top of the initial snapshot or cold from an empty
-// feedback map — and a second replay does not double-apply.
+// — whether replayed on top of a snapshot or cold from an empty feedback
+// map — and a second replay does not double-apply.
 func TestWALReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	sys1 := openReplica(t, dir, "", 0, Options{})
+	// A snapshot of the empty state, for the first reopen to replay the
+	// WAL on top of.
+	if _, err := sys1.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
 	applyTestFeedback(t, sys1, 3)
 	want := rankingsOf(t, sys1)
 	if err := sys1.rep.store.Sync(); err != nil {
@@ -109,7 +110,7 @@ func TestWALReplayDeterminism(t *testing.T) {
 	// Simulated crash: the store is NOT closed, so no final snapshot is
 	// written — the WAL tail carries all the feedback.
 
-	// Reopen 1: initial snapshot (epoch 0, from the cold open) + WAL tail.
+	// Reopen 1: the epoch-0 snapshot + WAL tail.
 	sys2 := openReplica(t, dir, "", 0, Options{})
 	if sys2.StoreStats().ReplayedRecords == 0 {
 		t.Fatal("expected WAL records to replay")
@@ -130,8 +131,8 @@ func TestWALReplayDeterminism(t *testing.T) {
 		t.Fatalf("replayed epoch %d != original %d", sys3.ranking.epoch.Load(), sys1.ranking.epoch.Load())
 	}
 
-	// Reopen 3: sys3's cold open wrote a fresh snapshot and compacted the
-	// WAL; opening again must replay nothing and still agree.
+	// Reopen 3: sys3's Close folds the WAL into a fresh snapshot and
+	// compacts it; opening again must replay nothing and still agree.
 	if err := sys3.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestAutoCompaction(t *testing.T) {
 		}
 	}
 	// Compaction runs asynchronously off the feedback call that crossed
-	// the threshold; poll briefly for it to land. The cold open already
-	// counted one compaction (the pre-baked snapshot), so the observable
-	// postcondition is the WAL shrinking below the threshold.
+	// the threshold; poll briefly for it to land: the observable
+	// postcondition is a compaction and the WAL shrinking below the
+	// threshold.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := sys.StoreStats()
-		if st.Compactions >= 2 && st.WALRecords < 4 {
+		if st.Compactions >= 1 && st.WALRecords < 4 {
 			break
 		}
 		if time.Now().After(deadline) {

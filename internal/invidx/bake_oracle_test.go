@@ -159,11 +159,40 @@ func (g *referenceGrouper) group(cells []uint64) []ColumnHit {
 	return out
 }
 
+// isWord reports whether s is exactly one token.
+func isWord(s string) bool {
+	return s != "" && strings.IndexFunc(s, isSeparator) < 0
+}
+
 // CheckBakeAgainstReference fails t unless the hits and cells tables
 // equal the old bake's entry for entry. It also checks that the old
-// valueTokens bound holds.
+// valueTokens bound holds, and that x holds none of what the old bake
+// guarded against and the current one no longer handles: a posting key
+// that is not one word, a stored value listing a cell twice, or a cell
+// past its column's last non-empty row.
 func CheckBakeAgainstReference(t testing.TB, x *Index) {
 	t.Helper()
+	checkCell := func(what string, c uint64) {
+		if c&rowMask >= uint64(len(x.rawIDs[c>>32])) {
+			t.Fatalf("%s: cell %x lies past its column's raw values", what, c)
+		}
+	}
+	for tok, list := range x.postings {
+		if !isWord(tok) {
+			t.Fatalf("posting key %q is not one word", tok)
+		}
+		for _, c := range list {
+			checkCell(tok, c)
+		}
+	}
+	for v, list := range x.values {
+		if len(slices.Compact(slices.Sorted(slices.Values(list)))) != len(list) {
+			t.Fatalf("stored value %q lists a cell twice", v)
+		}
+		for _, c := range list {
+			checkCell(v, c)
+		}
+	}
 	hits, cells := referenceBake(x)
 	if len(x.hits) != len(hits) || len(x.cells) != len(cells) {
 		t.Fatalf("bake has %d hits and %d cells entries, reference %d and %d",

@@ -43,9 +43,8 @@ func compareCols(a, b colKey) int {
 
 // A cell is one (column, row) location packed as colID<<32 | row, with
 // column IDs numbered in (table, column) order: ascending cells are
-// postings sorted by table, column and row. Rows fit in 32 bits: Build's
-// are row indices of an in-memory table, DecodeIndex caps them at
-// codecMaxCount.
+// postings sorted by table, column and row. Rows fit in 32 bits: they are
+// row indices of an in-memory table.
 const rowMask = 1<<32 - 1
 
 func pack(col uint32, row int) uint64 { return uint64(col)<<32 | uint64(uint32(row)) }
@@ -54,8 +53,8 @@ func pack(col uint32, row int) uint64 { return uint64(col)<<32 | uint64(uint32(r
 type Index struct {
 	// cols names every column a cell points into, sorted.
 	cols []colKey
-	// postings holds each token's cells in stored order: the order Hits
-	// reports columns and values in, and the order a snapshot keeps.
+	// postings holds each token's cells in scan order: the order Hits
+	// reports columns and values in.
 	postings map[string][]uint64
 	// values indexes full normalised column values, for exact phrase
 	// lookups ("Credit Suisse" as one term).
@@ -71,7 +70,7 @@ type Index struct {
 	tokens int
 
 	// The lookup tables below are derived by bake at the end of Build
-	// and DecodeIndex and never change afterwards, so concurrent lookups
+	// and never change afterwards, so concurrent lookups
 	// share them without a lock.
 	//
 	// hits holds the column hits of every phrase whose normalised form is
@@ -85,16 +84,8 @@ type Index struct {
 	valueTokens int
 }
 
-// rawID returns the value ID of a cell. A row past its column's last
-// non-empty row (only a decoded index has a posting there) holds the
-// column's empty value.
-func (x *Index) rawID(c uint64) uint32 {
-	col := c >> 32
-	if ids, row := x.rawIDs[col], c&rowMask; row < uint64(len(ids)) {
-		return ids[row]
-	}
-	return uint32(col)
-}
+// rawID returns the value ID of a cell.
+func (x *Index) rawID(c uint64) uint32 { return x.rawIDs[c>>32][c&rowMask] }
 
 // rawAt returns the original value behind a cell.
 func (x *Index) rawAt(c uint64) string { return x.raws[x.rawID(c)] }
@@ -117,68 +108,65 @@ func (x *Index) unpack(cells []uint64) []Posting {
 	return out
 }
 
-// builder fills an index under provisional column IDs, numbered as the
-// columns first appear; finish renumbers them in (table, column) order
-// and assigns the value IDs. Build and DecodeIndex both go through it, so
-// the two produce deeply equal indexes.
-type builder struct {
-	x    *Index
-	ids  map[colKey]uint32
-	cols []colKey
-	// raws holds each provisional column's raw values by row.
-	raws [][]string
-}
-
-func newBuilder() *builder {
-	return &builder{
-		x:   &Index{postings: make(map[string][]uint64), values: make(map[string][]uint64)},
-		ids: make(map[colKey]uint32),
+// Build indexes every text column of every table in db.
+func Build(db *backend.DB) *Index {
+	x := &Index{postings: make(map[string][]uint64), values: make(map[string][]uint64)}
+	// Columns are numbered as the scan meets their first non-empty cell;
+	// raws holds each one's raw values by row, up to its last non-empty
+	// row. finish renumbers them in (table, column) order.
+	var cols []colKey
+	var raws [][]string
+	for _, name := range db.TableNames() {
+		tbl := db.Table(name)
+		for ci, col := range tbl.Cols {
+			if col.Type != backend.TString {
+				continue // numeric/date columns are not indexed (§5.1.2)
+			}
+			id := uint32(len(cols))
+			var colRaws []string
+			for ri, row := range tbl.Rows {
+				v := row[ci]
+				if v.IsNull() || v.S == "" {
+					continue
+				}
+				for len(colRaws) < ri {
+					colRaws = append(colRaws, "")
+				}
+				colRaws = append(colRaws, v.S)
+				c := pack(id, ri)
+				norm := Normalize(v.S)
+				x.values[norm] = append(x.values[norm], c)
+				for _, tok := range Tokenize(v.S) {
+					x.postings[tok] = append(x.postings[tok], c)
+					x.tokens++
+				}
+			}
+			if colRaws != nil {
+				cols = append(cols, colKey{tbl.Name, col.Name})
+				raws = append(raws, colRaws)
+			}
+		}
 	}
+	x.finish(cols, raws)
+	return x
 }
 
-// col returns the provisional ID of a column.
-func (b *builder) col(table, column string) uint32 {
-	k := colKey{table, column}
-	id, ok := b.ids[k]
-	if !ok {
-		id = uint32(len(b.cols))
-		b.ids[k] = id
-		b.cols = append(b.cols, k)
-		b.raws = append(b.raws, nil)
-	}
-	return id
-}
-
-// setRaw records the original value behind a cell. The slice ends at the
-// last non-empty row, so an index built from base data and one decoded
-// from a snapshot (which only carries non-empty entries) are deeply
-// equal.
-func (b *builder) setRaw(col uint32, row int, s string) {
-	raws := b.raws[col]
-	for len(raws) <= row {
-		raws = append(raws, "")
-	}
-	raws[row] = s
-	b.raws[col] = raws
-}
-
-// finish numbers the columns in (table, column) order, rewrites every
-// cell to match, numbers the (column, raw value) pairs, and bakes the
-// lookup tables.
-func (b *builder) finish() *Index {
-	x := b.x
-	order := make([]uint32, len(b.cols))
+// finish numbers the scanned columns in (table, column) order, rewrites
+// every cell to match, numbers the (column, raw value) pairs, and bakes
+// the lookup tables.
+func (x *Index) finish(cols []colKey, raws [][]string) {
+	order := make([]uint32, len(cols))
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	slices.SortFunc(order, func(i, j uint32) int { return compareCols(b.cols[i], b.cols[j]) })
+	slices.SortFunc(order, func(i, j uint32) int { return compareCols(cols[i], cols[j]) })
 	renumber := make([]uint64, len(order))
 	x.cols = make([]colKey, len(order))
 	rows := 0
-	for id, prov := range order {
-		renumber[prov] = uint64(id) << 32
-		x.cols[id] = b.cols[prov]
-		rows += len(b.raws[prov])
+	for id, scanned := range order {
+		renumber[scanned] = uint64(id) << 32
+		x.cols[id] = cols[scanned]
+		rows += len(raws[scanned])
 	}
 	for _, m := range []map[string][]uint64{x.postings, x.values} {
 		for _, list := range m {
@@ -195,11 +183,11 @@ func (b *builder) finish() *Index {
 	// map serves every column without being cleared.
 	type numbered struct{ col, id uint32 }
 	ids := make(map[string]numbered)
-	for col, prov := range order {
-		raws := b.raws[prov]
-		rowIDs := backing[:len(raws):len(raws)]
-		backing = backing[len(raws):]
-		for row, s := range raws {
+	for col, scanned := range order {
+		colRaws := raws[scanned]
+		rowIDs := backing[:len(colRaws):len(colRaws)]
+		backing = backing[len(colRaws):]
+		for row, s := range colRaws {
 			if s == "" {
 				rowIDs[row] = uint32(col)
 				continue
@@ -215,40 +203,6 @@ func (b *builder) finish() *Index {
 		x.rawIDs[col] = rowIDs
 	}
 	x.bake()
-	return x
-}
-
-// Build indexes every text column of every table in db.
-func Build(db *backend.DB) *Index {
-	b := newBuilder()
-	x := b.x
-	for _, name := range db.TableNames() {
-		tbl := db.Table(name)
-		for ci, col := range tbl.Cols {
-			if col.Type != backend.TString {
-				continue // numeric/date columns are not indexed (§5.1.2)
-			}
-			id := -1 // assigned at the column's first indexed cell
-			for ri, row := range tbl.Rows {
-				v := row[ci]
-				if v.IsNull() || v.S == "" {
-					continue
-				}
-				if id < 0 {
-					id = int(b.col(tbl.Name, col.Name))
-				}
-				c := pack(uint32(id), ri)
-				norm := Normalize(v.S)
-				x.values[norm] = append(x.values[norm], c)
-				b.setRaw(uint32(id), ri, v.S)
-				for _, tok := range Tokenize(v.S) {
-					x.postings[tok] = append(x.postings[tok], c)
-					x.tokens++
-				}
-			}
-		}
-	}
-	return b.finish()
 }
 
 // bake derives the lookup tables. A token's hits group its own cells; a
@@ -268,9 +222,6 @@ func (x *Index) bake() {
 	x.cells = make(map[string][]uint64, len(x.postings))
 	var sorted []uint64
 	for tok, list := range x.postings {
-		if !isWord(tok) {
-			continue // no phrase tokenizes to it (only a decoded index has one)
-		}
 		x.hits[tok] = g.group(list)
 		sorted = append(sorted[:0], list...)
 		slices.Sort(sorted)
@@ -369,7 +320,7 @@ type scratch struct {
 }
 
 // phraseCells returns the cells a multi-word phrase matches: the cells
-// whose value equals it, in stored order, then the other cells holding
+// whose value equals it, in scan order, then the other cells holding
 // every word, ascending. The result lives in sc's buffers, valid until
 // its next use.
 func (x *Index) phraseCells(sc *scratch, norm string, words []string) []uint64 {
@@ -380,17 +331,7 @@ func (x *Index) phraseCells(sc *scratch, norm string, words []string) []uint64 {
 	}
 	sc.seen = append(sc.seen[:0], exact...)
 	slices.Sort(sc.seen)
-	sc.seen = slices.Compact(sc.seen)
 	sc.out = append(sc.out[:0], exact...)
-	if len(sc.seen) < len(exact) {
-		// Only a decoded index can list a posting twice; keep the first.
-		kept := make(map[uint64]bool, len(sc.seen))
-		sc.out = slices.DeleteFunc(sc.out, func(c uint64) bool {
-			dup := kept[c]
-			kept[c] = true
-			return dup
-		})
-	}
 	// Both ascending: one merge finds the conjunction's other cells.
 	seen := sc.seen
 	for _, c := range sc.conj {
@@ -641,11 +582,6 @@ func Tokenize(s string) []string {
 // words splits an already normalised string into its tokens.
 func words(norm string) []string {
 	return strings.FieldsFunc(norm, isSeparator)
-}
-
-// isWord reports whether s is exactly one token.
-func isWord(s string) bool {
-	return s != "" && strings.IndexFunc(s, isSeparator) < 0
 }
 
 func isSeparator(r rune) bool {

@@ -127,6 +127,14 @@ func TestCounts(t *testing.T) {
 	}
 }
 
+// TestMaxValueTokens checks that Build records the longest stored value,
+// "Credit Suisse gold agreement".
+func TestMaxValueTokens(t *testing.T) {
+	if got := Build(testDB()).MaxValueTokens(); got != 4 {
+		t.Fatalf("MaxValueTokens = %d, want 4", got)
+	}
+}
+
 func TestTokenize(t *testing.T) {
 	got := Tokenize("Credit-Suisse  gold,agreement")
 	want := []string{"credit", "suisse", "gold", "agreement"}

@@ -2,6 +2,7 @@ package invidx
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -129,14 +130,11 @@ func referenceHits(x *Index, phrase string) []ColumnHit {
 	return out
 }
 
-// Exported for the external-package oracle and fuzz tests, which need
+// Exported for the external-package oracle test, which needs
 // worlds that import this package.
 
 // StoredValues returns every normalised stored value, sorted.
-func StoredValues(x *Index) []string { return sortedKeys(x.values) }
-
-// TestDB is the package's small hand-written database.
-var TestDB = testDB
+func StoredValues(x *Index) []string { return slices.Sorted(maps.Keys(x.values)) }
 
 // CheckAgainstReference fails t unless Hits, LookupPhrase, Contains and
 // ContainsExact answer every phrase as the reference does.
@@ -238,8 +236,7 @@ func randomPhrase(rng *rand.Rand, vocab []string) string {
 
 // property: on random databases, every lookup answers as the reference
 // does — for every token and stored value, for every cell as written, and
-// for random phrases — and the baked tables equal the old bake's, before
-// and after a snapshot round trip.
+// for random phrases — and the baked tables equal the old bake's.
 func TestLookupMatchesReferenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,31 +246,11 @@ func TestLookupMatchesReferenceQuick(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			phrases = append(phrases, randomPhrase(rng, vocab))
 		}
-		decoded := roundTrip(t, idx)
 		CheckAgainstReference(t, idx, phrases)
-		CheckAgainstReference(t, decoded, phrases)
 		CheckBakeAgainstReference(t, idx)
-		CheckBakeAgainstReference(t, decoded)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
-
-// roundTrip encodes and decodes x.
-func roundTrip(t testing.TB, x *Index) *Index {
-	t.Helper()
-	var b strings.Builder
-	if err := x.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeIndex([]byte(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// RoundTrip is roundTrip for the external tests.
-var RoundTrip = roundTrip

@@ -95,8 +95,8 @@ func Build(cfg Config) *World {
 }
 
 // BuildNoIndex constructs the world without its inverted index, for
-// callers that load the index from a state-store snapshot instead of
-// scanning the base data (warm starts).
+// callers that build the index later, on its own goroutine (soda.World
+// builds it on first use).
 func BuildNoIndex(cfg Config) *World {
 	if cfg == (Config{}) {
 		cfg = Default()

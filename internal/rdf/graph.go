@@ -15,8 +15,7 @@ type edge struct {
 // pattern matcher issues. The index is only materialised once a node
 // passes adjIndexThreshold edges: most schema nodes carry a handful of
 // edges where a linear scan wins, and skipping tens of thousands of tiny
-// map allocations is what makes warehouse-scale graph construction — and
-// snapshot warm starts — fast.
+// map allocations is what makes warehouse-scale graph construction fast.
 type adjacency struct {
 	edges  []edge
 	byPred map[ID][]ID // nil until the node outgrows linear scanning
@@ -80,7 +79,7 @@ func (a *adjacency) countPred(p ID) int {
 // indexes are dense slices keyed by the dictionary's sequential IDs
 // rather than maps: node counts are known to be dict-bounded, and
 // indexing an array by a small integer beats hashing on every one of the
-// insertions a warehouse-scale build (or snapshot decode) performs. The
+// insertions a warehouse-scale build performs. The
 // triples themselves are one pointer-free [3]ID list that the
 // per-predicate index points into, so an insertion appends 16 bytes the
 // garbage collector never scans; a Triple of Terms is built only when
@@ -148,19 +147,13 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	return g.insert([3]ID{s, p, o})
 }
 
-// insert adds an interned triple unless the graph holds it already.
+// insert adds an interned triple to every index unless the graph holds it
+// already.
 func (g *Graph) insert(t [3]ID) bool {
 	if _, dup := g.seen[t]; dup {
 		return false
 	}
 	g.seen[t] = struct{}{}
-	g.addInterned(t)
-	return true
-}
-
-// addInterned appends the already-deduplicated triple to every index. The
-// caller has interned the terms and updated seen.
-func (g *Graph) addInterned(t [3]ID) {
 	sid, pid, oid := t[0], t[1], t[2]
 	g.noteNode(sid)
 	g.out = growDense(g.out, int(sid))
@@ -175,6 +168,7 @@ func (g *Graph) addInterned(t [3]ID) {
 	g.byPred = growDense(g.byPred, int(pid))
 	g.byPred[pid] = append(g.byPred[pid], int32(len(g.triples)))
 	g.triples = append(g.triples, t)
+	return true
 }
 
 // triple builds the Terms of an interned triple.

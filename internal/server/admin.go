@@ -19,9 +19,8 @@ type SnapshotResponse struct {
 	Store soda.StoreStats `json:"store"`
 }
 
-// handleSnapshot persists the current derived state and compacts the
-// feedback WAL — the operational hook for "flush before maintenance" and
-// for pre-baking warm snapshots on a running daemon.
+// handleSnapshot persists the current durable state and compacts the
+// feedback WAL — the operational hook for "flush before maintenance".
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sys.Snapshot()
 	if err != nil {

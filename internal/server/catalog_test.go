@@ -146,6 +146,9 @@ var catalog = []struct {
 		}
 	}},
 	{"soda_cluster_peer_records_behind", "gauge", func(t *testing.T, r *catalogRun) {
+		if got := r.booted.at(t, "soda_cluster_peer_records_behind", label("peer", r.bURL)); got != -1 {
+			t.Errorf("a before b booted = %v, want -1 (no pull has answered)", got)
+		}
 		// The script waits for b to apply everything a holds.
 		if got := r.b.at(t, "soda_cluster_peer_records_behind", label("peer", r.aURL)); got != 0 {
 			t.Errorf("b behind a = %v, want 0", got)

@@ -75,7 +75,8 @@ type HealthResponse struct {
 	// "dialect" field of /search and /sql.
 	Dialects []string `json:"dialects"`
 	// Store describes the persistent state store (WAL size, snapshot,
-	// warm-start flag); absent when the daemon runs without -data-dir.
+	// whether durable state came from a snapshot); absent when the daemon
+	// runs without -data-dir.
 	Store *soda.StoreStats `json:"store,omitempty"`
 	// Cluster describes the replication state: this replica's id and
 	// applied vector, plus per-peer lag (records behind, last contact).

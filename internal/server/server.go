@@ -23,7 +23,7 @@
 //	                       fetch one saved query
 //	DELETE /admin/queries/{name}
 //	                       remove a saved query
-//	POST /admin/snapshot   persist derived state + compact the feedback WAL
+//	POST /admin/snapshot   persist durable state + compact the feedback WAL
 //	POST /admin/decommission?replica=<id>
 //	                       remove a dead peer from the feedback fold quorum
 //	GET  /cluster/pull     replication pull: feedback records beyond the

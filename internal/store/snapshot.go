@@ -1,11 +1,11 @@
 package store
 
-// Versioned binary snapshots of the expensive derived state: the inverted
-// index, the metadata graph and the feedback map with its epoch. A
-// snapshot plus the WAL tail is the system's complete durable state — on
-// open, a valid snapshot replaces the cold index/graph rebuild entirely
-// ("open the store, replay the tail" instead of "rebuild the world every
-// boot").
+// Versioned binary snapshots of the durable state: the folded feedback
+// map with its ranking epoch, the fold watermark with the per-origin
+// vector, and the saved-query library. A snapshot plus the WAL tail is the
+// system's complete durable state; the inverted index and the metadata
+// graph are derived from the world, which every boot builds, so no
+// snapshot carries them.
 //
 // Layout (little-endian):
 //
@@ -13,7 +13,7 @@ package store
 //	version  u16         — readers accept exactly snapshotVersion
 //	fingerprint u64      — structural hash of the world the snapshot
 //	                       belongs to; a mismatch (different world, config
-//	                       or schema) falls back to a cold rebuild
+//	                       or schema) boots from empty state
 //	epoch    u64         — ranking epoch of the folded feedback base
 //	appliedSeq u64       — highest local WAL sequence assigned at snapshot
 //	                       time (keeps sequences from being reused)
@@ -24,13 +24,16 @@ package store
 //	  crc32  u32 (IEEE, over the payload)
 //	  payload
 //
+// The writer emits the feedback, origins and queries sections. The reader
+// skips a section it does not know after checking its checksum, so a
+// snapshot that also carries the "invidx" and "metagraph" sections older
+// writers included opens with its durable state intact.
+//
 // Every failure mode — missing file, short file, bad magic, unknown
 // version, fingerprint mismatch, checksum mismatch, undecodable payload —
-// degrades to a cold rebuild; a snapshot can make a boot slow, never
-// wrong.
+// leaves the snapshot unused: the boot replays the WAL onto empty state.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,26 +41,19 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-
-	"soda/internal/invidx"
-	"soda/internal/metagraph"
 )
 
 const (
 	snapshotMagic = "SODASNP1"
 	// Version 2 added the replication framing: the fold watermark and the
 	// per-origin vector ("origins" section). Any other version is a
-	// foreign file: the reader rejects it and the caller rebuilds cold.
+	// foreign file: the reader rejects it.
 	snapshotVersion = uint16(2)
 
-	sectionIndex    = "invidx"
-	sectionMeta     = "metagraph"
 	sectionFeedback = "feedback"
 	sectionOrigins  = "origins"
-	// sectionQueries holds the folded saved-query library. Additive: a
-	// snapshot without it decodes to an empty library (readers that
-	// predate it skip the unknown section).
+	// sectionQueries holds the folded saved-query library. A snapshot
+	// without it decodes to an empty library.
 	sectionQueries = "queries"
 	// sectionTail holds a catch-up state's unfolded records as WAL frames;
 	// snapshots never carry it (their tail is the WAL itself).
@@ -79,54 +75,34 @@ type OriginState struct {
 	LC  uint64
 }
 
-// Snapshot is the decoded durable state. Feedback is the *folded base* —
-// the fold of every applied record at or below FoldPos in canonical
-// order; records above the watermark stay in the WAL and are replayed on
-// top at open. For a single replica the watermark is always the last
-// record and the base is the full state, exactly as before clustering.
+// Snapshot is the decoded durable state: the folded base, stamped with
+// the world it belongs to. The base is the fold of every applied record
+// at or below FoldPos in canonical order; records above the watermark
+// stay in the WAL and are replayed on top at open. For a single replica
+// the watermark is always the last record and the base is the full
+// state. Tail is unused: a snapshot's tail is the WAL.
 type Snapshot struct {
 	Fingerprint uint64
-	// Epoch is the ranking epoch of the folded base (the live epoch is
-	// the base epoch plus one per replayed WAL record).
-	Epoch uint64
 	// AppliedSeq is the highest local WAL sequence ever assigned at
 	// snapshot time; it keeps sequence numbers from being reused when the
 	// compacted log is empty.
 	AppliedSeq uint64
-	// FoldPos is the canonical fold watermark: WAL records at or below it
-	// are already folded into Feedback and are skipped on replay.
-	FoldPos Pos
-	// Origins is the folded per-origin vector (and Lamport clocks), the
-	// starting point the replayed WAL tail extends.
-	Origins  []OriginState
-	Index    *invidx.Index
-	Meta     *metagraph.Graph
-	Feedback []FeedbackEntry
-	// Queries is the folded saved-query library at FoldPos; set/delete
-	// records above the watermark replay on top, like feedback.
-	Queries []SavedQuery
+	// ReplicaState holds the folded feedback and saved queries, their
+	// ranking epoch (the live epoch is the base epoch plus one per
+	// replayed WAL record), the fold watermark and the per-origin vector
+	// the replayed WAL tail extends.
+	ReplicaState
 }
 
-// encodeSnapshot serialises snap into a byte buffer.
-func encodeSnapshot(snap *Snapshot) ([]byte, error) {
-	var idxBuf, metaBuf bytes.Buffer
-	if err := snap.Index.Encode(&idxBuf); err != nil {
-		return nil, fmt.Errorf("store: encode index: %w", err)
-	}
-	if err := snap.Meta.Encode(&metaBuf); err != nil {
-		return nil, fmt.Errorf("store: encode metagraph: %w", err)
-	}
+// encodeSnapshot serialises snap.
+func encodeSnapshot(snap *Snapshot) []byte {
 	out := []byte(snapshotMagic)
 	out = binary.LittleEndian.AppendUint16(out, snapshotVersion)
 	for _, v := range []uint64{snap.Fingerprint, snap.Epoch, snap.AppliedSeq} {
 		out = binary.LittleEndian.AppendUint64(out, v)
 	}
-	out = binary.LittleEndian.AppendUint32(out, 5) // sections
-	out = appendSection(out, sectionIndex, idxBuf.Bytes())
-	out = appendSection(out, sectionMeta, metaBuf.Bytes())
-	out = appendSection(out, sectionFeedback, encodeFeedback(snap.Feedback))
-	out = appendSection(out, sectionOrigins, encodeOrigins(snap.FoldPos, snap.Origins))
-	return appendSection(out, sectionQueries, encodeQueries(snap.Queries)), nil
+	out = binary.LittleEndian.AppendUint32(out, 3) // sections
+	return appendDurable(out, &snap.ReplicaState)
 }
 
 // decodeSnapshot parses and validates a snapshot file's bytes. wantFP is
@@ -146,79 +122,24 @@ func decodeSnapshot(data []byte, wantFP uint64) (*Snapshot, error) {
 	}
 	rest = rest[2:]
 	snap := &Snapshot{
-		Fingerprint: binary.LittleEndian.Uint64(rest[0:]),
-		Epoch:       binary.LittleEndian.Uint64(rest[8:]),
-		AppliedSeq:  binary.LittleEndian.Uint64(rest[16:]),
+		Fingerprint:  binary.LittleEndian.Uint64(rest[0:]),
+		AppliedSeq:   binary.LittleEndian.Uint64(rest[16:]),
+		ReplicaState: ReplicaState{Epoch: binary.LittleEndian.Uint64(rest[8:])},
 	}
 	if snap.Fingerprint != wantFP {
 		return nil, fmt.Errorf("world fingerprint %x does not match %x", snap.Fingerprint, wantFP)
 	}
 	nSections := binary.LittleEndian.Uint32(rest[24:])
-	rest = rest[28:]
-	if nSections > 64 {
-		return nil, fmt.Errorf("section count %d exceeds limit", nSections)
+	seen, err := decodeSections(rest[28:], &snap.ReplicaState, true)
+	if err != nil {
+		return nil, err
 	}
-	// Slice out every section first, then verify and decode the sections
-	// concurrently: the index and the metadata graph are the two expensive
-	// payloads, and decoding them in parallel bounds the warm start by the
-	// slower of the two instead of their sum.
-	sections := make([]section, 0, nSections)
-	seen := map[string]bool{}
-	for i := uint32(0); i < nSections; i++ {
-		var s section
-		var err error
-		if s, rest, err = takeSection(rest); err != nil {
-			return nil, fmt.Errorf("section %d: %w", i, err)
-		}
-		if seen[s.name] {
-			// Duplicates never come from a valid writer, and decoding two
-			// copies concurrently would race on the same Snapshot field.
-			return nil, fmt.Errorf("duplicate section %q", s.name)
-		}
-		seen[s.name] = true
-		sections = append(sections, s)
+	if len(seen) != int(nSections) {
+		return nil, fmt.Errorf("%d sections, header says %d", len(seen), nSections)
 	}
-	for _, name := range []string{sectionIndex, sectionMeta, sectionFeedback, sectionOrigins} {
+	for _, name := range []string{sectionFeedback, sectionOrigins} {
 		if !seen[name] {
 			return nil, fmt.Errorf("missing section %q", name)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(sections))
-	for i := range sections {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := sections[i]
-			err := s.verify()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			switch s.name {
-			case sectionIndex:
-				snap.Index, err = invidx.DecodeIndex(s.payload)
-			case sectionMeta:
-				snap.Meta, err = metagraph.ReadGraph(bytes.NewReader(s.payload))
-			case sectionFeedback:
-				snap.Feedback, err = decodeFeedback(s.payload)
-			case sectionOrigins:
-				snap.FoldPos, snap.Origins, err = decodeOrigins(s.payload)
-			case sectionQueries:
-				snap.Queries, err = decodeQueries(s.payload)
-			default:
-				// Unknown sections within a known version are skipped:
-				// they carry additive data a newer writer included.
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("section %q: %w", s.name, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return snap, nil
@@ -243,8 +164,7 @@ func appendSection(buf []byte, name string, payload []byte) []byte {
 }
 
 // takeSection slices the next section off b. A length the remaining input
-// cannot hold is an error, so nothing is sized from it; the checksum is
-// left to verify, which a caller may run concurrently.
+// cannot hold is an error, so nothing is sized from it.
 func takeSection(b []byte) (section, []byte, error) {
 	if len(b) == 0 || len(b) < 1+int(b[0])+12 {
 		return section{}, nil, errors.New("truncated section header")
@@ -262,43 +182,33 @@ func takeSection(b []byte) (section, []byte, error) {
 	return s, b[length:], nil
 }
 
-// verify checks the section's payload against its checksum.
-func (s section) verify() error {
-	if crc32.ChecksumIEEE(s.payload) != s.sum {
-		return fmt.Errorf("section %q checksum mismatch", s.name)
-	}
-	return nil
-}
-
-// EncodeState encodes a catch-up state as snapshot sections: the folded
-// feedback, origins (with the fold watermark) and queries, plus a "tail"
-// section holding the unfolded records as WAL frames. Epoch is not
-// encoded; it travels beside the body.
-func EncodeState(st *ReplicaState) []byte {
-	buf := appendSection(nil, sectionFeedback, encodeFeedback(st.Feedback))
+// appendDurable appends the folded state's three sections: feedback,
+// origins (with the fold watermark) and queries.
+func appendDurable(buf []byte, st *ReplicaState) []byte {
+	buf = appendSection(buf, sectionFeedback, encodeFeedback(st.Feedback))
 	buf = appendSection(buf, sectionOrigins, encodeOrigins(st.FoldPos, st.Origins))
-	buf = appendSection(buf, sectionQueries, encodeQueries(st.Queries))
-	return appendSection(buf, sectionTail, EncodeRecords(st.Tail))
+	return appendSection(buf, sectionQueries, encodeQueries(st.Queries))
 }
 
-// DecodeState decodes EncodeState's output received from a peer. Every
-// section must be present exactly once and pass its checksum and decoder,
-// and nothing may follow the last one. Epoch is left zero.
-func DecodeState(b []byte) (*ReplicaState, error) {
-	st := &ReplicaState{}
+// decodeSections decodes the sections b consists of into st and returns
+// their names. Each must pass its checksum and decoder, none may appear
+// twice, and nothing may follow the last. A name other than the durable
+// three and the tail is skipped when skipUnknown is set and an error
+// otherwise.
+func decodeSections(b []byte, st *ReplicaState, skipUnknown bool) (map[string]bool, error) {
 	seen := map[string]bool{}
 	for len(b) > 0 {
 		s, rest, err := takeSection(b)
 		if err != nil {
-			return nil, fmt.Errorf("store: state: %w", err)
+			return nil, err
 		}
 		b = rest
 		if seen[s.name] {
-			return nil, fmt.Errorf("store: state: duplicate section %q", s.name)
+			return nil, fmt.Errorf("duplicate section %q", s.name)
 		}
 		seen[s.name] = true
-		if err := s.verify(); err != nil {
-			return nil, fmt.Errorf("store: state: %w", err)
+		if crc32.ChecksumIEEE(s.payload) != s.sum {
+			return nil, fmt.Errorf("section %q checksum mismatch", s.name)
 		}
 		switch s.name {
 		case sectionFeedback:
@@ -310,11 +220,33 @@ func DecodeState(b []byte) (*ReplicaState, error) {
 		case sectionTail:
 			st.Tail, err = DecodeRecords(s.payload)
 		default:
-			err = errors.New("unknown section")
+			if !skipUnknown {
+				err = errors.New("unknown section")
+			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("store: state section %q: %w", s.name, err)
+			return nil, fmt.Errorf("section %q: %w", s.name, err)
 		}
+	}
+	return seen, nil
+}
+
+// EncodeState encodes a catch-up state as snapshot sections: the folded
+// feedback, origins (with the fold watermark) and queries, plus a "tail"
+// section holding the unfolded records as WAL frames. Epoch is not
+// encoded; it travels beside the body.
+func EncodeState(st *ReplicaState) []byte {
+	return appendSection(appendDurable(nil, st), sectionTail, EncodeRecords(st.Tail))
+}
+
+// DecodeState decodes EncodeState's output received from a peer. Every
+// section must be present exactly once and pass its checksum and decoder,
+// and nothing may follow the last one. Epoch is left zero.
+func DecodeState(b []byte) (*ReplicaState, error) {
+	st := &ReplicaState{}
+	seen, err := decodeSections(b, st, false)
+	if err != nil {
+		return nil, fmt.Errorf("store: state: %w", err)
 	}
 	for _, name := range []string{sectionFeedback, sectionOrigins, sectionQueries, sectionTail} {
 		if !seen[name] {

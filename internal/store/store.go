@@ -1,18 +1,20 @@
 // Package store is SODA's persistent state layer: an append-only feedback
-// write-ahead log plus versioned binary snapshots of the expensive derived
-// state (inverted index, metadata graph, feedback map and its ranking
-// epoch). Together they change the system's lifecycle from "rebuild the
-// world every boot" to "open the store, replay the tail": relevance
-// feedback (§6.3) survives daemon restarts — the top roadmap item — and a
-// warm boot skips the index rebuild the paper measured in hours (§5.1.2).
+// write-ahead log plus versioned binary snapshots of the durable state
+// (the folded feedback map and its ranking epoch, the replication vector,
+// the saved-query library). Together they are "open the store, replay
+// the tail": relevance feedback (§6.3) survives daemon restarts. The
+// inverted index and the metadata graph are not stored: every boot builds
+// them from the world.
 //
 // Data directory layout:
 //
 //	feedback.wal   append-only feedback log (crc-framed, fsync-batched)
 //	snapshot.soda  latest snapshot (atomic tmp+rename writes)
+//	replica-id     this directory's stable replica identity
 //
 // Corruption anywhere degrades gracefully: a torn WAL tail is truncated, a
-// stale or corrupt snapshot is ignored and the caller rebuilds cold.
+// stale or corrupt snapshot is ignored and the WAL replays onto empty
+// state.
 package store
 
 import (
@@ -157,7 +159,8 @@ func (st *Store) Dir() string { return st.dir }
 
 // LoadSnapshot reads and validates the snapshot on disk against the given
 // world fingerprint. A missing, stale or corrupt snapshot returns
-// (nil, nil): the caller rebuilds cold and the reason is kept for Stats.
+// (nil, nil): the caller starts from empty state and the reason is kept
+// for Stats.
 // Only I/O-level failures of a *valid* store return an error.
 //
 // Loading also advances the WAL's next sequence number past the
@@ -249,18 +252,6 @@ func (st *Store) ReplicaID(preferred string) (string, error) {
 	return id, nil
 }
 
-// ClearReplicaID removes a data directory's persisted replica identity.
-// Pre-baking uses it: a warm directory that will be *copied* to several
-// replicas must not clone one identity — each replica mints its own on
-// first boot. Missing identity is not an error.
-func ClearReplicaID(dir string) error {
-	err := os.Remove(filepath.Join(dir, replicaIDFileName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // ValidReplicaID rejects replica ids that would collide with the wire
 // framing (vectors are encoded as "origin:seq,origin:seq").
 func ValidReplicaID(id string) error {
@@ -324,10 +315,7 @@ func (st *Store) WriteSnapshot(snap *Snapshot) error {
 			return nil
 		}
 	}
-	data, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
+	data := encodeSnapshot(snap)
 	// The WAL must be durable up to AppliedSeq before the snapshot that
 	// claims to supersede those records lands.
 	if err := st.wal.sync(); err != nil {

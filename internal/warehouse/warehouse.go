@@ -129,8 +129,8 @@ func Build(cfg Config) *World {
 }
 
 // BuildNoIndex generates the warehouse without its inverted index, for
-// callers that load the index from a state-store snapshot instead of
-// scanning the base data (warm starts).
+// callers that build the index later, on its own goroutine (soda.World
+// builds it on first use).
 func BuildNoIndex(cfg Config) *World {
 	cfg = cfg.withDefaults()
 	w := &World{Cfg: cfg, Nodes: make(map[string]rdf.Term)}

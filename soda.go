@@ -165,9 +165,8 @@ func KnownDialect(name string) bool {
 
 // World bundles the three artefacts SODA searches: the relational base
 // data, the extended metadata graph, and the inverted index over text
-// columns. The index — the most expensive derived structure — is built
-// lazily on first use, so Open can boot from a state-store snapshot
-// without ever paying the cold scan.
+// columns. The index is built on first use, so a System can build it on
+// its own goroutine while Warm compiles the rest.
 type World struct {
 	db        *backend.DB
 	meta      *metagraph.Graph
@@ -214,8 +213,7 @@ func (w *World) Stats() metagraph.Stats { return w.meta.Stats() }
 // individuals and organizations, transactions split into financial
 // instrument and money transactions, instruments containing securities
 // through a bridge table, a financial domain ontology and a DBpedia
-// extract. The inverted index is built lazily (see World.Index), so Open
-// can restore it from a snapshot instead.
+// extract. The inverted index is built lazily (see World.Index).
 func MiniBank() *World {
 	w := minibank.BuildNoIndex(minibank.Default())
 	return &World{db: w.DB, meta: w.Meta, name: "minibank"}
@@ -313,17 +311,18 @@ func Backends() []string { return []string{"memory", "sqldb"} }
 func (s *System) Backend() string { return s.sys.Backend.Name() }
 
 // Open builds a System backed by a persistent state store in dir — the
-// production lifecycle ("open the store, replay the tail" instead of
-// "rebuild the world every boot"):
+// production lifecycle ("open the store, replay the tail"). The index
+// and the metadata graph are built as Connect builds them; dir holds only
+// durable state:
 //
-//   - A valid snapshot in dir replaces the cold inverted-index build and
-//     metadata graph, and restores the feedback map and ranking epoch.
+//   - A valid snapshot in dir restores the feedback map, the saved-query
+//     library, the ranking epoch and the replication vector.
 //   - The feedback WAL tail is replayed on top, so feedback recorded
 //     after the last snapshot is not lost; snapshots remember the last
 //     applied WAL sequence, so replay can never double-apply.
 //   - A missing, stale (format version or world mismatch) or corrupt
-//     snapshot degrades to a cold rebuild, and a fresh snapshot is
-//     written immediately so the next boot is warm.
+//     snapshot is ignored: the WAL replays onto empty state, and the next
+//     snapshot written replaces the file.
 //   - Every Feedback call from then on is WAL-logged (fsync-batched);
 //     once the log passes the compaction threshold a new snapshot is
 //     written and the log truncated.
@@ -348,17 +347,6 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	if snap != nil {
-		// Warm boot: the snapshot's derived state stands in for the cold
-		// rebuild. The base data itself is regenerated by the world
-		// builder (it is not derived state), and the fingerprint check
-		// guarantees the snapshot indexes this exact schema. The world is
-		// repointed at the snapshot's copies so the builder's metagraph
-		// becomes garbage instead of a second warehouse-scale graph
-		// pinned for the process lifetime, and World.Index never does
-		// the cold scan.
-		w.meta, w.index = snap.Meta, snap.Index
-	}
 	ex, err := newExecutor(w, opt)
 	if err != nil {
 		st.Close()
@@ -366,12 +354,6 @@ func Open(w *World, opt Options, dir string) (*System, error) {
 	}
 	cs := core.NewSystemIndexing(ex, w.meta, w.Index, opt.internal())
 	cs.SetLogger(obs.NewLogger(opt.Logf))
-	if snap == nil {
-		// A cold boot pre-bakes a snapshot, which needs the index: warm
-		// now, while the index builds, rather than after the snapshot
-		// has waited for the whole build.
-		cs.Warm()
-	}
 	if err := cs.OpenStore(st, snap, replicaID, len(opt.Peers), fp); err != nil {
 		st.Close()
 		if c, ok := ex.(io.Closer); ok {
@@ -408,8 +390,8 @@ func (s *System) Metrics() *obs.Registry { return s.sys.MetricsRegistry() }
 
 // worldFingerprint hashes the world's structure — name, table schemas,
 // row counts, metadata-graph size — so a snapshot taken over a different
-// world (or a reconfigured one) is rejected instead of serving wrong
-// postings. The hash is structural, not content-deep: regenerating the
+// world (or a reconfigured one) is rejected instead of restoring
+// feedback keyed to another world's nodes and columns. The hash is structural, not content-deep: regenerating the
 // same deterministic world yields the same fingerprint cheaply.
 func worldFingerprint(w *World) uint64 {
 	h := fnv.New64a()
@@ -445,14 +427,14 @@ func (s *System) Close() error {
 }
 
 // StoreStats re-exports the persistent-store diagnostics; WarmStart says
-// whether the System booted from a snapshot.
+// whether the System's durable state came from a snapshot.
 type StoreStats = core.StoreStats
 
 // StoreStats describes the attached state store, or nil when the System
 // was built without persistence (NewSystem).
 func (s *System) StoreStats() *StoreStats { return s.sys.StoreStats() }
 
-// Snapshot persists the current derived state and compacts the feedback
+// Snapshot persists the current durable state and compacts the feedback
 // WAL — the /admin/snapshot operation. It fails when the System has no
 // store attached.
 func (s *System) Snapshot() (*StoreStats, error) {
@@ -480,7 +462,7 @@ func (s *System) CacheStats() CacheStats { return s.sys.CacheStats() }
 // Warm builds the derived structures (the compiled schema model, the join
 // graph, the bridge tables and Step 1's label hits) so the first search
 // pays only the per-query pipeline cost. A System fresh from NewSystem,
-// Connect or a cold Open builds its inverted index meanwhile, on another
+// Connect or Open builds its inverted index meanwhile, on another
 // goroutine; Warm compiles the rest beside it and then waits for it.
 // Warm is idempotent.
 func (s *System) Warm() { s.sys.Warm() }
