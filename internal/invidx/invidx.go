@@ -70,8 +70,8 @@ type Index struct {
 	tokens int
 
 	// The lookup tables below are derived by bake at the end of Build
-	// and never change afterwards, so concurrent lookups
-	// share them without a lock.
+	// and never change afterwards, so concurrent lookups share them
+	// without a lock.
 	//
 	// hits holds the column hits of every phrase whose normalised form is
 	// a token or a stored value: for those, Hits is a map read. cells

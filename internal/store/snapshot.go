@@ -130,7 +130,7 @@ func decodeSnapshot(data []byte, wantFP uint64) (*Snapshot, error) {
 		return nil, fmt.Errorf("world fingerprint %x does not match %x", snap.Fingerprint, wantFP)
 	}
 	nSections := binary.LittleEndian.Uint32(rest[24:])
-	seen, err := decodeSections(rest[28:], &snap.ReplicaState, true)
+	seen, err := decodeSections(rest[28:], &snap.ReplicaState)
 	if err != nil {
 		return nil, err
 	}
@@ -192,10 +192,9 @@ func appendDurable(buf []byte, st *ReplicaState) []byte {
 
 // decodeSections decodes the sections b consists of into st and returns
 // their names. Each must pass its checksum and decoder, none may appear
-// twice, and nothing may follow the last. A name other than the durable
-// three and the tail is skipped when skipUnknown is set and an error
-// otherwise.
-func decodeSections(b []byte, st *ReplicaState, skipUnknown bool) (map[string]bool, error) {
+// twice, and nothing may follow the last. A section other than the
+// durable three and the tail is skipped after its checksum.
+func decodeSections(b []byte, st *ReplicaState) (map[string]bool, error) {
 	seen := map[string]bool{}
 	for len(b) > 0 {
 		s, rest, err := takeSection(b)
@@ -219,10 +218,6 @@ func decodeSections(b []byte, st *ReplicaState, skipUnknown bool) (map[string]bo
 			st.Queries, err = decodeQueries(s.payload)
 		case sectionTail:
 			st.Tail, err = DecodeRecords(s.payload)
-		default:
-			if !skipUnknown {
-				err = errors.New("unknown section")
-			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("section %q: %w", s.name, err)
@@ -241,17 +236,22 @@ func EncodeState(st *ReplicaState) []byte {
 
 // DecodeState decodes EncodeState's output received from a peer. Every
 // section must be present exactly once and pass its checksum and decoder,
-// and nothing may follow the last one. Epoch is left zero.
+// no other section may appear, and nothing may follow the last one. Epoch
+// is left zero.
 func DecodeState(b []byte) (*ReplicaState, error) {
 	st := &ReplicaState{}
-	seen, err := decodeSections(b, st, false)
+	seen, err := decodeSections(b, st)
 	if err != nil {
 		return nil, fmt.Errorf("store: state: %w", err)
 	}
-	for _, name := range []string{sectionFeedback, sectionOrigins, sectionQueries, sectionTail} {
+	want := []string{sectionFeedback, sectionOrigins, sectionQueries, sectionTail}
+	for _, name := range want {
 		if !seen[name] {
 			return nil, fmt.Errorf("store: state: missing section %q", name)
 		}
+	}
+	if len(seen) != len(want) {
+		return nil, fmt.Errorf("store: state: %d sections, want %d", len(seen), len(want))
 	}
 	return st, nil
 }
