@@ -23,10 +23,11 @@ import (
 )
 
 // backendBenchStatements are representative generated shapes: a filtered
-// join, a grouped aggregate and a top-N, written against the warehouse's
-// party/order core.
+// join, a snippet (an unfiltered join cut at 20 rows), a grouped aggregate
+// and a top-N, written against the warehouse's party/order core.
 var backendBenchStatements = []struct{ name, sql string }{
 	{"filter_join", `SELECT i.id, p.party_kind_cd FROM individual_td i, party_td p WHERE i.id = p.id AND i.salary_amt >= 1000000`},
+	{"join_limit", `SELECT o.id, c.currency_cd FROM order_td o, curr_td c WHERE o.curr_id = c.id LIMIT 20`},
 	{"group_agg", `SELECT o.curr_id, sum(o.investment_amt) FROM order_td o GROUP BY o.curr_id`},
 	{"topn", `SELECT o.party_id, sum(o.investment_amt) FROM order_td o GROUP BY o.party_id ORDER BY sum(o.investment_amt) DESC LIMIT 10`},
 }

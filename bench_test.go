@@ -211,6 +211,24 @@ func BenchmarkSearchMiniBank(b *testing.B) {
 	}
 }
 
+// BenchmarkSnippetSearch measures cold searches that execute their
+// statements for snippets, the paper's second cost: the MiniBank workload
+// queries of TestExecRowsGolden, answer cache off, so every op runs the
+// five steps and then each ranked statement with the 20-row cap.
+func BenchmarkSnippetSearch(b *testing.B) {
+	w := MiniBank()
+	sys := NewSystem(w, Options{CacheSize: -1})
+	sys.Warm()
+	queries := workload.New(w.Meta(), w.Index(), execRowsGoldenSeed).Queries(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.SearchWith(queries[i%len(queries)], SearchOptions{Snippets: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSearchWarehouse measures steady-state search latency on the
 // 472-table warehouse (the "SODA runtimes between 0.73 and 7.31 seconds"
 // scale test of Table 4 — our in-memory substrate is faster, the point is

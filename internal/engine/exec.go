@@ -46,8 +46,11 @@ func Exec(db *DB, sel *sqlast.Select) (*Result, error) {
 //
 // Rows are pulled through the joins one at a time. When the statement has
 // no ORDER BY and no aggregation, the pull stops at LIMIT: rows past it
-// are never evaluated and cannot fail the statement. A cancelled ctx ends
-// the execution with ctx.Err().
+// are never evaluated and cannot fail the statement. A hash join on one
+// column of an unfiltered relation probes that table's join index, built
+// once and shared by every statement; other hash joins index their scanned
+// rows per statement (see level). A cancelled ctx ends the execution with
+// ctx.Err().
 func ExecParams(ctx context.Context, db *DB, sel *sqlast.Select, params []Value) (*Result, error) {
 	q, err := compile(db, sel, params)
 	if err != nil {
@@ -259,7 +262,8 @@ func rowIDs(n int) []int {
 
 // joinStep attaches one relation to the joined set: by hash join on the
 // key columns when equi-join conjuncts connect it, by cross product when
-// none does (no keys).
+// none does (no keys). Which index a hash step probes, the table's or one
+// built for the statement, is level's choice; the plan is the same.
 type joinStep struct {
 	rel          int
 	probe, build []colLoc      // pairwise: key column in the joined set, in rel
@@ -388,7 +392,7 @@ func (q *stmt) pull(ctx context.Context, sink func(tuple) (done bool, err error)
 	return err
 }
 
-// level is one step of the walk. A hash step indexes the step relation's
+// level is one step of the walk. A hash step chains the step relation's
 // scanned rows by their key: head maps a key to 1 + the first position in
 // rel.rows holding it, and next maps each position to 1 + the following
 // one, 0 ending the chain. A level without keys visits every scanned row.
@@ -399,24 +403,44 @@ type level struct {
 	next  []int32
 }
 
-// level builds the hash index of a join step; a cross step needs none.
+// level gives a join step its chains; a cross step needs none. A step on
+// one key column of a relation whose scan kept every row takes them from
+// the table's join index, since there positions are row numbers; pull
+// stops a chain at len(rel.rows), so rows the index covers beyond the
+// scan stay unseen. Any other hash step indexes its scanned rows here,
+// for this statement only.
 func (q *stmt) level(st joinStep) level {
 	lv := level{rel: st.rel, probe: st.probe}
 	if st.cross() {
 		return lv
 	}
-	rows := q.rels[st.rel].rows
-	lv.head, lv.next = make(map[joinKey]int32, len(rows)), make([]int32, len(rows))
+	rel := &q.rels[st.rel]
+	rows := rel.rows
+	if len(rel.filters) == 0 && len(st.build) == 1 {
+		ix := rel.tbl.joinIndex(st.build[0].col, len(rows))
+		lv.head, lv.next = ix.head, ix.next
+		return lv
+	}
 	probe := q.blankTuple()
-	// Linking back to front leaves every chain in scanned-row order.
-	for i := len(rows) - 1; i >= 0; i-- {
+	lv.head, lv.next = chains(len(rows), func(i int) (joinKey, bool) {
 		probe[st.rel] = rows[i]
-		if k, ok := q.joinKey(probe, st.build); ok {
-			lv.next[i] = lv.head[k]
-			lv.head[k] = int32(i) + 1
+		return q.joinKey(probe, st.build)
+	})
+	return lv
+}
+
+// chains links positions 0..n-1 by their keys into head and next as level
+// describes them; a position without a key (a NULL) is on no chain.
+// Linking back to front leaves every chain in position order.
+func chains(n int, key func(i int) (joinKey, bool)) (head map[joinKey]int32, next []int32) {
+	head, next = make(map[joinKey]int32, n), make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		if k, ok := key(i); ok {
+			next[i] = head[k]
+			head[k] = int32(i) + 1
 		}
 	}
-	return lv
+	return head, next
 }
 
 // joinKey is a hash-join key. Two keys are equal exactly when the Value.Key

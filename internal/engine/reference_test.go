@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"soda/internal/sqlast"
@@ -409,12 +410,26 @@ func randomSelect(rng *rand.Rand) string {
 	return sql
 }
 
+// growWorld appends rows to every table of a randomWorld, among them rows
+// that join rows already there and rows with NULL keys, so a join index
+// built before the appends no longer covers the table.
+func growWorld(db *DB) {
+	db.Table("p").Insert(Int(1), Str("g2"))
+	db.Table("p").Insert(Int(50), Null())
+	db.Table("c").Insert(Int(1), Int(1), Float(55))
+	db.Table("c").Insert(Int(51), Int(50), Null())
+	db.Table("c").Insert(Int(52), Null(), Float(1))
+	db.Table("o").Insert(Int(1), Int(1), Str("t0"))
+	db.Table("o").Insert(Int(52), Int(50), Str("t1"))
+}
+
 // TestDifferentialRandomWorlds: on random worlds, random statements under
 // LIMIT 0, 1, 3 and none return the reference executor's rows in its order
-// and its errors.
+// and its errors. Each statement runs three times: on a fresh world, whose
+// join indexes it builds; again, reusing them; and after growWorld, which
+// leaves them stale.
 func TestDifferentialRandomWorlds(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		db := randomWorld(seed)
 		rng := rand.New(rand.NewSource(seed))
 		for n := 0; n < 6; n++ {
 			base := randomSelect(rng)
@@ -424,10 +439,67 @@ func TestDifferentialRandomWorlds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse %q: %v", sql, err)
 				}
-				if d := diffExec(db, sel); d != "" {
-					t.Errorf("seed %d: %s\n  %s", seed, sql, d)
+				db := randomWorld(seed)
+				for _, run := range []string{"fresh", "reused", "grown"} {
+					if run == "grown" {
+						growWorld(db)
+					}
+					if d := diffExec(db, sel); d != "" {
+						t.Errorf("seed %d, %s: %s\n  %s", seed, run, sql, d)
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestConcurrentFirstJoin: goroutines that run the same joins at once on
+// a fresh world race to build its join indexes, and every one of them
+// returns the reference executor's rows.
+func TestConcurrentFirstJoin(t *testing.T) {
+	const workers = 8
+	var sels []*sqlast.Select
+	for _, sql := range []string{
+		"SELECT p.id, c.id, c.v FROM p, c WHERE c.pid = p.id",
+		"SELECT * FROM p, c, o WHERE c.pid = p.id AND o.pid = p.id LIMIT 20",
+		"SELECT c.id, o.tag FROM c, o WHERE c.v = o.pid",
+	} {
+		sel, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		sels = append(sels, sel)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		db := bigWorld(seed)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for j := range sels {
+					sel := sels[(j+w)%len(sels)]
+					if d := diffExec(db, sel); d != "" {
+						t.Errorf("seed %d: %s\n  %s", seed, sel.Render(sqlast.Generic), d)
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// bigWorld is randomWorld with a few hundred more joining rows in c and o,
+// so a join index build takes long enough for the workers to overlap.
+func bigWorld(seed int64) *DB {
+	db := randomWorld(seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 100; i < 400; i++ {
+		db.Table("c").Insert(Int(int64(i)), Int(int64(rng.Intn(9))), Float(float64(rng.Intn(10))))
+		db.Table("o").Insert(Int(int64(i)), Int(int64(rng.Intn(9))), Str(fmt.Sprintf("t%d", i%3)))
+	}
+	return db
 }

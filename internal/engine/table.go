@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Column describes one column of a table.
@@ -12,17 +14,60 @@ type Column struct {
 }
 
 // Table is an in-memory relation. Rows are dense slices aligned with Cols.
+// Rows change only through Insert, which appends: the join indexes rely on
+// it, since an index over the first n rows stays right while n stays put.
 type Table struct {
 	Name   string
 	Cols   []Column
 	Rows   [][]Value
 	byName map[string]int
+
+	joinMu sync.Mutex                  // serialises join index builds
+	joins  []atomic.Pointer[joinIndex] // per column, built on first probe
+}
+
+// joinIndex chains the first len(next) rows of a table by one column's
+// join key: head maps a key to 1 + the first row holding it, and next maps
+// each row to 1 + the following one, 0 ending the chain. Chains run in row
+// order and NULLs, which never equi-join, are on none.
+type joinIndex struct {
+	head map[joinKey]int32
+	next []int32
+}
+
+// joinIndex returns the join index of column col over at least the first
+// n rows. It is built the first time a hash join probes the column, and
+// again once Insert has appended rows past the ones it covers; concurrent
+// callers share one build.
+func (t *Table) joinIndex(col, n int) *joinIndex {
+	if ix := t.joins[col].Load(); ix != nil && len(ix.next) >= n {
+		return ix
+	}
+	t.joinMu.Lock()
+	defer t.joinMu.Unlock()
+	if ix := t.joins[col].Load(); ix != nil && len(ix.next) >= n {
+		return ix
+	}
+	rows := t.Rows
+	ix := new(joinIndex)
+	ix.head, ix.next = chains(len(rows), func(i int) (joinKey, bool) {
+		if v := rows[i][col]; !v.IsNull() {
+			return keyOf(v), true
+		}
+		return joinKey{}, false
+	})
+	t.joins[col].Store(ix)
+	return ix
 }
 
 // NewTable returns an empty table with the given columns. Column names are
 // stored lower-cased; SQL identifiers in this engine are case-insensitive.
 func NewTable(name string, cols ...Column) *Table {
-	t := &Table{Name: strings.ToLower(name), byName: make(map[string]int, len(cols))}
+	t := &Table{
+		Name:   strings.ToLower(name),
+		byName: make(map[string]int, len(cols)),
+		joins:  make([]atomic.Pointer[joinIndex], len(cols)),
+	}
 	for _, c := range cols {
 		c.Name = strings.ToLower(c.Name)
 		if _, dup := t.byName[c.Name]; dup {
@@ -42,8 +87,9 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
-// Insert appends a row. The row length must match the column count; values
-// are checked for kind compatibility (NULL is always allowed).
+// Insert appends a row; it is the only way rows change. The row length
+// must match the column count; values are checked for kind compatibility
+// (NULL is always allowed).
 func (t *Table) Insert(row ...Value) {
 	if len(row) != len(t.Cols) {
 		panic(fmt.Sprintf("engine: %s: inserting %d values into %d columns", t.Name, len(row), len(t.Cols)))
