@@ -22,7 +22,8 @@ import (
 // search before the feedback is applied, so it lands on the entry points
 // of the statement the user actually saw. An error is returned when the
 // statement no longer appears in the answer, or when persisting the
-// feedback to the state store fails.
+// feedback to the state store fails, and ErrNoEntryPoints when the result
+// has no entry point to adjust.
 func (r *Result) Like() error { return r.feedback(true) }
 
 // Dislike records negative relevance feedback on a result. See Like for
@@ -64,6 +65,12 @@ func (r *Result) feedback(like bool) error {
 // With a state store attached the reset is WAL-logged so it also survives
 // restarts.
 func (s *System) ResetFeedback() error { return s.sys.ResetFeedback() }
+
+// ErrNoEntryPoints reports feedback on a result no keyword entry point
+// produced — an approved saved query, or an aggregate over no keyword. A
+// like or dislike adjusts entry-point scores, so on such a result it
+// would change nothing; it is refused and nothing is recorded.
+var ErrNoEntryPoints = core.ErrNoEntryPoints
 
 // StaleFeedbackError reports feedback on a result whose ranking epoch has
 // moved on and whose statement could not be re-resolved in the fresh

@@ -269,6 +269,10 @@ type Analysis struct {
 	// Epoch is the ranking epoch the analysis was computed under (the
 	// same value stamped on every solution).
 	Epoch uint64
+	// ranking is the ranking the analysis is computed under, loaded once
+	// by the search: Step 1 scores and approvedStep matches with it. The
+	// search clears it once approvedStep is done.
+	ranking *ranking
 
 	// StepAllocs is the number of heap allocations each step performed,
 	// keyed by step name ("lookup" ... "sqlgen", "snippet"). Only set

@@ -78,7 +78,7 @@ func BenchmarkLookupStep(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc.sys.lookup(&Analysis{Query: qs[i%len(qs)]})
+			bc.sys.lookup(&Analysis{Query: qs[i%len(qs)], ranking: bc.sys.ranking.Load()})
 		}
 	})
 }

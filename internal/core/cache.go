@@ -192,5 +192,5 @@ func (s *System) CacheStats() CacheStats {
 	if s.cache == nil {
 		return CacheStats{}
 	}
-	return s.cache.stats(s.ranking.epoch.Load())
+	return s.cache.stats(s.ranking.Load().epoch)
 }

@@ -14,14 +14,13 @@ package core
 // therefore byte-identical /search responses), no matter in which order
 // the network delivered them.
 //
-// Two types hold this state, each behind its own lock. The replica (this
-// file) owns the durable, replicated side: the store handle, the folded
-// base (persisted by snapshots), the canonical tail of unfolded records
-// and the per-origin cursors. The ranking (feedback.go) owns the live
-// maps the pipeline reads — the fold of base+tail — and the epoch. The
-// lock order is replica → ranking: every writer logs under the replica's
-// lock and then applies under the ranking's, so no search waits on
-// store.Append.
+// Two types hold this state. The replica (this file), behind its lock,
+// owns the durable, replicated side: the store handle, the folded base
+// (persisted by snapshots), the canonical tail of unfolded records and
+// the per-origin cursors. The ranking (feedback.go) is the immutable
+// value the pipeline reads — the live maps, the fold of base+tail, and
+// the epoch. Every writer logs under the replica's lock and then
+// publishes the next ranking, so no search waits on store.Append.
 //
 // Local writes always extend the order at the end (their LC exceeds
 // everything seen), so they apply incrementally; a pulled record that
@@ -139,8 +138,8 @@ func (s *System) NoteOriginClock(origin string, lc uint64) {
 // sequence for this batch (the next pull refills it). Every applied
 // record bumps the ranking epoch, so cached answers and in-flight
 // solutions go stale exactly as they do for local feedback. The batch
-// reaches the ranking in one write, after every append: a search sees all
-// of it or none.
+// reaches the ranking in one publish, after every append: a search sees
+// all of it or none.
 func (s *System) ApplyRemote(recs []store.Record) (int, error) {
 	r := &s.rep
 	r.mu.Lock()
@@ -156,10 +155,9 @@ func (s *System) ApplyRemote(recs []store.Record) (int, error) {
 		// cloning the base plus replaying the whole tail for each record
 		// would be O(batch × tail) work.
 		if refold {
-			fb, qs := r.refold()
-			s.ranking.set(fb, qs, s.ranking.epoch.Load()+uint64(len(applied)))
+			s.ranking.Store(r.refold(s.ranking.Load().epoch + uint64(len(applied))))
 		} else if len(applied) > 0 {
-			s.ranking.apply(applied...)
+			s.ranking.Store(s.ranking.Load().next(applied...))
 		}
 		if len(applied) > 0 {
 			s.maybeCompactLocked()
@@ -309,8 +307,7 @@ func (s *System) AdoptState(cs *store.ReplicaState) error {
 	}
 	// The epoch only ever moves forward: solutions and cached answers
 	// stamped before the adoption must come out stale.
-	fb, qs := r.refold()
-	s.ranking.set(fb, qs, s.ranking.epoch.Load()+1)
+	s.ranking.Store(r.refold(s.ranking.Load().epoch + 1))
 	// Make the adoption durable: the old WAL records are superseded by
 	// the adopted base; a crash before this snapshot would boot from the
 	// pre-adoption state and simply catch up again. The snapshot value is

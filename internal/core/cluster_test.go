@@ -200,8 +200,8 @@ func TestReplayDeterminismInterleavedRemote(t *testing.T) {
 	sys3 := openReplica(t, dir, "a", 1, Options{})
 	assertSameVector(t, wantVec, sys3.AppliedVector(), "cold replayed vector")
 	assertSameRankings(t, want, rankingsOf(t, sys3), "cold interleaved replay")
-	if sys3.ranking.epoch.Load() != sys2.ranking.epoch.Load() {
-		t.Fatalf("replayed epochs differ: %d vs %d", sys3.ranking.epoch.Load(), sys2.ranking.epoch.Load())
+	if sys3.ranking.Load().epoch != sys2.ranking.Load().epoch {
+		t.Fatalf("replayed epochs differ: %d vs %d", sys3.ranking.Load().epoch, sys2.ranking.Load().epoch)
 	}
 }
 

@@ -48,13 +48,6 @@ type Options struct {
 	// ranking, protecting against adversarial inputs.
 	MaxSolutions int
 
-	// MaxPathLen bounds the join-path search between entry points, in
-	// edges; 0 means unbounded. The paper's §5.3.1 discusses the
-	// trade-off: without a bound "far-fetching" paths connect entities
-	// that are too far apart and flood the ranking, with a tight bound
-	// "we might not be able to find a join path between two entities".
-	MaxPathLen int
-
 	// Parallelism is the worker-pool width for snippet execution, the one
 	// per-solution step that runs a backend statement. 0 means
 	// GOMAXPROCS; 1 runs the snippets sequentially. Steps 1-5 always run
@@ -144,16 +137,17 @@ func (o Options) withDefaults() Options {
 //     closure, the bridge tables). It is only read afterwards, without a
 //     lock.
 //   - The ranking (feedback.go): the live feedback map, the saved-query
-//     library and the epoch — all that Step 2, approvedStep and the
-//     answer cache read of what changes at run time.
+//     library and the epoch — all that Step 1, approvedStep and the
+//     answer cache read of what changes at run time — as one immutable
+//     value behind an atomic pointer.
 //   - The replica (cluster.go): the store, compaction and the replication
 //     cursors, behind the one lock that serialises every writer.
 //
-// The lock order is replica → ranking. A write logs its record under the
-// replica's lock, then applies it under the ranking's; a search takes only
-// the ranking's read lock, once in Step 1 and once in approvedStep, so it
-// never waits on a WAL append. The answer cache and the instruments
-// synchronise themselves.
+// A write logs its record under the replica's lock and then publishes
+// the next ranking. A search loads the ranking once and takes no lock on
+// it, so it never waits on a WAL append and scores its whole answer under
+// one ranking. The answer cache and the instruments synchronise
+// themselves.
 type System struct {
 	// Backend executes the generated SQL. The pipeline itself never
 	// touches a database representation: snippet execution, Execute and
@@ -167,11 +161,9 @@ type System struct {
 
 	matcher *pattern.Matcher
 
-	// The inverted index, read through Index. NewSystemIndexing stores it
-	// from a build running on its own goroutine and then closes
-	// indexReady; NewSystem stores it up front.
-	index      atomic.Pointer[invidx.Index]
-	indexReady chan struct{}
+	// index returns the inverted index, read through Index: the given one
+	// (NewSystem), or the build NewSystemIndexing started, waiting for it.
+	index func() *invidx.Index
 
 	// Derived structures, built once by Warm (or on first use) and
 	// read-only afterwards: the compiled schema model (model.go), which
@@ -182,7 +174,8 @@ type System struct {
 	bridgeMemo  []bridgeRel
 	bridgeIDs   []discoveredBridge
 
-	ranking ranking
+	// ranking is the published ranking (feedback.go), never nil.
+	ranking atomic.Pointer[ranking]
 	rep     replica
 
 	cache *answerCache
@@ -200,8 +193,7 @@ type System struct {
 // It matches the metagraph default patterns (metagraph.Patterns).
 func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, opt Options) *System {
 	s := newSystem(be, meta, opt)
-	s.index.Store(idx)
-	close(s.indexReady)
+	s.index = func() *invidx.Index { return idx }
 	return s
 }
 
@@ -214,21 +206,18 @@ func NewSystem(be backend.Executor, meta *metagraph.Graph, idx *invidx.Index, op
 // The goroutine ends when build returns; nothing cancels it.
 func NewSystemIndexing(be backend.Executor, meta *metagraph.Graph, build func() *invidx.Index, opt Options) *System {
 	s := newSystem(be, meta, opt)
-	go func() {
-		s.index.Store(build())
-		close(s.indexReady)
-	}()
+	s.index = sync.OnceValue(build)
+	go s.index()
 	return s
 }
 
 func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System {
 	reg := metagraph.Patterns()
 	s := &System{
-		Backend:    be,
-		Meta:       meta,
-		Reg:        reg,
-		Opt:        opt.withDefaults(),
-		indexReady: make(chan struct{}),
+		Backend: be,
+		Meta:    meta,
+		Reg:     reg,
+		Opt:     opt.withDefaults(),
 		rep: replica{
 			replicaID:      "local",
 			vector:         make(store.Vector),
@@ -241,6 +230,7 @@ func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System 
 			now:            time.Now,
 		},
 	}
+	s.ranking.Store(&ranking{})
 	s.matcher = pattern.NewMatcher(meta.G, reg)
 	if s.Opt.CacheSize > 0 {
 		s.cache = newAnswerCache(s.Opt.CacheSize)
@@ -254,11 +244,7 @@ func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System 
 // Index returns the inverted index, waiting for its build when the System
 // came from NewSystemIndexing and the build has not finished.
 func (s *System) Index() *invidx.Index {
-	if idx := s.index.Load(); idx != nil {
-		return idx
-	}
-	<-s.indexReady
-	return s.index.Load()
+	return s.index()
 }
 
 // Warm builds the derived structures: the compiled schema model with
@@ -316,22 +302,28 @@ func (s *System) SearchWith(input string, so SearchOptions) (*Analysis, error) {
 // whose context is cancelled or past its deadline returns ctx.Err() and
 // caches nothing.
 func (s *System) SearchWithContext(ctx context.Context, input string, so SearchOptions) (*Analysis, error) {
+	return s.search(ctx, input, so, s.ranking.Load())
+}
+
+// search is SearchWithContext under the ranking rk, the caller's one load
+// of it: the cache probe, Step 1's scores, the saved-query merge and every
+// solution's epoch read this value.
+func (s *System) search(ctx context.Context, input string, so SearchOptions, rk *ranking) (*Analysis, error) {
 	q, err := queryparse.Parse(input)
 	if err != nil {
 		return nil, err
 	}
 	dialect := s.searchDialect(so)
 	canonical := q.String()
-	epoch := s.ranking.epoch.Load()
 	if s.cache != nil {
-		if a, _ := s.cacheLookup(canonical, so, epoch); a != nil {
+		if a, _ := s.cacheLookup(canonical, so, rk.epoch); a != nil {
 			s.cache.hits.Add(1)
 			return a, nil
 		}
 		s.cache.misses.Add(1)
 	}
 
-	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, Epoch: epoch}
+	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, Epoch: rk.epoch, ranking: rk}
 	if so.CountAllocs {
 		a.StepAllocs = make(map[string]uint64, 6)
 	}
@@ -381,8 +373,11 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 
 	// Saved-query library: merge matching pre-approved statements into
 	// the ranked solutions before snippets run, so an approved answer
-	// gets its rows like any generated one.
-	s.approvedStep(a, epoch)
+	// gets its rows like any generated one. Nothing reads the ranking
+	// after it, and a cached analysis must not keep a superseded
+	// ranking's maps alive.
+	s.approvedStep(a)
+	a.ranking = nil
 
 	if so.Snippets {
 		// Snippet execution is a backend run per solution, tens of

@@ -546,28 +546,6 @@ func TestMaxSolutionsCap(t *testing.T) {
 	}
 }
 
-func TestMaxPathLenFarFetchingBound(t *testing.T) {
-	// "customers financial instruments" needs a 3-edge path through the
-	// transaction tables; bounding the search below that disconnects the
-	// entry points (§5.3.1: "we might not be able to find a join path
-	// between two entities which are too far apart").
-	bounded := newSys(t, Options{MaxPathLen: 2})
-	a := search(t, bounded, "customers financial instruments")
-	if !best(t, a).Disconnected {
-		t.Fatal("path bound 2 should disconnect customers from instruments")
-	}
-	unbounded := newSys(t, Options{})
-	a = search(t, unbounded, "customers financial instruments")
-	if best(t, a).Disconnected {
-		t.Fatal("unbounded search should connect them")
-	}
-	generous := newSys(t, Options{MaxPathLen: 4})
-	a = search(t, generous, "customers financial instruments")
-	if best(t, a).Disconnected {
-		t.Fatal("bound 4 is enough for the 3-edge path")
-	}
-}
-
 // --- Per-step allocation counts ----------------------------------------
 
 // TestCountAllocsFillsEveryStep pins what benchmark/ledger.go reads: with

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"maps"
 
 	"soda/internal/rdf"
 	"soda/internal/store"
@@ -19,9 +19,9 @@ import (
 //
 // Every local write — a like or dislike, a reset, a saved-query change —
 // is one store.Record. With a persistent store attached (OpenStore) the
-// replica appends it to the write-ahead log before the ranking applies it,
-// so the accumulated adjustments survive daemon restarts; replay, pulled
-// records and re-folds apply records through the same fold
+// replica appends it to the write-ahead log before the ranking it makes is
+// published, so the accumulated adjustments survive daemon restarts;
+// replay, pulled records and re-folds apply records through the same fold
 // (applyRecordTo, applyQueryRecordTo).
 
 // feedbackStep is the score adjustment per like/dislike on one entry
@@ -84,61 +84,68 @@ func (e *StaleSolutionError) Error() string {
 // checks. The live maps are the fold of the replica's folded base and its
 // unfolded tail, in canonical record order (cluster.go).
 //
-// mu guards the two maps and nothing else. They change only under both
-// the replica's lock and mu's write lock, so a writer, which already holds
-// the replica's lock, reads them without mu. A search holds the read lock
-// across Step 1's probes and again in approvedStep, so it sees a write
-// entirely or not at all. epoch counts applied changes — cached answers
-// and solutions from older epochs are stale — and is atomic, so the cache
-// probe takes no lock.
+// A ranking is immutable once published through System.ranking. A search
+// loads it once and reads every score, saved query and epoch of its
+// answer from that one value, so the answer is the product of one state
+// and takes no lock. Writers, serialised by the replica's lock, publish
+// a successor built by next or a fresh fold. epoch counts applied
+// changes: cached answers and solutions from older epochs are stale.
 type ranking struct {
-	mu       sync.RWMutex
 	feedback map[feedbackKey]float64
 	queries  map[string]*savedQueryEntry
-	epoch    atomic.Uint64
+	epoch    uint64
 }
 
-// apply folds recs, in order, into the live maps and advances the epoch by
-// one per record, under one write lock.
-func (rk *ranking) apply(recs ...store.Record) {
-	rk.mu.Lock()
-	defer rk.mu.Unlock()
+// next returns the ranking after recs, folded in order, with the epoch
+// advanced by one per record. It copies only the maps the records change,
+// so the published value, which searches may still be reading, stays as
+// it is.
+func (rk *ranking) next(recs ...store.Record) *ranking {
+	n := &ranking{feedback: rk.feedback, queries: rk.queries, epoch: rk.epoch + uint64(len(recs))}
+	var ownFeedback, ownQueries bool
 	for _, rec := range recs {
-		rk.feedback = applyRecordTo(rk.feedback, rec)
-		rk.queries = applyQueryRecordTo(rk.queries, rec)
+		switch rec.Op {
+		case store.OpLike, store.OpDislike:
+			if !ownFeedback {
+				n.feedback, ownFeedback = maps.Clone(n.feedback), true
+			}
+		case store.OpSetQuery, store.OpDelQuery:
+			if !ownQueries {
+				n.queries, ownQueries = maps.Clone(n.queries), true
+			}
+		}
+		n.feedback = applyRecordTo(n.feedback, rec)
+		n.queries = applyQueryRecordTo(n.queries, rec)
 	}
-	rk.epoch.Add(uint64(len(recs)))
+	return n
 }
 
-// set replaces the live maps with a fresh fold (replica.refold) and moves
-// the epoch to epoch.
-func (rk *ranking) set(fb map[feedbackKey]float64, qs map[string]*savedQueryEntry, epoch uint64) {
-	rk.mu.Lock()
-	defer rk.mu.Unlock()
-	rk.feedback, rk.queries = fb, qs
-	rk.epoch.Store(epoch)
-}
-
-// adjustmentLocked returns the accumulated adjustment for an entry point
-// (0 when no feedback was given). The caller holds mu; the lookup step
-// holds the read lock across all terms.
-func (rk *ranking) adjustmentLocked(e EntryPoint) float64 {
-	if rk.feedback == nil {
-		return 0
-	}
+// adjustment returns the accumulated adjustment for an entry point (0
+// when no feedback was given).
+func (rk *ranking) adjustment(e EntryPoint) float64 {
 	return rk.feedback[keyOf(e)]
 }
+
+// ErrNoEntryPoints reports feedback on a solution no entry point produced:
+// a saved-query answer, or an aggregate over no keyword. A like or dislike
+// adjusts entry-point scores, so on such a solution it could change no
+// score; Feedback writes nothing for it.
+var ErrNoEntryPoints = errors.New("core: feedback on a solution without entry points changes no score")
 
 // Feedback records a like (true) or dislike (false) for every entry point
 // of the solution. Each accepted call bumps the ranking epoch,
 // invalidating every cached answer: the feedback must be observable on the
 // very next search. A solution from an older epoch is rejected with
 // *StaleSolutionError instead of being silently applied against a ranking
-// function it was never scored by.
+// function it was never scored by, and one without entry points with
+// ErrNoEntryPoints.
 func (s *System) Feedback(sol *Solution, like bool) error {
+	if len(sol.Entries) == 0 {
+		return ErrNoEntryPoints
+	}
 	s.rep.mu.Lock()
 	defer s.rep.mu.Unlock()
-	if cur := s.ranking.epoch.Load(); sol.Epoch != cur {
+	if cur := s.ranking.Load().epoch; sol.Epoch != cur {
 		return &StaleSolutionError{SolutionEpoch: sol.Epoch, CurrentEpoch: cur}
 	}
 	rec := store.Record{Op: store.OpDislike, Keys: make([]store.Key, len(sol.Entries))}
@@ -169,9 +176,10 @@ func (s *System) ResetFeedback() error {
 // commitLocked makes one local write. With a store attached the replica
 // stamps rec with the next identity and Lamport clock — so it extends the
 // canonical order at the end and applies incrementally — appends it to
-// the WAL and adds it to the replication tail. The ranking then applies
-// it and bumps the epoch, and the log is compacted when due. Without a
-// store the write applies in memory only. The caller holds rep.mu.
+// the WAL and adds it to the replication tail. The next ranking, with the
+// epoch bumped, is then published, and the log is compacted when due.
+// Without a store the write applies in memory only. The caller holds
+// rep.mu.
 func (s *System) commitLocked(rec store.Record) error {
 	if r := &s.rep; r.store != nil {
 		rec.Origin, rec.OriginSeq, rec.LC = r.replicaID, r.vector[r.replicaID]+1, r.lamport+1
@@ -183,7 +191,7 @@ func (s *System) commitLocked(rec store.Record) error {
 		r.noteAppliedLocked(stored)
 		rec = stored
 	}
-	s.ranking.apply(rec)
+	s.ranking.Store(s.ranking.Load().next(rec))
 	s.maybeCompactLocked()
 	return nil
 }

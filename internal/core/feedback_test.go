@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"soda/internal/backend/memory"
@@ -120,17 +122,18 @@ func TestFeedbackResetAndSummary(t *testing.T) {
 	if err := sys.Feedback(sol, true); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.ranking.feedback) == 0 {
+	fb := sys.ranking.Load().feedback
+	if len(fb) == 0 {
 		t.Fatal("feedback should record adjustments")
 	}
 	city := feedbackKey{column: ColRef{Table: "addresses", Column: "city"}}
-	if sys.ranking.feedback[city] == 0 {
-		t.Fatalf("base-data adjustment missing: %v", sys.ranking.feedback)
+	if fb[city] == 0 {
+		t.Fatalf("base-data adjustment missing: %v", fb)
 	}
 	if err := sys.ResetFeedback(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.ranking.feedback) != 0 {
+	if len(sys.ranking.Load().feedback) != 0 {
 		t.Fatal("reset should clear feedback")
 	}
 	if adjustment(sys, sol.Entries[0]) != 0 {
@@ -209,9 +212,174 @@ func TestBrowseUnknownTable(t *testing.T) {
 }
 
 // adjustment reads the live adjustment for an entry point the way Step 1
-// does, under the ranking's read lock.
+// does, from the published ranking.
 func adjustment(sys *System, e EntryPoint) float64 {
-	sys.ranking.mu.RLock()
-	defer sys.ranking.mu.RUnlock()
-	return sys.ranking.adjustmentLocked(e)
+	return sys.ranking.Load().adjustment(e)
+}
+
+// TestFeedbackWithoutEntryPointsWritesNothing: a saved-query answer and a
+// keyword-less aggregate carry no entry point, so a like or dislike on one
+// could change no score. It is refused with ErrNoEntryPoints before
+// anything is logged: no WAL record, no epoch bump, no emptied cache.
+func TestFeedbackWithoutEntryPointsWritesNothing(t *testing.T) {
+	sys := openReplica(t, t.TempDir(), "", 0, Options{})
+	defer sys.Close()
+	if err := sys.RegisterQuery(bigEarners()); err != nil {
+		t.Fatal(err)
+	}
+	var approved *Solution
+	for _, sol := range search(t, sys, "big earners").Solutions {
+		if sol.Approved {
+			approved = sol
+		}
+	}
+	if approved == nil {
+		t.Fatal("saved query not in the answer")
+	}
+	aggregate := best(t, search(t, sys, "count ()"))
+	epoch, records, entries := sys.ranking.Load().epoch, sys.StoreStats().WALRecords, sys.CacheStats().Entries
+	for _, sol := range []*Solution{approved, aggregate} {
+		if len(sol.Entries) != 0 {
+			t.Fatalf("solution %q has entry points %v", sol.SQLText(), sol.Entries)
+		}
+		for _, like := range []bool{true, false} {
+			if err := sys.Feedback(sol, like); !errors.Is(err, ErrNoEntryPoints) {
+				t.Fatalf("Feedback(%q, %v) = %v, want ErrNoEntryPoints", sol.SQLText(), like, err)
+			}
+		}
+	}
+	if got := sys.ranking.Load().epoch; got != epoch {
+		t.Errorf("epoch moved %d -> %d", epoch, got)
+	}
+	if got := sys.StoreStats().WALRecords; got != records {
+		t.Errorf("WAL records %d -> %d", records, got)
+	}
+	if got := sys.CacheStats().Entries; got != entries || entries == 0 {
+		t.Errorf("cache entries %d -> %d", entries, got)
+	}
+	if fb := sys.ranking.Load().feedback; len(fb) != 0 {
+		t.Errorf("feedback map %v, want empty", fb)
+	}
+}
+
+// TestFeedbackSearchSeesOneRanking: every cold search is scored under the
+// one ranking its Epoch names. One writer cycles like, register, dislike,
+// delete while two readers search with the cache off; every candidate's
+// score must be its layer score plus the adjustment at the analysis's
+// epoch, every solution must carry that epoch, and the saved query must
+// be merged in exactly when the library at that epoch holds it.
+func TestFeedbackSearchSeesOneRanking(t *testing.T) {
+	const (
+		q        = "big earners customers"
+		readers  = 2
+		searches = 300
+	)
+	sys := newSys(t, Options{CacheSize: -1, Parallelism: 1})
+	// history holds the ranking published at each epoch. Only the writer
+	// publishes, so after each of its writes the loaded ranking is the one
+	// that write made.
+	history := map[uint64]*ranking{}
+	record := func() {
+		rk := sys.ranking.Load()
+		history[rk.epoch] = rk
+	}
+	record()
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	writeErr := make(chan error, 1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !done.Load(); i++ {
+			var err error
+			switch i % 4 {
+			case 0, 2:
+				var a *Analysis
+				if a, err = sys.Search(q); err != nil {
+					break
+				}
+				for _, sol := range a.Solutions {
+					if !sol.Approved {
+						err = sys.Feedback(sol, i%4 == 0)
+						break
+					}
+				}
+			case 1:
+				err = sys.RegisterQuery(bigEarners())
+			case 3:
+				err = sys.DeleteQuery("big earners")
+			}
+			if err != nil {
+				writeErr <- err
+				return
+			}
+			record()
+		}
+	}()
+
+	analyses := make([][]*Analysis, readers)
+	var rg sync.WaitGroup
+	for r := range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for range searches {
+				a, err := sys.Search(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				analyses[r] = append(analyses[r], a)
+			}
+		}()
+	}
+	rg.Wait()
+	done.Store(true)
+	wg.Wait()
+	select {
+	case err := <-writeErr:
+		t.Fatal(err)
+	default:
+	}
+
+	torn, total := 0, 0
+	for _, as := range analyses {
+		for _, a := range as {
+			total++
+			if !scoredUnder(sys, a, history[a.Epoch]) {
+				torn++
+			}
+		}
+	}
+	if len(history) < 8 {
+		t.Fatalf("only %d rankings published while %d searches ran; the test exercised no race", len(history), total)
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d searches were not scored under the ranking of their epoch (%d rankings published)", torn, total, len(history))
+	}
+}
+
+// scoredUnder reports whether every part of a comes from rk: each
+// candidate's score, each solution's epoch and the saved-query merge.
+func scoredUnder(sys *System, a *Analysis, rk *ranking) bool {
+	if rk == nil {
+		return false
+	}
+	for _, cands := range a.Candidates {
+		for _, ep := range cands {
+			if ep.Score != sys.entryScore(ep.Layer)+rk.adjustment(ep) {
+				return false
+			}
+		}
+	}
+	merged := false
+	for _, sol := range a.Solutions {
+		if sol.Epoch != a.Epoch {
+			return false
+		}
+		merged = merged || sol.Approved
+	}
+	_, saved := rk.queries["big earners"]
+	return merged == saved
 }

@@ -90,7 +90,7 @@ func (s *System) ensureTable(sol *Solution, table string) {
 	}
 	jg := s.joinGraphCached()
 	var buf [8]int32
-	path, ok := jg.multiPath(buf[:0], sol.SQLTables, table, s.Opt.DisableBridges, s.Opt.MaxPathLen)
+	path, ok := jg.multiPath(buf[:0], sol.SQLTables, table, s.Opt.DisableBridges)
 	if !ok {
 		sol.SQLTables = append(sol.SQLTables, table)
 		sol.Disconnected = true

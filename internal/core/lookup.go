@@ -65,22 +65,13 @@ func (s *System) lookup(a *Analysis) {
 	}
 
 	// Candidates per term, read from the compiled schema model's label
-	// table (derived once per System) and the index's own table. The
-	// ranking's read lock spans all terms: a concurrent write is either
-	// fully visible to this search or not at all, never half-applied.
-	// Nothing under it walks the graph, so a waiting write never queues
-	// later lookups behind a traversal.
+	// table (derived once per System) and the index's own table, scored
+	// under the analysis's ranking.
 	a.Candidates = make([][]EntryPoint, len(a.Terms))
 	a.Complexity = 1
-	func() {
-		// The deferred unlock keeps a panicking probe from wedging every
-		// future write.
-		s.ranking.mu.RLock()
-		defer s.ranking.mu.RUnlock()
-		for ti, term := range a.Terms {
-			a.Candidates[ti] = s.candidates(ti, term)
-		}
-	}()
+	for ti, term := range a.Terms {
+		a.Candidates[ti] = s.candidates(a.ranking, ti, term)
+	}
 	// The product saturates: forty three-way terms would overflow an int.
 	for _, cands := range a.Candidates {
 		if n := len(cands); n > 0 {
@@ -166,8 +157,9 @@ func (s *System) known(phrase string) bool {
 // candidates returns the entry points for one term: every metadata node
 // carrying the label, plus every base-data column containing the phrase.
 // A label's hits are the table's; any other phrase's come from the
-// index, a map read for a token or a stored value.
-func (s *System) candidates(ti int, term Term) []EntryPoint {
+// index, a map read for a token or a stored value. Each score adds rk's
+// feedback adjustment to the entry point's layer score.
+func (s *System) candidates(rk *ranking, ti int, term Term) []EntryPoint {
 	label, ok := s.model.labels[invidx.Normalize(term.Text)]
 	hits := label.hits
 	if !ok {
@@ -189,7 +181,7 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 			Node:  node,
 			Layer: layer,
 		}
-		ep.Score = s.entryScore(layer) + s.ranking.adjustmentLocked(ep)
+		ep.Score = s.entryScore(layer) + rk.adjustment(ep)
 		switch term.Role {
 		case RoleGroupBy:
 			// Grouping attributes must resolve to a physical column.
@@ -217,7 +209,7 @@ func (s *System) candidates(ti int, term Term) []EntryPoint {
 			Column: hit.Column,
 			Values: hit.Values,
 		}
-		ep.Score = s.entryScore(metagraph.LayerBaseData) + s.ranking.adjustmentLocked(ep)
+		ep.Score = s.entryScore(metagraph.LayerBaseData) + rk.adjustment(ep)
 		out = append(out, ep)
 	}
 	if len(out) == 0 {

@@ -18,9 +18,8 @@ import (
 // The compiled model depends on none of them; the oracle proves it.
 var modelOptVariants = []Options{
 	{CacheSize: -1},
-	{CacheSize: -1, MaxPathLen: 2},
 	{CacheSize: -1, DisableBridges: true},
-	{CacheSize: -1, AllJoins: true, MaxPathLen: 1},
+	{CacheSize: -1, AllJoins: true},
 }
 
 // modelWorld is one metadata graph with the base-data (table, column)

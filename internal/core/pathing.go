@@ -111,7 +111,7 @@ type jgArc struct {
 }
 
 // bfsState is one BFS node: the table, the edge used to reach it (-1 for
-// sources), the predecessor state index and the depth. The states slice
+// sources) and the predecessor state index. The states slice
 // doubles as the FIFO queue — states are appended in visit order and
 // consumed by a moving head index, so nothing retains a drained queue's
 // backing array (the old `queue = queue[1:]` kept it all alive).
@@ -119,7 +119,6 @@ type bfsState struct {
 	table int32
 	via   int32
 	prev  int32
-	depth int32
 }
 
 type bfsScratch struct {
@@ -137,7 +136,7 @@ var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // lists are pre-sorted in (neighbour, edge-index) order, so expanding
 // them in storage order reproduces exactly the deterministic order the
 // per-visit sort used to establish.
-func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges bool, maxLen int) ([]int32, bool) {
+func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges bool) ([]int32, bool) {
 	if dst < 0 {
 		return path, false
 	}
@@ -166,14 +165,11 @@ func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges
 			found = true
 			break
 		}
-		if maxLen > 0 && int(st.depth) >= maxLen {
-			continue // path would exceed the far-fetching bound
-		}
 		for _, arc := range adj[st.table] {
 			if !sc.visited.add(arc.next) {
 				continue
 			}
-			states = append(states, bfsState{table: arc.next, via: arc.ei, prev: int32(head), depth: st.depth + 1})
+			states = append(states, bfsState{table: arc.next, via: arc.ei, prev: int32(head)})
 		}
 	}
 	sc.states = states
@@ -182,14 +178,14 @@ func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges
 
 // multiPath appends to path the shortest join path from any table in
 // srcs to dst, by name. Callers guarantee dst is not an element of srcs.
-func (g *joinGraph) multiPath(path []int32, srcs []string, dst string, skipBridges bool, maxLen int) ([]int32, bool) {
+func (g *joinGraph) multiPath(path []int32, srcs []string, dst string, skipBridges bool) ([]int32, bool) {
 	var buf [16]int32
 	ids := buf[:0]
 	for _, t := range srcs {
 		ids = append(ids, g.tables.id(t))
 	}
 	slices.Sort(ids)
-	return g.pathIDs(path, ids, g.tables.id(dst), skipBridges, maxLen)
+	return g.pathIDs(path, ids, g.tables.id(dst), skipBridges)
 }
 
 // closureStep is one replayable action of an FK upward closure: join the

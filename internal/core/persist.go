@@ -8,11 +8,10 @@ package core
 // persisted: every boot builds them from the world.
 //
 // All of it is the replica's (cluster.go) and runs under the replica's
-// lock. It touches the ranking once, to swap in the replayed fold
-// (ranking.set), keeping the lock order replica → ranking. No search
-// waits on anything here: folding and snapshot capture hold only the
-// replica's lock, and WriteSnapshot, compaction and adoption encode and
-// fsync the snapshot outside it too.
+// lock. It touches the ranking once, to publish the replayed fold. No
+// search waits on anything here: searches take no lock, and
+// WriteSnapshot, compaction and adoption encode and fsync the snapshot
+// outside the replica's lock too.
 
 import (
 	"errors"
@@ -84,8 +83,7 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID stri
 		r.tail = append(r.tail, rec)
 		r.noteAppliedLocked(rec)
 	}
-	fb, qs := r.refold()
-	s.ranking.set(fb, qs, r.baseEpoch+uint64(len(r.tail)))
+	s.ranking.Store(r.refold(r.baseEpoch + uint64(len(r.tail))))
 	r.replayedRecords = len(r.tail)
 	r.store = st
 	s.registerStoreMetrics()
@@ -139,18 +137,19 @@ func (r *replica) noteAppliedLocked(rec store.Record) {
 	r.lamport = max(r.lamport, rec.LC)
 }
 
-// refold computes the live maps from scratch: the tail folded, in
-// canonical order, onto a copy of the base. It is the open's replay and
-// the out-of-order path — a pulled record sorted into the middle of the
-// tail, so the incremental apply would have folded it in the wrong order.
-// The maps are new, so the ranking can swap them in (ranking.set).
-func (r *replica) refold() (map[feedbackKey]float64, map[string]*savedQueryEntry) {
+// refold computes the live ranking from scratch, at the given epoch: the
+// tail folded, in canonical order, onto a copy of the base. It is the
+// open's replay and the out-of-order path — a pulled record sorted into
+// the middle of the tail, so the incremental apply would have folded it in
+// the wrong order. The maps are new, so the ranking can be published as
+// it is.
+func (r *replica) refold(epoch uint64) *ranking {
 	fb, qs := maps.Clone(r.base), maps.Clone(r.baseQueries)
 	for _, rec := range r.tail {
 		fb = applyRecordTo(fb, rec)
 		qs = applyQueryRecordTo(qs, rec)
 	}
-	return fb, qs
+	return &ranking{feedback: fb, queries: qs, epoch: epoch}
 }
 
 // WriteSnapshot persists the durable state (the folded feedback base and

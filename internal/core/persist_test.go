@@ -127,8 +127,8 @@ func TestWALReplayDeterminism(t *testing.T) {
 	}
 	sys3 := openReplica(t, dir, "", 0, Options{})
 	assertSameRankings(t, want, rankingsOf(t, sys3), "cold WAL replay")
-	if sys3.ranking.epoch.Load() != sys1.ranking.epoch.Load() {
-		t.Fatalf("replayed epoch %d != original %d", sys3.ranking.epoch.Load(), sys1.ranking.epoch.Load())
+	if sys3.ranking.Load().epoch != sys1.ranking.Load().epoch {
+		t.Fatalf("replayed epoch %d != original %d", sys3.ranking.Load().epoch, sys1.ranking.Load().epoch)
 	}
 
 	// Reopen 3: sys3's Close folds the WAL into a fresh snapshot and

@@ -264,7 +264,7 @@ func (s *System) RegisterQuery(q store.SavedQuery) error {
 func (s *System) DeleteQuery(name string) error {
 	s.rep.mu.Lock()
 	defer s.rep.mu.Unlock()
-	if _, ok := s.ranking.queries[name]; !ok {
+	if _, ok := s.ranking.Load().queries[name]; !ok {
 		return fmt.Errorf("core: no saved query named %q", name)
 	}
 	if err := s.commitLocked(store.Record{Op: store.OpDelQuery, Payload: []byte(name)}); err != nil {
@@ -275,16 +275,12 @@ func (s *System) DeleteQuery(name string) error {
 
 // SavedQueries lists the library sorted by name.
 func (s *System) SavedQueries() []store.SavedQuery {
-	s.ranking.mu.RLock()
-	defer s.ranking.mu.RUnlock()
-	return rawQueries(s.ranking.queries)
+	return rawQueries(s.ranking.Load().queries)
 }
 
 // SavedQueryByName returns one library entry.
 func (s *System) SavedQueryByName(name string) (store.SavedQuery, bool) {
-	s.ranking.mu.RLock()
-	defer s.ranking.mu.RUnlock()
-	e, ok := s.ranking.queries[name]
+	e, ok := s.ranking.Load().queries[name]
 	if !ok {
 		return store.SavedQuery{}, false
 	}
@@ -310,15 +306,14 @@ type BoundParam struct {
 // bind from the input's comparison operators — by name first, then by
 // value type in declared order — and fall back to declared defaults; a
 // query with an unbindable required parameter is skipped, not offered
-// half-bound. Called with the pipeline's epoch after the SQL step; the
-// merged list is re-sorted and trimmed to TopN like any ranked output.
-func (s *System) approvedStep(a *Analysis, epoch uint64) {
-	s.ranking.mu.RLock()
-	entries := make([]*savedQueryEntry, 0, len(s.ranking.queries))
-	for _, e := range s.ranking.queries {
+// half-bound. Called after the SQL step, it reads the library of the
+// analysis's ranking and stamps its epoch; the merged list is re-sorted
+// and trimmed to TopN like any ranked output.
+func (s *System) approvedStep(a *Analysis) {
+	entries := make([]*savedQueryEntry, 0, len(a.ranking.queries))
+	for _, e := range a.ranking.queries {
 		entries = append(entries, e)
 	}
-	s.ranking.mu.RUnlock()
 	if len(entries) == 0 {
 		return
 	}
@@ -358,7 +353,7 @@ func (s *System) approvedStep(a *Analysis, epoch uint64) {
 		}
 		sol := &Solution{
 			Score:     float64(covered)/float64(len(input)) + approvedBonus,
-			Epoch:     epoch,
+			Epoch:     a.Epoch,
 			SQL:       e.sel,
 			Dialect:   a.Dialect,
 			Approved:  true,

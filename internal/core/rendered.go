@@ -83,19 +83,21 @@ func (s *System) cacheStore(q string, so SearchOptions, a *Analysis, data []byte
 // SearchRenderedContext is the serving-layer entry point and the one
 // search path: probe the raw input's key for rendered bytes (hit=true,
 // allocation-free — guarded by TestCachedRenderedZeroAllocs — and never
-// touching ctx); otherwise SearchWithContext (parse, canonical-key probe,
-// five steps), render the analysis and store the bytes under the raw key
-// (hit=false). The raw-key miss counts nothing, because the canonical-key
-// probe behind it does the counting. The returned bytes are shared with
-// the cache: callers must write them out unmodified.
+// touching ctx); otherwise search as SearchWithContext does (parse,
+// canonical-key probe, five steps) under the ranking the raw probe read,
+// render the analysis and store the bytes under the raw key (hit=false).
+// The raw-key miss counts nothing, because the canonical-key probe behind
+// it does the counting. The returned bytes are shared with the cache:
+// callers must write them out unmodified.
 func (s *System) SearchRenderedContext(ctx context.Context, input string, so SearchOptions, render func(*Analysis) ([]byte, error)) (data []byte, hit bool, err error) {
+	rk := s.ranking.Load()
 	if s.cache != nil {
-		if _, data := s.cacheLookup(input, so, s.ranking.epoch.Load()); data != nil {
+		if _, data := s.cacheLookup(input, so, rk.epoch); data != nil {
 			s.cache.hits.Add(1)
 			return data, true, nil
 		}
 	}
-	a, err := s.SearchWithContext(ctx, input, so)
+	a, err := s.search(ctx, input, so, rk)
 	if err != nil {
 		return nil, false, err
 	}

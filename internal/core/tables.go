@@ -122,8 +122,7 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			if primaries[i] == primaries[j] {
 				continue
 			}
-			path, ok := jg.pathIDs(sc.path[:0], primIDs[i:i+1], primIDs[j],
-				s.Opt.DisableBridges, s.Opt.MaxPathLen)
+			path, ok := jg.pathIDs(sc.path[:0], primIDs[i:i+1], primIDs[j], s.Opt.DisableBridges)
 			sc.path = path
 			if !ok {
 				sol.Disconnected = true

@@ -108,8 +108,7 @@ func refTablesStep(s *System, sol *Solution) {
 				continue
 			}
 			path, ok := refShortestPath(jg,
-				[]string{primaries[i]}, []string{primaries[j]},
-				s.Opt.DisableBridges, s.Opt.MaxPathLen)
+				[]string{primaries[i]}, []string{primaries[j]}, s.Opt.DisableBridges)
 			if !ok {
 				sol.Disconnected = true
 				continue
@@ -351,8 +350,9 @@ func refFindColumnNode(s *System, table, column string) (rdf.Term, bool) {
 	return rdf.Term{}, false
 }
 
-// refShortestPath is the old joinGraph.shortestPath, verbatim.
-func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool, maxLen int) ([]jgEdge, bool) {
+// refShortestPath is the old joinGraph.shortestPath, without its path
+// length bound.
+func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool) ([]jgEdge, bool) {
 	dstSet := make(map[string]bool, len(dst))
 	for _, t := range dst {
 		dstSet[t] = true
@@ -361,7 +361,6 @@ func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool, maxLen
 		table string
 		via   int
 		prev  int
-		depth int
 	}
 	var states []state
 	visited := make(map[string]bool)
@@ -373,7 +372,7 @@ func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool, maxLen
 			continue
 		}
 		visited[t] = true
-		states = append(states, state{table: t, via: -1, prev: -1, depth: 0})
+		states = append(states, state{table: t, via: -1, prev: -1})
 		queue = append(queue, len(states)-1)
 	}
 	for len(queue) > 0 {
@@ -389,9 +388,6 @@ func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool, maxLen
 				path[i], path[j] = path[j], path[i]
 			}
 			return path, true
-		}
-		if maxLen > 0 && st.depth >= maxLen {
-			continue
 		}
 		type cand struct {
 			next string
@@ -423,7 +419,7 @@ func refShortestPath(g *refJoinView, src, dst []string, skipBridges bool, maxLen
 				continue
 			}
 			visited[c.next] = true
-			states = append(states, state{table: c.next, via: c.ei, prev: si, depth: st.depth + 1})
+			states = append(states, state{table: c.next, via: c.ei, prev: si})
 			queue = append(queue, len(states)-1)
 		}
 	}
@@ -590,18 +586,12 @@ func (w *randWorld) randomEntries(r *rand.Rand) []EntryPoint {
 // string-map oracle over random worlds, option mixes and entry
 // combinations and requires identical solutions.
 func TestTablesStepMatchesReference(t *testing.T) {
-	optVariants := []Options{
-		{CacheSize: -1},
-		{CacheSize: -1, MaxPathLen: 2},
-		{CacheSize: -1, DisableBridges: true},
-		{CacheSize: -1, AllJoins: true, MaxPathLen: 1},
-	}
 	r := rand.New(rand.NewSource(20260807))
 	for wi := 0; wi < 25; wi++ {
 		w := buildRandomWorld(r)
 		db := backend.NewDB()
 		idx := invidx.Build(db)
-		for oi, opt := range optVariants {
+		for oi, opt := range modelOptVariants {
 			sys := NewSystem(memory.New(db), w.meta, idx, opt)
 			for qi := 0; qi < 8; qi++ {
 				entries := w.randomEntries(r)
@@ -636,7 +626,6 @@ func TestMultiPathMatchesReference(t *testing.T) {
 		ref := newRefJoinView(jg)
 		for qi := 0; qi < 30; qi++ {
 			skip := r.Intn(2) == 0
-			maxLen := r.Intn(4) // 0 = unbounded
 			dst := w.tables[r.Intn(len(w.tables))]
 			var srcs []string
 			for len(srcs) == 0 {
@@ -649,11 +638,11 @@ func TestMultiPathMatchesReference(t *testing.T) {
 			if r.Intn(6) == 0 {
 				srcs = append(srcs, "ghost_table")
 			}
-			gotPath, gotOK := jg.multiPath(nil, srcs, dst, skip, maxLen)
-			wantPath, wantOK := refShortestPath(ref, srcs, []string{dst}, skip, maxLen)
+			gotPath, gotOK := jg.multiPath(nil, srcs, dst, skip)
+			wantPath, wantOK := refShortestPath(ref, srcs, []string{dst}, skip)
 			if gotOK != wantOK || len(gotPath) != len(wantPath) {
-				t.Fatalf("world %d query %d: multiPath(%v->%s skip=%v max=%d) = (%d edges, %v), ref = (%d edges, %v)",
-					wi, qi, srcs, dst, skip, maxLen, len(gotPath), gotOK, len(wantPath), wantOK)
+				t.Fatalf("world %d query %d: multiPath(%v->%s skip=%v) = (%d edges, %v), ref = (%d edges, %v)",
+					wi, qi, srcs, dst, skip, len(gotPath), gotOK, len(wantPath), wantOK)
 			}
 			for i := range gotPath {
 				if jg.edges[gotPath[i]].join() != wantPath[i].join() {

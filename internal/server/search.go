@@ -276,8 +276,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	// Like/Dislike re-resolve internally when another feedback call
 	// re-ranked the system between our Search above and this apply; a
-	// surviving error means the statement genuinely left the answer (410)
-	// or the state store rejected the write (500).
+	// surviving error means the statement genuinely left the answer (409),
+	// the result has no entry point a like could adjust (400), or the
+	// state store rejected the write (500).
 	var ferr error
 	if req.Like {
 		ferr = res.Like()
@@ -287,8 +288,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if ferr != nil {
 		status := http.StatusInternalServerError
 		var stale *soda.StaleFeedbackError
-		if errors.As(ferr, &stale) {
+		switch {
+		case errors.As(ferr, &stale):
 			status = http.StatusConflict
+		case errors.Is(ferr, soda.ErrNoEntryPoints):
+			status = http.StatusBadRequest
 		}
 		s.writeError(w, r, status, ferr)
 		return

@@ -301,6 +301,41 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 }
 
+// TestFeedbackOnSavedQueryIs400: an approved saved-query result has no
+// entry point a like could adjust, so /feedback refuses it as a bad
+// request and records nothing: the cached answer stays servable.
+func TestFeedbackOnSavedQueryIs400(t *testing.T) {
+	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
+	if err := sys.RegisterQuery(soda.SavedQuery{
+		Name: "big earners",
+		SQL:  "select i.firstname, i.salary from individuals i where i.salary >= 100000",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sys))
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/search", `{"query":"big earners"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status = %d", resp.StatusCode)
+	}
+	var sr searchBody
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Results) == 0 || !sr.Results[0].Approved {
+		t.Fatalf("top result is not the saved query: %s", body)
+	}
+	entries := sys.CacheStats().Entries
+	resp, body = postJSON(t, ts.URL+"/feedback", `{"query":"big earners","result":0,"like":true}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("feedback on a saved query: status = %d, body %s; want 400", resp.StatusCode, body)
+	}
+	if got := sys.CacheStats().Entries; got != entries {
+		t.Fatalf("cache entries %d -> %d: refused feedback must not invalidate the cache", entries, got)
+	}
+}
+
 // TestFeedbackBySQL pins the result by statement text — immune to
 // re-ranking between the client's search and its feedback.
 func TestFeedbackBySQL(t *testing.T) {

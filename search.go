@@ -224,30 +224,24 @@ func (s *System) SearchWith(query string, opts SearchOptions) (*Answer, error) {
 	return s.answerOf(a), nil
 }
 
-// SearchRendered is SearchRenderedContext with a background context.
-func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
-	return s.SearchRenderedContext(context.Background(), query, opts, render)
-}
-
-// SearchRenderedContext is the search path with a caller-chosen rendering.
-// On a repeat of a query already rendered (same raw query string, dialect
-// and snippet flag, ranking unchanged since) it returns the exact bytes
+// SearchRendered is the search path with a caller-chosen rendering. On a
+// repeat of a query already rendered (same raw query string, dialect and
+// snippet flag, ranking unchanged since) it returns the exact bytes
 // previously produced by render — no pipeline, no re-encode, zero heap
-// allocations, ctx untouched — with hit=true. Otherwise it searches (ctx
-// flows into the pipeline's backend executions: cancellation plus the
-// request's trace-span collector), calls render on the answer, caches the
-// returned bytes alongside the analysis and returns them with hit=false.
-// The sequence itself lives in core.SearchRenderedContext; this only
-// adapts render from the core analysis to the public Answer. The serving
-// layer calls SearchJSONContext instead, which renders without building
-// an Answer. The returned bytes are shared with the cache: callers must
-// write them out unmodified.
-func (s *System) SearchRenderedContext(ctx context.Context, query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
+// allocations — with hit=true. Otherwise it searches, calls render on the
+// answer, caches the returned bytes alongside the analysis and returns
+// them with hit=false. The sequence itself lives in
+// core.SearchRenderedContext; this only adapts render from the core
+// analysis to the public Answer. The serving layer calls
+// SearchJSONContext instead, which renders without building an Answer.
+// The returned bytes are shared with the cache: callers must write them
+// out unmodified.
+func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
 	so, err := coreSearchOptions(opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return s.sys.SearchRenderedContext(ctx, query, so, func(a *core.Analysis) ([]byte, error) {
+	return s.sys.SearchRenderedContext(context.Background(), query, so, func(a *core.Analysis) ([]byte, error) {
 		return render(s.answerOf(a))
 	})
 }

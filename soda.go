@@ -26,7 +26,7 @@
 //
 // This package is a thin facade: every operation has one implementation
 // in internal/core and the methods here only translate types. Search,
-// SearchWith, SearchRenderedContext and SearchJSONContext all reach the
+// SearchWith, SearchRendered and SearchJSONContext all reach the
 // pipeline through core's single search path (raw-key cache probe,
 // parse, canonical-key probe, the five steps, render, store); ExecuteSQL
 // and ExecuteSQLInContext through its single SQL-execution call.
@@ -130,26 +130,16 @@ type Options struct {
 	// Logf, when set, receives replication diagnostics (unreachable
 	// peers, catch-up adoptions). nil is silent.
 	Logf func(format string, args ...any)
-
-	// Ablations (measured by (*bench.Env).Ablations, sodabench -ablations).
-	DisableBridges bool // skip bridge-table discovery
-	DisableDBpedia bool // drop DBpedia entry points
-	UniformRanking bool // ignore the metadata-layer ranking heuristic
-	AllJoins       bool // keep every join, not only direct paths (Fig. 9)
 }
 
 func (o Options) internal() core.Options {
 	d, _ := sqlast.DialectByName(o.Dialect) // unknown names fall back to generic
 	return core.Options{
-		TopN:           o.TopN,
-		Parallelism:    o.Parallelism,
-		CacheSize:      o.CacheSize,
-		PeerDeadAfter:  o.PeerDeadAfter,
-		Dialect:        d,
-		DisableBridges: o.DisableBridges,
-		DisableDBpedia: o.DisableDBpedia,
-		UniformRanking: o.UniformRanking,
-		AllJoins:       o.AllJoins,
+		TopN:          o.TopN,
+		Parallelism:   o.Parallelism,
+		CacheSize:     o.CacheSize,
+		PeerDeadAfter: o.PeerDeadAfter,
+		Dialect:       d,
 	}
 }
 

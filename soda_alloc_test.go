@@ -12,14 +12,13 @@ import (
 	"soda"
 )
 
-// TestSearchRenderedContextZeroAllocs pins the facade's hit path next to
+// TestSearchRenderedZeroAllocs pins the facade's hit path next to
 // the core guard (TestCachedRenderedZeroAllocs): the facade reaches the
 // one search path in core by wrapping the caller's render in an adapter
 // closure, and on a primed query that closure must stay on the stack —
 // dialect resolution, key build and lookup allocate nothing.
-func TestSearchRenderedContextZeroAllocs(t *testing.T) {
+func TestSearchRenderedZeroAllocs(t *testing.T) {
 	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
-	ctx := context.Background()
 	opts := soda.SearchOptions{Dialect: "postgres"}
 	const q = "wealthy customers"
 	// render captures a local, as the server's does (request info): a
@@ -29,11 +28,11 @@ func TestSearchRenderedContextZeroAllocs(t *testing.T) {
 		renders++
 		return []byte(ans.Results[0].SQL), nil
 	}
-	if _, hit, err := sys.SearchRenderedContext(ctx, q, opts, render); err != nil || hit {
+	if _, hit, err := sys.SearchRendered(q, opts, render); err != nil || hit {
 		t.Fatalf("priming: hit=%v err=%v", hit, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, hit, _ := sys.SearchRenderedContext(ctx, q, opts, render); !hit {
+		if _, hit, _ := sys.SearchRendered(q, opts, render); !hit {
 			t.Fatal("cache hit lost mid-run")
 		}
 	})
@@ -41,7 +40,7 @@ func TestSearchRenderedContextZeroAllocs(t *testing.T) {
 		t.Fatalf("render ran %d times, want once (priming only)", renders)
 	}
 	if allocs != 0 {
-		t.Fatalf("facade cache-hit SearchRenderedContext allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("facade cache-hit SearchRendered allocates %.1f times per call, want 0", allocs)
 	}
 }
 

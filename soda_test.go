@@ -171,21 +171,6 @@ func TestParseQueryExposed(t *testing.T) {
 	}
 }
 
-func TestOptionsAblationsWired(t *testing.T) {
-	noBridges := NewSystem(mb, Options{DisableBridges: true})
-	ans, err := noBridges.Search("financial instruments securities")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ans.Results {
-		for _, tbl := range r.FromTables {
-			if tbl == "fi_contains_sec" {
-				t.Fatal("bridge table present despite DisableBridges")
-			}
-		}
-	}
-}
-
 func TestWarehouseWorldViaFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warehouse build in -short mode")
@@ -226,8 +211,10 @@ func TestNewWorldCustom(t *testing.T) {
 }
 
 func TestDisconnectedWarning(t *testing.T) {
-	noBridges := NewSystem(mb, Options{DisableBridges: true})
-	ans, err := noBridges.Search("financial instruments securities")
+	// Areas 026 and 168 of the warehouse are separate islands of the join
+	// graph: no join path connects an entity of one to one of the other.
+	sys := NewSystem(Warehouse(WarehouseConfig{}), Options{})
+	ans, err := sys.Search("area 026 entity 02 area 168 entity 01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +225,7 @@ func TestDisconnectedWarning(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("expected a disconnected warning without bridges")
+		t.Fatal("expected a disconnected warning across two islands")
 	}
 }
 
