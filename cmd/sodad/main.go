@@ -231,8 +231,8 @@ func run(args []string) error {
 		}
 		st := sys.StoreStats()
 		if st.WarmStart {
-			log.Printf("state store %s: restored snapshot (epoch %d), %d WAL records replayed",
-				*dataDir, st.SnapshotEpoch, st.ReplayedRecords)
+			log.Printf("state store %s: restored snapshot, %d WAL records replayed",
+				*dataDir, st.ReplayedRecords)
 		} else {
 			reason := st.InvalidReason
 			if reason == "" {

@@ -5,7 +5,6 @@ package soda
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"soda/internal/core"
@@ -17,49 +16,15 @@ import (
 // possible solutions to its users and allows them to like (or dislike)
 // each result").
 //
-// Feedback is epoch-checked: if other feedback re-ranked the system since
-// this result's search, the statement is re-resolved against a fresh
-// search before the feedback is applied, so it lands on the entry points
-// of the statement the user actually saw. An error is returned when the
-// statement no longer appears in the answer, or when persisting the
-// feedback to the state store fails, and ErrNoEntryPoints when the result
-// has no entry point to adjust.
-func (r *Result) Like() error { return r.feedback(true) }
+// The feedback lands on the entry points of this result, the one the user
+// saw, even when other feedback re-ranked the system since its search. An
+// error is returned when persisting the feedback to the state store
+// fails, and ErrNoEntryPoints when the result has no entry point to
+// adjust.
+func (r *Result) Like() error { return r.sys.Feedback(r.sol, true) }
 
-// Dislike records negative relevance feedback on a result. See Like for
-// the epoch-check and re-resolution semantics.
-func (r *Result) Dislike() error { return r.feedback(false) }
-
-func (r *Result) feedback(like bool) error {
-	err := r.sys.Feedback(r.sol, like)
-	var stale *core.StaleSolutionError
-	// The ranking epoch moved between our search and this feedback call
-	// (another user's like, a reset, ...). Re-resolve: re-run the search
-	// — served at the current epoch — find the same statement, and apply
-	// the feedback to its solution. Bounded retries cover epochs racing
-	// forward while we resolve.
-	for attempt := 0; errors.As(err, &stale) && attempt < 4; attempt++ {
-		a, serr := r.sys.SearchWith(r.analysis.Query.Raw, core.SearchOptions{
-			Dialect:  r.analysis.Dialect,
-			Snippets: r.analysis.WithSnippets,
-		})
-		if serr != nil {
-			return fmt.Errorf("soda: re-resolving stale feedback: %w", serr)
-		}
-		var match *core.Solution
-		for _, sol := range a.Solutions {
-			if sol.SQLText() == r.SQL {
-				match = sol
-				break
-			}
-		}
-		if match == nil {
-			return fmt.Errorf("soda: feedback target no longer in the answer (re-ranked since): %w", err)
-		}
-		err = r.sys.Feedback(match, like)
-	}
-	return err
-}
+// Dislike records negative relevance feedback on a result. See Like.
+func (r *Result) Dislike() error { return r.sys.Feedback(r.sol, false) }
 
 // ResetFeedback forgets all relevance feedback recorded on this system.
 // With a state store attached the reset is WAL-logged so it also survives
@@ -67,16 +32,10 @@ func (r *Result) feedback(like bool) error {
 func (s *System) ResetFeedback() error { return s.sys.ResetFeedback() }
 
 // ErrNoEntryPoints reports feedback on a result no keyword entry point
-// produced — an approved saved query, or an aggregate over no keyword. A
-// like or dislike adjusts entry-point scores, so on such a result it
-// would change nothing; it is refused and nothing is recorded.
+// produced: an approved saved query. A like or dislike adjusts entry-point
+// scores, so on such a result it would change nothing; it is refused and
+// nothing is recorded.
 var ErrNoEntryPoints = core.ErrNoEntryPoints
-
-// StaleFeedbackError reports feedback on a result whose ranking epoch has
-// moved on and whose statement could not be re-resolved in the fresh
-// answer. Like/Dislike re-resolve transparently first; callers only see
-// this when the statement genuinely left the ranked list.
-type StaleFeedbackError = core.StaleSolutionError
 
 // SavedQuery is one approved parameterized query in the library: the
 // registry key, the human description search keywords match against, the

@@ -25,10 +25,12 @@
 //
 // When the requester's vector predates the responder's fold point — a
 // fresh replica, or one that lost its data dir — the response instead sets
-// Soda-Behind and Soda-Epoch, and the body is the responder's folded state
-// as snapshot sections (store.EncodeState: feedback, origins, queries and a
-// tail of record frames), which the requester adopts wholesale before
-// resuming incremental pulls. A bad header, frame or section, a cut body
+// Soda-Behind, and the body is the responder's folded state as snapshot
+// sections (store.EncodeState: feedback, origins, queries and a tail of
+// record frames), which the requester adopts wholesale before resuming
+// incremental pulls. Such a response also carries Soda-Epoch: 0, a slot
+// once holding a ranking epoch, which replicas of older builds still
+// require and this one ignores. A bad header, frame or section, a cut body
 // or one that reaches maxPullBody fails the whole pull: nothing applies.
 package cluster
 
@@ -125,7 +127,8 @@ const (
 	hdrLC     = "Soda-Lc"
 	hdrMore   = "Soda-More"
 	hdrBehind = "Soda-Behind"
-	hdrEpoch  = "Soda-Epoch"
+	// hdrEpoch is written "0" on a behind response and never read.
+	hdrEpoch = "Soda-Epoch"
 )
 
 // maxPullBody caps a pull response body; feedback records are tiny, so a
@@ -142,7 +145,7 @@ func WritePull(w http.ResponseWriter, resp *PullResponse) error {
 	var body []byte
 	if resp.Behind {
 		h.Set(hdrBehind, "true")
-		h.Set(hdrEpoch, strconv.FormatUint(resp.State.Epoch, 10))
+		h.Set(hdrEpoch, "0")
 		body = store.EncodeState(resp.State)
 	} else {
 		if resp.More {
@@ -194,14 +197,9 @@ func ReadPull(r *http.Response) (*PullResponse, error) {
 		}
 		return resp, nil
 	}
-	epoch, err := strconv.ParseUint(h.Get(hdrEpoch), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad %s header: %w", hdrEpoch, err)
-	}
 	if resp.State, err = store.DecodeState(body); err != nil {
 		return nil, err
 	}
-	resp.State.Epoch = epoch
 	return resp, nil
 }
 

@@ -62,7 +62,6 @@ func testState() *store.ReplicaState {
 		Feedback: []store.FeedbackEntry{{Key: store.Key{Table: "t", Column: "c"}, Value: -1}, {Key: store.Key{Node: "n"}, Value: 0.5}},
 		Queries: []store.SavedQuery{{Name: "q", SQL: "SELECT * FROM t WHERE a = ? AND b = ?",
 			Params: []store.SavedParam{{Name: "a", Type: "int"}, {Name: "b", Type: "string", Default: &empty}}}},
-		Epoch:   7,
 		FoldPos: store.Pos{LC: 9, Origin: "peer", Seq: 9},
 		Origins: []store.OriginState{{ID: "peer", Seq: 9, LC: 9}},
 		Tail: []store.Record{{Origin: "peer", OriginSeq: 10, LC: 10, Op: store.OpSetQuery, Keys: []store.Key{},
@@ -254,7 +253,7 @@ func TestTailerCatchUp(t *testing.T) {
 	if local.adopted == nil {
 		t.Fatal("state not adopted")
 	}
-	if local.adopted.Epoch != 7 || local.adopted.FoldPos != state.FoldPos {
+	if local.adopted.FoldPos != state.FoldPos {
 		t.Fatalf("adopted state = %+v", local.adopted)
 	}
 	if !reflect.DeepEqual(local.adopted.Queries, state.Queries) {

@@ -178,13 +178,6 @@ type Solution struct {
 	TopN         int
 	Disconnected bool // no join path connected some entry points
 
-	// Epoch is the ranking epoch the solution was computed under.
-	// Feedback validates it against the current epoch: a solution from
-	// an older epoch was ranked by a different function, and applying
-	// its feedback silently (or replaying it from a WAL twice) would
-	// corrupt the accumulated adjustments.
-	Epoch uint64
-
 	SQL *sqlast.Select
 	// Dialect the statement is rendered in (set by the SQL step; nil
 	// means sqlast.Generic).
@@ -193,7 +186,7 @@ type Solution struct {
 	// Snippet rows executed during the pipeline when the search asked
 	// for them (SearchOptions.Snippets). Cached with the analysis, so a
 	// cache hit serves them without re-executing the SQL; feedback
-	// invalidates them together with the answer (same epoch).
+	// drops them together with the answer.
 	Snippet    *backend.Result
 	SnippetErr string
 	// snippetCut marks a snippet execution ended by the request's context
@@ -266,12 +259,9 @@ type Analysis struct {
 	Dialect      *sqlast.Dialect
 	WithSnippets bool
 
-	// Epoch is the ranking epoch the analysis was computed under (the
-	// same value stamped on every solution).
-	Epoch uint64
 	// ranking is the ranking the analysis is computed under, loaded once
-	// by the search: Step 1 scores and approvedStep matches with it. The
-	// search clears it once approvedStep is done.
+	// by the search: Step 1 scores and approvedStep matches with it, and
+	// the answer is cached in its cache.
 	ranking *ranking
 
 	// StepAllocs is the number of heap allocations each step performed,

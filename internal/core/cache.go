@@ -5,25 +5,26 @@ import (
 	"hash/maphash"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // The answer cache makes the serving layer's hot path cheap: business
 // users repeat the same keyword searches constantly (the paper's §1
 // self-service scenario), and a repeated query should skip the five-step
 // pipeline entirely. The cache is sharded to keep lock contention off the
-// concurrent-search path and validated against the System's feedback
-// epoch, so a like/dislike — which changes the ranking function — is
-// observed by the very next search instead of being masked by a stale
-// cached answer.
+// concurrent-search path. Each published ranking (feedback.go) owns one,
+// and a search probes and stores only in the cache of the ranking it
+// loaded: a like/dislike, which publishes a successor with an empty cache,
+// is observed by the very next search instead of being masked by a cached
+// answer, and an answer computed while a write landed is filed where no
+// later search looks.
 //
 // One kind of entry, one lookup, one store. Every entry holds a pipeline
 // analysis; an entry keyed by a raw request input additionally holds the
 // answer bytes rendered from it, so the serving layer's repeated-query
 // path is a byte-slice write with zero heap allocations (see rendered.go).
 // Entries keyed by the canonical query form let whitespace variants share
-// one pipeline run; when the raw input already is canonical, a single
-// entry serves both purposes.
+// one pipeline run; when the raw input already is canonical and the
+// renderer is "", a single entry serves both purposes.
 
 // defaultCacheSize is the total entry cap when Options.CacheSize is 0.
 const defaultCacheSize = 512
@@ -35,21 +36,16 @@ var cacheSeed = maphash.MakeSeed()
 type CacheStats struct {
 	Hits   uint64 `json:"hits"`   // searches served from the cache
 	Misses uint64 `json:"misses"` // searches that ran the pipeline
-	// Entries counts the answers servable at the current ranking epoch.
-	// Stale-epoch leftovers are swept out while counting — they can never
-	// be served again, so reporting them would inflate the cache's
-	// apparent capacity after every feedback call.
+	// Entries counts the answers in the current ranking's cache, the only
+	// ones a search can be served.
 	Entries int `json:"entries"`
 }
 
 // answerCache is a sharded LRU of completed analyses and pre-rendered
-// answer bytes. Entries remember the feedback epoch they were computed
-// under; lookups never return an entry from another epoch.
+// answer bytes, all computed under the ranking that owns it.
 type answerCache struct {
 	shards []cacheShard
 	mask   uint64
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 type cacheShard struct {
@@ -63,7 +59,6 @@ type cacheShard struct {
 // analysis and, once the key has been rendered, the answer bytes.
 type cacheEntry struct {
 	key      string
-	epoch    uint64
 	a        *Analysis
 	rendered []byte
 }
@@ -103,29 +98,20 @@ func (c *answerCache) shard(h uint64) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
-// removeLocked drops one entry; the caller holds sh.mu.
-func (sh *cacheShard) removeLocked(el *list.Element, e *cacheEntry) {
-	sh.lru.Remove(el)
-	delete(sh.byKey, e.key)
-}
-
 // evictLocked trims the shard back to its cap; the caller holds sh.mu.
 func (sh *cacheShard) evictLocked() {
 	for sh.lru.Len() > sh.cap {
-		back := sh.lru.Back()
-		sh.removeLocked(back, back.Value.(*cacheEntry))
+		delete(sh.byKey, sh.lru.Remove(sh.lru.Back()).(*cacheEntry).key)
 	}
 }
 
-// lookup returns what the cache holds for key (built with appendCacheKey)
-// under exactly the given epoch: the analysis, plus the answer bytes when
-// the key has been rendered. A nil analysis means absent. An entry from an
-// older epoch is evicted on sight — the ranking function changed, so the
-// answer can never be valid again. The lookup is allocation-free: the key
-// stays a byte slice end to end (maphash.Bytes plus the compiler's no-copy
-// map lookup for byKey[string(key)]). It counts nothing: the search path
+// lookup returns what the cache holds for key (built with appendCacheKey):
+// the analysis, plus the answer bytes when the key has been rendered. A
+// nil analysis means absent. The lookup is allocation-free: the key stays
+// a byte slice end to end (maphash.Bytes plus the compiler's no-copy map
+// lookup for byKey[string(key)]). It counts nothing: the search path
 // (SearchWithContext, SearchRenderedContext) decides what is a hit.
-func (c *answerCache) lookup(key []byte, epoch uint64) (*Analysis, []byte) {
+func (c *answerCache) lookup(key []byte) (*Analysis, []byte) {
 	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -133,64 +119,51 @@ func (c *answerCache) lookup(key []byte, epoch uint64) (*Analysis, []byte) {
 	if !ok {
 		return nil, nil
 	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch {
-		sh.removeLocked(el, e)
-		return nil, nil
-	}
 	sh.lru.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
 	return e.a, e.rendered
 }
 
-// store records an analysis computed under the given epoch and, when data
-// is non-nil, the answer bytes rendered from it, evicting the least
-// recently used entry when the shard is full. Storing without bytes keeps
-// the bytes already on the entry only if they were rendered under the
-// same epoch.
-func (c *answerCache) store(key []byte, epoch uint64, a *Analysis, data []byte) {
+// store records an analysis and, when data is non-nil, the answer bytes
+// rendered from it, evicting the least recently used entry when the shard
+// is full. Storing without bytes keeps the bytes already on the entry:
+// they were rendered under the same ranking.
+func (c *answerCache) store(key []byte, a *Analysis, data []byte) {
 	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.byKey[string(key)]; ok {
 		e := el.Value.(*cacheEntry)
-		if data != nil || e.epoch != epoch {
+		if data != nil {
 			e.rendered = data
 		}
-		e.epoch, e.a = epoch, a
+		e.a = a
 		sh.lru.MoveToFront(el)
 		return
 	}
 	k := string(key)
-	sh.byKey[k] = sh.lru.PushFront(&cacheEntry{key: k, epoch: epoch, a: a, rendered: data})
+	sh.byKey[k] = sh.lru.PushFront(&cacheEntry{key: k, a: a, rendered: data})
 	sh.evictLocked()
 }
 
-// stats reports the counters and sweeps out entries from older epochs
-// while counting, so Entries is the number of answers the cache can
-// actually serve right now.
-func (c *answerCache) stats(epoch uint64) CacheStats {
-	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+// len counts the entries across all shards.
+func (c *answerCache) len() int {
+	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); e.epoch != epoch {
-				sh.removeLocked(el, e)
-			}
-			el = next
-		}
-		st.Entries += sh.lru.Len()
+		n += sh.lru.Len()
 		sh.mu.Unlock()
 	}
-	return st
+	return n
 }
 
-// CacheStats reports the answer cache's hit/miss counters and current
-// servable size; the zero value when caching is disabled.
+// CacheStats reports the answer cache's hit/miss counters and the current
+// ranking's cache size; the zero value when caching is disabled.
 func (s *System) CacheStats() CacheStats {
-	if s.cache == nil {
+	c := s.ranking.Load().cache
+	if c == nil {
 		return CacheStats{}
 	}
-	return s.cache.stats(s.ranking.Load().epoch)
+	return CacheStats{Hits: s.metrics.cacheHits.Value(), Misses: s.metrics.cacheMisses.Value(), Entries: c.len()}
 }

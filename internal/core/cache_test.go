@@ -113,7 +113,7 @@ func TestCachedSnippetsZeroExecutions(t *testing.T) {
 }
 
 // TestSnippetRowsInvalidatedByFeedback pins that cached snippet rows die
-// with the same feedback epoch as the analysis they ride on.
+// with the ranking cache of the analysis they ride on.
 func TestSnippetRowsInvalidatedByFeedback(t *testing.T) {
 	sys := newSys(t, Options{})
 	a1 := searchWith(t, sys, "wealthy customers", SearchOptions{Snippets: true})
@@ -167,7 +167,7 @@ func TestCancelledSnippetsNotCached(t *testing.T) {
 	if got := best(t, a).SnippetErr; got != context.Canceled.Error() {
 		t.Fatalf("SnippetErr = %q, want %q", got, context.Canceled)
 	}
-	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, renderSQLs); !errors.Is(err, context.Canceled) {
+	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, "", renderSQLs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("search under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 	if st := sys.CacheStats(); st.Entries != 0 {
@@ -192,7 +192,7 @@ func TestSearchStopsBetweenSteps(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Fatal("the query never reached the catalog: pick one that counts an entity")
 	}
-	if _, _, err := sys.SearchRenderedContext(ctx, q, SearchOptions{}, renderSQLs); !errors.Is(err, context.Canceled) {
+	if _, _, err := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "", renderSQLs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("rendered search under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 	before := sys.CacheStats()
@@ -204,6 +204,39 @@ func TestSearchStopsBetweenSteps(t *testing.T) {
 	}
 	if after := sys.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
 		t.Fatalf("next search: stats %+v after %+v, want one more miss and no hit", after, before)
+	}
+}
+
+// TestCacheStoreAfterWriteNotServed: a write that lands while a cold
+// search runs publishes a new ranking, so the answer the search computed
+// under the old one is filed in the old ranking's cache, and the repeat of
+// the query runs the pipeline again.
+func TestCacheStoreAfterWriteNotServed(t *testing.T) {
+	be := &cancelling{Executor: memory.New(world.DB)}
+	sys := NewSystem(be, world.Meta, world.Index, Options{})
+	liked := best(t, search(t, sys, "customers"))
+	var write sync.Once
+	var werr error
+	be.onExec = func() { write.Do(func() { werr = sys.Feedback(liked, true) }) }
+
+	const q = "wealthy customers"
+	so := SearchOptions{Snippets: true}
+	rk := sys.ranking.Load()
+	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "", renderSQLs); err != nil || hit {
+		t.Fatalf("cold search: hit=%v err=%v", hit, err)
+	}
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if sys.ranking.Load() == rk {
+		t.Fatal("no write landed during the search")
+	}
+	before := sys.CacheStats()
+	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "", renderSQLs); err != nil || hit {
+		t.Fatalf("repeat after the write: hit=%v err=%v, want a cold run", hit, err)
+	}
+	if after := sys.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
+		t.Fatalf("repeat: stats %+v after %+v, want one more miss and no hit", after, before)
 	}
 }
 
@@ -373,7 +406,7 @@ func TestConcurrentSearchesShareCache(t *testing.T) {
 // executor identity is part of the key.
 func TestCacheKeyIncludesBackend(t *testing.T) {
 	cacheKey := func(backendName string) string {
-		return string(appendCacheKey(nil, "wealthy customers", sqlast.Generic, true, backendName))
+		return string(appendCacheKey(nil, "wealthy customers", "", sqlast.Generic, true, backendName))
 	}
 	mem := cacheKey("memory")
 	pg := cacheKey("sqldb:pgwire:0a1b2c3d")

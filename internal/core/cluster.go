@@ -18,9 +18,10 @@ package core
 // owns the durable, replicated side: the store handle, the folded base
 // (persisted by snapshots), the canonical tail of unfolded records and
 // the per-origin cursors. The ranking (feedback.go) is the immutable
-// value the pipeline reads — the live maps, the fold of base+tail, and
-// the epoch. Every writer logs under the replica's lock and then
-// publishes the next ranking, so no search waits on store.Append.
+// value the pipeline reads — the live maps, the fold of base+tail, with
+// the answers computed under them. Every writer logs under the replica's
+// lock and then publishes the next ranking, so no search waits on
+// store.Append.
 //
 // Local writes always extend the order at the end (their LC exceeds
 // everything seen), so they apply incrementally; a pulled record that
@@ -63,7 +64,7 @@ type replica struct {
 
 	// Replication cursors, maintained only with a store attached. tail
 	// holds the applied-but-unfolded records in canonical (LC, origin,
-	// originSeq) order; base/baseQueries/baseEpoch/foldPos describe the
+	// originSeq) order; base/baseQueries/foldPos describe the
 	// folded prefix the snapshot persists; vector and lastLC track, per
 	// origin, the highest contiguous OriginSeq applied and the newest
 	// Lamport clock heard; acks remembers each peer's pull vector (the
@@ -76,7 +77,6 @@ type replica struct {
 	tail         []store.Record
 	base         map[feedbackKey]float64
 	baseQueries  map[string]*savedQueryEntry
-	baseEpoch    uint64
 	foldPos      store.Pos
 	foldedVector store.Vector
 	foldedLastLC map[string]uint64
@@ -135,11 +135,10 @@ func (s *System) NoteOriginClock(origin string, lc uint64) {
 // original identity — so convergence survives a restart — and folded into
 // the live state at its canonical position; duplicates (already covered
 // by the vector) are skipped, and a per-origin gap stops that origin's
-// sequence for this batch (the next pull refills it). Every applied
-// record bumps the ranking epoch, so cached answers and in-flight
-// solutions go stale exactly as they do for local feedback. The batch
-// reaches the ranking in one publish, after every append: a search sees
-// all of it or none.
+// sequence for this batch (the next pull refills it). A batch that
+// applies anything publishes a new ranking, with an empty answer cache,
+// exactly as local feedback does. The batch reaches the ranking in one
+// publish, after every append: a search sees all of it or none.
 func (s *System) ApplyRemote(recs []store.Record) (int, error) {
 	r := &s.rep
 	r.mu.Lock()
@@ -155,9 +154,9 @@ func (s *System) ApplyRemote(recs []store.Record) (int, error) {
 		// cloning the base plus replaying the whole tail for each record
 		// would be O(batch × tail) work.
 		if refold {
-			s.ranking.Store(r.refold(s.ranking.Load().epoch + uint64(len(applied))))
+			s.publish(r.refold())
 		} else if len(applied) > 0 {
-			s.ranking.Store(s.ranking.Load().next(applied...))
+			s.publish(s.ranking.Load().next(applied...))
 		}
 		if len(applied) > 0 {
 			s.maybeCompactLocked()
@@ -305,9 +304,7 @@ func (s *System) AdoptState(cs *store.ReplicaState) error {
 		r.tail = append(r.tail, rec)
 		r.noteAppliedLocked(rec)
 	}
-	// The epoch only ever moves forward: solutions and cached answers
-	// stamped before the adoption must come out stale.
-	s.ranking.Store(r.refold(s.ranking.Load().epoch + 1))
+	s.publish(r.refold())
 	// Make the adoption durable: the old WAL records are superseded by
 	// the adopted base; a crash before this snapshot would boot from the
 	// pre-adoption state and simply catch up again. The snapshot value is

@@ -58,8 +58,8 @@ type Options struct {
 	// CacheSize caps the answer cache (entries across all shards). 0
 	// means the default (512); negative disables caching entirely. The
 	// cache is keyed by the canonical query form plus the requested
-	// dialect and snippet flag, and invalidated as a whole whenever
-	// relevance feedback changes the ranking function.
+	// dialect and snippet flag, and each published ranking owns a fresh
+	// one, so a write that changes the ranking function starts it empty.
 	CacheSize int
 
 	// CompactEvery is the WAL compaction threshold when a persistent
@@ -136,17 +136,17 @@ func (o Options) withDefaults() Options {
 //     point's Step 3 table list, the join graph with every table's FK
 //     closure, the bridge tables). It is only read afterwards, without a
 //     lock.
-//   - The ranking (feedback.go): the live feedback map, the saved-query
-//     library and the epoch — all that Step 1, approvedStep and the
-//     answer cache read of what changes at run time — as one immutable
-//     value behind an atomic pointer.
+//   - The ranking (feedback.go): the live feedback map and the
+//     saved-query library — all that Step 1 and approvedStep read of what
+//     changes at run time — as one immutable value behind an atomic
+//     pointer, with the answer cache of what was computed under it.
 //   - The replica (cluster.go): the store, compaction and the replication
 //     cursors, behind the one lock that serialises every writer.
 //
 // A write logs its record under the replica's lock and then publishes
 // the next ranking. A search loads the ranking once and takes no lock on
 // it, so it never waits on a WAL append and scores its whole answer under
-// one ranking. The answer cache and the instruments synchronise
+// one ranking. The answer caches and the instruments synchronise
 // themselves.
 type System struct {
 	// Backend executes the generated SQL. The pipeline itself never
@@ -177,8 +177,6 @@ type System struct {
 	// ranking is the published ranking (feedback.go), never nil.
 	ranking atomic.Pointer[ranking]
 	rep     replica
-
-	cache *answerCache
 
 	// Observability: the registry all layers scrape through, the resolved
 	// core instruments and the component-tagged diagnostic logger (nil
@@ -230,11 +228,8 @@ func newSystem(be backend.Executor, meta *metagraph.Graph, opt Options) *System 
 			now:            time.Now,
 		},
 	}
-	s.ranking.Store(&ranking{})
+	s.publish(&ranking{})
 	s.matcher = pattern.NewMatcher(meta.G, reg)
-	if s.Opt.CacheSize > 0 {
-		s.cache = newAnswerCache(s.Opt.CacheSize)
-	}
 	s.reg = obs.NewRegistry()
 	s.metrics = newSysMetrics(s.reg, be.Name())
 	s.registerCacheMetrics()
@@ -294,9 +289,9 @@ func (s *System) SearchWith(input string, so SearchOptions) (*Analysis, error) {
 // Repeated queries hit the answer cache (keyed by the canonical query
 // form, the dialect and the snippet flag — a cached generic answer is
 // never served to a db2 request, nor a row-less answer to a snippet
-// request) unless relevance feedback bumped the ranking epoch since the
-// answer was computed; the returned Analysis is shared between such
-// callers and must be treated as read-only. ctx flows into backend
+// request) while the ranking the answer was computed under is the
+// published one; the returned Analysis is shared between such callers and
+// must be treated as read-only. ctx flows into backend
 // executions (snippet runs), carrying cancellation and the request's
 // trace span collector, and is checked after each of steps 1-5: a search
 // whose context is cancelled or past its deadline returns ctx.Err() and
@@ -306,8 +301,8 @@ func (s *System) SearchWithContext(ctx context.Context, input string, so SearchO
 }
 
 // search is SearchWithContext under the ranking rk, the caller's one load
-// of it: the cache probe, Step 1's scores, the saved-query merge and every
-// solution's epoch read this value.
+// of it: the cache probe and store, Step 1's scores and the saved-query
+// merge read this value.
 func (s *System) search(ctx context.Context, input string, so SearchOptions, rk *ranking) (*Analysis, error) {
 	q, err := queryparse.Parse(input)
 	if err != nil {
@@ -315,15 +310,15 @@ func (s *System) search(ctx context.Context, input string, so SearchOptions, rk 
 	}
 	dialect := s.searchDialect(so)
 	canonical := q.String()
-	if s.cache != nil {
-		if a, _ := s.cacheLookup(canonical, so, rk.epoch); a != nil {
-			s.cache.hits.Add(1)
+	if rk.cache != nil {
+		if a, _ := s.cacheLookup(rk.cache, canonical, "", so); a != nil {
+			s.metrics.cacheHits.Inc()
 			return a, nil
 		}
-		s.cache.misses.Add(1)
+		s.metrics.cacheMisses.Inc()
 	}
 
-	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, Epoch: rk.epoch, ranking: rk}
+	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, ranking: rk}
 	if so.CountAllocs {
 		a.StepAllocs = make(map[string]uint64, 6)
 	}
@@ -373,17 +368,14 @@ func (s *System) search(ctx context.Context, input string, so SearchOptions, rk 
 
 	// Saved-query library: merge matching pre-approved statements into
 	// the ranked solutions before snippets run, so an approved answer
-	// gets its rows like any generated one. Nothing reads the ranking
-	// after it, and a cached analysis must not keep a superseded
-	// ranking's maps alive.
+	// gets its rows like any generated one.
 	s.approvedStep(a)
-	a.ranking = nil
 
 	if so.Snippets {
 		// Snippet execution is a backend run per solution, tens of
 		// microseconds to milliseconds each, so it spreads across the worker
-		// pool; rows live on the solutions and are cached (and
-		// epoch-invalidated) with them.
+		// pool; rows live on the solutions and are cached (and dropped with
+		// the ranking's cache) with them.
 		start := time.Now()
 		m0 := a.mallocs()
 		s.forEachSolution(a.Solutions, func(sol *Solution) {
@@ -394,8 +386,8 @@ func (s *System) search(ctx context.Context, input string, so SearchOptions, rk 
 		s.metrics.stepSnippet.Record(a.Timings.Snippet)
 	}
 
-	if s.cache != nil {
-		s.cacheStore(canonical, so, a, nil)
+	if rk.cache != nil {
+		s.cacheStore(canonical, "", so, a, nil)
 	}
 	return a, nil
 }

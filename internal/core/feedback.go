@@ -61,47 +61,42 @@ func keyFromStore(k store.Key) feedbackKey {
 	return feedbackKey{column: ColRef{Table: k.Table, Column: k.Column}}
 }
 
-// StaleSolutionError reports feedback on a solution computed under an
-// older ranking epoch. Between the search that produced the solution and
-// the feedback call, other feedback changed the ranking function; applying
-// the stale call silently would also let a replayed WAL record
-// double-apply after a crash. Callers re-run the search and resolve the
-// same statement in the fresh answer (the soda layer does this
-// automatically).
-type StaleSolutionError struct {
-	SolutionEpoch uint64
-	CurrentEpoch  uint64
-}
-
-func (e *StaleSolutionError) Error() string {
-	return fmt.Sprintf("core: stale feedback: solution from ranking epoch %d, current epoch %d (re-run the search and retry)",
-		e.SolutionEpoch, e.CurrentEpoch)
-}
-
 // ranking is the run-time state the pipeline reads: the live feedback
 // map (Step 1 scores entry points with it, Step 2 ranks by those scores),
-// the saved-query library (approvedStep) and the epoch the answer cache
-// checks. The live maps are the fold of the replica's folded base and its
+// the saved-query library (approvedStep) and the answers computed under
+// them. The live maps are the fold of the replica's folded base and its
 // unfolded tail, in canonical record order (cluster.go).
 //
-// A ranking is immutable once published through System.ranking. A search
-// loads it once and reads every score, saved query and epoch of its
-// answer from that one value, so the answer is the product of one state
-// and takes no lock. Writers, serialised by the replica's lock, publish
-// a successor built by next or a fresh fold. epoch counts applied
-// changes: cached answers and solutions from older epochs are stale.
+// A ranking's maps are immutable once published through System.publish.
+// A search loads the ranking once, reads every score and saved query of
+// its answer from that one value, and probes and stores only in that
+// value's cache, so the answer is the product of one state, takes no lock
+// on it, and is served only while that state is current. Writers,
+// serialised by the replica's lock, publish a successor built by next or
+// a fresh fold, which starts with an empty cache.
 type ranking struct {
 	feedback map[feedbackKey]float64
 	queries  map[string]*savedQueryEntry
-	epoch    uint64
+	// cache holds the answers computed under this ranking; nil when
+	// caching is off (Options.CacheSize < 0).
+	cache *answerCache
 }
 
-// next returns the ranking after recs, folded in order, with the epoch
-// advanced by one per record. It copies only the maps the records change,
-// so the published value, which searches may still be reading, stays as
-// it is.
+// publish makes next the ranking every later search reads, with an empty
+// answer cache of the configured size. The caller holds rep.mu, or is
+// newSystem, before anything else can see the System.
+func (s *System) publish(next *ranking) {
+	if s.Opt.CacheSize > 0 {
+		next.cache = newAnswerCache(s.Opt.CacheSize)
+	}
+	s.ranking.Store(next)
+}
+
+// next returns the ranking after recs, folded in order. It copies only
+// the maps the records change, so the published value, which searches may
+// still be reading, stays as it is.
 func (rk *ranking) next(recs ...store.Record) *ranking {
-	n := &ranking{feedback: rk.feedback, queries: rk.queries, epoch: rk.epoch + uint64(len(recs))}
+	n := &ranking{feedback: rk.feedback, queries: rk.queries}
 	var ownFeedback, ownQueries bool
 	for _, rec := range recs {
 		switch rec.Op {
@@ -127,27 +122,23 @@ func (rk *ranking) adjustment(e EntryPoint) float64 {
 }
 
 // ErrNoEntryPoints reports feedback on a solution no entry point produced:
-// a saved-query answer, or an aggregate over no keyword. A like or dislike
-// adjusts entry-point scores, so on such a solution it could change no
-// score; Feedback writes nothing for it.
+// a saved-query answer. A like or dislike adjusts entry-point scores, so
+// on such a solution it could change no score; Feedback writes nothing for
+// it.
 var ErrNoEntryPoints = errors.New("core: feedback on a solution without entry points changes no score")
 
 // Feedback records a like (true) or dislike (false) for every entry point
-// of the solution. Each accepted call bumps the ranking epoch,
-// invalidating every cached answer: the feedback must be observable on the
-// very next search. A solution from an older epoch is rejected with
-// *StaleSolutionError instead of being silently applied against a ranking
-// function it was never scored by, and one without entry points with
-// ErrNoEntryPoints.
+// of the solution, whichever ranking the solution was computed under: the
+// feedback lands on the result it names. Each accepted call publishes a
+// new ranking with an empty answer cache, so the feedback is observable
+// on the very next search. A solution without entry points is refused
+// with ErrNoEntryPoints.
 func (s *System) Feedback(sol *Solution, like bool) error {
 	if len(sol.Entries) == 0 {
 		return ErrNoEntryPoints
 	}
 	s.rep.mu.Lock()
 	defer s.rep.mu.Unlock()
-	if cur := s.ranking.Load().epoch; sol.Epoch != cur {
-		return &StaleSolutionError{SolutionEpoch: sol.Epoch, CurrentEpoch: cur}
-	}
 	rec := store.Record{Op: store.OpDislike, Keys: make([]store.Key, len(sol.Entries))}
 	if like {
 		rec.Op = store.OpLike
@@ -162,7 +153,7 @@ func (s *System) Feedback(sol *Solution, like bool) error {
 }
 
 // ResetFeedback forgets all recorded feedback and, like Feedback,
-// invalidates the answer cache by bumping the ranking epoch. With a store
+// publishes a new ranking with an empty answer cache. With a store
 // attached the reset is WAL-logged, so a replay reproduces it.
 func (s *System) ResetFeedback() error {
 	s.rep.mu.Lock()
@@ -176,8 +167,8 @@ func (s *System) ResetFeedback() error {
 // commitLocked makes one local write. With a store attached the replica
 // stamps rec with the next identity and Lamport clock — so it extends the
 // canonical order at the end and applies incrementally — appends it to
-// the WAL and adds it to the replication tail. The next ranking, with the
-// epoch bumped, is then published, and the log is compacted when due.
+// the WAL and adds it to the replication tail. The next ranking is then
+// published, and the log is compacted when due.
 // Without a store the write applies in memory only. The caller holds
 // rep.mu.
 func (s *System) commitLocked(rec store.Record) error {
@@ -191,7 +182,7 @@ func (s *System) commitLocked(rec store.Record) error {
 		r.noteAppliedLocked(stored)
 		rec = stored
 	}
-	s.ranking.Store(s.ranking.Load().next(rec))
+	s.publish(s.ranking.Load().next(rec))
 	s.maybeCompactLocked()
 	return nil
 }

@@ -12,9 +12,7 @@ import (
 )
 
 // feedbackOnLayer re-runs the query and applies feedback to the solution
-// whose first entry sits on the given layer. Each Feedback call bumps the
-// ranking epoch, so repeated feedback must go through a fresh search —
-// solutions from the previous page are rejected as stale.
+// whose first entry sits on the given layer.
 func feedbackOnLayer(t *testing.T, sys *System, q, layer string, like bool) {
 	t.Helper()
 	a := search(t, sys, q)
@@ -33,11 +31,11 @@ func TestFeedbackRerankAmbiguousQuery(t *testing.T) {
 	// A fresh system so feedback does not leak into other tests.
 	sys := NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{})
 
-	// "customer" is ambiguous: the ontology concept outranks the DBpedia
-	// candidates by default.
-	a := search(t, sys, "customer")
+	// "name" is ambiguous: the ontology reading (score 1.00) outranks
+	// the two physical columns (0.70) by default.
+	a := search(t, sys, "name")
 	if len(a.Solutions) < 2 {
-		t.Skipf("need >= 2 interpretations, got %d", len(a.Solutions))
+		t.Fatalf("need >= 2 interpretations, got %d", len(a.Solutions))
 	}
 	first := a.Solutions[0]
 	if first.Entries[0].Layer != metagraph.LayerDomainOntology {
@@ -47,9 +45,9 @@ func TestFeedbackRerankAmbiguousQuery(t *testing.T) {
 	// Disliking the ontology interpretation repeatedly sinks it below
 	// the alternatives.
 	for i := 0; i < 4; i++ {
-		feedbackOnLayer(t, sys, "customer", metagraph.LayerDomainOntology, false)
+		feedbackOnLayer(t, sys, "name", metagraph.LayerDomainOntology, false)
 	}
-	a2 := search(t, sys, "customer")
+	a2 := search(t, sys, "name")
 	if a2.Solutions[0].Entries[0].Layer == metagraph.LayerDomainOntology {
 		t.Fatalf("disliked interpretation still ranks first (score %.2f)",
 			a2.Solutions[0].Score)
@@ -57,9 +55,9 @@ func TestFeedbackRerankAmbiguousQuery(t *testing.T) {
 
 	// Liking it back restores the original ranking.
 	for i := 0; i < 8; i++ {
-		feedbackOnLayer(t, sys, "customer", metagraph.LayerDomainOntology, true)
+		feedbackOnLayer(t, sys, "name", metagraph.LayerDomainOntology, true)
 	}
-	a3 := search(t, sys, "customer")
+	a3 := search(t, sys, "name")
 	if a3.Solutions[0].Entries[0].Layer != metagraph.LayerDomainOntology {
 		t.Fatal("liked interpretation should rank first again")
 	}
@@ -70,8 +68,6 @@ func TestFeedbackClamped(t *testing.T) {
 	a := search(t, sys, "customers")
 	target := keyOf(best(t, a).Entries[0])
 	for i := 0; i < 8; i++ {
-		// Re-search each round: the previous page is stale after its own
-		// feedback bumped the epoch.
 		a := search(t, sys, "customers")
 		var sol *Solution
 		for _, s2 := range a.Solutions {
@@ -90,28 +86,6 @@ func TestFeedbackClamped(t *testing.T) {
 	adj := adjustment(sys, best(t, search(t, sys, "customers")).Entries[0])
 	if adj != maxFeedback {
 		t.Fatalf("adjustment = %f, want clamped accumulation to %f", adj, maxFeedback)
-	}
-}
-
-func TestFeedbackStaleSolutionRejected(t *testing.T) {
-	sys := NewSystem(memory.New(world.DB), world.Meta, world.Index, Options{})
-	a := search(t, sys, "customers")
-	sol := best(t, a)
-	if err := sys.Feedback(sol, true); err != nil {
-		t.Fatalf("first feedback at current epoch: %v", err)
-	}
-	// The first call bumped the epoch: the same page is now stale and a
-	// second apply must be detected, not silently double-applied.
-	err := sys.Feedback(sol, true)
-	var stale *StaleSolutionError
-	if !errors.As(err, &stale) {
-		t.Fatalf("stale feedback error = %v, want *StaleSolutionError", err)
-	}
-	if stale.SolutionEpoch >= stale.CurrentEpoch {
-		t.Fatalf("stale error epochs: %+v", stale)
-	}
-	if adj := adjustment(sys, sol.Entries[0]); adj != feedbackStep {
-		t.Fatalf("adjustment = %f, want single step %f (stale call must not apply)", adj, feedbackStep)
 	}
 }
 
@@ -217,10 +191,10 @@ func adjustment(sys *System, e EntryPoint) float64 {
 	return sys.ranking.Load().adjustment(e)
 }
 
-// TestFeedbackWithoutEntryPointsWritesNothing: a saved-query answer and a
-// keyword-less aggregate carry no entry point, so a like or dislike on one
-// could change no score. It is refused with ErrNoEntryPoints before
-// anything is logged: no WAL record, no epoch bump, no emptied cache.
+// TestFeedbackWithoutEntryPointsWritesNothing: a saved-query answer
+// carries no entry point, so a like or dislike on it could change no
+// score. It is refused with ErrNoEntryPoints before anything is logged: no
+// WAL record, no published ranking, no emptied cache.
 func TestFeedbackWithoutEntryPointsWritesNothing(t *testing.T) {
 	sys := openReplica(t, t.TempDir(), "", 0, Options{})
 	defer sys.Close()
@@ -236,20 +210,17 @@ func TestFeedbackWithoutEntryPointsWritesNothing(t *testing.T) {
 	if approved == nil {
 		t.Fatal("saved query not in the answer")
 	}
-	aggregate := best(t, search(t, sys, "count ()"))
-	epoch, records, entries := sys.ranking.Load().epoch, sys.StoreStats().WALRecords, sys.CacheStats().Entries
-	for _, sol := range []*Solution{approved, aggregate} {
-		if len(sol.Entries) != 0 {
-			t.Fatalf("solution %q has entry points %v", sol.SQLText(), sol.Entries)
-		}
-		for _, like := range []bool{true, false} {
-			if err := sys.Feedback(sol, like); !errors.Is(err, ErrNoEntryPoints) {
-				t.Fatalf("Feedback(%q, %v) = %v, want ErrNoEntryPoints", sol.SQLText(), like, err)
-			}
+	rk, records, entries := sys.ranking.Load(), sys.StoreStats().WALRecords, sys.CacheStats().Entries
+	if len(approved.Entries) != 0 {
+		t.Fatalf("saved-query solution has entry points %v", approved.Entries)
+	}
+	for _, like := range []bool{true, false} {
+		if err := sys.Feedback(approved, like); !errors.Is(err, ErrNoEntryPoints) {
+			t.Fatalf("Feedback(%q, %v) = %v, want ErrNoEntryPoints", approved.SQLText(), like, err)
 		}
 	}
-	if got := sys.ranking.Load().epoch; got != epoch {
-		t.Errorf("epoch moved %d -> %d", epoch, got)
+	if sys.ranking.Load() != rk {
+		t.Error("a new ranking was published")
 	}
 	if got := sys.StoreStats().WALRecords; got != records {
 		t.Errorf("WAL records %d -> %d", records, got)
@@ -263,34 +234,36 @@ func TestFeedbackWithoutEntryPointsWritesNothing(t *testing.T) {
 }
 
 // TestFeedbackSearchSeesOneRanking: every cold search is scored under the
-// one ranking its Epoch names. One writer cycles like, register, dislike,
-// delete while two readers search with the cache off; every candidate's
-// score must be its layer score plus the adjustment at the analysis's
-// epoch, every solution must carry that epoch, and the saved query must
-// be merged in exactly when the library at that epoch holds it.
+// one ranking it loaded. One writer cycles like, register, dislike, delete
+// while two readers search with the cache off; each analysis must name a
+// published ranking, every candidate's score must be its layer score plus
+// that ranking's adjustment, and the saved query must be merged in exactly
+// when that ranking's library holds it. Each reader searches at least
+// searches times and on until the writer has published minWrites rankings,
+// so a writer the scheduler starts late still races the readers.
 func TestFeedbackSearchSeesOneRanking(t *testing.T) {
 	const (
-		q        = "big earners customers"
-		readers  = 2
-		searches = 300
+		q         = "big earners customers"
+		readers   = 2
+		searches  = 300
+		minWrites = 8
 	)
 	sys := newSys(t, Options{CacheSize: -1, Parallelism: 1})
-	// history holds the ranking published at each epoch. Only the writer
-	// publishes, so after each of its writes the loaded ranking is the one
-	// that write made.
-	history := map[uint64]*ranking{}
-	record := func() {
-		rk := sys.ranking.Load()
-		history[rk.epoch] = rk
-	}
+	// history holds every published ranking. Only the writer publishes,
+	// so after each of its writes the loaded ranking is the one that write
+	// made.
+	history := map[*ranking]bool{}
+	record := func() { history[sys.ranking.Load()] = true }
 	record()
 
-	var done atomic.Bool
+	var done, stopped atomic.Bool
+	var writes atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	writeErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
+		defer stopped.Store(true)
 		for i := 0; !done.Load(); i++ {
 			var err error
 			switch i % 4 {
@@ -315,6 +288,7 @@ func TestFeedbackSearchSeesOneRanking(t *testing.T) {
 				return
 			}
 			record()
+			writes.Add(1)
 		}
 	}()
 
@@ -324,7 +298,7 @@ func TestFeedbackSearchSeesOneRanking(t *testing.T) {
 		rg.Add(1)
 		go func() {
 			defer rg.Done()
-			for range searches {
+			for n := 0; n < searches || writes.Load() < minWrites && !stopped.Load(); n++ {
 				a, err := sys.Search(q)
 				if err != nil {
 					t.Error(err)
@@ -347,25 +321,22 @@ func TestFeedbackSearchSeesOneRanking(t *testing.T) {
 	for _, as := range analyses {
 		for _, a := range as {
 			total++
-			if !scoredUnder(sys, a, history[a.Epoch]) {
+			if !history[a.ranking] || !scoredUnder(sys, a, a.ranking) {
 				torn++
 			}
 		}
 	}
-	if len(history) < 8 {
+	if len(history) < minWrites {
 		t.Fatalf("only %d rankings published while %d searches ran; the test exercised no race", len(history), total)
 	}
 	if torn > 0 {
-		t.Fatalf("%d of %d searches were not scored under the ranking of their epoch (%d rankings published)", torn, total, len(history))
+		t.Fatalf("%d of %d searches were not scored under the ranking they loaded (%d rankings published)", torn, total, len(history))
 	}
 }
 
 // scoredUnder reports whether every part of a comes from rk: each
-// candidate's score, each solution's epoch and the saved-query merge.
+// candidate's score and the saved-query merge.
 func scoredUnder(sys *System, a *Analysis, rk *ranking) bool {
-	if rk == nil {
-		return false
-	}
 	for _, cands := range a.Candidates {
 		for _, ep := range cands {
 			if ep.Score != sys.entryScore(ep.Layer)+rk.adjustment(ep) {
@@ -375,9 +346,6 @@ func scoredUnder(sys *System, a *Analysis, rk *ranking) bool {
 	}
 	merged := false
 	for _, sol := range a.Solutions {
-		if sol.Epoch != a.Epoch {
-			return false
-		}
 		merged = merged || sol.Approved
 	}
 	_, saved := rk.queries["big earners"]

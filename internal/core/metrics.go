@@ -35,6 +35,9 @@ type sysMetrics struct {
 	prepSeconds *obs.Histogram
 
 	snapshotErrors *obs.Counter
+
+	cacheHits   *obs.Counter
+	cacheMisses *obs.Counter
 }
 
 // newSysMetrics registers the core instrument set for a System running on
@@ -70,30 +73,19 @@ func newSysMetrics(reg *obs.Registry, backendName string) *sysMetrics {
 
 		snapshotErrors: reg.Counter("soda_snapshot_errors_total",
 			"Failed snapshot writes (compaction, /admin/snapshot, cluster catch-up and shutdown)."),
+
+		cacheHits: reg.Counter("soda_cache_hits_total",
+			"Answer-cache hits (searches served without running the pipeline)."),
+		cacheMisses: reg.Counter("soda_cache_misses_total",
+			"Answer-cache misses (searches that ran the pipeline)."),
 	}
 }
 
-// registerCacheMetrics exposes the answer cache's existing atomics as
-// scrape-time functions — the hot path is untouched.
+// registerCacheMetrics exposes the current ranking's cache size as a
+// scrape-time function.
 func (s *System) registerCacheMetrics() {
-	s.reg.CounterFunc("soda_cache_hits_total",
-		"Answer-cache hits (searches served without running the pipeline).",
-		func() float64 {
-			if s.cache == nil {
-				return 0
-			}
-			return float64(s.cache.hits.Load())
-		})
-	s.reg.CounterFunc("soda_cache_misses_total",
-		"Answer-cache misses (searches that ran the pipeline).",
-		func() float64 {
-			if s.cache == nil {
-				return 0
-			}
-			return float64(s.cache.misses.Load())
-		})
 	s.reg.GaugeFunc("soda_cache_entries",
-		"Answer-cache entries servable at the current ranking epoch.",
+		"Answer-cache entries servable under the current ranking.",
 		func() float64 { return float64(s.CacheStats().Entries) })
 }
 

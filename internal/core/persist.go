@@ -41,11 +41,10 @@ type StoreStats struct {
 // (replicaID; "" keeps "local") and the number of configured peers (the
 // fold gates require hearing from — and being acknowledged by — that many
 // distinct replicas), records the world fingerprint stamped into
-// snapshots, restores the folded base and its ranking epoch from the
-// snapshot (when one was loaded), replays the WAL tail in canonical record
-// order — skipping records at or below the snapshot's fold watermark, so
-// nothing can double-apply — and from then on logs every write through the
-// WAL. With no snapshot (snap == nil) the tail replays onto empty state.
+// snapshots, restores the folded base from the snapshot (when one was
+// loaded), replays the WAL tail in canonical record order — skipping
+// records at or below the snapshot's fold watermark, so nothing can
+// double-apply — and from then on logs every write through the WAL. With no snapshot (snap == nil) the tail replays onto empty state.
 //
 // OpenStore must be called once, before the System serves searches.
 func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID string, peers int, fingerprint uint64) error {
@@ -83,7 +82,7 @@ func (s *System) OpenStore(st *store.Store, snap *store.Snapshot, replicaID stri
 		r.tail = append(r.tail, rec)
 		r.noteAppliedLocked(rec)
 	}
-	s.ranking.Store(r.refold(r.baseEpoch + uint64(len(r.tail))))
+	s.publish(r.refold())
 	r.replayedRecords = len(r.tail)
 	r.store = st
 	s.registerStoreMetrics()
@@ -102,7 +101,7 @@ func (r *replica) installLocked(fs *store.ReplicaState) {
 		r.base[keyFromStore(e.Key)] = e.Value
 	}
 	r.baseQueries = buildQueryMap(fs.Queries)
-	r.baseEpoch, r.foldPos = fs.Epoch, fs.FoldPos
+	r.foldPos = fs.FoldPos
 	r.vector = make(store.Vector, len(fs.Origins))
 	r.lastLC = make(map[string]uint64, len(fs.Origins))
 	r.foldedVector = make(store.Vector, len(fs.Origins))
@@ -118,7 +117,7 @@ func (r *replica) installLocked(fs *store.ReplicaState) {
 // foldedLocked captures the folded base — what a snapshot persists and
 // what a peer behind the fold point adopts — without the tail.
 func (r *replica) foldedLocked() *store.ReplicaState {
-	fs := &store.ReplicaState{Epoch: r.baseEpoch, FoldPos: r.foldPos, Queries: rawQueries(r.baseQueries)}
+	fs := &store.ReplicaState{FoldPos: r.foldPos, Queries: rawQueries(r.baseQueries)}
 	for k, v := range r.base {
 		fs.Feedback = append(fs.Feedback, store.FeedbackEntry{Key: storeKey(k), Value: v})
 	}
@@ -137,24 +136,24 @@ func (r *replica) noteAppliedLocked(rec store.Record) {
 	r.lamport = max(r.lamport, rec.LC)
 }
 
-// refold computes the live ranking from scratch, at the given epoch: the
-// tail folded, in canonical order, onto a copy of the base. It is the
-// open's replay and the out-of-order path — a pulled record sorted into
-// the middle of the tail, so the incremental apply would have folded it in
-// the wrong order. The maps are new, so the ranking can be published as
-// it is.
-func (r *replica) refold(epoch uint64) *ranking {
+// refold computes the live ranking from scratch: the tail folded, in
+// canonical order, onto a copy of the base. It is the open's replay, the
+// adoption's and the out-of-order path — a pulled record sorted into the
+// middle of the tail, so the incremental apply would have folded it in the
+// wrong order. The maps are new, so the ranking can be published as it
+// is.
+func (r *replica) refold() *ranking {
 	fb, qs := maps.Clone(r.base), maps.Clone(r.baseQueries)
 	for _, rec := range r.tail {
 		fb = applyRecordTo(fb, rec)
 		qs = applyQueryRecordTo(qs, rec)
 	}
-	return &ranking{feedback: fb, queries: qs, epoch: epoch}
+	return &ranking{feedback: fb, queries: qs}
 }
 
 // WriteSnapshot persists the durable state (the folded feedback base and
-// saved queries, their epoch, the fold watermark and vector) and compacts
-// the WAL down to the unfolded tail. Safe to call concurrently with
+// saved queries, the fold watermark and vector) and compacts the WAL down
+// to the unfolded tail. Safe to call concurrently with
 // searches and writes: only the fold advance and the state capture happen
 // under the replica's lock — the snapshot value is self-contained (copied
 // entries), so the encode and fsync run without stalling later writes.
@@ -194,7 +193,6 @@ func (r *replica) foldLocked(deadAfter time.Duration) {
 		r.foldedLastLC[rec.Origin] = max(r.foldedLastLC[rec.Origin], rec.LC)
 		r.foldPos = rec.Pos()
 	}
-	r.baseEpoch += uint64(k)
 	r.tail = append([]store.Record(nil), r.tail[k:]...)
 }
 

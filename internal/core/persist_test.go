@@ -44,8 +44,7 @@ func openReplica(t *testing.T, dir, id string, peers int, opt Options) *System {
 
 // applyTestFeedback records a deterministic feedback sequence: dislikes
 // on the ontology "customer" interpretation and likes on the Zürich
-// base-data interpretation, re-searching between calls (each call bumps
-// the epoch).
+// base-data interpretation, re-searching between calls.
 func applyTestFeedback(t *testing.T, sys *System, rounds int) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
@@ -110,7 +109,7 @@ func TestWALReplayDeterminism(t *testing.T) {
 	// Simulated crash: the store is NOT closed, so no final snapshot is
 	// written — the WAL tail carries all the feedback.
 
-	// Reopen 1: the epoch-0 snapshot + WAL tail.
+	// Reopen 1: the empty snapshot + WAL tail.
 	sys2 := openReplica(t, dir, "", 0, Options{})
 	if sys2.StoreStats().ReplayedRecords == 0 {
 		t.Fatal("expected WAL records to replay")
@@ -127,9 +126,6 @@ func TestWALReplayDeterminism(t *testing.T) {
 	}
 	sys3 := openReplica(t, dir, "", 0, Options{})
 	assertSameRankings(t, want, rankingsOf(t, sys3), "cold WAL replay")
-	if sys3.ranking.Load().epoch != sys1.ranking.Load().epoch {
-		t.Fatalf("replayed epoch %d != original %d", sys3.ranking.Load().epoch, sys1.ranking.Load().epoch)
-	}
 
 	// Reopen 3: sys3's Close folds the WAL into a fresh snapshot and
 	// compacts it; opening again must replay nothing and still agree.

@@ -14,8 +14,9 @@ package core
 // OpSetQuery record (the encoded query as payload) to the same WAL the
 // feedback log uses, so the library folds deterministically on every
 // replica, persists through snapshots (the "queries" section) and
-// survives restarts. Like feedback, every change bumps the ranking
-// epoch, so cached answers never miss a newly blessed query.
+// survives restarts. Like feedback, every change publishes a new ranking
+// with an empty answer cache, so cached answers never miss a newly
+// blessed query.
 
 import (
 	"context"
@@ -244,9 +245,10 @@ func rawQueries(m map[string]*savedQueryEntry) []store.SavedQuery {
 // RegisterQuery adds (or replaces) a saved query in the library. The SQL
 // must parse in the generic dialect with one parameter spec per
 // placeholder occurrence; see buildSavedQuery for the full contract.
-// Like Feedback, the change is WAL-logged before it is applied and bumps
-// the ranking epoch, so every cached answer — on this replica and, after
-// replication, on every peer — is recomputed against the new library.
+// Like Feedback, the change is WAL-logged before it is applied and
+// publishes a new ranking, so every cached answer — on this replica and,
+// after replication, on every peer — is recomputed against the new
+// library.
 func (s *System) RegisterQuery(q store.SavedQuery) error {
 	e, err := buildSavedQuery(q)
 	if err != nil {
@@ -307,8 +309,8 @@ type BoundParam struct {
 // value type in declared order — and fall back to declared defaults; a
 // query with an unbindable required parameter is skipped, not offered
 // half-bound. Called after the SQL step, it reads the library of the
-// analysis's ranking and stamps its epoch; the merged list is re-sorted
-// and trimmed to TopN like any ranked output.
+// analysis's ranking; the merged list is re-sorted and trimmed to TopN
+// like any ranked output.
 func (s *System) approvedStep(a *Analysis) {
 	entries := make([]*savedQueryEntry, 0, len(a.ranking.queries))
 	for _, e := range a.ranking.queries {
@@ -353,7 +355,6 @@ func (s *System) approvedStep(a *Analysis) {
 		}
 		sol := &Solution{
 			Score:     float64(covered)/float64(len(input)) + approvedBonus,
-			Epoch:     a.Epoch,
 			SQL:       e.sel,
 			Dialect:   a.Dialect,
 			Approved:  true,

@@ -189,8 +189,9 @@ func TestApprovedExecutesPrepared(t *testing.T) {
 }
 
 // TestRegisterQueryInvalidatesCache is the cache-correctness satellite:
-// registering (or deleting) a saved query bumps the feedback epoch, so a
-// cached answer that predates the library change is recomputed.
+// registering (or deleting) a saved query publishes a new ranking with an
+// empty answer cache, so a cached answer that predates the library change
+// is recomputed.
 func TestRegisterQueryInvalidatesCache(t *testing.T) {
 	sys := newSys(t, Options{})
 	a1 := search(t, sys, "big earners salary >= 50000")

@@ -18,11 +18,6 @@ func (s *System) rank(a *Analysis) {
 		}
 	}
 	if len(active) == 0 {
-		// A query can still be meaningful with zero lookup terms (pure
-		// "count()" aggregations); emit one empty solution.
-		if len(a.Query.Aggregations) > 0 {
-			a.Solutions = []*Solution{{Score: 1.0, TopN: a.Query.TopN, Epoch: a.Epoch}}
-		}
 		return
 	}
 
@@ -56,10 +51,7 @@ func (s *System) rank(a *Analysis) {
 	}
 
 	// The kept solutions and their entries are two slabs; each solution's
-	// Entries is a capped window of the entry slab. Every solution carries
-	// the pipeline's epoch: Feedback checks it, so feedback from a page
-	// ranked under an older function is detected instead of silently
-	// applied.
+	// Entries is a capped window of the entry slab.
 	sols := make([]*Solution, len(best))
 	slab := make([]Solution, len(best))
 	entries := make([]EntryPoint, len(best)*k)
@@ -68,7 +60,7 @@ func (s *System) rank(a *Analysis) {
 		for t, c := range r.pick {
 			own[t] = active[t][c]
 		}
-		slab[i] = Solution{Entries: own, Score: r.score, TopN: a.Query.TopN, Epoch: a.Epoch}
+		slab[i] = Solution{Entries: own, Score: r.score, TopN: a.Query.TopN}
 		sols[i] = &slab[i]
 	}
 	a.Solutions = sols

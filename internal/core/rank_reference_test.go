@@ -25,9 +25,6 @@ func refRank(s *System, a *Analysis) {
 		}
 	}
 	if len(active) == 0 {
-		if len(a.Query.Aggregations) > 0 {
-			a.Solutions = []*Solution{{Score: 1.0, TopN: a.Query.TopN}}
-		}
 		return
 	}
 

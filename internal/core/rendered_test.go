@@ -8,7 +8,7 @@ import (
 )
 
 // renderSQLs is a minimal render callback: the solutions' SQL texts, one
-// per line — enough to detect re-renders and epoch staleness.
+// per line — enough to detect re-renders and stale bytes.
 func renderSQLs(a *Analysis) ([]byte, error) {
 	var buf bytes.Buffer
 	for _, sol := range a.Solutions {
@@ -25,14 +25,14 @@ func echoRender(payload string) func(*Analysis) ([]byte, error) {
 
 func TestSearchRenderedServesCachedBytes(t *testing.T) {
 	sys := newSys(t, Options{})
-	d1, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
+	d1, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, "", renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first render reported a cache hit")
 	}
-	d2, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
+	d2, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, "", renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestSearchRenderedServesCachedBytes(t *testing.T) {
 		t.Fatal("repeat did not return the cached byte slice")
 	}
 
-	// Feedback bumps the epoch: the cached bytes must never be served
-	// again, and the re-render reflects the new scores.
+	// Feedback publishes a new ranking: the cached bytes must never be
+	// served again, and the re-render reflects the new scores.
 	a := search(t, sys, "wealthy customers")
 	if err := sys.Feedback(a.Solutions[0], true); err != nil {
 		t.Fatal(err)
 	}
-	d3, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, renderSQLs)
+	d3, hit, err := sys.SearchRenderedContext(context.Background(), "wealthy customers", SearchOptions{}, "", renderSQLs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,14 @@ func TestSearchRenderedKeyedByRawInput(t *testing.T) {
 	sys := newSys(t, Options{})
 	raw1, raw2 := "wealthy   customers", "  wealthy customers  "
 
-	d1, hit, err := sys.SearchRenderedContext(context.Background(), raw1, SearchOptions{}, echoRender(raw1))
+	d1, hit, err := sys.SearchRenderedContext(context.Background(), raw1, SearchOptions{}, "", echoRender(raw1))
 	if err != nil || hit {
 		t.Fatalf("first variant: hit=%v err=%v", hit, err)
 	}
 	st := sys.CacheStats()
 	// The second variant's rendered entry misses, but its SearchWith
 	// fallback hits the canonical analysis entry: no second pipeline run.
-	d2, hit, err := sys.SearchRenderedContext(context.Background(), raw2, SearchOptions{}, echoRender(raw2))
+	d2, hit, err := sys.SearchRenderedContext(context.Background(), raw2, SearchOptions{}, "", echoRender(raw2))
 	if err != nil || hit {
 		t.Fatalf("second variant: hit=%v err=%v", hit, err)
 	}
@@ -89,7 +89,7 @@ func TestSearchRenderedKeyedByRawInput(t *testing.T) {
 	}
 	// Repeats now serve each variant its own bytes.
 	for _, c := range []struct{ raw, want string }{{raw1, raw1}, {raw2, raw2}} {
-		d, hit, err := sys.SearchRenderedContext(context.Background(), c.raw, SearchOptions{}, echoRender("re-rendered"))
+		d, hit, err := sys.SearchRenderedContext(context.Background(), c.raw, SearchOptions{}, "", echoRender("re-rendered"))
 		if err != nil || !hit {
 			t.Fatalf("repeat of %q: hit=%v err=%v", c.raw, hit, err)
 		}
@@ -103,16 +103,16 @@ func TestSearchRenderedKeyIncludesDialectAndSnippets(t *testing.T) {
 	sys := newSys(t, Options{})
 	seed := func(so SearchOptions, payload string) {
 		t.Helper()
-		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", so, echoRender(payload)); err != nil || hit {
+		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", so, "", echoRender(payload)); err != nil || hit {
 			t.Fatalf("seeding %+v: hit=%v err=%v", so, hit, err)
 		}
 	}
 	seed(SearchOptions{}, "generic")
 	seed(SearchOptions{Snippets: true}, "snippets")
-	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, echoRender("x")); !hit || string(d) != "generic" {
+	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, "", echoRender("x")); !hit || string(d) != "generic" {
 		t.Fatalf("plain repeat: hit=%v data=%q", hit, d)
 	}
-	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{Snippets: true}, echoRender("x")); !hit || string(d) != "snippets" {
+	if d, hit, _ := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{Snippets: true}, "", echoRender("x")); !hit || string(d) != "snippets" {
 		t.Fatalf("snippet repeat: hit=%v data=%q", hit, d)
 	}
 }
@@ -120,15 +120,14 @@ func TestSearchRenderedKeyIncludesDialectAndSnippets(t *testing.T) {
 func TestSearchRenderedDisabledCache(t *testing.T) {
 	sys := newSys(t, Options{CacheSize: -1})
 	for i := 0; i < 2; i++ {
-		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, renderSQLs); err != nil || hit {
+		if _, hit, err := sys.SearchRenderedContext(context.Background(), "customer", SearchOptions{}, "", renderSQLs); err != nil || hit {
 			t.Fatalf("call %d with caching disabled: hit=%v err=%v", i, hit, err)
 		}
 	}
 }
 
-// TestCacheStatsEntriesServableOnly is the regression test for the
-// "entries count any epoch" bug: after feedback, /healthz must not report
-// dead stale-epoch answers as cached capacity.
+// TestCacheStatsEntriesServableOnly: after feedback, /healthz must not
+// report the superseded ranking's answers as cached capacity.
 func TestCacheStatsEntriesServableOnly(t *testing.T) {
 	sys := newSys(t, Options{})
 	search(t, sys, "customer")
@@ -140,7 +139,7 @@ func TestCacheStatsEntriesServableOnly(t *testing.T) {
 	if err := sys.Feedback(a.Solutions[0], true); err != nil {
 		t.Fatal(err)
 	}
-	// Every cached answer predates the feedback epoch: none is servable.
+	// Every cached answer predates the feedback: none is servable.
 	if st := sys.CacheStats(); st.Entries != 0 {
 		t.Fatalf("entries after feedback = %d, want 0 (stale answers are not capacity)", st.Entries)
 	}

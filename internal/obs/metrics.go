@@ -208,7 +208,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for surfacing counts already maintained elsewhere (e.g. the
-// answer cache's hit/miss atomics) without touching the hot path.
+// store's compaction count) without touching the hot path.
 // Re-registering the same name+labels replaces the function.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {

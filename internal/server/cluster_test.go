@@ -150,30 +150,19 @@ func (f *fleet) restart(i int) {
 	f.boot(i)
 }
 
-// feedback likes/dislikes one result of a query on replica i. A 409
-// (stale epoch: remote records raced in between the search and the
-// apply) is retried, which is the documented client pattern.
+// feedback likes/dislikes one result of a query on replica i.
 func (f *fleet) feedback(i int, query string, result int, like bool) error {
 	body := fmt.Sprintf(`{"query": %q, "result": %d, "like": %v}`, query, result, like)
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		resp, err := http.Post(f.urls[i]+"/feedback", "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		status := resp.StatusCode
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if status == http.StatusOK {
-			return nil
-		}
-		lastErr = fmt.Errorf("feedback on replica %d: status %d: %s", i, status, msg)
-		if status != http.StatusConflict {
-			return lastErr
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Post(f.urls[i]+"/feedback", "application/json", strings.NewReader(body))
+	if err != nil {
+		return err
 	}
-	return lastErr
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("feedback on replica %d: status %d: %s", i, resp.StatusCode, msg)
+	}
+	return nil
 }
 
 // awaitConvergence polls until every live replica's applied vector is

@@ -168,8 +168,8 @@ func TestAccessLogLines(t *testing.T) {
 
 // TestConcurrentSearchMetricsFeedback hammers /search, /metrics, and
 // /feedback from concurrent goroutines — under -race this proves the
-// instruments, the scrape path, and the feedback epoch bumps share the
-// registry safely.
+// instruments, the scrape path, and the rankings feedback publishes share
+// the registry safely.
 func TestConcurrentSearchMetricsFeedback(t *testing.T) {
 	sys := soda.NewSystem(soda.MiniBank(), soda.Options{})
 	sys.Warm()

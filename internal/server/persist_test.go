@@ -28,8 +28,8 @@ func TestRestartSurvivalByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	ts, sys := newPersistentServer(t, dir)
 
-	// Apply feedback through the API, twice on the same result — the
-	// second apply exercises the stale-epoch re-resolution.
+	// Apply feedback through the API, twice on the same result; the
+	// second resolves it in the answer the first re-ranked.
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/feedback",
 			`{"query": "customer", "result": 0, "like": false}`)
@@ -95,8 +95,8 @@ func TestAdminSnapshotAndHealthzStore(t *testing.T) {
 	if health.Store == nil {
 		t.Fatal("healthz missing store stats for a persistent daemon")
 	}
-	if health.Store.SnapshotEpoch == 0 {
-		t.Fatalf("healthz store stats = %+v, want snapshot epoch > 0", health.Store)
+	if health.Store.SnapshotSeq == 0 {
+		t.Fatalf("healthz store stats = %+v, want snapshot applied seq > 0", health.Store)
 	}
 }
 

@@ -219,9 +219,9 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 // FeedbackRequest likes or dislikes one ranked result of a query (§6.3).
 // SQL, when set, pins the exact statement the client saw: feedback
 // re-ranks future answers, so a bare index can drift between the search
-// the client rendered and the re-resolved one. The first feedback on a
+// the client rendered and the one resolved here. The first feedback on a
 // query resolves through the answer cache; later ones re-run the pipeline
-// (their own epoch bump invalidated the entry).
+// (each feedback published a ranking with an empty cache).
 type FeedbackRequest struct {
 	Query  string `json:"query"`
 	Result int    `json:"result"`
@@ -274,11 +274,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	default:
 		res = ans.Results[req.Result]
 	}
-	// Like/Dislike re-resolve internally when another feedback call
-	// re-ranked the system between our Search above and this apply; a
-	// surviving error means the statement genuinely left the answer (409),
-	// the result has no entry point a like could adjust (400), or the
-	// state store rejected the write (500).
+	// Like/Dislike apply to the entry points of the result resolved above,
+	// even when another feedback call re-ranked the system since. An error
+	// means the result has no entry point a like could adjust (400), or
+	// the state store rejected the write (500).
 	var ferr error
 	if req.Like {
 		ferr = res.Like()
@@ -287,11 +286,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	if ferr != nil {
 		status := http.StatusInternalServerError
-		var stale *soda.StaleFeedbackError
-		switch {
-		case errors.As(ferr, &stale):
-			status = http.StatusConflict
-		case errors.Is(ferr, soda.ErrNoEntryPoints):
+		if errors.Is(ferr, soda.ErrNoEntryPoints) {
 			status = http.StatusBadRequest
 		}
 		s.writeError(w, r, status, ferr)

@@ -1,11 +1,10 @@
 package store
 
 // Versioned binary snapshots of the durable state: the folded feedback
-// map with its ranking epoch, the fold watermark with the per-origin
-// vector, and the saved-query library. A snapshot plus the WAL tail is the
-// system's complete durable state; the inverted index and the metadata
-// graph are derived from the world, which every boot builds, so no
-// snapshot carries them.
+// map, the fold watermark with the per-origin vector, and the saved-query
+// library. A snapshot plus the WAL tail is the system's complete durable
+// state; the inverted index and the metadata graph are derived from the
+// world, which every boot builds, so no snapshot carries them.
 //
 // Layout (little-endian):
 //
@@ -14,7 +13,9 @@ package store
 //	fingerprint u64      — structural hash of the world the snapshot
 //	                       belongs to; a mismatch (different world, config
 //	                       or schema) boots from empty state
-//	epoch    u64         — ranking epoch of the folded feedback base
+//	reserved u64         — written 0, ignored on read (once a ranking
+//	                       epoch; kept so the layout, and version 2,
+//	                       stay readable by older and newer builds alike)
 //	appliedSeq u64       — highest local WAL sequence assigned at snapshot
 //	                       time (keeps sequences from being reused)
 //	sections u32
@@ -87,10 +88,8 @@ type Snapshot struct {
 	// snapshot time; it keeps sequence numbers from being reused when the
 	// compacted log is empty.
 	AppliedSeq uint64
-	// ReplicaState holds the folded feedback and saved queries, their
-	// ranking epoch (the live epoch is the base epoch plus one per
-	// replayed WAL record), the fold watermark and the per-origin vector
-	// the replayed WAL tail extends.
+	// ReplicaState holds the folded feedback and saved queries, the fold
+	// watermark and the per-origin vector the replayed WAL tail extends.
 	ReplicaState
 }
 
@@ -98,7 +97,7 @@ type Snapshot struct {
 func encodeSnapshot(snap *Snapshot) []byte {
 	out := []byte(snapshotMagic)
 	out = binary.LittleEndian.AppendUint16(out, snapshotVersion)
-	for _, v := range []uint64{snap.Fingerprint, snap.Epoch, snap.AppliedSeq} {
+	for _, v := range []uint64{snap.Fingerprint, 0, snap.AppliedSeq} {
 		out = binary.LittleEndian.AppendUint64(out, v)
 	}
 	out = binary.LittleEndian.AppendUint32(out, 3) // sections
@@ -122,9 +121,8 @@ func decodeSnapshot(data []byte, wantFP uint64) (*Snapshot, error) {
 	}
 	rest = rest[2:]
 	snap := &Snapshot{
-		Fingerprint:  binary.LittleEndian.Uint64(rest[0:]),
-		AppliedSeq:   binary.LittleEndian.Uint64(rest[16:]),
-		ReplicaState: ReplicaState{Epoch: binary.LittleEndian.Uint64(rest[8:])},
+		Fingerprint: binary.LittleEndian.Uint64(rest[0:]),
+		AppliedSeq:  binary.LittleEndian.Uint64(rest[16:]), // rest[8:16] is the reserved slot
 	}
 	if snap.Fingerprint != wantFP {
 		return nil, fmt.Errorf("world fingerprint %x does not match %x", snap.Fingerprint, wantFP)
@@ -228,16 +226,14 @@ func decodeSections(b []byte, st *ReplicaState) (map[string]bool, error) {
 
 // EncodeState encodes a catch-up state as snapshot sections: the folded
 // feedback, origins (with the fold watermark) and queries, plus a "tail"
-// section holding the unfolded records as WAL frames. Epoch is not
-// encoded; it travels beside the body.
+// section holding the unfolded records as WAL frames.
 func EncodeState(st *ReplicaState) []byte {
 	return appendSection(appendDurable(nil, st), sectionTail, EncodeRecords(st.Tail))
 }
 
 // DecodeState decodes EncodeState's output received from a peer. Every
 // section must be present exactly once and pass its checksum and decoder,
-// no other section may appear, and nothing may follow the last one. Epoch
-// is left zero.
+// no other section may appear, and nothing may follow the last one.
 func DecodeState(b []byte) (*ReplicaState, error) {
 	st := &ReplicaState{}
 	seen, err := decodeSections(b, st)

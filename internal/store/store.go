@@ -1,10 +1,10 @@
 // Package store is SODA's persistent state layer: an append-only feedback
 // write-ahead log plus versioned binary snapshots of the durable state
-// (the folded feedback map and its ranking epoch, the replication vector,
-// the saved-query library). Together they are "open the store, replay
-// the tail": relevance feedback (§6.3) survives daemon restarts. The
-// inverted index and the metadata graph are not stored: every boot builds
-// them from the world.
+// (the folded feedback map, the replication vector, the saved-query
+// library). Together they are "open the store, replay the tail":
+// relevance feedback (§6.3) survives daemon restarts. The inverted index
+// and the metadata graph are not stored: every boot builds them from the
+// world.
 //
 // Data directory layout:
 //
@@ -67,7 +67,6 @@ type ReplicaState struct {
 	Feedback []FeedbackEntry
 	// Queries is the folded saved-query library at FoldPos.
 	Queries []SavedQuery
-	Epoch   uint64
 	FoldPos Pos
 	Origins []OriginState
 	Tail    []Record
@@ -90,7 +89,6 @@ type Store struct {
 	mu            sync.Mutex
 	replayed      []Record // records scanned from the WAL at open
 	snapshotBytes int64
-	snapshotEpoch uint64
 	snapshotSeq   uint64
 	invalidReason string // why the on-disk snapshot was unusable, if it was
 
@@ -132,7 +130,6 @@ type Stats struct {
 	WALBytes      int64  `json:"wal_bytes"`
 	NextSeq       uint64 `json:"next_seq"`
 	SnapshotBytes int64  `json:"snapshot_bytes"`
-	SnapshotEpoch uint64 `json:"snapshot_epoch"`
 	SnapshotSeq   uint64 `json:"snapshot_seq"`
 	Compactions   uint64 `json:"compactions"`
 	// InvalidReason says why the snapshot present at open was discarded
@@ -192,7 +189,6 @@ func (st *Store) LoadSnapshot(fingerprint uint64) (*Snapshot, error) {
 		return nil, nil
 	}
 	st.snapshotBytes = int64(len(data))
-	st.snapshotEpoch = snap.Epoch
 	st.snapshotSeq = snap.AppliedSeq
 	st.wal.ensureSeqAfter(snap.AppliedSeq)
 	return snap, nil
@@ -332,7 +328,6 @@ func (st *Store) WriteSnapshot(snap *Snapshot) error {
 	st.lastFolded = folded
 	st.mu.Lock()
 	st.snapshotBytes = int64(len(data))
-	st.snapshotEpoch = snap.Epoch
 	st.snapshotSeq = snap.AppliedSeq
 	st.mu.Unlock()
 	return nil
@@ -349,7 +344,6 @@ func (st *Store) Stats() Stats {
 		WALBytes:      bytes,
 		NextSeq:       nextSeq,
 		SnapshotBytes: st.snapshotBytes,
-		SnapshotEpoch: st.snapshotEpoch,
 		SnapshotSeq:   st.snapshotSeq,
 		Compactions:   st.compactions.Load(),
 		InvalidReason: st.invalidReason,

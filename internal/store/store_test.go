@@ -20,12 +20,11 @@ func rec(op Op, n uint64, keys ...Key) Record {
 	return Record{Origin: "r1", OriginSeq: n, LC: n, Op: op, Keys: keys}
 }
 
-func testSnapshot(epoch, appliedSeq uint64) *Snapshot {
+func testSnapshot(appliedSeq uint64) *Snapshot {
 	return &Snapshot{
 		Fingerprint: testFP,
 		AppliedSeq:  appliedSeq,
 		ReplicaState: ReplicaState{
-			Epoch:   epoch,
 			FoldPos: Pos{LC: appliedSeq, Origin: "r1", Seq: appliedSeq},
 			Origins: []OriginState{{ID: "r1", Seq: appliedSeq, LC: appliedSeq}},
 			Feedback: []FeedbackEntry{
@@ -292,20 +291,21 @@ func TestWriteSnapshotMonotonicityGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stale := testSnapshot(2, 2) // captured first: folds events 1-2
-	newer := testSnapshot(4, 4) // captured later: folds events 1-4
+	stale := testSnapshot(2) // captured first: folds events 1-2
+	newer := testSnapshot(4) // captured later: folds events 1-4
 	if err := st.WriteSnapshot(newer); err != nil {
 		t.Fatal(err)
 	}
 	if st.WALRecords() != 0 {
 		t.Fatalf("wal records after newer snapshot = %d, want 0", st.WALRecords())
 	}
-	// The racing stale write must be a no-op: epoch stays at 4.
+	// The racing stale write must be a no-op: the snapshot stays at
+	// applied sequence 4.
 	if err := st.WriteSnapshot(stale); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().SnapshotEpoch; got != 4 {
-		t.Fatalf("stale snapshot overwrote a newer one: epoch %d, want 4", got)
+	if got := st.Stats().SnapshotSeq; got != 4 {
+		t.Fatalf("stale snapshot overwrote a newer one: applied seq %d, want 4", got)
 	}
 	st.Close()
 
@@ -317,15 +317,15 @@ func TestWriteSnapshotMonotonicityGuard(t *testing.T) {
 	if err := st2.WriteSnapshot(stale); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Stats().SnapshotEpoch; got != 4 {
-		t.Fatalf("stale snapshot overwrote after reopen: epoch %d, want 4", got)
+	if got := st2.Stats().SnapshotSeq; got != 4 {
+		t.Fatalf("stale snapshot overwrote after reopen: applied seq %d, want 4", got)
 	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)
-	want := testSnapshot(7, 42)
+	want := testSnapshot(42)
 	if err := st.WriteSnapshot(want); err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +341,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatalf("snapshot did not load: %+v", st2.Stats())
 	}
-	if got.Epoch != 7 || got.AppliedSeq != 42 {
-		t.Fatalf("epoch/seq = %d/%d, want 7/42", got.Epoch, got.AppliedSeq)
+	if got.AppliedSeq != 42 || st2.Stats().SnapshotSeq != 42 {
+		t.Fatalf("applied seq = %d (stats %d), want 42", got.AppliedSeq, st2.Stats().SnapshotSeq)
 	}
 	if got.FoldPos != want.FoldPos {
 		t.Fatalf("fold watermark = %+v, want %+v", got.FoldPos, want.FoldPos)
@@ -372,12 +372,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // parentSnapshot lays out a version-2 snapshot as writers that also kept
-// the derived state did: the header, then five sections, the "invidx"
-// and "metagraph" ones first. Their payloads here are arbitrary bytes.
-func parentSnapshot(snap *Snapshot) []byte {
+// the derived state did: the header, with a ranking epoch in the reserved
+// slot, then five sections, the "invidx" and "metagraph" ones first.
+// Their payloads here are arbitrary bytes.
+func parentSnapshot(snap *Snapshot, epoch uint64) []byte {
 	out := []byte(snapshotMagic)
 	out = binary.LittleEndian.AppendUint16(out, 2)
-	for _, v := range []uint64{snap.Fingerprint, snap.Epoch, snap.AppliedSeq} {
+	for _, v := range []uint64{snap.Fingerprint, epoch, snap.AppliedSeq} {
 		out = binary.LittleEndian.AppendUint64(out, v)
 	}
 	out = binary.LittleEndian.AppendUint32(out, 5)
@@ -388,16 +389,17 @@ func parentSnapshot(snap *Snapshot) []byte {
 
 // TestSnapshotUpgradeKeepsDurableState opens a data directory whose
 // snapshot still carries the derived-state sections: the reader skips
-// them and restores feedback, saved queries, epoch, fold position,
-// origins and the applied sequence.
+// them, ignores the epoch in the reserved header slot, and restores
+// feedback, saved queries, fold position, origins and the applied
+// sequence.
 func TestSnapshotUpgradeKeepsDurableState(t *testing.T) {
 	dir := t.TempDir()
 	def := "100000"
-	want := testSnapshot(11, 23)
+	want := testSnapshot(23)
 	want.Origins = append(want.Origins, OriginState{ID: "r2", Seq: 4, LC: 19})
 	want.Queries = []SavedQuery{{Name: "big earners", SQL: "SELECT * FROM individuals WHERE salary >= ?",
 		Params: []SavedParam{{Name: "min salary", Type: "float", Default: &def}}}}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), parentSnapshot(want), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), parentSnapshot(want, 11), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := mustOpen(t, dir)
@@ -409,8 +411,8 @@ func TestSnapshotUpgradeKeepsDurableState(t *testing.T) {
 	if got == nil {
 		t.Fatalf("snapshot did not load: %s", st.Stats().InvalidReason)
 	}
-	if got.Epoch != 11 || got.AppliedSeq != 23 || got.FoldPos != want.FoldPos {
-		t.Fatalf("epoch %d, applied seq %d, fold %+v; want 11, 23, %+v", got.Epoch, got.AppliedSeq, got.FoldPos, want.FoldPos)
+	if got.AppliedSeq != 23 || got.FoldPos != want.FoldPos {
+		t.Fatalf("applied seq %d, fold %+v; want 23, %+v", got.AppliedSeq, got.FoldPos, want.FoldPos)
 	}
 	if !reflect.DeepEqual(got.Origins, want.Origins) {
 		t.Fatalf("origins = %+v, want %+v", got.Origins, want.Origins)
@@ -433,7 +435,7 @@ func TestSnapshotUpgradeKeepsDurableState(t *testing.T) {
 func TestSnapshotHoldsOnlyDurableSections(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)
-	if err := st.WriteSnapshot(testSnapshot(1, 1)); err != nil {
+	if err := st.WriteSnapshot(testSnapshot(1)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -461,7 +463,7 @@ func TestSnapshotHoldsOnlyDurableSections(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)
-	if err := st.WriteSnapshot(testSnapshot(1, 1)); err != nil {
+	if err := st.WriteSnapshot(testSnapshot(1)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -490,7 +492,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 func TestSnapshotRejectsWrongFingerprintAndVersion(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)
-	if err := st.WriteSnapshot(testSnapshot(1, 1)); err != nil {
+	if err := st.WriteSnapshot(testSnapshot(1)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -535,7 +537,7 @@ func TestWriteSnapshotCompactsWAL(t *testing.T) {
 	if st.WALRecords() != 5 {
 		t.Fatalf("wal records = %d, want 5", st.WALRecords())
 	}
-	if err := st.WriteSnapshot(testSnapshot(5, 5)); err != nil {
+	if err := st.WriteSnapshot(testSnapshot(5)); err != nil {
 		t.Fatal(err)
 	}
 	if st.WALRecords() != 0 {
@@ -579,7 +581,7 @@ func TestCompactionRetainsUnfoldedRemoteRecords(t *testing.T) {
 	if _, err := st.Append(low); err != nil {
 		t.Fatal(err)
 	}
-	snap := testSnapshot(1, 2)
+	snap := testSnapshot(2)
 	snap.FoldPos = Pos{LC: 5, Origin: "r3", Seq: 1}         // folds `low` only
 	snap.Origins = []OriginState{{ID: "r3", Seq: 1, LC: 5}} // vector covers r3:1, not r2:9
 	if err := st.WriteSnapshot(snap); err != nil {
@@ -632,7 +634,7 @@ func TestReplicaIDPersistsAndValidates(t *testing.T) {
 }
 
 func TestSnapshotEncodingDeterministic(t *testing.T) {
-	if !bytes.Equal(encodeSnapshot(testSnapshot(3, 9)), encodeSnapshot(testSnapshot(3, 9))) {
+	if !bytes.Equal(encodeSnapshot(testSnapshot(9)), encodeSnapshot(testSnapshot(9))) {
 		t.Fatal("snapshot encoding is not deterministic")
 	}
 }

@@ -2,7 +2,7 @@ package store
 
 // The feedback write-ahead log. Every Feedback/ResetFeedback call on a
 // System appends one record; on open the log is replayed to reconstruct
-// the feedback map (and epoch) the daemon had when it died. Records are
+// the feedback map the daemon had when it died. Records are
 // length-prefixed and CRC-framed, so a torn tail from a crash mid-write is
 // detected and truncated instead of poisoning the replay.
 //

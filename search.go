@@ -51,9 +51,8 @@ type Result struct {
 	QueryName string
 	Params    []ParamBinding
 
-	sys      *core.System
-	sol      *core.Solution
-	analysis *core.Analysis
+	sys *core.System
+	sol *core.Solution
 }
 
 // Execute runs the statement and returns the full result.
@@ -234,6 +233,10 @@ func (s *System) SearchWith(query string, opts SearchOptions) (*Answer, error) {
 // core.SearchRenderedContext; this only adapts render from the core
 // analysis to the public Answer. The serving layer calls
 // SearchJSONContext instead, which renders without building an Answer.
+// Cached bytes are shared per renderer: SearchRendered and
+// SearchJSONContext never return each other's bytes, but every
+// SearchRendered call of one query shares its bytes, whatever render it
+// passes.
 // The returned bytes are shared with the cache: callers must write them
 // out unmodified.
 func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
@@ -241,7 +244,7 @@ func (s *System) SearchRendered(query string, opts SearchOptions, render func(*A
 	if err != nil {
 		return nil, false, err
 	}
-	return s.sys.SearchRenderedContext(context.Background(), query, so, func(a *core.Analysis) ([]byte, error) {
+	return s.sys.SearchRenderedContext(context.Background(), query, so, "answer", func(a *core.Analysis) ([]byte, error) {
 		return render(s.answerOf(a))
 	})
 }
@@ -266,7 +269,6 @@ func (s *System) answerOf(a *core.Analysis) *Answer {
 			SnippetError: sol.SnippetErr,
 			sys:          s.sys,
 			sol:          sol,
-			analysis:     a,
 		}
 		if sol.Approved {
 			res.Approved = true

@@ -22,9 +22,9 @@ import (
 // it searches (ctx flows into the pipeline's backend executions), appends
 // the body from the analysis into pooled scratch, calls onCold (if
 // non-nil) with the step timings and the top-ranked statement ("" when
-// there is none), and caches an exact-size copy of the body. The
-// returned bytes are shared with the cache: callers must write them out
-// unmodified.
+// there is none), and caches an exact-size copy of the body, apart from
+// the bytes SearchRendered caches. The returned bytes are shared with the
+// cache: callers must write them out unmodified.
 //
 // The body is
 //
@@ -40,7 +40,7 @@ func (s *System) SearchJSONContext(ctx context.Context, query string, opts Searc
 	if err != nil {
 		return nil, false, err
 	}
-	return s.sys.SearchRenderedContext(ctx, query, so, func(a *core.Analysis) ([]byte, error) {
+	return s.sys.SearchRenderedContext(ctx, query, so, "", func(a *core.Analysis) ([]byte, error) {
 		sc := jsonScratchPool.Get().(*jsonScratch)
 		defer sc.release()
 		topSQL, err := sc.appendSearch(query, a, opts.Snippets)

@@ -306,7 +306,7 @@ func (s *System) Backend() string { return s.sys.Backend.Name() }
 // durable state:
 //
 //   - A valid snapshot in dir restores the feedback map, the saved-query
-//     library, the ranking epoch and the replication vector.
+//     library and the replication vector.
 //   - The feedback WAL tail is replayed on top, so feedback recorded
 //     after the last snapshot is not lost; snapshots remember the last
 //     applied WAL sequence, so replay can never double-apply.

@@ -2,6 +2,8 @@ package soda
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -231,23 +233,24 @@ func TestDisconnectedWarning(t *testing.T) {
 
 func TestFeedbackViaFacade(t *testing.T) {
 	sys := NewSystem(mb, Options{})
-	ans, err := sys.Search("customer")
+	// "name" is ambiguous: the ontology reading (1.00) outranks two
+	// physical columns (0.70).
+	ans, err := sys.Search("name")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Results) < 2 {
-		t.Skip("need ambiguity for the feedback test")
+		t.Fatalf("need ambiguity for the feedback test, got %d result(s)", len(ans.Results))
 	}
 	firstSQL := ans.Results[0].SQL
-	// Repeated dislikes on one Result exercise the re-resolve path: each
-	// call bumps the ranking epoch, and Dislike transparently re-finds
-	// the same statement in a fresh answer.
+	// Repeated dislikes on one Result each land on its entry points,
+	// although each re-ranked the system since the search.
 	for i := 0; i < 4; i++ {
 		if err := ans.Results[0].Dislike(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	again, err := sys.Search("customer")
+	again, err := sys.Search("name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +260,141 @@ func TestFeedbackViaFacade(t *testing.T) {
 	if err := sys.ResetFeedback(); err != nil {
 		t.Fatal(err)
 	}
-	reset, err := sys.Search("customer")
+	reset, err := sys.Search("name")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reset.Results[0].SQL != firstSQL {
 		t.Fatal("reset should restore the default ranking")
+	}
+}
+
+// entryKeys names a result by the entry points behind it, the identity
+// feedback adjusts.
+func entryKeys(r *Result) string {
+	var b strings.Builder
+	for _, e := range r.sol.Entries {
+		fmt.Fprintf(&b, "[%d %s %s.%s]", e.Kind, e.Node.Value(), e.Table, e.Column)
+	}
+	return b.String()
+}
+
+// scoreOf returns the score of the result with the given entry points.
+func scoreOf(t *testing.T, ans *Answer, keys string) float64 {
+	t.Helper()
+	for _, r := range ans.Results {
+		if entryKeys(r) == keys {
+			return r.Score
+		}
+	}
+	t.Fatalf("no result with entry points %s", keys)
+	return 0
+}
+
+// TestFeedbackLandsOnNamedResult: an answer list can repeat one statement
+// under different entry points. A like on the repeat, from a page another
+// like has since re-ranked, must adjust the repeat's entry points, not
+// those of the first result with the same SQL. Each label is one term, so
+// the liked result's score rises by one step (0.25).
+func TestFeedbackLandsOnNamedResult(t *testing.T) {
+	labels := 0
+	for _, label := range mb.meta.Labels() {
+		sys := NewSystem(mb, Options{})
+		ans, err := sys.Search(label)
+		if err != nil {
+			continue
+		}
+		var first, repeat *Result
+		seen := map[string]*Result{}
+		for _, r := range ans.Results {
+			if f, ok := seen[r.SQL]; ok && entryKeys(f) != entryKeys(r) {
+				first, repeat = f, r
+				break
+			}
+			if _, ok := seen[r.SQL]; !ok {
+				seen[r.SQL] = r
+			}
+		}
+		if repeat == nil {
+			continue
+		}
+		labels++
+		t.Run(label, func(t *testing.T) {
+			other, err := sys.Search("birth date")
+			if err != nil || len(other.Results) == 0 {
+				t.Fatalf("unrelated query: %v", err)
+			}
+			for _, r := range ans.Results {
+				if entryKeys(r) == entryKeys(other.Results[0]) {
+					t.Fatalf("the unrelated like shares entry points %s with the answer", entryKeys(r))
+				}
+			}
+			if err := other.Results[0].Like(); err != nil {
+				t.Fatal(err)
+			}
+			if err := repeat.Like(); err != nil {
+				t.Fatal(err)
+			}
+			after, err := sys.Search(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scoreOf(t, after, entryKeys(repeat)) - repeat.Score; math.Abs(got-0.25) > 1e-9 {
+				t.Errorf("liked result %s moved %+.3f, want +0.250", entryKeys(repeat), got)
+			}
+			if got := scoreOf(t, after, entryKeys(first)) - first.Score; got != 0 {
+				t.Errorf("first result with the same SQL, %s, moved %+.3f, want 0", entryKeys(first), got)
+			}
+		})
+	}
+	if labels == 0 {
+		t.Fatal("no MiniBank label's answer repeats a statement under different entry points")
+	}
+}
+
+// TestSearchRenderedKeepsRenderersApart: the daemon's JSON and a caller's
+// own rendering of one query are cached apart, so neither is ever served
+// the other's bytes.
+func TestSearchRenderedKeepsRenderersApart(t *testing.T) {
+	sys := NewSystem(mb, Options{})
+	const q = "customers"
+	js, _, err := sys.SearchJSONContext(context.Background(), q, SearchOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := func(a *Answer) ([]byte, error) { return []byte(fmt.Sprintf("%d results", len(a.Results))), nil }
+	for i, wantHit := range []bool{false, true} {
+		data, hit, err := sys.SearchRendered(q, SearchOptions{}, mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != wantHit || !strings.HasSuffix(string(data), " results") {
+			t.Fatalf("SearchRendered call %d: hit=%v data=%q; want hit=%v and its own render", i, hit, data, wantHit)
+		}
+	}
+	again, hit, err := sys.SearchJSONContext(context.Background(), q, SearchOptions{}, nil)
+	if err != nil || !hit || string(again) != string(js) {
+		t.Fatalf("SearchJSONContext repeat: hit=%v err=%v data=%q; want a hit on %q", hit, err, again, js)
+	}
+}
+
+// TestKeywordlessAggregateHasNoSolution: "count ()" names no keyword, so
+// no entry point and no solution; /search answers no result.
+func TestKeywordlessAggregateHasNoSolution(t *testing.T) {
+	sys := NewSystem(mb, Options{})
+	data, _, err := sys.SearchJSONContext(context.Background(), "count ()", SearchOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"query":"count ()","complexity":1,"terms":null,"results":[]}` + "\n"; string(data) != want {
+		t.Fatalf("/search body = %q, want %q", data, want)
+	}
+	ans, err := sys.Search("count ()")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := ans.Explain(); !strings.Contains(ex, "rank and top N: 0 solution(s)") || strings.Contains(ex, "SQL: (none)") {
+		t.Fatalf("explain:\n%s", ex)
 	}
 }
 
