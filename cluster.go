@@ -77,13 +77,12 @@ func (s *System) ClusterStatus() *ClusterStatus {
 // store-less System).
 func (s *System) ReplicaID() string { return s.sys.ReplicaID() }
 
-// Decommission permanently removes a peer replica from the feedback fold
-// quorum, letting WAL folding and compaction advance past a peer that is
-// never coming back (the /admin/decommission endpoint calls this; see
-// also Options.PeerDeadAfter for the automatic bounded-staleness
-// variant). A decommissioned peer that does return finds itself behind
-// the fold point and adopts the folded state through the normal catch-up
-// path. Decommissioning the local replica is refused.
+// Decommission removes a peer replica from the feedback fold quorum until
+// this System closes, letting WAL folding and compaction advance past a
+// peer that is never coming back (the /admin/decommission endpoint calls
+// this; see also Options.PeerDeadAfter for the automatic variant). A
+// returning peer adopts the folded state through the normal catch-up
+// path. Invalid ids and the local replica's own are refused.
 func (s *System) Decommission(replicaID string) error {
 	return s.sys.DecommissionReplica(replicaID)
 }

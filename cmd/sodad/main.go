@@ -119,7 +119,8 @@
 //	    {"query": "customers Zürich", "result": 0, "like": true}
 //	    Likes/dislikes one ranked result (§6.3); adjusts future rankings
 //	    and invalidates cached answers. Pass "sql" instead of "result"
-//	    to pin the exact statement (immune to re-ranking drift).
+//	    to pin the exact statement (immune to re-ranking drift; 409 when
+//	    several results share it) and the "dialect" searched in.
 //
 //	GET  /explain?q=customers+Zürich
 //	    Plain-text pipeline trace in the shape of Figures 4-6.
@@ -130,8 +131,9 @@
 //	    prepared statements with bound parameters.
 //
 //	POST /admin/decommission?replica=<id>
-//	    Permanently removes a dead peer from the feedback fold quorum so
-//	    WAL folding and compaction can advance without it.
+//	    Removes a dead peer from the feedback fold quorum until restart,
+//	    so WAL folding and compaction can advance without it (an invalid
+//	    id is a 400, this replica's own a 409).
 //
 //	GET  /cluster/pull?since=origin:seq,...&from=replica-id
 //	    Replication pull (fleet-internal): feedback records beyond the

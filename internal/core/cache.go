@@ -18,13 +18,13 @@ import (
 // answer, and an answer computed while a write landed is filed where no
 // later search looks.
 //
-// One kind of entry, one lookup, one store. Every entry holds a pipeline
-// analysis; an entry keyed by a raw request input additionally holds the
-// answer bytes rendered from it, so the serving layer's repeated-query
-// path is a byte-slice write with zero heap allocations (see rendered.go).
-// Entries keyed by the canonical query form let whitespace variants share
-// one pipeline run; when the raw input already is canonical and the
-// renderer is "", a single entry serves both purposes.
+// One lookup, one store, one value per entry. An entry is keyed by the
+// raw request input and the entry's form: the pipeline analysis
+// (SearchWithContext), or the answer bytes one renderer made from it
+// (SearchRenderedContext), so the serving layer's repeated-query path is a
+// byte-slice write with zero heap allocations (see rendered.go). A
+// rendered entry holds only its bytes: the analysis they came from is
+// garbage once rendered.
 
 // defaultCacheSize is the total entry cap when Options.CacheSize is 0.
 const defaultCacheSize = 512
@@ -41,8 +41,8 @@ type CacheStats struct {
 	Entries int `json:"entries"`
 }
 
-// answerCache is a sharded LRU of completed analyses and pre-rendered
-// answer bytes, all computed under the ranking that owns it.
+// answerCache is a sharded LRU of completed analyses and rendered answer
+// bytes, all computed under the ranking that owns it.
 type answerCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -55,8 +55,8 @@ type cacheShard struct {
 	byKey map[string]*list.Element
 }
 
-// cacheEntry holds what the cache knows about one key: the pipeline
-// analysis and, once the key has been rendered, the answer bytes.
+// cacheEntry holds one key's value: the analysis or the rendered bytes,
+// whichever the key's form names; the other is nil.
 type cacheEntry struct {
 	key      string
 	a        *Analysis
@@ -105,12 +105,11 @@ func (sh *cacheShard) evictLocked() {
 	}
 }
 
-// lookup returns what the cache holds for key (built with appendCacheKey):
-// the analysis, plus the answer bytes when the key has been rendered. A
-// nil analysis means absent. The lookup is allocation-free: the key stays
-// a byte slice end to end (maphash.Bytes plus the compiler's no-copy map
-// lookup for byKey[string(key)]). It counts nothing: the search path
-// (SearchWithContext, SearchRenderedContext) decides what is a hit.
+// lookup returns the value the cache holds for key (built with
+// appendCacheKey): the analysis or the rendered bytes, both nil when the
+// key is absent. The lookup is allocation-free: the key stays a byte slice
+// end to end (maphash.Bytes plus the compiler's no-copy map lookup for
+// byKey[string(key)]).
 func (c *answerCache) lookup(key []byte) (*Analysis, []byte) {
 	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
@@ -124,21 +123,14 @@ func (c *answerCache) lookup(key []byte) (*Analysis, []byte) {
 	return e.a, e.rendered
 }
 
-// store records an analysis and, when data is non-nil, the answer bytes
-// rendered from it, evicting the least recently used entry when the shard
-// is full. Storing without bytes keeps the bytes already on the entry:
-// they were rendered under the same ranking.
+// store files key's value, an analysis or rendered bytes, evicting the
+// least recently used entry when the shard is full. An entry is written
+// once: when concurrent misses of one key both store, the first stays.
 func (c *answerCache) store(key []byte, a *Analysis, data []byte) {
 	sh := c.shard(maphash.Bytes(cacheSeed, key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.byKey[string(key)]; ok {
-		e := el.Value.(*cacheEntry)
-		if data != nil {
-			e.rendered = data
-		}
-		e.a = a
-		sh.lru.MoveToFront(el)
+	if _, ok := sh.byKey[string(key)]; ok {
 		return
 	}
 	k := string(key)

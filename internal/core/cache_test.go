@@ -27,15 +27,6 @@ func TestCacheHitServesSameAnalysis(t *testing.T) {
 	}
 }
 
-func TestCacheKeyIsCanonicalQueryForm(t *testing.T) {
-	sys := newSys(t, Options{})
-	a1 := search(t, sys, "wealthy   customers")
-	a2 := search(t, sys, "  wealthy customers  ")
-	if a1 != a2 {
-		t.Fatal("whitespace variants must share a cache entry (canonical key)")
-	}
-}
-
 // searchWith is the SearchWith analogue of the search helper.
 func searchWith(t *testing.T, sys *System, q string, so SearchOptions) *Analysis {
 	t.Helper()
@@ -167,7 +158,7 @@ func TestCancelledSnippetsNotCached(t *testing.T) {
 	if got := best(t, a).SnippetErr; got != context.Canceled.Error() {
 		t.Fatalf("SnippetErr = %q, want %q", got, context.Canceled)
 	}
-	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, "", renderSQLs); !errors.Is(err, context.Canceled) {
+	if _, _, err := sys.SearchRenderedContext(ctx, "wealthy customers", so, "test", renderSQLs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("search under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 	if st := sys.CacheStats(); st.Entries != 0 {
@@ -192,7 +183,7 @@ func TestSearchStopsBetweenSteps(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Fatal("the query never reached the catalog: pick one that counts an entity")
 	}
-	if _, _, err := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "", renderSQLs); !errors.Is(err, context.Canceled) {
+	if _, _, err := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "test", renderSQLs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("rendered search under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 	before := sys.CacheStats()
@@ -222,7 +213,7 @@ func TestCacheStoreAfterWriteNotServed(t *testing.T) {
 	const q = "wealthy customers"
 	so := SearchOptions{Snippets: true}
 	rk := sys.ranking.Load()
-	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "", renderSQLs); err != nil || hit {
+	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "test", renderSQLs); err != nil || hit {
 		t.Fatalf("cold search: hit=%v err=%v", hit, err)
 	}
 	if werr != nil {
@@ -232,7 +223,7 @@ func TestCacheStoreAfterWriteNotServed(t *testing.T) {
 		t.Fatal("no write landed during the search")
 	}
 	before := sys.CacheStats()
-	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "", renderSQLs); err != nil || hit {
+	if _, hit, err := sys.SearchRenderedContext(context.Background(), q, so, "test", renderSQLs); err != nil || hit {
 		t.Fatalf("repeat after the write: hit=%v err=%v, want a cold run", hit, err)
 	}
 	if after := sys.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {

@@ -320,17 +320,18 @@ func (s *System) AdoptState(cs *store.ReplicaState) error {
 	return nil
 }
 
-// DecommissionReplica permanently removes a peer from the fold quorum:
-// it stops gating the watermark and the ack coverage in foldableLocked,
-// so folding and WAL compaction advance without ever hearing from it
-// again. This is the operator's escape hatch for a static -peers entry
-// that is never coming back — without it one dead peer pins the tail (and
-// the WAL) forever. Safe even if the peer does return: it finds itself
-// behind the fold point (ServePull reports Behind) and adopts the folded
-// state through the normal catch-up path, exactly like a fresh replica.
+// DecommissionReplica removes a peer, named by a valid replica id, from
+// the fold quorum: it stops gating the watermark and the ack coverage in
+// foldableLocked, so folding and WAL compaction advance without ever
+// hearing from it again. This is the operator's escape hatch for a static
+// -peers entry that is never coming back. The set lives in memory: after
+// a restart the peer gates folding again until decommissioned anew. Safe
+// even if the peer does return: it finds itself behind the fold point
+// (ServePull reports Behind) and adopts the folded state through the
+// normal catch-up path, exactly like a fresh replica.
 func (s *System) DecommissionReplica(id string) error {
-	if id == "" {
-		return errors.New("core: decommission: empty replica id")
+	if err := store.ValidReplicaID(id); err != nil {
+		return fmt.Errorf("core: decommission: %w", err)
 	}
 	s.rep.mu.Lock()
 	defer s.rep.mu.Unlock()

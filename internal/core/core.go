@@ -56,18 +56,11 @@ type Options struct {
 	Parallelism int
 
 	// CacheSize caps the answer cache (entries across all shards). 0
-	// means the default (512); negative disables caching entirely. The
-	// cache is keyed by the canonical query form plus the requested
-	// dialect and snippet flag, and each published ranking owns a fresh
-	// one, so a write that changes the ranking function starts it empty.
+	// means the default (512); negative disables caching entirely. Each
+	// entry is keyed by the raw input, dialect, snippet flag and form, and
+	// each published ranking owns a fresh cache, so a write that changes
+	// the ranking function starts it empty.
 	CacheSize int
-
-	// CompactEvery is the WAL compaction threshold when a persistent
-	// store is attached (OpenStore): once the log holds this many
-	// records a fresh snapshot is written and the log is compacted. 0
-	// means the default (1024); negative disables automatic compaction
-	// (snapshots still happen on Close and on explicit WriteSnapshot).
-	CompactEvery int
 
 	// PeerDeadAfter bounds how long a configured peer replica can stay
 	// silent before it stops gating feedback-WAL folding and compaction
@@ -116,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = d.CacheSize
-	}
-	if o.CompactEvery == 0 {
-		o.CompactEvery = defaultCompactEvery
 	}
 	if o.Dialect == nil {
 		o.Dialect = sqlast.Generic
@@ -260,7 +250,7 @@ type SearchOptions struct {
 	// the System's Options.Dialect.
 	Dialect *sqlast.Dialect
 	// Snippets executes each solution with the snippet row cap during
-	// the pipeline and caches the rows alongside the analysis, so
+	// the pipeline and caches the rows with the answer, so
 	// repeated snippet searches perform zero SQL executions.
 	Snippets bool
 	// CountAllocs populates Analysis.StepAllocs with the heap allocations
@@ -286,37 +276,41 @@ func (s *System) SearchWith(input string, so SearchOptions) (*Analysis, error) {
 }
 
 // SearchWithContext runs the five-step pipeline on an input query.
-// Repeated queries hit the answer cache (keyed by the canonical query
-// form, the dialect and the snippet flag — a cached generic answer is
-// never served to a db2 request, nor a row-less answer to a snippet
-// request) while the ranking the answer was computed under is the
-// published one; the returned Analysis is shared between such callers and
-// must be treated as read-only. ctx flows into backend
-// executions (snippet runs), carrying cancellation and the request's
-// trace span collector, and is checked after each of steps 1-5: a search
-// whose context is cancelled or past its deadline returns ctx.Err() and
-// caches nothing.
+// Repeated queries hit the answer cache (keyed by the raw input, the
+// dialect and the snippet flag — a cached generic answer is never served
+// to a db2 request, nor a row-less answer to a snippet request) while the
+// ranking the answer was computed under is the published one; the
+// returned Analysis is shared between such callers and must be treated as
+// read-only. ctx flows into backend executions (snippet runs), carrying
+// cancellation and the request's trace span collector, and is checked
+// after each of steps 1-5: a search whose context is cancelled or past its
+// deadline returns ctx.Err() and caches nothing.
 func (s *System) SearchWithContext(ctx context.Context, input string, so SearchOptions) (*Analysis, error) {
-	return s.search(ctx, input, so, s.ranking.Load())
+	rk := s.ranking.Load()
+	if rk.cache != nil {
+		if a, _ := s.cacheLookup(rk, input, analysisForm, so); a != nil {
+			return a, nil
+		}
+	}
+	a, err := s.search(ctx, input, so, rk)
+	if err != nil {
+		return nil, err
+	}
+	if rk.cache != nil {
+		s.cacheStore(input, analysisForm, so, a, nil)
+	}
+	return a, nil
 }
 
-// search is SearchWithContext under the ranking rk, the caller's one load
-// of it: the cache probe and store, Step 1's scores and the saved-query
-// merge read this value.
+// search runs the pipeline on input under the ranking rk, the caller's
+// one load of it: Step 1's scores and the saved-query merge read this
+// value, and the caller files the answer in its cache.
 func (s *System) search(ctx context.Context, input string, so SearchOptions, rk *ranking) (*Analysis, error) {
 	q, err := queryparse.Parse(input)
 	if err != nil {
 		return nil, err
 	}
 	dialect := s.searchDialect(so)
-	canonical := q.String()
-	if rk.cache != nil {
-		if a, _ := s.cacheLookup(rk.cache, canonical, "", so); a != nil {
-			s.metrics.cacheHits.Inc()
-			return a, nil
-		}
-		s.metrics.cacheMisses.Inc()
-	}
 
 	a := &Analysis{Query: q, Dialect: dialect, WithSnippets: so.Snippets, ranking: rk}
 	if so.CountAllocs {
@@ -384,10 +378,6 @@ func (s *System) search(ctx context.Context, input string, so SearchOptions, rk 
 		a.countAllocs("snippet", m0)
 		a.Timings.Snippet = time.Since(start)
 		s.metrics.stepSnippet.Record(a.Timings.Snippet)
-	}
-
-	if rk.cache != nil {
-		s.cacheStore(canonical, "", so, a, nil)
 	}
 	return a, nil
 }

@@ -168,3 +168,33 @@ func TestPeerDeadAfterUnblocksFolding(t *testing.T) {
 		t.Fatalf("wal records after b went silent past the bound = %d, want 0", got)
 	}
 }
+
+// TestDecommissionRejectsInvalidIDs: an id no replica can have is
+// refused, so it never counts as a dead peer. Replica "a" of {a, b, c}
+// has b's acks but has never heard from c: a refused id must leave c
+// gating folding, and the snapshot compacts nothing c never pulled.
+func TestDecommissionRejectsInvalidIDs(t *testing.T) {
+	sys := openReplica(t, t.TempDir(), "a", 2, Options{})
+	defer sys.Close()
+	applyTestFeedback(t, sys, 2)
+	sys.NoteOriginClock("b", sys.ReplicationInfo().Lamport)
+	pull(t, sys, "b", sys.AppliedVector())
+	before := sys.StoreStats().WALRecords
+	if before == 0 {
+		t.Fatal("feedback wrote no WAL records")
+	}
+	for _, id := range []string{"b,c", "r2 r3", "c:1"} {
+		if err := sys.DecommissionReplica(id); err == nil {
+			t.Fatalf("decommissioning %q did not error", id)
+		}
+	}
+	if got := sys.ReplicationInfo().Decommissioned; len(got) != 0 {
+		t.Fatalf("Decommissioned = %v after refused ids, want none", got)
+	}
+	if _, err := sys.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.StoreStats().WALRecords; got != before {
+		t.Fatalf("snapshot compacted %d of %d records peer c never pulled", before-got, before)
+	}
+}

@@ -23,9 +23,10 @@ import (
 	"soda/internal/store"
 )
 
-// defaultCompactEvery is the WAL record count that triggers an automatic
-// snapshot + compaction when Options.CompactEvery is 0.
-const defaultCompactEvery = 1024
+// compactEvery is the WAL record count that triggers an automatic
+// snapshot + compaction when a persistent store is attached (snapshots
+// also happen on Close and on explicit WriteSnapshot).
+const compactEvery = 1024
 
 // StoreStats describes the attached store for diagnostics; WarmStart
 // reports whether this System's durable state came from a snapshot.
@@ -338,10 +339,7 @@ func (s *System) persistSnapshot(st *store.Store, snap *store.Snapshot) error {
 // with the store component tag and counted (persistSnapshot).
 func (s *System) maybeCompactLocked() {
 	r := &s.rep
-	if r.store == nil || s.Opt.CompactEvery <= 0 {
-		return
-	}
-	if r.store.WALRecords() < s.Opt.CompactEvery {
+	if r.store == nil || r.store.WALRecords() < compactEvery {
 		return
 	}
 	if r.fleetPeers > 0 && r.foldableLocked(s.Opt.PeerDeadAfter) == 0 {

@@ -182,15 +182,15 @@ func TestSnapshotWriteFailureCounted(t *testing.T) {
 	}
 }
 
-// TestAutoCompaction: once the WAL passes CompactEvery records the System
+// TestAutoCompaction: once the WAL passes compactEvery records the System
 // snapshots and truncates it on its own.
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	sys := openReplica(t, dir, "", 0, Options{CompactEvery: 4})
+	sys := openReplica(t, dir, "", 0, Options{})
 	defer sys.Close()
-	for i := 0; i < 6; i++ {
-		a := search(t, sys, "customer")
-		if err := sys.Feedback(a.Solutions[0], true); err != nil {
+	sol := search(t, sys, "customer").Solutions[0]
+	for i := 0; i < compactEvery+2; i++ {
+		if err := sys.Feedback(sol, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,11 +201,11 @@ func TestAutoCompaction(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := sys.StoreStats()
-		if st.Compactions >= 1 && st.WALRecords < 4 {
+		if st.Compactions >= 1 && st.WALRecords < compactEvery {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no auto-compaction after 6 feedback calls with CompactEvery=4: %+v", st)
+			t.Fatalf("no auto-compaction after %d feedback calls: %+v", compactEvery+2, st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -23,11 +23,11 @@ import (
 func TestCachedRenderedZeroAllocs(t *testing.T) {
 	sys := newSys(t, Options{})
 	const q = "wealthy customers"
-	if _, _, err := sys.SearchRenderedContext(context.Background(), q, SearchOptions{}, "", renderSQLs); err != nil {
+	if _, _, err := sys.SearchRenderedContext(context.Background(), q, SearchOptions{}, "test", renderSQLs); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "", renderSQLs); !hit {
+	if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "test", renderSQLs); !hit {
 		t.Fatal("priming did not populate the rendered cache")
 	}
 	hitLat := sys.MetricsRegistry().Histogram("soda_search_latency_seconds",
@@ -49,7 +49,7 @@ func TestCachedRenderedZeroAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()
-		if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "", renderSQLs); !hit {
+		if _, hit, _ := sys.SearchRenderedContext(ctx, q, SearchOptions{}, "test", renderSQLs); !hit {
 			t.Fatal("cache hit lost mid-run")
 		}
 		hits.Inc()

@@ -4,12 +4,12 @@ package server
 // /admin/decommission, which removes a dead peer from the fold quorum.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"soda/internal/cluster"
+	"soda/internal/store"
 )
 
 // --- /admin/decommission ------------------------------------------------
@@ -21,16 +21,16 @@ type DecommissionResponse struct {
 	Replica string `json:"replica"`
 }
 
-// handleDecommission permanently removes a peer replica from the feedback
-// fold quorum (?replica=<id>) — the operator's escape hatch for a static
-// -peers entry that is never coming back and would otherwise stall WAL
-// folding and compaction forever. A decommissioned peer that does return
-// adopts the folded state through the normal catch-up path. See also the
-// daemon's -peer-dead-after flag for the automatic variant.
+// handleDecommission removes a peer replica from the feedback fold quorum
+// (?replica=<id>) until this daemon restarts — the operator's escape
+// hatch for a static -peers entry that is never coming back and would
+// otherwise stall WAL folding and compaction. An invalid id is a 400, the
+// local replica's own id a 409. See also the daemon's -peer-dead-after
+// flag for the automatic variant.
 func (s *Server) handleDecommission(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("replica")
-	if id == "" {
-		s.writeError(w, r, http.StatusBadRequest, errors.New("missing replica parameter"))
+	if err := store.ValidReplicaID(id); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("replica parameter: %w", err))
 		return
 	}
 	if err := s.sys.Decommission(id); err != nil {

@@ -219,14 +219,16 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 // FeedbackRequest likes or dislikes one ranked result of a query (§6.3).
 // SQL, when set, pins the exact statement the client saw: feedback
 // re-ranks future answers, so a bare index can drift between the search
-// the client rendered and the one resolved here. The first feedback on a
-// query resolves through the answer cache; later ones re-run the pipeline
-// (each feedback published a ranking with an empty cache).
+// the client rendered and the one resolved here; a statement several
+// results carry is ambiguous, and the client passes Result instead.
+// Dialect, with /search's rules, is the one the client searched in: SQL
+// is compared and echoed in it.
 type FeedbackRequest struct {
-	Query  string `json:"query"`
-	Result int    `json:"result"`
-	SQL    string `json:"sql,omitempty"`
-	Like   bool   `json:"like"`
+	Query   string `json:"query"`
+	Result  int    `json:"result"`
+	SQL     string `json:"sql,omitempty"`
+	Dialect string `json:"dialect,omitempty"`
+	Like    bool   `json:"like"`
 }
 
 // FeedbackResponse confirms what was recorded.
@@ -247,7 +249,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
-	ans, err := s.sys.Search(req.Query)
+	ans, err := s.sys.SearchWith(req.Query, soda.SearchOptions{Dialect: req.Dialect})
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -256,17 +258,22 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	index := req.Result
 	switch {
 	case req.SQL != "":
+		var matches []int
 		for i, r := range ans.Results {
 			if r.SQL == req.SQL {
-				res, index = r, i
-				break
+				matches = append(matches, i)
 			}
 		}
-		if res == nil {
-			s.writeError(w, r, http.StatusNotFound,
-				fmt.Errorf("no result with the given sql (query has %d results)", len(ans.Results)))
+		if len(matches) != 1 {
+			status, err := http.StatusNotFound, fmt.Errorf("no result with the given sql (query has %d results)", len(ans.Results))
+			if len(matches) > 1 {
+				status, err = http.StatusConflict, fmt.Errorf("results %v all have the given sql: pass \"result\" instead", matches)
+			}
+			s.writeError(w, r, status, err)
 			return
 		}
+		index = matches[0]
+		res = ans.Results[index]
 	case req.Result < 0 || req.Result >= len(ans.Results):
 		s.writeError(w, r, http.StatusNotFound,
 			fmt.Errorf("result %d out of range (query has %d results)", req.Result, len(ans.Results)))

@@ -205,6 +205,12 @@ func TestDecommissionEndpoint(t *testing.T) {
 	if resp, body := post(""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing replica: status = %d, body %s", resp.StatusCode, body)
 	}
+	// An id no replica can have would count as a peer that never pulls.
+	for _, q := range []string{"?replica=b,c", "?replica=r2+r3"} {
+		if resp, body := post(q); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("decommission %s: status = %d, body %s; want 400", q, resp.StatusCode, body)
+		}
+	}
 	// The shared System's identity is "local"; refusing self-decommission
 	// is a conflict.
 	if resp, body := post("?replica=local"); resp.StatusCode != http.StatusConflict {

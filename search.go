@@ -228,17 +228,15 @@ func (s *System) SearchWith(query string, opts SearchOptions) (*Answer, error) {
 // snippet flag, ranking unchanged since) it returns the exact bytes
 // previously produced by render — no pipeline, no re-encode, zero heap
 // allocations — with hit=true. Otherwise it searches, calls render on the
-// answer, caches the returned bytes alongside the analysis and returns
-// them with hit=false. The sequence itself lives in
-// core.SearchRenderedContext; this only adapts render from the core
-// analysis to the public Answer. The serving layer calls
-// SearchJSONContext instead, which renders without building an Answer.
-// Cached bytes are shared per renderer: SearchRendered and
-// SearchJSONContext never return each other's bytes, but every
-// SearchRendered call of one query shares its bytes, whatever render it
-// passes.
-// The returned bytes are shared with the cache: callers must write them
-// out unmodified.
+// answer, caches only the returned bytes and returns them with hit=false.
+// The sequence itself lives in core.SearchRenderedContext; this only
+// adapts render from the core analysis to the public Answer. The serving
+// layer calls SearchJSONContext instead, which renders without building
+// an Answer. Cached bytes are shared per renderer: SearchRendered and
+// SearchJSONContext never return each other's bytes, nor share an entry
+// with Search, but every SearchRendered call of one query shares its
+// bytes, whatever render it passes. The returned bytes are shared with
+// the cache: callers must write them out unmodified.
 func (s *System) SearchRendered(query string, opts SearchOptions, render func(*Answer) ([]byte, error)) (data []byte, hit bool, err error) {
 	so, err := coreSearchOptions(opts)
 	if err != nil {

@@ -40,7 +40,7 @@ func (s *System) SearchJSONContext(ctx context.Context, query string, opts Searc
 	if err != nil {
 		return nil, false, err
 	}
-	return s.sys.SearchRenderedContext(ctx, query, so, "", func(a *core.Analysis) ([]byte, error) {
+	return s.sys.SearchRenderedContext(ctx, query, so, "json", func(a *core.Analysis) ([]byte, error) {
 		sc := jsonScratchPool.Get().(*jsonScratch)
 		defer sc.release()
 		topSQL, err := sc.appendSearch(query, a, opts.Snippets)

@@ -27,9 +27,9 @@
 // This package is a thin facade: every operation has one implementation
 // in internal/core and the methods here only translate types. Search,
 // SearchWith, SearchRendered and SearchJSONContext all reach the
-// pipeline through core's single search path (raw-key cache probe,
-// parse, canonical-key probe, the five steps, render, store); ExecuteSQL
-// and ExecuteSQLInContext through its single SQL-execution call.
+// pipeline through core's search (one raw-input cache probe, parse, the
+// five steps, render, one store); ExecuteSQL and ExecuteSQLInContext
+// through its single SQL-execution call.
 package soda
 
 import (
@@ -106,9 +106,9 @@ type Options struct {
 	// "http://replica-b:8080"). When set, Open starts a background tailer
 	// that pulls each peer's feedback records over /cluster/pull and
 	// applies them locally, so every replica converges on the same
-	// learned rankings. Requires a persistent data dir (Open); Connect
-	// and NewSystem reject it. Fleets should be full mesh: every replica
-	// lists every other.
+	// learned rankings. Requires a persistent data dir (Open): Connect
+	// rejects it, and NewSystem ignores it. Fleets should be full mesh:
+	// every replica lists every other.
 	Peers []string
 	// ReplicaID is this replica's stable identity within the fleet. Empty
 	// generates one on first open and persists it in the data dir;
