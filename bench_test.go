@@ -320,6 +320,32 @@ func BenchmarkCachedSearch(b *testing.B) {
 	})
 }
 
+// BenchmarkSearchJSONCold measures the cold /search body on the warehouse:
+// the workload corpus of the serving benchmark's population seed, each
+// query in the four dialects in turn, answer cache off, so every op parses,
+// runs the five steps and renders the JSON body. body-B/op is the mean
+// body size, which the renderer must not change.
+func BenchmarkSearchJSONCold(b *testing.B) {
+	w := Warehouse(WarehouseConfig{})
+	sys := NewSystem(w, Options{CacheSize: -1})
+	sys.Warm()
+	queries := workload.New(w.Meta(), w.Index(), 20120827).Queries(1000)
+	dialects := Dialects()
+	ctx := context.Background()
+	body := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts := SearchOptions{Dialect: dialects[i%len(dialects)]}
+		data, _, err := sys.SearchJSONContext(ctx, queries[(i/len(dialects))%len(queries)], opts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body += len(data)
+	}
+	b.ReportMetric(float64(body)/float64(b.N), "body-B/op")
+}
+
 // BenchmarkInvertedIndexBuild measures index construction over the
 // warehouse base data (the paper's 24-hour single-core build, scaled to
 // the synthetic volume).

@@ -311,7 +311,7 @@ func (e *Env) Figure6Tables() ([]string, error) {
 	seen := map[string]bool{}
 	var tables []string
 	for _, sol := range a.Solutions {
-		for _, t := range sol.Tables {
+		for _, t := range sol.TableNames() {
 			if !seen[t] {
 				seen[t] = true
 				tables = append(tables, t)

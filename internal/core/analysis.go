@@ -162,12 +162,13 @@ type Solution struct {
 	Entries []EntryPoint
 	Score   float64
 
-	// Tables is the discovery output of the tables step (Figure 6): every
-	// table reachable from the entry points plus bridge tables between
-	// them. Primaries anchors each entry to its nearest table, and
-	// SQLTables is the pruned FROM list: anchors, join-path intermediates
-	// and inheritance parents.
-	Tables    []string
+	// tables is the discovery output of the tables step (Figure 6), as
+	// IDs into catalog: every table reachable from the entry points plus
+	// bridge tables between them (see TableNames). Primaries anchors each
+	// entry to its nearest table, and SQLTables is the pruned FROM list:
+	// anchors, join-path intermediates and inheritance parents.
+	tables    []int32
+	catalog   *tableInterner
 	Primaries []string
 	SQLTables []string
 
@@ -202,6 +203,39 @@ type Solution struct {
 	Approved  bool
 	QueryName string
 	Bindings  []BoundParam
+}
+
+// TableNames returns the discovery output of the tables step (Figure 6)
+// in its order: entry by entry, the tables its traversal collects,
+// nearest first (a base-data entry's own table and its inheritance
+// parents lead), each table once; then the bridges between discovered
+// tables. Each call returns a new slice, nil when the view is empty.
+func (s *Solution) TableNames() []string {
+	if len(s.tables) == 0 {
+		return nil
+	}
+	out := make([]string, len(s.tables))
+	for i, id := range s.tables {
+		out[i] = s.catalog.name(id)
+	}
+	return out
+}
+
+// AppendTablesJSON appends TableNames as a JSON array of strings, null
+// when it is empty, copying each name's JSON form from the catalog
+// instead of escaping it again.
+func (s *Solution) AppendTablesJSON(dst []byte) []byte {
+	if len(s.tables) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, id := range s.tables {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, s.catalog.quotedName(id)...)
+	}
+	return append(dst, ']')
 }
 
 // SQLText renders the generated statement in the solution's dialect; the

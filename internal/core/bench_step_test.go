@@ -90,7 +90,7 @@ func BenchmarkTablesStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			src := bc.sols[i%len(bc.sols)]
 			sol := &Solution{Entries: src.Entries}
-			bc.sys.tablesStep(sol, nil)
+			bc.sys.tablesStep([]*Solution{sol})
 		}
 	})
 }

@@ -357,7 +357,7 @@ func TestForEachSolutionPanicPropagates(t *testing.T) {
 // dereferenced) so sequential and parallel runs can be compared exactly.
 func solutionTrace(sol *Solution) string {
 	return fmt.Sprintf("score=%.6f tables=%v primaries=%v sqlTables=%v joins=%v filters=%v groupBy=%v disconnected=%v sql=%q",
-		sol.Score, sol.Tables, sol.Primaries, sol.SQLTables, sol.Joins, sol.Filters, sol.GroupBy, sol.Disconnected, sol.SQLText())
+		sol.Score, sol.TableNames(), sol.Primaries, sol.SQLTables, sol.Joins, sol.Filters, sol.GroupBy, sol.Disconnected, sol.SQLText())
 }
 
 func TestConcurrentSearchesShareCache(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 
 // TestColdSearchAllocs holds the cold pipeline to an allocation budget: a
 // warehouse search with the answer cache off and the default Parallelism
-// sizes Steps 2-5's outputs once per solution and runs Steps 3-5 on the
-// calling goroutine, so the corpus averages at most 120 allocations a
-// search (~73 on 2 vCPUs). Fanning Steps 3-5 out to a worker pool again
+// sizes Step 3's outputs once per search and Steps 2, 4 and 5's once per
+// solution, and runs Steps 3-5 on the calling goroutine, so the corpus
+// averages at most 120 allocations a search (~66 on 2 vCPUs). Fanning Steps 3-5 out to a worker pool again
 // and growing their outputs element by element reads ~150.
 func TestColdSearchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -70,7 +70,7 @@ func TestSolutionSlicesIndependent(t *testing.T) {
 				want[i] = sliceTrace(sol)
 			}
 			for i, sol := range a.Solutions {
-				clone := &Solution{Entries: slices.Clone(sol.Entries), Tables: slices.Clone(sol.Tables),
+				clone := &Solution{Entries: slices.Clone(sol.Entries), tables: slices.Clone(sol.tables), catalog: sol.catalog,
 					Primaries: slices.Clone(sol.Primaries), SQLTables: slices.Clone(sol.SQLTables), Joins: slices.Clone(sol.Joins)}
 				poison(clone)
 				poison(sol)
@@ -88,7 +88,7 @@ func TestSolutionSlicesIndependent(t *testing.T) {
 // poison appends one marker element to each appendable slice of sol.
 func poison(sol *Solution) {
 	sol.Entries = append(sol.Entries, EntryPoint{Table: "poison", Column: "poison"})
-	sol.Tables = append(sol.Tables, "poison")
+	sol.tables = append(sol.tables, 0)
 	sol.Primaries = append(sol.Primaries, "poison")
 	sol.SQLTables = append(sol.SQLTables, "poison")
 	sol.Joins = append(sol.Joins, Join{LeftTable: "poison", Via: "poison"})
@@ -97,5 +97,5 @@ func poison(sol *Solution) {
 // sliceTrace renders the slices TestSolutionSlicesIndependent appends to.
 func sliceTrace(sol *Solution) string {
 	return fmt.Sprintf("entries=%v tables=%v primaries=%v sqlTables=%v joins=%v",
-		sol.Entries, sol.Tables, sol.Primaries, sol.SQLTables, sol.Joins)
+		sol.Entries, sol.TableNames(), sol.Primaries, sol.SQLTables, sol.Joins)
 }

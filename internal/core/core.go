@@ -333,8 +333,11 @@ func (s *System) search(ctx context.Context, input string, so SearchOptions, rk 
 		{"lookup", (*System).lookup, &a.Timings.Lookup, s.metrics.stepLookup},
 		{"rank", (*System).rank, &a.Timings.Rank, s.metrics.stepRank},
 		{"tables", func(s *System, a *Analysis) {
+			s.tablesStep(a.Solutions)
 			for _, sol := range a.Solutions {
-				s.tablesStep(sol, a)
+				if sol.Disconnected {
+					s.metrics.disconnected.Inc()
+				}
 			}
 		}, &a.Timings.Tables, s.metrics.stepTables},
 		{"filters", func(s *System, a *Analysis) {

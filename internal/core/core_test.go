@@ -35,7 +35,7 @@ func best(t *testing.T, a *Analysis) *Solution {
 }
 
 func hasTable(sol *Solution, name string) bool {
-	for _, tbl := range sol.Tables {
+	for _, tbl := range sol.TableNames() {
 		if tbl == name {
 			return true
 		}
@@ -85,7 +85,7 @@ func TestFigure6TablesOutput(t *testing.T) {
 	// The union over both solutions matches Figure 6's seven tables.
 	got := map[string]bool{}
 	for _, sol := range a.Solutions {
-		for _, tbl := range sol.Tables {
+		for _, tbl := range sol.TableNames() {
 			got[tbl] = true
 		}
 	}
@@ -108,7 +108,7 @@ func TestQuery1SaraGuttinger(t *testing.T) {
 	a := search(t, sys, "Sara Guttinger")
 	sol := best(t, a)
 	if !hasTable(sol, "individuals") || !hasTable(sol, "parties") {
-		t.Fatalf("tables = %v, want individuals + inheritance parent parties", sol.Tables)
+		t.Fatalf("tables = %v, want individuals + inheritance parent parties", sol.TableNames())
 	}
 	// Join parties.id = individuals.id must be present.
 	foundJoin := false
@@ -369,7 +369,7 @@ func TestBridgeTableDiscovery(t *testing.T) {
 	a := search(t, sys, "financial instruments securities")
 	sol := best(t, a)
 	if !hasTable(sol, "fi_contains_sec") {
-		t.Fatalf("bridge table missing: %v", sol.Tables)
+		t.Fatalf("bridge table missing: %v", sol.TableNames())
 	}
 	bridgeJoins := 0
 	for _, j := range sol.Joins {
@@ -387,7 +387,7 @@ func TestBridgeAblation(t *testing.T) {
 	a := search(t, sys, "financial instruments securities")
 	sol := best(t, a)
 	if hasTable(sol, "fi_contains_sec") {
-		t.Fatalf("bridge table present despite ablation: %v", sol.Tables)
+		t.Fatalf("bridge table present despite ablation: %v", sol.TableNames())
 	}
 	// Without the bridge the two tables cannot be connected.
 	if !sol.Disconnected {

@@ -34,7 +34,7 @@ func Explain(a *Analysis) string {
 		for _, e := range sol.Entries {
 			fmt.Fprintf(&b, "  input: %q -> %s\n", a.Terms[e.Term].Text, e.Describe())
 		}
-		fmt.Fprintf(&b, "  step 3 - tables: %s\n", strings.Join(sol.Tables, ", "))
+		fmt.Fprintf(&b, "  step 3 - tables: %s\n", strings.Join(sol.TableNames(), ", "))
 		fmt.Fprintf(&b, "    anchors: %s\n", strings.Join(sol.Primaries, ", "))
 		fmt.Fprintf(&b, "    sql tables: %s\n", strings.Join(sol.SQLTables, ", "))
 		for _, j := range sol.Joins {

@@ -36,6 +36,8 @@ type sysMetrics struct {
 
 	snapshotErrors *obs.Counter
 
+	disconnected *obs.Counter
+
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 }
@@ -73,6 +75,9 @@ func newSysMetrics(reg *obs.Registry, backendName string) *sysMetrics {
 
 		snapshotErrors: reg.Counter("soda_snapshot_errors_total",
 			"Failed snapshot writes (compaction, /admin/snapshot, cluster catch-up and shutdown)."),
+
+		disconnected: reg.Counter("soda_disconnected_solutions_total",
+			"Ranked solutions whose entry points Step 3 found no join path between (cross products), counted on cold searches."),
 
 		cacheHits: reg.Counter("soda_cache_hits_total",
 			"Answer-cache hits (searches served without running the pipeline)."),

@@ -120,7 +120,7 @@ func (m *schemaModel) tableNode(table string) (rdf.Term, bool) {
 // the hit column's node. The parts may overlap; consumers deduplicate.
 type entryTables struct {
 	lead   string // a base-data entry's own table, "" otherwise
-	leadID int32  // lead's table ID; -1 when the schema graph does not know it
+	leadID int32  // lead's table ID; -1 when no schema or indexed table has that name
 	runs   [2][]int32
 }
 

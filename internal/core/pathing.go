@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"soda/internal/jsonw"
 	"soda/internal/metagraph"
 	"soda/internal/rdf"
 )
@@ -14,10 +15,10 @@ import (
 // rebuild, so everything derivable from it is computed once in
 // buildDerived and only read afterwards:
 //
-//   - table names are interned into dense integer IDs, assigned in
-//     lexicographic name order so sorting IDs equals sorting names — the
-//     deterministic tie-breaking the BFS relies on costs an integer
-//     compare instead of a string compare;
+//   - table names are interned into dense integer IDs, the schema's
+//     assigned in lexicographic name order so sorting IDs equals sorting
+//     names — the deterministic tie-breaking the BFS relies on costs an
+//     integer compare instead of a string compare;
 //   - adjacency lists are stored pre-sorted in the exact (neighbour,
 //     edge-index) order the BFS used to establish per visit, so the
 //     per-expansion candidate sort disappears entirely;
@@ -28,12 +29,18 @@ import (
 //     slices) is pooled, so a cold search allocates O(result), not
 //     O(graph).
 
-// tableInterner maps physical table names to dense IDs and back. IDs are
-// assigned in sorted-name order, so integer comparison of IDs is
-// equivalent to lexicographic comparison of the names.
+// tableInterner maps physical table names to dense IDs and back, and
+// holds each name JSON-quoted, so the /search body copies a discovery view
+// (Solution.AppendTablesJSON) without escaping it again. The schema
+// graph's tables take IDs in sorted-name order, so integer comparison of
+// their IDs is lexicographic comparison of the names. buildDerived then
+// appends the indexed tables the schema graph does not name; no join edge
+// reaches those, so where they sort never matters to a path search.
 type tableInterner struct {
-	ids   map[string]int32
-	names []string
+	ids    map[string]int32
+	names  []string
+	quoted []byte  // every name JSON-quoted, back to back, in ID order
+	qoff   []int32 // name id's quoted form is quoted[qoff[id]:qoff[id+1]]
 }
 
 // buildTableInterner collects every physical table name the metadata
@@ -51,16 +58,25 @@ func (s *System) buildTableInterner() *tableInterner {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	it := &tableInterner{ids: make(map[string]int32, len(names)), names: names}
-	for i, n := range names {
-		it.ids[n] = int32(i)
+	it := &tableInterner{ids: make(map[string]int32, len(names)), qoff: []int32{0}}
+	for _, n := range names {
+		it.add(n)
 	}
 	return it
 }
 
-// id returns the dense ID of a table name, or -1 when the name is not a
-// metadata-known table (e.g. a base-data table missing from the schema
-// graph — such a table can never appear in a join edge).
+// add interns a name the interner does not hold under the next ID.
+func (ti *tableInterner) add(name string) int32 {
+	id := int32(len(ti.names))
+	ti.ids[name] = id
+	ti.names = append(ti.names, name)
+	ti.quoted = jsonw.AppendString(ti.quoted, name)
+	ti.qoff = append(ti.qoff, int32(len(ti.quoted)))
+	return id
+}
+
+// id returns the dense ID of a table name, or -1 when no schema table or
+// indexed table has that name.
 func (ti *tableInterner) id(name string) int32 {
 	if i, ok := ti.ids[name]; ok {
 		return i
@@ -70,6 +86,11 @@ func (ti *tableInterner) id(name string) int32 {
 
 func (ti *tableInterner) name(id int32) string { return ti.names[id] }
 func (ti *tableInterner) size() int            { return len(ti.names) }
+
+// quotedName returns the name of id as a JSON string, quotes included.
+func (ti *tableInterner) quotedName(id int32) []byte {
+	return ti.quoted[ti.qoff[id]:ti.qoff[id+1]]
+}
 
 // idSet is a generation-stamped membership set over dense IDs: reset is
 // O(1) (a generation bump), so pooled scratch never pays a clear.
@@ -131,11 +152,10 @@ var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // pathIDs is the zero-sort BFS: it appends to path the edge indices of
 // the shortest join path from any of srcIDs to dst, in path order.
 // Sources must be in ascending ID order, which is name order; duplicates
-// are skipped, and so is -1, a table outside the schema graph, which no
-// join edge reaches. Callers guarantee dst is not a source. Adjacency
-// lists are pre-sorted in (neighbour, edge-index) order, so expanding
-// them in storage order reproduces exactly the deterministic order the
-// per-visit sort used to establish.
+// are skipped, and so is -1, a name no table has. Callers guarantee dst
+// is not a source. Adjacency lists are pre-sorted in (neighbour,
+// edge-index) order, so expanding them in storage order reproduces
+// exactly the deterministic order the per-visit sort used to establish.
 func (g *joinGraph) pathIDs(path []int32, srcIDs []int32, dst int32, skipBridges bool) ([]int32, bool) {
 	if dst < 0 {
 		return path, false
@@ -248,7 +268,10 @@ type discoveredBridge struct {
 	bridge      int32 // the bridge table itself
 }
 
-// tablesScratch is the pooled per-solution scratch of tablesStep.
+// tablesScratch is the pooled scratch of tablesStep. The per-solution
+// sets and ID lists are reset for each solution; the lists a solution
+// keeps are gathered for the whole batch, one after another, before they
+// are copied out.
 type tablesScratch struct {
 	discovered idSet // table IDs in the Figure 6 discovery view
 	inSQL      idSet // table IDs in the FROM list
@@ -260,28 +283,27 @@ type tablesScratch struct {
 	joinEdges  []int32
 	path       []int32 // one anchor pair's join path, as edge indices
 
-	// The solution's lists before they are copied out.
-	tables    []string // the discovery view
-	primaries []string
-	sqlTables []string
-	joins     []Join
+	// The batch's lists, and where each solution's lists end.
+	tables []int32 // discovery views
+	strs   []string
+	joins  []Join
+	ends   []tablesEnds
+}
+
+// tablesEnds is where one solution's lists end in tablesScratch: its
+// discovery view in tables, its anchors then its FROM list in strs, its
+// joins in joins.
+type tablesEnds struct {
+	tables, primaries, sqlTables, joins int
 }
 
 var tablesPool = sync.Pool{New: func() any { return new(tablesScratch) }}
 
 // connectedIDs reports whether the tables form one connected component
-// under the given join edges. ids is aligned with the solution's SQL
-// table list; -1 entries are tables outside the schema graph, which can
-// never be joined — with more than one table present they disconnect the
-// solution, exactly as the string-map BFS concluded.
+// under the given join edges.
 func (g *joinGraph) connectedIDs(sc *tablesScratch, ids []int32, joinEdges []int32) bool {
 	if len(ids) <= 1 {
 		return true
-	}
-	for _, id := range ids {
-		if id < 0 {
-			return false
-		}
 	}
 	sc.connSeen.reset(g.tables.size())
 	queue := append(sc.connQueue[:0], ids[0])

@@ -29,12 +29,37 @@ import (
 //     faithfully reproduce the paper's failure mode where bridges between
 //     inheritance siblings (Figure 10) hijack the join path (Q5.0, Q9.0)
 //     unless annotated with ignore_join (§5.3.1).
-func (s *System) tablesStep(sol *Solution, a *Analysis) {
+//
+// It runs for each solution of a batch, the solutions of one analysis. A
+// solution's lists are gathered in pooled scratch, its discovery view as
+// table IDs. Once the batch is done, one slab per element type holds
+// every solution's lists, each a capped window of it, because ensureTable
+// appends to SQLTables and Joins later. An empty list stays nil.
+func (s *System) tablesStep(sols []*Solution) {
 	jg := s.joinGraphCached()
-	m := s.model
-	it := jg.tables
 	sc := tablesPool.Get().(*tablesScratch)
 	defer tablesPool.Put(sc)
+	sc.tables, sc.strs, sc.joins, sc.ends = sc.tables[:0], sc.strs[:0], sc.joins[:0], sc.ends[:0]
+	for _, sol := range sols {
+		s.gatherTables(jg, sc, sol)
+	}
+	tables, strs, joins := slices.Clone(sc.tables), slices.Clone(sc.strs), slices.Clone(sc.joins)
+	var at tablesEnds
+	for i, sol := range sols {
+		end := sc.ends[i]
+		sol.tables, sol.catalog = window(tables, at.tables, end.tables), jg.tables
+		sol.Primaries = window(strs, at.sqlTables, end.primaries)
+		sol.SQLTables = window(strs, end.primaries, end.sqlTables)
+		sol.Joins = window(joins, at.joins, end.joins)
+		at = end
+	}
+}
+
+// gatherTables runs Step 3 for one solution: it sets sol.Disconnected and
+// appends the solution's lists to sc's batch lists.
+func (s *System) gatherTables(jg *joinGraph, sc *tablesScratch, sol *Solution) {
+	m := s.model
+	it := jg.tables
 	sc.discovered.reset(it.size())
 	sc.inSQL.reset(it.size())
 	sc.edgeSeen.reset(len(jg.edges))
@@ -42,24 +67,20 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// Part 1: the discovery view is the union of the entries' table
 	// lists, prefilled per node by the compiled model and deduplicated
 	// here by table ID. It can run to hundreds of tables. Each entry's
-	// anchor is the first table of its own list. Like every list below it
-	// is gathered in scratch and copied out once, at its final size.
-	tables := sc.tables[:0]
+	// anchor is the first table of its own list. Every table a base-data
+	// entry names is interned (buildDerived), so every entry has an ID.
+	tables := sc.tables
 	addDiscovered := func(id int32) {
 		if sc.discovered.add(id) {
-			tables = append(tables, it.name(id))
+			tables = append(tables, id)
 		}
 	}
-	primaries := sc.primaries[:0]
+	strs := sc.strs
 	primIDs := sc.primIDs[:0]
 	for _, e := range sol.Entries {
 		et := m.entryTables(e)
-		if et.leadID >= 0 {
+		if et.lead != "" {
 			addDiscovered(et.leadID)
-		} else if et.lead != "" && !slices.Contains(tables, et.lead) {
-			// A base-data table the schema graph does not know; rare
-			// enough that a linear-scan dedup is fine.
-			tables = append(tables, et.lead)
 		}
 		for _, run := range et.runs {
 			for _, id := range run {
@@ -67,10 +88,11 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 			}
 		}
 		if id, name, ok := et.first(it); ok {
-			primaries = append(primaries, name)
+			strs = append(strs, name)
 			primIDs = append(primIDs, id)
 		}
 	}
+	primaries := len(strs)
 
 	// Discovery view of bridges: a bridge between two discovered tables
 	// is part of the Figure 6 output.
@@ -85,23 +107,17 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// Part 2+3: joins on direct paths between the anchors, walking the
 	// global join graph built from the Foreign Key / Join-Relationship
 	// patterns (bridge edges included unless ablated).
-	sqlTables := sc.sqlTables[:0]
 	sqlIDs := sc.sqlIDs[:0]
-	addSQLTable := func(id int32, t string) {
-		if id >= 0 {
-			if !sc.inSQL.add(id) {
-				return
-			}
-		} else if slices.Contains(sqlTables, t) {
-			return
+	addSQLTable := func(id int32) {
+		if sc.inSQL.add(id) {
+			strs = append(strs, it.name(id))
+			sqlIDs = append(sqlIDs, id)
 		}
-		sqlTables = append(sqlTables, t)
-		sqlIDs = append(sqlIDs, id)
 	}
 	// Joins are deduplicated by edge index: every join emitted below is
 	// some edge's join(), and distinct non-ignored edges always render
 	// distinct Join values (identical tuples were merged at build time).
-	joins := sc.joins[:0]
+	joins := sc.joins
 	joinEdges := sc.joinEdges[:0]
 	addJoinEdge := func(ei int32) {
 		if !sc.edgeSeen.add(ei) {
@@ -110,16 +126,16 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 		e := &jg.edges[ei]
 		joins = append(joins, e.join())
 		joinEdges = append(joinEdges, ei)
-		addSQLTable(e.t1id, e.t1)
-		addSQLTable(e.t2id, e.t2)
+		addSQLTable(e.t1id)
+		addSQLTable(e.t2id)
 	}
-	for i, p := range primaries {
-		addSQLTable(primIDs[i], p)
+	for _, id := range primIDs {
+		addSQLTable(id)
 	}
 
-	for i := 0; i < len(primaries); i++ {
-		for j := i + 1; j < len(primaries); j++ {
-			if primaries[i] == primaries[j] {
+	for i := 0; i < len(primIDs); i++ {
+		for j := i + 1; j < len(primIDs); j++ {
+			if primIDs[i] == primIDs[j] {
 				continue
 			}
 			path, ok := jg.pathIDs(sc.path[:0], primIDs[i:i+1], primIDs[j], s.Opt.DisableBridges)
@@ -148,11 +164,9 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	// to an unrelated entity, not complete the current one — and it is
 	// capped to keep FROM lists sane on pathological schemas.
 	for _, root := range primIDs {
-		if root >= 0 {
-			for _, step := range jg.closures[root] {
-				addSQLTable(step.tbl, it.name(step.tbl))
-				addJoinEdge(step.ei)
-			}
+		for _, step := range jg.closures[root] {
+			addSQLTable(step.tbl)
+			addJoinEdge(step.ei)
 		}
 	}
 
@@ -172,30 +186,18 @@ func (s *System) tablesStep(sol *Solution, a *Analysis) {
 	if !jg.connectedIDs(sc, sqlIDs, joinEdges) {
 		sol.Disconnected = true
 	}
-
-	// Copy out: one string slab holds the discovery view, the anchors and
-	// the FROM list, each a capped window of it, because ensureTable
-	// appends to SQLTables (and Joins) later. An empty list stays nil.
-	strs := make([]string, 0, len(tables)+len(primaries)+len(sqlTables))
-	sol.Tables = appendWindow(&strs, tables)
-	sol.Primaries = appendWindow(&strs, primaries)
-	sol.SQLTables = appendWindow(&strs, sqlTables)
-	js := make([]Join, 0, len(joins))
-	sol.Joins = appendWindow(&js, joins)
-	sc.tables, sc.primaries, sc.sqlTables, sc.joins = tables, primaries, sqlTables, joins
+	sc.ends = append(sc.ends, tablesEnds{tables: len(tables), primaries: primaries, sqlTables: len(strs), joins: len(joins)})
+	sc.tables, sc.strs, sc.joins = tables, strs, joins
 	sc.primIDs, sc.sqlIDs, sc.joinEdges = primIDs, sqlIDs, joinEdges
 }
 
-// appendWindow appends src to *slab and returns the appended elements as
-// a capped window, or nil when src is empty. slab must have room for src,
-// so every window shares its backing array.
-func appendWindow[T any](slab *[]T, src []T) []T {
-	if len(src) == 0 {
+// window returns slab[lo:hi] capped, so an append copies it out, or nil
+// when it is empty.
+func window[T any](slab []T, lo, hi int) []T {
+	if lo == hi {
 		return nil
 	}
-	i := len(*slab)
-	*slab = append(*slab, src...)
-	return (*slab)[i:len(*slab):len(*slab)]
+	return slab[lo:hi:hi]
 }
 
 // ---- Join graph -----------------------------------------------------
@@ -246,7 +248,8 @@ type bridgeRel struct {
 }
 
 // buildDerived computes the one-time derived structures: the table
-// interner (everything else speaks interned IDs), the compiled schema
+// interner (everything else speaks interned IDs; the indexed tables the
+// schema graph does not name join it last), the compiled schema
 // model (model.go: Step 1's label table, every node's Step 3 table list
 // and resolved column), bridge tables (the join graph tags edges touching
 // them), the global join graph with every table's FK upward closure, and
@@ -274,14 +277,34 @@ func (s *System) buildDerived() {
 		bids = append(bids, discoveredBridge{left: l, right: r, bridge: b})
 	}
 	s.bridgeIDs = bids
+	// A base-data hit can name a table the schema graph does not: it
+	// takes the next free ID, so every entry point's tables have one.
+	// No join edge reaches it.
+	idx := s.Index()
+	for _, name := range idx.Tables() {
+		if it.id(name) < 0 {
+			s.model.baseTables[name] = baseTable{id: it.add(name)}
+		}
+	}
+	s.jg.cover(it.size())
 	// The index's own table answers a label that is a token or a stored
 	// value; for the rest (physical names such as a001_t6_td) this is the
 	// one time their words are intersected.
-	idx := s.Index()
 	for l, f := range s.model.labels {
 		f.hits = idx.Hits(l)
 		s.model.labels[l] = f
 	}
+}
+
+// cover gives each table the interner added after the graph was built
+// its empty adjacency and closure, so every per-table slice spans n IDs.
+func (g *joinGraph) cover(n int) {
+	extra := n - len(g.adj)
+	g.adjAll = append(g.adjAll, make([][]int32, extra)...)
+	g.adj = append(g.adj, make([][]jgArc, extra)...)
+	g.adjNB = append(g.adjNB, make([][]jgArc, extra)...)
+	g.fkOut = append(g.fkOut, make([][]jgArc, extra)...)
+	g.closures = append(g.closures, make([][]closureStep, extra)...)
 }
 
 // joinGraphCached returns the global join graph, building it on first use.

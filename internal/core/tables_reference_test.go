@@ -37,8 +37,9 @@ func newRefJoinView(jg *joinGraph) *refJoinView {
 	return v
 }
 
-// refTablesStep is the old tablesStep, verbatim.
-func refTablesStep(s *System, sol *Solution) {
+// refTablesStep is the old tablesStep, verbatim, except that it returns
+// the discovery view, which a Solution holds as table IDs.
+func refTablesStep(s *System, sol *Solution) []string {
 	jg := newRefJoinView(s.joinGraphCached())
 
 	rt := newRefTables(s)
@@ -69,7 +70,6 @@ func refTablesStep(s *System, sol *Solution) {
 			}
 		}
 	}
-	sol.Tables = tables
 
 	var primaries []string
 	for _, set := range entrySets {
@@ -139,6 +139,7 @@ func refTablesStep(s *System, sol *Solution) {
 	if !refConnectedUnder(sqlTables, joins) {
 		sol.Disconnected = true
 	}
+	return tables
 }
 
 // refFkUpwardClosure is the old fkUpwardClosure, verbatim.
@@ -551,10 +552,26 @@ func buildRandomWorld(r *rand.Rand) *randWorld {
 	return w
 }
 
+// ghostDB returns a database with one table per table of w, named
+// "ghost_" plus its name, that the schema graph does not know: w's columns
+// as text, one row, so the index names the table, as it names any table a
+// base-data hit can come from.
+func (w *randWorld) ghostDB() *backend.DB {
+	db := backend.NewDB()
+	for ti, tn := range w.tables {
+		cols := make([]backend.Column, len(w.cols[ti]))
+		row := make([]backend.Value, len(cols))
+		for i, c := range w.cols[ti] {
+			cols[i], row[i] = backend.Column{Name: c, Type: backend.TString}, backend.Str("v")
+		}
+		db.Create("ghost_"+tn, cols...).Insert(row...)
+	}
+	return db
+}
+
 // randomEntries draws 1-4 entry points: metadata nodes (tables, columns,
-// entities) and base-data hits — including, occasionally, a table name
-// the schema graph does not know, which exercises the non-interned
-// fallback paths.
+// entities) and base-data hits — including, occasionally, one on a
+// ghostDB table, which the schema graph does not know.
 func (w *randWorld) randomEntries(r *rand.Rand) []EntryPoint {
 	n := 1 + r.Intn(4)
 	var es []EntryPoint
@@ -584,30 +601,34 @@ func (w *randWorld) randomEntries(r *rand.Rand) []EntryPoint {
 
 // TestTablesStepMatchesReference drives the optimized Step 3 and the
 // string-map oracle over random worlds, option mixes and entry
-// combinations and requires identical solutions.
+// combinations and requires identical solutions. Each world's eight
+// solutions run as one batch, as an analysis's do.
 func TestTablesStepMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20260807))
 	for wi := 0; wi < 25; wi++ {
 		w := buildRandomWorld(r)
-		db := backend.NewDB()
+		db := w.ghostDB()
 		idx := invidx.Build(db)
 		for oi, opt := range modelOptVariants {
 			sys := NewSystem(memory.New(db), w.meta, idx, opt)
-			for qi := 0; qi < 8; qi++ {
-				entries := w.randomEntries(r)
-				got := &Solution{Entries: entries}
+			gots := make([]*Solution, 8)
+			for qi := range gots {
+				gots[qi] = &Solution{Entries: w.randomEntries(r)}
+			}
+			sys.tablesStep(gots)
+			for qi, got := range gots {
+				entries := got.Entries
 				want := &Solution{Entries: entries}
-				sys.tablesStep(got, nil)
-				refTablesStep(sys, want)
-				if !reflect.DeepEqual(got.Tables, want.Tables) ||
+				wantTables := refTablesStep(sys, want)
+				if !reflect.DeepEqual(got.TableNames(), wantTables) ||
 					!reflect.DeepEqual(got.Primaries, want.Primaries) ||
 					!reflect.DeepEqual(got.SQLTables, want.SQLTables) ||
 					!reflect.DeepEqual(got.Joins, want.Joins) ||
 					got.Disconnected != want.Disconnected {
 					t.Fatalf("world %d opt %d query %d: optimized != reference\nentries: %+v\ngot:  T=%v P=%v SQLT=%v J=%v D=%v\nwant: T=%v P=%v SQLT=%v J=%v D=%v",
 						wi, oi, qi, entries,
-						got.Tables, got.Primaries, got.SQLTables, got.Joins, got.Disconnected,
-						want.Tables, want.Primaries, want.SQLTables, want.Joins, want.Disconnected)
+						got.TableNames(), got.Primaries, got.SQLTables, got.Joins, got.Disconnected,
+						wantTables, want.Primaries, want.SQLTables, want.Joins, want.Disconnected)
 				}
 			}
 		}
@@ -668,17 +689,17 @@ func TestPipelineTablesStepMatchesReference(t *testing.T) {
 		for si, sol := range a.Solutions {
 			got := &Solution{Entries: sol.Entries}
 			want := &Solution{Entries: sol.Entries}
-			sys.tablesStep(got, nil)
-			refTablesStep(sys, want)
-			if !reflect.DeepEqual(got.Tables, want.Tables) ||
+			sys.tablesStep([]*Solution{got})
+			wantTables := refTablesStep(sys, want)
+			if !reflect.DeepEqual(got.TableNames(), wantTables) ||
 				!reflect.DeepEqual(got.Primaries, want.Primaries) ||
 				!reflect.DeepEqual(got.SQLTables, want.SQLTables) ||
 				!reflect.DeepEqual(got.Joins, want.Joins) ||
 				got.Disconnected != want.Disconnected {
-				t.Fatalf("query %q solution %d: optimized != reference\ngot:  %+v\nwant: %+v", q, si, got, want)
+				t.Fatalf("query %q solution %d: optimized != reference\ngot:  %v %+v\nwant: %v %+v", q, si, got.TableNames(), got, wantTables, want)
 			}
 			// The solution served by the pipeline must match both.
-			if !reflect.DeepEqual(sol.Tables, want.Tables) ||
+			if !reflect.DeepEqual(sol.TableNames(), wantTables) ||
 				!reflect.DeepEqual(sol.Joins, want.Joins) {
 				t.Fatalf("query %q solution %d: served solution differs from reference", q, si)
 			}

@@ -104,7 +104,7 @@ func checkSolutions(t *testing.T, sys *core.System, queries []string) int {
 			t.Fatalf("%q: %v", q, err)
 		}
 		for _, sol := range a.Solutions {
-			for _, list := range [][]string{sol.Tables, sol.Primaries, sol.SQLTables} {
+			for _, list := range [][]string{sol.TableNames(), sol.Primaries, sol.SQLTables} {
 				for _, tbl := range list {
 					hasTable(q, "table", tbl)
 				}

@@ -259,6 +259,18 @@ func (x *Index) Terms() []string {
 	return out
 }
 
+// Tables returns the distinct tables of the indexed columns, sorted: every
+// table a ColumnHit can name.
+func (x *Index) Tables() []string {
+	var out []string
+	for _, c := range x.cols {
+		if len(out) == 0 || out[len(out)-1] != c.table {
+			out = append(out, c.table)
+		}
+	}
+	return out
+}
+
 // LookupToken returns the postings of a single normalised token.
 func (x *Index) LookupToken(tok string) []Posting {
 	return x.unpack(x.postings[Normalize(tok)])

@@ -43,6 +43,13 @@ func TestLookupSingleToken(t *testing.T) {
 	}
 }
 
+func TestTablesSorted(t *testing.T) {
+	want := []string{"addresses", "agreements", "organizations"}
+	if got := Build(testDB()).Tables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tables() = %v, want %v", got, want)
+	}
+}
+
 func TestDiacriticsFolding(t *testing.T) {
 	idx := Build(testDB())
 	// "Zurich" must find "Zürich" and vice versa.

@@ -38,6 +38,29 @@ var catalog = []struct {
 			t.Errorf("step snippet: %v samples, want >= 1", got)
 		}
 	}},
+	{"soda_disconnected_solutions_total", "counter", func(t *testing.T, r *catalogRun) {
+		if got := r.a.at(t, "soda_disconnected_solutions_total"); got != 0 {
+			t.Errorf("replica a = %v, want 0 (the MiniBank join graph is connected)", got)
+		}
+		// Areas 026 and 168 of the warehouse are islands of its join
+		// graph, so this query's solutions that anchor in both are cross
+		// products. The cold search counts each once; its repeat, a cache
+		// hit, counts none.
+		srv := New(soda.NewSystem(soda.Warehouse(soda.WarehouseConfig{}), soda.Options{}))
+		const query = `{"query": "area 026 entity 02 area 168 entity 01"}`
+		body := call(t, srv, http.MethodPost, "/search", query, http.StatusOK).Body.String()
+		want := float64(strings.Count(body, `"disconnected":true`))
+		if want == 0 {
+			t.Fatalf("no disconnected result in %s", body)
+		}
+		if got := scrapeOf(t, srv).at(t, "soda_disconnected_solutions_total"); got != want {
+			t.Errorf("after the cold search = %v, want %v (its disconnected results)", got, want)
+		}
+		call(t, srv, http.MethodPost, "/search", query, http.StatusOK)
+		if got := scrapeOf(t, srv).at(t, "soda_disconnected_solutions_total"); got != want {
+			t.Errorf("after the repeat = %v, want %v", got, want)
+		}
+	}},
 	{"soda_search_requests_total", "counter", func(t *testing.T, r *catalogRun) {
 		// "customer" twice (cold, then a hit) and the saved-query search
 		// (cold); the shed search was not served.

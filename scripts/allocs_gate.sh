@@ -21,16 +21,20 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload=reference: server_allocs_per_op, median of three or more runs
 # of this script's own command (2 cores, go1.24.0 linux/amd64).
-# explore_hot, adhoc_cold and feedback_mix were measured on the child of
-# commit 5a50c2b, whose serving layer makes 14 fewer allocations per
-# request (one request record, no per-request context nodes, no discard
-# of a read body): explore_hot over ten runs, the others over three (the
-# runs spread by 0.07%, 0.11% and 0.14% of the median). At 5a50c2b they
-# read 49.1, 137.8 and 65.8. snippet_exec was measured over three runs on
-# the child of commit baff156, whose hash joins on one column of an
-# unfiltered table probe a join index built once per table column (the
-# runs spread by 0.29% of the median); at baff156 it read 540.
-refs="explore_hot=35.1 adhoc_cold=123.7 snippet_exec=493 feedback_mix=51.8"
+# explore_hot was measured over ten runs on the child of commit 5a50c2b,
+# whose serving layer makes 14 fewer allocations per request (one request
+# record, no per-request context nodes, no discard of a read body); the
+# runs spread by 0.07% of the median, and at 5a50c2b it read 49.1.
+# adhoc_cold and feedback_mix were measured over three runs on the child
+# of commit b9138bb, whose Step 3 keeps the discovery view as table IDs
+# and copies the lists of all of a search's solutions into one slab per
+# element type (the runs spread by 0.05% and 0.24% of the median). At
+# b9138bb they read 114.7 and 50.7 (medians of ten and five runs).
+# snippet_exec was measured over three runs on the child of commit
+# baff156, whose hash joins on one column of an unfiltered table probe a
+# join index built once per table column (the runs spread by 0.29% of the
+# median); at baff156 it read 540.
+refs="explore_hot=35.1 adhoc_cold=110.8 snippet_exec=493 feedback_mix=49.9"
 
 limit=1.15 # 1 + the bound of server_allocs_per_op in BENCHMARK.json
 status=0

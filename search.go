@@ -261,7 +261,7 @@ func (s *System) answerOf(a *core.Analysis) *Answer {
 		res := &Result{
 			SQL:          sql,
 			Score:        sol.Score,
-			Tables:       append([]string(nil), sol.Tables...),
+			Tables:       sol.TableNames(),
 			FromTables:   append([]string(nil), sol.SQLTables...),
 			Disconnected: sol.Disconnected,
 			SnippetError: sol.SnippetErr,

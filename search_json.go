@@ -108,7 +108,7 @@ func (sc *jsonScratch) appendSearch(query string, a *core.Analysis, snippets boo
 		}
 		b = jsonw.AppendString(append(b, `,"sql":`...), sc.text)
 		b = jsonw.AppendFloat(append(b, `,"score":`...), sol.Score)
-		b = appendStrings(append(b, `,"tables":`...), sol.Tables)
+		b = sol.AppendTablesJSON(append(b, `,"tables":`...))
 		b = appendStrings(append(b, `,"from_tables":`...), sol.SQLTables)
 		if len(sol.Joins) > 0 {
 			b = append(b, `,"joins":`...)
